@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test check chaos chaos-suite scenarios fleet-smoke trace-goldens race race-parallel bench bench-json bench-diff experiments examples cover fuzz clean
+.PHONY: all build test check chaos chaos-suite scenarios fleet-smoke trace-goldens race race-parallel race-sched bench bench-json bench-diff experiments examples cover fuzz clean
 
 all: build check
 
@@ -17,12 +17,14 @@ test:
 # baseline, the declarative scenario library (validate + run + coverage
 # gate), the fleet-scale smoke run, the full test suite under the race
 # detector (the parallel sweep makes race coverage load-bearing), a focused
-# race pass over the parallel-DES kernel paths, a short fuzz smoke over the
-# wire-facing parsers, and the coverage floor.
+# race pass over the parallel-DES kernel paths, another over the scheduler's
+# goroutine handoffs, a short fuzz smoke over the wire-facing parsers, and
+# the coverage floor.
 check: chaos chaos-suite scenarios fleet-smoke trace-goldens
 	$(GO) vet ./...
 	$(GO) test -race ./...
 	$(MAKE) race-parallel
+	$(MAKE) race-sched
 	$(MAKE) fuzz
 	$(MAKE) cover
 
@@ -31,6 +33,15 @@ check: chaos chaos-suite scenarios fleet-smoke trace-goldens
 # tests — under the race detector with fresh (uncached) runs.
 race-parallel:
 	$(GO) test -race -count=1 -run 'TestGroup|TestPartitioned|TestCouple|TestGridKnapsack|TestParallel' ./internal/sim/ ./internal/simnet/ ./internal/bench/
+
+# race-sched gates the kernel's direct handoff: control passes between the
+# Run caller and the process goroutines with no synchronisation but the
+# happens-before edge of each resume channel, so the race detector is the
+# check — with one P, where a handoff is a pure goroutine switch, and with
+# several, where the two sides really run on different threads.
+race-sched:
+	GOMAXPROCS=1 $(GO) test -race -count=3 ./internal/sim/
+	GOMAXPROCS=4 $(GO) test -race -count=3 ./internal/sim/
 
 # chaos runs the fault-injection recovery scenarios (see EXPERIMENTS.md,
 # "Chaos runs") on their own, under the race detector.
@@ -82,12 +93,13 @@ bench:
 # bench-json runs the kernel/data-plane microbenchmarks and emits machine-
 # readable results for tracking regressions across commits. BENCHTIME
 # stretches each benchmark enough that the ~100ms/op parallel-DES runs get
-# a stable sample.
+# a stable sample; each benchmark runs three times and cmd/benchjson keeps
+# the median run.
 BENCHTIME ?= 2s
-BENCH_PAT = KernelStep|KernelTimerStop|ObsSpan|SimnetThroughput|MPIPingPong|TransferSingle|TransferParallel8|ParallelTable4|FleetSweep
+BENCH_PAT = KernelStep|KernelSwitch|KernelTimerStop|ObsSpan|SimnetThroughput|MPIPingPong|TransferSingle|TransferParallel8|ParallelTable4|FleetSweep
 
 bench-json:
-	$(GO) test -run NONE -bench '$(BENCH_PAT)' -benchtime $(BENCHTIME) -benchmem . | $(GO) run ./cmd/benchjson > BENCH_kernel.json
+	$(GO) test -run NONE -bench '$(BENCH_PAT)' -benchtime $(BENCHTIME) -count 3 -benchmem . | $(GO) run ./cmd/benchjson > BENCH_kernel.json
 	@cat BENCH_kernel.json
 
 # bench-diff re-runs the microbenchmarks and gates on regressions against
@@ -97,7 +109,7 @@ bench-json:
 BENCH_THRESHOLD ?= 0.10
 
 bench-diff:
-	$(GO) test -run NONE -bench '$(BENCH_PAT)' -benchtime $(BENCHTIME) -benchmem . | $(GO) run ./cmd/benchjson > BENCH_new.json
+	$(GO) test -run NONE -bench '$(BENCH_PAT)' -benchtime $(BENCHTIME) -count 3 -benchmem . | $(GO) run ./cmd/benchjson > BENCH_new.json
 	$(GO) run ./cmd/benchdiff -threshold $(BENCH_THRESHOLD) BENCH_kernel.json BENCH_new.json
 
 experiments:

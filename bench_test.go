@@ -298,6 +298,60 @@ func BenchmarkKernelStep(b *testing.B) {
 	k.Shutdown()
 }
 
+// BenchmarkKernelSwitch measures a process switch on the path runs actually
+// take: driven through Run, where a parking process schedules onwards itself
+// (BenchmarkKernelStep's Step always returns to its caller, which no workload
+// does). Each op is one resume: of a lone sleeper that is always its own
+// successor (self: no goroutine switch), of two processes alternating over an
+// unbuffered Chan (pair: one switch), and of twenty sleepers offset by 50 ns
+// so their wakeups interleave (staggered20).
+func BenchmarkKernelSwitch(b *testing.B) {
+	sleeper := func(offset time.Duration, n int) func(p *sim.Proc) {
+		return func(p *sim.Proc) {
+			p.Sleep(offset)
+			for i := 0; i < n; i++ {
+				p.Sleep(time.Microsecond)
+			}
+		}
+	}
+	for _, c := range []struct {
+		name  string
+		spawn func(k *sim.Kernel, n int)
+	}{
+		{"self", func(k *sim.Kernel, n int) { k.Spawn("s", sleeper(0, n)) }},
+		{"pair", func(k *sim.Kernel, n int) {
+			c := sim.NewChan[int](k, 0)
+			k.Spawn("ping", func(p *sim.Proc) {
+				for i := 0; i < n; i++ {
+					_ = c.Send(p, i)
+				}
+			})
+			k.Spawn("pong", func(p *sim.Proc) {
+				for i := 0; i < n; i++ {
+					_, _ = c.Recv(p)
+				}
+			})
+		}},
+		{"staggered20", func(k *sim.Kernel, n int) {
+			for j := 0; j < 20; j++ {
+				k.Spawn("s", sleeper(time.Duration(j)*50*time.Nanosecond, (n+19)/20))
+			}
+		}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			k := sim.New()
+			c.spawn(k, b.N)
+			b.ResetTimer()
+			if err := k.Run(); err != nil {
+				b.Fatal(err)
+			}
+			b.StopTimer()
+			k.Shutdown()
+		})
+	}
+}
+
 // BenchmarkKernelTimerStop measures arming and immediately canceling a
 // timer. The index-aware event heap removes the canceled event in O(log n)
 // instead of leaking it until its deadline, so churned timeouts cost only

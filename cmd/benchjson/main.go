@@ -6,7 +6,8 @@
 // Recognized per-line metrics: iterations, ns/op, B/op, allocs/op, MB/s.
 // Custom b.ReportMetric units (e.g. the fleet sweep's Mevents/sec) are
 // collected under "metrics". Non-benchmark lines (goos/goarch/pkg/PASS/ok)
-// are ignored.
+// are ignored. A benchmark that appears more than once (`-count N`) is
+// reported once, as its median run by ns/op.
 package main
 
 import (
@@ -14,6 +15,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"sort"
 	"strconv"
 	"strings"
 )
@@ -46,10 +48,30 @@ func main() {
 	}
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")
-	if err := enc.Encode(records); err != nil {
+	if err := enc.Encode(medians(records)); err != nil {
 		fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
 		os.Exit(1)
 	}
+}
+
+// medians collapses repeated runs of one benchmark into the run with the
+// median ns/op (the upper one of an even count), keeping first-seen order.
+// It is a whole run's record, so its other columns belong together.
+func medians(records []Record) []Record {
+	runs := map[string][]Record{}
+	out := []Record{}
+	for _, r := range records {
+		if _, seen := runs[r.Name]; !seen {
+			out = append(out, r)
+		}
+		runs[r.Name] = append(runs[r.Name], r)
+	}
+	for i := range out {
+		rs := runs[out[i].Name]
+		sort.SliceStable(rs, func(a, b int) bool { return rs[a].NsPerOp < rs[b].NsPerOp })
+		out[i] = rs[len(rs)/2]
+	}
+	return out
 }
 
 // parseLine parses one "BenchmarkName-8  1234  56.7 ns/op  8 B/op ..." line.

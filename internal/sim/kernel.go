@@ -22,12 +22,29 @@
 // timer heap itself is a 4-ary index-aware heap so Timer.Stop removes its
 // event in O(log n) instead of leaking it until popped. Kernel-aware
 // subsystems (the simnet link pumps) can also enter the ready queue as
-// inline Tasks, avoiding the two goroutine handoffs a parked process costs.
+// inline Tasks, which run in place on whichever goroutine is scheduling and
+// cost no goroutine switch at all.
+//
+// # Direct handoff
+//
+// There is no scheduler goroutine. The scheduling loop (next) runs on
+// whichever goroutine holds control: the caller of Run/RunUntil, or a process
+// that is parking or exiting. A parking process that finds itself next in the
+// ready queue simply returns (no switch); finding another process next, it
+// resumes that process and blocks on its own resume channel (one switch).
+// Control goes back to the Run caller only when no work is left before the
+// horizon, when the kernel is stopped, or when the next event is an After
+// callback: those fire only on the Run caller's goroutine, because they are
+// where Kill is reached and Kill must unwind its victim synchronously —
+// impossible if the victim's own goroutine were the one executing the
+// callback. Step keeps strict single-step semantics: under it a parking
+// process always returns to the caller.
 package sim
 
 import (
 	"errors"
 	"fmt"
+	"math"
 	"time"
 )
 
@@ -37,6 +54,14 @@ var ErrDeadlock = errors.New("sim: deadlock: processes blocked with empty event 
 
 // errKilled is panicked inside parked processes when the kernel shuts down.
 var errKilled = errors.New("sim: process killed by kernel shutdown")
+
+// kernelPanic is how a panic inside an inline Task or EventHandler travels up
+// the stack of the process whose goroutine happened to be running it, so that
+// the process's own recover does not take the blame.
+type kernelPanic string
+
+// noHorizon is the horizon of a run that is not bounded in virtual time.
+const noHorizon = time.Duration(math.MaxInt64)
 
 // Event queue position markers for event.idx.
 const (
@@ -73,16 +98,18 @@ type event struct {
 }
 
 // Task is one unit of ready-queue work at the current instant: a parked
-// process to resume, or an inline continuation that runs on the kernel
-// goroutine without a context switch (used by the virtual network's link
-// pumps). RunTask must return control to the kernel promptly; it executes
-// in kernel context, not process context.
+// process to resume, or an inline continuation that runs in place on the
+// scheduling goroutine without a context switch (used by the virtual
+// network's link pumps). RunTask must return control to the kernel promptly;
+// it executes in kernel context, not process context, and that goroutine may
+// be any process's: it must not call Kill or Shutdown (schedule an After
+// callback that does).
 type Task interface{ RunTask(k *Kernel) }
 
 // EventHandler is the allocation-free analogue of an After callback: when
-// the event fires, OnEvent runs inline in kernel context. Hot-path
-// subsystems implement it on pooled objects (e.g. in-flight network
-// segments) to avoid a closure per event.
+// the event fires, OnEvent runs inline in kernel context, under the same
+// rules as an inline Task. Hot-path subsystems implement it on pooled objects
+// (e.g. in-flight network segments) to avoid a closure per event.
 type EventHandler interface{ OnEvent(k *Kernel) }
 
 // eventHeap is a 4-ary min-heap ordered by (at, seq) that maintains each
@@ -206,6 +233,9 @@ func (q *fifo[T]) push(v T) { q.buf = append(q.buf, v) }
 
 func (q *fifo[T]) len() int { return len(q.buf) - q.head }
 
+// peek returns the head without removing it; the queue must be non-empty.
+func (q *fifo[T]) peek() T { return q.buf[q.head] }
+
 func (q *fifo[T]) pop() T {
 	var zero T
 	v := q.buf[q.head]
@@ -233,15 +263,27 @@ type Kernel struct {
 	now     time.Duration
 	seq     uint64
 	events  eventHeap
-	due     fifo[*event] // events scheduled for the current instant
-	ready   fifo[Task]   // work runnable at the current instant, FIFO
-	free    []*event     // recycled event records
-	procs   map[int]*Proc
+	due     fifo[*event]  // events scheduled for the current instant
+	ready   fifo[Task]    // work runnable at the current instant, FIFO
+	free    []*event      // recycled event records
+	procs   map[int]*Proc // processes that have not exited
+	live    int           // non-daemon entries of procs
 	nextPID int
+	// current is the process whose goroutine holds control, running either
+	// its own code or the scheduling loop; nil while the caller of
+	// Run/RunUntil/Step holds it.
 	current *Proc
-	yield   chan struct{} // signaled by a process when it parks or exits
-	stopped bool
-	rng     uint64 // splitmix64 state; zero until Seed (Rand self-seeds to 1)
+	// inline is the Task or EventHandler running in place right now (it stays
+	// set when that work panics): Kill and Shutdown refuse to run under it, and
+	// a panic inside it is not blamed on the process whose goroutine ran it.
+	inline   any
+	horizon  time.Duration // next does not advance the clock beyond it
+	home     chan struct{} // returns control to the Run/RunUntil caller
+	yield    chan struct{} // Step only (made on first use): a resumed process parked or exited
+	stepping bool          // Step is resuming a process
+	switches uint64        // goroutine handoffs performed (tests)
+	stopped  bool
+	rng      uint64 // splitmix64 state; zero until Seed (Rand self-seeds to 1)
 	// Trace, when non-nil, receives a line for every process start/exit and
 	// every Sleep wakeup. Used by experiment harnesses to render timelines.
 	Trace func(at time.Duration, format string, args ...interface{})
@@ -251,7 +293,7 @@ type Kernel struct {
 func New() *Kernel {
 	return &Kernel{
 		procs: make(map[int]*Proc),
-		yield: make(chan struct{}),
+		home:  make(chan struct{}),
 	}
 }
 
@@ -443,35 +485,52 @@ func (k *Kernel) spawn(name string, fn func(p *Proc), daemon bool) *Proc {
 		done:   make(chan struct{}),
 	}
 	k.procs[p.pid] = p
+	if !daemon {
+		k.live++
+	}
 	go p.run(fn)
 	k.ready.push(p)
 	return p
 }
 
-// nextEvent dequeues the next event in strict (at, seq) order, advancing the
-// clock when the timeline moves forward. Canceled due-queue entries are
-// skipped and recycled. It returns nil when no events remain.
-func (k *Kernel) nextEvent() *event {
-	for {
-		// Heap residents at the current instant predate every due entry.
-		if top := k.events.peek(); top != nil && top.at <= k.now {
-			return k.events.pop()
+// nextEvent dequeues the next event in strict (at, seq) order that fires at or
+// before the horizon, advancing the clock when the timeline moves forward;
+// nil when there is none. Canceled due-queue entries are skipped and
+// recycled. Same-instant work (heap residents at now, which predate every due
+// entry, then the due queue) does not consult the horizon: the clock does not
+// move. With holdFn an After callback is not dequeued: nil is returned and it
+// stays next in line.
+func (k *Kernel) nextEvent(horizon time.Duration, holdFn bool) *event {
+	ev := k.events.peek()
+	fromDue := false
+	if ev == nil || ev.at > k.now {
+		for k.due.len() > 0 && k.due.peek().canceled {
+			k.release(k.due.pop())
 		}
 		if k.due.len() > 0 {
-			ev := k.due.pop()
-			if ev.canceled {
-				k.release(ev)
-				continue
-			}
-			return ev
+			ev, fromDue = k.due.peek(), true
 		}
-		if top := k.events.peek(); top != nil {
-			ev := k.events.pop()
-			k.now = ev.at
-			return ev
-		}
+	}
+	if ev == nil || (holdFn && ev.fn != nil) {
 		return nil
 	}
+	if fromDue {
+		return k.due.pop()
+	}
+	if ev.at > k.now {
+		if ev.at > horizon {
+			return nil
+		}
+		k.now = ev.at
+	}
+	return k.events.pop()
+}
+
+// runInline runs an inline Task in place.
+func (k *Kernel) runInline(t Task) {
+	k.inline = t
+	t.RunTask(k)
+	k.inline = nil
 }
 
 // fire dispatches a dequeued event and recycles its record.
@@ -492,7 +551,9 @@ func (k *Kernel) fire(ev *event) {
 	case ev.h != nil:
 		h := ev.h
 		k.release(ev)
+		k.inline = h
 		h.OnEvent(k)
+		k.inline = nil
 	default:
 		fn := ev.fn
 		k.release(ev)
@@ -500,18 +561,94 @@ func (k *Kernel) fire(ev *event) {
 	}
 }
 
+// next is the scheduling loop: it runs the simulation in place — inline Tasks
+// and closure-free events — until a process has to run, and returns that
+// process. It returns nil when no work is left before the horizon, when the
+// kernel is stopped, or, with the loop on a process's goroutine (inProc), when
+// an After callback is next: those fire only on the Run caller's goroutine
+// (see the package comment).
+func (k *Kernel) next(inProc bool) *Proc {
+	for !k.stopped {
+		if k.ready.len() > 0 {
+			t := k.ready.pop()
+			if p, isProc := t.(*Proc); !isProc {
+				k.runInline(t)
+			} else if !p.exited {
+				return p
+			}
+			continue
+		}
+		ev := k.nextEvent(k.horizon, inProc)
+		if ev == nil {
+			break
+		}
+		k.fire(ev)
+	}
+	return nil
+}
+
+// run is Run and RunUntil: the caller's goroutine schedules until a process
+// is due, lends it control, and carries on when control comes home.
+func (k *Kernel) run(horizon time.Duration) {
+	k.horizon = horizon
+	for p := k.next(false); p != nil; p = k.next(false) {
+		k.resume(p)
+		<-k.home
+	}
+}
+
+// resume hands control to p's goroutine. The caller must then block (or
+// end): from the send on, the kernel is p's.
+func (k *Kernel) resume(p *Proc) {
+	k.current = p
+	k.switches++
+	p.resume <- struct{}{}
+}
+
+// dispatch passes control on from self, a process that is parking or has just
+// exited: it schedules on self's own goroutine and hands over to whoever is
+// due — the next process, or the Run caller when next finds none. It reports
+// whether self turned out to be next itself (no switch); otherwise a parking
+// self must now wait to be resumed.
+func (k *Kernel) dispatch(self *Proc) (resumed bool) {
+	// Whatever panics through here is the inline work next was running in
+	// place, not the process: say so, and name the work.
+	defer func() {
+		if r := recover(); r != nil {
+			panic(kernelPanic(fmt.Sprintf("sim: kernel-context panic in %T: %v", k.inline, r)))
+		}
+	}()
+	switch p := k.next(true); p {
+	case self:
+		return true
+	case nil:
+		k.current = nil
+		k.switches++
+		k.home <- struct{}{}
+	default:
+		k.resume(p)
+	}
+	return false
+}
+
 // Step executes the next unit of work: either runs a ready task or advances
 // the clock to the next event and fires it. It reports whether any work was
-// performed.
+// performed. A process resumed by Step returns control to the caller when it
+// next parks, rather than scheduling onwards itself.
 func (k *Kernel) Step() bool {
 	if k.stopped {
 		return false
 	}
 	if k.ready.len() > 0 {
-		k.ready.pop().RunTask(k)
+		t := k.ready.pop()
+		if p, isProc := t.(*Proc); isProc {
+			p.RunTask(k)
+		} else {
+			k.runInline(t)
+		}
 		return true
 	}
-	if ev := k.nextEvent(); ev != nil {
+	if ev := k.nextEvent(noHorizon, false); ev != nil {
 		k.fire(ev)
 		return true
 	}
@@ -522,10 +659,9 @@ func (k *Kernel) Step() bool {
 // process has exited, and ErrDeadlock when live processes remain blocked with
 // no pending events.
 func (k *Kernel) Run() error {
-	for k.Step() {
-	}
-	if k.liveProcs() > 0 && !k.stopped {
-		return fmt.Errorf("%w (%d live)", ErrDeadlock, k.liveProcs())
+	k.run(noHorizon)
+	if k.live > 0 && !k.stopped {
+		return fmt.Errorf("%w (%d live)", ErrDeadlock, k.live)
 	}
 	return nil
 }
@@ -534,52 +670,14 @@ func (k *Kernel) Run() error {
 // exhausted, or the kernel is stopped. The clock is left at min(t, last event
 // time) or exactly t if work remains beyond it.
 func (k *Kernel) RunUntil(t time.Duration) {
-	for !k.stopped {
-		if k.ready.len() > 0 {
-			k.ready.pop().RunTask(k)
-			continue
-		}
-		// Same-instant work (heap residents at now, then due entries) fires
-		// without consulting the horizon: the clock does not move.
-		if top := k.events.peek(); top != nil && top.at <= k.now {
-			k.fire(k.events.pop())
-			continue
-		}
-		if k.due.len() > 0 {
-			ev := k.due.pop()
-			if ev.canceled {
-				k.release(ev)
-				continue
-			}
-			k.fire(ev)
-			continue
-		}
-		top := k.events.peek()
-		if top == nil {
-			break
-		}
-		if top.at > t {
-			k.now = t
-			break
-		}
-		ev := k.events.pop()
-		k.now = ev.at
-		k.fire(ev)
+	k.run(t)
+	if !k.stopped && k.events.len() > 0 {
+		k.now = t
 	}
-}
-
-func (k *Kernel) liveProcs() int {
-	n := 0
-	for _, p := range k.procs {
-		if !p.exited && !p.daemon {
-			n++
-		}
-	}
-	return n
 }
 
 // Live reports the number of non-daemon processes that have not exited.
-func (k *Kernel) Live() int { return k.liveProcs() }
+func (k *Kernel) Live() int { return k.live }
 
 // Events reports the total number of events stamped since the kernel was
 // created — every timer, wakeup, and network hop increments it exactly once.
@@ -588,41 +686,56 @@ func (k *Kernel) Live() int { return k.liveProcs() }
 func (k *Kernel) Events() uint64 { return k.seq }
 
 // Kill terminates a single process: it is resumed with a kill signal and
-// unwinds its stack immediately (deferred functions run), exactly like one
-// process's share of Shutdown. Pending timers referencing the process become
-// no-ops. Kill models a host crash taking a process down mid-flight.
+// unwinds its stack immediately (deferred functions run before Kill returns),
+// exactly like one process's share of Shutdown. Pending timers referencing
+// the process become no-ops. Kill models a host crash taking a process down
+// mid-flight.
 //
-// Kill must be called from kernel context — an event callback (After), an
-// inline Task, or before Run — never from a running process: the kernel
-// goroutine must be parked on the scheduler loop to hand control to the dying
-// process's unwinding.
+// Kill must be called from an event callback (After) or between runs — never
+// from a running process, nor from an inline Task or EventHandler, whose
+// goroutine may be the victim's own and so could not wait for it to unwind.
 func (k *Kernel) Kill(p *Proc) {
 	if p == nil || p.exited || p.killed {
 		return
 	}
+	k.mustNotBeInline("Kill")
 	if k.current != nil {
 		panic("sim: Kill must be called from kernel context, not from a process")
 	}
-	p.killed = true
-	p.resume <- struct{}{}
-	<-k.yield
+	p.kill()
+}
+
+// mustNotBeInline panics when an inline Task or EventHandler is what is
+// calling op — whichever goroutine happens to be running it, so the rule does
+// not depend on who was scheduling.
+func (k *Kernel) mustNotBeInline(op string) {
+	if k.inline != nil {
+		panic(fmt.Sprintf("sim: %s called from inline %T; schedule an After callback instead", op, k.inline))
+	}
 }
 
 // Shutdown terminates the simulation: every parked process is resumed with a
-// kill signal, unwinding its stack so goroutines do not leak. The kernel
-// cannot be used after Shutdown.
+// kill signal, in PID order, unwinding its stack so goroutines do not leak.
+// The kernel cannot be used after Shutdown.
+//
+// Shutdown may be called from a running process (which survives it), from an
+// event callback (After) or between runs — not from an inline Task or
+// EventHandler: the process whose goroutine is lending it the scheduling loop
+// could be neither unwound nor left parked.
 func (k *Kernel) Shutdown() {
 	if k.stopped {
 		return
 	}
+	k.mustNotBeInline("Shutdown")
 	k.stopped = true
-	for _, p := range k.procs {
-		if p.exited || p == k.current {
-			continue
+	// PIDs count up from 1, so this also reaps whatever the unwinding spawns
+	// (deferred cleanup). Skipped: the caller's own process, and one whose
+	// unwinding is what called Shutdown — neither goroutine can wait for
+	// itself.
+	for pid := 1; pid <= k.nextPID; pid++ {
+		if p := k.procs[pid]; p != nil && p != k.current && !p.killed {
+			p.kill()
 		}
-		p.killed = true
-		p.resume <- struct{}{}
-		<-k.yield
 	}
 }
 

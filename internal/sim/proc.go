@@ -33,51 +33,111 @@ func (p *Proc) Now() time.Duration { return p.k.now }
 
 // run is the goroutine body wrapping the user function.
 func (p *Proc) run(fn func(p *Proc)) {
+	k := p.k
 	defer func() {
-		if r := recover(); r != nil && r != errKilled { //nolint:errorlint // sentinel identity
+		r := recover()
+		if kp, inKernel := r.(kernelPanic); inKernel {
+			panic(string(kp))
+		}
+		if r != nil && r != errKilled { //nolint:errorlint // sentinel identity
 			// Re-panicking here would crash the whole test binary from a
 			// foreign goroutine with a stack that is hard to attribute; wrap
 			// with the process name instead so failures are diagnosable.
-			p.exited = true
-			p.k.tracef("proc %s panicked: %v", p.name, r)
-			close(p.done)
+			k.tracef("proc %s panicked: %v", p.name, r)
+			p.exit()
 			panic(fmt.Sprintf("sim: process %q panicked: %v", p.name, r))
 		}
-		p.exited = true
-		close(p.done)
-		p.k.tracef("proc %s exit", p.name)
-		p.k.yield <- struct{}{}
+		// Killed — or the body left through runtime.Goexit (t.Fatal in a
+		// test), which must not take control of the simulation with it.
+		if !p.exited {
+			p.leave()
+		}
 	}()
-	<-p.resume // wait for first scheduling
-	if p.killed {
-		// Killed before ever running (host crashed between Spawn and the
-		// first scheduling): unwind without executing the body.
-		panic(errKilled)
-	}
-	p.k.tracef("proc %s start", p.name)
+	// Wait for the first scheduling. A process killed before it (host crashed
+	// between Spawn and then) unwinds from here without running fn.
+	p.await()
+	k.tracef("proc %s start", p.name)
 	fn(p)
+	p.leave()
 }
 
-// RunTask implements Task: dequeued from the ready queue, the kernel hands
-// control to the process goroutine and blocks until it parks or exits.
+// leave retires the process and passes control on — unless it was killed:
+// then its Kill is waiting on done, and control was never this goroutine's.
+func (p *Proc) leave() {
+	k := p.k
+	p.exit()
+	switch {
+	case p.killed:
+	case k.stepping:
+		k.yield <- struct{}{}
+	default:
+		k.dispatch(p)
+	}
+}
+
+// exit retires the process: it leaves the process table and releases
+// everything waiting on Done, including a Kill in progress.
+func (p *Proc) exit() {
+	k := p.k
+	p.exited = true
+	delete(k.procs, p.pid)
+	if !p.daemon {
+		k.live--
+	}
+	k.tracef("proc %s exit", p.name)
+	close(p.done)
+}
+
+// kill resumes a parked process with the kill signal and waits until its
+// stack has unwound. The caller's goroutine must not be p's own.
+func (p *Proc) kill() {
+	p.killed = true
+	p.resume <- struct{}{}
+	<-p.done
+}
+
+// RunTask implements Task for Step, the one place the two-handoff rendezvous
+// survives: the caller hands control to the process goroutine and blocks
+// until it parks or exits. (Under Run, Kernel.resume does it in one.)
 func (p *Proc) RunTask(k *Kernel) {
 	if p.exited {
 		return
 	}
+	if k.yield == nil {
+		k.yield = make(chan struct{}) // Run never needs it
+	}
 	k.current = p
+	k.stepping = true
 	p.resume <- struct{}{}
 	<-k.yield
+	k.stepping = false
 	k.current = nil
 }
 
-// park returns control to the kernel and blocks until the process is
-// resumed. If the kernel was shut down meanwhile, the process unwinds.
-func (p *Proc) park() {
-	p.k.yield <- struct{}{}
+// await blocks until the process is resumed. If it was killed meanwhile, it
+// unwinds.
+func (p *Proc) await() {
 	<-p.resume
 	if p.killed {
 		panic(errKilled)
 	}
+}
+
+// park gives up control until the process is resumed: under Run the process
+// schedules onwards itself, under Step it returns to the caller. A killed
+// process cannot block again (its Kill is waiting for it): deferred cleanup
+// that tries to keeps unwinding.
+func (p *Proc) park() {
+	k := p.k
+	if p.killed {
+		panic(errKilled)
+	}
+	if k.stepping {
+		k.yield <- struct{}{}
+	} else if k.dispatch(p) {
+		return
+	}
+	p.await()
 }
 
 // yieldNow reschedules the process at the current instant, letting other

@@ -53,10 +53,11 @@ func (nd *Node) OnRestart(name string, fn func(transport.Env)) {
 // transport.ErrReset after the RST propagates along the path. Dials to a
 // crashed host fail with transport.ErrHostDown after one path round trip.
 //
-// CrashHost must be called from kernel context (an event callback, a
-// FaultPlan, or between Run calls), because killing a process requires the
-// scheduler to be parked. All teardown is ordered deterministically: conns by
-// address, processes by PID.
+// CrashHost must be called from an After callback, a FaultPlan, or between
+// Run calls — not from a process, an inline sim.Task or a sim.EventHandler:
+// killing a process means waiting for it to unwind, which no goroutine that
+// may be the victim's own can do (sim.Kernel.Kill panics there). All teardown
+// is ordered deterministically: conns by address, processes by PID.
 func (n *Network) CrashHost(name string) error {
 	nd := n.nodes[name]
 	if nd == nil || !nd.isHost {
