@@ -52,8 +52,8 @@ chaos:
 # flapping links, stragglers, rolling outages — see EXPERIMENTS.md, "Chaos
 # suite"), every scenario replayed twice for trace determinism, then gates
 # the fresh summary against the committed CHAOS_suite.json baseline: any
-# failed invariant, shrunk scenario/invariant count, or dropped scenario
-# name exits non-zero.
+# failed invariant, shrunk scenario/invariant count, dropped scenario name,
+# or trace hash that differs from the baseline's exits non-zero.
 chaos-suite:
 	$(GO) run ./cmd/experiments -run chaos-suite -chaos-json CHAOS_new.json
 	$(GO) run ./cmd/benchdiff -chaos-old CHAOS_suite.json -chaos-new CHAOS_new.json
@@ -62,8 +62,9 @@ chaos-suite:
 # EXPERIMENTS.md, "Scenario runs"): every file under scenarios/ must parse,
 # validate, double-run bit-identically, and pass its declared assertions;
 # the fresh summary is then gated against the committed SCENARIOS_suite.json
-# baseline exactly like the chaos suite (failed invariant, shrunk counts, or
-# a dropped scenario name exits non-zero).
+# baseline exactly like the chaos suite (failed invariant, shrunk counts, a
+# dropped scenario name, or a changed trace hash or fingerprint exits
+# non-zero).
 scenarios:
 	$(GO) run ./cmd/simulator validate scenarios/*.yaml
 	$(GO) run ./cmd/simulator run -json SCENARIOS_new.json scenarios/*.yaml
@@ -96,7 +97,7 @@ bench:
 # a stable sample; each benchmark runs three times and cmd/benchjson keeps
 # the median run.
 BENCHTIME ?= 2s
-BENCH_PAT = KernelStep|KernelSwitch|KernelTimerStop|ObsSpan|SimnetThroughput|MPIPingPong|TransferSingle|TransferParallel8|ParallelTable4|FleetSweep
+BENCH_PAT = KernelStep|KernelSwitch|KernelTimerStop|ObsSpan|ObsEmit|ObsHash|SimnetThroughput|MPIPingPong|TransferSingle|TransferParallel8|ParallelTable4|FleetSweep
 
 bench-json:
 	$(GO) test -run NONE -bench '$(BENCH_PAT)' -benchtime $(BENCHTIME) -count 3 -benchmem . | $(GO) run ./cmd/benchjson > BENCH_kernel.json

@@ -230,6 +230,58 @@ func BenchmarkObsSpan(b *testing.B) {
 	})
 }
 
+// obsTraceEvents is the trace length BenchmarkObsEmit records and
+// BenchmarkObsHash hashes: the size of a chaos scenario's trace, well past
+// the store's chunk doubling.
+const obsTraceEvents = 1_000_000
+
+// emitTrace records obsTraceEvents instants with three integer fields — the
+// shape of simnet's per-buffer delivery event — on one fresh observer.
+func emitTrace() *obs.Observer {
+	o := obs.New()
+	for i := 0; i < obsTraceEvents; i++ {
+		v := int64(i)
+		o.Emit(time.Duration(i), "net", "deliver", "bench", obs.Int("bytes", v), obs.Int("seq", v), obs.Int("hop", 3))
+	}
+	return o
+}
+
+// BenchmarkObsEmit is the trace store's ledger row: what recording one event
+// costs over a whole run's trace, growth of the store included (which
+// BenchmarkObsSpan resets away). One op is the full trace.
+func BenchmarkObsEmit(b *testing.B) {
+	b.ReportAllocs()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if emitTrace().Len() != obsTraceEvents {
+			b.Fatal("trace lost events")
+		}
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	events := float64(b.N) * obsTraceEvents
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/events, "ns/event")
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/events, "B/event")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/events, "allocs/event")
+}
+
+// BenchmarkObsHash is the determinism witness's row: serializing and
+// FNV-hashing that trace, which every scenario run does once.
+func BenchmarkObsHash(b *testing.B) {
+	o := emitTrace()
+	want := o.Hash()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if o.Hash() != want {
+			b.Fatal("hash not stable")
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*obsTraceEvents), "ns/event")
+}
+
 // BenchmarkSimnetThroughput measures raw simulator performance: virtual
 // bytes streamed per host-second, the substrate cost every experiment pays.
 func BenchmarkSimnetThroughput(b *testing.B) {

@@ -22,9 +22,10 @@
 // -chaos-old/-chaos-new additionally (or instead) compare chaos-suite JSON
 // summaries (cmd/experiments -run chaos-suite -chaos-json …): the new suite
 // must pass every invariant, must not have fewer scenarios or invariants
-// than the committed baseline, and must not have dropped a baseline scenario
-// by name — so chaos coverage regressions fail the same gate as performance
-// regressions:
+// than the committed baseline, must not have dropped a baseline scenario by
+// name, and must reproduce every baseline trace_hash and fingerprint — so
+// chaos coverage and determinism regressions fail the same gate as
+// performance regressions:
 //
 //	go run ./cmd/experiments -run chaos-suite -chaos-json CHAOS_new.json
 //	go run ./cmd/benchdiff -chaos-old CHAOS_suite.json -chaos-new CHAOS_new.json
@@ -224,12 +225,14 @@ func SpeedupSection(recs []Record) string {
 }
 
 // ChaosScenario mirrors internal/chaos.ScenarioResult's JSON shape (only the
-// gated fields).
+// gated fields). Fingerprint is written by the scenario suite only.
 type ChaosScenario struct {
-	Name       string   `json:"name"`
-	Passed     bool     `json:"passed"`
-	Invariants int      `json:"invariants"`
-	Failures   []string `json:"failures,omitempty"`
+	Name        string   `json:"name"`
+	Passed      bool     `json:"passed"`
+	Invariants  int      `json:"invariants"`
+	Failures    []string `json:"failures,omitempty"`
+	TraceHash   string   `json:"trace_hash,omitempty"`
+	Fingerprint string   `json:"fingerprint,omitempty"`
 }
 
 // ChaosSuite mirrors internal/chaos.SuiteResult's JSON shape.
@@ -248,9 +251,11 @@ func (s *ChaosSuite) counts() (scenarios, invariants, failures int) {
 
 // ChaosSection renders the chaos-suite summary line (plus any violations)
 // and reports whether the suite regressed: a failed invariant in the new
-// run, fewer scenarios or invariants than the baseline, or a baseline
-// scenario missing by name. old may be nil (no baseline: gate only on the
-// new run's own failures).
+// run, fewer scenarios or invariants than the baseline, a baseline scenario
+// missing by name, or a scenario whose trace_hash or fingerprint differs
+// from the baseline's (compared when both files carry the field; the line
+// prints old -> new). old may be nil (no baseline: gate only on the new
+// run's own failures).
 func ChaosSection(old, cur *ChaosSuite) (string, bool) {
 	return SuiteSection("chaos suite", old, cur)
 }
@@ -274,14 +279,25 @@ func SuiteSection(label string, old, cur *ChaosSuite) (string, bool) {
 			fmt.Fprintf(&b, "\n  REGRESSION: invariant count shrank %d -> %d", oInv, inv)
 			regressed = true
 		}
-		have := make(map[string]bool, len(cur.Scenarios))
+		byName := make(map[string]ChaosScenario, len(cur.Scenarios))
 		for _, sc := range cur.Scenarios {
-			have[sc.Name] = true
+			byName[sc.Name] = sc
 		}
 		for _, sc := range old.Scenarios {
-			if !have[sc.Name] {
+			n, ok := byName[sc.Name]
+			if !ok {
 				fmt.Fprintf(&b, "\n  REGRESSION: baseline scenario %q dropped", sc.Name)
 				regressed = true
+				continue
+			}
+			for _, f := range []struct{ field, old, cur string }{
+				{"trace_hash", sc.TraceHash, n.TraceHash},
+				{"fingerprint", sc.Fingerprint, n.Fingerprint},
+			} {
+				if f.old != "" && f.cur != "" && f.old != f.cur {
+					fmt.Fprintf(&b, "\n  REGRESSION: %s %s changed: %q -> %q", sc.Name, f.field, f.old, f.cur)
+					regressed = true
+				}
 			}
 		}
 	}

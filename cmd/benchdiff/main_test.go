@@ -255,3 +255,42 @@ func TestSuiteSectionLabel(t *testing.T) {
 		t.Errorf("shrink detail missing:\n%s", out)
 	}
 }
+
+// TestSuiteSectionHashDriftGates pins the gate that reads what it claims:
+// a trace_hash or fingerprint that differs from the baseline's is a
+// regression naming old -> new; a field only one side carries is not
+// compared.
+func TestSuiteSectionHashDriftGates(t *testing.T) {
+	base := ChaosScenario{Name: "s", Passed: true, Invariants: 3, TraceHash: "aaaa", Fingerprint: "elapsed=1ms\n"}
+	with := func(hash, fp string) ChaosScenario {
+		sc := base
+		sc.TraceHash, sc.Fingerprint = hash, fp
+		return sc
+	}
+	for _, tc := range []struct {
+		name     string
+		old, cur ChaosScenario
+		want     []string // nil: no regression
+	}{
+		{name: "identical", old: base, cur: base},
+		{name: "trace hash drift", old: base, cur: with("bbbb", base.Fingerprint),
+			want: []string{`REGRESSION: s trace_hash changed: "aaaa" -> "bbbb"`}},
+		{name: "fingerprint drift", old: base, cur: with(base.TraceHash, "elapsed=2ms\n"),
+			want: []string{`REGRESSION: s fingerprint changed: "elapsed=1ms\n" -> "elapsed=2ms\n"`}},
+		{name: "both drift", old: base, cur: with("bbbb", "elapsed=2ms\n"),
+			want: []string{"s trace_hash changed", "s fingerprint changed"}},
+		{name: "baseline without fingerprint", old: with("aaaa", ""), cur: base},
+		{name: "new run without hashes", old: base, cur: with("", "")},
+		{name: "baseline without hashes", old: with("", ""), cur: base},
+	} {
+		out, regressed := SuiteSection("scenario suite", chaosSuite(tc.old), chaosSuite(tc.cur))
+		if regressed != (tc.want != nil) {
+			t.Errorf("%s: regressed = %v:\n%s", tc.name, regressed, out)
+		}
+		for _, w := range tc.want {
+			if !strings.Contains(out, w) {
+				t.Errorf("%s: output missing %q:\n%s", tc.name, w, out)
+			}
+		}
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"time"
 
+	"nxcluster/internal/bench"
 	"nxcluster/internal/cluster"
 	"nxcluster/internal/hbm"
 	"nxcluster/internal/knapsack"
@@ -121,42 +122,60 @@ func fingerprint(rep *Report) string {
 }
 
 // RunScenario executes one scenario: the faulted config twice (determinism
-// check), the baseline once if present, then every invariant. Harness errors
-// (a config the runner rejects) come back as the error; invariant violations
-// and determinism breaks are recorded as failures in the result.
+// check) and the baseline once if present, then every invariant. The runs
+// are independent — each builds its own kernel, testbed and observer — so
+// they go through bench.RunParallel and share the host's cores; with
+// GOMAXPROCS=1 they run one after another in the order primary, replay,
+// baseline. Harness errors (a config the runner rejects) come back as the
+// error, the primary's first; invariant violations and determinism breaks
+// are recorded as failures in the result.
 func RunScenario(s Scenario) (*ScenarioResult, error) {
-	runWith := func(cfg Config) (*Report, *obs.Observer, error) {
+	const primary, replay, baseline = 0, 1, 2
+	labels := [...]string{primary: "", replay: " (replay)", baseline: " (baseline)"}
+	cfgs := []Config{primary: s.Config, replay: s.Config}
+	if s.Baseline != nil {
+		cfgs = append(cfgs, *s.Baseline)
+	}
+	type outcome struct {
+		rep  *Report
+		obs  *obs.Observer
+		hash uint64
+	}
+	runs := make([]outcome, len(cfgs))
+	err := bench.RunParallel(len(cfgs), 0, func(i int) error {
+		cfg := cfgs[i]
 		o := obs.New()
 		cfg.Options.Obs = o
 		rep, err := Run(cfg)
 		if err != nil {
-			return nil, nil, err
+			return fmt.Errorf("chaos %s%s: %w", s.Name, labels[i], err)
 		}
-		return rep, o, nil
-	}
-	rep, o1, err := runWith(s.Config)
+		runs[i].rep = rep
+		if i != baseline {
+			// Only the double run's traces are compared, and each is hashed
+			// here, on the run's own core, not after the join.
+			runs[i].obs, runs[i].hash = o, o.Hash()
+		}
+		return nil
+	})
 	if err != nil {
-		return nil, fmt.Errorf("chaos %s: %w", s.Name, err)
+		return nil, err
 	}
-	rep2, o2, err := runWith(s.Config)
-	if err != nil {
-		return nil, fmt.Errorf("chaos %s (replay): %w", s.Name, err)
-	}
-	h1, h2 := o1.Hash(), o2.Hash()
+	rep, h1, h2 := runs[primary].rep, runs[primary].hash, runs[replay].hash
 	res := &ScenarioResult{
 		Name:      s.Name,
 		TraceHash: fmt.Sprintf("%016x", h1),
 		ElapsedMS: rep.Elapsed.Milliseconds(),
 		JobDoneMS: rep.JobDone.Milliseconds(),
 		Report:    rep,
-		Obs:       o1,
+		Obs:       runs[primary].obs,
 	}
 	// The determinism invariant is implicit on every scenario: identical
 	// trace hash and identical report fingerprint across the double run.
 	res.Invariants++
 	if h1 != h2 {
-		res.Failures = append(res.Failures, fmt.Sprintf("determinism: trace hash %016x != %016x across identical runs", h1, h2))
-	} else if f1, f2 := fingerprint(rep), fingerprint(rep2); f1 != f2 {
+		res.Failures = append(res.Failures, traceDivergence(runs[primary].obs, runs[replay].obs, h1, h2))
+	} else if f1, f2 := fingerprint(rep), fingerprint(runs[replay].rep); f1 != f2 {
 		res.Failures = append(res.Failures, fmt.Sprintf("determinism: reports diverge: %q vs %q", f1, f2))
 	}
 	for _, inv := range s.Invariants {
@@ -166,20 +185,25 @@ func RunScenario(s Scenario) (*ScenarioResult, error) {
 		}
 	}
 	if s.Baseline != nil {
-		base, _, err := runWith(*s.Baseline)
-		if err != nil {
-			return nil, fmt.Errorf("chaos %s (baseline): %w", s.Name, err)
-		}
-		res.BaseReport = base
+		res.BaseReport = runs[baseline].rep
 		if s.Compare != nil {
 			res.Invariants++
-			if err := s.Compare(rep, base); err != nil {
+			if err := s.Compare(rep, res.BaseReport); err != nil {
 				res.Failures = append(res.Failures, fmt.Sprintf("baseline-compare: %v", err))
 			}
 		}
 	}
 	res.Passed = len(res.Failures) == 0
 	return res, nil
+}
+
+// traceDivergence words the determinism failure for a double run whose
+// trace hashes differ: both hashes, then the first event the two traces
+// disagree on, as the JSONL line of each side.
+func traceDivergence(a, b *obs.Observer, ha, hb uint64) string {
+	n, la, lb := obs.FirstDiff(a, b)
+	return fmt.Sprintf("determinism: trace hash %016x != %016x across identical runs; first divergence at event %d: %s | %s",
+		ha, hb, n, la, lb)
 }
 
 // RunSuite executes every scenario, logging one line per scenario through

@@ -9,6 +9,7 @@ import (
 
 	"nxcluster/internal/cluster"
 	"nxcluster/internal/hbm"
+	"nxcluster/internal/obs"
 )
 
 // tinyConfig is a small fault-free run for exercising RunScenario's
@@ -58,6 +59,36 @@ func TestRunScenarioBadConfig(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "no-items") {
 		t.Errorf("error %q does not name the scenario", err)
+	}
+	// Both runs of the double run fail; the primary's error comes first.
+	lines := strings.Split(err.Error(), "\n")
+	if len(lines) != 2 || !strings.HasPrefix(lines[0], "chaos no-items: ") ||
+		!strings.HasPrefix(lines[1], "chaos no-items (replay): ") {
+		t.Errorf("error lines = %q, want the primary's then the replay's", lines)
+	}
+	// A baseline the runner rejects is named as such, and alone.
+	_, err = RunScenario(Scenario{Name: "bad-foil", Config: tinyConfig(), Baseline: &Config{Horizon: time.Second}})
+	if err == nil || !strings.HasPrefix(err.Error(), "chaos bad-foil (baseline): ") || strings.Contains(err.Error(), "\n") {
+		t.Errorf("baseline error = %v", err)
+	}
+}
+
+// TestTraceDivergenceNamesFirstEvent: a failed determinism check says where
+// the two traces part, not just that their hashes differ.
+func TestTraceDivergenceNamesFirstEvent(t *testing.T) {
+	build := func(bytes int64) *obs.Observer {
+		o := obs.New()
+		o.Emit(time.Millisecond, "net", "dial", "rwcp-sun")
+		o.Emit(2*time.Millisecond, "net", "deliver", "etl-gw", obs.Int("bytes", bytes))
+		return o
+	}
+	a, b := build(64), build(65)
+	got := traceDivergence(a, b, a.Hash(), b.Hash())
+	want := fmt.Sprintf("determinism: trace hash %016x != %016x across identical runs; first divergence at event 1: ", a.Hash(), b.Hash()) +
+		`{"at":2000000,"ph":"i","cat":"net","name":"deliver","track":"etl-gw","bytes":64} | ` +
+		`{"at":2000000,"ph":"i","cat":"net","name":"deliver","track":"etl-gw","bytes":65}`
+	if got != want {
+		t.Errorf("traceDivergence:\n got %s\nwant %s", got, want)
 	}
 }
 

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bufio"
+	"bytes"
 	"io"
 	"strconv"
 )
@@ -115,22 +116,91 @@ func (o *Observer) WriteJSONL(w io.Writer) error {
 	}
 	bw := bufio.NewWriter(w)
 	var buf []byte
-	for i := range o.events {
-		buf = appendEventJSON(buf[:0], &o.events[i])
-		buf = append(buf, '\n')
-		if _, err := bw.Write(buf); err != nil {
-			return err
+	for _, c := range o.chunks {
+		for i := range c {
+			buf = appendEventLine(buf[:0], &c[i])
+			if _, err := bw.Write(buf); err != nil {
+				return err
+			}
 		}
 	}
 	return bw.Flush()
 }
 
+// appendEventLine appends e's JSONL line, newline included.
+func appendEventLine(b []byte, e *Event) []byte {
+	return append(appendEventJSON(b, e), '\n')
+}
+
 // Hash returns the FNV-64a hash of the JSONL serialization — the value the
-// golden-trace tests pin across GOMAXPROCS and worker counts.
+// golden-trace tests pin across GOMAXPROCS and worker counts. Each line is
+// folded into the hash as it is built; nothing is buffered.
 func (o *Observer) Hash() uint64 {
 	var h Hasher
-	_ = o.WriteJSONL(&h)
+	if o == nil {
+		return h.Sum64()
+	}
+	var buf []byte
+	for _, c := range o.chunks {
+		for i := range c {
+			buf = appendEventLine(buf[:0], &c[i])
+			_, _ = h.Write(buf) // Hasher.Write never fails
+		}
+	}
 	return h.Sum64()
+}
+
+// FirstDiff locates the first event at which two traces differ, comparing
+// serialized events in emission order. It returns the event's index and
+// both JSONL lines (without the newline); when one trace is a strict prefix
+// of the other, index is the shorter length and the missing side's line is
+// empty. Identical traces return index -1.
+func FirstDiff(a, b *Observer) (index int, lineA, lineB string) {
+	ca, cb := a.cursor(), b.cursor()
+	var ba, bb []byte
+	for i := 0; ; i++ {
+		ea, eb := ca.next(), cb.next()
+		if ea == nil && eb == nil {
+			return -1, "", ""
+		}
+		ba, bb = ba[:0], bb[:0]
+		if ea != nil {
+			ba = appendEventJSON(ba, ea)
+		}
+		if eb != nil {
+			bb = appendEventJSON(bb, eb)
+		}
+		if ea == nil || eb == nil || !bytes.Equal(ba, bb) {
+			return i, string(ba), string(bb)
+		}
+	}
+}
+
+// cursor walks a store in emission order, for the walkers that nested range
+// loops over the chunks do not suit: FirstDiff steps two traces in lockstep,
+// and the Chrome exporter's loop body is long enough without two more levels.
+type cursor struct {
+	chunks [][]Event
+	i      int
+}
+
+func (o *Observer) cursor() cursor {
+	if o == nil {
+		return cursor{}
+	}
+	return cursor{chunks: o.chunks}
+}
+
+// next returns the next event, or nil at the end of the trace.
+func (c *cursor) next() *Event {
+	for len(c.chunks) > 0 {
+		if c.i < len(c.chunks[0]) {
+			c.i++
+			return &c.chunks[0][c.i-1]
+		}
+		c.chunks, c.i = c.chunks[1:], 0
+	}
+	return nil
 }
 
 // WriteChromeTrace writes the trace in Chrome's trace_event JSON array
@@ -152,15 +222,18 @@ func (o *Observer) WriteChromeTrace(w io.Writer) error {
 	// their parent span's begin point.
 	tids := make(map[string]int)
 	var order []string
-	begins := make(map[uint64]int)
-	for i := range o.events {
-		e := &o.events[i]
+	begins := make(map[uint64]*Event)
+	for cur := o.cursor(); ; {
+		e := cur.next()
+		if e == nil {
+			break
+		}
 		if _, ok := tids[e.Track]; !ok {
 			tids[e.Track] = len(tids) + 1
 			order = append(order, e.Track)
 		}
 		if e.Ph == PhaseBegin && e.ID != 0 {
-			begins[e.ID] = i
+			begins[e.ID] = e
 		}
 	}
 	var buf []byte
@@ -195,8 +268,11 @@ func (o *Observer) WriteChromeTrace(w io.Writer) error {
 		}
 		return buf
 	}
-	for i := range o.events {
-		e := &o.events[i]
+	for cur := o.cursor(); ; {
+		e := cur.next()
+		if e == nil {
+			break
+		}
 		buf = append(buf[:0], `{"ph":"`...)
 		buf = append(buf, e.Ph, '"')
 		buf = append(buf, `,"pid":1,"tid":`...)
@@ -258,8 +334,7 @@ func (o *Observer) WriteChromeTrace(w io.Writer) error {
 		// flow arrow from the parent's begin point to its own: a paired
 		// "s"/"f" record bound by the child's span ID.
 		if e.Ph == PhaseBegin && e.Parent != 0 {
-			if pi, ok := begins[e.Parent]; ok && o.events[pi].Track != e.Track {
-				p := &o.events[pi]
+			if p, ok := begins[e.Parent]; ok && p.Track != e.Track {
 				buf = append(buf[:0], `{"ph":"s","pid":1,"tid":`...)
 				buf = strconv.AppendInt(buf, int64(tids[p.Track]), 10)
 				buf = append(buf, `,"ts":`...)

@@ -93,10 +93,43 @@ func (tc TraceContext) Traced() bool { return tc.Trace != 0 }
 // should still guard with Enabled (or a direct nil check) so that argument
 // construction costs nothing when tracing is off.
 type Observer struct {
-	events    []Event
+	// chunks is the append-only trace store. A chunk is allocated once at its
+	// final capacity and never copied, so recording N events costs N event
+	// writes rather than the ~5N a regrowing flat slice pays, and *Event
+	// pointers into it stay valid for the observer's lifetime.
+	chunks [][]Event
+	n      int
+	// fields is the tail of the field arena: add copies each event's fields
+	// here, so the observer never retains a caller's slice and the variadic
+	// []Field at an instrumentation site can stay on the caller's stack.
+	// Filled arena chunks are kept alive by the events that point into them.
+	fields []Field
+	// flat caches the copy Events hands out; any append drops it.
+	flat      []Event
 	metrics   Metrics
 	nextID    uint64
 	nextTrace uint64
+}
+
+// Chunk capacities, in records, for both the event store and the field
+// arena: the first chunk is small so a three-event unit-test trace costs a
+// few KB, each next one doubles, and from maxChunk on they stay that size
+// (4,096 events are ~450 KB).
+const (
+	minChunk = 64
+	maxChunk = 4096
+)
+
+// nextChunk is the capacity of the chunk that follows one of capacity prev.
+func nextChunk(prev int) int {
+	switch c := 2 * prev; {
+	case c < minChunk:
+		return minChunk
+	case c > maxChunk:
+		return maxChunk
+	default:
+		return c
+	}
 }
 
 // New creates an enabled observer.
@@ -104,8 +137,44 @@ func New() *Observer { return &Observer{} }
 
 // FromEvents wraps an existing event slice (e.g. one parsed back from a
 // JSONL export) so the exporters can re-serialize it. The observer takes
-// ownership of the slice.
-func FromEvents(events []Event) *Observer { return &Observer{events: events} }
+// ownership of the slice, which becomes the store's first chunk.
+func FromEvents(events []Event) *Observer {
+	return &Observer{chunks: [][]Event{events}, n: len(events)}
+}
+
+// add appends one event to the store with a private copy of fields. It
+// takes the record's parts rather than an Event so that the exported
+// recording methods stay within the inliner's budget: a disabled call site
+// must remain a nil check, not a call.
+func (o *Observer) add(at time.Duration, ph byte, cat, name, track string, id, trace, parent uint64, fields []Field) {
+	e := Event{At: at, Ph: ph, Cat: cat, Name: name, Track: track, ID: id, Trace: trace, Parent: parent}
+	last := len(o.chunks) - 1
+	if last < 0 || len(o.chunks[last]) == cap(o.chunks[last]) {
+		prev := 0
+		if last >= 0 {
+			prev = cap(o.chunks[last])
+		}
+		o.chunks = append(o.chunks, make([]Event, 0, nextChunk(prev)))
+		last++
+	}
+	if n := len(fields); n > 0 {
+		if n > cap(o.fields)-len(o.fields) {
+			c := nextChunk(cap(o.fields))
+			if c < n {
+				c = n
+			}
+			o.fields = make([]Field, 0, c)
+		}
+		start := len(o.fields)
+		o.fields = append(o.fields, fields...)
+		// Full slice expression: appending to a stored event's Fields must
+		// reallocate, never write into the next event's.
+		e.Fields = o.fields[start : start+n : start+n]
+	}
+	o.chunks[last] = append(o.chunks[last], e)
+	o.n++
+	o.flat = nil
+}
 
 // Enabled reports whether events are being recorded.
 func (o *Observer) Enabled() bool { return o != nil }
@@ -115,7 +184,7 @@ func (o *Observer) Emit(at time.Duration, cat, name, track string, fields ...Fie
 	if o == nil {
 		return
 	}
-	o.events = append(o.events, Event{At: at, Ph: PhaseInstant, Cat: cat, Name: name, Track: track, Fields: fields})
+	o.add(at, PhaseInstant, cat, name, track, 0, 0, 0, fields)
 }
 
 // Begin opens a span and returns its ID (0 when disabled).
@@ -123,10 +192,20 @@ func (o *Observer) Begin(at time.Duration, cat, name, track string, fields ...Fi
 	if o == nil {
 		return 0
 	}
+	return o.begin(at, TraceContext{}, false, cat, name, track, fields).Span
+}
+
+// begin opens a span and returns its context: under parent (flat when
+// parent is zero), or as the root of a freshly minted trace when root is
+// set. Span and trace IDs come from the observer's deterministic counters.
+func (o *Observer) begin(at time.Duration, parent TraceContext, root bool, cat, name, track string, fields []Field) TraceContext {
+	if root {
+		o.nextTrace++
+		parent = TraceContext{Trace: o.nextTrace}
+	}
 	o.nextID++
-	id := o.nextID
-	o.events = append(o.events, Event{At: at, Ph: PhaseBegin, Cat: cat, Name: name, Track: track, ID: id, Fields: fields})
-	return SpanID(id)
+	o.add(at, PhaseBegin, cat, name, track, o.nextID, parent.Trace, uint64(parent.Span), fields)
+	return TraceContext{Trace: parent.Trace, Span: SpanID(o.nextID)}
 }
 
 // End closes the span opened by Begin. Cat, name and track are repeated so
@@ -135,7 +214,7 @@ func (o *Observer) End(at time.Duration, id SpanID, cat, name, track string, fie
 	if o == nil || id == 0 {
 		return
 	}
-	o.events = append(o.events, Event{At: at, Ph: PhaseEnd, Cat: cat, Name: name, Track: track, ID: uint64(id), Fields: fields})
+	o.add(at, PhaseEnd, cat, name, track, uint64(id), 0, 0, fields)
 }
 
 // BeginTrace opens the root span of a fresh trace tree: it mints a new trace
@@ -145,12 +224,7 @@ func (o *Observer) BeginTrace(at time.Duration, cat, name, track string, fields 
 	if o == nil {
 		return TraceContext{}
 	}
-	o.nextTrace++
-	o.nextID++
-	id := o.nextID
-	o.events = append(o.events, Event{At: at, Ph: PhaseBegin, Cat: cat, Name: name, Track: track,
-		ID: id, Trace: o.nextTrace, Fields: fields})
-	return TraceContext{Trace: o.nextTrace, Span: SpanID(id)}
+	return o.begin(at, TraceContext{}, true, cat, name, track, fields)
 }
 
 // BeginChild opens a span causally under parent and returns the child
@@ -161,11 +235,7 @@ func (o *Observer) BeginChild(at time.Duration, parent TraceContext, cat, name, 
 	if o == nil {
 		return TraceContext{}
 	}
-	o.nextID++
-	id := o.nextID
-	o.events = append(o.events, Event{At: at, Ph: PhaseBegin, Cat: cat, Name: name, Track: track,
-		ID: id, Trace: parent.Trace, Parent: uint64(parent.Span), Fields: fields})
-	return TraceContext{Trace: parent.Trace, Span: SpanID(id)}
+	return o.begin(at, parent, false, cat, name, track, fields)
 }
 
 // BeginSpan joins parent when it carries a trace and roots a fresh trace
@@ -173,15 +243,18 @@ func (o *Observer) BeginChild(at time.Duration, parent TraceContext, cat, name, 
 // invoked directly but a leg of a larger trace when an upstream layer
 // (e.g. a gatekeeper relaying an RSL submit) already carries context.
 func (o *Observer) BeginSpan(at time.Duration, parent TraceContext, cat, name, track string, fields ...Field) TraceContext {
-	if parent.Traced() {
-		return o.BeginChild(at, parent, cat, name, track, fields...)
+	if o == nil {
+		return TraceContext{}
 	}
-	return o.BeginTrace(at, cat, name, track, fields...)
+	return o.begin(at, parent, !parent.Traced(), cat, name, track, fields)
 }
 
 // EndSpan closes a span opened by BeginTrace, BeginChild, or BeginSpan.
 func (o *Observer) EndSpan(at time.Duration, tc TraceContext, cat, name, track string, fields ...Field) {
-	o.End(at, tc.Span, cat, name, track, fields...)
+	if o == nil || tc.Span == 0 {
+		return
+	}
+	o.add(at, PhaseEnd, cat, name, track, uint64(tc.Span), 0, 0, fields)
 }
 
 // EmitCtx records an instant event causally tied to parent (a requeue or
@@ -190,17 +263,28 @@ func (o *Observer) EmitCtx(at time.Duration, parent TraceContext, cat, name, tra
 	if o == nil {
 		return
 	}
-	o.events = append(o.events, Event{At: at, Ph: PhaseInstant, Cat: cat, Name: name, Track: track,
-		Trace: parent.Trace, Parent: uint64(parent.Span), Fields: fields})
+	o.add(at, PhaseInstant, cat, name, track, 0, parent.Trace, uint64(parent.Span), fields)
 }
 
 // Events returns the recorded trace in emission order. The slice is owned by
-// the observer; callers must not mutate it.
+// the observer; callers must not mutate it. A trace that fits one chunk is
+// returned in place; a longer one is copied flat (112 bytes an event), and
+// the copy is reused until the next event is recorded. Later events never
+// show through a slice returned earlier.
 func (o *Observer) Events() []Event {
-	if o == nil {
+	if o == nil || o.n == 0 {
 		return nil
 	}
-	return o.events
+	if len(o.chunks) == 1 {
+		return o.chunks[0][:o.n:o.n]
+	}
+	if o.flat == nil {
+		o.flat = make([]Event, 0, o.n)
+		for _, c := range o.chunks {
+			o.flat = append(o.flat, c...)
+		}
+	}
+	return o.flat
 }
 
 // Len reports the number of recorded events.
@@ -208,7 +292,7 @@ func (o *Observer) Len() int {
 	if o == nil {
 		return 0
 	}
-	return len(o.events)
+	return o.n
 }
 
 // Metrics returns the observer's metric registry (nil when disabled; the

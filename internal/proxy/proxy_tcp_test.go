@@ -5,6 +5,7 @@ import (
 	"io"
 	"strings"
 	"testing"
+	"time"
 
 	"nxcluster/internal/transport"
 )
@@ -85,6 +86,12 @@ func TestTCPActiveConnectRelaysData(t *testing.T) {
 	_ = c.Close(env)
 	if outer.Stats().ConnectRelays != 1 {
 		t.Fatalf("ConnectRelays = %d, want 1", outer.Stats().ConnectRelays)
+	}
+	// The client has the reply before the pump that forwarded it has counted
+	// it, so the counter may trail by one buffer: poll it.
+	deadline := time.Now().Add(2 * time.Second)
+	for outer.Stats().Bytes < 11 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
 	}
 	if outer.Stats().Bytes < 11 {
 		t.Fatalf("relayed bytes = %d, want >= 11", outer.Stats().Bytes)

@@ -3,10 +3,12 @@ package scenario
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"sort"
 	"strings"
 	"testing"
+	"time"
 )
 
 func shippedFiles(t *testing.T) []string {
@@ -137,30 +139,51 @@ func TestWorkerInvariance(t *testing.T) {
 	})
 }
 
-// TestGOMAXPROCSInvariance: scheduler parallelism must not perturb a
-// partitioned grid run — the conservative sync protocol, not the OS
-// scheduler, orders cross-site events.
+// TestGOMAXPROCSInvariance: scheduler parallelism must not perturb a run.
+// For the partitioned grid the conservative sync protocol, not the OS
+// scheduler, orders cross-site events; for every kind Run's primary and
+// replay (and a chaos scenario's baseline) execute side by side at
+// GOMAXPROCS=4 and one after another at GOMAXPROCS=1, and the whole Result
+// must be the same either way, with every goroutine gone afterwards.
 func TestGOMAXPROCSInvariance(t *testing.T) {
 	if testing.Short() {
-		t.Skip("repeated grid solves in -short mode")
+		t.Skip("repeated scenario runs in -short mode")
 	}
-	s := loadShipped(t, "grid-multi-site.yaml")
-	var hashes, fps []string
-	for _, procs := range []int{1, 4} {
-		prev := runtime.GOMAXPROCS(procs)
-		res, err := Run(s)
-		runtime.GOMAXPROCS(prev)
-		if err != nil {
-			t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
-		}
-		if !res.Passed {
-			t.Fatalf("GOMAXPROCS=%d: failures: %v", procs, res.Failures)
-		}
-		hashes = append(hashes, res.TraceHash)
-		fps = append(fps, res.Fingerprint)
-	}
-	if hashes[0] != hashes[1] || fps[0] != fps[1] {
-		t.Errorf("GOMAXPROCS leaked into the run:\n p=1 %s %q\n p=4 %s %q",
-			hashes[0], fps[0], hashes[1], fps[1])
+	for _, file := range []string{
+		"grid-multi-site.yaml",
+		"chaos-slow-node-straggler.yaml", // three runs: it has a baseline:
+		"table2-rtt.yaml",
+	} {
+		t.Run(file, func(t *testing.T) {
+			s := loadShipped(t, file)
+			if s.Kind == KindChaos && s.Baseline == nil {
+				t.Fatal("the chaos case must be a three-run scenario: this one has no baseline")
+			}
+			start := runtime.NumGoroutine()
+			var results []*Result
+			for _, procs := range []int{1, 4} {
+				prev := runtime.GOMAXPROCS(procs)
+				res, err := Run(s)
+				runtime.GOMAXPROCS(prev)
+				if err != nil {
+					t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
+				}
+				if !res.Passed {
+					t.Fatalf("GOMAXPROCS=%d: failures: %v", procs, res.Failures)
+				}
+				results = append(results, res)
+			}
+			if !reflect.DeepEqual(results[0], results[1]) {
+				t.Errorf("GOMAXPROCS leaked into the run:\n p=1 %+v\n p=4 %+v", results[0], results[1])
+			}
+			// A worker goroutine may still be between wg.Done and its exit.
+			deadline := time.Now().Add(2 * time.Second)
+			for runtime.NumGoroutine() > start && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
+			if n := runtime.NumGoroutine(); n > start {
+				t.Errorf("%d goroutines after the runs, %d before", n, start)
+			}
+		})
 	}
 }

@@ -72,9 +72,12 @@ type fleetRun struct {
 
 // Run executes one validated scenario: the workload twice (the implicit
 // determinism invariant every scenario carries), then each declared
-// assertion against the first run. Harness errors — a config the runner
-// rejects — come back as the error; assertion violations and determinism
-// breaks are recorded as failures in the Result.
+// assertion against the first run. The two runs share nothing — each builds
+// its own kernels — so they go through bench.RunParallel side by side;
+// GOMAXPROCS=1 runs the primary, then the replay. Harness errors — a config
+// the runner rejects — come back as the error, the primary's first;
+// assertion violations and determinism breaks are recorded as failures in
+// the Result.
 func Run(s *Spec) (*Result, error) {
 	if err := s.checkShape(); err != nil {
 		return nil, err
@@ -163,14 +166,28 @@ func Run(s *Spec) (*Result, error) {
 		return nil, "", 0, 0, fmt.Errorf("scenario %s: unknown kind %q", s.Name, s.Kind)
 	}
 
-	v1, fp1, h1, elapsed, err := run()
+	var (
+		v1      any
+		elapsed time.Duration
+		fps     [2]string
+		hashes  [2]uint64
+		labels  = [2]string{"", " (replay)"}
+	)
+	err = bench.RunParallel(2, 0, func(i int) error {
+		v, fp, h, el, err := run()
+		if err != nil {
+			return fmt.Errorf("scenario %s%s: %w", s.Name, labels[i], err)
+		}
+		fps[i], hashes[i] = fp, h
+		if i == 0 {
+			v1, elapsed = v, el
+		}
+		return nil
+	})
 	if err != nil {
-		return nil, fmt.Errorf("scenario %s: %w", s.Name, err)
+		return nil, err
 	}
-	_, fp2, h2, _, err := run()
-	if err != nil {
-		return nil, fmt.Errorf("scenario %s (replay): %w", s.Name, err)
-	}
+	fp1, fp2, h1, h2 := fps[0], fps[1], hashes[0], hashes[1]
 	res := &Result{
 		Name:        s.Name,
 		Kind:        string(s.Kind),
