@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test check chaos chaos-suite scenarios fleet-smoke trace-goldens race race-parallel race-sched bench bench-json bench-diff experiments examples cover fuzz clean
+.PHONY: all build test check chaos chaos-suite scenarios fleet-smoke trace-goldens benchmark-smoke race race-parallel race-sched bench bench-json bench-diff experiments examples cover fuzz clean
 
 all: build check
 
@@ -18,9 +18,10 @@ test:
 # gate), the fleet-scale smoke run, the full test suite under the race
 # detector (the parallel sweep makes race coverage load-bearing), a focused
 # race pass over the parallel-DES kernel paths, another over the scheduler's
-# goroutine handoffs, a short fuzz smoke over the wire-facing parsers, and
-# the coverage floor.
-check: chaos chaos-suite scenarios fleet-smoke trace-goldens
+# coroutine switches, a short fuzz smoke over the wire-facing parsers, and
+# the coverage floor — after the benchmark module, which `./...` does not
+# reach, has been vetted and smoke-tested against this tree.
+check: benchmark-smoke chaos chaos-suite scenarios fleet-smoke trace-goldens
 	$(GO) vet ./...
 	$(GO) test -race ./...
 	$(MAKE) race-parallel
@@ -34,11 +35,14 @@ check: chaos chaos-suite scenarios fleet-smoke trace-goldens
 race-parallel:
 	$(GO) test -race -count=1 -run 'TestGroup|TestPartitioned|TestCouple|TestGridKnapsack|TestParallel' ./internal/sim/ ./internal/simnet/ ./internal/bench/
 
-# race-sched gates the kernel's direct handoff: control passes between the
-# Run caller and the process goroutines with no synchronisation but the
-# happens-before edge of each resume channel, so the race detector is the
-# check — with one P, where a handoff is a pure goroutine switch, and with
-# several, where the two sides really run on different threads.
+# race-sched gates the kernel's coroutine processes: control passes between
+# the Run caller and the process coroutines (and, in Shutdown, from one
+# process to another) with no synchronisation but the happens-before edge of
+# each coroutine switch — iter.Pull's next, yield and stop, which the race
+# detector models as release/acquire pairs and whose overlapping use it
+# reports. So the race detector is the check, with one P and with several
+# (the goroutine driving a Run need not be the one that spawned the process
+# or drove the last Run).
 race-sched:
 	GOMAXPROCS=1 $(GO) test -race -count=3 ./internal/sim/
 	GOMAXPROCS=4 $(GO) test -race -count=3 ./internal/sim/
@@ -78,6 +82,15 @@ fleet-smoke:
 	$(GO) test -count=1 -run 'TestEngine' ./internal/fleet/
 	$(GO) run ./cmd/experiments -run fleet -fleet-sites 8 -fleet-hosts 16 -fleet-jobs 20000
 
+# benchmark-smoke builds what the pipeline's benchmark builds: benchmark/ is a
+# module of its own (replaced onto this one), so neither `go build ./...` nor
+# `go test ./...` compiles it, and a changed internal/ signature or a go.mod
+# bump would otherwise fail only there. Offline, with the local toolchain,
+# exactly as benchmark/run.sh does; the tests include the 1/50-scale run of
+# all six workloads.
+benchmark-smoke:
+	cd benchmark && GOTOOLCHAIN=local GOPROXY=off $(GO) vet ./... && GOTOOLCHAIN=local GOPROXY=off $(GO) test ./...
+
 # trace-goldens re-runs (uncached) the byte-exact observability goldens —
 # the Chrome trace_event and JSONL exports, the HTML time-series report —
 # plus the causal-analysis and tracer CLI tests. Regenerate intentional
@@ -97,7 +110,7 @@ bench:
 # a stable sample; each benchmark runs three times and cmd/benchjson keeps
 # the median run.
 BENCHTIME ?= 2s
-BENCH_PAT = KernelStep|KernelSwitch|KernelTimerStop|ObsSpan|ObsEmit|ObsHash|SimnetThroughput|MPIPingPong|TransferSingle|TransferParallel8|ParallelTable4|FleetSweep
+BENCH_PAT = KernelStep|KernelSwitch|KernelSpawn|KernelTimerStop|ObsSpan|ObsEmit|ObsHash|SimnetThroughput|MPIPingPong|TransferSingle|TransferParallel8|ParallelTable4|FleetSweep
 
 bench-json:
 	$(GO) test -run NONE -bench '$(BENCH_PAT)' -benchtime $(BENCHTIME) -count 3 -benchmem . | $(GO) run ./cmd/benchjson > BENCH_kernel.json

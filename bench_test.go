@@ -354,9 +354,10 @@ func BenchmarkKernelStep(b *testing.B) {
 // take: driven through Run, where a parking process schedules onwards itself
 // (BenchmarkKernelStep's Step always returns to its caller, which no workload
 // does). Each op is one resume: of a lone sleeper that is always its own
-// successor (self: no goroutine switch), of two processes alternating over an
-// unbuffered Chan (pair: one switch), and of twenty sleepers offset by 50 ns
-// so their wakeups interleave (staggered20).
+// successor (self: no switch), of two processes alternating over an
+// unbuffered Chan (pair: two coroutine switches, through the Run caller), and
+// of twenty sleepers offset by 50 ns so their wakeups interleave
+// (staggered20).
 func BenchmarkKernelSwitch(b *testing.B) {
 	sleeper := func(offset time.Duration, n int) func(p *sim.Proc) {
 		return func(p *sim.Proc) {
@@ -401,6 +402,25 @@ func BenchmarkKernelSwitch(b *testing.B) {
 			b.StopTimer()
 			k.Shutdown()
 		})
+	}
+}
+
+// BenchmarkKernelSpawn measures a process's fixed cost: each op spawns a
+// process with an empty body from a parent that then yields, so the child is
+// created, scheduled once, exits and leaves the table. The allocations are
+// the Proc, the body closure and the state iter.Pull keeps per coroutine.
+func BenchmarkKernelSpawn(b *testing.B) {
+	b.ReportAllocs()
+	k := sim.New()
+	k.Spawn("parent", func(p *sim.Proc) {
+		for i := 0; i < b.N; i++ {
+			k.Spawn("child", func(*sim.Proc) {})
+			p.Yield()
+		}
+	})
+	b.ResetTimer()
+	if err := k.Run(); err != nil {
+		b.Fatal(err)
 	}
 }
 

@@ -119,8 +119,8 @@ func (p *GroupKernel) Send(dst int, at time.Duration, payload any) {
 
 // Run drives all partitions to completion using up to workers OS threads
 // (clamped to the partition count; values below 1 mean 1). It returns
-// ErrDeadlock if progress stops while processes are still alive in any
-// partition.
+// ErrDeadlock, naming the stuck processes per partition, if progress stops
+// while processes are still alive in any of them.
 func (g *Group) Run(workers int) error {
 	if g.ran {
 		return fmt.Errorf("sim: group already ran")
@@ -147,12 +147,15 @@ func (g *Group) Run(workers int) error {
 			break
 		}
 	}
-	live := 0
-	for _, p := range g.parts {
-		live += p.K.Live()
+	live, stuck := 0, ""
+	for i, p := range g.parts {
+		if n := p.K.Live(); n > 0 {
+			live += n
+			stuck += fmt.Sprintf("; partition %d:%s", i, p.K.stuck())
+		}
 	}
 	if live > 0 {
-		return fmt.Errorf("%w (%d live across %d partitions)", ErrDeadlock, live, len(g.parts))
+		return fmt.Errorf("%w (%d live across %d partitions%s)", ErrDeadlock, live, len(g.parts), stuck)
 	}
 	return nil
 }

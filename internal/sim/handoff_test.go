@@ -11,10 +11,10 @@ import (
 	"time"
 )
 
-// The direct-handoff protocol: the scheduling loop runs on whichever
-// goroutine holds control, so these tests pin what must not depend on which
-// goroutine that is — event order, Kill's synchrony, the RunUntil horizon,
-// goroutine teardown, and who gets blamed for a panic.
+// The coroutine protocol: the scheduling loop runs on whichever stack holds
+// control — the Run caller's or a parking process's — so these tests pin what
+// must not depend on which one that is: event order, Kill's synchrony, the
+// RunUntil horizon, goroutine teardown, and who gets blamed for a panic.
 
 // rec is one observable step of a simulated program.
 type rec struct {
@@ -129,7 +129,7 @@ func firstDiff(a, b []rec) string {
 	return fmt.Sprintf("lengths %d vs %d", len(a), len(b))
 }
 
-// The victim is the last process to park, so its own goroutine is running
+// The victim is the last process to park, so its own stack is running
 // the scheduling loop when the Kill callback comes due: the loop must hand
 // the callback to the Run caller, and Kill must finish unwinding the victim
 // before it returns and before the next event fires.
@@ -164,25 +164,40 @@ func TestKillFromAfterUnwindsSynchronously(t *testing.T) {
 	}
 }
 
+// A process never scheduled has no stack to unwind: Kill only keeps its body
+// from ever starting, and retires it itself. And Kill is for kernel context.
 func TestKillBeforeFirstSchedulingAndFromProcess(t *testing.T) {
+	before := runtime.NumGoroutine()
 	k := New()
 	ran := false
 	p := k.Spawn("never", func(p *Proc) { ran = true })
+	daemon := k.SpawnDaemon("never-daemon", func(p *Proc) { ran = true })
+	done := p.Done()
 	k.Kill(p)
+	k.Kill(daemon)
+	select {
+	case <-done:
+	default:
+		t.Fatal("Done not closed")
+	}
+	if !p.Exited() || k.Live() != 0 || len(k.procs) != 0 {
+		t.Fatalf("exited=%v Live()=%d, %d table entries", p.Exited(), k.Live(), len(k.procs))
+	}
 	var msg any
 	k.Spawn("killer", func(q *Proc) {
 		defer func() { msg = recover() }()
 		k.Kill(k.Spawn("other", func(*Proc) {}))
 	})
-	if err := k.Run(); err != nil {
+	if err := k.Run(); err != nil { // the dead ones' ready-queue entries are skipped
 		t.Fatal(err)
 	}
-	if ran || !p.Exited() {
-		t.Fatalf("ran=%v exited=%v", ran, p.Exited())
+	if ran {
+		t.Fatal("a process killed before its first scheduling ran")
 	}
 	if s, _ := msg.(string); !strings.Contains(s, "kernel context") {
 		t.Fatalf("Kill from a process: recovered %v", msg)
 	}
+	waitGoroutines(t, before)
 }
 
 // A killed process cannot block again: cleanup that tries keeps unwinding.
@@ -204,19 +219,25 @@ func TestKilledProcessCannotPark(t *testing.T) {
 	}
 }
 
-// A body that leaves through runtime.Goexit (t.Fatal on a process goroutine)
-// still passes control on instead of taking the simulation down with it.
-func TestGoexitPassesControlOn(t *testing.T) {
-	for _, drive := range []func(k *Kernel){
-		func(k *Kernel) { _ = k.Run() },
-		func(k *Kernel) {
+// A body that leaves through runtime.Goexit (t.Fatal inside a process) used
+// to pass control on and let the simulation finish. iter.Pull propagates a
+// Goexit to the caller of next instead, so now the process is retired — its
+// defers and exit still run — and then the goroutine driving the kernel ends
+// by Goexit too: what testing requires of FailNow, and a failed assertion
+// stops the test instead of letting the simulation run on.
+func TestGoexitEndsTheRunCaller(t *testing.T) {
+	for name, drive := range map[string]func(k *Kernel){
+		"Run": func(k *Kernel) { _ = k.Run() },
+		"Step": func(k *Kernel) {
 			for k.Step() {
 			}
 		},
 	} {
+		before := runtime.NumGoroutine()
 		k := New()
-		finished := false
+		var deferred, finished, marker, returned bool
 		quitter := k.Spawn("quitter", func(p *Proc) {
+			defer func() { deferred = true }()
 			p.Sleep(time.Millisecond)
 			runtime.Goexit()
 		})
@@ -224,14 +245,29 @@ func TestGoexitPassesControlOn(t *testing.T) {
 			p.Sleep(time.Second)
 			finished = true
 		})
-		drive(k)
-		if !finished || !quitter.Exited() || k.Live() != 0 {
-			t.Fatalf("finished=%v quitter exited=%v live=%d", finished, quitter.Exited(), k.Live())
+		ended := make(chan struct{})
+		go func() {
+			defer close(ended)
+			defer func() { marker = true }()
+			drive(k)
+			returned = true
+		}()
+		<-ended
+		if !quitter.Exited() || k.Live() != 1 || !deferred {
+			t.Fatalf("%s: quitter exited=%v live=%d deferred=%v", name, quitter.Exited(), k.Live(), deferred)
 		}
+		if !marker || returned || finished {
+			t.Fatalf("%s: driver marker=%v returned=%v, other finished=%v", name, marker, returned, finished)
+		}
+		k.Shutdown()
+		if k.Live() != 0 {
+			t.Fatalf("%s: Live() = %d after Shutdown", name, k.Live())
+		}
+		waitGoroutines(t, before)
 	}
 }
 
-// RunUntil's horizon is reached while a process goroutine holds control.
+// RunUntil's horizon is reached while a process's stack holds control.
 func TestRunUntilHorizonOnProcessGoroutine(t *testing.T) {
 	k := New()
 	var wakes []time.Duration
@@ -266,8 +302,8 @@ func TestRunUntilHorizonOnProcessGoroutine(t *testing.T) {
 	}
 }
 
-// waitGoroutines polls until the goroutine count drops to want: a process
-// goroutine is still returning for a moment after it signals its exit.
+// waitGoroutines polls until the goroutine count drops to want: a finished
+// coroutine's goroutine is still returning for a moment after the switch back.
 func waitGoroutines(t *testing.T, want int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -305,16 +341,23 @@ func TestShutdownFromProcessLeavesNoGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
 	k := New()
 	order := spawnMixed(k)
+	var during []int
+	survived := false
 	k.Spawn("stopper", func(p *Proc) {
 		p.Sleep(10 * time.Millisecond)
-		k.Shutdown()
+		k.Shutdown() // stops the others from this process's own coroutine
+		during = append(during, *order...)
 		k.Shutdown() // idempotent
+		survived = true
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if want := []int{1, 2, 3, 4, 5, 6, 7, 8}; !reflect.DeepEqual(*order, want) {
-		t.Fatalf("unwound in order %v, want PID order %v", *order, want)
+	if want := []int{1, 2, 3, 4, 5, 6, 7, 8}; !reflect.DeepEqual(during, want) {
+		t.Fatalf("unwound in order %v by the time Shutdown returned, want PID order %v", during, want)
+	}
+	if !survived || k.Live() != 0 || len(k.procs) != 0 {
+		t.Fatalf("survived=%v Live()=%d, %d table entries", survived, k.Live(), len(k.procs))
 	}
 	if k.Step() {
 		t.Fatal("Step did work after Shutdown")
@@ -368,9 +411,9 @@ func (c *inlineCall) RunTask(*Kernel) {
 
 func (c *inlineCall) OnEvent(k *Kernel) { c.RunTask(k) }
 
-// Inline work runs on whichever goroutine is scheduling, so Kill and Shutdown
+// Inline work runs on whichever stack is scheduling, so Kill and Shutdown
 // refuse it on all of them alike: the caller's (Run, Step) and a parked
-// process's — where the victim could be the very goroutine running the call.
+// process's — where the victim could be the very stack running the call.
 func TestKillAndShutdownRefuseInlineWork(t *testing.T) {
 	drivers := map[string]func(k *Kernel){
 		"Run": func(k *Kernel) { _ = k.Run() },
@@ -420,6 +463,25 @@ func TestKillAndShutdownRefuseInlineWork(t *testing.T) {
 	}
 }
 
+// A finished coroutine's goroutine is gone when next returns: churning through
+// processes leaves none behind, with no Shutdown to reap them.
+func TestSpawnAndExitLeaveNoGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	k := New()
+	exits := 0
+	k.Spawn("churn", func(p *Proc) {
+		for i := 0; i < 10000; i++ {
+			k.Spawn("job", func(*Proc) { exits++ })
+			p.Yield()
+		}
+	})
+	k.RunUntil(time.Second)
+	if exits != 10000 || len(k.procs) != 0 {
+		t.Fatalf("%d exits, %d table entries", exits, len(k.procs))
+	}
+	waitGoroutines(t, before)
+}
+
 // Exited processes leave the table, so Live stays O(1) and long runs that
 // churn through short-lived processes do not grow.
 func TestExitedProcessesLeaveTheTable(t *testing.T) {
@@ -438,6 +500,10 @@ func TestExitedProcessesLeaveTheTable(t *testing.T) {
 	k.Shutdown()
 }
 
+// k.switches counts coroutine switches, two per resume (into the process and
+// back out), where it used to count one goroutine handoff per resume. What
+// stays pinned is that switches are bounded by the resumes the program needs:
+// a process that is its own successor costs none.
 func TestSwitchCounts(t *testing.T) {
 	// One process that only sleeps is always next in line itself: after the
 	// caller starts it, nothing switches until it exits.
@@ -454,7 +520,8 @@ func TestSwitchCounts(t *testing.T) {
 		t.Fatalf("solo sleeper: %d switches, want 2", k.switches)
 	}
 
-	// Two processes alternating cost one switch per resume, not two.
+	// Two processes alternating cost one resume per rendezvous: process ->
+	// caller -> process, not one round through the caller per park and wake.
 	k = New()
 	c := NewChan[int](k, 0)
 	k.Spawn("ping", func(p *Proc) {
@@ -470,7 +537,7 @@ func TestSwitchCounts(t *testing.T) {
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if k.switches > 1010 {
+	if k.switches > 2*1000+10 {
 		t.Fatalf("ping-pong: %d switches for 1000 rendezvous", k.switches)
 	}
 }
@@ -483,37 +550,75 @@ type panicHandler struct{}
 
 func (*panicHandler) OnEvent(*Kernel) { panic("handler boom") }
 
-// A panic on a process goroutine cannot be recovered by the test, so each
-// case re-runs this test binary as a child and reads what it died with.
+// panicCases are the ways a run can panic, and the message each must carry.
+var panicCases = map[string]struct {
+	run  func(k *Kernel)
+	want string
+}{
+	"process": {
+		func(k *Kernel) { k.Spawn("x", func(*Proc) { panic("own boom") }) },
+		`sim: process "x" panicked: own boom`,
+	},
+	// The sleeper parks, finds the task next and runs it in place.
+	"task": {
+		func(k *Kernel) {
+			k.Spawn("x", func(p *Proc) { k.AfterTask(time.Millisecond, panicTask{}); p.Sleep(time.Second) })
+		},
+		"sim: kernel-context panic in sim.panicTask: task boom",
+	},
+	"handler": {
+		func(k *Kernel) {
+			k.Spawn("x", func(p *Proc) { k.AfterEvent(time.Millisecond, &panicHandler{}); p.Sleep(time.Second) })
+		},
+		"sim: kernel-context panic in *sim.panicHandler: handler boom",
+	},
+	// Same, on the stack of a process that has already exited.
+	"task-after-exit": {
+		func(k *Kernel) { k.Spawn("x", func(*Proc) { k.AfterTask(time.Millisecond, panicTask{}) }) },
+		"sim: kernel-context panic in sim.panicTask: task boom",
+	},
+}
+
+// A panic under a process's stack is raised again on the goroutine driving
+// the kernel, where the caller can recover it — and clean up afterwards: the
+// process is retired, a bystander still unwinds, no goroutine is left.
+func TestPanicsReachTheRunCaller(t *testing.T) {
+	drivers := map[string]func(k *Kernel){
+		"Run":      func(k *Kernel) { _ = k.Run() },
+		"RunUntil": func(k *Kernel) { k.RunUntil(time.Hour) },
+	}
+	for name, c := range panicCases {
+		for driver, drive := range drivers {
+			before := runtime.NumGoroutine()
+			k := New()
+			cleaned := false
+			k.Spawn("bystander", func(p *Proc) {
+				defer func() { cleaned = true }()
+				p.Sleep(time.Hour)
+			})
+			c.run(k)
+			var got any
+			func() {
+				defer func() { got = recover() }()
+				drive(k)
+			}()
+			if got != c.want {
+				t.Errorf("%s under %s: recovered %v, want %q", name, driver, got, c.want)
+			}
+			k.Shutdown()
+			if !cleaned || k.Live() != 0 || len(k.procs) != 0 {
+				t.Errorf("%s under %s: cleaned=%v Live()=%d, %d table entries", name, driver, cleaned, k.Live(), len(k.procs))
+			}
+			waitGoroutines(t, before)
+		}
+	}
+}
+
+// An unrecovered panic must still take the binary down with the same message,
+// so each case re-runs this test binary as a child and reads what it died with.
 func TestPanicAttribution(t *testing.T) {
 	const env = "SIM_PANIC_CASE"
-	cases := map[string]struct {
-		run  func(k *Kernel)
-		want string
-	}{
-		"process": {
-			func(k *Kernel) { k.Spawn("x", func(*Proc) { panic("own boom") }) },
-			`sim: process "x" panicked: own boom`,
-		},
-		// The sleeper parks, finds the task next and runs it in place.
-		"task": {
-			func(k *Kernel) {
-				k.Spawn("x", func(p *Proc) { k.AfterTask(time.Millisecond, panicTask{}); p.Sleep(time.Second) })
-			},
-			"sim: kernel-context panic in sim.panicTask: task boom",
-		},
-		"handler": {
-			func(k *Kernel) {
-				k.Spawn("x", func(p *Proc) { k.AfterEvent(time.Millisecond, &panicHandler{}); p.Sleep(time.Second) })
-			},
-			"sim: kernel-context panic in *sim.panicHandler: handler boom",
-		},
-		// Same, on the goroutine of a process that has already exited.
-		"task-after-exit": {
-			func(k *Kernel) { k.Spawn("x", func(*Proc) { k.AfterTask(time.Millisecond, panicTask{}) }) },
-			"sim: kernel-context panic in sim.panicTask: task boom",
-		},
-	}
+	cases := panicCases
 	if name := os.Getenv(env); name != "" {
 		k := New()
 		cases[name].run(k)

@@ -1,7 +1,7 @@
 // Package sim implements a deterministic discrete-event simulation kernel.
 //
 // The kernel advances a virtual clock and runs simulated processes, each of
-// which is an ordinary Go function executing on its own goroutine. Scheduling
+// which is an ordinary Go function executing as a coroutine. Scheduling
 // is cooperative and strictly sequential: exactly one process runs at a time,
 // and control returns to the kernel whenever a process blocks on a kernel
 // primitive (Sleep, channel operations, semaphores, ...). This yields
@@ -22,29 +22,31 @@
 // timer heap itself is a 4-ary index-aware heap so Timer.Stop removes its
 // event in O(log n) instead of leaking it until popped. Kernel-aware
 // subsystems (the simnet link pumps) can also enter the ready queue as
-// inline Tasks, which run in place on whichever goroutine is scheduling and
-// cost no goroutine switch at all.
+// inline Tasks, which run in place on whichever stack is scheduling and cost
+// no switch at all.
 //
-// # Direct handoff
+// # Coroutine processes
 //
-// There is no scheduler goroutine. The scheduling loop (next) runs on
-// whichever goroutine holds control: the caller of Run/RunUntil, or a process
-// that is parking or exiting. A parking process that finds itself next in the
-// ready queue simply returns (no switch); finding another process next, it
-// resumes that process and blocks on its own resume channel (one switch).
-// Control goes back to the Run caller only when no work is left before the
-// horizon, when the kernel is stopped, or when the next event is an After
-// callback: those fire only on the Run caller's goroutine, because they are
-// where Kill is reached and Kill must unwind its victim synchronously —
-// impossible if the victim's own goroutine were the one executing the
-// callback. Step keeps strict single-step semantics: under it a parking
-// process always returns to the caller.
+// A process is a runtime coroutine (iter.Pull), not a goroutine the Go
+// scheduler has to find a P for: the caller of Run/RunUntil/Step resumes it
+// with next, it gives control back with yield, and both are a direct switch
+// of the running thread. The scheduling loop (next) runs on whichever stack
+// holds control: the caller's, or that of a process that is parking or
+// exiting. A parking process that finds itself next in the ready queue simply
+// returns (no switch); finding another process next, it leaves it in pending
+// and yields, and the caller resumes that one (two switches). An After
+// callback is never fired from a process's stack: those are where Kill is
+// reached, and Kill unwinds its victim by resuming it — impossible from the
+// victim's own stack. Step keeps strict single-step semantics: under it a
+// parking process yields at once. A process's panic, or its runtime.Goexit,
+// comes out of Run/RunUntil/Step on the caller's goroutine.
 package sim
 
 import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"time"
 )
 
@@ -56,7 +58,7 @@ var ErrDeadlock = errors.New("sim: deadlock: processes blocked with empty event 
 var errKilled = errors.New("sim: process killed by kernel shutdown")
 
 // kernelPanic is how a panic inside an inline Task or EventHandler travels up
-// the stack of the process whose goroutine happened to be running it, so that
+// the stack of the process that happened to be running it, so that
 // the process's own recover does not take the blame.
 type kernelPanic string
 
@@ -99,9 +101,9 @@ type event struct {
 
 // Task is one unit of ready-queue work at the current instant: a parked
 // process to resume, or an inline continuation that runs in place on the
-// scheduling goroutine without a context switch (used by the virtual
+// scheduling stack without a context switch (used by the virtual
 // network's link pumps). RunTask must return control to the kernel promptly;
-// it executes in kernel context, not process context, and that goroutine may
+// it executes in kernel context, not process context, and that stack may
 // be any process's: it must not call Kill or Shutdown (schedule an After
 // callback that does).
 type Task interface{ RunTask(k *Kernel) }
@@ -269,19 +271,21 @@ type Kernel struct {
 	procs   map[int]*Proc // processes that have not exited
 	live    int           // non-daemon entries of procs
 	nextPID int
-	// current is the process whose goroutine holds control, running either
-	// its own code or the scheduling loop; nil while the caller of
-	// Run/RunUntil/Step holds it.
+	// current is the process that holds control, running either its own code
+	// or the scheduling loop; nil while the caller of Run/RunUntil/Step holds
+	// it.
 	current *Proc
+	// pending is the process a parking or exiting one found next in line, for
+	// the caller to resume once control is back with it.
+	pending *Proc
 	// inline is the Task or EventHandler running in place right now (it stays
-	// set when that work panics): Kill and Shutdown refuse to run under it, and
-	// a panic inside it is not blamed on the process whose goroutine ran it.
+	// set while that work's panic travels up to dispatch): Kill and Shutdown
+	// refuse to run under it, and a panic inside it is not blamed on the
+	// process whose stack ran it.
 	inline   any
 	horizon  time.Duration // next does not advance the clock beyond it
-	home     chan struct{} // returns control to the Run/RunUntil caller
-	yield    chan struct{} // Step only (made on first use): a resumed process parked or exited
 	stepping bool          // Step is resuming a process
-	switches uint64        // goroutine handoffs performed (tests)
+	switches uint64        // coroutine switches performed (tests)
 	stopped  bool
 	rng      uint64 // splitmix64 state; zero until Seed (Rand self-seeds to 1)
 	// Trace, when non-nil, receives a line for every process start/exit and
@@ -291,10 +295,7 @@ type Kernel struct {
 
 // New creates an empty simulation kernel with the clock at zero.
 func New() *Kernel {
-	return &Kernel{
-		procs: make(map[int]*Proc),
-		home:  make(chan struct{}),
-	}
+	return &Kernel{procs: make(map[int]*Proc)}
 }
 
 // Now reports the current virtual time.
@@ -476,19 +477,15 @@ func (k *Kernel) SpawnDaemon(name string, fn func(p *Proc)) *Proc {
 
 func (k *Kernel) spawn(name string, fn func(p *Proc), daemon bool) *Proc {
 	k.nextPID++
-	p := &Proc{
-		k:      k,
-		pid:    k.nextPID,
-		name:   name,
-		daemon: daemon,
-		resume: make(chan struct{}),
-		done:   make(chan struct{}),
-	}
+	p := &Proc{k: k, pid: k.nextPID, name: name, daemon: daemon}
+	p.next, p.stop = pull(func(yield func(struct{}) bool) {
+		p.yield = yield
+		p.run(fn)
+	})
 	k.procs[p.pid] = p
 	if !daemon {
 		k.live++
 	}
-	go p.run(fn)
 	k.ready.push(p)
 	return p
 }
@@ -564,9 +561,9 @@ func (k *Kernel) fire(ev *event) {
 // next is the scheduling loop: it runs the simulation in place — inline Tasks
 // and closure-free events — until a process has to run, and returns that
 // process. It returns nil when no work is left before the horizon, when the
-// kernel is stopped, or, with the loop on a process's goroutine (inProc), when
-// an After callback is next: those fire only on the Run caller's goroutine
-// (see the package comment).
+// kernel is stopped, or, with the loop on a process's stack (inProc), when
+// an After callback is next: those fire only on the caller's stack (see the
+// package comment).
 func (k *Kernel) next(inProc bool) *Proc {
 	for !k.stopped {
 		if k.ready.len() > 0 {
@@ -587,47 +584,55 @@ func (k *Kernel) next(inProc bool) *Proc {
 	return nil
 }
 
-// run is Run and RunUntil: the caller's goroutine schedules until a process
-// is due, lends it control, and carries on when control comes home.
+// run is Run and RunUntil: the caller resumes whichever process the last one
+// found next, or schedules in place until a process is due, and carries on
+// when control comes back.
 func (k *Kernel) run(horizon time.Duration) {
 	k.horizon = horizon
-	for p := k.next(false); p != nil; p = k.next(false) {
+	for {
+		p := k.pending
+		if k.pending = nil; p == nil {
+			if p = k.next(false); p == nil {
+				return
+			}
+		}
 		k.resume(p)
-		<-k.home
 	}
 }
 
-// resume hands control to p's goroutine. The caller must then block (or
-// end): from the send on, the kernel is p's.
+// resume lends control to p until it yields or exits: one coroutine switch
+// in, one back. Only the goroutine driving Run/RunUntil/Step calls it.
 func (k *Kernel) resume(p *Proc) {
 	k.current = p
-	k.switches++
-	p.resume <- struct{}{}
+	k.switches += 2
+	p.next()
+	k.current = nil
 }
 
-// dispatch passes control on from self, a process that is parking or has just
-// exited: it schedules on self's own goroutine and hands over to whoever is
-// due — the next process, or the Run caller when next finds none. It reports
-// whether self turned out to be next itself (no switch); otherwise a parking
-// self must now wait to be resumed.
+// dispatch schedules onwards on the stack of self, a process that is parking
+// or has just exited. It reports whether self turned out to be next itself
+// (no switch); otherwise whoever is next — nil for the caller to go and look —
+// is left in pending, and a parking self must now yield. It never resumes the
+// next process itself: every park would nest the chain of callers one deeper.
+// Under Step it does nothing: the caller asked for one unit of work.
 func (k *Kernel) dispatch(self *Proc) (resumed bool) {
+	if k.stepping {
+		return false
+	}
 	// Whatever panics through here is the inline work next was running in
 	// place, not the process: say so, and name the work.
 	defer func() {
 		if r := recover(); r != nil {
-			panic(kernelPanic(fmt.Sprintf("sim: kernel-context panic in %T: %v", k.inline, r)))
+			msg := fmt.Sprintf("sim: kernel-context panic in %T: %v", k.inline, r)
+			k.inline = nil
+			panic(kernelPanic(msg))
 		}
 	}()
-	switch p := k.next(true); p {
-	case self:
+	p := k.next(true)
+	if p == self {
 		return true
-	case nil:
-		k.current = nil
-		k.switches++
-		k.home <- struct{}{}
-	default:
-		k.resume(p)
 	}
+	k.pending = p
 	return false
 }
 
@@ -656,14 +661,31 @@ func (k *Kernel) Step() bool {
 }
 
 // Run drives the simulation until no work remains. It returns nil when every
-// process has exited, and ErrDeadlock when live processes remain blocked with
-// no pending events.
+// process has exited, and ErrDeadlock, naming the stuck processes, when live
+// ones remain blocked with no pending events.
 func (k *Kernel) Run() error {
 	k.run(noHorizon)
 	if k.live > 0 && !k.stopped {
-		return fmt.Errorf("%w (%d live)", ErrDeadlock, k.live)
+		return fmt.Errorf("%w (%d live:%s)", ErrDeadlock, k.live, k.stuck())
 	}
 	return nil
+}
+
+// stuck lists the live non-daemon processes as " name#pid" in PID order: the
+// first 8, then how many more there are.
+func (k *Kernel) stuck() string {
+	var b strings.Builder
+	n := 0
+	for pid := 1; pid <= k.nextPID && n < k.live; pid++ {
+		if p := k.procs[pid]; p != nil && !p.daemon {
+			if n++; n > 8 {
+				fmt.Fprintf(&b, " +%d more", k.live-8)
+				break
+			}
+			fmt.Fprintf(&b, " %s#%d", p.name, pid)
+		}
+	}
+	return b.String()
 }
 
 // RunUntil drives the simulation until virtual time t is reached, all work is
@@ -693,7 +715,7 @@ func (k *Kernel) Events() uint64 { return k.seq }
 //
 // Kill must be called from an event callback (After) or between runs — never
 // from a running process, nor from an inline Task or EventHandler, whose
-// goroutine may be the victim's own and so could not wait for it to unwind.
+// stack may be the victim's own and so could not be unwound from there.
 func (k *Kernel) Kill(p *Proc) {
 	if p == nil || p.exited || p.killed {
 		return
@@ -706,7 +728,7 @@ func (k *Kernel) Kill(p *Proc) {
 }
 
 // mustNotBeInline panics when an inline Task or EventHandler is what is
-// calling op — whichever goroutine happens to be running it, so the rule does
+// calling op — whichever stack happens to be running it, so the rule does
 // not depend on who was scheduling.
 func (k *Kernel) mustNotBeInline(op string) {
 	if k.inline != nil {
@@ -720,7 +742,7 @@ func (k *Kernel) mustNotBeInline(op string) {
 //
 // Shutdown may be called from a running process (which survives it), from an
 // event callback (After) or between runs — not from an inline Task or
-// EventHandler: the process whose goroutine is lending it the scheduling loop
+// EventHandler: the process whose stack is lending it the scheduling loop
 // could be neither unwound nor left parked.
 func (k *Kernel) Shutdown() {
 	if k.stopped {
@@ -730,8 +752,7 @@ func (k *Kernel) Shutdown() {
 	k.stopped = true
 	// PIDs count up from 1, so this also reaps whatever the unwinding spawns
 	// (deferred cleanup). Skipped: the caller's own process, and one whose
-	// unwinding is what called Shutdown — neither goroutine can wait for
-	// itself.
+	// unwinding is what called Shutdown — neither can resume itself.
 	for pid := 1; pid <= k.nextPID; pid++ {
 		if p := k.procs[pid]; p != nil && p != k.current && !p.killed {
 			p.kill()

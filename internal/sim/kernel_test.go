@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"time"
 )
@@ -119,17 +120,48 @@ func TestAfterTimerFiresAndStops(t *testing.T) {
 	}
 }
 
-func TestRunReturnsDeadlock(t *testing.T) {
-	k := New()
-	ch := NewChan[int](k, 0)
-	k.Spawn("stuck", func(p *Proc) {
-		_, _ = ch.Recv(p) // nobody will ever send
-	})
-	err := k.Run()
-	if !errors.Is(err, ErrDeadlock) {
-		t.Fatalf("Run() = %v, want ErrDeadlock", err)
+// ErrDeadlock names who is stuck: live processes in PID order, daemons and
+// the exited left out, eight at most and then a count.
+func TestDeadlockNamesTheStuck(t *testing.T) {
+	// spawn starts the named processes on every kernel of a two-partition
+	// layout, "name" blocking forever, "name." exiting and "name~" a daemon.
+	spawn := func(ks []*Kernel, names ...string) {
+		for i, name := range names {
+			k := ks[i%len(ks)]
+			body := func(p *Proc) { NewEvent(k).Wait(p) }
+			switch {
+			case strings.HasSuffix(name, "."):
+				k.Spawn(name, func(*Proc) {})
+			case strings.HasSuffix(name, "~"):
+				k.SpawnDaemon(name, body)
+			default:
+				k.Spawn(name, body)
+			}
+		}
 	}
-	k.Shutdown()
+	ten := []string{"a", "b", "c", "d", "e", "f", "g", "h", "i", "j"}
+	for _, c := range []struct {
+		names       []string
+		kernel, grp string
+	}{
+		{[]string{"rx"}, "(1 live: rx#1)", "(1 live across 2 partitions; partition 0: rx#1)"},
+		{[]string{"up~", "rx", "done.", "tx"}, "(2 live: rx#2 tx#4)", "(2 live across 2 partitions; partition 1: rx#1 tx#2)"},
+		{ten, "(10 live: a#1 b#2 c#3 d#4 e#5 f#6 g#7 h#8 +2 more)",
+			"(10 live across 2 partitions; partition 0: a#1 c#2 e#3 g#4 i#5; partition 1: b#1 d#2 f#3 h#4 j#5)"},
+	} {
+		k := New()
+		spawn([]*Kernel{k}, c.names...)
+		g := NewGroup(2)
+		g.SetWindow(time.Millisecond)
+		spawn([]*Kernel{g.Kernel(0), g.Kernel(1)}, c.names...)
+		for want, err := range map[string]error{c.kernel: k.Run(), c.grp: g.Run(2)} {
+			if !errors.Is(err, ErrDeadlock) || !strings.HasSuffix(err.Error(), "event queue "+want) {
+				t.Errorf("%v: err = %v, want ErrDeadlock ending %q", c.names, err, want)
+			}
+		}
+		k.Shutdown()
+		g.Shutdown()
+	}
 }
 
 func TestShutdownUnwindsParkedProcs(t *testing.T) {

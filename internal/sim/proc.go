@@ -8,12 +8,19 @@ import (
 // Proc is the handle a simulated process uses for every interaction with the
 // kernel: reading the clock, sleeping, and blocking on synchronization
 // primitives. A Proc must only be used from within its own process function.
+//
+// The process body is a runtime coroutine (iter.Pull): next switches the
+// calling thread straight into it, yield switches back, and stop resumes it one
+// last time with yield reporting false. None of the three goes through the Go
+// scheduler, and they never overlap — exactly one holder of control at a time.
 type Proc struct {
 	k      *Kernel
 	pid    int
 	name   string
-	resume chan struct{}
-	done   chan struct{}
+	next   func() (struct{}, bool)
+	stop   func()
+	yield  func(struct{}) bool
+	done   chan struct{} // made by Done, on demand
 	exited bool
 	killed bool
 	daemon bool
@@ -31,53 +38,50 @@ func (p *Proc) Kernel() *Kernel { return p.k }
 // Now reports the current virtual time.
 func (p *Proc) Now() time.Duration { return p.k.now }
 
-// run is the goroutine body wrapping the user function.
+// run is the coroutine body wrapping the user function; it starts at the
+// process's first scheduling. Whatever it panics with, iter.Pull raises again
+// in the caller of next: the goroutine driving Run, RunUntil or Step.
 func (p *Proc) run(fn func(p *Proc)) {
 	k := p.k
 	defer func() {
 		r := recover()
+		if r == nil || r == errKilled { //nolint:errorlint // sentinel identity
+			// Killed — or the body left through runtime.Goexit (t.Fatal in a
+			// test), which iter.Pull passes on to the caller of next once
+			// the process is retired.
+			if !p.exited {
+				p.leave()
+			}
+			return
+		}
+		p.exit()
 		if kp, inKernel := r.(kernelPanic); inKernel {
 			panic(string(kp))
 		}
-		if r != nil && r != errKilled { //nolint:errorlint // sentinel identity
-			// Re-panicking here would crash the whole test binary from a
-			// foreign goroutine with a stack that is hard to attribute; wrap
-			// with the process name instead so failures are diagnosable.
-			k.tracef("proc %s panicked: %v", p.name, r)
-			p.exit()
-			panic(fmt.Sprintf("sim: process %q panicked: %v", p.name, r))
-		}
-		// Killed — or the body left through runtime.Goexit (t.Fatal in a
-		// test), which must not take control of the simulation with it.
-		if !p.exited {
-			p.leave()
-		}
+		// Name the process: the stack that reports this is the caller's.
+		k.tracef("proc %s panicked: %v", p.name, r)
+		panic(fmt.Sprintf("sim: process %q panicked: %v", p.name, r))
 	}()
-	// Wait for the first scheduling. A process killed before it (host crashed
-	// between Spawn and then) unwinds from here without running fn.
-	p.await()
 	k.tracef("proc %s start", p.name)
 	fn(p)
 	p.leave()
 }
 
-// leave retires the process and passes control on — unless it was killed:
-// then its Kill is waiting on done, and control was never this goroutine's.
+// leave retires the process and, on its way back to the caller, schedules
+// onwards in place — unless it was killed: then control is its killer's.
 func (p *Proc) leave() {
-	k := p.k
 	p.exit()
-	switch {
-	case p.killed:
-	case k.stepping:
-		k.yield <- struct{}{}
-	default:
-		k.dispatch(p)
+	if !p.killed {
+		p.k.dispatch(p)
 	}
 }
 
-// exit retires the process: it leaves the process table and releases
-// everything waiting on Done, including a Kill in progress.
+// exit retires the process, once: it leaves the process table and releases
+// everything waiting on Done.
 func (p *Proc) exit() {
+	if p.exited {
+		return
+	}
 	k := p.k
 	p.exited = true
 	delete(k.procs, p.pid)
@@ -85,59 +89,47 @@ func (p *Proc) exit() {
 		k.live--
 	}
 	k.tracef("proc %s exit", p.name)
-	close(p.done)
+	if p.done != nil {
+		close(p.done)
+	}
 }
 
-// kill resumes a parked process with the kill signal and waits until its
-// stack has unwound. The caller's goroutine must not be p's own.
+// kill resumes a parked process with the kill signal; stop returns when its
+// stack has unwound. The caller's coroutine must not be p's own. A process
+// that was never scheduled has no stack: stop only keeps its body from ever
+// running, so it is retired here.
 func (p *Proc) kill() {
 	p.killed = true
-	p.resume <- struct{}{}
-	<-p.done
+	p.stop()
+	p.exit()
 }
 
-// RunTask implements Task for Step, the one place the two-handoff rendezvous
-// survives: the caller hands control to the process goroutine and blocks
-// until it parks or exits. (Under Run, Kernel.resume does it in one.)
+// RunTask implements Task for Step: the process runs until it next parks or
+// exits, and parks without scheduling onwards.
 func (p *Proc) RunTask(k *Kernel) {
 	if p.exited {
 		return
 	}
-	if k.yield == nil {
-		k.yield = make(chan struct{}) // Run never needs it
-	}
-	k.current = p
 	k.stepping = true
-	p.resume <- struct{}{}
-	<-k.yield
+	k.resume(p)
 	k.stepping = false
-	k.current = nil
-}
-
-// await blocks until the process is resumed. If it was killed meanwhile, it
-// unwinds.
-func (p *Proc) await() {
-	<-p.resume
-	if p.killed {
-		panic(errKilled)
-	}
 }
 
 // park gives up control until the process is resumed: under Run the process
-// schedules onwards itself, under Step it returns to the caller. A killed
-// process cannot block again (its Kill is waiting for it): deferred cleanup
-// that tries to keeps unwinding.
+// schedules onwards itself first, under Step it returns to the caller at
+// once. A killed process cannot block again (its killer is waiting for it to
+// unwind): deferred cleanup that tries to keeps unwinding, as does a process
+// resumed by stop.
 func (p *Proc) park() {
-	k := p.k
 	if p.killed {
 		panic(errKilled)
 	}
-	if k.stepping {
-		k.yield <- struct{}{}
-	} else if k.dispatch(p) {
+	if p.k.dispatch(p) {
 		return
 	}
-	p.await()
+	if !p.yield(struct{}{}) {
+		panic(errKilled)
+	}
 }
 
 // yieldNow reschedules the process at the current instant, letting other
@@ -176,9 +168,18 @@ func (p *Proc) SleepUntil(t time.Duration) {
 	p.park()
 }
 
-// Done returns a channel closed when the process exits. It may be read from
-// outside the simulation (e.g. by tests after Run returns).
-func (p *Proc) Done() <-chan struct{} { return p.done }
+// Done returns a channel closed when the process exits. Call it while
+// holding control (from simulated code, or between runs); the channel may then
+// be read from anywhere.
+func (p *Proc) Done() <-chan struct{} {
+	if p.done == nil {
+		p.done = make(chan struct{})
+		if p.exited {
+			close(p.done)
+		}
+	}
+	return p.done
+}
 
 // Exited reports whether the process function has returned.
 func (p *Proc) Exited() bool { return p.exited }
