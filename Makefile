@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test check chaos chaos-suite scenarios fleet-smoke trace-goldens benchmark-smoke race race-parallel race-sched bench bench-json bench-diff experiments examples cover fuzz clean
+.PHONY: all build test check chaos scenarios fleet-smoke trace-goldens benchmark-smoke race race-parallel race-sched bench bench-json bench-diff experiments examples cover fuzz clean
 
 all: build check
 
@@ -13,15 +13,15 @@ test:
 	$(GO) test ./...
 
 # check is the default verification gate: vet, the end-to-end chaos
-# scenarios, the declarative gray-failure suite gated against its committed
-# baseline, the declarative scenario library (validate + run + coverage
-# gate), the fleet-scale smoke run, the full test suite under the race
-# detector (the parallel sweep makes race coverage load-bearing), a focused
-# race pass over the parallel-DES kernel paths, another over the scheduler's
-# coroutine switches, a short fuzz smoke over the wire-facing parsers, and
-# the coverage floor — after the benchmark module, which `./...` does not
-# reach, has been vetted and smoke-tested against this tree.
-check: benchmark-smoke chaos chaos-suite scenarios fleet-smoke trace-goldens
+# scenarios, the declarative scenario library gated against its committed
+# baseline (validate + run + coverage and hash gate), the fleet-scale smoke
+# run, the full test suite under the race detector (the parallel sweep makes
+# race coverage load-bearing), a focused race pass over the parallel-DES
+# kernel paths, another over the scheduler's coroutine switches, a short fuzz
+# smoke over the wire-facing parsers, and the coverage floor — after the
+# benchmark module, which `./...` does not reach, has been vetted and
+# smoke-tested against this tree.
+check: benchmark-smoke chaos scenarios fleet-smoke trace-goldens
 	$(GO) vet ./...
 	$(GO) test -race ./...
 	$(MAKE) race-parallel
@@ -52,23 +52,13 @@ race-sched:
 chaos:
 	$(GO) test -race -v -run 'TestChaos' ./internal/chaos/
 
-# chaos-suite runs the declarative gray-failure scenario library (partitions,
-# flapping links, stragglers, rolling outages — see EXPERIMENTS.md, "Chaos
-# suite"), every scenario replayed twice for trace determinism, then gates
-# the fresh summary against the committed CHAOS_suite.json baseline: any
-# failed invariant, shrunk scenario/invariant count, dropped scenario name,
-# or trace hash that differs from the baseline's exits non-zero.
-chaos-suite:
-	$(GO) run ./cmd/experiments -run chaos-suite -chaos-json CHAOS_new.json
-	$(GO) run ./cmd/benchdiff -chaos-old CHAOS_suite.json -chaos-new CHAOS_new.json
-
 # scenarios validates and runs the declarative scenario library (see
 # EXPERIMENTS.md, "Scenario runs"): every file under scenarios/ must parse,
 # validate, double-run bit-identically, and pass its declared assertions;
 # the fresh summary is then gated against the committed SCENARIOS_suite.json
-# baseline exactly like the chaos suite (failed invariant, shrunk counts, a
-# dropped scenario name, or a changed trace hash or fingerprint exits
-# non-zero).
+# baseline: a failed invariant, a shrunk scenario or invariant count, a
+# dropped scenario name, or a changed or missing trace hash or fingerprint
+# exits non-zero.
 scenarios:
 	$(GO) run ./cmd/simulator validate scenarios/*.yaml
 	$(GO) run ./cmd/simulator run -json SCENARIOS_new.json scenarios/*.yaml

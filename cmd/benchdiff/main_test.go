@@ -3,6 +3,8 @@ package main
 import (
 	"strings"
 	"testing"
+
+	"nxcluster/internal/scenario"
 )
 
 func rec(name string, ns float64, allocs int64) Record {
@@ -175,16 +177,16 @@ func TestFormatCleanRun(t *testing.T) {
 	}
 }
 
-func chaosSuite(scens ...ChaosScenario) *ChaosSuite {
-	return &ChaosSuite{Scenarios: scens}
+func suiteOf(scens ...scenario.Result) *scenario.SuiteResult {
+	return &scenario.SuiteResult{Scenarios: scens}
 }
 
-func TestChaosSectionClean(t *testing.T) {
-	s := chaosSuite(
-		ChaosScenario{Name: "partition", Passed: true, Invariants: 5},
-		ChaosScenario{Name: "flap", Passed: true, Invariants: 4},
+func TestSuiteSectionClean(t *testing.T) {
+	s := suiteOf(
+		scenario.Result{Name: "partition", Passed: true, Invariants: 5},
+		scenario.Result{Name: "flap", Passed: true, Invariants: 4},
 	)
-	out, regressed := ChaosSection(s, s)
+	out, regressed := SuiteSection(s, s)
 	if regressed {
 		t.Fatalf("identical suites flagged:\n%s", out)
 	}
@@ -195,13 +197,13 @@ func TestChaosSectionClean(t *testing.T) {
 	}
 }
 
-func TestChaosSectionFailuresGate(t *testing.T) {
-	cur := chaosSuite(ChaosScenario{
+func TestSuiteSectionFailuresGate(t *testing.T) {
+	cur := suiteOf(scenario.Result{
 		Name: "partition", Passed: false, Invariants: 5,
 		Failures: []string{"exact-optimum: best = 9, want 10"},
 	})
 	// Even with no baseline, a failed invariant gates.
-	out, regressed := ChaosSection(nil, cur)
+	out, regressed := SuiteSection(nil, cur)
 	if !regressed {
 		t.Fatalf("failed invariant not flagged:\n%s", out)
 	}
@@ -210,18 +212,18 @@ func TestChaosSectionFailuresGate(t *testing.T) {
 	}
 }
 
-func TestChaosSectionCoverageShrinkGates(t *testing.T) {
-	old := chaosSuite(
-		ChaosScenario{Name: "partition", Passed: true, Invariants: 5},
-		ChaosScenario{Name: "flap", Passed: true, Invariants: 4},
+func TestSuiteSectionCoverageShrinkGates(t *testing.T) {
+	old := suiteOf(
+		scenario.Result{Name: "partition", Passed: true, Invariants: 5},
+		scenario.Result{Name: "flap", Passed: true, Invariants: 4},
 	)
 	// Same scenario count but a baseline scenario replaced by a new one,
 	// and fewer total invariants: both must gate.
-	cur := chaosSuite(
-		ChaosScenario{Name: "partition", Passed: true, Invariants: 4},
-		ChaosScenario{Name: "straggler", Passed: true, Invariants: 4},
+	cur := suiteOf(
+		scenario.Result{Name: "partition", Passed: true, Invariants: 4},
+		scenario.Result{Name: "straggler", Passed: true, Invariants: 4},
 	)
-	out, regressed := ChaosSection(old, cur)
+	out, regressed := SuiteSection(old, cur)
 	if !regressed {
 		t.Fatalf("coverage shrink not flagged:\n%s", out)
 	}
@@ -231,25 +233,24 @@ func TestChaosSectionCoverageShrinkGates(t *testing.T) {
 		}
 	}
 	// New scenarios on top of the baseline are growth, not regression.
-	grown := chaosSuite(append(old.Scenarios, ChaosScenario{Name: "extra", Passed: true, Invariants: 3})...)
-	if out, regressed := ChaosSection(old, grown); regressed {
+	grown := suiteOf(append(old.Scenarios, scenario.Result{Name: "extra", Passed: true, Invariants: 3})...)
+	if out, regressed := SuiteSection(old, grown); regressed {
 		t.Fatalf("suite growth flagged as regression:\n%s", out)
 	}
 }
 
 func TestSuiteSectionLabel(t *testing.T) {
-	// The scenario-library gate reuses the chaos gate machinery under its
-	// own label; the label must flow into the summary line.
-	cur := chaosSuite(ChaosScenario{Name: "table4-sweep", Passed: true, Invariants: 6})
-	out, regressed := SuiteSection("scenario suite", cur, cur)
+	// The summary line names the suite and its counts.
+	cur := suiteOf(scenario.Result{Name: "table4-sweep", Passed: true, Invariants: 6})
+	out, regressed := SuiteSection(cur, cur)
 	if regressed {
 		t.Fatalf("identical suites flagged:\n%s", out)
 	}
 	if !strings.Contains(out, "scenario suite: 1 scenarios, 6 invariants, 0 failures") {
 		t.Errorf("labeled summary missing:\n%s", out)
 	}
-	shrunk := chaosSuite()
-	if out, regressed := SuiteSection("scenario suite", cur, shrunk); !regressed {
+	shrunk := suiteOf()
+	if out, regressed := SuiteSection(cur, shrunk); !regressed {
 		t.Fatalf("scenario-count shrink not flagged:\n%s", out)
 	} else if !strings.Contains(out, "scenario count shrank 1 -> 0") {
 		t.Errorf("shrink detail missing:\n%s", out)
@@ -257,19 +258,19 @@ func TestSuiteSectionLabel(t *testing.T) {
 }
 
 // TestSuiteSectionHashDriftGates pins the gate that reads what it claims:
-// a trace_hash or fingerprint that differs from the baseline's is a
-// regression naming old -> new; a field only one side carries is not
-// compared.
+// a trace_hash or fingerprint that differs from the baseline's — or that the
+// baseline has and the new run stopped writing — is a regression naming
+// old -> new; a field only the new run carries is not compared.
 func TestSuiteSectionHashDriftGates(t *testing.T) {
-	base := ChaosScenario{Name: "s", Passed: true, Invariants: 3, TraceHash: "aaaa", Fingerprint: "elapsed=1ms\n"}
-	with := func(hash, fp string) ChaosScenario {
+	base := scenario.Result{Name: "s", Passed: true, Invariants: 3, TraceHash: "aaaa", Fingerprint: "elapsed=1ms\n"}
+	with := func(hash, fp string) scenario.Result {
 		sc := base
 		sc.TraceHash, sc.Fingerprint = hash, fp
 		return sc
 	}
 	for _, tc := range []struct {
 		name     string
-		old, cur ChaosScenario
+		old, cur scenario.Result
 		want     []string // nil: no regression
 	}{
 		{name: "identical", old: base, cur: base},
@@ -280,10 +281,13 @@ func TestSuiteSectionHashDriftGates(t *testing.T) {
 		{name: "both drift", old: base, cur: with("bbbb", "elapsed=2ms\n"),
 			want: []string{"s trace_hash changed", "s fingerprint changed"}},
 		{name: "baseline without fingerprint", old: with("aaaa", ""), cur: base},
-		{name: "new run without hashes", old: base, cur: with("", "")},
+		{name: "new run without hashes", old: base, cur: with("", ""),
+			want: []string{`REGRESSION: s trace_hash changed: "aaaa" -> ""`, `REGRESSION: s fingerprint changed: "elapsed=1ms\n" -> ""`}},
+		{name: "new run without fingerprint", old: base, cur: with(base.TraceHash, ""),
+			want: []string{`REGRESSION: s fingerprint changed: "elapsed=1ms\n" -> ""`}},
 		{name: "baseline without hashes", old: with("", ""), cur: base},
 	} {
-		out, regressed := SuiteSection("scenario suite", chaosSuite(tc.old), chaosSuite(tc.cur))
+		out, regressed := SuiteSection(suiteOf(tc.old), suiteOf(tc.cur))
 		if regressed != (tc.want != nil) {
 			t.Errorf("%s: regressed = %v:\n%s", tc.name, regressed, out)
 		}

@@ -13,12 +13,10 @@
 // (parallel-stream bulk transfers through the proxy over a congestion-
 // modeled WAN), speedup (conservative parallel-DES wall-clock sweep over
 // site-worker counts on a wide grid; needs a multi-core host to show
-// speedup > 1), chaos-suite (the declarative gray-failure scenario library
-// with end-of-run invariants; exits nonzero on any violation and writes a
-// JSON summary with -chaos-json), fleet (open-loop fleet-scale run:
-// -fleet-sites x -fleet-hosts hosts absorbing -fleet-jobs heavy-tailed jobs
-// at ~0.85 utilization, reporting jobs/sec, events/sec and p50/p99 job
-// latency from sampled causal traces), all.
+// speedup > 1), fleet (open-loop fleet-scale run: -fleet-sites x
+// -fleet-hosts hosts absorbing -fleet-jobs heavy-tailed jobs at ~0.85
+// utilization, reporting jobs/sec, events/sec and p50/p99 job latency from
+// sampled causal traces), all.
 //
 // -parallel-sim N partitions the simulation kernel by site and runs it on N
 // worker threads with lookahead synchronization (see DESIGN.md, "Parallel
@@ -41,7 +39,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -52,7 +49,6 @@ import (
 	"time"
 
 	"nxcluster/internal/bench"
-	"nxcluster/internal/chaos"
 	"nxcluster/internal/cluster"
 	"nxcluster/internal/fleet"
 	"nxcluster/internal/knapsack"
@@ -72,7 +68,6 @@ func main() {
 	monitorHTML := flag.String("monitor-html", "", "write the monitor run's HTML/SVG report to this file")
 	monitorJSONL := flag.String("monitor-jsonl", "", "write the monitor run's time-series as JSONL to this file")
 	monitorAll := flag.Bool("monitor-all", false, "show every series on the dashboard, not just the wide-area headline set")
-	chaosJSON := flag.String("chaos-json", "", "write the chaos suite's per-scenario results as JSON (-run chaos-suite)")
 	fleetSites := flag.Int("fleet-sites", 32, "sites in the -run fleet topology")
 	fleetHosts := flag.Int("fleet-hosts", 32, "hosts per site in the -run fleet topology")
 	fleetJobs := flag.Int("fleet-jobs", 100_000, "open-loop jobs for -run fleet")
@@ -292,36 +287,6 @@ func main() {
 			len(rep.Rows), runtime.GOMAXPROCS(0), time.Since(start).Round(time.Millisecond))
 		fmt.Println(bench.FormatSpeedup(rep))
 	}
-	if *run == "chaos-suite" {
-		start := time.Now()
-		res, err := chaos.RunSuite(chaos.DefaultSuite(), func(format string, args ...interface{}) {
-			fmt.Printf(format+"\n", args...)
-		})
-		if err != nil {
-			log.Fatalf("experiments: chaos-suite: %v", err)
-		}
-		scen, inv, fails := res.Counts()
-		fmt.Fprintf(os.Stderr, "[chaos suite: %d scenarios, host time %v]\n",
-			scen, time.Since(start).Round(time.Millisecond))
-		fmt.Printf("chaos suite: %d scenarios, %d invariants, %d failures\n", scen, inv, fails)
-		if *chaosJSON != "" {
-			f, err := os.Create(*chaosJSON)
-			if err != nil {
-				log.Fatalf("experiments: chaos-json: %v", err)
-			}
-			enc := json.NewEncoder(f)
-			enc.SetIndent("", "  ")
-			if err := enc.Encode(res); err != nil {
-				log.Fatalf("experiments: chaos-json: %v", err)
-			}
-			if err := f.Close(); err != nil {
-				log.Fatalf("experiments: chaos-json: %v", err)
-			}
-		}
-		if !res.Passed() {
-			os.Exit(1)
-		}
-	}
 	if *run == "fleet" {
 		sizes := fleet.SizeDist{Kind: fleet.DistPareto, Alpha: 1.5, Min: time.Second, Max: 5 * time.Minute}
 		// Open-loop rate sized to ~0.85 fleet utilization: slots over the
@@ -358,7 +323,7 @@ func main() {
 
 	switch *run {
 	case "all", "sweep", "table2", "table3", "table4", "table5", "table6",
-		"figure1", "figure2", "figure3", "figure4", "figure5", "decomp", "ktrace", "monitor", "gridftp", "speedup", "chaos-suite", "fleet":
+		"figure1", "figure2", "figure3", "figure4", "figure5", "decomp", "ktrace", "monitor", "gridftp", "speedup", "fleet":
 	default:
 		log.Fatalf("experiments: unknown -run %q", *run)
 	}

@@ -73,14 +73,39 @@ func loadSpec(path string) (*scenario.Spec, error) {
 	return s, nil
 }
 
+// loadSpecs parses every file (errs[i] is file i's error) and refuses two
+// files that declare the same name: results are keyed by name — benchdiff's
+// gate looks rows up by it — so the second would leave the first ungated.
+func loadSpecs(files []string) (specs []*scenario.Spec, errs []error, dup error) {
+	specs, errs = make([]*scenario.Spec, len(files)), make([]error, len(files))
+	owner := map[string]string{}
+	for i, path := range files {
+		s, err := loadSpec(path)
+		specs[i], errs[i] = s, err
+		if err != nil {
+			continue
+		}
+		if prev, ok := owner[s.Name]; ok && dup == nil {
+			dup = fmt.Errorf("%s and %s both declare name %q", prev, path, s.Name)
+		}
+		owner[s.Name] = path
+	}
+	return specs, errs, dup
+}
+
 func runValidate(files []string, stdout, stderr io.Writer) int {
 	if len(files) == 0 {
 		fmt.Fprintln(stderr, "simulator validate: no scenario files given")
 		return 2
 	}
+	specs, errs, dup := loadSpecs(files)
+	if dup != nil {
+		fmt.Fprintf(stderr, "simulator validate: %v\n", dup)
+		return 2
+	}
 	bad := 0
-	for _, path := range files {
-		s, err := loadSpec(path)
+	for i, path := range files {
+		s, err := specs[i], errs[i]
 		if err == nil {
 			err = scenario.Validate(s)
 		}
@@ -111,9 +136,14 @@ func runRun(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "simulator run: no scenario files given")
 		return 2
 	}
+	specs, errs, dup := loadSpecs(files)
+	if dup != nil {
+		fmt.Fprintf(stderr, "simulator run: %v\n", dup)
+		return 2
+	}
 	suite := &scenario.SuiteResult{}
-	for _, path := range files {
-		s, err := loadSpec(path)
+	for i, path := range files {
+		s, err := specs[i], errs[i]
 		if err == nil {
 			err = scenario.Validate(s)
 		}

@@ -149,6 +149,16 @@ func TestRunCommandFailure(t *testing.T) {
 		t.Errorf("failure detail missing: %q", out.String())
 	}
 
+	// A mixed suite counts both files and still fails as a whole:
+	// (determinism + rows + indirect-slower) + (determinism + rows).
+	out.Reset()
+	if code := run([]string{"run", writeTemp(t, "good.yaml", fastScenario), doomed}, &out, &errb); code != 1 {
+		t.Errorf("run good+doomed: exit %d, want 1", code)
+	}
+	if !strings.Contains(out.String(), "scenarios=2 invariants=5 failures=1") {
+		t.Errorf("mixed counts line wrong: %q", out.String())
+	}
+
 	// An invalid file is a hard error before anything runs.
 	bad := writeTemp(t, "bad.yaml", invalidScenario)
 	errb.Reset()
@@ -161,6 +171,23 @@ func TestRunCommandFailure(t *testing.T) {
 
 	if code := run([]string{"run"}, &out, &errb); code != 2 {
 		t.Errorf("run with no files: exit %d, want 2", code)
+	}
+}
+
+// TestDuplicateNamesRefused: results are keyed by name, so two files that
+// declare the same one are a usage error naming both, before anything runs.
+func TestDuplicateNamesRefused(t *testing.T) {
+	a := writeTemp(t, "a.yaml", fastScenario)
+	b := writeTemp(t, "b.yaml", fastScenario)
+	for _, cmd := range []string{"validate", "run"} {
+		var out, errb bytes.Buffer
+		if code := run([]string{cmd, a, b}, &out, &errb); code != 2 {
+			t.Errorf("%s: exit %d, want 2", cmd, code)
+		}
+		want := "simulator " + cmd + ": " + a + " and " + b + ` both declare name "cli-rtt"` + "\n"
+		if errb.String() != want || out.Len() != 0 {
+			t.Errorf("%s:\n stderr %q\n   want %q\n stdout %q, want none", cmd, errb.String(), want, out.String())
+		}
 	}
 }
 

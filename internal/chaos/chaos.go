@@ -16,6 +16,8 @@ package chaos
 import (
 	"errors"
 	"fmt"
+	"sort"
+	"strings"
 	"time"
 
 	"nxcluster/internal/cluster"
@@ -146,6 +148,28 @@ type Report struct {
 	// Store holds the windowed time-series when Config.SampleInterval asked
 	// for sampling (nil otherwise).
 	Store *timeseries.Store
+}
+
+// Fingerprint reduces the report to a canonical string so a double run can
+// be compared field by field (map iteration order excluded).
+func (rep *Report) Fingerprint() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "completed=%v best=%d elapsed=%v traversed=%d orphans=%d",
+		rep.Completed, rep.Best, rep.Elapsed, rep.TotalTraversed, rep.Orphans)
+	fmt.Fprintf(&b, " reg=%d boots=%d suspectperiods=%d",
+		rep.InnerRegistrations, rep.OuterBoots, rep.InnerStats.SuspectPeriods)
+	fmt.Fprintf(&b, " joberr=%v requeues=%d spec=%d res=%s done=%v",
+		rep.JobErr, rep.JobRequeues, rep.JobSpeculations, rep.JobResource, rep.JobDone)
+	fmt.Fprintf(&b, " suspects=%d downs=%d extrajobs=%d", rep.HBMSuspects, rep.HBMDowns, rep.ExtraJobsDone)
+	names := make([]string, 0, len(rep.HBM))
+	for n := range rep.HBM {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	for _, n := range names {
+		fmt.Fprintf(&b, " hbm.%s=%v", n, rep.HBM[n])
+	}
+	return b.String()
 }
 
 // Run executes one chaos scenario and returns its report.

@@ -9,41 +9,25 @@ import (
 	"nxcluster/internal/knapsack"
 )
 
-// check is one compiled assertion for a non-chaos kind; chaos asserts
-// compile straight to chaos.Invariant so chaos.RunScenario owns them.
+// check is one compiled assertion. Fn reads what the kind's run leaves in
+// outcome.v (a *chaos.Report, []bench.Table2Row, *gridRun, ...).
 type check struct {
 	Name string
 	Fn   func(v any) error
-}
-
-// compiled assertions for one spec: exactly one of the two slices is
-// populated, matching the kind.
-type asserts struct {
-	chaos []chaos.Invariant
-	other []check
 }
 
 // buildAsserts validates every assert entry's name and argument for the
 // spec's kind and returns the compiled checkers. Unknown names and
 // ill-typed arguments error here, so `simulator validate` rejects them
 // without running anything.
-func buildAsserts(s *Spec) (*asserts, error) {
-	out := &asserts{}
+func buildAsserts(s *Spec) ([]check, error) {
+	var out []check
 	for i, a := range s.Asserts {
-		path := fmt.Sprintf("scenario %s: assert[%d] %s", s.Name, i, a.Name)
-		if s.Kind == KindChaos {
-			inv, err := chaosInvariant(a, path)
-			if err != nil {
-				return nil, err
-			}
-			out.chaos = append(out.chaos, inv)
-			continue
-		}
-		c, err := otherCheck(s.Kind, a, path)
+		c, err := compileCheck(s.Kind, a, fmt.Sprintf("scenario %s: assert[%d] %s", s.Name, i, a.Name))
 		if err != nil {
 			return nil, err
 		}
-		out.other = append(out.other, c)
+		out = append(out, c)
 	}
 	return out, nil
 }
@@ -211,11 +195,18 @@ func comparatorOf(name string) (func(rep, base *chaos.Report) error, error) {
 	return nil, fmt.Errorf("unknown compare %q (one of: speculation-wins, baseline-reregisters)", name)
 }
 
-// --- non-chaos assertions ---
+// --- per-kind assertions ---
 
-func otherCheck(kind Kind, a AssertSpec, path string) (check, error) {
+func compileCheck(kind Kind, a AssertSpec, path string) (check, error) {
 	var zero check
 	switch kind {
+	case KindChaos:
+		inv, err := chaosInvariant(a, path)
+		if err != nil {
+			return zero, err
+		}
+		return check{inv.Name, func(v any) error { return inv.Check(v.(*chaos.Report)) }}, nil
+
 	case KindTable2:
 		switch a.Name {
 		case "rows":

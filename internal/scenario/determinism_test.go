@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -32,37 +33,70 @@ func shippedFiles(t *testing.T) []string {
 }
 
 // TestShippedScenariosValidate: every shipped scenario file must parse and
-// validate — host names, link names, assertion vocabulary, shape constraints.
+// validate — host names, link names, assertion vocabulary, shape constraints
+// — under a name no other file uses: results are keyed by name, so a second
+// file with the same name would leave the first ungated.
 func TestShippedScenariosValidate(t *testing.T) {
+	owner := map[string]string{}
 	for _, file := range shippedFiles(t) {
 		t.Run(file, func(t *testing.T) {
-			if err := Validate(loadShipped(t, file)); err != nil {
+			s := loadShipped(t, file)
+			if err := Validate(s); err != nil {
 				t.Fatal(err)
 			}
+			if prev, ok := owner[s.Name]; ok {
+				t.Fatalf("name %q is already declared by %s", s.Name, prev)
+			}
+			owner[s.Name] = file
 		})
 	}
 }
 
 // TestShippedScenariosRun is the determinism wall: every shipped scenario
 // runs (Run itself executes each workload twice and fails on any trace-hash
-// or fingerprint divergence) and passes all its declared assertions.
+// or fingerprint divergence), passes all its declared assertions, and
+// reproduces its row of the committed SCENARIOS_suite.json — the same
+// comparison `make scenarios` gates on, here without a second run.
 func TestShippedScenariosRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full scenario library (~5s of virtual-time runs) in -short mode")
 	}
+	const baseline = "SCENARIOS_suite.json"
+	data, err := os.ReadFile(filepath.Join("..", "..", baseline))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var suite SuiteResult
+	if err := json.Unmarshal(data, &suite); err != nil {
+		t.Fatalf("%s: %v", baseline, err)
+	}
+	rows := map[string]Result{}
+	for _, r := range suite.Scenarios {
+		rows[r.Name] = r
+	}
 	for _, file := range shippedFiles(t) {
+		s := loadShipped(t, file)
+		want, ok := rows[s.Name]
+		delete(rows, s.Name)
 		t.Run(file, func(t *testing.T) {
-			res, err := Run(loadShipped(t, file))
+			if !ok {
+				t.Fatalf("%s has no %q row (regenerate it: simulator run -json %s scenarios/*.yaml)", baseline, s.Name, baseline)
+			}
+			res, err := Run(s)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !res.Passed {
 				t.Fatalf("failures: %v", res.Failures)
 			}
-			if res.Invariants < 1 {
-				t.Fatalf("invariants = %d — even a bare scenario carries the determinism invariant", res.Invariants)
+			if res.TraceHash != want.TraceHash || res.Fingerprint != want.Fingerprint || res.Invariants != want.Invariants {
+				t.Errorf("drifted from %s:\n got  trace_hash=%s invariants=%d fingerprint=%q\n want trace_hash=%s invariants=%d fingerprint=%q",
+					baseline, res.TraceHash, res.Invariants, res.Fingerprint, want.TraceHash, want.Invariants, want.Fingerprint)
 			}
 		})
+	}
+	for name := range rows {
+		t.Errorf("%s row %q has no scenario file", baseline, name)
 	}
 }
 

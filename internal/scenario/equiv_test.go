@@ -3,11 +3,9 @@ package scenario
 import (
 	"os"
 	"path/filepath"
-	"reflect"
 	"testing"
 
 	"nxcluster/internal/bench"
-	"nxcluster/internal/chaos"
 )
 
 func loadShipped(t *testing.T, file string) *Spec {
@@ -21,111 +19,6 @@ func loadShipped(t *testing.T, file string) *Spec {
 		t.Fatalf("parse %s: %v", file, err)
 	}
 	return s
-}
-
-// TestChaosPortConfigEquivalence proves the DSL compilation is structurally
-// identical to the hand-wired chaos.DefaultSuite: each ported scenario file
-// compiles to exactly the chaos.Config (fault plan included — LinkFlap is
-// expanded to the same outage windows at build time) the legacy Go
-// constructor produces. Invariants and Compare are funcs and are exercised
-// separately by the trace-hash equality below.
-func TestChaosPortConfigEquivalence(t *testing.T) {
-	suite := map[string]chaos.Scenario{}
-	for _, sc := range chaos.DefaultSuite() {
-		suite[sc.Name] = sc
-	}
-	files := []string{
-		"chaos-partition-then-heal.yaml",
-		"chaos-flapping-boundary.yaml",
-		"chaos-slow-node-straggler.yaml",
-		"chaos-suspect-straggler.yaml",
-		"chaos-degraded-boundary.yaml",
-		"chaos-asymmetric-wan.yaml",
-		"chaos-rolling-site-outage.yaml",
-		"chaos-crash-during-speculation.yaml",
-	}
-	seen := map[string]bool{}
-	for _, file := range files {
-		s := loadShipped(t, file)
-		legacy, ok := suite[s.Name]
-		if !ok {
-			t.Errorf("%s: name %q is not a DefaultSuite scenario", file, s.Name)
-			continue
-		}
-		seen[s.Name] = true
-		cfg, err := s.chaosConfig()
-		if err != nil {
-			t.Errorf("%s: compile: %v", file, err)
-			continue
-		}
-		// An slo block attaches a read-only sampler on top of the workload;
-		// the workload compilation itself must still match the legacy config.
-		cfg.SampleInterval = 0
-		if !reflect.DeepEqual(cfg, legacy.Config) {
-			t.Errorf("%s: compiled config differs from DefaultSuite %s:\n got  %+v\n want %+v",
-				file, s.Name, cfg, legacy.Config)
-		}
-		if (s.Baseline != nil) != (legacy.Baseline != nil) {
-			t.Errorf("%s: baseline presence = %v, legacy %v", file, s.Baseline != nil, legacy.Baseline != nil)
-			continue
-		}
-		if s.Baseline != nil {
-			bcfg, err := s.Baseline.chaosConfig()
-			if err != nil {
-				t.Errorf("%s: compile baseline: %v", file, err)
-				continue
-			}
-			if !reflect.DeepEqual(bcfg, *legacy.Baseline) {
-				t.Errorf("%s: compiled baseline differs from DefaultSuite %s:\n got  %+v\n want %+v",
-					file, s.Name, bcfg, *legacy.Baseline)
-			}
-		}
-		if (s.Compare != "") != (legacy.Compare != nil) {
-			t.Errorf("%s: compare presence = %v, legacy %v", file, s.Compare != "", legacy.Compare != nil)
-		}
-	}
-	for name := range suite {
-		if !seen[name] {
-			t.Errorf("DefaultSuite scenario %q has no ported scenario file", name)
-		}
-	}
-}
-
-// TestChaosPortTraceEquality runs one ported scenario through both paths —
-// the scenario DSL and the legacy chaos.RunScenario with the hand-wired
-// config — and demands bit-identical observability trace hashes. (The full
-// 8-scenario sweep runs in make check via the SCENARIOS_suite.json gate;
-// one end-to-end witness here keeps `go test` honest without doubling the
-// suite's runtime.)
-func TestChaosPortTraceEquality(t *testing.T) {
-	if testing.Short() {
-		t.Skip("chaos run in -short mode")
-	}
-	s := loadShipped(t, "chaos-partition-then-heal.yaml")
-	res, err := Run(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Passed {
-		t.Fatalf("scenario failed: %v", res.Failures)
-	}
-	var legacy chaos.Scenario
-	for _, sc := range chaos.DefaultSuite() {
-		if sc.Name == s.Name {
-			legacy = sc
-		}
-	}
-	lres, err := chaos.RunScenario(legacy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.TraceHash != lres.TraceHash {
-		t.Errorf("trace hash %s != legacy %s — DSL compilation diverged from the hand-wired config",
-			res.TraceHash, lres.TraceHash)
-	}
-	if res.ElapsedMS != lres.ElapsedMS {
-		t.Errorf("elapsed %dms != legacy %dms", res.ElapsedMS, lres.ElapsedMS)
-	}
 }
 
 // TestTable2Equivalence: the ported Table 2 scenario must reproduce the

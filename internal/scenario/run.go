@@ -11,11 +11,12 @@ import (
 	"nxcluster/internal/bench"
 	"nxcluster/internal/chaos"
 	"nxcluster/internal/fleet"
+	"nxcluster/internal/obs"
+	"nxcluster/internal/obs/timeseries"
 )
 
-// Result is the outcome of running one scenario. The JSON shape is the one
-// cmd/benchdiff's suite gate consumes (a superset of the chaos-gate schema:
-// name/passed/invariants/failures).
+// Result is the outcome of running one scenario. The JSON shape is the file
+// format of cmd/benchdiff's suite gate, which decodes into this type.
 type Result struct {
 	Name       string   `json:"name"`
 	Kind       string   `json:"kind"`
@@ -70,202 +71,245 @@ type fleetRun struct {
 	res fleet.Result
 }
 
+// outcome is what one run of a scenario's workload leaves behind.
+type outcome struct {
+	// v is what the kind's assertions read.
+	v any
+	// fp is the canonical rendering of the results that the Result records;
+	// full is the one the double run is compared on — the same string except
+	// for chaos, whose rows record the elapsed and job times only.
+	fp, full string
+	// hash is the FNV-64a determinism witness.
+	hash    uint64
+	elapsed time.Duration
+	// trace is the observer behind a chaos run's hash, kept to name the first
+	// divergent event and to judge SLOs.
+	trace *obs.Observer
+}
+
 // Run executes one validated scenario: the workload twice (the implicit
-// determinism invariant every scenario carries), then each declared
-// assertion against the first run. The two runs share nothing — each builds
-// its own kernels — so they go through bench.RunParallel side by side;
-// GOMAXPROCS=1 runs the primary, then the replay. Harness errors — a config
-// the runner rejects — come back as the error, the primary's first;
-// assertion violations and determinism breaks are recorded as failures in
-// the Result.
+// determinism invariant every scenario carries) and a chaos scenario's
+// baseline once, then each declared assertion, the baseline comparison and
+// the SLO objectives against the first run. The runs share nothing — each
+// builds its own kernels — so they go through bench.RunParallel side by
+// side; GOMAXPROCS=1 runs the primary, then the replay, then the baseline.
+// Harness errors — a config the runner rejects — come back as the error,
+// the primary's first; assertion violations and determinism breaks are
+// recorded as failures in the Result.
 func Run(s *Spec) (*Result, error) {
 	if err := s.checkShape(); err != nil {
 		return nil, err
 	}
-	as, err := buildAsserts(s)
+	checks, err := buildAsserts(s)
 	if err != nil {
 		return nil, err
 	}
-	if s.Kind == KindChaos {
-		return runChaos(s, as.chaos)
-	}
-
-	run := func() (any, string, uint64, time.Duration, error) {
-		switch s.Kind {
-		case KindTable2:
-			rows, err := bench.RunTable2(s.table2Config())
-			if err != nil {
-				return nil, "", 0, 0, err
-			}
-			fp := fingerprintTable2(rows)
-			var max time.Duration
-			for _, r := range rows {
-				if r.Latency > max {
-					max = r.Latency
-				}
-			}
-			return rows, fp, fnvHash(fp), max, nil
-		case KindTable4:
-			rep, err := bench.RunKnapsack(s.table4Config())
-			if err != nil {
-				return nil, "", 0, 0, err
-			}
-			fp := fingerprintTable4(rep)
-			return rep, fp, fnvHash(fp), rep.SeqTime, nil
-		case KindMonitor:
-			rep, err := bench.RunMonitor(s.monitorConfig(), nil)
-			if err != nil {
-				return nil, "", 0, 0, err
-			}
-			fp := fingerprintMonitor(rep)
-			return rep, fp, rep.Store.Hash(), rep.Elapsed, nil
-		case KindGridFTP:
-			pts, err := bench.RunTransfer(s.transferConfig())
-			if err != nil {
-				return nil, "", 0, 0, err
-			}
-			fp := fingerprintTransfer(pts)
-			var max time.Duration
-			for _, p := range pts {
-				if p.Elapsed > max {
-					max = p.Elapsed
-				}
-			}
-			return pts, fp, fnvHash(fp), max, nil
-		case KindGrid:
-			cfg, err := s.gridConfig()
-			if err != nil {
-				return nil, "", 0, 0, err
-			}
-			res, err := bench.RunGridKnapsack(cfg, s.Topology.ParallelSites)
-			if err != nil {
-				return nil, "", 0, 0, err
-			}
-			gr := &gridRun{items: cfg.Items, capacity: cfg.Capacity, res: res}
-			fp := fingerprintGrid(res)
-			h := fnv.New64a()
-			for _, th := range res.TraceHashes {
-				fmt.Fprintf(h, "%016x ", th)
-			}
-			return gr, fp, h.Sum64(), res.Elapsed, nil
-		case KindFleet:
-			cfg := s.fleetConfig()
-			e, err := fleet.New(cfg)
-			if err != nil {
-				return nil, "", 0, 0, err
-			}
-			if err := e.Run(); err != nil {
-				return nil, "", 0, 0, err
-			}
-			res := e.Result()
-			fr := &fleetRun{cfg: cfg, res: res}
-			// The engine's own FNV fingerprint is the trace hash: it folds in
-			// event counts, latency percentiles, and per-site completions.
-			return fr, fingerprintFleet(res), res.Fingerprint, res.Makespan, nil
+	var compare func(rep, base *chaos.Report) error
+	if s.Baseline != nil && s.Compare != "" {
+		if compare, err = comparatorOf(s.Compare); err != nil {
+			return nil, fmt.Errorf("scenario %s: %w", s.Name, err)
 		}
-		return nil, "", 0, 0, fmt.Errorf("scenario %s: unknown kind %q", s.Name, s.Kind)
 	}
 
-	var (
-		v1      any
-		elapsed time.Duration
-		fps     [2]string
-		hashes  [2]uint64
-		labels  = [2]string{"", " (replay)"}
-	)
-	err = bench.RunParallel(2, 0, func(i int) error {
-		v, fp, h, el, err := run()
+	const primary, replay, baseline = 0, 1, 2
+	labels := [...]string{primary: "", replay: " (replay)", baseline: " (baseline)"}
+	specs := []*Spec{primary: s, replay: s}
+	if s.Baseline != nil {
+		specs = append(specs, s.Baseline)
+	}
+	runs := make([]outcome, len(specs))
+	err = bench.RunParallel(len(specs), 0, func(i int) error {
+		// Only the double run's traces are compared; the baseline's is
+		// dropped unhashed.
+		out, err := specs[i].runOnce(i != baseline)
 		if err != nil {
 			return fmt.Errorf("scenario %s%s: %w", s.Name, labels[i], err)
 		}
-		fps[i], hashes[i] = fp, h
-		if i == 0 {
-			v1, elapsed = v, el
+		if out.full == "" {
+			out.full = out.fp
 		}
+		runs[i] = out
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	fp1, fp2, h1, h2 := fps[0], fps[1], hashes[0], hashes[1]
+	first := &runs[primary]
 	res := &Result{
 		Name:        s.Name,
 		Kind:        string(s.Kind),
-		TraceHash:   fmt.Sprintf("%016x", h1),
-		Fingerprint: fp1,
-		ElapsedMS:   elapsed.Milliseconds(),
+		TraceHash:   fmt.Sprintf("%016x", first.hash),
+		Fingerprint: first.fp,
+		ElapsedMS:   first.elapsed.Milliseconds(),
 	}
 	res.Invariants++ // the implicit determinism invariant
-	if h1 != h2 {
-		res.Failures = append(res.Failures, fmt.Sprintf("determinism: trace hash %016x != %016x across identical runs", h1, h2))
-	} else if fp1 != fp2 {
-		res.Failures = append(res.Failures, fmt.Sprintf("determinism: results diverge: %q vs %q", fp1, fp2))
+	if d := divergence(first, &runs[replay]); d != "" {
+		res.Failures = append(res.Failures, d)
 	}
-	for _, c := range as.other {
+	for _, c := range checks {
 		res.Invariants++
-		if err := c.Fn(v1); err != nil {
+		if err := c.Fn(first.v); err != nil {
 			res.Failures = append(res.Failures, fmt.Sprintf("%s: %v", c.Name, err))
 		}
 	}
+	if compare != nil {
+		res.Invariants++
+		if err := compare(first.v.(*chaos.Report), runs[baseline].v.(*chaos.Report)); err != nil {
+			res.Failures = append(res.Failures, fmt.Sprintf("baseline-compare: %v", err))
+		}
+	}
 	if s.SLO != nil {
-		// checkShape restricts SLOs to monitor among the non-chaos kinds, so
-		// v1 is the monitored report carrying both the causal trace and the
-		// windowed store.
-		rep := v1.(*bench.MonitorReport)
+		// checkShape restricts SLOs to the two kinds that run with an observer
+		// attached; both reports carry the windowed store.
+		var events []obs.Event
+		var store *timeseries.Store
+		switch rep := first.v.(type) {
+		case *bench.MonitorReport:
+			events, store = rep.Obs.Events(), rep.Store
+		case *chaos.Report:
+			events, store = first.trace.Events(), rep.Store
+		}
 		res.Invariants += s.SLO.Objectives()
-		res.Failures = append(res.Failures, s.SLO.Evaluate(rep.Obs.Events(), rep.Store)...)
+		res.Failures = append(res.Failures, s.SLO.Evaluate(events, store)...)
 	}
 	res.Passed = len(res.Failures) == 0
 	return res, nil
 }
 
-// runChaos delegates to chaos.RunScenario, which owns the double-run
-// determinism check, the invariant sweep, and the baseline comparison.
-func runChaos(s *Spec, invs []chaos.Invariant) (*Result, error) {
-	cfg, err := s.chaosConfig()
-	if err != nil {
-		return nil, err
-	}
-	sc := chaos.Scenario{
-		Name:       s.Name,
-		Desc:       s.Desc,
-		Config:     cfg,
-		Invariants: invs,
-	}
-	if s.Baseline != nil {
-		bcfg, err := s.Baseline.chaosConfig()
+// runOnce executes the spec's workload once. Each run hashes its own witness
+// here, inside its RunParallel job; witness false (a baseline, whose report
+// alone is read) skips the comparison strings and lets the trace go.
+func (s *Spec) runOnce(witness bool) (outcome, error) {
+	switch s.Kind {
+	case KindChaos:
+		cfg, err := s.chaosConfig()
 		if err != nil {
-			return nil, err
+			return outcome{}, err
 		}
-		sc.Baseline = &bcfg
-		if s.Compare != "" {
-			cmp, err := comparatorOf(s.Compare)
-			if err != nil {
-				return nil, fmt.Errorf("scenario %s: %w", s.Name, err)
+		o := obs.New()
+		cfg.Options.Obs = o
+		rep, err := chaos.Run(cfg)
+		if err != nil {
+			return outcome{}, err
+		}
+		out := outcome{
+			v:       rep,
+			fp:      fmt.Sprintf("elapsed=%dms job=%dms", rep.Elapsed.Milliseconds(), rep.JobDone.Milliseconds()),
+			elapsed: rep.Elapsed,
+		}
+		if witness {
+			out.full, out.hash, out.trace = rep.Fingerprint(), o.Hash(), o
+		}
+		return out, nil
+	case KindTable2:
+		rows, err := bench.RunTable2(s.table2Config())
+		if err != nil {
+			return outcome{}, err
+		}
+		fp := fingerprintTable2(rows)
+		var max time.Duration
+		for _, r := range rows {
+			if r.Latency > max {
+				max = r.Latency
 			}
-			sc.Compare = cmp
 		}
+		return outcome{v: rows, fp: fp, hash: fnvHash(fp), elapsed: max}, nil
+	case KindTable4:
+		rep, err := bench.RunKnapsack(s.table4Config())
+		if err != nil {
+			return outcome{}, err
+		}
+		fp := fingerprintTable4(rep)
+		return outcome{v: rep, fp: fp, hash: fnvHash(fp), elapsed: rep.SeqTime}, nil
+	case KindMonitor:
+		rep, err := bench.RunMonitor(s.monitorConfig(), nil)
+		if err != nil {
+			return outcome{}, err
+		}
+		return outcome{v: rep, fp: fingerprintMonitor(rep), hash: rep.Store.Hash(), elapsed: rep.Elapsed}, nil
+	case KindGridFTP:
+		pts, err := bench.RunTransfer(s.transferConfig())
+		if err != nil {
+			return outcome{}, err
+		}
+		fp := fingerprintTransfer(pts)
+		var max time.Duration
+		for _, p := range pts {
+			if p.Elapsed > max {
+				max = p.Elapsed
+			}
+		}
+		return outcome{v: pts, fp: fp, hash: fnvHash(fp), elapsed: max}, nil
+	case KindGrid:
+		cfg, err := s.gridConfig()
+		if err != nil {
+			return outcome{}, err
+		}
+		res, err := bench.RunGridKnapsack(cfg, s.Topology.ParallelSites)
+		if err != nil {
+			return outcome{}, err
+		}
+		gr := &gridRun{items: cfg.Items, capacity: cfg.Capacity, res: res}
+		h := fnv.New64a()
+		for _, th := range res.TraceHashes {
+			fmt.Fprintf(h, "%016x ", th)
+		}
+		return outcome{v: gr, fp: fingerprintGrid(res), hash: h.Sum64(), elapsed: res.Elapsed}, nil
+	case KindFleet:
+		cfg := s.fleetConfig()
+		e, err := fleet.New(cfg)
+		if err != nil {
+			return outcome{}, err
+		}
+		if err := e.Run(); err != nil {
+			return outcome{}, err
+		}
+		res := e.Result()
+		// The engine's own FNV fingerprint is the trace hash: it folds in
+		// event counts, latency percentiles, and per-site completions.
+		return outcome{v: &fleetRun{cfg: cfg, res: res}, fp: fingerprintFleet(res), hash: res.Fingerprint, elapsed: res.Makespan}, nil
 	}
-	cres, err := chaos.RunScenario(sc)
-	if err != nil {
-		return nil, err
+	return outcome{}, fmt.Errorf("unknown kind %q", s.Kind)
+}
+
+// divergence words the determinism failure of a double run, "" when the two
+// runs agree: the first event the traces part at where the hash is a trace's,
+// else the first fingerprint line that differs.
+func divergence(a, b *outcome) string {
+	switch {
+	case a.hash != b.hash && a.trace != nil:
+		return traceDivergence(a.trace, b.trace, a.hash, b.hash)
+	case a.full != b.full:
+		return fingerprintDivergence(a.full, b.full)
+	case a.hash != b.hash:
+		return fmt.Sprintf("determinism: trace hash %016x != %016x across identical runs", a.hash, b.hash)
 	}
-	res := &Result{
-		Name:        cres.Name,
-		Kind:        string(KindChaos),
-		Passed:      cres.Passed,
-		Invariants:  cres.Invariants,
-		Failures:    cres.Failures,
-		TraceHash:   cres.TraceHash,
-		Fingerprint: fmt.Sprintf("elapsed=%dms job=%dms", cres.ElapsedMS, cres.JobDoneMS),
-		ElapsedMS:   cres.ElapsedMS,
+	return ""
+}
+
+// traceDivergence names both hashes, then the first event the two traces
+// disagree on, as the JSONL line of each side.
+func traceDivergence(a, b *obs.Observer, ha, hb uint64) string {
+	n, la, lb := obs.FirstDiff(a, b)
+	return fmt.Sprintf("determinism: trace hash %016x != %016x across identical runs; first divergence at event %d: %s | %s",
+		ha, hb, n, la, lb)
+}
+
+// fingerprintDivergence names the first line the two fingerprints disagree
+// on (one row, system or point of the sweep).
+func fingerprintDivergence(a, b string) string {
+	la, lb := strings.Split(a, "\n"), strings.Split(b, "\n")
+	i := 0
+	for i < len(la) && i < len(lb) && la[i] == lb[i] {
+		i++
 	}
-	if s.SLO != nil {
-		res.Invariants += s.SLO.Objectives()
-		res.Failures = append(res.Failures, s.SLO.Evaluate(cres.Obs.Events(), cres.Report.Store)...)
-		res.Passed = len(res.Failures) == 0
+	line := func(l []string) string {
+		if i < len(l) {
+			return l[i]
+		}
+		return "<end>"
 	}
-	return res, nil
+	return fmt.Sprintf("determinism: results diverge at fingerprint line %d: %q vs %q", i+1, line(la), line(lb))
 }
 
 // --- canonical fingerprints ---
