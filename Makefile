@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test check chaos scenarios fleet-smoke trace-goldens benchmark-smoke race race-parallel race-sched bench bench-json bench-diff experiments examples cover fuzz clean
+.PHONY: all build test check chaos scenarios fleet-smoke trace-goldens benchmark-smoke race race-sched bench bench-json bench-diff experiments examples cover fuzz clean
 
 all: build check
 
@@ -16,24 +16,16 @@ test:
 # scenarios, the declarative scenario library gated against its committed
 # baseline (validate + run + coverage and hash gate), the fleet-scale smoke
 # run, the full test suite under the race detector (the parallel sweep makes
-# race coverage load-bearing), a focused race pass over the parallel-DES
-# kernel paths, another over the scheduler's coroutine switches, a short fuzz
-# smoke over the wire-facing parsers, and the coverage floor — after the
-# benchmark module, which `./...` does not reach, has been vetted and
-# smoke-tested against this tree.
+# race coverage load-bearing), a focused race pass over the scheduler's
+# coroutine switches, a short fuzz smoke over the wire-facing parsers, and
+# the coverage floor — after the benchmark module, which `./...` does not
+# reach, has been vetted and smoke-tested against this tree.
 check: benchmark-smoke chaos scenarios fleet-smoke trace-goldens
 	$(GO) vet ./...
 	$(GO) test -race ./...
-	$(MAKE) race-parallel
 	$(MAKE) race-sched
 	$(MAKE) fuzz
 	$(MAKE) cover
-
-# race-parallel exercises the conservative parallel-DES machinery — group
-# kernels, the partitioned network coupling, and the wide-grid oracle
-# tests — under the race detector with fresh (uncached) runs.
-race-parallel:
-	$(GO) test -race -count=1 -run 'TestGroup|TestPartitioned|TestCouple|TestGridKnapsack|TestParallel' ./internal/sim/ ./internal/simnet/ ./internal/bench/
 
 # race-sched gates the kernel's coroutine processes: control passes between
 # the Run caller and the process coroutines (and, in Shutdown, from one
@@ -96,11 +88,11 @@ bench:
 
 # bench-json runs the kernel/data-plane microbenchmarks and emits machine-
 # readable results for tracking regressions across commits. BENCHTIME
-# stretches each benchmark enough that the ~100ms/op parallel-DES runs get
-# a stable sample; each benchmark runs three times and cmd/benchjson keeps
-# the median run.
+# stretches each benchmark enough that the whole-run rows (FleetSweep,
+# ~100ms/op and up) get a stable sample; each benchmark runs three times and
+# cmd/benchjson keeps the median run.
 BENCHTIME ?= 2s
-BENCH_PAT = KernelStep|KernelSwitch|KernelSpawn|KernelTimerStop|ObsSpan|ObsEmit|ObsHash|SimnetThroughput|MPIPingPong|TransferSingle|TransferParallel8|ParallelTable4|FleetSweep
+BENCH_PAT = KernelStep|KernelSwitch|KernelSpawn|KernelTimerStop|ObsSpan|ObsEmit|ObsHash|SimnetThroughput|MPIPingPong|TransferSingle|TransferParallel8|FleetSweep
 
 bench-json:
 	$(GO) test -run NONE -bench '$(BENCH_PAT)' -benchtime $(BENCHTIME) -count 3 -benchmem . | $(GO) run ./cmd/benchjson > BENCH_kernel.json
@@ -109,7 +101,7 @@ bench-json:
 # bench-diff re-runs the microbenchmarks and gates on regressions against
 # the committed BENCH_kernel.json baseline: > BENCH_THRESHOLD relative ns/op
 # or allocs/op growth (any growth at all on 0-alloc baselines) exits
-# non-zero, and parallel speedups are summarized (see cmd/benchdiff).
+# non-zero (see cmd/benchdiff).
 BENCH_THRESHOLD ?= 0.10
 
 bench-diff:

@@ -185,13 +185,8 @@ func Run(cfg Config) (*Report, error) {
 	rep.WantBest, _ = knapsack.Solve(in)
 	rep.WantNodes = knapsack.NormalizedTreeNodes(cfg.Items, cfg.Capacity)
 
-	tb, err := cluster.NewTestbedChecked(cfg.Options)
-	if err != nil {
-		return nil, err
-	}
-	if err := tb.EnableRecoveryChecked(cfg.Keepalive); err != nil {
-		return nil, err
-	}
+	tb := cluster.NewTestbed(cfg.Options)
+	tb.EnableRecovery(cfg.Keepalive)
 	var mon *hbm.Monitor
 	if cfg.ControlPlane {
 		mon = startControlPlane(tb, cfg, rep)

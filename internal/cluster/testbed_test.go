@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"nxcluster/internal/proxy"
+	"nxcluster/internal/simnet"
 	"nxcluster/internal/transport"
 )
 
@@ -229,4 +230,15 @@ func TestSecuredTestbedRelays(t *testing.T) {
 // proxyDialForTest exposes NXProxyConnect for the secured-testbed test.
 func proxyDialForTest(env transport.Env, cfg proxy.Config, addr string) (transport.Conn, error) {
 	return proxy.NXProxyConnect(env, cfg, addr)
+}
+
+// TestTestbedApplyPlanPartitionGroups: the exported side-node lists must name
+// real topology nodes, so suite plans built from them validate.
+func TestTestbedApplyPlanPartitionGroups(t *testing.T) {
+	plan := (&simnet.FaultPlan{}).Partition(RWCPSideNodes(), ETLSideNodes(), 0, 0)
+	tb := NewTestbed(Options{})
+	defer tb.Shutdown()
+	if err := tb.ApplyPlan(plan); err != nil {
+		t.Error(err)
+	}
 }

@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"strconv"
 	"sync"
-	"sync/atomic"
 
 	"nxcluster/internal/nexus"
 	"nxcluster/internal/obs"
@@ -72,7 +71,6 @@ type Placement struct {
 // each. Create it with NewWorld, then Launch.
 type World struct {
 	placements []Placement
-	key        string // distinguishes this world's roster board from others'
 	mu         sync.Mutex
 	addrs      []string
 	errs       []error
@@ -80,15 +78,10 @@ type World struct {
 	doneCh     chan struct{}
 }
 
-// worldSeq numbers worlds so each gets a unique bulletin-board key. Only
-// uniqueness matters: board keys never appear in any output.
-var worldSeq atomic.Uint64
-
 // NewWorld prepares a world with one rank per placement.
 func NewWorld(placements []Placement) *World {
 	return &World{
 		placements: placements,
-		key:        "mpi:world" + strconv.FormatUint(worldSeq.Add(1), 10),
 		addrs:      make([]string, len(placements)),
 		errs:       make([]error, len(placements)),
 		doneCh:     make(chan struct{}),
@@ -138,15 +131,6 @@ func (w *World) Err() error {
 // address, wait for the full roster (the DUROC-style startup barrier), then
 // run the application.
 func (w *World) runRank(env transport.Env, rank int, pl Placement, fn func(*Comm) error) error {
-	// On a partitioned parallel simulation the roster crosses partition
-	// boundaries through a bulletin board; declare interest before Init so
-	// the board exists even while proxied ranks block in their registration
-	// handshake. Monolithic and real-TCP runs get nil and use the shared
-	// roster slice below, exactly as before.
-	bb := transport.BoardOf(env, w.key)
-	if bb != nil {
-		bb.SetExpected(len(w.placements))
-	}
 	// Each rank is a traced job: its root span covers init, the roster
 	// barrier and the application, and every span opened below (proxy
 	// connects, dials, staging, solver phases) parents under it through the
@@ -194,31 +178,23 @@ func (w *World) runRank(env transport.Env, rank int, pl Placement, fn func(*Comm
 	// Publish the address and poll until the whole roster is there.
 	// (MPICH-G performs the same job-wide startup synchronization through
 	// DUROC.)
-	if bb != nil {
-		c.bb = bb
-		bb.Put(strconv.Itoa(rank), ep.Address())
-		for !bb.Complete() {
-			env.Sleep(1e6) // 1ms
-		}
-	} else {
+	w.mu.Lock()
+	w.addrs[rank] = ep.Address()
+	w.mu.Unlock()
+	for {
 		w.mu.Lock()
-		w.addrs[rank] = ep.Address()
-		w.mu.Unlock()
-		for {
-			w.mu.Lock()
-			complete := true
-			for _, a := range w.addrs {
-				if a == "" {
-					complete = false
-					break
-				}
-			}
-			w.mu.Unlock()
-			if complete {
+		complete := true
+		for _, a := range w.addrs {
+			if a == "" {
+				complete = false
 				break
 			}
-			env.Sleep(1e6) // 1ms
 		}
+		w.mu.Unlock()
+		if complete {
+			break
+		}
+		env.Sleep(1e6) // 1ms
 	}
 
 	appErr := fn(c)
@@ -232,7 +208,6 @@ type Comm struct {
 	world   *World
 	rank    int
 	ctx     *nexus.Context
-	bb      transport.BulletinBoard // partitioned-simulation roster; nil otherwise
 	sps     []*nexus.Startpoint
 	inbox   transport.Queue[Message]
 	pending []Message
@@ -275,14 +250,9 @@ func (c *Comm) startpoint(to int) (*nexus.Startpoint, error) {
 		return nil, fmt.Errorf("mpi: rank %d out of range [0,%d)", to, c.Size())
 	}
 	if c.sps[to] == nil {
-		var addr string
-		if c.bb != nil {
-			addr, _ = c.bb.Get(strconv.Itoa(to))
-		} else {
-			c.world.mu.Lock()
-			addr = c.world.addrs[to]
-			c.world.mu.Unlock()
-		}
+		c.world.mu.Lock()
+		addr := c.world.addrs[to]
+		c.world.mu.Unlock()
 		sp, err := c.ctx.Attach(c.env, addr)
 		if err != nil {
 			return nil, fmt.Errorf("mpi: attach rank %d: %w", to, err)

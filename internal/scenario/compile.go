@@ -32,7 +32,6 @@ func (s *Spec) options() cluster.Options {
 		WANLatency:     t.WAN.Latency,
 		WANBandwidth:   t.WAN.Bandwidth,
 		WANLossRate:    t.WAN.Loss,
-		ParallelSites:  t.ParallelSites,
 		ExtraSites:     t.ExtraSites,
 	}
 	if t.Flow != nil {
@@ -219,10 +218,7 @@ func Validate(s *Spec) error {
 		if cfg.Horizon <= 0 {
 			return fmt.Errorf("scenario %s: workload.horizon required (how long the kernel runs)", s.Name)
 		}
-		tb, err := cluster.NewTestbedChecked(cfg.Options)
-		if err != nil {
-			return fmt.Errorf("scenario %s: topology: %w", s.Name, err)
-		}
+		tb := cluster.NewTestbed(cfg.Options)
 		defer tb.Shutdown()
 		if cfg.Plan != nil {
 			if err := tb.ApplyPlan(cfg.Plan); err != nil {
@@ -234,22 +230,12 @@ func Validate(s *Spec) error {
 		if err != nil {
 			return err
 		}
-		opts := s.options()
-		tb, err := cluster.NewTestbedChecked(opts)
-		if err != nil {
-			return fmt.Errorf("scenario %s: topology: %w", s.Name, err)
-		}
+		tb := cluster.NewTestbed(s.options())
 		defer tb.Shutdown()
 		if plan != nil {
 			if err := tb.ApplyPlan(plan); err != nil {
 				return fmt.Errorf("scenario %s: fault plan: %w", s.Name, err)
 			}
-		}
-	default:
-		// Testbeds for these kinds are built per measurement point inside
-		// bench; only option validity is checkable here.
-		if err := s.options().Validate(); err != nil {
-			return fmt.Errorf("scenario %s: topology: %w", s.Name, err)
 		}
 	}
 	return nil
@@ -269,14 +255,6 @@ func (s *Spec) checkShape() error {
 		}
 	}
 	switch s.Kind {
-	case KindChaos:
-		if s.Topology.ParallelSites > 0 {
-			return fmt.Errorf("scenario %s: kind chaos requires a monolithic testbed (topology.parallel_sites must be 0: recovery and tracing bind to a single kernel)", s.Name)
-		}
-	case KindMonitor:
-		if s.Topology.ParallelSites > 0 {
-			return fmt.Errorf("scenario %s: kind monitor requires a monolithic testbed (topology.parallel_sites must be 0: the observer binds to a single kernel)", s.Name)
-		}
 	case KindGridFTP:
 		if s.Topology != (TopologySpec{}) {
 			return fmt.Errorf("scenario %s: kind gridftp builds its own congestion-modeled testbed per point; the topology section must be empty", s.Name)
@@ -341,15 +319,12 @@ func (s *Spec) gridConfig() (bench.GridConfig, error) {
 		return bench.GridConfig{}, err
 	}
 	w := s.Grid
-	opts := s.options()
-	opts.ParallelSites = 0 // RunGridKnapsack sets it per run from sites
 	return bench.GridConfig{
 		Items:    w.Items,
 		Capacity: w.Capacity,
-		Options:  opts,
+		Options:  s.options(),
 		UseProxy: w.UseProxy,
 		Plan:     plan,
-		Trace:    true,
 	}, nil
 }
 

@@ -100,40 +100,6 @@ func TestShippedScenariosRun(t *testing.T) {
 	}
 }
 
-// TestParallelSitesInvariance: the partitioned parallel-DES run must agree
-// with the monolithic oracle on every result field. Only the trace-hash
-// suffix may differ (one hash per kernel, so the count varies with the
-// partition layout) — elapsed virtual time, best, and traversed may not.
-func TestParallelSitesInvariance(t *testing.T) {
-	if testing.Short() {
-		t.Skip("three grid solves in -short mode")
-	}
-	s := loadShipped(t, "grid-multi-site.yaml")
-	resultPrefix := func(fp string) string {
-		if i := strings.Index(fp, " trace="); i >= 0 {
-			return fp[:i]
-		}
-		return fp
-	}
-	var prefixes []string
-	for _, sites := range []int{0, 2, 3} {
-		s.Topology.ParallelSites = sites
-		res, err := Run(s)
-		if err != nil {
-			t.Fatalf("sites=%d: %v", sites, err)
-		}
-		if !res.Passed {
-			t.Fatalf("sites=%d: failures: %v", sites, res.Failures)
-		}
-		prefixes = append(prefixes, resultPrefix(res.Fingerprint))
-	}
-	for i := 1; i < len(prefixes); i++ {
-		if prefixes[i] != prefixes[0] {
-			t.Errorf("partitioned run diverged from the monolithic oracle:\n sites=0 %q\n variant %q", prefixes[0], prefixes[i])
-		}
-	}
-}
-
 // TestWorkerInvariance: the bench sweeps parallelize measurement points
 // across workers, but every point runs in its own testbed — the worker
 // count must never show up in the results.
@@ -174,11 +140,10 @@ func TestWorkerInvariance(t *testing.T) {
 }
 
 // TestGOMAXPROCSInvariance: scheduler parallelism must not perturb a run.
-// For the partitioned grid the conservative sync protocol, not the OS
-// scheduler, orders cross-site events; for every kind Run's primary and
-// replay (and a chaos scenario's baseline) execute side by side at
-// GOMAXPROCS=4 and one after another at GOMAXPROCS=1, and the whole Result
-// must be the same either way, with every goroutine gone afterwards.
+// For every kind Run's primary and replay (and a chaos scenario's baseline)
+// execute side by side at GOMAXPROCS=4 and one after another at
+// GOMAXPROCS=1, and the whole Result must be the same either way, with every
+// goroutine gone afterwards.
 func TestGOMAXPROCSInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("repeated scenario runs in -short mode")

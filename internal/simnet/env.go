@@ -103,17 +103,6 @@ func (e *Env) SetTraceContext(tc obs.TraceContext) { e.tctx = tc }
 // Node exposes the underlying host.
 func (e *Env) Node() *Node { return e.node }
 
-// BulletinBoard implements transport.BoardEnv: partitioned networks hand out
-// group-replicated boards for roster rendezvous; monolithic networks return
-// nil and callers use their shared-memory path.
-func (e *Env) BulletinBoard(name string) transport.BulletinBoard {
-	pt := e.node.net.part
-	if pt == nil {
-		return nil
-	}
-	return pt.gk.Board(name)
-}
-
 // SpawnOn starts fn as a process on host nd; the usual way to boot daemons
 // and application ranks onto the virtual testbed.
 func (nd *Node) SpawnOn(name string, fn func(transport.Env)) {

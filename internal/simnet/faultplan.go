@@ -330,30 +330,18 @@ func (n *Network) execute(f Fault) {
 	case FaultHeal:
 		n.SetPartition(f.GroupA, f.GroupB, false)
 	case FaultCrash:
-		if !n.Owns(f.A) {
-			return // the owning partition executes host faults
-		}
 		if err := n.CrashHost(f.A); err != nil {
 			panic(err) // validated at ApplyPlan; unreachable
 		}
 	case FaultRestart:
-		if !n.Owns(f.A) {
-			return
-		}
 		if err := n.RestartHost(f.A); err != nil {
 			panic(err)
 		}
 	case FaultSlowHost:
-		if !n.Owns(f.A) {
-			return
-		}
 		if err := n.SetHostSpeed(f.A, f.Factor); err != nil {
 			panic(err)
 		}
 	case FaultRestoreHost:
-		if !n.Owns(f.A) {
-			return
-		}
 		if err := n.SetHostSpeed(f.A, 1); err != nil {
 			panic(err)
 		}

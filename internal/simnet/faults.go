@@ -95,14 +95,7 @@ func (n *Network) CrashHost(name string) error {
 		return conns[i].remote < conns[j].remote
 	})
 	for _, c := range conns {
-		x := c.x
 		c.reset()
-		if x != nil {
-			// Cross-partition endpoint: the peer lives elsewhere, so the RST
-			// travels as a typed packet along the same path.
-			n.part.sendX(c.path, &xwire{op: opRST, srcPart: n.part.idx, dstID: x.peerID})
-			continue
-		}
 		peer := c.peer
 		if peer.node.crashed {
 			continue // both endpoints down; nobody left to notify

@@ -204,13 +204,6 @@ func (ld *linkDir) shouldDrop() bool {
 // dropped again.
 func (ld *linkDir) dropSegment(tr *transfer) {
 	n := ld.net
-	if tr.src == nil {
-		// A resumed cross-partition segment: the sending conn lives in
-		// another partition, so the loss is handled locally and the sender
-		// notified by message (see partition.go).
-		n.part.dropSegmentX(ld, tr)
-		return
-	}
 	f := tr.src.flow
 	f.drops++
 	n.flowDrops++

@@ -92,11 +92,6 @@ type Network struct {
 	flowDrops   int64
 	flowRetrans int64
 	flowCuts    int64
-
-	// part is non-nil when this network is one partition of a conservative
-	// parallel group (see partition.go); nil networks behave exactly as
-	// before the parallel mode existed.
-	part *Partition
 }
 
 // Pool bounds: past these, records are left to the garbage collector.
@@ -379,11 +374,6 @@ type linkDir struct {
 	state uint8
 	cur   *transfer     // transfer in service while stalling/serializing
 	ser   time.Duration // cur's serialization time, added to busy on completion
-
-	// xship marks a partition-boundary direction: the far node belongs to
-	// another partition, so completed transfers ship as group messages
-	// instead of propagating locally. Always false on monolithic networks.
-	xship bool
 }
 
 // transfer is one segment or control packet in flight along a path. idx is
@@ -401,7 +391,6 @@ type transfer struct {
 	dst     *conn // peer whose inbox receives seg
 	seq     int64 // byte sequence (flow-modeled connections only)
 	deliver func()
-	x       *xwire // cross-partition payload (resumed or outbound typed packet)
 }
 
 func (n *Network) newTransfer() *transfer {
@@ -477,7 +466,7 @@ func (n *Network) launch(tr *transfer) {
 }
 
 func (ld *linkDir) enqueue(tr *transfer) {
-	if (tr.src != nil && tr.src.flow != nil || tr.x != nil && tr.x.flow) && ld.shouldDrop() {
+	if tr.src != nil && tr.src.flow != nil && ld.shouldDrop() {
 		ld.dropSegment(tr)
 		return
 	}
@@ -605,10 +594,6 @@ func (ld *linkDir) completeHead(k *sim.Kernel) {
 			obs.Int("ser_ns", int64(ld.ser)),
 			obs.Int("lat_ns", int64(lat)))
 	}
-	if ld.xship {
-		ld.net.part.ship(ld, tr)
-		return
-	}
 	k.AfterEvent(lat, tr)
 }
 
@@ -624,13 +609,6 @@ func (tr *transfer) advance() {
 	if o := n.Obs; o != nil && len(tr.path) > 0 {
 		last := tr.path[len(tr.path)-1]
 		o.Emit(n.K.Now(), "net", "deliver", last.label, obs.Int("bytes", int64(tr.size)))
-	}
-	if tr.x != nil {
-		// Typed cross-partition packet at its final node: dispatch by op.
-		x := tr.x
-		n.putTransfer(tr)
-		n.part.deliverX(x)
-		return
 	}
 	if tr.deliver != nil {
 		// Control packet: run the handshake/teardown callback.

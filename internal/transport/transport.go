@@ -192,37 +192,3 @@ func (s Stream) Write(b []byte) (int, error) { return s.Conn.Write(s.Env, b) }
 
 // Close implements io.Closer.
 func (s Stream) Close() error { return s.Conn.Close(s.Env) }
-
-// BulletinBoard is a small replicated key/value registry for distributed-job
-// rosters (every rank publishes its contact address and waits for the full
-// set). On a monolithic simulation or real TCP no board exists — ranks
-// rendezvous through shared memory or out-of-band config — but a partitioned
-// parallel simulation provides boards so the roster exchange crosses
-// partition boundaries deterministically. Writes are visible locally at once
-// and to other partitions after the next synchronization barrier.
-type BulletinBoard interface {
-	// SetExpected declares how many entries the board will carry.
-	SetExpected(n int)
-	// Put publishes one entry.
-	Put(key, value string)
-	// Get reads an entry from the local replica.
-	Get(key string) (value string, ok bool)
-	// Complete reports whether all expected entries have arrived locally.
-	Complete() bool
-}
-
-// BoardEnv is implemented by environments that can hand out bulletin boards.
-type BoardEnv interface {
-	// BulletinBoard returns the named board, or nil when the environment has
-	// no cross-partition coordination to do (monolithic simulation, real TCP).
-	BulletinBoard(name string) BulletinBoard
-}
-
-// BoardOf returns env's named bulletin board, or nil when env carries none.
-// Callers must fall back to their shared-memory rendezvous on nil.
-func BoardOf(env Env, name string) BulletinBoard {
-	if be, ok := env.(BoardEnv); ok {
-		return be.BulletinBoard(name)
-	}
-	return nil
-}
