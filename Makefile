@@ -15,11 +15,13 @@ test:
 # check is the default verification gate: vet, the end-to-end chaos
 # scenarios, the declarative scenario library gated against its committed
 # baseline (validate + run + coverage and hash gate), the fleet-scale smoke
-# run, the full test suite under the race detector (the parallel sweep makes
-# race coverage load-bearing), a focused race pass over the scheduler's
-# coroutine switches, a short fuzz smoke over the wire-facing parsers, and
-# the coverage floor — after the benchmark module, which `./...` does not
-# reach, has been vetted and smoke-tested against this tree.
+# run, the full test suite under the race detector (independent simulations
+# run side by side in bench.RunParallel and gridftp transfers share the stored
+# file, so race coverage is load-bearing; the allocation-budget tests of
+# internal/bench and internal/gridftp run here too), a focused race pass over
+# the scheduler's coroutine switches, a short fuzz smoke over the wire-facing
+# parsers, and the coverage floor — after the benchmark module, which `./...`
+# does not reach, has been vetted and smoke-tested against this tree.
 check: benchmark-smoke chaos scenarios fleet-smoke trace-goldens
 	$(GO) vet ./...
 	$(GO) test -race ./...

@@ -184,7 +184,8 @@ func decompPoint(path, peer string, indirect bool, opts cluster.Options) (Decomp
 		}
 		rst := transport.Stream{Env: env, Conn: rev}
 
-		if err := pingPong(fst, rst, 1); err != nil { // warmup
+		ping := make([]byte, 1)
+		if err := pingPong(fst, rst, ping); err != nil { // warmup
 			fail(err)
 			return
 		}
@@ -192,7 +193,7 @@ func decompPoint(path, peer string, indirect bool, opts cluster.Options) (Decomp
 		// ping-pong so setup and warmup traffic stays out of the rows.
 		startIdx = o.Len()
 		start = env.Now()
-		if err := pingPong(fst, rst, 1); err != nil {
+		if err := pingPong(fst, rst, ping); err != nil {
 			fail(err)
 			return
 		}

@@ -204,28 +204,30 @@ func measurePoint(path, peer string, indirect bool, cfg Table2Config) (Table2Row
 		rst := transport.Stream{Env: env, Conn: rev}
 
 		// Latency: 1-byte ping (forward) / 1-byte ack (reverse).
-		if err := pingPong(fst, rst, 1); err != nil { // warmup
+		ping := make([]byte, 1)
+		if err := pingPong(fst, rst, ping); err != nil { // warmup
 			fail(err)
 			return
 		}
 		start := env.Now()
 		for i := 0; i < cfg.Rounds; i++ {
-			if err := pingPong(fst, rst, 1); err != nil {
+			if err := pingPong(fst, rst, ping); err != nil {
 				fail(err)
 				return
 			}
 		}
 		row.Latency = (env.Now() - start) / time.Duration(2*cfg.Rounds)
 
-		// Bandwidth per message size.
+		// Bandwidth per message size: one message each, sent every round.
 		for _, size := range cfg.Sizes {
-			if err := pingPong(fst, rst, size); err != nil { // warmup
+			payload := make([]byte, size)
+			if err := pingPong(fst, rst, payload); err != nil { // warmup
 				fail(err)
 				return
 			}
 			start := env.Now()
 			for i := 0; i < cfg.Rounds; i++ {
-				if err := pingPong(fst, rst, size); err != nil {
+				if err := pingPong(fst, rst, payload); err != nil {
 					fail(err)
 					return
 				}
@@ -249,18 +251,20 @@ func measurePoint(path, peer string, indirect bool, cfg Table2Config) (Table2Row
 	return row, nil
 }
 
-// pingPong sends a size-byte payload (with a 4-byte size header) forward
-// and waits for the 1-byte ack on the reverse channel.
-func pingPong(fwd, rev transport.Stream, size int) error {
-	hdr := []byte{byte(size >> 24), byte(size >> 16), byte(size >> 8), byte(size)}
-	if _, err := fwd.Write(hdr); err != nil {
+// pingPong sends payload (with a 4-byte size header) forward and waits for
+// the 1-byte ack on the reverse channel. It only reads payload, so a caller
+// sends the same slice every round.
+func pingPong(fwd, rev transport.Stream, payload []byte) error {
+	size := len(payload)
+	hdr := [4]byte{byte(size >> 24), byte(size >> 16), byte(size >> 8), byte(size)}
+	if _, err := fwd.Write(hdr[:]); err != nil {
 		return err
 	}
-	if _, err := fwd.Write(make([]byte, size)); err != nil {
+	if _, err := fwd.Write(payload); err != nil {
 		return err
 	}
-	one := make([]byte, 1)
-	_, err := readFull(rev, one)
+	var ack [1]byte
+	_, err := readFull(rev, ack[:])
 	return err
 }
 

@@ -115,10 +115,8 @@ func transferPoint(cfg TransferConfig, loss float64, streams int) (TransferPoint
 
 	store := gass.NewStore()
 	data := make([]byte, cfg.FileSize)
-	for i := range data {
-		data[i] = byte(i*7 + i>>10)
-	}
-	if err := store.Put("/bulk/file.bin", data); err != nil {
+	gass.FillPattern(data, 7, 10)
+	if err := store.Adopt("/bulk/file.bin", data); err != nil { // the store owns data from here
 		return TransferPoint{}, err
 	}
 	// ETL hosts are outside the firewall and bind directly; only the client
@@ -142,8 +140,8 @@ func transferPoint(cfg TransferConfig, loss float64, streams int) (TransferPoint
 			benchErr = err
 			return
 		}
-		if len(got) != len(data) {
-			benchErr = fmt.Errorf("received %d bytes, want %d", len(got), len(data))
+		if len(got) != cfg.FileSize {
+			benchErr = fmt.Errorf("received %d bytes, want %d", len(got), cfg.FileSize)
 			return
 		}
 		pt.Bytes = stats.Bytes

@@ -104,10 +104,9 @@ func RunTransferOutage(cfg TransferOutageConfig) (*TransferOutageReport, error) 
 
 	store := gass.NewStore()
 	data := make([]byte, cfg.FileSize)
-	for i := range data {
-		data[i] = byte(i*11 + i>>9)
-	}
-	if err := store.Put("/bulk/chaos.bin", data); err != nil {
+	gass.FillPattern(data, 11, 9)
+	// The store owns data from here; it is only read (BytesMatch) afterwards.
+	if err := store.Adopt("/bulk/chaos.bin", data); err != nil {
 		return nil, err
 	}
 	srv := gridftp.NewServer(store, proxy.Dialer{})

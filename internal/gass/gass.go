@@ -36,7 +36,9 @@ var ErrTooLarge = errors.New("gass: file too large")
 // MaxFileSize bounds a single file and a single transfer.
 const MaxFileSize = 64 << 20
 
-// Store is an in-memory file system.
+// Store is an in-memory file system. Stored contents are immutable: a write
+// replaces a file's slice and never modifies it in place, so a slice handed
+// out by View stays valid, with the contents it had, after later writes.
 type Store struct {
 	mu    sync.Mutex
 	files map[string][]byte
@@ -52,25 +54,51 @@ func cleanPath(p string) string {
 	return p
 }
 
-// Put writes a file. Files beyond MaxFileSize are rejected with
+// Put writes a copy of data. Files beyond MaxFileSize are rejected with
 // ErrTooLarge.
 func (s *Store) Put(path string, data []byte) error {
 	if len(data) > MaxFileSize {
-		return fmt.Errorf("%w: %s (%d bytes)", ErrTooLarge, cleanPath(path), len(data))
+		return tooLarge(path, data)
+	}
+	return s.Adopt(path, append([]byte(nil), data...))
+}
+
+// Adopt writes a file without copying: the store takes ownership of data,
+// and the caller must not modify it afterwards. It is for a caller whose
+// buffer dies at the call; everyone else uses Put. Files beyond MaxFileSize
+// are rejected with ErrTooLarge.
+func (s *Store) Adopt(path string, data []byte) error {
+	if len(data) > MaxFileSize {
+		return tooLarge(path, data)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.files[cleanPath(path)] = append([]byte(nil), data...)
+	s.files[cleanPath(path)] = data
 	return nil
 }
 
-// Get reads a file.
-func (s *Store) Get(path string) ([]byte, error) {
+func tooLarge(path string, data []byte) error {
+	return fmt.Errorf("%w: %s (%d bytes)", ErrTooLarge, cleanPath(path), len(data))
+}
+
+// View reads a file without copying. The returned slice is the store's own
+// and is read-only: callers must not write through it. Its capacity is
+// clipped to its length, so appending to it cannot reach the store.
+func (s *Store) View(path string) ([]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	data, ok := s.files[cleanPath(path)]
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, path)
+	}
+	return data[:len(data):len(data)], nil
+}
+
+// Get reads a copy of a file, which the caller owns.
+func (s *Store) Get(path string) ([]byte, error) {
+	data, err := s.View(path)
+	if err != nil {
+		return nil, err
 	}
 	return append([]byte(nil), data...), nil
 }
@@ -183,7 +211,7 @@ func (s *Server) handle(env transport.Env, c transport.Conn) {
 	path := string(pathBuf)
 	switch op {
 	case opGet:
-		data, err := s.Store.Get(path)
+		data, err := s.Store.View(path)
 		if err != nil {
 			writeErr(st, err)
 			return
@@ -209,7 +237,9 @@ func (s *Server) handle(env transport.Env, c transport.Conn) {
 		if _, err := io.ReadFull(st, data); err != nil {
 			return
 		}
-		if err := s.Store.Put(path, data); err != nil {
+		// data was read off the wire into a fresh buffer and is not used
+		// again: the store takes it as is.
+		if err := s.Store.Adopt(path, data); err != nil {
 			writeErr(st, err)
 			return
 		}

@@ -3,6 +3,7 @@ package gass
 import (
 	"bytes"
 	"errors"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -213,4 +214,111 @@ func itoa(n int) string {
 		n /= 10
 	}
 	return string(out)
+}
+
+// TestStoreSharedReadAndOwningWrite pins the payload-ownership contract:
+// View shares the stored slice but cannot reach the store through append,
+// Get still hands out an isolated copy, Adopt stores the caller's slice
+// itself, and a write replaces a file without touching slices already handed
+// out.
+func TestStoreSharedReadAndOwningWrite(t *testing.T) {
+	s := NewStore()
+	first := []byte("first contents")
+	if err := s.Adopt("/f", first); err != nil {
+		t.Fatal(err)
+	}
+	v, err := s.View("f")
+	if err != nil || string(v) != "first contents" {
+		t.Fatalf("View = %q, %v", v, err)
+	}
+	if &v[0] != &first[0] {
+		t.Error("View after Adopt copied the data; it should share the adopted slice")
+	}
+	if cap(v) != len(v) {
+		t.Errorf("View cap = %d, len = %d; capacity must be clipped to length", cap(v), len(v))
+	}
+	_ = append(v, " and more"...)
+	if again, _ := s.View("/f"); string(again) != "first contents" {
+		t.Errorf("View after append to an earlier View = %q", again)
+	}
+	got, _ := s.Get("/f")
+	got[0] = 'X'
+	if again, _ := s.View("/f"); again[0] == 'X' {
+		t.Error("Get aliases internal storage")
+	}
+	// Value semantics under replace: earlier readers keep what they read.
+	if err := s.Put("/f", []byte("second")); err != nil {
+		t.Fatal(err)
+	}
+	if string(v) != "first contents" {
+		t.Errorf("earlier View changed to %q after Put replaced the file", v)
+	}
+	if now, _ := s.View("/f"); string(now) != "second" {
+		t.Errorf("View after Put = %q", now)
+	}
+	if _, err := s.View("/missing"); !errors.Is(err, ErrNotFound) {
+		t.Errorf("View of a missing file = %v", err)
+	}
+	// Both writes bound the file size, and a refused write stores nothing.
+	huge := make([]byte, MaxFileSize+1)
+	if err := s.Put("/huge", huge); !errors.Is(err, ErrTooLarge) {
+		t.Errorf("oversize Put = %v, want ErrTooLarge", err)
+	}
+	if err := s.Adopt("/huge", huge); !errors.Is(err, ErrTooLarge) {
+		t.Errorf("oversize Adopt = %v, want ErrTooLarge", err)
+	}
+	if _, err := s.View("/huge"); !errors.Is(err, ErrNotFound) {
+		t.Errorf("oversize write left a file behind: %v", err)
+	}
+}
+
+// TestStoreConcurrentReadersAndWriters is for the race detector: readers
+// hold shared slices while writers replace the file under them.
+func TestStoreConcurrentReadersAndWriters(t *testing.T) {
+	s := NewStore()
+	if err := s.Put("/f", []byte{0, 0, 0, 0}); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				b := bytes.Repeat([]byte{byte(w)}, 4)
+				if i%2 == 0 {
+					_ = s.Adopt("/f", b)
+				} else {
+					_ = s.Put("/f", b)
+				}
+				v, err := s.View("/f")
+				if err != nil || len(v) != 4 || v[0] != v[3] {
+					t.Errorf("View = %v, %v: a file is one writer's four equal bytes", v, err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+}
+
+// TestFillPatternMatchesNaiveLoop checks the doubling fill against the
+// per-byte loop it replaced, for both patterns in use (the transfer sweep's
+// i*7 + i>>10 and the chaos run's i*11 + i>>9), at the lengths where the
+// period boundary could go wrong.
+func TestFillPatternMatchesNaiveLoop(t *testing.T) {
+	for _, p := range []struct{ mul, shift int }{{7, 10}, {11, 9}} {
+		period := 256 << p.shift
+		for _, n := range []int{0, 1, period - 1, period, period + 1, 3*period + 7} {
+			want := make([]byte, n)
+			for i := range want {
+				want[i] = byte(i*p.mul + i>>p.shift)
+			}
+			got := bytes.Repeat([]byte{0xa5}, n) // stale contents must be overwritten
+			FillPattern(got, p.mul, p.shift)
+			if !bytes.Equal(got, want) {
+				t.Errorf("FillPattern(len %d, mul %d, shift %d) differs from the naive loop", n, p.mul, p.shift)
+			}
+		}
+	}
 }

@@ -235,8 +235,9 @@ func (c *Client) runGetChannel(env transport.Env, w *watchdog, dataAddr, id stri
 	if err := nexus.WriteFrame(st, hs); err != nil {
 		return err
 	}
+	var buf []byte // this channel's block buffer, grown by readBlock
 	for {
-		flags, off, payload, err := readBlock(st, nil)
+		flags, off, payload, err := readBlock(st, &buf)
 		if err != nil {
 			return err
 		}

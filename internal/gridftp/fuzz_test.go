@@ -33,8 +33,9 @@ func FuzzReadBlock(f *testing.F) {
 	f.Fuzz(func(t *testing.T, in []byte) {
 		r := bytes.NewReader(in)
 		consumed := 0
+		var buf []byte // kept across blocks, as the data channels keep theirs
 		for {
-			flags, off, payload, err := readBlock(r, nil)
+			flags, off, payload, err := readBlock(r, &buf)
 			if err != nil {
 				if consumed == 0 && len(in) == 0 && err != io.EOF {
 					t.Fatalf("empty input: %v", err)

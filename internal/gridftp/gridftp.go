@@ -76,8 +76,10 @@ const (
 	opXfer = int32(4) // third-party: srcPath, destURL, streams
 )
 
-// retrXfer is one active download: an immutable snapshot plus the block list
-// each data channel serves round-robin.
+// retrXfer is one active download: the store's own slice for the file as it
+// was at RETR time (shared, read-only; a later write replaces the store's
+// entry and leaves this one intact) plus the block list each data channel
+// serves round-robin.
 type retrXfer struct {
 	data      []byte
 	blocks    []Range
@@ -87,12 +89,15 @@ type retrXfer struct {
 
 // storPartial is the server-side state of an upload, keyed by the client's
 // uploadID. It persists across interrupted attempts — it IS the restart
-// marker the server returns on resume.
+// marker the server returns on resume. committed (under Server.mu) is set
+// when the store takes buf as the file: from then on buf is read-only, and a
+// data channel still attached to the partial drops whatever it receives.
 type storPartial struct {
-	path   string
-	size   int64
-	buf    []byte
-	ledger Ledger
+	path      string
+	size      int64
+	buf       []byte
+	ledger    Ledger
+	committed bool
 }
 
 // storXfer is one upload attempt in flight.
@@ -227,7 +232,7 @@ func (s *Server) handleCtrl(env transport.Env, c transport.Conn) {
 			putErr(resp, err)
 			break
 		}
-		data, err := s.Store.Get(path)
+		data, err := s.Store.View(path)
 		if err != nil {
 			putErr(resp, err)
 			break
@@ -258,7 +263,7 @@ func (s *Server) handleRetr(env transport.Env, st transport.Stream, req, resp *n
 		putErr(resp, err)
 		return
 	}
-	data, err := s.Store.Get(path)
+	data, err := s.Store.View(path)
 	if err != nil {
 		putErr(resp, err)
 		return
@@ -340,7 +345,13 @@ func (s *Server) handleStor(env transport.Env, st transport.Stream, req, resp *n
 	delete(s.stors, id)
 	s.mu.Unlock()
 	if committed {
-		if err := s.Store.Put(path, part.partialDone()); err != nil {
+		// The store takes the assembly buffer itself, no copy. Channels of
+		// this attempt or of an abandoned earlier one may still be attached
+		// to the partial; the flag stops them writing into the stored file.
+		s.mu.Lock()
+		part.committed = true
+		s.mu.Unlock()
+		if err := s.Store.Adopt(path, part.buf); err != nil {
 			putErr(final, err)
 		} else {
 			s.mu.Lock()
@@ -358,9 +369,6 @@ func (s *Server) handleStor(env transport.Env, st transport.Stream, req, resp *n
 	_ = nexus.WriteFrame(st, final)
 }
 
-// partialDone snapshots the completed upload buffer.
-func (p *storPartial) partialDone() []byte { return p.buf }
-
 // handleXfer performs a third-party transfer: this server pushes srcPath to
 // a destination gridftp URL and reports the outcome on the control channel.
 func (s *Server) handleXfer(env transport.Env, st transport.Stream, req, resp *nexus.Buffer) {
@@ -372,7 +380,7 @@ func (s *Server) handleXfer(env transport.Env, st transport.Stream, req, resp *n
 		_ = nexus.WriteFrame(st, resp)
 		return
 	}
-	data, err := s.Store.Get(srcPath)
+	data, err := s.Store.View(srcPath)
 	if err != nil {
 		putErr(resp, err)
 		_ = nexus.WriteFrame(st, resp)
@@ -441,8 +449,9 @@ func (s *Server) serveRetrChannel(env transport.Env, st transport.Stream, id str
 func (s *Server) serveStorChannel(env transport.Env, st transport.Stream, x *storXfer) {
 	p := x.partial
 	var chanErr error
+	var buf []byte // this channel's block buffer, grown by readBlock
 	for {
-		flags, off, payload, err := readBlock(st, nil)
+		flags, off, payload, err := readBlock(st, &buf)
 		if err != nil {
 			chanErr = err
 			break
@@ -455,8 +464,10 @@ func (s *Server) serveStorChannel(env transport.Env, st transport.Stream, x *sto
 			break
 		}
 		s.mu.Lock()
-		copy(p.buf[off:], payload)
-		p.ledger.Add(off, int64(len(payload)))
+		if !p.committed {
+			copy(p.buf[off:], payload)
+			p.ledger.Add(off, int64(len(payload)))
+		}
 		s.mu.Unlock()
 	}
 	s.mu.Lock()

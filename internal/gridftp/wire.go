@@ -58,8 +58,11 @@ func parseBlockHeader(hdr [blockHdrSize]byte) (flags byte, off int64, length int
 }
 
 // readBlock reads one block from r. It returns io.EOF only on a clean
-// boundary (no partial header).
-func readBlock(r io.Reader, buf []byte) (flags byte, off int64, payload []byte, err error) {
+// boundary (no partial header). The payload is read into *buf, which is
+// grown (to at most MaxBlock) when the block does not fit; a data channel
+// keeps one buf for all its blocks. The payload aliases it, so it is valid
+// only until the next call with the same buf and must be copied out first.
+func readBlock(r io.Reader, buf *[]byte) (flags byte, off int64, payload []byte, err error) {
 	var hdr [blockHdrSize]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		if err == io.ErrUnexpectedEOF {
@@ -74,11 +77,10 @@ func readBlock(r io.Reader, buf []byte) (flags byte, off int64, payload []byte, 
 	if length == 0 {
 		return flags, off, nil, nil
 	}
-	if cap(buf) >= length {
-		payload = buf[:length]
-	} else {
-		payload = make([]byte, length)
+	if cap(*buf) < length {
+		*buf = make([]byte, length)
 	}
+	payload = (*buf)[:length]
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return 0, 0, nil, fmt.Errorf("gridftp: truncated block payload: %w", err)
 	}
