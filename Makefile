@@ -114,11 +114,7 @@ experiments:
 	$(GO) run ./cmd/experiments
 
 examples:
-	$(GO) run ./examples/quickstart
-	$(GO) run ./examples/wideareampi
-	$(GO) run ./examples/jobsubmit
-	$(GO) run ./examples/knapsackrun
-	$(GO) run ./examples/nqueens
+	for d in examples/*/; do $(GO) run ./$$d || exit 1; done
 
 # COVER_MIN is the statement-coverage floor `make cover` enforces over the
 # whole module (cmd binaries included).

@@ -652,51 +652,3 @@ func BenchmarkFleetSweep(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkAblationHierarchy compares the paper's flat master/worker scheme
-// with the two-level hierarchical extension on the wide-area testbed
-// (per-cluster sub-masters keep steal traffic off the WAN).
-func BenchmarkAblationHierarchy(b *testing.B) {
-	var flat, hier time.Duration
-	var flatWAN, hierWAN int64
-	wanMsgs := func(stats []knapsack.RankStats, subMasterOnly bool) int64 {
-		// Count messages the ETL ranks exchange across the WAN: in the flat
-		// scheme every ETL rank talks to the RWCP-side master; in the
-		// hierarchy only the ETL sub-master (its lowest rank) does.
-		var n int64
-		first := true
-		for _, st := range stats {
-			if st.Name != "etl-o2k" {
-				continue
-			}
-			if subMasterOnly && !first {
-				continue
-			}
-			first = false
-			n += st.Steals + st.SentBack
-		}
-		return n
-	}
-	for i := 0; i < b.N; i++ {
-		r, err := bench.RunKnapsack(bench.KnapsackConfig{Capacity: 3})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, row := range r.Rows {
-			if row.System == "Wide-area Cluster (use Nexus Proxy)" {
-				flat = row.Exec
-				flatWAN = wanMsgs(row.Result.Stats, false)
-			}
-		}
-		hres, err := bench.RunWideHierarchical(bench.KnapsackConfig{Capacity: 3})
-		if err != nil {
-			b.Fatal(err)
-		}
-		hier = hres.Elapsed
-		hierWAN = wanMsgs(hres.Stats, true)
-	}
-	b.ReportMetric(flat.Seconds(), "vsec-flat-wide")
-	b.ReportMetric(hier.Seconds(), "vsec-hierarchical-wide")
-	b.ReportMetric(float64(flatWAN), "wanmsgs-flat")
-	b.ReportMetric(float64(hierWAN), "wanmsgs-hierarchical")
-}

@@ -13,7 +13,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"strings"
 	"time"
 
 	"nxcluster/internal/cluster"
@@ -29,7 +28,6 @@ func main() {
 	prune := flag.Bool("prune", false, "enable bound pruning")
 	system := flag.String("system", "", "run on a simulated system: compas|etlo2k|local|wide (empty = sequential here)")
 	noProxy := flag.Bool("no-proxy", false, "wide-area run without the Nexus Proxy (opens the firewall)")
-	hier := flag.Bool("hierarchical", false, "use the two-level hierarchical scheduler (per-cluster sub-masters)")
 	flag.Parse()
 
 	var in *knapsack.Instance
@@ -46,7 +44,7 @@ func main() {
 		runSequential(in, *prune)
 		return
 	}
-	runSimulated(in, *system, !*noProxy, *prune, *hier)
+	runSimulated(in, *system, !*noProxy, *prune)
 }
 
 func runSequential(in *knapsack.Instance, prune bool) {
@@ -62,7 +60,7 @@ func runSequential(in *knapsack.Instance, prune bool) {
 	fmt.Printf("wall time:       %v\n", time.Since(start))
 }
 
-func runSimulated(in *knapsack.Instance, system string, useProxy, prune, hierarchical bool) {
+func runSimulated(in *knapsack.Instance, system string, useProxy, prune bool) {
 	var sys cluster.System
 	switch system {
 	case "compas":
@@ -81,21 +79,9 @@ func runSimulated(in *knapsack.Instance, system string, useProxy, prune, hierarc
 	params := knapsack.DefaultParams()
 	params.PruneBound = prune
 	w := mpi.NewWorld(tb.Placements(sys, useProxy))
-	groupOf := func(name string) string {
-		if strings.HasPrefix(name, "compas") {
-			return "COMPaS"
-		}
-		return name
-	}
 	var res *knapsack.Result
 	w.Launch(func(c *mpi.Comm) error {
-		var r *knapsack.Result
-		var err error
-		if hierarchical {
-			r, err = knapsack.RunHierarchical(c, in, params, groupOf)
-		} else {
-			r, err = knapsack.Run(c, in, params)
-		}
+		r, err := knapsack.Run(c, in, params)
 		if err != nil {
 			return err
 		}

@@ -173,27 +173,24 @@ func TestExamplesRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs example binaries")
 	}
-	examples := []struct {
-		name string
-		args []string
-	}{
-		{"quickstart", nil},
-		{"wideareampi", nil},
-		{"jobsubmit", nil},
-		{"knapsackrun", nil},
-		{"nqueens", []string{"-n", "9"}},
+	dirs, err := os.ReadDir("examples")
+	if err != nil || len(dirs) == 0 {
+		t.Fatalf("no example directories found: %v", err)
 	}
-	for _, ex := range examples {
-		ex := ex
-		t.Run(ex.name, func(t *testing.T) {
-			cmd := exec.Command("go", append([]string{"run", "./examples/" + ex.name}, ex.args...)...)
+	for _, dir := range dirs {
+		if !dir.IsDir() {
+			continue
+		}
+		name := dir.Name()
+		t.Run(name, func(t *testing.T) {
+			cmd := exec.Command("go", "run", "./examples/"+name)
 			cmd.Env = os.Environ()
 			out, err := cmd.CombinedOutput()
 			if err != nil {
-				t.Fatalf("example %s: %v\n%s", ex.name, err, out)
+				t.Fatalf("example %s: %v\n%s", name, err, out)
 			}
 			if len(out) == 0 {
-				t.Fatalf("example %s produced no output", ex.name)
+				t.Fatalf("example %s produced no output", name)
 			}
 		})
 	}

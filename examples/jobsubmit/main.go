@@ -51,13 +51,13 @@ func main() {
 
 	// RMF daemons inside the firewall.
 	alloc := rmf.NewAllocator()
-	tb.Host(cluster.RWCPInner).SpawnDaemonOn("allocator", func(e transport.Env) {
+	tb.Node(cluster.RWCPInner).SpawnDaemonOn("allocator", func(e transport.Env) {
 		_ = alloc.Serve(e, rmf.AllocatorPort, nil)
 	})
 	for i := 0; i < cluster.CompasNodes; i++ {
 		host := cluster.CompasNode(i)
 		q := rmf.NewQServer(host, "compas", 4, reg)
-		tb.Host(host).SpawnDaemonOn("qserver-"+host, func(e transport.Env) {
+		tb.Node(host).SpawnDaemonOn("qserver-"+host, func(e transport.Env) {
 			e.Sleep(time.Millisecond)
 			_ = q.Serve(e, rmf.QServerPort, transport.JoinAddr(cluster.RWCPInner, rmf.AllocatorPort), nil)
 		})
@@ -67,7 +67,7 @@ func main() {
 	store := gass.NewStore()
 	store.Put("/input.txt", []byte("the quick brown fox jumps over the lazy dog"))
 	gsrv := gass.NewServer(store)
-	tb.Host(cluster.ETLSun).SpawnDaemonOn("gass", func(e transport.Env) {
+	tb.Node(cluster.ETLSun).SpawnDaemonOn("gass", func(e transport.Env) {
 		_ = gsrv.Serve(e, 7200, nil)
 	})
 	gassHost := transport.JoinAddr(cluster.ETLSun, 7200)
@@ -87,7 +87,7 @@ func main() {
 	gk.SetTrace(func(format string, args ...interface{}) {
 		fmt.Printf("  [gatekeeper] "+format+"\n", args...)
 	})
-	tb.Host(cluster.RWCPOuter).SpawnDaemonOn("gatekeeper", func(e transport.Env) {
+	tb.Node(cluster.RWCPOuter).SpawnDaemonOn("gatekeeper", func(e transport.Env) {
 		_ = gk.Serve(e, gram.DefaultPort, nil)
 	})
 
@@ -97,7 +97,7 @@ func main() {
 		gass.URL(gassHost, "/input.txt"), gass.URL(gassHost, "/out/wc"))
 	fmt.Printf("submitting RSL:\n  %s\n\n", rslReq)
 
-	tb.Host(cluster.ETLSun).SpawnOn("client", func(e transport.Env) {
+	tb.Node(cluster.ETLSun).SpawnOn("client", func(e transport.Env) {
 		e.Sleep(5 * time.Millisecond)
 		gkAddr := transport.JoinAddr(cluster.RWCPOuter, gram.DefaultPort)
 		contact, err := gram.Submit(e, gkAddr, cred, rslReq)

@@ -107,7 +107,7 @@ func decompPoint(path, peer string, indirect bool, opts cluster.Options) (Decomp
 	var benchErr error
 	fail := func(err error) { benchErr = fmt.Errorf("%s: %w", path, err) }
 
-	tb.Host(peer).SpawnDaemonOn("t2-server", func(env transport.Env) {
+	tb.Node(peer).SpawnDaemonOn("t2-server", func(env transport.Env) {
 		var l transport.Listener
 		var err error
 		if peerProxied {
@@ -146,7 +146,7 @@ func decompPoint(path, peer string, indirect bool, opts cluster.Options) (Decomp
 	var start, end time.Duration
 	startIdx, endIdx := 0, 0
 	done := false
-	tb.Host(cluster.RWCPSun).SpawnOn("t2-client", func(env transport.Env) {
+	tb.Node(cluster.RWCPSun).SpawnOn("t2-client", func(env transport.Env) {
 		var rl transport.Listener
 		var err error
 		if indirect {

@@ -82,14 +82,14 @@ func Figure2() (string, error) {
 
 	alloc := rmf.NewAllocator()
 	alloc.SetTrace(tracef)
-	tb.Host(cluster.RWCPInner).SpawnDaemonOn("rmf-alloc", func(e transport.Env) {
+	tb.Node(cluster.RWCPInner).SpawnDaemonOn("rmf-alloc", func(e transport.Env) {
 		_ = alloc.Serve(e, rmf.AllocatorPort, nil)
 	})
 	for i := 0; i < 2; i++ {
 		host := cluster.CompasNode(i)
 		q := rmf.NewQServer(host, "compas", 4, reg)
 		q.SetTrace(tracef)
-		tb.Host(host).SpawnDaemonOn("qserver-"+host, func(e transport.Env) {
+		tb.Node(host).SpawnDaemonOn("qserver-"+host, func(e transport.Env) {
 			e.Sleep(time.Millisecond)
 			_ = q.Serve(e, rmf.QServerPort, transport.JoinAddr(cluster.RWCPInner, rmf.AllocatorPort), nil)
 		})
@@ -107,12 +107,12 @@ func Figure2() (string, error) {
 		AllocatorAddr: transport.JoinAddr(cluster.RWCPInner, rmf.AllocatorPort),
 	})
 	gk.SetTrace(tracef)
-	tb.Host(cluster.RWCPOuter).SpawnDaemonOn("gatekeeper", func(e transport.Env) {
+	tb.Node(cluster.RWCPOuter).SpawnDaemonOn("gatekeeper", func(e transport.Env) {
 		_ = gk.Serve(e, gram.DefaultPort, nil)
 	})
 
 	var jobErr error
-	tb.Host(cluster.ETLSun).SpawnOn("globusrun", func(e transport.Env) {
+	tb.Node(cluster.ETLSun).SpawnOn("globusrun", func(e transport.Env) {
 		e.Sleep(5 * time.Millisecond)
 		contact, err := gram.Submit(e, transport.JoinAddr(cluster.RWCPOuter, gram.DefaultPort), cred,
 			`&(executable=app)(count=2)(jobmanager=rmf)(cluster=compas)`)
@@ -165,7 +165,7 @@ func traceProxy(passive bool) (string, error) {
 	addrCh := make(chan string, 1)
 	var appErr error
 	if passive {
-		tb.Host(cluster.RWCPSun).SpawnDaemonOn("pa", func(e transport.Env) {
+		tb.Node(cluster.RWCPSun).SpawnDaemonOn("pa", func(e transport.Env) {
 			e.Sleep(time.Millisecond)
 			l, err := proxy.NXProxyBind(e, tb.ProxyCfg)
 			if err != nil {
@@ -185,7 +185,7 @@ func traceProxy(passive bool) (string, error) {
 				_, _ = c.Write(e, buf)
 			}
 		})
-		tb.Host(cluster.ETLSun).SpawnOn("pb", func(e transport.Env) {
+		tb.Node(cluster.ETLSun).SpawnOn("pb", func(e transport.Env) {
 			for len(addrCh) == 0 {
 				e.Sleep(time.Millisecond)
 			}
@@ -203,7 +203,7 @@ func traceProxy(passive bool) (string, error) {
 			}
 		})
 	} else {
-		tb.Host(cluster.ETLSun).SpawnDaemonOn("pb", func(e transport.Env) {
+		tb.Node(cluster.ETLSun).SpawnDaemonOn("pb", func(e transport.Env) {
 			l, err := e.Listen(6000)
 			if err != nil {
 				appErr = err
@@ -219,7 +219,7 @@ func traceProxy(passive bool) (string, error) {
 				_, _ = c.Write(e, buf)
 			}
 		})
-		tb.Host(cluster.RWCPSun).SpawnOn("pa", func(e transport.Env) {
+		tb.Node(cluster.RWCPSun).SpawnOn("pa", func(e transport.Env) {
 			e.Sleep(time.Millisecond)
 			lines = append(lines, "pa: NXProxyConnect(etl-sun:6000) instead of connect()")
 			c, err := proxy.NXProxyConnect(e, tb.ProxyCfg, transport.JoinAddr(cluster.ETLSun, 6000))

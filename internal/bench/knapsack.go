@@ -348,36 +348,3 @@ func FormatTable6(r *KnapsackReport) string {
 func fmtSeconds(d time.Duration) string {
 	return fmt.Sprintf("%.2f sec", d.Seconds())
 }
-
-// RunWideHierarchical runs the wide-area system with the two-level
-// hierarchical scheduler (per-cluster sub-masters; see
-// knapsack.RunHierarchical) for comparison against the paper's flat scheme.
-func RunWideHierarchical(cfg KnapsackConfig) (*knapsack.Result, error) {
-	cfg = cfg.withDefaults()
-	in := knapsack.Normalized(cfg.Items, cfg.Capacity)
-	tb := cluster.NewTestbed(cfg.Options)
-	defer tb.Shutdown()
-	w := mpi.NewWorld(tb.Placements(cluster.SystemWide, true))
-	var res *knapsack.Result
-	w.Launch(func(c *mpi.Comm) error {
-		r, err := knapsack.RunHierarchical(c, in, cfg.Params, clusterOf)
-		if err != nil {
-			return err
-		}
-		if c.Rank() == 0 {
-			res = r
-		}
-		return nil
-	})
-	if err := tb.Run(); err != nil {
-		return nil, err
-	}
-	if err := w.Err(); err != nil {
-		return nil, err
-	}
-	if res.TotalTraversed != knapsack.NormalizedTreeNodes(cfg.Items, cfg.Capacity) {
-		return nil, fmt.Errorf("bench: hierarchical run traversed %d nodes, want %d",
-			res.TotalTraversed, knapsack.NormalizedTreeNodes(cfg.Items, cfg.Capacity))
-	}
-	return res, nil
-}

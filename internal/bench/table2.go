@@ -126,7 +126,7 @@ func measurePoint(path, peer string, indirect bool, cfg Table2Config) (Table2Row
 
 	// Server: accept the forward channel, dial the reverse channel back to
 	// the client's advertised address, then ack each transfer.
-	tb.Host(peer).SpawnDaemonOn("t2-server", func(env transport.Env) {
+	tb.Node(peer).SpawnDaemonOn("t2-server", func(env transport.Env) {
 		var l transport.Listener
 		var err error
 		if peerProxied {
@@ -163,7 +163,7 @@ func measurePoint(path, peer string, indirect bool, cfg Table2Config) (Table2Row
 	})
 
 	done := false
-	tb.Host(cluster.RWCPSun).SpawnOn("t2-client", func(env transport.Env) {
+	tb.Node(cluster.RWCPSun).SpawnOn("t2-client", func(env transport.Env) {
 		// Reverse channel listener: through the proxy when indirect, since
 		// RWCP-Sun always sits behind the firewall.
 		var rl transport.Listener

@@ -123,13 +123,13 @@ func transferPoint(cfg TransferConfig, loss float64, streams int) (TransferPoint
 	// side relays through the proxy.
 	srv := gridftp.NewServer(store, proxy.Dialer{})
 	addr := make(chan string, 1)
-	tb.Host(cluster.ETLSun).SpawnDaemonOn("gridftp-server", func(env transport.Env) {
+	tb.Node(cluster.ETLSun).SpawnDaemonOn("gridftp-server", func(env transport.Env) {
 		_ = srv.Serve(env, 7040, func(a string) { addr <- a })
 	})
 
 	pt := TransferPoint{Streams: streams, LossRate: loss}
 	var benchErr error
-	tb.Host(cluster.RWCPSun).SpawnOn("gridftp-client", func(env transport.Env) {
+	tb.Node(cluster.RWCPSun).SpawnOn("gridftp-client", func(env transport.Env) {
 		for len(addr) == 0 {
 			env.Sleep(time.Millisecond)
 		}

@@ -257,18 +257,18 @@ func startControlPlane(tb *cluster.Testbed, cfg Config, rep *Report) *hbm.Monito
 	mon.SuspectWindow = cfg.SuspectWindow
 	mon.LateAfter = cfg.HBMLateAfter
 	mon.DownAfter = cfg.HBMDownAfter
-	tb.Host(cluster.RWCPInner).SpawnDaemonOn("hbm-monitor", func(env transport.Env) {
+	tb.Node(cluster.RWCPInner).SpawnDaemonOn("hbm-monitor", func(env transport.Env) {
 		_ = mon.Serve(env, HBMPort, nil)
 	})
 	// The inner relay daemon reports its own liveness too.
-	tb.Host(cluster.RWCPInner).SpawnDaemonOn("hbm-rep-nxproxy", func(env transport.Env) {
+	tb.Node(cluster.RWCPInner).SpawnDaemonOn("hbm-rep-nxproxy", func(env transport.Env) {
 		env.Sleep(2 * time.Millisecond)
 		r := &hbm.Reporter{MonitorAddr: monAddr, Name: "nxproxy-inner", Interval: beat, BeatCost: cfg.BeatCost}
 		r.Start(env)
 	})
 
 	alloc := rmf.NewAllocator()
-	tb.Host(cluster.RWCPSun).SpawnDaemonOn("rmf-alloc", func(env transport.Env) {
+	tb.Node(cluster.RWCPSun).SpawnDaemonOn("rmf-alloc", func(env transport.Env) {
 		alloc.WatchHBM(env, monAddr, beat)
 		_ = alloc.Serve(env, rmf.AllocatorPort, nil)
 	})
@@ -299,15 +299,15 @@ func startControlPlane(tb *cluster.Testbed, cfg Config, rep *Report) *hbm.Monito
 			q := rmf.NewQServer(name, "compas", 1, reg)
 			_ = q.Serve(env, rmf.QServerPort, allocAddr, nil)
 		}
-		tb.Host(name).SpawnDaemonOn("qserver-"+name, boot)
-		tb.Host(name).OnRestart("qserver-"+name, boot)
+		tb.Node(name).SpawnDaemonOn("qserver-"+name, boot)
+		tb.Node(name).OnRestart("qserver-"+name, boot)
 	}
 
 	exe := "chaos-spin"
 	if cfg.JobCompute {
 		exe = "chaos-burn"
 	}
-	tb.Host(cluster.RWCPSun).SpawnOn("chaos-qclient", func(env transport.Env) {
+	tb.Node(cluster.RWCPSun).SpawnOn("chaos-qclient", func(env transport.Env) {
 		env.Sleep(500 * time.Millisecond)
 		h, err := rmf.SubmitJob(env, allocAddr, rmf.JobRequest{
 			Count:   1,
@@ -338,7 +338,7 @@ func startControlPlane(tb *cluster.Testbed, cfg Config, rep *Report) *hbm.Monito
 	// deterministic — every run replays the identical arrival pattern.
 	for i := 0; i < cfg.ExtraJobs; i++ {
 		delay := 600*time.Millisecond + time.Duration(i)*50*time.Millisecond
-		tb.Host(cluster.RWCPSun).SpawnOn(fmt.Sprintf("chaos-extra-%d", i), func(env transport.Env) {
+		tb.Node(cluster.RWCPSun).SpawnOn(fmt.Sprintf("chaos-extra-%d", i), func(env transport.Env) {
 			env.Sleep(delay)
 			// A burst bigger than the site's slot count sees ErrNoResources
 			// until a wave drains; poll on a fixed deterministic cadence.

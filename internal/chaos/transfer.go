@@ -111,12 +111,12 @@ func RunTransferOutage(cfg TransferOutageConfig) (*TransferOutageReport, error) 
 	}
 	srv := gridftp.NewServer(store, proxy.Dialer{})
 	addr := make(chan string, 1)
-	tb.Host(cluster.ETLSun).SpawnDaemonOn("gridftp-server", func(env transport.Env) {
+	tb.Node(cluster.ETLSun).SpawnDaemonOn("gridftp-server", func(env transport.Env) {
 		_ = srv.Serve(env, 7040, func(a string) { addr <- a })
 	})
 
 	rep := &TransferOutageReport{}
-	tb.Host(cluster.RWCPSun).SpawnOn("gridftp-client", func(env transport.Env) {
+	tb.Node(cluster.RWCPSun).SpawnOn("gridftp-client", func(env transport.Env) {
 		for len(addr) == 0 {
 			env.Sleep(time.Millisecond)
 		}

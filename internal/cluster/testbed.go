@@ -336,9 +336,6 @@ func (tb *Testbed) EnableRecovery(ka proxy.KeepaliveConfig) {
 	})
 }
 
-// Host returns a named node (an alias for Node).
-func (tb *Testbed) Host(name string) *simnet.Node { return tb.Node(name) }
-
 // Dialer returns a proxy-aware dialer configured for RWCP-site processes.
 func (tb *Testbed) Dialer() proxy.Dialer { return proxy.Dialer{Cfg: tb.ProxyCfg} }
 

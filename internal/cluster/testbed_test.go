@@ -43,7 +43,7 @@ func TestTestbedTopologyLatencies(t *testing.T) {
 func TestFirewallClosedByDefaultOpenWithOption(t *testing.T) {
 	tb := NewTestbed(Options{})
 	var dialErr error
-	tb.Host(ETLSun).SpawnOn("prober", func(env transport.Env) {
+	tb.Node(ETLSun).SpawnOn("prober", func(env transport.Env) {
 		_, dialErr = env.Dial(transport.JoinAddr(RWCPSun, 9999))
 	})
 	if err := tb.K.Run(); err != nil {
@@ -55,12 +55,12 @@ func TestFirewallClosedByDefaultOpenWithOption(t *testing.T) {
 	tb.K.Shutdown()
 
 	tb2 := NewTestbed(Options{OpenFirewall: true})
-	tb2.Host(RWCPSun).SpawnDaemonOn("listener", func(env transport.Env) {
+	tb2.Node(RWCPSun).SpawnDaemonOn("listener", func(env transport.Env) {
 		l, _ := env.Listen(9999)
 		_, _ = l.Accept(env)
 	})
 	var err2 error
-	tb2.Host(ETLSun).SpawnOn("prober", func(env transport.Env) {
+	tb2.Node(ETLSun).SpawnOn("prober", func(env transport.Env) {
 		env.Sleep(time.Millisecond)
 		_, err2 = env.Dial(transport.JoinAddr(RWCPSun, 9999))
 	})
@@ -76,7 +76,7 @@ func TestFirewallClosedByDefaultOpenWithOption(t *testing.T) {
 func TestProxyDaemonsServeTheTestbed(t *testing.T) {
 	tb := NewTestbed(Options{})
 	var got string
-	tb.Host(ETLSun).SpawnDaemonOn("etl-srv", func(env transport.Env) {
+	tb.Node(ETLSun).SpawnDaemonOn("etl-srv", func(env transport.Env) {
 		l, _ := env.Listen(6001)
 		c, err := l.Accept(env)
 		if err != nil {
@@ -86,7 +86,7 @@ func TestProxyDaemonsServeTheTestbed(t *testing.T) {
 		n, _ := c.Read(env, buf)
 		got = string(buf[:n])
 	})
-	tb.Host(RWCPSun).SpawnOn("rwcp-cli", func(env transport.Env) {
+	tb.Node(RWCPSun).SpawnOn("rwcp-cli", func(env transport.Env) {
 		env.Sleep(time.Millisecond)
 		// Active open through the relay, like the paper's Figure 3.
 		c, err := env.Dial(tb.ProxyCfg.OuterServer)
@@ -96,7 +96,7 @@ func TestProxyDaemonsServeTheTestbed(t *testing.T) {
 		}
 		_ = c.Close(env)
 	})
-	tb.Host(RWCPSun).SpawnOn("rwcp-data", func(env transport.Env) {
+	tb.Node(RWCPSun).SpawnOn("rwcp-data", func(env transport.Env) {
 		env.Sleep(2 * time.Millisecond)
 		d := tb.Dialer()
 		c, err := d.Dial(env, transport.JoinAddr(ETLSun, 6001))
@@ -190,7 +190,7 @@ func TestSecuredTestbedRelays(t *testing.T) {
 	tb := NewTestbed(Options{Secret: "rwcp-site-secret"})
 	defer tb.K.Shutdown()
 	var got string
-	tb.Host(ETLSun).SpawnDaemonOn("srv", func(env transport.Env) {
+	tb.Node(ETLSun).SpawnDaemonOn("srv", func(env transport.Env) {
 		l, _ := env.Listen(6001)
 		c, err := l.Accept(env)
 		if err != nil {
@@ -201,7 +201,7 @@ func TestSecuredTestbedRelays(t *testing.T) {
 		got = string(buf[:n])
 	})
 	var noSecretErr error
-	tb.Host(RWCPSun).SpawnOn("cli", func(env transport.Env) {
+	tb.Node(RWCPSun).SpawnOn("cli", func(env transport.Env) {
 		env.Sleep(time.Millisecond)
 		d := tb.Dialer()
 		c, err := d.Dial(env, transport.JoinAddr(ETLSun, 6001))

@@ -131,6 +131,10 @@ func List(env transport.Env, gkAddr string, cred auth.Credential) ([]string, err
 	if err != nil {
 		return nil, err
 	}
+	// Every contact costs at least its 4-byte length prefix.
+	if n < 0 || int(n) > resp.Remaining()/4 {
+		return nil, fmt.Errorf("gram: malformed list reply: %d contacts in %d bytes", n, resp.Remaining())
+	}
 	out := make([]string, n)
 	for i := range out {
 		if out[i], err = resp.GetString(); err != nil {

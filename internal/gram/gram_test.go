@@ -9,6 +9,7 @@ import (
 
 	"nxcluster/internal/auth"
 	"nxcluster/internal/firewall"
+	"nxcluster/internal/nexus"
 	"nxcluster/internal/rmf"
 	"nxcluster/internal/rsl"
 	"nxcluster/internal/sim"
@@ -295,5 +296,48 @@ func TestCancelAndList(t *testing.T) {
 	// Unknown contact.
 	if err := Cancel(env, addr, cred, "job-999"); err == nil {
 		t.Fatal("cancel of unknown contact succeeded")
+	}
+}
+
+// TestListRejectsBadReplyCount: the contact count in a list reply sizes an
+// allocation on the client, so a gatekeeper (or whoever answers on its port)
+// that lies about it must get an error back, not a panic or a 32 GiB request.
+func TestListRejectsBadReplyCount(t *testing.T) {
+	env := transport.NewTCPEnv("localhost")
+	cred, err := auth.NewCredential("/O=Grid/CN=tester")
+	if err != nil {
+		t.Fatal(err)
+	}
+	kr := auth.NewKeyring()
+	kr.Grant(cred, "tester")
+	l, err := env.Listen(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close(env)
+	counts := []int32{-1, 1 << 30}
+	env.Spawn("lying-gatekeeper", func(e transport.Env) {
+		for _, count := range counts {
+			c, err := l.Accept(e)
+			if err != nil {
+				return
+			}
+			st := transport.Stream{Env: e, Conn: c}
+			if _, err := auth.Accept(e, c, kr); err == nil {
+				if _, err := nexus.ReadFrame(st, 0); err == nil {
+					resp := nexus.NewBuffer()
+					resp.PutBool(true)
+					resp.PutInt32(count)
+					_ = nexus.WriteFrame(st, resp)
+				}
+			}
+			_ = c.Close(e)
+		}
+	})
+	for _, count := range counts {
+		got, err := List(env, l.Addr(), cred)
+		if err == nil || !strings.Contains(err.Error(), "malformed list reply") {
+			t.Fatalf("list with reply count %d: got %v, err = %v, want malformed list reply", count, got, err)
+		}
 	}
 }

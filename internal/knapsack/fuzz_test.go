@@ -85,66 +85,3 @@ func TestSchedulerParameterFuzz(t *testing.T) {
 		}
 	}
 }
-
-// TestHierarchicalParameterFuzz applies the same invariants to the
-// hierarchical scheme with random group shapes.
-func TestHierarchicalParameterFuzz(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	trials := 12
-	if testing.Short() {
-		trials = 4
-	}
-	for trial := 0; trial < trials; trial++ {
-		groups := 1 + rng.Intn(3)
-		params := Params{
-			Interval:   1 + rng.Intn(100),
-			StealUnit:  1 + rng.Intn(4),
-			BackUnit:   1 + rng.Intn(4),
-			BulkFactor: 1 + rng.Intn(6),
-			NodeCost:   time.Duration(rng.Intn(200)) * time.Microsecond,
-		}
-		n, cap := 12+rng.Intn(12), 2+rng.Intn(3)
-		in := Normalized(n, cap)
-		wantBest, wantNodes := SolveExhaustive(in)
-
-		k := sim.New()
-		net := simnet.New(k)
-		net.AddRouter("core", "")
-		var pls []mpi.Placement
-		for g := 0; g < groups; g++ {
-			sw := fmt.Sprintf("sw%d", g)
-			net.AddRouter(sw, "")
-			net.Connect(sw, "core", simnet.LinkConfig{Latency: 10 * time.Millisecond, Bandwidth: 256 << 10})
-			members := 1 + rng.Intn(4)
-			for m := 0; m < members; m++ {
-				name := fmt.Sprintf("g%dm%d", g, m)
-				net.AddHost(name, simnet.HostConfig{})
-				net.Connect(name, sw, simnet.LinkConfig{Latency: 100 * time.Microsecond, Bandwidth: 12 << 20})
-				pls = append(pls, mpi.Placement{Name: name, Spawn: net.Node(name).SpawnOn})
-			}
-		}
-		w := mpi.NewWorld(pls)
-		var res *Result
-		w.Launch(func(c *mpi.Comm) error {
-			r, err := RunHierarchical(c, in, params, func(name string) string { return name[:2] })
-			if err != nil {
-				return err
-			}
-			if c.Rank() == 0 {
-				res = r
-			}
-			return nil
-		})
-		if err := k.Run(); err != nil {
-			t.Fatalf("trial %d (groups=%d %+v): %v", trial, groups, params, err)
-		}
-		k.Shutdown()
-		if err := w.Err(); err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		if res.TotalTraversed != wantNodes || res.Best != wantBest {
-			t.Fatalf("trial %d (groups=%d %+v): traversed=%d/%d best=%d/%d",
-				trial, groups, params, res.TotalTraversed, wantNodes, res.Best, wantBest)
-		}
-	}
-}

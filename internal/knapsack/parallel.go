@@ -50,9 +50,6 @@ type Params struct {
 	// same periodic redistribution. 0 selects 2*Interval; negative
 	// disables it.
 	ShareInterval int
-	// BulkFactor multiplies StealUnit for sub-master <-> global-master
-	// exchanges in RunHierarchical (default 4); the flat scheme ignores it.
-	BulkFactor int
 	// NodeCost is the virtual CPU time one branch operation costs on a
 	// nominal-speed processor.
 	NodeCost time.Duration
@@ -178,6 +175,30 @@ func Run(c *mpi.Comm, in *Instance, p Params) (*Result, error) {
 	}
 	elapsed := c.Env().Now() - start
 	return collectResult(c, local, handled, elapsed)
+}
+
+// collectResult performs the final allreduce/gather.
+func collectResult(c *mpi.Comm, local RankStats, handled int64, elapsed time.Duration) (*Result, error) {
+	best, err := c.AllreduceInt64(local.bestForReduce, mpi.OpMax)
+	if err != nil {
+		return nil, err
+	}
+	parts, err := c.Gather(0, encodeStats(local))
+	if err != nil {
+		return nil, err
+	}
+	res := &Result{Best: best, Elapsed: elapsed, MasterHandled: handled}
+	if c.Rank() == 0 {
+		for r, part := range parts {
+			st, err := decodeStats(r, part)
+			if err != nil {
+				return nil, err
+			}
+			res.Stats = append(res.Stats, st)
+			res.TotalTraversed += st.Traversed
+		}
+	}
+	return res, nil
 }
 
 // knapObs resolves a rank's observer and trace track, and seeds the

@@ -278,9 +278,6 @@ func Eq(attr, val string) Filter { return eqFilter{strings.ToLower(attr), val} }
 // Ge builds an attr>=n filter.
 func Ge(attr string, n int) Filter { return cmpFilter{strings.ToLower(attr), ">=", n} }
 
-// Le builds an attr<=n filter.
-func Le(attr string, n int) Filter { return cmpFilter{strings.ToLower(attr), "<=", n} }
-
 // And combines filters conjunctively.
 func And(fs ...Filter) Filter { return andFilter(fs) }
 

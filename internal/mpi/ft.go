@@ -29,7 +29,6 @@ func (c *Comm) RecvTimeout(src, tag int, d time.Duration) (Message, bool, error)
 	for i, m := range c.pending {
 		if matches(m) {
 			c.pending = append(c.pending[:i], c.pending[i+1:]...)
-			c.received++
 			return m, true, nil
 		}
 	}
@@ -47,7 +46,6 @@ func (c *Comm) RecvTimeout(src, tag int, d time.Duration) (Message, bool, error)
 			return Message{}, false, errors.New("mpi: inbox closed")
 		}
 		if matches(m) {
-			c.received++
 			return m, true, nil
 		}
 		c.pending = append(c.pending, m)

@@ -7,7 +7,7 @@
 //
 // Supported: ranks/size, Send/Recv with tags, AnySource/AnyTag wildcards,
 // Iprobe/Probe, Barrier, Bcast, Reduce/Allreduce (int64 and float64 sums,
-// min, max), Gather, and Wtime. Unsupported (and unneeded by the paper's
+// min, max), and Gather. Unsupported (and unneeded by the paper's
 // workloads): communicators other than COMM_WORLD, derived datatypes,
 // one-sided operations.
 package mpi
@@ -211,9 +211,6 @@ type Comm struct {
 	sps     []*nexus.Startpoint
 	inbox   transport.Queue[Message]
 	pending []Message
-	// counters
-	sent, received int64
-	sentBytes      int64
 	// cached observability handles (nil when tracing is off — updates are
 	// then branch-and-return no-ops, keeping the send path allocation-free)
 	mSent  *obs.Counter
@@ -232,18 +229,6 @@ func (c *Comm) Name(rank int) string { return c.world.placements[rank].Name }
 
 // Env exposes the rank's execution environment (for Compute, Sleep, Now).
 func (c *Comm) Env() transport.Env { return c.env }
-
-// Wtime returns the environment clock, like MPI_Wtime.
-func (c *Comm) Wtime() float64 { return c.env.Now().Seconds() }
-
-// SentCount reports messages sent by this rank.
-func (c *Comm) SentCount() int64 { return c.sent }
-
-// ReceivedCount reports messages received by this rank.
-func (c *Comm) ReceivedCount() int64 { return c.received }
-
-// SentBytes reports payload bytes sent by this rank.
-func (c *Comm) SentBytes() int64 { return c.sentBytes }
 
 func (c *Comm) startpoint(to int) (*nexus.Startpoint, error) {
 	if to < 0 || to >= c.Size() {
@@ -283,8 +268,6 @@ func (c *Comm) send(to, tag int, data []byte) error {
 	if err := sp.Send(c.env, hData, b); err != nil {
 		return err
 	}
-	c.sent++
-	c.sentBytes += int64(len(data))
 	c.mSent.Add(1)
 	c.mBytes.Add(int64(len(data)))
 	return nil
@@ -307,7 +290,6 @@ func (c *Comm) recv(src, tag int) (Message, error) {
 	for i, m := range c.pending {
 		if match(m, src, tag) {
 			c.pending = append(c.pending[:i], c.pending[i+1:]...)
-			c.received++
 			c.mRecvd.Add(1)
 			return m, nil
 		}
@@ -318,7 +300,6 @@ func (c *Comm) recv(src, tag int) (Message, error) {
 			return Message{}, errors.New("mpi: inbox closed")
 		}
 		if match(m, src, tag) {
-			c.received++
 			c.mRecvd.Add(1)
 			return m, nil
 		}
@@ -343,7 +324,6 @@ func (c *Comm) recvUser(src int) (Message, error) {
 	for i, m := range c.pending {
 		if m.Tag >= 0 && (src == AnySource || m.Src == src) {
 			c.pending = append(c.pending[:i], c.pending[i+1:]...)
-			c.received++
 			c.mRecvd.Add(1)
 			return m, nil
 		}
@@ -354,7 +334,6 @@ func (c *Comm) recvUser(src int) (Message, error) {
 			return Message{}, errors.New("mpi: inbox closed")
 		}
 		if m.Tag >= 0 && (src == AnySource || m.Src == src) {
-			c.received++
 			c.mRecvd.Add(1)
 			return m, nil
 		}

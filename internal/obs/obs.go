@@ -354,9 +354,6 @@ func SetCtx(v interface{}, tc TraceContext) bool {
 // simulated byte stream).
 type baggageCarrier interface{ TraceBaggage() TraceContext }
 
-// baggageSetter is the writable half of the connection-baggage carrier.
-type baggageSetter interface{ SetTraceBaggage(TraceContext) }
-
 // BaggageOf extracts the trace baggage attached to conn, or the zero
 // context.
 func BaggageOf(conn interface{}) TraceContext {
@@ -364,15 +361,4 @@ func BaggageOf(conn interface{}) TraceContext {
 		return c.TraceBaggage()
 	}
 	return TraceContext{}
-}
-
-// SetBaggage attaches tc to conn (and, for simnet conns, to the peer
-// endpoint) so the accepting side can parent its spans under the caller's.
-// It reports whether conn supports baggage.
-func SetBaggage(conn interface{}, tc TraceContext) bool {
-	if s, ok := conn.(baggageSetter); ok {
-		s.SetTraceBaggage(tc)
-		return true
-	}
-	return false
 }

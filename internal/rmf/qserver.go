@@ -98,13 +98,6 @@ func (q *QServer) Close(env transport.Env) {
 	}
 }
 
-// JobCount reports how many jobs this Q server has accepted.
-func (q *QServer) JobCount() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return len(q.jobs)
-}
-
 func (q *QServer) handle(env transport.Env, c transport.Conn) {
 	defer c.Close(env)
 	// Adopt the dialer's trace context from connection baggage so spans the

@@ -3,11 +3,9 @@ package rmf
 import (
 	"fmt"
 	"sort"
-	"strings"
 	"time"
 
 	"nxcluster/internal/hbm"
-	"nxcluster/internal/mds"
 	"nxcluster/internal/obs"
 	"nxcluster/internal/transport"
 )
@@ -70,42 +68,6 @@ func (a *Allocator) WatchHBM(env transport.Env, hbmAddr string, interval time.Du
 			sort.Strings(names)
 			for _, n := range names {
 				a.SetHealth(n, all[n])
-			}
-		}
-	})
-}
-
-// WatchMDS launches a service that polls the GIS directory at mdsAddr every
-// interval for monitor-published host status rows under base (entries with a
-// "status" attribute, as written by the monitoring plane's Publisher) and
-// feeds them into the allocator: status "down" marks the resource Down,
-// anything else Up. It complements WatchHBM — heartbeats detect silent
-// death, the directory reflects the monitor's consolidated view — and like
-// it, poll errors keep the last classification.
-func (a *Allocator) WatchMDS(env transport.Env, mdsAddr, base string, interval time.Duration) {
-	env.SpawnService("rmf-alloc:mds-watch", func(e transport.Env) {
-		for {
-			e.Sleep(interval)
-			entries, err := mds.Client{Addr: mdsAddr}.Search(e, base, "(status=*)")
-			if err != nil {
-				continue
-			}
-			for _, ent := range entries {
-				name := ent.First("hn")
-				if name == "" {
-					// The DN's leading component carries the host name.
-					if kv := strings.SplitN(ent.DN, ",", 2); strings.HasPrefix(kv[0], "hn=") {
-						name = strings.TrimPrefix(kv[0], "hn=")
-					}
-				}
-				if name == "" {
-					continue
-				}
-				if ent.First("status") == "down" {
-					a.SetHealth(name, hbm.Down)
-				} else {
-					a.SetHealth(name, hbm.Up)
-				}
 			}
 		}
 	})

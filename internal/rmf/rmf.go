@@ -434,9 +434,11 @@ func (a *Allocator) handle(env transport.Env, c transport.Conn) {
 			resp.PutString(addrs[i])
 		}
 	case opRelease:
+		// Every name costs at least its 4-byte length prefix, so a count the
+		// frame cannot hold is refused before it sizes an allocation.
 		n, err := req.GetInt32()
-		if err != nil {
-			putErr(resp, err)
+		if err != nil || n < 0 || int(n) > req.Remaining()/4 {
+			putErr(resp, fmt.Errorf("rmf: malformed release"))
 			break
 		}
 		names := make([]string, n)

@@ -11,6 +11,7 @@ import (
 	"nxcluster/internal/gass"
 	"nxcluster/internal/gridftp"
 	"nxcluster/internal/mds"
+	"nxcluster/internal/nexus"
 	"nxcluster/internal/proxy"
 	"nxcluster/internal/sim"
 	"nxcluster/internal/simnet"
@@ -414,5 +415,25 @@ func TestAllocatorSurvivesMissingMDS(t *testing.T) {
 	}
 	if alloc.MDSErrors() == 0 {
 		t.Fatal("publish failures not counted")
+	}
+}
+
+// TestAllocatorRejectsBadReleaseCount: a release whose name count the frame
+// cannot hold (negative, or far beyond its bytes) is a 12-byte message from
+// anyone who can reach the allocator's port. It must get an error reply, not
+// size an allocation, and the allocator must keep serving.
+func TestAllocatorRejectsBadReleaseCount(t *testing.T) {
+	env, allocAddr, _ := startRMFTCP(t, NewRegistry())
+	for _, count := range []int32{-1, 1 << 30} {
+		req := nexus.NewBuffer()
+		req.PutInt32(opRelease)
+		req.PutInt32(count)
+		_, err := roundTrip(env, allocAddr, req)
+		if err == nil || !strings.Contains(err.Error(), "malformed release") {
+			t.Fatalf("release with count %d: err = %v, want malformed release", count, err)
+		}
+	}
+	if names, _, err := Allocate(env, allocAddr, 1, ""); err != nil || len(names) != 1 {
+		t.Fatalf("allocate after bad releases: names = %v, err = %v", names, err)
 	}
 }

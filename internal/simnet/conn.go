@@ -115,13 +115,6 @@ type conn struct {
 // (obs.BaggageOf is the portable extraction).
 func (c *conn) TraceBaggage() obs.TraceContext { return c.bag }
 
-// SetTraceBaggage attaches a trace context to both endpoints of the
-// connection (obs.SetBaggage is the portable setter).
-func (c *conn) SetTraceBaggage(tc obs.TraceContext) {
-	c.bag = tc
-	c.peer.bag = tc
-}
-
 func (c *conn) pushInbox(seg []byte) {
 	c.inbox = append(c.inbox, inSeg{buf: seg})
 }

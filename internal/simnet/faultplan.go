@@ -148,12 +148,6 @@ func (p *FaultPlan) Partition(groupA, groupB []string, from, to time.Duration) *
 	return p
 }
 
-// Heal schedules an explicit restore of the groupA<->groupB cut at t, for
-// plans that partition once and heal on a separate schedule.
-func (p *FaultPlan) Heal(groupA, groupB []string, t time.Duration) *FaultPlan {
-	return p.add(Fault{At: t, Kind: FaultHeal, GroupA: groupA, GroupB: groupB})
-}
-
 // LinkDegrade applies gray degradation to the DIRECTED link a->b between
 // from and to: addLatency of extra propagation delay on everything, and
 // lossPct of extra loss for flow-modeled data segments. Asymmetric WANs are

@@ -67,9 +67,6 @@ func (n *Network) EnableFlowModel(cfg FlowConfig) {
 	n.lossSeed = cfg.Seed
 }
 
-// FlowModelEnabled reports whether EnableFlowModel has been called.
-func (n *Network) FlowModelEnabled() bool { return n.flowOn }
-
 // FlowStats reports aggregate flow-model counters.
 func (n *Network) FlowStats() FlowStats {
 	return FlowStats{Drops: n.flowDrops, Retransmits: n.flowRetrans, Cuts: n.flowCuts}

@@ -1,9 +1,6 @@
 package simnet
 
-import (
-	"fmt"
-	"time"
-)
+import "fmt"
 
 // Hierarchical site routing.
 //
@@ -137,11 +134,4 @@ func (n *Network) SendMessage(src, dst string, size int, deliver func()) error {
 	}
 	n.send(path, size, deliver)
 	return nil
-}
-
-// MessageLatency reports the one-way delivery latency of a zero-size
-// datagram between two nodes (the sum of link latencies plus the per-hop
-// scheduling nanosecond), for calibration and capacity math.
-func (n *Network) MessageLatency(src, dst string) (time.Duration, error) {
-	return n.PathLatency(src, dst)
 }

@@ -65,9 +65,6 @@ func (b *Backoff) Next() time.Duration {
 	return d + jitter
 }
 
-// Attempts reports how many delays Next has handed out since the last Reset.
-func (b *Backoff) Attempts() int { return b.attempt }
-
 // Reset rewinds the schedule to the first delay; call it after a successful
 // attempt so the next failure starts from Base again.
 func (b *Backoff) Reset() { b.attempt = 0 }
