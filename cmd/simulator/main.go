@@ -143,9 +143,12 @@ func runRun(args []string, stdout, stderr io.Writer) int {
 	}
 	suite := &scenario.SuiteResult{}
 	for i, path := range files {
+		// Every failure names its file; a parse error already does (loadSpec).
 		s, err := specs[i], errs[i]
 		if err == nil {
-			err = scenario.Validate(s)
+			if err = scenario.Validate(s); err != nil {
+				err = fmt.Errorf("%s: %w", path, err)
+			}
 		}
 		if err != nil {
 			fmt.Fprintf(stderr, "simulator run: %v\n", err)

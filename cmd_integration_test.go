@@ -195,3 +195,32 @@ func TestExamplesRun(t *testing.T) {
 		})
 	}
 }
+
+// TestBinarySimulatorRunNamesTheFile: whichever stage refuses a scenario —
+// parse, validate or run — `simulator run` says which file it was.
+func TestBinarySimulatorRunNamesTheFile(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs real binaries")
+	}
+	bin := buildBinaries(t, "simulator")["simulator"]
+	const chaos = "name: t\nkind: chaos\nworkload:\n  items: 8\n  capacity: 2\n  horizon: 30s\n"
+	for _, tc := range []struct{ stage, doc, wantErr string }{
+		{"parse", chaos + "topology:\n  seed: -1\n", "scenario: topology.seed must be >= 0, got -1"},
+		{"validate", chaos + "faults:\n  - crash: {host: compas99, from: 1s}\n", `"compas99" is not a host`},
+	} {
+		path := filepath.Join(t.TempDir(), tc.stage+".yaml")
+		if err := os.WriteFile(path, []byte(tc.doc), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var stderr bytes.Buffer
+		cmd := exec.Command(bin, "run", path)
+		cmd.Stderr = &stderr
+		if err := cmd.Run(); err == nil {
+			t.Errorf("%s: simulator run exited 0", tc.stage)
+		}
+		got := stderr.String()
+		if !strings.HasPrefix(got, "simulator run: "+path+": ") || !strings.Contains(got, tc.wantErr) {
+			t.Errorf("%s: stderr %q, want \"simulator run: %s: ...%s\"", tc.stage, got, path, tc.wantErr)
+		}
+	}
+}

@@ -41,50 +41,17 @@ func argNone(a AssertSpec, path string) error {
 	return nil
 }
 
-func argInt(a AssertSpec, path string) (int, error) {
-	n, err := coerceInt(a.Arg, path)
-	if err != nil {
-		return 0, err
-	}
-	if n < 0 {
-		return 0, fmt.Errorf("%s: must be >= 0, got %d", path, n)
-	}
-	return int(n), nil
+// arg coerces an assertion's argument through the decoder's one coercion
+// (set), so it is typed and range-checked exactly as a block's key is.
+func arg[T any](a AssertSpec, path string) (T, error) {
+	var x T
+	err := set(&x, a.Arg, path)
+	return x, err
 }
 
-func argFloat(a AssertSpec, path string) (float64, error) {
-	return coerceFloat(a.Arg, path)
-}
-
-func argDuration(a AssertSpec, path string) (time.Duration, error) {
-	return coerceDuration(a.Arg, path)
-}
-
-func argString(a AssertSpec, path string) (string, error) {
-	s, ok := a.Arg.(string)
-	if !ok {
-		return "", fmt.Errorf("%s: must be a string, got %s", path, typeName(a.Arg))
-	}
-	return s, nil
-}
-
-func argMinMax(a AssertSpec, path string) (int, int, error) {
-	o, err := asObject(a.Arg, path)
-	if err != nil {
-		return 0, 0, err
-	}
-	min, err := o.integer("min", 0)
-	if err != nil {
-		return 0, 0, err
-	}
-	max, err := o.integer("max", 0)
-	if err != nil {
-		return 0, 0, err
-	}
-	if err := o.finish(); err != nil {
-		return 0, 0, err
-	}
-	return int(min), int(max), nil
+func argMinMax(a AssertSpec, path string) (min, max int, err error) {
+	err = decode(a.Arg, path, table{{"min", &min}, {"max", &max}})
+	return min, max, err
 }
 
 // --- chaos assertions ---
@@ -107,7 +74,7 @@ func chaosInvariant(a AssertSpec, path string) (chaos.Invariant, error) {
 		}
 		return chaos.Registrations(min, max), nil
 	case "suspect-periods":
-		n, err := argInt(a, path)
+		n, err := arg[int](a, path)
 		if err != nil {
 			return zero, err
 		}
@@ -115,31 +82,31 @@ func chaosInvariant(a AssertSpec, path string) (chaos.Invariant, error) {
 	case "job-completed":
 		return chaos.JobCompleted(), argNone(a, path)
 	case "job-off-host":
-		h, err := argString(a, path)
+		h, err := arg[string](a, path)
 		if err != nil {
 			return zero, err
 		}
 		return chaos.JobOffHost(h), nil
 	case "min-requeues":
-		n, err := argInt(a, path)
+		n, err := arg[int](a, path)
 		if err != nil {
 			return zero, err
 		}
 		return chaos.MinRequeues(n), nil
 	case "max-requeues":
-		n, err := argInt(a, path)
+		n, err := arg[int](a, path)
 		if err != nil {
 			return zero, err
 		}
 		return chaos.MaxRequeues(n), nil
 	case "min-speculations":
-		n, err := argInt(a, path)
+		n, err := arg[int](a, path)
 		if err != nil {
 			return zero, err
 		}
 		return chaos.MinSpeculations(n), nil
 	case "elapsed-ceiling":
-		d, err := argDuration(a, path)
+		d, err := arg[time.Duration](a, path)
 		if err != nil {
 			return zero, err
 		}
@@ -147,7 +114,7 @@ func chaosInvariant(a AssertSpec, path string) (chaos.Invariant, error) {
 	case "hbm-all-up":
 		return chaos.HBMAllUp(), argNone(a, path)
 	case "hbm-suspects":
-		n, err := argInt(a, path)
+		n, err := arg[int](a, path)
 		if err != nil {
 			return zero, err
 		}
@@ -155,7 +122,7 @@ func chaosInvariant(a AssertSpec, path string) (chaos.Invariant, error) {
 	case "hbm-no-downs":
 		return chaos.HBMNoDowns(), argNone(a, path)
 	case "extra-jobs-done":
-		n, err := argInt(a, path)
+		n, err := arg[int](a, path)
 		if err != nil {
 			return zero, err
 		}
@@ -210,7 +177,7 @@ func compileCheck(kind Kind, a AssertSpec, path string) (check, error) {
 	case KindTable2:
 		switch a.Name {
 		case "rows":
-			n, err := argInt(a, path)
+			n, err := arg[int](a, path)
 			if err != nil {
 				return zero, err
 			}
@@ -253,7 +220,7 @@ func compileCheck(kind Kind, a AssertSpec, path string) (check, error) {
 	case KindTable4:
 		switch a.Name {
 		case "systems":
-			n, err := argInt(a, path)
+			n, err := arg[int](a, path)
 			if err != nil {
 				return zero, err
 			}
@@ -265,7 +232,7 @@ func compileCheck(kind Kind, a AssertSpec, path string) (check, error) {
 				return nil
 			}}, nil
 		case "proxy-overhead-max":
-			f, err := argFloat(a, path)
+			f, err := arg[float64](a, path)
 			if err != nil {
 				return zero, err
 			}
@@ -303,7 +270,7 @@ func compileCheck(kind Kind, a AssertSpec, path string) (check, error) {
 	case KindMonitor:
 		switch a.Name {
 		case "min-windows":
-			n, err := argInt(a, path)
+			n, err := arg[int](a, path)
 			if err != nil {
 				return zero, err
 			}
@@ -315,7 +282,7 @@ func compileCheck(kind Kind, a AssertSpec, path string) (check, error) {
 				return nil
 			}}, nil
 		case "min-series":
-			n, err := argInt(a, path)
+			n, err := arg[int](a, path)
 			if err != nil {
 				return zero, err
 			}
@@ -341,7 +308,7 @@ func compileCheck(kind Kind, a AssertSpec, path string) (check, error) {
 	case KindGridFTP:
 		switch a.Name {
 		case "points":
-			n, err := argInt(a, path)
+			n, err := arg[int](a, path)
 			if err != nil {
 				return zero, err
 			}
@@ -408,7 +375,7 @@ func compileCheck(kind Kind, a AssertSpec, path string) (check, error) {
 				return nil
 			}}, argNone(a, path)
 		case "elapsed-ceiling":
-			d, err := argDuration(a, path)
+			d, err := arg[time.Duration](a, path)
 			if err != nil {
 				return zero, err
 			}
@@ -433,7 +400,7 @@ func compileCheck(kind Kind, a AssertSpec, path string) (check, error) {
 				return nil
 			}}, argNone(a, path)
 		case "p99-ceiling":
-			d, err := argDuration(a, path)
+			d, err := arg[time.Duration](a, path)
 			if err != nil {
 				return zero, err
 			}
@@ -445,7 +412,7 @@ func compileCheck(kind Kind, a AssertSpec, path string) (check, error) {
 				return nil
 			}}, nil
 		case "max-queued":
-			n, err := argInt(a, path)
+			n, err := arg[int](a, path)
 			if err != nil {
 				return zero, err
 			}
@@ -459,7 +426,7 @@ func compileCheck(kind Kind, a AssertSpec, path string) (check, error) {
 		case "min-queued":
 			// Overload scenarios assert the queues actually filled — proof
 			// the flash crowd exceeded capacity rather than being absorbed.
-			n, err := argInt(a, path)
+			n, err := arg[int](a, path)
 			if err != nil {
 				return zero, err
 			}
@@ -471,7 +438,7 @@ func compileCheck(kind Kind, a AssertSpec, path string) (check, error) {
 				return nil
 			}}, nil
 		case "min-events":
-			n, err := argInt(a, path)
+			n, err := arg[int](a, path)
 			if err != nil {
 				return zero, err
 			}
@@ -483,7 +450,7 @@ func compileCheck(kind Kind, a AssertSpec, path string) (check, error) {
 				return nil
 			}}, nil
 		case "makespan-ceiling":
-			d, err := argDuration(a, path)
+			d, err := arg[time.Duration](a, path)
 			if err != nil {
 				return zero, err
 			}

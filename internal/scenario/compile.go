@@ -7,10 +7,7 @@ import (
 	"nxcluster/internal/bench"
 	"nxcluster/internal/chaos"
 	"nxcluster/internal/cluster"
-	"nxcluster/internal/fleet"
 	"nxcluster/internal/knapsack"
-	"nxcluster/internal/proxy"
-	"nxcluster/internal/rmf"
 	"nxcluster/internal/simnet"
 )
 
@@ -19,26 +16,6 @@ const (
 	aliasRWCPSide = "$rwcp-side"
 	aliasETLSide  = "$etl-side"
 )
-
-// options compiles the topology section into testbed options.
-func (s *Spec) options() cluster.Options {
-	t := s.Topology
-	opts := cluster.Options{
-		RelayPerBuffer: t.RelayPerBuffer,
-		RelayBufBytes:  t.RelayBufBytes,
-		OpenFirewall:   t.OpenFirewall,
-		Secret:         t.Secret,
-		Seed:           t.Seed,
-		WANLatency:     t.WAN.Latency,
-		WANBandwidth:   t.WAN.Bandwidth,
-		WANLossRate:    t.WAN.Loss,
-		ExtraSites:     t.ExtraSites,
-	}
-	if t.Flow != nil {
-		opts.FlowModel = &simnet.FlowConfig{Seed: t.Flow.Seed}
-	}
-	return opts
-}
 
 // faultPlan compiles the faults section into a simnet plan (nil when the
 // scenario declares none). Host/link name validation happens later, at
@@ -120,56 +97,15 @@ func systemOf(name string) (cluster.System, error) {
 	return 0, fmt.Errorf("unknown system %q (one of: compas, etl-o2k, local, wide)", name)
 }
 
-// chaosConfig compiles a chaos-kind spec into the runnable chaos.Config.
+// chaosConfig attaches to the decoded chaos config what no workload key
+// states: the fault plan, the testbed options and the sampler.
 func (s *Spec) chaosConfig() (chaos.Config, error) {
-	w := s.Chaos
-	sys, err := systemOf(w.System)
-	if err != nil {
-		return chaos.Config{}, fmt.Errorf("scenario %s: workload.system: %w", s.Name, err)
-	}
 	plan, err := s.faultPlan()
 	if err != nil {
 		return chaos.Config{}, err
 	}
-	cfg := chaos.Config{
-		Items:    w.Items,
-		Capacity: w.Capacity,
-		System:   sys,
-		UseProxy: w.UseProxy,
-		FT: knapsack.FTParams{
-			Params: knapsack.Params{
-				Interval:  w.FT.Interval,
-				StealUnit: w.FT.StealUnit,
-				NodeCost:  w.FT.NodeCost,
-			},
-			SlaveTimeout:   w.FT.SlaveTimeout,
-			StealTimeout:   w.FT.StealTimeout,
-			StealRetries:   w.FT.StealRetries,
-			HeartbeatEvery: w.FT.HeartbeatEvery,
-		},
-		Plan:    plan,
-		Horizon: w.Horizon,
-		Keepalive: proxy.KeepaliveConfig{
-			Interval:   w.Keepalive.Interval,
-			Timeout:    w.Keepalive.Timeout,
-			MissBudget: w.Keepalive.MissBudget,
-		},
-		ControlPlane:  w.ControlPlane,
-		JobRuntime:    w.JobRuntime,
-		JobCompute:    w.JobCompute,
-		ExtraJobs:     w.ExtraJobs,
-		SuspectWindow: w.SuspectWindow,
-		BeatCost:      w.BeatCost,
-		HBMLateAfter:  w.HBMLateAfter,
-		HBMDownAfter:  w.HBMDownAfter,
-		Options:       s.options(),
-	}
-	if w.Recovery != nil {
-		cfg.Recovery = &rmf.RecoveryPolicy{
-			StatusRetries:  w.Recovery.StatusRetries,
-			SpeculateAfter: w.Recovery.SpeculateAfter,
-		}
-	}
+	cfg := *s.Chaos
+	cfg.Plan, cfg.Options = plan, s.Topology
 	// An SLO block needs windowed series to judge, so it switches the
 	// chaos sampler on (reads only — never perturbs virtual-time results).
 	if s.SLO != nil {
@@ -230,7 +166,7 @@ func Validate(s *Spec) error {
 		if err != nil {
 			return err
 		}
-		tb := cluster.NewTestbed(s.options())
+		tb := cluster.NewTestbed(s.Topology)
 		defer tb.Shutdown()
 		if plan != nil {
 			if err := tb.ApplyPlan(plan); err != nil {
@@ -256,61 +192,36 @@ func (s *Spec) checkShape() error {
 	}
 	switch s.Kind {
 	case KindGridFTP:
-		if s.Topology != (TopologySpec{}) {
+		if s.Topology != (cluster.Options{}) {
 			return fmt.Errorf("scenario %s: kind gridftp builds its own congestion-modeled testbed per point; the topology section must be empty", s.Name)
 		}
 	case KindFleet:
-		if s.Topology != (TopologySpec{}) {
+		if s.Topology != (cluster.Options{}) {
 			return fmt.Errorf("scenario %s: kind fleet stamps its own sites x hosts tree from the workload block; the topology section must be empty", s.Name)
 		}
 	}
 	return nil
 }
 
-// --- per-kind bench config compilation ---
+// --- per-kind bench configs: the decoded workload plus the testbed options ---
 
 func (s *Spec) table2Config() bench.Table2Config {
-	w := s.Table2
-	return bench.Table2Config{
-		Rounds:  w.Rounds,
-		Sizes:   w.Sizes,
-		Workers: w.Workers,
-		Options: s.options(),
-	}
+	cfg := *s.Table2
+	cfg.Options = s.Topology
+	return cfg
 }
 
 func (s *Spec) table4Config() bench.KnapsackConfig {
-	w := s.Table4
-	return bench.KnapsackConfig{
-		Items:    w.Items,
-		Capacity: w.Capacity,
-		Options:  s.options(),
-		Workers:  w.Workers,
-	}
+	cfg := *s.Table4
+	cfg.Options = s.Topology
+	return cfg
 }
 
+// monitorConfig pins the sweep width to 1: a monitor run is one kernel.
 func (s *Spec) monitorConfig() bench.MonitorConfig {
-	w := s.Monitor
-	return bench.MonitorConfig{
-		KnapsackConfig: bench.KnapsackConfig{
-			Items:    w.Items,
-			Capacity: w.Capacity,
-			Options:  s.options(),
-			Workers:  1,
-		},
-		Interval: w.Interval,
-	}
-}
-
-func (s *Spec) transferConfig() bench.TransferConfig {
-	w := s.GridFTP
-	return bench.TransferConfig{
-		FileSize:  w.FileSize,
-		Streams:   w.Streams,
-		LossRates: w.LossRates,
-		Seed:      w.Seed,
-		Workers:   w.Workers,
-	}
+	cfg := *s.Monitor
+	cfg.Options, cfg.Workers = s.Topology, 1
+	return cfg
 }
 
 func (s *Spec) gridConfig() (bench.GridConfig, error) {
@@ -318,48 +229,9 @@ func (s *Spec) gridConfig() (bench.GridConfig, error) {
 	if err != nil {
 		return bench.GridConfig{}, err
 	}
-	w := s.Grid
-	return bench.GridConfig{
-		Items:    w.Items,
-		Capacity: w.Capacity,
-		Options:  s.options(),
-		UseProxy: w.UseProxy,
-		Plan:     plan,
-	}, nil
-}
-
-// fleetConfig compiles a fleet-kind spec into the engine config. Validation
-// happens at decode time (decodeFleetWorkload calls Config.Validate), so by
-// Run the config is known-good.
-func (s *Spec) fleetConfig() fleet.Config {
-	w := s.Fleet
-	return fleet.Config{
-		Sites:        w.Sites,
-		HostsPerSite: w.HostsPerSite,
-		CPUsPerHost:  w.CPUsPerHost,
-		Jobs:         w.Jobs,
-		Seed:         w.Seed,
-		Heartbeat:    w.Heartbeat,
-		TraceSample:  w.TraceSample,
-		Arrivals: fleet.RateShape{
-			Kind:      w.Arrivals.Kind,
-			Rate:      w.Arrivals.Rate,
-			Amplitude: w.Arrivals.Amplitude,
-			Period:    w.Arrivals.Period,
-			Peak:      w.Arrivals.Peak,
-			From:      w.Arrivals.From,
-			To:        w.Arrivals.To,
-		},
-		Sizes: fleet.SizeDist{
-			Kind:  w.Sizes.Kind,
-			Mean:  w.Sizes.Mean,
-			Alpha: w.Sizes.Alpha,
-			Min:   w.Sizes.Min,
-			Max:   w.Sizes.Max,
-			Mu:    w.Sizes.Mu,
-			Sigma: w.Sizes.Sigma,
-		},
-	}
+	cfg := *s.Grid
+	cfg.Options, cfg.Plan = s.Topology, plan
+	return cfg, nil
 }
 
 // wantBest computes the normalized instance's known optimum (the capacity

@@ -52,7 +52,7 @@ func TestFleetParseErrors(t *testing.T) {
 		{"zero jobs", fleetDoc("  sites: 2\n  hosts_per_site: 4\n  arrivals: {kind: constant, rate: 10}\n  sizes: {kind: fixed, mean: 1s}\n"),
 			"jobs must be >= 1"},
 		{"negative trace sample", fleetDoc("  sites: 2\n  hosts_per_site: 4\n  jobs: 100\n  trace_sample: -1\n  arrivals: {kind: constant, rate: 10}\n  sizes: {kind: fixed, mean: 1s}\n"),
-			"trace sample must be >= 0"},
+			"trace_sample must be >= 0"},
 		{"pareto bounds inverted", fleetDoc("  sites: 2\n  hosts_per_site: 4\n  jobs: 100\n  arrivals: {kind: constant, rate: 10}\n  sizes: {kind: pareto, alpha: 1.5, min: 10s, max: 1s}\n"),
 			"pareto needs 0 < min < max"},
 		{"pareto alpha missing", fleetDoc("  sites: 2\n  hosts_per_site: 4\n  jobs: 100\n  arrivals: {kind: constant, rate: 10}\n  sizes: {kind: pareto, min: 1s, max: 10s}\n"),
@@ -120,7 +120,7 @@ func TestFleetValidateErrors(t *testing.T) {
 }
 
 // TestFleetDecodeDefaults pins the fleet block's implicit defaults and the
-// Spec -> fleet.Config mapping the runner consumes.
+// fleet.Config the runner consumes.
 func TestFleetDecodeDefaults(t *testing.T) {
 	s, err := Parse([]byte(fleetOK))
 	if err != nil {
@@ -135,15 +135,15 @@ func TestFleetDecodeDefaults(t *testing.T) {
 	if s.Fleet.Sizes.Kind != "fixed" {
 		t.Errorf("default sizes kind = %q, want fixed", s.Fleet.Sizes.Kind)
 	}
-	cfg := s.fleetConfig()
+	cfg := *s.Fleet
 	if cfg.Sites != 2 || cfg.HostsPerSite != 4 || cfg.Jobs != 100 {
-		t.Errorf("fleetConfig shape = %d x %d, %d jobs", cfg.Sites, cfg.HostsPerSite, cfg.Jobs)
+		t.Errorf("fleet config shape = %d x %d, %d jobs", cfg.Sites, cfg.HostsPerSite, cfg.Jobs)
 	}
 	if cfg.CPUsPerHost != 0 {
 		t.Errorf("cpus_per_host should default to 0 (engine default), got %d", cfg.CPUsPerHost)
 	}
 	if cfg.Arrivals.Rate != 10 || cfg.Sizes.Mean != time.Second {
-		t.Errorf("fleetConfig workload = %+v / %+v", cfg.Arrivals, cfg.Sizes)
+		t.Errorf("fleet config workload = %+v / %+v", cfg.Arrivals, cfg.Sizes)
 	}
 	if err := Validate(s); err != nil {
 		t.Fatalf("Validate on minimal fleet spec: %v", err)

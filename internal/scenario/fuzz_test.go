@@ -38,6 +38,11 @@ func FuzzScenario(f *testing.F) {
 		"- 1\n- 2\n",
 		"~\n",
 		strings.Repeat("a:\n ", 50),
+		// Integers no field means anything with: a negative list element once
+		// reached make() inside a simulated process, and extra_sites: 1e8 sent
+		// Validate off to build a hundred-million-host testbed.
+		"name: t\nkind: table2\nworkload:\n  rounds: 1\n  sizes: [-4]\n",
+		"name: t\nkind: grid\nworkload:\n  items: 10\n  capacity: 2\ntopology:\n  extra_sites: 100000000\n",
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))

@@ -228,7 +228,7 @@ func (s *Spec) runOnce(witness bool) (outcome, error) {
 		}
 		return outcome{v: rep, fp: fingerprintMonitor(rep), hash: rep.Store.Hash(), elapsed: rep.Elapsed}, nil
 	case KindGridFTP:
-		pts, err := bench.RunTransfer(s.transferConfig())
+		pts, err := bench.RunTransfer(*s.GridFTP)
 		if err != nil {
 			return outcome{}, err
 		}
@@ -255,7 +255,7 @@ func (s *Spec) runOnce(witness bool) (outcome, error) {
 		hash := fnvHash(fmt.Sprintf("%016x ", res.TraceHash))
 		return outcome{v: gr, fp: fingerprintGrid(res), hash: hash, elapsed: res.Elapsed}, nil
 	case KindFleet:
-		cfg := s.fleetConfig()
+		cfg := *s.Fleet
 		e, err := fleet.New(cfg)
 		if err != nil {
 			return outcome{}, err

@@ -6,6 +6,8 @@ import (
 	"testing"
 	"time"
 
+	"nxcluster/internal/chaos"
+	"nxcluster/internal/cluster"
 	"nxcluster/internal/obs"
 )
 
@@ -15,7 +17,7 @@ func tinyChaos(name string, asserts ...AssertSpec) *Spec {
 	return &Spec{
 		Name:    name,
 		Kind:    KindChaos,
-		Chaos:   &ChaosWorkload{Items: 8, Capacity: 2, System: "compas", Horizon: 30 * time.Second},
+		Chaos:   &chaos.Config{Items: 8, Capacity: 2, System: cluster.SystemCompas, Horizon: 30 * time.Second},
 		Asserts: asserts,
 	}
 }

@@ -2,13 +2,19 @@ package scenario
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"time"
+
+	"nxcluster/internal/bench"
+	"nxcluster/internal/chaos"
+	"nxcluster/internal/cluster"
+	"nxcluster/internal/fleet"
+	"nxcluster/internal/rmf"
+	"nxcluster/internal/simnet"
 )
 
-// Kind selects a scenario's experiment archetype — each maps onto one of the
-// hand-wired `experiments -run` code paths.
+// Kind selects a scenario's experiment archetype: which runner the workload
+// block configures and which assertions the file may declare.
 type Kind string
 
 const (
@@ -39,12 +45,16 @@ const (
 // validKinds lists every kind for error messages, in display order.
 var validKinds = []Kind{KindChaos, KindTable2, KindTable4, KindMonitor, KindGridFTP, KindGrid, KindFleet}
 
-// Spec is a fully decoded scenario file.
+// Spec is a fully decoded scenario file. The topology and workload sections
+// decode straight into the configs the run consumes (see decode.go); compile.go
+// attaches what no key states — the fault plan, the testbed options, the
+// sampler an slo block needs.
 type Spec struct {
-	Name     string
-	Desc     string
-	Kind     Kind
-	Topology TopologySpec
+	Name string
+	Desc string
+	Kind Kind
+	// Topology adjusts testbed construction.
+	Topology cluster.Options
 	Faults   []FaultSpec
 	Asserts  []AssertSpec
 
@@ -54,13 +64,13 @@ type Spec struct {
 	SLO *SLOSpec
 
 	// Exactly one of the following is non-nil, matching Kind.
-	Chaos   *ChaosWorkload
-	Table2  *Table2Workload
-	Table4  *Table4Workload
-	Monitor *MonitorWorkload
-	GridFTP *GridFTPWorkload
-	Grid    *GridWorkload
-	Fleet   *FleetWorkload
+	Chaos   *chaos.Config
+	Table2  *bench.Table2Config
+	Table4  *bench.KnapsackConfig
+	Monitor *bench.MonitorConfig
+	GridFTP *bench.TransferConfig
+	Grid    *bench.GridConfig
+	Fleet   *fleet.Config
 
 	// Baseline, for chaos scenarios, is a second spec produced by deep-
 	// merging the file's `baseline:` patch over the scenario document —
@@ -68,157 +78,6 @@ type Spec struct {
 	// cross-check applied between the two runs.
 	Baseline *Spec
 	Compare  string
-}
-
-// TopologySpec adjusts testbed construction (cluster.Options).
-type TopologySpec struct {
-	// ExtraSites adds grid sites beyond Figure 5.
-	ExtraSites int
-	// OpenFirewall reproduces the paper's temporarily-opened baseline.
-	OpenFirewall bool
-	// Secret enables authenticated relay control channels.
-	Secret string
-	// Seed seeds the kernel RNG (backoff jitter etc.).
-	Seed uint64
-	// RelayPerBuffer / RelayBufBytes override relay calibration.
-	RelayPerBuffer time.Duration
-	RelayBufBytes  int
-	// WAN overrides the IMnet link.
-	WAN WANSpec
-	// Flow enables the TCP-Reno congestion model.
-	Flow *FlowSpec
-}
-
-// WANSpec overrides the wide-area link (zero values keep calibration).
-type WANSpec struct {
-	Latency   time.Duration
-	Bandwidth int64
-	Loss      float64
-}
-
-// FlowSpec configures the congestion model.
-type FlowSpec struct {
-	Seed uint64
-}
-
-// ChaosWorkload mirrors chaos.Config's workload knobs.
-type ChaosWorkload struct {
-	Items        int
-	Capacity     int
-	System       string // compas | etl-o2k | local | wide
-	UseProxy     bool
-	Horizon      time.Duration
-	ControlPlane bool
-	JobRuntime   time.Duration
-	JobCompute   bool
-	// ExtraJobs submits a burst of additional RMF jobs (flash crowds).
-	ExtraJobs int
-	FT        FTSpec
-	Keepalive KeepaliveSpec
-	Recovery  *RecoverySpec
-	// SuspectWindow / BeatCost / HBMLateAfter / HBMDownAfter tune the
-	// gray-failure monitoring (see chaos.Config).
-	SuspectWindow time.Duration
-	BeatCost      time.Duration
-	HBMLateAfter  time.Duration
-	HBMDownAfter  time.Duration
-}
-
-// FTSpec mirrors knapsack.FTParams (with the embedded Params knobs).
-type FTSpec struct {
-	Interval       int
-	StealUnit      int
-	NodeCost       time.Duration
-	SlaveTimeout   time.Duration
-	StealTimeout   time.Duration
-	StealRetries   int
-	HeartbeatEvery time.Duration
-}
-
-// KeepaliveSpec mirrors proxy.KeepaliveConfig.
-type KeepaliveSpec struct {
-	Interval   time.Duration
-	Timeout    time.Duration
-	MissBudget int
-}
-
-// RecoverySpec mirrors rmf.RecoveryPolicy.
-type RecoverySpec struct {
-	StatusRetries  int
-	SpeculateAfter time.Duration
-}
-
-// Table2Workload mirrors bench.Table2Config.
-type Table2Workload struct {
-	Rounds  int
-	Sizes   []int
-	Workers int
-}
-
-// Table4Workload mirrors bench.KnapsackConfig.
-type Table4Workload struct {
-	Items    int
-	Capacity int
-	Workers  int
-}
-
-// MonitorWorkload mirrors bench.MonitorConfig.
-type MonitorWorkload struct {
-	Items    int
-	Capacity int
-	Interval time.Duration
-}
-
-// GridFTPWorkload mirrors bench.TransferConfig.
-type GridFTPWorkload struct {
-	FileSize  int
-	Streams   []int
-	LossRates []float64
-	Seed      uint64
-	Workers   int
-}
-
-// GridWorkload mirrors bench.GridConfig.
-type GridWorkload struct {
-	Items    int
-	Capacity int
-	UseProxy bool
-}
-
-// FleetWorkload mirrors fleet.Config. The nested arrival and size blocks
-// are decoded strictly and the whole block is validated with
-// fleet.Config.Validate at parse time, so malformed fleet scenarios —
-// unknown distribution, non-positive rate, sites x hosts past the host cap —
-// fail `simulator validate` with a field-named error.
-type FleetWorkload struct {
-	Sites        int
-	HostsPerSite int
-	CPUsPerHost  int
-	Jobs         int
-	Seed         uint64
-	Heartbeat    time.Duration
-	TraceSample  int
-	Arrivals     ArrivalsSpec
-	Sizes        SizesSpec
-}
-
-// ArrivalsSpec mirrors fleet.RateShape.
-type ArrivalsSpec struct {
-	Kind      string
-	Rate      float64
-	Amplitude float64
-	Period    time.Duration
-	Peak      float64
-	From, To  time.Duration
-}
-
-// SizesSpec mirrors fleet.SizeDist.
-type SizesSpec struct {
-	Kind      string
-	Mean      time.Duration
-	Alpha     float64
-	Min, Max  time.Duration
-	Mu, Sigma float64
 }
 
 // FaultSpec is one declarative fault-schedule entry.
@@ -230,9 +89,9 @@ type FaultSpec struct {
 	Host     string
 	A, B     string
 	Src, Dst string
-	// From/To bound the fault window. For degrade, slow and partition a
-	// missing `to` (or to == 0) leaves the fault in place permanently; for
-	// crash, outage and flap `to` is required.
+	// From/To bound the fault window. For crash, degrade, slow and partition
+	// a missing `to` leaves the fault in place permanently; for outage and
+	// flap `to` is required.
 	From, To time.Duration
 	// Period/Duty parameterize flap.
 	Period time.Duration
@@ -254,232 +113,9 @@ type AssertSpec struct {
 	Arg  any
 }
 
-// --- strict generic-value decoding ---
-
-// object wraps a decoded map for strict field access: every key must be
-// consumed, unknown keys error with the valid key set. used holds every key
-// the decoder asked for, present in the document or not.
-type object struct {
-	path string
-	m    map[string]any
-	used map[string]bool
-}
-
-func asObject(v any, path string) (*object, error) {
-	m, ok := v.(map[string]any)
-	if !ok {
-		return nil, fmt.Errorf("scenario: %s must be a mapping, got %s", path, typeName(v))
-	}
-	return &object{path: path, m: m, used: map[string]bool{}}, nil
-}
-
-func typeName(v any) string {
-	switch v.(type) {
-	case nil:
-		return "null"
-	case map[string]any:
-		return "mapping"
-	case []any:
-		return "list"
-	case string:
-		return "string"
-	case bool:
-		return "bool"
-	case int64:
-		return "integer"
-	case float64:
-		return "number"
-	}
-	return fmt.Sprintf("%T", v)
-}
-
-func (o *object) has(key string) bool {
-	_, ok := o.m[key]
-	return ok
-}
-
-func (o *object) take(key string) (any, bool) {
-	o.used[key] = true
-	v, ok := o.m[key]
-	return v, ok
-}
-
-// finish errors on any unconsumed (unknown) key.
-func (o *object) finish() error {
-	var unknown []string
-	for k := range o.m {
-		if !o.used[k] {
-			unknown = append(unknown, k)
-		}
-	}
-	if len(unknown) == 0 {
-		return nil
-	}
-	sort.Strings(unknown)
-	valid := make([]string, 0, len(o.used))
-	for k := range o.used {
-		valid = append(valid, k)
-	}
-	sort.Strings(valid)
-	return fmt.Errorf("scenario: %s: unknown key %q (valid keys: %s)",
-		o.path, unknown[0], strings.Join(valid, ", "))
-}
-
-func (o *object) str(key string, def string) (string, error) {
-	v, ok := o.take(key)
-	if !ok || v == nil {
-		return def, nil
-	}
-	s, isStr := v.(string)
-	if !isStr {
-		return "", fmt.Errorf("scenario: %s.%s must be a string, got %s", o.path, key, typeName(v))
-	}
-	return s, nil
-}
-
-func (o *object) boolean(key string, def bool) (bool, error) {
-	v, ok := o.take(key)
-	if !ok || v == nil {
-		return def, nil
-	}
-	b, isBool := v.(bool)
-	if !isBool {
-		return false, fmt.Errorf("scenario: %s.%s must be true or false, got %s", o.path, key, typeName(v))
-	}
-	return b, nil
-}
-
-func (o *object) integer(key string, def int64) (int64, error) {
-	v, ok := o.take(key)
-	if !ok || v == nil {
-		return def, nil
-	}
-	return coerceInt(v, o.path+"."+key)
-}
-
-func coerceInt(v any, path string) (int64, error) {
-	switch t := v.(type) {
-	case int64:
-		return t, nil
-	case float64:
-		if t == float64(int64(t)) {
-			return int64(t), nil
-		}
-	}
-	return 0, fmt.Errorf("scenario: %s must be an integer, got %s", path, typeName(v))
-}
-
-func (o *object) float(key string, def float64) (float64, error) {
-	v, ok := o.take(key)
-	if !ok || v == nil {
-		return def, nil
-	}
-	return coerceFloat(v, o.path+"."+key)
-}
-
-func coerceFloat(v any, path string) (float64, error) {
-	switch t := v.(type) {
-	case int64:
-		return float64(t), nil
-	case float64:
-		return t, nil
-	}
-	return 0, fmt.Errorf("scenario: %s must be a number, got %s", path, typeName(v))
-}
-
-// duration decodes a Go duration string ("250ms"). Negative durations are
-// rejected everywhere in the schema — no field means anything with one.
-func (o *object) duration(key string, def time.Duration) (time.Duration, error) {
-	v, ok := o.take(key)
-	if !ok || v == nil {
-		return def, nil
-	}
-	return coerceDuration(v, o.path+"."+key)
-}
-
-func coerceDuration(v any, path string) (time.Duration, error) {
-	s, isStr := v.(string)
-	if !isStr {
-		return 0, fmt.Errorf("scenario: %s must be a duration string like \"250ms\", got %s", path, typeName(v))
-	}
-	d, err := time.ParseDuration(s)
-	if err != nil {
-		return 0, fmt.Errorf("scenario: %s: invalid duration %q", path, s)
-	}
-	if d < 0 {
-		return 0, fmt.Errorf("scenario: %s: negative duration %q", path, s)
-	}
-	return d, nil
-}
-
-func (o *object) strings(key string) ([]string, error) {
-	v, ok := o.take(key)
-	if !ok || v == nil {
-		return nil, nil
-	}
-	seq, isSeq := v.([]any)
-	if !isSeq {
-		return nil, fmt.Errorf("scenario: %s.%s must be a list of strings, got %s", o.path, key, typeName(v))
-	}
-	out := make([]string, 0, len(seq))
-	for i, e := range seq {
-		s, isStr := e.(string)
-		if !isStr {
-			return nil, fmt.Errorf("scenario: %s.%s[%d] must be a string, got %s", o.path, key, i, typeName(e))
-		}
-		out = append(out, s)
-	}
-	return out, nil
-}
-
-func (o *object) ints(key string) ([]int, error) {
-	v, ok := o.take(key)
-	if !ok || v == nil {
-		return nil, nil
-	}
-	seq, isSeq := v.([]any)
-	if !isSeq {
-		return nil, fmt.Errorf("scenario: %s.%s must be a list of integers, got %s", o.path, key, typeName(v))
-	}
-	out := make([]int, 0, len(seq))
-	for i, e := range seq {
-		n, err := coerceInt(e, fmt.Sprintf("%s.%s[%d]", o.path, key, i))
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, int(n))
-	}
-	return out, nil
-}
-
-func (o *object) floats(key string) ([]float64, error) {
-	v, ok := o.take(key)
-	if !ok || v == nil {
-		return nil, nil
-	}
-	seq, isSeq := v.([]any)
-	if !isSeq {
-		return nil, fmt.Errorf("scenario: %s.%s must be a list of numbers, got %s", o.path, key, typeName(v))
-	}
-	out := make([]float64, 0, len(seq))
-	for i, e := range seq {
-		f, err := coerceFloat(e, fmt.Sprintf("%s.%s[%d]", o.path, key, i))
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, f)
-	}
-	return out, nil
-}
-
-// child returns the sub-object at key, or nil when absent/null.
-func (o *object) child(key string) (*object, error) {
-	v, ok := o.take(key)
-	if !ok || v == nil {
-		return nil, nil
-	}
-	return asObject(v, o.path+"."+key)
-}
+// maxExtraSites caps topology.extra_sites: the shipped maximum is 3, and kind
+// fleet (fleet.MaxFleetHosts) is the path for thousands of hosts.
+const maxExtraSites = 1024
 
 // Parse decodes and validates one scenario document. The returned Spec is
 // ready to Compile and Run. Parse never panics on malformed input.
@@ -492,69 +128,73 @@ func Parse(data []byte) (*Spec, error) {
 }
 
 func decodeSpec(doc any, allowBaseline bool) (*Spec, error) {
-	root, err := asObject(doc, "scenario")
-	if err != nil {
-		return nil, err
-	}
 	s := &Spec{}
-	if s.Name, err = root.str("name", ""); err != nil {
+	var kind string
+	var topology, workload, slo, baseline any
+	var faults, asserts []any
+	if err := decode(doc, "", table{
+		{"name", &s.Name},
+		{"desc", &s.Desc},
+		{"kind", &kind},
+		{"topology", &topology},
+		{"workload", &workload},
+		{"faults", &faults},
+		{"assert", &asserts},
+		{"slo", &slo},
+		{"baseline", &baseline},
+		{"compare", &s.Compare},
+	}); err != nil {
 		return nil, err
 	}
 	if s.Name == "" {
 		return nil, fmt.Errorf("scenario: missing required key \"name\"")
 	}
-	if s.Desc, err = root.str("desc", ""); err != nil {
-		return nil, err
-	}
-	kindStr, err := root.str("kind", "")
-	if err != nil {
-		return nil, err
-	}
-	if kindStr == "" {
+	if kind == "" {
 		return nil, fmt.Errorf("scenario %s: missing required key \"kind\" (one of: %s)", s.Name, kindList())
 	}
-	s.Kind = Kind(kindStr)
+	s.Kind = Kind(kind)
 	if !validKind(s.Kind) {
-		return nil, fmt.Errorf("scenario %s: unknown kind %q (one of: %s)", s.Name, kindStr, kindList())
+		return nil, fmt.Errorf("scenario %s: unknown kind %q (one of: %s)", s.Name, kind, kindList())
 	}
-
-	if topo, err := root.child("topology"); err != nil {
-		return nil, err
-	} else if topo != nil {
-		if err := decodeTopology(topo, &s.Topology); err != nil {
+	if topology != nil {
+		if err := decodeTopology(topology, &s.Topology); err != nil {
 			return nil, err
 		}
 	}
-
-	wl, ok := root.take("workload")
-	if !ok || wl == nil {
+	if workload == nil {
 		return nil, fmt.Errorf("scenario %s: missing required key \"workload\" (kind %s needs one)", s.Name, s.Kind)
 	}
-	wobj, err := asObject(wl, "workload")
-	if err != nil {
+	if err := decodeWorkload(workload, s); err != nil {
 		return nil, err
 	}
-	if err := decodeWorkload(wobj, s); err != nil {
-		return nil, err
+	for i, e := range faults {
+		f, err := decodeFault(e, fmt.Sprintf("faults[%d]", i))
+		if err != nil {
+			return nil, err
+		}
+		s.Faults = append(s.Faults, f)
 	}
-
-	if err := decodeFaults(root, s); err != nil {
-		return nil, err
+	for i, e := range asserts {
+		switch t := e.(type) {
+		case string:
+			s.Asserts = append(s.Asserts, AssertSpec{Name: t})
+		case map[string]any:
+			if len(t) != 1 {
+				return nil, fmt.Errorf("scenario: assert[%d] must be a bare name or a single-key mapping", i)
+			}
+			for k, arg := range t {
+				s.Asserts = append(s.Asserts, AssertSpec{Name: k, Arg: arg})
+			}
+		default:
+			return nil, fmt.Errorf("scenario: assert[%d] must be a name or \"name: arg\", got %s", i, typeName(e))
+		}
 	}
-	if err := decodeAsserts(root, s); err != nil {
-		return nil, err
+	if slo != nil {
+		if err := decodeSLO(slo, s); err != nil {
+			return nil, err
+		}
 	}
-	if err := decodeSLO(root, s); err != nil {
-		return nil, err
-	}
-
-	baseline, hasBaseline := root.take("baseline")
-	compare, err := root.str("compare", "")
-	if err != nil {
-		return nil, err
-	}
-	s.Compare = compare
-	if hasBaseline && baseline != nil {
+	if baseline != nil {
 		if !allowBaseline {
 			return nil, fmt.Errorf("scenario %s: baseline cannot itself declare a baseline", s.Name)
 		}
@@ -563,7 +203,7 @@ func decodeSpec(doc any, allowBaseline bool) (*Spec, error) {
 		}
 		patch, ok := baseline.(map[string]any)
 		if !ok {
-			return nil, fmt.Errorf("scenario: baseline must be a mapping, got %s", typeName(baseline))
+			return nil, mismatch("baseline", "a mapping", baseline)
 		}
 		// The baseline inherits the document minus the primary-run-only
 		// sections: its own baseline/compare, the assertions, and the SLO
@@ -577,9 +217,6 @@ func decodeSpec(doc any, allowBaseline bool) (*Spec, error) {
 	}
 	if s.Compare != "" && s.Baseline == nil {
 		return nil, fmt.Errorf("scenario %s: compare %q requires a baseline", s.Name, s.Compare)
-	}
-	if err := root.finish(); err != nil {
-		return nil, err
 	}
 	return s, nil
 }
@@ -637,635 +274,263 @@ func deepMerge(base, patch map[string]any) map[string]any {
 	return out
 }
 
-func decodeTopology(o *object, t *TopologySpec) error {
-	var err error
-	fail := func(e error) bool {
-		if e != nil && err == nil {
-			err = e
-		}
-		return err != nil
-	}
-	var n int64
-	if n, err = o.integer("extra_sites", 0); fail(err) {
-		return err
-	}
-	if n < 0 {
-		return fmt.Errorf("scenario: topology.extra_sites must be >= 0, got %d", n)
-	}
-	t.ExtraSites = int(n)
-	if t.OpenFirewall, err = o.boolean("open_firewall", false); fail(err) {
-		return err
-	}
-	if t.Secret, err = o.str("secret", ""); fail(err) {
-		return err
-	}
-	if n, err = o.integer("seed", 0); fail(err) {
-		return err
-	}
-	t.Seed = uint64(n)
-	if t.RelayPerBuffer, err = o.duration("relay_per_buffer", 0); fail(err) {
-		return err
-	}
-	if n, err = o.integer("relay_buf_bytes", 0); fail(err) {
-		return err
-	}
-	t.RelayBufBytes = int(n)
-	wan, err := o.child("wan")
+func decodeTopology(v any, o *cluster.Options) error {
+	// A flow block switches the congestion model on by being there.
+	flow, hasFlow := &simnet.FlowConfig{Seed: 1}, false
+	err := decode(v, "topology", table{
+		{"extra_sites", &o.ExtraSites},
+		{"open_firewall", &o.OpenFirewall},
+		{"secret", &o.Secret},
+		{"seed", &o.Seed},
+		{"relay_per_buffer", &o.RelayPerBuffer},
+		{"relay_buf_bytes", &o.RelayBufBytes},
+		{"wan", table{
+			{"latency", &o.WANLatency},
+			{"bandwidth", &o.WANBandwidth},
+			{"loss", &o.WANLossRate},
+		}},
+		{"flow", present{&hasFlow, table{
+			{"seed", &flow.Seed},
+		}}},
+	})
 	if err != nil {
 		return err
 	}
-	if wan != nil {
-		if t.WAN.Latency, err = wan.duration("latency", 0); err != nil {
-			return err
-		}
-		if n, err = wan.integer("bandwidth", 0); err != nil {
-			return err
-		}
-		t.WAN.Bandwidth = n
-		if t.WAN.Loss, err = wan.float("loss", 0); err != nil {
-			return err
-		}
-		if t.WAN.Loss < 0 || t.WAN.Loss > 1 {
-			return fmt.Errorf("scenario: topology.wan.loss %v outside [0,1] — loss is a probability", t.WAN.Loss)
-		}
-		if err = wan.finish(); err != nil {
-			return err
-		}
+	if hasFlow {
+		o.FlowModel = flow
 	}
-	flow, err := o.child("flow")
-	if err != nil {
-		return err
+	if o.ExtraSites > maxExtraSites {
+		return fmt.Errorf("scenario: topology.extra_sites must be <= %d, got %d (kind fleet is the path for thousands of hosts)", maxExtraSites, o.ExtraSites)
 	}
-	if flow != nil {
-		t.Flow = &FlowSpec{}
-		if n, err = flow.integer("seed", 1); err != nil {
-			return err
-		}
-		t.Flow.Seed = uint64(n)
-		if err = flow.finish(); err != nil {
-			return err
-		}
+	if o.WANLossRate < 0 || o.WANLossRate > 1 {
+		return fmt.Errorf("scenario: topology.wan.loss %v outside [0,1] — loss is a probability", o.WANLossRate)
 	}
-	return o.finish()
+	return nil
 }
 
-func decodeWorkload(o *object, s *Spec) error {
+// decodeWorkload fills the run config of the spec's kind from the workload
+// block. Defaults that are not the zero value are set on the config before
+// the walk.
+func decodeWorkload(v any, s *Spec) error {
+	const path = "workload"
 	switch s.Kind {
 	case KindChaos:
-		return decodeChaosWorkload(o, s)
+		c := &chaos.Config{System: cluster.SystemWide, UseProxy: true}
+		// A recovery block overrides the job's policy by being there.
+		rec, hasRec := &rmf.RecoveryPolicy{}, false
+		s.Chaos = c
+		err := decode(v, path, table{
+			{"items", &c.Items},
+			{"capacity", &c.Capacity},
+			{"system", func(name string) (err error) { c.System, err = systemOf(name); return }},
+			{"use_proxy", &c.UseProxy},
+			{"horizon", &c.Horizon},
+			{"control_plane", &c.ControlPlane},
+			{"job_runtime", &c.JobRuntime},
+			{"job_compute", &c.JobCompute},
+			{"extra_jobs", &c.ExtraJobs},
+			{"suspect_window", &c.SuspectWindow},
+			{"beat_cost", &c.BeatCost},
+			{"hbm", table{
+				{"late_after", &c.HBMLateAfter},
+				{"down_after", &c.HBMDownAfter},
+			}},
+			{"ft", table{
+				{"interval", &c.FT.Interval},
+				{"steal_unit", &c.FT.StealUnit},
+				{"node_cost", &c.FT.NodeCost},
+				{"slave_timeout", &c.FT.SlaveTimeout},
+				{"steal_timeout", &c.FT.StealTimeout},
+				{"steal_retries", &c.FT.StealRetries},
+				{"heartbeat_every", &c.FT.HeartbeatEvery},
+			}},
+			{"keepalive", table{
+				{"interval", &c.Keepalive.Interval},
+				{"timeout", &c.Keepalive.Timeout},
+				{"miss_budget", &c.Keepalive.MissBudget},
+			}},
+			{"recovery", present{&hasRec, table{
+				{"status_retries", &rec.StatusRetries},
+				{"speculate_after", &rec.SpeculateAfter},
+			}}},
+		})
+		if hasRec {
+			c.Recovery = rec
+		}
+		return err
 	case KindTable2:
-		return decodeTable2Workload(o, s)
+		c := &bench.Table2Config{}
+		s.Table2 = c
+		return decode(v, path, table{
+			{"rounds", &c.Rounds},
+			{"sizes", &c.Sizes},
+			{"workers", &c.Workers},
+		})
 	case KindTable4:
-		return decodeTable4Workload(o, s)
+		c := &bench.KnapsackConfig{}
+		s.Table4 = c
+		return decode(v, path, table{
+			{"items", &c.Items},
+			{"capacity", &c.Capacity},
+			{"workers", &c.Workers},
+		})
 	case KindMonitor:
-		return decodeMonitorWorkload(o, s)
+		c := &bench.MonitorConfig{}
+		s.Monitor = c
+		return decode(v, path, table{
+			{"items", &c.Items},
+			{"capacity", &c.Capacity},
+			{"interval", &c.Interval},
+		})
 	case KindGridFTP:
-		return decodeGridFTPWorkload(o, s)
+		c := &bench.TransferConfig{}
+		s.GridFTP = c
+		if err := decode(v, path, table{
+			{"file_size", &c.FileSize},
+			{"streams", &c.Streams},
+			{"loss_rates", &c.LossRates},
+			{"seed", &c.Seed},
+			{"workers", &c.Workers},
+		}); err != nil {
+			return err
+		}
+		for _, l := range c.LossRates {
+			if l < 0 || l > 1 {
+				return fmt.Errorf("scenario: workload.loss_rates entry %v outside [0,1] — loss is a probability", l)
+			}
+		}
+		return nil
 	case KindGrid:
-		return decodeGridWorkload(o, s)
+		c := &bench.GridConfig{}
+		s.Grid = c
+		return decode(v, path, table{
+			{"items", &c.Items},
+			{"capacity", &c.Capacity},
+			{"use_proxy", &c.UseProxy},
+		})
 	case KindFleet:
-		return decodeFleetWorkload(o, s)
+		c := &fleet.Config{Arrivals: fleet.RateShape{Kind: "constant"}, Sizes: fleet.SizeDist{Kind: "fixed"}}
+		var hasArrivals, hasSizes bool
+		s.Fleet = c
+		if err := decode(v, path, table{
+			{"sites", &c.Sites},
+			{"hosts_per_site", &c.HostsPerSite},
+			{"cpus_per_host", &c.CPUsPerHost},
+			{"jobs", &c.Jobs},
+			{"seed", &c.Seed},
+			{"heartbeat", &c.Heartbeat},
+			{"trace_sample", &c.TraceSample},
+			{"arrivals", present{&hasArrivals, table{
+				{"kind", &c.Arrivals.Kind},
+				{"rate", &c.Arrivals.Rate},
+				{"amplitude", &c.Arrivals.Amplitude},
+				{"period", &c.Arrivals.Period},
+				{"peak", &c.Arrivals.Peak},
+				{"from", &c.Arrivals.From},
+				{"to", &c.Arrivals.To},
+			}}},
+			{"sizes", present{&hasSizes, table{
+				{"kind", &c.Sizes.Kind},
+				{"mean", &c.Sizes.Mean},
+				{"alpha", &c.Sizes.Alpha},
+				{"min", &c.Sizes.Min},
+				{"max", &c.Sizes.Max},
+				{"mu", &c.Sizes.Mu},
+				{"sigma", &c.Sizes.Sigma},
+			}}},
+		}); err != nil {
+			return err
+		}
+		if !hasArrivals {
+			return fmt.Errorf("scenario %s: workload.arrivals required (the open-loop rate process)", s.Name)
+		}
+		if !hasSizes {
+			return fmt.Errorf("scenario %s: workload.sizes required (the job service-time distribution)", s.Name)
+		}
+		// Strict decode: a fleet block that parses but cannot run (unknown
+		// distribution, rate <= 0, sites x hosts past the host cap) is a parse
+		// error, not a deferred run failure.
+		if err := c.Validate(); err != nil {
+			return fmt.Errorf("scenario %s: workload: %w", s.Name, err)
+		}
+		return nil
 	}
 	return fmt.Errorf("scenario %s: unknown kind %q", s.Name, s.Kind)
 }
 
-func decodeChaosWorkload(o *object, s *Spec) error {
-	w := &ChaosWorkload{}
-	var err error
-	var n int64
-	if n, err = o.integer("items", 0); err != nil {
-		return err
-	}
-	w.Items = int(n)
-	if n, err = o.integer("capacity", 0); err != nil {
-		return err
-	}
-	w.Capacity = int(n)
-	if w.System, err = o.str("system", "wide"); err != nil {
-		return err
-	}
-	if w.UseProxy, err = o.boolean("use_proxy", true); err != nil {
-		return err
-	}
-	if w.Horizon, err = o.duration("horizon", 0); err != nil {
-		return err
-	}
-	if w.ControlPlane, err = o.boolean("control_plane", false); err != nil {
-		return err
-	}
-	if w.JobRuntime, err = o.duration("job_runtime", 0); err != nil {
-		return err
-	}
-	if w.JobCompute, err = o.boolean("job_compute", false); err != nil {
-		return err
-	}
-	if n, err = o.integer("extra_jobs", 0); err != nil {
-		return err
-	}
-	w.ExtraJobs = int(n)
-	if w.SuspectWindow, err = o.duration("suspect_window", 0); err != nil {
-		return err
-	}
-	if w.BeatCost, err = o.duration("beat_cost", 0); err != nil {
-		return err
-	}
-	hbm, err := o.child("hbm")
-	if err != nil {
-		return err
-	}
-	if hbm != nil {
-		if w.HBMLateAfter, err = hbm.duration("late_after", 0); err != nil {
-			return err
-		}
-		if w.HBMDownAfter, err = hbm.duration("down_after", 0); err != nil {
-			return err
-		}
-		if err = hbm.finish(); err != nil {
-			return err
-		}
-	}
-	ft, err := o.child("ft")
-	if err != nil {
-		return err
-	}
-	if ft != nil {
-		if n, err = ft.integer("interval", 0); err != nil {
-			return err
-		}
-		w.FT.Interval = int(n)
-		if n, err = ft.integer("steal_unit", 0); err != nil {
-			return err
-		}
-		w.FT.StealUnit = int(n)
-		if w.FT.NodeCost, err = ft.duration("node_cost", 0); err != nil {
-			return err
-		}
-		if w.FT.SlaveTimeout, err = ft.duration("slave_timeout", 0); err != nil {
-			return err
-		}
-		if w.FT.StealTimeout, err = ft.duration("steal_timeout", 0); err != nil {
-			return err
-		}
-		if n, err = ft.integer("steal_retries", 0); err != nil {
-			return err
-		}
-		w.FT.StealRetries = int(n)
-		if w.FT.HeartbeatEvery, err = ft.duration("heartbeat_every", 0); err != nil {
-			return err
-		}
-		if err = ft.finish(); err != nil {
-			return err
-		}
-	}
-	ka, err := o.child("keepalive")
-	if err != nil {
-		return err
-	}
-	if ka != nil {
-		if w.Keepalive.Interval, err = ka.duration("interval", 0); err != nil {
-			return err
-		}
-		if w.Keepalive.Timeout, err = ka.duration("timeout", 0); err != nil {
-			return err
-		}
-		if n, err = ka.integer("miss_budget", 0); err != nil {
-			return err
-		}
-		w.Keepalive.MissBudget = int(n)
-		if err = ka.finish(); err != nil {
-			return err
-		}
-	}
-	rec, err := o.child("recovery")
-	if err != nil {
-		return err
-	}
-	if rec != nil {
-		w.Recovery = &RecoverySpec{}
-		if n, err = rec.integer("status_retries", 0); err != nil {
-			return err
-		}
-		w.Recovery.StatusRetries = int(n)
-		if w.Recovery.SpeculateAfter, err = rec.duration("speculate_after", 0); err != nil {
-			return err
-		}
-		if err = rec.finish(); err != nil {
-			return err
-		}
-	}
-	if err = o.finish(); err != nil {
-		return err
-	}
-	s.Chaos = w
-	return nil
-}
-
-func decodeTable2Workload(o *object, s *Spec) error {
-	w := &Table2Workload{}
-	var err error
-	var n int64
-	if n, err = o.integer("rounds", 0); err != nil {
-		return err
-	}
-	w.Rounds = int(n)
-	if w.Sizes, err = o.ints("sizes"); err != nil {
-		return err
-	}
-	if n, err = o.integer("workers", 0); err != nil {
-		return err
-	}
-	w.Workers = int(n)
-	if err = o.finish(); err != nil {
-		return err
-	}
-	s.Table2 = w
-	return nil
-}
-
-func decodeTable4Workload(o *object, s *Spec) error {
-	w := &Table4Workload{}
-	var err error
-	var n int64
-	if n, err = o.integer("items", 0); err != nil {
-		return err
-	}
-	w.Items = int(n)
-	if n, err = o.integer("capacity", 0); err != nil {
-		return err
-	}
-	w.Capacity = int(n)
-	if n, err = o.integer("workers", 0); err != nil {
-		return err
-	}
-	w.Workers = int(n)
-	if err = o.finish(); err != nil {
-		return err
-	}
-	s.Table4 = w
-	return nil
-}
-
-func decodeMonitorWorkload(o *object, s *Spec) error {
-	w := &MonitorWorkload{}
-	var err error
-	var n int64
-	if n, err = o.integer("items", 0); err != nil {
-		return err
-	}
-	w.Items = int(n)
-	if n, err = o.integer("capacity", 0); err != nil {
-		return err
-	}
-	w.Capacity = int(n)
-	if w.Interval, err = o.duration("interval", 0); err != nil {
-		return err
-	}
-	if err = o.finish(); err != nil {
-		return err
-	}
-	s.Monitor = w
-	return nil
-}
-
-func decodeGridFTPWorkload(o *object, s *Spec) error {
-	w := &GridFTPWorkload{}
-	var err error
-	var n int64
-	if n, err = o.integer("file_size", 0); err != nil {
-		return err
-	}
-	w.FileSize = int(n)
-	if w.Streams, err = o.ints("streams"); err != nil {
-		return err
-	}
-	if w.LossRates, err = o.floats("loss_rates"); err != nil {
-		return err
-	}
-	for _, l := range w.LossRates {
-		if l < 0 || l > 1 {
-			return fmt.Errorf("scenario: workload.loss_rates entry %v outside [0,1] — loss is a probability", l)
-		}
-	}
-	if n, err = o.integer("seed", 0); err != nil {
-		return err
-	}
-	w.Seed = uint64(n)
-	if n, err = o.integer("workers", 0); err != nil {
-		return err
-	}
-	w.Workers = int(n)
-	if err = o.finish(); err != nil {
-		return err
-	}
-	s.GridFTP = w
-	return nil
-}
-
-func decodeGridWorkload(o *object, s *Spec) error {
-	w := &GridWorkload{}
-	var err error
-	var n int64
-	if n, err = o.integer("items", 0); err != nil {
-		return err
-	}
-	w.Items = int(n)
-	if n, err = o.integer("capacity", 0); err != nil {
-		return err
-	}
-	w.Capacity = int(n)
-	if w.UseProxy, err = o.boolean("use_proxy", false); err != nil {
-		return err
-	}
-	if err = o.finish(); err != nil {
-		return err
-	}
-	s.Grid = w
-	return nil
-}
-
-func decodeFleetWorkload(o *object, s *Spec) error {
-	w := &FleetWorkload{}
-	var err error
-	var n int64
-	if n, err = o.integer("sites", 0); err != nil {
-		return err
-	}
-	w.Sites = int(n)
-	if n, err = o.integer("hosts_per_site", 0); err != nil {
-		return err
-	}
-	w.HostsPerSite = int(n)
-	if n, err = o.integer("cpus_per_host", 0); err != nil {
-		return err
-	}
-	w.CPUsPerHost = int(n)
-	if n, err = o.integer("jobs", 0); err != nil {
-		return err
-	}
-	w.Jobs = int(n)
-	if n, err = o.integer("seed", 0); err != nil {
-		return err
-	}
-	w.Seed = uint64(n)
-	if w.Heartbeat, err = o.duration("heartbeat", 0); err != nil {
-		return err
-	}
-	if n, err = o.integer("trace_sample", 0); err != nil {
-		return err
-	}
-	w.TraceSample = int(n)
-
-	arr, err := o.child("arrivals")
-	if err != nil {
-		return err
-	}
-	if arr == nil {
-		return fmt.Errorf("scenario %s: workload.arrivals required (the open-loop rate process)", s.Name)
-	}
-	if w.Arrivals.Kind, err = arr.str("kind", "constant"); err != nil {
-		return err
-	}
-	if w.Arrivals.Rate, err = arr.float("rate", 0); err != nil {
-		return err
-	}
-	if w.Arrivals.Amplitude, err = arr.float("amplitude", 0); err != nil {
-		return err
-	}
-	if w.Arrivals.Period, err = arr.duration("period", 0); err != nil {
-		return err
-	}
-	if w.Arrivals.Peak, err = arr.float("peak", 0); err != nil {
-		return err
-	}
-	if w.Arrivals.From, err = arr.duration("from", 0); err != nil {
-		return err
-	}
-	if w.Arrivals.To, err = arr.duration("to", 0); err != nil {
-		return err
-	}
-	if err = arr.finish(); err != nil {
-		return err
-	}
-
-	sz, err := o.child("sizes")
-	if err != nil {
-		return err
-	}
-	if sz == nil {
-		return fmt.Errorf("scenario %s: workload.sizes required (the job service-time distribution)", s.Name)
-	}
-	if w.Sizes.Kind, err = sz.str("kind", "fixed"); err != nil {
-		return err
-	}
-	if w.Sizes.Mean, err = sz.duration("mean", 0); err != nil {
-		return err
-	}
-	if w.Sizes.Alpha, err = sz.float("alpha", 0); err != nil {
-		return err
-	}
-	if w.Sizes.Min, err = sz.duration("min", 0); err != nil {
-		return err
-	}
-	if w.Sizes.Max, err = sz.duration("max", 0); err != nil {
-		return err
-	}
-	if w.Sizes.Mu, err = sz.float("mu", 0); err != nil {
-		return err
-	}
-	if w.Sizes.Sigma, err = sz.float("sigma", 0); err != nil {
-		return err
-	}
-	if err = sz.finish(); err != nil {
-		return err
-	}
-
-	if err = o.finish(); err != nil {
-		return err
-	}
-	s.Fleet = w
-	// Strict decode: a fleet block that parses but cannot run (unknown
-	// distribution, rate <= 0, sites x hosts past the host cap) is a parse
-	// error, not a deferred run failure.
-	if err := s.fleetConfig().Validate(); err != nil {
-		return fmt.Errorf("scenario %s: workload: %w", s.Name, err)
-	}
-	return nil
-}
-
-func decodeFaults(root *object, s *Spec) error {
-	v, ok := root.take("faults")
-	if !ok || v == nil {
-		return nil
-	}
-	seq, isSeq := v.([]any)
-	if !isSeq {
-		return fmt.Errorf("scenario: faults must be a list, got %s", typeName(v))
-	}
-	for i, e := range seq {
-		path := fmt.Sprintf("faults[%d]", i)
-		m, isMap := e.(map[string]any)
-		if !isMap || len(m) != 1 {
-			return fmt.Errorf("scenario: %s must be a single-key mapping like \"- crash: {...}\"", path)
-		}
-		var kind string
-		var body any
-		for k, b := range m {
-			kind, body = k, b
-		}
-		o, err := asObject(body, path+"."+kind)
-		if err != nil {
-			return err
-		}
-		f, err := decodeFault(kind, o)
-		if err != nil {
-			return err
-		}
-		s.Faults = append(s.Faults, f)
-	}
-	return nil
-}
-
-func decodeFault(kind string, o *object) (FaultSpec, error) {
-	f := FaultSpec{Kind: kind}
-	var err error
-	windowed := func(requireTo bool) error {
-		if f.From, err = o.duration("from", 0); err != nil {
-			return err
-		}
-		if requireTo && !o.has("to") {
-			return fmt.Errorf("scenario: %s: missing required key \"to\" (%s needs a bounded window)", o.path, kind)
-		}
-		if f.To, err = o.duration("to", 0); err != nil {
-			return err
-		}
-		if o.has("to") && f.To <= f.From {
-			if requireTo {
-				return fmt.Errorf("scenario: %s: window to %v <= from %v — %s windows must end after they start", o.path, f.To, f.From, kind)
-			}
-			return fmt.Errorf("scenario: %s: window to %v <= from %v — omit \"to\" for a permanent %s", o.path, f.To, f.From, kind)
-		}
-		return nil
-	}
-	switch kind {
+// decodeFault decodes one `- kind: {...}` entry of the faults list: the kind's
+// own keys plus the window every kind takes, then the kind's range checks.
+func decodeFault(e any, path string) (FaultSpec, error) {
+	m, isMap := e.(map[string]any)
+	if !isMap || len(m) != 1 {
+		return FaultSpec{}, fmt.Errorf("scenario: %s must be a single-key mapping like \"- crash: {...}\"", path)
+	}
+	var f FaultSpec
+	var body any
+	for kind, b := range m { // the one entry
+		f.Kind, body = kind, b
+	}
+	path += "." + f.Kind
+	var rows table
+	// Crash, degrade, slow and partition are permanent without a "to".
+	boundedWindow := false
+	switch f.Kind {
 	case "crash":
-		if f.Host, err = o.str("host", ""); err != nil {
-			return f, err
-		}
+		rows = table{{"host", &f.Host}}
+	case "outage":
+		rows, boundedWindow = table{{"a", &f.A}, {"b", &f.B}}, true
+	case "flap":
+		rows, boundedWindow = table{{"a", &f.A}, {"b", &f.B}, {"period", &f.Period}, {"duty", &f.Duty}}, true
+	case "degrade":
+		rows = table{{"src", &f.Src}, {"dst", &f.Dst}, {"extra_latency", &f.ExtraLatency}, {"loss", &f.Loss}}
+	case "slow":
+		rows = table{{"host", &f.Host}, {"factor", &f.Factor}}
+	case "partition":
+		rows = table{{"a", &f.GroupA}, {"b", &f.GroupB}}
+	default:
+		return f, fmt.Errorf("scenario: %s: unknown fault kind %q (one of: crash, outage, flap, degrade, slow, partition)", path, f.Kind)
+	}
+	hasTo := false
+	if err := decode(body, path, append(rows, row{"from", &f.From}, row{"to", present{&hasTo, &f.To}})); err != nil {
+		return f, err
+	}
+	switch f.Kind {
+	case "crash", "slow":
 		if f.Host == "" {
-			return f, fmt.Errorf("scenario: %s: missing required key \"host\"", o.path)
+			return f, fmt.Errorf("scenario: %s: missing required key \"host\"", path)
 		}
-		// A crash without "to" is permanent (no restart).
-		if err = windowed(false); err != nil {
-			return f, err
+		if f.Kind == "slow" && f.Factor <= 0 {
+			return f, fmt.Errorf("scenario: %s: slow factor %v must be > 0", path, f.Factor)
 		}
 	case "outage", "flap":
-		if f.A, err = o.str("a", ""); err != nil {
-			return f, err
-		}
-		if f.B, err = o.str("b", ""); err != nil {
-			return f, err
-		}
 		if f.A == "" || f.B == "" {
-			return f, fmt.Errorf("scenario: %s: needs both link ends \"a\" and \"b\"", o.path)
+			return f, fmt.Errorf("scenario: %s: needs both link ends \"a\" and \"b\"", path)
 		}
-		if err = windowed(true); err != nil {
-			return f, err
+		if f.Kind == "flap" && f.Period <= 0 {
+			return f, fmt.Errorf("scenario: %s: flap needs period > 0", path)
 		}
-		if kind == "flap" {
-			if f.Period, err = o.duration("period", 0); err != nil {
-				return f, err
-			}
-			if f.Duty, err = o.float("duty", 0); err != nil {
-				return f, err
-			}
-			if f.Period <= 0 {
-				return f, fmt.Errorf("scenario: %s: flap needs period > 0", o.path)
-			}
-			if f.Duty <= 0 || f.Duty >= 1 {
-				return f, fmt.Errorf("scenario: %s: flap duty %v outside (0,1)", o.path, f.Duty)
-			}
+		if f.Kind == "flap" && (f.Duty <= 0 || f.Duty >= 1) {
+			return f, fmt.Errorf("scenario: %s: flap duty %v outside (0,1)", path, f.Duty)
 		}
 	case "degrade":
-		if f.Src, err = o.str("src", ""); err != nil {
-			return f, err
-		}
-		if f.Dst, err = o.str("dst", ""); err != nil {
-			return f, err
-		}
 		if f.Src == "" || f.Dst == "" {
-			return f, fmt.Errorf("scenario: %s: degrade is directional — needs \"src\" and \"dst\"", o.path)
-		}
-		if f.ExtraLatency, err = o.duration("extra_latency", 0); err != nil {
-			return f, err
-		}
-		if f.Loss, err = o.float("loss", 0); err != nil {
-			return f, err
+			return f, fmt.Errorf("scenario: %s: degrade is directional — needs \"src\" and \"dst\"", path)
 		}
 		if f.Loss < 0 || f.Loss >= 1 {
-			return f, fmt.Errorf("scenario: %s: degrade loss %v outside [0,1)", o.path, f.Loss)
-		}
-		if err = windowed(false); err != nil {
-			return f, err
-		}
-	case "slow":
-		if f.Host, err = o.str("host", ""); err != nil {
-			return f, err
-		}
-		if f.Host == "" {
-			return f, fmt.Errorf("scenario: %s: missing required key \"host\"", o.path)
-		}
-		if f.Factor, err = o.float("factor", 0); err != nil {
-			return f, err
-		}
-		if f.Factor <= 0 {
-			return f, fmt.Errorf("scenario: %s: slow factor %v must be > 0", o.path, f.Factor)
-		}
-		if err = windowed(false); err != nil {
-			return f, err
+			return f, fmt.Errorf("scenario: %s: degrade loss %v outside [0,1)", path, f.Loss)
 		}
 	case "partition":
-		if f.GroupA, err = o.strings("a"); err != nil {
-			return f, err
-		}
-		if f.GroupB, err = o.strings("b"); err != nil {
-			return f, err
-		}
 		if len(f.GroupA) == 0 || len(f.GroupB) == 0 {
-			return f, fmt.Errorf("scenario: %s: partition needs non-empty groups \"a\" and \"b\"", o.path)
-		}
-		if err = windowed(false); err != nil {
-			return f, err
-		}
-	default:
-		return f, fmt.Errorf("scenario: %s: unknown fault kind %q (one of: crash, outage, flap, degrade, slow, partition)", o.path, kind)
-	}
-	return f, o.finish()
-}
-
-func decodeAsserts(root *object, s *Spec) error {
-	v, ok := root.take("assert")
-	if !ok || v == nil {
-		return nil
-	}
-	seq, isSeq := v.([]any)
-	if !isSeq {
-		return fmt.Errorf("scenario: assert must be a list, got %s", typeName(v))
-	}
-	for i, e := range seq {
-		path := fmt.Sprintf("assert[%d]", i)
-		switch t := e.(type) {
-		case string:
-			s.Asserts = append(s.Asserts, AssertSpec{Name: t})
-		case map[string]any:
-			if len(t) != 1 {
-				return fmt.Errorf("scenario: %s must be a bare name or a single-key mapping", path)
-			}
-			for k, arg := range t {
-				s.Asserts = append(s.Asserts, AssertSpec{Name: k, Arg: arg})
-			}
-		default:
-			return fmt.Errorf("scenario: %s must be a name or \"name: arg\", got %s", path, typeName(e))
+			return f, fmt.Errorf("scenario: %s: partition needs non-empty groups \"a\" and \"b\"", path)
 		}
 	}
-	return nil
+	switch {
+	case boundedWindow && !hasTo:
+		return f, fmt.Errorf("scenario: %s: missing required key \"to\" (%s needs a bounded window)", path, f.Kind)
+	case boundedWindow && f.To <= f.From:
+		return f, fmt.Errorf("scenario: %s: window to %v <= from %v — %s windows must end after they start", path, f.To, f.From, f.Kind)
+	case hasTo && f.To <= f.From:
+		return f, fmt.Errorf("scenario: %s: window to %v <= from %v — omit \"to\" for a permanent %s", path, f.To, f.From, f.Kind)
+	}
+	return f, nil
 }

@@ -3,6 +3,8 @@ package scenario
 import (
 	"strings"
 	"testing"
+
+	"nxcluster/internal/cluster"
 )
 
 // minimal valid chaos scenario used as the mutation base below.
@@ -47,6 +49,21 @@ func TestParseErrors(t *testing.T) {
 		{"bool as string", chaosOK + "topology:\n  open_firewall: yes\n", "must be true or false, got string"},
 		{"int as string", "name: t\nkind: chaos\nworkload:\n  items: eight\n  capacity: 2\n  horizon: 30s\n", "must be an integer, got string"},
 		{"fractional int", "name: t\nkind: chaos\nworkload:\n  items: 8.5\n  capacity: 2\n  horizon: 30s\n", "must be an integer"},
+		{"unknown system", "name: t\nkind: chaos\nworkload:\n  items: 8\n  capacity: 2\n  horizon: 30s\n  system: compass\n", `unknown system "compass"`},
+
+		// A negative integer is rejected wherever it appears — scalar, list
+		// element, topology, nested block — as negative durations are; it never
+		// wraps around, reaches a make() or silently means "the default".
+		{"negative int", "name: t\nkind: table4\nworkload:\n  items: -10\n  capacity: 2\n", "workload.items must be >= 0, got -10"},
+		{"negative workers", "name: t\nkind: table4\nworkload:\n  items: 10\n  capacity: 2\n  workers: -4\n", "workload.workers must be >= 0, got -4"},
+		{"negative list element", "name: t\nkind: table2\nworkload:\n  rounds: 1\n  sizes: [64, -4]\n", "workload.sizes[1] must be >= 0, got -4"},
+		{"negative seed", chaosOK + "topology:\n  seed: -1\n", "topology.seed must be >= 0, got -1"},
+		{"negative relay_buf_bytes", chaosOK + "topology:\n  relay_buf_bytes: -5\n", "topology.relay_buf_bytes must be >= 0, got -5"},
+		{"negative in nested block", chaosOK + "topology:\n  wan: {bandwidth: -5}\n", "topology.wan.bandwidth must be >= 0, got -5"},
+		{"negative in workload block", "name: t\nkind: chaos\nworkload:\n  items: 8\n  capacity: 2\n  horizon: 30s\n  ft: {steal_retries: -2}\n", "workload.ft.steal_retries must be >= 0, got -2"},
+		{"negative extra_jobs", "name: t\nkind: chaos\nworkload:\n  items: 8\n  capacity: 2\n  horizon: 30s\n  extra_jobs: -3\n", "workload.extra_jobs must be >= 0, got -3"},
+		{"negative grid items", "name: t\nkind: grid\nworkload:\n  items: -10\n  capacity: 2\n", "workload.items must be >= 0, got -10"},
+		{"extra_sites past the cap", "name: t\nkind: grid\nworkload:\n  items: 10\n  capacity: 2\ntopology:\n  extra_sites: 100000000\n", "topology.extra_sites must be <= 1024, got 100000000"},
 
 		// Fault-schedule decode errors.
 		{"fault window inverted", chaosOK + "faults:\n  - outage: {a: rwcp-gw, b: rwcp-outer, from: 5s, to: 2s}\n", "window to 2s <= from 5s"},
@@ -94,7 +111,6 @@ func TestValidateErrors(t *testing.T) {
 	}{
 		{"chaos needs items", "name: t\nkind: chaos\nworkload:\n  capacity: 2\n  horizon: 30s\n", "needs items > 0 and capacity > 0"},
 		{"chaos needs horizon", "name: t\nkind: chaos\nworkload:\n  items: 8\n  capacity: 2\n", "workload.horizon required"},
-		{"unknown system", "name: t\nkind: chaos\nworkload:\n  items: 8\n  capacity: 2\n  horizon: 30s\n  system: compass\n", `unknown system "compass"`},
 		{"faults on table2", "name: t\nkind: table2\nworkload:\n  rounds: 1\n  sizes: [64]\nfaults:\n  - crash: {host: compas01, from: 1s}\n", "faults are not supported for kind table2"},
 		{"gridftp with topology", "name: t\nkind: gridftp\nworkload:\n  file_size: 1024\n  streams: [1]\n  loss_rates: [0]\ntopology:\n  seed: 3\n", "topology section must be empty"},
 		{"unknown group alias", chaosOK + "faults:\n  - partition: {a: [\"$lan-side\"], b: [etl-sun], from: 1s}\n", `unknown group alias "$lan-side"`},
@@ -136,7 +152,7 @@ func TestDecodeDefaults(t *testing.T) {
 	if s.Chaos == nil {
 		t.Fatal("chaos workload not decoded")
 	}
-	if s.Chaos.System != "wide" {
+	if s.Chaos.System != cluster.SystemWide {
 		t.Errorf("default system = %q, want wide", s.Chaos.System)
 	}
 	if !s.Chaos.UseProxy {

@@ -234,146 +234,86 @@ func matchSeries(pattern, name string) bool {
 
 // --- decoding ---
 
-// decodeSLO parses the optional `slo:` root key. Structural and range
-// validation happens here so `simulator validate` rejects a bad block
-// without running anything.
-func decodeSLO(root *object, s *Spec) error {
-	v, ok := root.take("slo")
-	if !ok || v == nil {
-		return nil
-	}
-	o, err := asObject(v, "slo")
-	if err != nil {
-		return err
-	}
+// decodeSLO decodes the `slo:` section. Structural and range validation
+// happens here so `simulator validate` rejects a bad block without running
+// anything.
+func decodeSLO(v any, s *Spec) error {
 	sl := &SLOSpec{}
-	if sl.Interval, err = o.duration("interval", 0); err != nil {
-		return err
-	}
-	if err := decodeSLOList(o, "latency", func(e *object) error {
-		var l LatencySLO
-		var err error
-		if l.Leg, err = e.str("leg", ""); err != nil {
-			return err
-		}
-		if l.Leg == "" || !strings.Contains(l.Leg, "/") {
-			return fmt.Errorf("scenario: %s: leg must be a span label like \"rmf/job\", got %q", e.path, l.Leg)
-		}
-		if l.Percentile, err = e.float("percentile", 0); err != nil {
-			return err
-		}
-		if l.Percentile <= 0 || l.Percentile > 100 {
-			return fmt.Errorf("scenario: %s: percentile %v outside (0, 100]", e.path, l.Percentile)
-		}
-		if l.Max, err = e.duration("max", 0); err != nil {
-			return err
-		}
-		if l.Max <= 0 {
-			return fmt.Errorf("scenario: %s: missing required key \"max\" (the latency ceiling)", e.path)
-		}
-		var n int64
-		if n, err = e.integer("min_count", 0); err != nil {
-			return err
-		}
-		l.MinCount = int(n)
-		sl.Latency = append(sl.Latency, l)
-		return nil
+	var latency, throughput, budgets []any
+	if err := decode(v, "slo", table{
+		{"interval", &sl.Interval},
+		{"latency", &latency},
+		{"throughput", &throughput},
+		{"error_budget", &budgets},
 	}); err != nil {
 		return err
 	}
-	if err := decodeSLOList(o, "throughput", func(e *object) error {
+	for i, e := range latency {
+		var l LatencySLO
+		path := fmt.Sprintf("slo.latency[%d]", i)
+		if err := decode(e, path, table{
+			{"leg", &l.Leg},
+			{"percentile", &l.Percentile},
+			{"max", &l.Max},
+			{"min_count", &l.MinCount},
+		}); err != nil {
+			return err
+		}
+		if !strings.Contains(l.Leg, "/") {
+			return fmt.Errorf("scenario: %s: leg must be a span label like \"rmf/job\", got %q", path, l.Leg)
+		}
+		if l.Percentile <= 0 || l.Percentile > 100 {
+			return fmt.Errorf("scenario: %s: percentile %v outside (0, 100]", path, l.Percentile)
+		}
+		if l.Max <= 0 {
+			return fmt.Errorf("scenario: %s: missing required key \"max\" (the latency ceiling)", path)
+		}
+		sl.Latency = append(sl.Latency, l)
+	}
+	for i, e := range throughput {
 		var tp ThroughputSLO
-		var err error
-		if tp.Series, err = e.str("series", ""); err != nil {
+		path := fmt.Sprintf("slo.throughput[%d]", i)
+		if err := decode(e, path, table{
+			{"series", &tp.Series},
+			{"min_total", &tp.MinTotal},
+			{"min_rate", &tp.MinRate},
+		}); err != nil {
 			return err
 		}
 		if tp.Series == "" {
-			return fmt.Errorf("scenario: %s: missing required key \"series\"", e.path)
-		}
-		if tp.MinTotal, err = e.integer("min_total", 0); err != nil {
-			return err
-		}
-		if tp.MinRate, err = e.float("min_rate", 0); err != nil {
-			return err
+			return fmt.Errorf("scenario: %s: missing required key \"series\"", path)
 		}
 		if tp.MinTotal <= 0 && tp.MinRate <= 0 {
-			return fmt.Errorf("scenario: %s: needs a floor (\"min_total\" or \"min_rate\" > 0)", e.path)
+			return fmt.Errorf("scenario: %s: needs a floor (\"min_total\" or \"min_rate\" > 0)", path)
 		}
 		sl.Throughput = append(sl.Throughput, tp)
-		return nil
-	}); err != nil {
-		return err
 	}
-	if err := decodeSLOList(o, "error_budget", func(e *object) error {
+	for i, e := range budgets {
 		var eb ErrorBudgetSLO
-		var err error
-		if eb.Series, err = e.str("series", ""); err != nil {
+		var hasWindow, hasBurn bool
+		path := fmt.Sprintf("slo.error_budget[%d]", i)
+		if err := decode(e, path, table{
+			{"series", &eb.Series},
+			{"budget", &eb.Budget},
+			{"window", present{&hasWindow, &eb.Window}},
+			{"max_burn", present{&hasBurn, &eb.MaxBurn}},
+		}); err != nil {
 			return err
 		}
 		if eb.Series == "" {
-			return fmt.Errorf("scenario: %s: missing required key \"series\"", e.path)
+			return fmt.Errorf("scenario: %s: missing required key \"series\"", path)
 		}
-		if eb.Budget, err = e.integer("budget", 0); err != nil {
-			return err
-		}
-		if eb.Budget < 0 {
-			return fmt.Errorf("scenario: %s: budget must be >= 0, got %d", e.path, eb.Budget)
-		}
-		hasWindow, hasBurn := e.has("window"), e.has("max_burn")
 		if hasWindow != hasBurn {
-			return fmt.Errorf("scenario: %s: \"window\" and \"max_burn\" come together (a burn rate is errors per window)", e.path)
+			return fmt.Errorf("scenario: %s: \"window\" and \"max_burn\" come together (a burn rate is errors per window)", path)
 		}
-		var n int64
-		if n, err = e.integer("window", 0); err != nil {
-			return err
-		}
-		eb.Window = int(n)
 		if hasWindow && eb.Window <= 0 {
-			return fmt.Errorf("scenario: %s: window must be >= 1 sample, got %d", e.path, eb.Window)
-		}
-		if eb.MaxBurn, err = e.integer("max_burn", 0); err != nil {
-			return err
-		}
-		if eb.MaxBurn < 0 {
-			return fmt.Errorf("scenario: %s: max_burn must be >= 0, got %d", e.path, eb.MaxBurn)
+			return fmt.Errorf("scenario: %s: window must be >= 1 sample, got %d", path, eb.Window)
 		}
 		sl.Budgets = append(sl.Budgets, eb)
-		return nil
-	}); err != nil {
-		return err
-	}
-	if err := o.finish(); err != nil {
-		return err
 	}
 	if sl.Objectives() == 0 {
 		return fmt.Errorf("scenario %s: slo block declares no objectives (latency, throughput, or error_budget)", s.Name)
 	}
 	s.SLO = sl
-	return nil
-}
-
-// decodeSLOList walks one objective list, handing each entry to decode as a
-// strict object (every entry must consume all its keys).
-func decodeSLOList(o *object, key string, decode func(*object) error) error {
-	v, ok := o.take(key)
-	if !ok || v == nil {
-		return nil
-	}
-	seq, isSeq := v.([]any)
-	if !isSeq {
-		return fmt.Errorf("scenario: slo.%s must be a list, got %s", key, typeName(v))
-	}
-	for i, e := range seq {
-		eo, err := asObject(e, fmt.Sprintf("slo.%s[%d]", key, i))
-		if err != nil {
-			return err
-		}
-		if err := decode(eo); err != nil {
-			return err
-		}
-		if err := eo.finish(); err != nil {
-			return err
-		}
-	}
 	return nil
 }
