@@ -129,8 +129,9 @@ cover:
 
 # fuzz gives each wire-facing parser a short, deterministic-budget fuzz run:
 # the RSL parser, the proxy control-channel decoder, the gridftp MODE E
-# block reader, and the scenario-file parser. Crashers land in testdata/fuzz/
-# and fail the build until fixed.
+# block reader, the scenario-file parser, and the request handlers of the RMF
+# allocator and Q server. Crashers land in testdata/fuzz/ and fail the build
+# until fixed.
 FUZZTIME ?= 10s
 
 fuzz:
@@ -138,6 +139,8 @@ fuzz:
 	$(GO) test -fuzz FuzzReadMsg -fuzztime $(FUZZTIME) ./internal/proxy/
 	$(GO) test -fuzz FuzzReadBlock -fuzztime $(FUZZTIME) ./internal/gridftp/
 	$(GO) test -fuzz FuzzScenario -fuzztime $(FUZZTIME) ./internal/scenario/
+	$(GO) test -fuzz FuzzAllocatorRequest -fuzztime $(FUZZTIME) ./internal/rmf/
+	$(GO) test -fuzz FuzzQServerRequest -fuzztime $(FUZZTIME) ./internal/rmf/
 
 clean:
 	$(GO) clean ./...

@@ -333,15 +333,18 @@ func startControlPlane(tb *cluster.Testbed, cfg Config, rep *Report) *hbm.Monito
 	})
 
 	// The flash crowd: ExtraJobs more submissions, staggered 50ms apart
-	// starting just after the primary, so the allocator sees a burst that
-	// overflows the site's slots and must drain it in waves. The stagger is
+	// starting just after the primary, so the allocator sees a burst bigger
+	// than the site's CPU count. It never refuses one for that: it
+	// oversubscribes, least fractional load first. The stagger is
 	// deterministic — every run replays the identical arrival pattern.
 	for i := 0; i < cfg.ExtraJobs; i++ {
 		delay := 600*time.Millisecond + time.Duration(i)*50*time.Millisecond
 		tb.Node(cluster.RWCPSun).SpawnOn(fmt.Sprintf("chaos-extra-%d", i), func(env transport.Env) {
 			env.Sleep(delay)
-			// A burst bigger than the site's slot count sees ErrNoResources
-			// until a wave drains; poll on a fixed deterministic cadence.
+			// ErrNoResources means no eligible candidate (every compas Q
+			// server DOWN, or none registered yet), and a submit can fail on
+			// a Q server that just died; retry either on a fixed
+			// deterministic cadence.
 			var h *rmf.JobHandle
 			var err error
 			for attempt := 0; attempt < 240; attempt++ {

@@ -133,6 +133,24 @@ func Status(env transport.Env, qserverAddr, jobID string) (State, string, error)
 	req := nexus.NewBuffer()
 	req.PutInt32(opStatus)
 	req.PutString(jobID)
+	return askState(env, qserverAddr, req)
+}
+
+// Await is Status answered only once the process is terminal or hold has
+// passed, whichever is first: the Q server tells the caller when the process
+// ends, so nobody polls for it. A hold beyond the server's limit is cut to
+// it, so a non-terminal answer means "ask again", not "hold elapsed".
+func Await(env transport.Env, qserverAddr, jobID string, hold time.Duration) (State, string, error) {
+	req := nexus.NewBuffer()
+	req.PutInt32(opAwait)
+	req.PutString(jobID)
+	req.PutInt64(int64(hold))
+	return askState(env, qserverAddr, req)
+}
+
+// askState sends a Q server request that is answered with a state and a
+// failure message.
+func askState(env transport.Env, qserverAddr string, req *nexus.Buffer) (State, string, error) {
 	resp, err := roundTrip(env, qserverAddr, req)
 	if err != nil {
 		return StateFailed, "", err
@@ -252,12 +270,19 @@ func SubmitJob(env transport.Env, allocatorAddr string, req JobRequest) (*JobHan
 	return h, nil
 }
 
-// Wait polls until every process reaches a terminal state or the timeout
-// expires, then releases the allocation. It returns the first failure.
+// Wait blocks until every process reaches a terminal state or the timeout
+// expires, then releases the allocation. It returns the first failure. poll
+// is the longest Wait goes without looking at its deadline.
 //
-// With a RecoveryPolicy set, a process whose Q server stops answering —
-// crashed host, restarted daemon that forgot the job id — is requeued onto a
-// fresh slot instead of failing the job (see RecoveryPolicy for semantics).
+// Without a RecoveryPolicy it asks each Q server to answer when the process
+// ends (Await, held for poll at a time), so it returns as the last process
+// finishes. With one it polls Status every poll instead, on purpose: losing
+// a process is counted in consecutive failed polls and the speculation
+// deadline is checked once per poll, so the recovery behaviour (and every
+// hashed chaos run, all of which set a policy) is a function of that cadence.
+// A process whose Q server stops answering — crashed host, restarted daemon
+// that forgot the job id — is then requeued onto a fresh slot instead of
+// failing the job (see RecoveryPolicy for semantics).
 func (h *JobHandle) Wait(env transport.Env, poll, timeout time.Duration) error {
 	if poll <= 0 {
 		poll = 50 * time.Millisecond
@@ -266,163 +291,58 @@ func (h *JobHandle) Wait(env transport.Env, poll, timeout time.Duration) error {
 	if timeout <= 0 {
 		deadline = time.Duration(math.MaxInt64)
 	}
-	statusRetries := 0
-	var bo transport.Backoff
-	if h.Recovery != nil {
-		statusRetries = h.Recovery.StatusRetries
-		if statusRetries <= 0 {
-			statusRetries = 3
-		}
-		bo = h.Recovery.Backoff
-		if bo.Key == "" {
-			bo.Key = "rmf-requeue@" + h.AllocatorAddr
-		}
-		if bo.Rand == nil {
-			bo.Rand = transport.RandOf(env)
-		}
-	}
-	speculateAfter := time.Duration(0)
-	if h.Recovery != nil {
-		speculateAfter = h.Recovery.SpeculateAfter
-	}
-	o := obs.From(env)
-	var firstErr error
-	for i := range h.Processes {
-		errStreak := 0
-		specStreak := 0
-		var spec *Process // in-flight speculative duplicate, if any
-		procStart := env.Now()
-		for {
-			p := h.Processes[i]
-			state, msg, err := Status(env, p.QServerAddr, p.JobID)
-			if err != nil {
-				errStreak++
-				if h.Recovery == nil {
-					firstErr = err
-					break
-				}
-				if errStreak >= statusRetries {
-					if spec != nil {
-						// The primary is lost but a speculative copy is in
-						// flight: promote the copy instead of requeueing.
-						_ = Release(env, h.AllocatorAddr, []string{p.Resource})
-						h.Processes[i] = *spec
-						spec = nil
-						errStreak = 0
-						procStart = env.Now()
-						if o != nil {
-							o.EmitCtx(env.Now(), h.Trace, "rmf", "spec-promote", env.Hostname(),
-								obs.Str("lost", p.Resource), obs.Str("to", h.Processes[i].Resource))
-						}
-						env.Sleep(poll)
-						continue
-					}
-					// The Q server is gone or lost the job: requeue.
-					if rqErr := h.requeue(env, i, deadline, &bo); rqErr != nil {
-						if firstErr == nil {
-							firstErr = rqErr
-						}
-						break
-					}
-					errStreak = 0
-					procStart = env.Now()
-				}
-				env.Sleep(poll)
-				continue
-			}
-			errStreak = 0
-			if state == StateDone {
-				if o != nil {
-					o.EmitCtx(env.Now(), h.Trace, "rmf", "exit", env.Hostname(), obs.Str("job", p.JobID), obs.Str("resource", p.Resource))
-				}
-				break
-			}
-			if state == StateFailed {
-				if o != nil {
-					o.EmitCtx(env.Now(), h.Trace, "rmf", "failed", env.Hostname(), obs.Str("job", p.JobID), obs.Str("resource", p.Resource))
-				}
-				if firstErr == nil {
-					firstErr = fmt.Errorf("rmf: job %s on %s failed: %s", p.JobID, p.Resource, msg)
-				}
-				break
-			}
-			if timeout > 0 && env.Now() > deadline {
-				if firstErr == nil {
-					firstErr = fmt.Errorf("rmf: job %s on %s timed out in state %s", p.JobID, p.Resource, state)
-				}
-				break
-			}
-			if spec != nil {
-				sstate, _, serr := Status(env, spec.QServerAddr, spec.JobID)
-				if serr != nil {
-					specStreak++
-					if specStreak >= statusRetries {
-						// The copy's resource died too; drop it. The progress
-						// deadline is still past, so a fresh copy launches on
-						// the next poll.
-						_ = Release(env, h.AllocatorAddr, []string{spec.Resource})
-						spec = nil
-						specStreak = 0
-					}
-				} else {
-					specStreak = 0
-					if sstate == StateDone {
-						// First completion wins: the copy beat the primary.
-						// Swap it in and release the loser's slot — the loser
-						// may still run to completion on its Q server
-						// (at-least-once), but only the winner's result is
-						// consumed.
-						_ = Release(env, h.AllocatorAddr, []string{p.Resource})
-						h.Processes[i] = *spec
-						spec = nil
-						if o != nil {
-							o.EmitCtx(env.Now(), h.Trace, "rmf", "exit", env.Hostname(),
-								obs.Str("job", h.Processes[i].JobID), obs.Str("resource", h.Processes[i].Resource))
-						}
-						break
-					}
-					if sstate == StateFailed {
-						_ = Release(env, h.AllocatorAddr, []string{spec.Resource})
-						spec = nil
-					}
-				}
-			} else if speculateAfter > 0 && env.Now()-procStart >= speculateAfter {
-				spec = h.speculate(env, i, o)
-			}
-			env.Sleep(poll)
-		}
-		if spec != nil {
-			// The primary reached a terminal state with a copy still in
-			// flight: release the copy's slot.
-			_ = Release(env, h.AllocatorAddr, []string{spec.Resource})
-		}
+	var err error
+	if h.Recovery == nil {
+		err = h.awaitAll(env, poll, deadline)
+	} else {
+		err = h.pollAll(env, poll, deadline)
 	}
 	h.ReleaseSlots(env)
+	return err
+}
+
+// awaitAll is Wait for a job without a RecoveryPolicy.
+func (h *JobHandle) awaitAll(env transport.Env, poll, deadline time.Duration) error {
+	var firstErr error
+	for _, p := range h.Processes {
+		if err := h.await(env, p, poll, deadline); err != nil && firstErr == nil {
+			firstErr = err
+		}
+	}
 	return firstErr
 }
 
-// speculate launches one duplicate of process i on a fresh slot. The
-// allocator's load- and health-aware sort steers the copy away from the
-// straggler, which still holds its own slot. Best-effort by design: a copy
-// that cannot be placed or submitted is skipped, and since the progress
-// deadline stays expired, Wait simply tries again on a later poll.
-func (h *JobHandle) speculate(env transport.Env, i int, o *obs.Observer) *Process {
-	names, addrs, err := Allocate(env, h.AllocatorAddr, 1, h.Cluster)
-	if err != nil {
-		return nil
+// await blocks until p has ended, its Q server fails to answer, or the
+// deadline passes.
+func (h *JobHandle) await(env transport.Env, p Process, poll, deadline time.Duration) error {
+	for {
+		state, msg, err := Await(env, p.QServerAddr, p.JobID, poll)
+		if err != nil {
+			return err
+		}
+		if ended, err := h.ended(env, p, state, msg); ended {
+			return err
+		}
+		if env.Now() > deadline {
+			return fmt.Errorf("rmf: job %s on %s timed out in state %s", p.JobID, p.Resource, state)
+		}
 	}
-	id, err := Submit(env, addrs[0], h.Specs[i])
-	if err != nil {
-		_ = Release(env, h.AllocatorAddr, names)
-		return nil
+}
+
+// ended reports whether state is terminal for p, leaving the matching event
+// on the job's trace, and returns the process's failure if it has one.
+func (h *JobHandle) ended(env transport.Env, p Process, state State, msg string) (bool, error) {
+	if !state.ended() {
+		return false, nil
 	}
-	h.Speculations++
-	if o != nil {
-		o.EmitCtx(env.Now(), h.Trace, "rmf", "speculate", env.Hostname(),
-			obs.Str("slow", h.Processes[i].Resource), obs.Str("copy", names[0]), obs.Str("job", id))
-		o.Metrics().Counter("rmf.speculations").Add(1)
+	name, err := "exit", error(nil)
+	if state == StateFailed {
+		name, err = "failed", fmt.Errorf("rmf: job %s on %s failed: %s", p.JobID, p.Resource, msg)
 	}
-	return &Process{Resource: names[0], QServerAddr: addrs[0], JobID: id}
+	if o := obs.From(env); o != nil {
+		o.EmitCtx(env.Now(), h.Trace, "rmf", name, env.Hostname(), obs.Str("job", p.JobID), obs.Str("resource", p.Resource))
+	}
+	return true, err
 }
 
 // ReleaseSlots returns the job's allocator slots (idempotent). It also

@@ -3,6 +3,7 @@ package rmf
 import (
 	"fmt"
 	"sync"
+	"time"
 
 	"nxcluster/internal/gass"
 	"nxcluster/internal/gridftp"
@@ -14,14 +15,23 @@ import (
 // Q server wire ops.
 const (
 	opSubmit = int32(10)
-	opStatus = int32(11)
+	opStatus = int32(11) // fields: job id
+	opAwait  = int32(12) // fields: job id, hold in nanoseconds (int64)
 )
+
+// maxAwaitHold is the longest one opAwait parks its handler whatever hold
+// the peer asked for, so a peer cannot pin a handler and its connection for
+// ever; a caller that wants longer asks again.
+const maxAwaitHold = 10 * time.Second
 
 // jobRecord tracks one submitted process on a Q server.
 type jobRecord struct {
 	id     string
 	state  State
 	errMsg string
+	// ended is what opAwait handlers of a process that is still running wait
+	// on; finish closes it. Nil until the first of them arrives.
+	ended transport.AnyQueue
 }
 
 // QServer executes job processes on one computing resource. It corresponds
@@ -122,25 +132,45 @@ func (q *QServer) handle(env transport.Env, c transport.Conn) {
 			putErr(resp, err)
 			break
 		}
-		q.mu.Lock()
-		rec, ok := q.jobs[id]
-		var state State
-		var msg string
-		if ok {
-			state, msg = rec.state, rec.errMsg
-		}
-		q.mu.Unlock()
-		if !ok {
-			putErr(resp, fmt.Errorf("%w: %s", ErrUnknownJob, id))
+		q.putStatus(env, resp, id, 0)
+	case opAwait:
+		id, e1 := req.GetString()
+		hold, e2 := req.GetInt64()
+		if e1 != nil || e2 != nil || hold < 0 {
+			putErr(resp, fmt.Errorf("rmf: malformed await"))
 			break
 		}
-		resp.PutBool(true)
-		resp.PutInt32(int32(state))
-		resp.PutString(msg)
+		q.putStatus(env, resp, id, min(time.Duration(hold), maxAwaitHold))
 	default:
 		putErr(resp, fmt.Errorf("rmf: unknown qserver op %d", op))
 	}
 	_ = nexus.WriteFrame(st, resp)
+}
+
+// putStatus answers opStatus and opAwait: the process's state and failure
+// message, read once it is terminal or hold has passed, whichever is first.
+func (q *QServer) putStatus(env transport.Env, resp *nexus.Buffer, id string, hold time.Duration) {
+	q.mu.Lock()
+	rec, ok := q.jobs[id]
+	if !ok {
+		q.mu.Unlock()
+		putErr(resp, fmt.Errorf("%w: %s", ErrUnknownJob, id))
+		return
+	}
+	if hold > 0 && !rec.state.ended() {
+		if rec.ended == nil {
+			rec.ended = env.NewQueue()
+		}
+		ended := rec.ended
+		q.mu.Unlock()
+		ended.GetTimeout(env, hold) // nothing is ever Put: it returns on Close or expiry
+		q.mu.Lock()
+	}
+	state, msg := rec.state, rec.errMsg
+	q.mu.Unlock()
+	resp.PutBool(true)
+	resp.PutInt32(int32(state))
+	resp.PutString(msg)
 }
 
 // handleSubmit decodes a submission, creates the job process, and replies
@@ -149,7 +179,10 @@ func (q *QServer) handle(env transport.Env, c transport.Conn) {
 func (q *QServer) handleSubmit(env transport.Env, req *nexus.Buffer, resp *nexus.Buffer) {
 	executable, e1 := req.GetString()
 	nargs, e2 := req.GetInt32()
-	if e1 != nil || e2 != nil || nargs < 0 {
+	// An argument costs at least its 4-byte length prefix and an environment
+	// entry two of them, so a count the frame cannot hold is refused before it
+	// sizes an allocation.
+	if e1 != nil || e2 != nil || nargs < 0 || int(nargs) > req.Remaining()/4 {
 		putErr(resp, fmt.Errorf("rmf: malformed submit"))
 		return
 	}
@@ -162,8 +195,8 @@ func (q *QServer) handleSubmit(env transport.Env, req *nexus.Buffer, resp *nexus
 		}
 	}
 	nenv, err := req.GetInt32()
-	if err != nil {
-		putErr(resp, err)
+	if err != nil || nenv < 0 || int(nenv) > req.Remaining()/8 {
+		putErr(resp, fmt.Errorf("rmf: malformed environment"))
 		return
 	}
 	envMap := make(map[string]string, nenv)
@@ -273,6 +306,9 @@ func stageOut(env transport.Env, url string, data []byte) error {
 func (q *QServer) finish(rec *jobRecord, err error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
+	if rec.ended != nil {
+		rec.ended.Close() // wakes every opAwait parked on this process
+	}
 	if err != nil {
 		rec.state = StateFailed
 		rec.errMsg = err.Error()

@@ -23,10 +23,11 @@ import (
 func (a *Allocator) SetHealth(name string, h hbm.Health) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	r, ok := a.resources[name]
+	id, ok := a.ids[name]
 	if !ok {
 		return
 	}
+	r := &a.res[id]
 	if h == hbm.Down && r.Health != hbm.Down {
 		a.tracef("allocator: %s is DOWN; clearing %d slots", name, r.Load)
 		r.Load = 0
@@ -35,6 +36,7 @@ func (a *Allocator) SetHealth(name string, h hbm.Health) {
 		a.tracef("allocator: %s health %v -> %v", name, r.Health, h)
 	}
 	r.Health = h
+	a.fix(id)
 }
 
 // Health reports the allocator's current view of a resource (Up for
@@ -42,8 +44,8 @@ func (a *Allocator) SetHealth(name string, h hbm.Health) {
 func (a *Allocator) Health(name string) hbm.Health {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if r, ok := a.resources[name]; ok {
-		return r.Health
+	if id, ok := a.ids[name]; ok {
+		return a.res[id].Health
 	}
 	return hbm.Down
 }
@@ -124,6 +126,147 @@ type RecoveryPolicy struct {
 	// discipline knapsack.RunFT uses to absorb duplicate steal results.
 	// Zero disables speculation.
 	SpeculateAfter time.Duration
+}
+
+// pollAll is Wait under a RecoveryPolicy: Status every poll, requeue and
+// speculation decided between polls.
+func (h *JobHandle) pollAll(env transport.Env, poll, deadline time.Duration) error {
+	statusRetries := h.Recovery.StatusRetries
+	if statusRetries <= 0 {
+		statusRetries = 3
+	}
+	bo := h.Recovery.Backoff
+	if bo.Key == "" {
+		bo.Key = "rmf-requeue@" + h.AllocatorAddr
+	}
+	if bo.Rand == nil {
+		bo.Rand = transport.RandOf(env)
+	}
+	speculateAfter := h.Recovery.SpeculateAfter
+	o := obs.From(env)
+	var firstErr error
+	for i := range h.Processes {
+		errStreak := 0
+		specStreak := 0
+		var spec *Process // in-flight speculative duplicate, if any
+		procStart := env.Now()
+		for {
+			p := h.Processes[i]
+			state, msg, err := Status(env, p.QServerAddr, p.JobID)
+			if err != nil {
+				errStreak++
+				if errStreak >= statusRetries {
+					if spec != nil {
+						// The primary is lost but a speculative copy is in
+						// flight: promote the copy instead of requeueing.
+						_ = Release(env, h.AllocatorAddr, []string{p.Resource})
+						h.Processes[i] = *spec
+						spec = nil
+						errStreak = 0
+						procStart = env.Now()
+						if o != nil {
+							o.EmitCtx(env.Now(), h.Trace, "rmf", "spec-promote", env.Hostname(),
+								obs.Str("lost", p.Resource), obs.Str("to", h.Processes[i].Resource))
+						}
+						env.Sleep(poll)
+						continue
+					}
+					// The Q server is gone or lost the job: requeue.
+					if rqErr := h.requeue(env, i, deadline, &bo); rqErr != nil {
+						if firstErr == nil {
+							firstErr = rqErr
+						}
+						break
+					}
+					errStreak = 0
+					procStart = env.Now()
+				}
+				env.Sleep(poll)
+				continue
+			}
+			errStreak = 0
+			if ended, err := h.ended(env, p, state, msg); ended {
+				if err != nil && firstErr == nil {
+					firstErr = err
+				}
+				break
+			}
+			if env.Now() > deadline {
+				if firstErr == nil {
+					firstErr = fmt.Errorf("rmf: job %s on %s timed out in state %s", p.JobID, p.Resource, state)
+				}
+				break
+			}
+			if spec != nil {
+				sstate, _, serr := Status(env, spec.QServerAddr, spec.JobID)
+				if serr != nil {
+					specStreak++
+					if specStreak >= statusRetries {
+						// The copy's resource died too; drop it. The progress
+						// deadline is still past, so a fresh copy launches on
+						// the next poll.
+						_ = Release(env, h.AllocatorAddr, []string{spec.Resource})
+						spec = nil
+						specStreak = 0
+					}
+				} else {
+					specStreak = 0
+					if sstate == StateDone {
+						// First completion wins: the copy beat the primary.
+						// Swap it in and release the loser's slot — the loser
+						// may still run to completion on its Q server
+						// (at-least-once), but only the winner's result is
+						// consumed.
+						_ = Release(env, h.AllocatorAddr, []string{p.Resource})
+						h.Processes[i] = *spec
+						spec = nil
+						if o != nil {
+							o.EmitCtx(env.Now(), h.Trace, "rmf", "exit", env.Hostname(),
+								obs.Str("job", h.Processes[i].JobID), obs.Str("resource", h.Processes[i].Resource))
+						}
+						break
+					}
+					if sstate == StateFailed {
+						_ = Release(env, h.AllocatorAddr, []string{spec.Resource})
+						spec = nil
+					}
+				}
+			} else if speculateAfter > 0 && env.Now()-procStart >= speculateAfter {
+				spec = h.speculate(env, i, o)
+			}
+			env.Sleep(poll)
+		}
+		if spec != nil {
+			// The primary reached a terminal state with a copy still in
+			// flight: release the copy's slot.
+			_ = Release(env, h.AllocatorAddr, []string{spec.Resource})
+		}
+	}
+	return firstErr
+}
+
+// speculate launches one duplicate of process i on a fresh slot. The
+// allocator's load- and health-aware ranking steers the copy away from the
+// straggler, which still holds its own slot. Best-effort by design: a copy
+// that cannot be placed or submitted is skipped, and since the progress
+// deadline stays expired, Wait simply tries again on a later poll.
+func (h *JobHandle) speculate(env transport.Env, i int, o *obs.Observer) *Process {
+	names, addrs, err := Allocate(env, h.AllocatorAddr, 1, h.Cluster)
+	if err != nil {
+		return nil
+	}
+	id, err := Submit(env, addrs[0], h.Specs[i])
+	if err != nil {
+		_ = Release(env, h.AllocatorAddr, names)
+		return nil
+	}
+	h.Speculations++
+	if o != nil {
+		o.EmitCtx(env.Now(), h.Trace, "rmf", "speculate", env.Hostname(),
+			obs.Str("slow", h.Processes[i].Resource), obs.Str("copy", names[0]), obs.Str("job", id))
+		o.Metrics().Counter("rmf.speculations").Add(1)
+	}
+	return &Process{Resource: names[0], QServerAddr: addrs[0], JobID: id}
 }
 
 // requeue replaces a lost process: release its slot, allocate a fresh one,

@@ -63,6 +63,9 @@ const (
 	StateFailed
 )
 
+// ended reports whether the process will change state no more.
+func (s State) ended() bool { return s == StateDone || s == StateFailed }
+
 // String renders the state.
 func (s State) String() string {
 	switch s {
@@ -137,11 +140,21 @@ type resourceInfo struct {
 }
 
 // Allocator is the resource allocator daemon.
+//
+// Resources get dense ids in registration order, and each sits in the indexed
+// min-heap of its cluster, ordered by before: the next pick of a cluster is
+// its heap's first id, and the next pick overall the best of the firsts. A
+// slot therefore costs O(log resources) and no memory; everything that moves
+// a resource's key (allocate, release, SetHealth, a re-Register) repairs the
+// one heap it is in.
 type Allocator struct {
-	mu        sync.Mutex
-	resources map[string]*resourceInfo
-	listener  transport.Listener
-	trace     func(format string, args ...interface{})
+	mu       sync.Mutex
+	res      []resourceInfo     // by id
+	ids      map[string]int32   // name -> id
+	heaps    map[string][]int32 // cluster -> its ids in heap order; never empty
+	pos      []int32            // id -> index in its cluster's heap
+	listener transport.Listener
+	trace    func(format string, args ...interface{})
 
 	// mdsAddr and mdsBase, when set, make the allocator publish every
 	// registered resource into the Grid Information Service so other tools
@@ -153,7 +166,7 @@ type Allocator struct {
 
 // NewAllocator creates an empty allocator.
 func NewAllocator() *Allocator {
-	return &Allocator{resources: make(map[string]*resourceInfo)}
+	return &Allocator{ids: make(map[string]int32), heaps: make(map[string][]int32)}
 }
 
 // SetTrace installs a tracing callback (used by the Figure 2 renderer).
@@ -205,69 +218,134 @@ func (a *Allocator) tracef(format string, args ...interface{}) {
 	}
 }
 
-// Register adds or updates a resource.
+// Register adds or updates a resource; cpus must be positive.
 func (a *Allocator) Register(name, addr, cluster string, cpus int) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if r, ok := a.resources[name]; ok {
+	id, ok := a.ids[name]
+	if ok {
+		// A changed cluster moves it to another heap and a changed CPU count
+		// moves it within one; taking it out and putting it back does both.
+		a.remove(id)
+		r := &a.res[id]
 		r.Addr, r.Cluster, r.CPUs = addr, cluster, cpus
+	} else {
+		id = int32(len(a.res))
+		a.ids[name] = id
+		a.res = append(a.res, resourceInfo{Name: name, Addr: addr, Cluster: cluster, CPUs: cpus})
+		a.pos = append(a.pos, 0)
+	}
+	h := append(a.heaps[cluster], id)
+	a.heaps[cluster] = h
+	a.pos[id] = int32(len(h) - 1)
+	heapUp(a, h, a.pos, len(h)-1)
+}
+
+// remove takes id out of its cluster's heap.
+func (a *Allocator) remove(id int32) {
+	cluster := a.res[id].Cluster
+	h := a.heaps[cluster]
+	i, last := int(a.pos[id]), len(h)-1
+	h[i] = h[last]
+	a.pos[h[i]] = int32(i)
+	h = h[:last]
+	if last == 0 {
+		delete(a.heaps, cluster)
 		return
 	}
-	a.resources[name] = &resourceInfo{Name: name, Addr: addr, Cluster: cluster, CPUs: cpus}
+	a.heaps[cluster] = h
+	if i < last {
+		a.fix(h[i])
+	}
+}
+
+// fix restores heap order around id after its key changed.
+func (a *Allocator) fix(id int32) {
+	h := a.heaps[a.res[id].Cluster]
+	heapUp(a, h, a.pos, int(a.pos[id]))
+	heapDown(a, h, a.pos, int(a.pos[id]))
+}
+
+// before is the ranking: UP resources first and SUSPECT ones — degraded but
+// usable, so a straggler only gets work when nothing healthy is registered —
+// behind them, DOWN last (allocate never picks one); within a class the
+// lower fractional load, which balances heterogeneous CPU counts; then the
+// name. Loads compare by cross-multiplication, as Shard's do: with positive
+// CPU counts load_x/cpus_x < load_y/cpus_y exactly when load_x*cpus_y <
+// load_y*cpus_x, and two different fractions whose cross products stay below
+// 2^52 never round to the same float64, so this is the order the float
+// compare it replaced gave (DESIGN.md, "RMF: ranking and completion").
+func (a *Allocator) before(x, y int32) bool {
+	rx, ry := &a.res[x], &a.res[y]
+	if cx, cy := healthClass(rx.Health), healthClass(ry.Health); cx != cy {
+		return cx < cy
+	}
+	lx, ly := int64(rx.Load)*int64(ry.CPUs), int64(ry.Load)*int64(rx.CPUs)
+	if lx != ly {
+		return lx < ly
+	}
+	return rx.Name < ry.Name
+}
+
+func healthClass(h hbm.Health) int {
+	switch h {
+	case hbm.Suspect:
+		return 1
+	case hbm.Down:
+		return 2
+	}
+	return 0
+}
+
+// next returns the id allocate picks next in cluster ("" = any), or -1 when
+// no resource registered there is eligible.
+func (a *Allocator) next(cluster string) int32 {
+	best := int32(-1)
+	if cluster != "" {
+		if h := a.heaps[cluster]; len(h) > 0 {
+			best = h[0]
+		}
+	} else {
+		for _, h := range a.heaps {
+			if best < 0 || a.before(h[0], best) {
+				best = h[0]
+			}
+		}
+	}
+	if best >= 0 && a.res[best].Health == hbm.Down {
+		return -1 // the heartbeat monitor declared every candidate dead
+	}
+	return best
 }
 
 // Resources lists registered resource names, sorted.
 func (a *Allocator) Resources() []string {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	var out []string
-	for n := range a.resources {
-		out = append(out, n)
+	out := make([]string, len(a.res))
+	for i := range a.res {
+		out[i] = a.res[i].Name
 	}
 	sort.Strings(out)
 	return out
 }
 
-// allocate selects count slots, least-loaded resources first (ties by
-// name), incrementing their load. It returns one Q server address per slot.
+// allocate selects count slots, least-loaded resources first (see before),
+// incrementing their load. It returns one Q server address per slot. A
+// resource has no capacity limit here: past its CPU count it is
+// oversubscribed, and ErrNoResources means no eligible candidate at all.
 func (a *Allocator) allocate(count int, cluster string) ([]string, []string, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	var cands []*resourceInfo
-	for _, r := range a.resources {
-		if cluster != "" && r.Cluster != cluster {
-			continue
-		}
-		if r.Health == hbm.Down {
-			continue // the heartbeat monitor declared it dead
-		}
-		cands = append(cands, r)
-	}
-	if len(cands) == 0 {
+	if a.next(cluster) < 0 {
 		return nil, nil, ErrNoResources
 	}
-	var names, addrs []string
-	for i := 0; i < count; i++ {
-		sort.Slice(cands, func(x, y int) bool {
-			// SUSPECT (degraded) resources remain usable but rank behind
-			// every healthy one — a straggler only gets work when nothing
-			// else has capacity.
-			sx, sy := cands[x].Health == hbm.Suspect, cands[y].Health == hbm.Suspect
-			if sx != sy {
-				return sy
-			}
-			// Fractional load balances heterogeneous CPU counts.
-			lx := float64(cands[x].Load) / float64(cands[x].CPUs)
-			ly := float64(cands[y].Load) / float64(cands[y].CPUs)
-			if lx != ly {
-				return lx < ly
-			}
-			return cands[x].Name < cands[y].Name
-		})
-		pick := cands[0]
-		pick.Load++
-		names = append(names, pick.Name)
-		addrs = append(addrs, pick.Addr)
+	names, addrs := make([]string, count), make([]string, count)
+	for i := range names {
+		r := &a.res[a.next(cluster)]
+		r.Load++
+		heapDown(a, a.heaps[r.Cluster], a.pos, 0)
+		names[i], addrs[i] = r.Name, r.Addr
 	}
 	return names, addrs, nil
 }
@@ -277,8 +355,9 @@ func (a *Allocator) release(names []string) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	for _, n := range names {
-		if r, ok := a.resources[n]; ok && r.Load > 0 {
-			r.Load--
+		if id, ok := a.ids[n]; ok && a.res[id].Load > 0 {
+			a.res[id].Load--
+			a.fix(id)
 		}
 	}
 }
@@ -287,8 +366,8 @@ func (a *Allocator) release(names []string) {
 func (a *Allocator) Load(name string) int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if r, ok := a.resources[name]; ok {
-		return r.Load
+	if id, ok := a.ids[name]; ok {
+		return a.res[id].Load
 	}
 	return -1
 }
@@ -307,8 +386,8 @@ func (a *Allocator) publishLoads(env transport.Env, names []string) {
 			continue
 		}
 		seen[n] = true
-		if r, ok := a.resources[n]; ok {
-			snaps = append(snaps, *r)
+		if id, ok := a.ids[n]; ok {
+			snaps = append(snaps, a.res[id])
 		}
 	}
 	a.mu.Unlock()
@@ -335,6 +414,11 @@ const (
 	opAlloc    = int32(2)
 	opRelease  = int32(3)
 )
+
+// maxAllocSlots bounds one opAlloc. The count sizes the reply before a slot
+// is picked, so a 12-byte request must not be able to ask for gigabytes; the
+// widest job the paper runs has 20 processes.
+const maxAllocSlots = 4096
 
 // Serve runs the allocator protocol; it blocks its process.
 func (a *Allocator) Serve(env transport.Env, port int, ready func(addr string)) error {
@@ -401,7 +485,7 @@ func (a *Allocator) handle(env transport.Env, c transport.Conn) {
 		addr, e2 := req.GetString()
 		cluster, e3 := req.GetString()
 		cpus, e4 := req.GetInt32()
-		if e1 != nil || e2 != nil || e3 != nil || e4 != nil {
+		if e1 != nil || e2 != nil || e3 != nil || e4 != nil || cpus <= 0 {
 			putErr(resp, fmt.Errorf("rmf: malformed register"))
 			break
 		}
@@ -412,7 +496,7 @@ func (a *Allocator) handle(env transport.Env, c transport.Conn) {
 	case opAlloc:
 		count, e1 := req.GetInt32()
 		cluster, e2 := req.GetString()
-		if e1 != nil || e2 != nil || count <= 0 {
+		if e1 != nil || e2 != nil || count <= 0 || count > maxAllocSlots {
 			putErr(resp, fmt.Errorf("rmf: malformed alloc"))
 			break
 		}

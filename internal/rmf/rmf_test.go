@@ -3,6 +3,9 @@ package rmf
 import (
 	"errors"
 	"fmt"
+	"math/rand"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -10,6 +13,7 @@ import (
 	"nxcluster/internal/firewall"
 	"nxcluster/internal/gass"
 	"nxcluster/internal/gridftp"
+	"nxcluster/internal/hbm"
 	"nxcluster/internal/mds"
 	"nxcluster/internal/nexus"
 	"nxcluster/internal/proxy"
@@ -74,6 +78,158 @@ func TestAllocatorClusterFilterAndEmpty(t *testing.T) {
 	}
 }
 
+// sortAllocator is the allocator as it was before it kept a heap: a map of
+// resources, and an allocate that collects the eligible ones and re-sorts
+// them with float compares once per slot. It is the reference the heap is
+// checked against.
+type sortAllocator map[string]*resourceInfo
+
+func (a sortAllocator) Register(name, addr, cluster string, cpus int) {
+	if r, ok := a[name]; ok {
+		r.Addr, r.Cluster, r.CPUs = addr, cluster, cpus
+		return
+	}
+	a[name] = &resourceInfo{Name: name, Addr: addr, Cluster: cluster, CPUs: cpus}
+}
+
+func (a sortAllocator) allocate(count int, cluster string) ([]string, []string, error) {
+	var cands []*resourceInfo
+	for _, r := range a {
+		if cluster != "" && r.Cluster != cluster {
+			continue
+		}
+		if r.Health == hbm.Down {
+			continue
+		}
+		cands = append(cands, r)
+	}
+	if len(cands) == 0 {
+		return nil, nil, ErrNoResources
+	}
+	var names, addrs []string
+	for i := 0; i < count; i++ {
+		sort.Slice(cands, func(x, y int) bool {
+			sx, sy := cands[x].Health == hbm.Suspect, cands[y].Health == hbm.Suspect
+			if sx != sy {
+				return sy
+			}
+			lx := float64(cands[x].Load) / float64(cands[x].CPUs)
+			ly := float64(cands[y].Load) / float64(cands[y].CPUs)
+			if lx != ly {
+				return lx < ly
+			}
+			return cands[x].Name < cands[y].Name
+		})
+		pick := cands[0]
+		pick.Load++
+		names = append(names, pick.Name)
+		addrs = append(addrs, pick.Addr)
+	}
+	return names, addrs, nil
+}
+
+func (a sortAllocator) release(names []string) {
+	for _, n := range names {
+		if r, ok := a[n]; ok && r.Load > 0 {
+			r.Load--
+		}
+	}
+}
+
+func (a sortAllocator) SetHealth(name string, h hbm.Health) {
+	if r, ok := a[name]; ok {
+		if h == hbm.Down && r.Health != hbm.Down {
+			r.Load = 0
+		}
+		r.Health = h
+	}
+}
+
+// TestAllocatorOrderIsTheSortOrder drives the heap and the sort it replaced
+// with one seeded script of everything that moves a resource's key —
+// registration with mixed CPU counts over three clusters, re-registration
+// that changes CPUs, cluster and address, allocation with and without a
+// cluster filter, release (of slots held and not held), and health through
+// UP, SUSPECT, DOWN and back — and wants the same names, addresses and errors
+// at every step.
+func TestAllocatorOrderIsTheSortOrder(t *testing.T) {
+	clusters := []string{"compas", "etl", "rwcp"}
+	healths := []hbm.Health{hbm.Up, hbm.Late, hbm.Suspect, hbm.Down}
+	for seed := int64(1); seed <= 4; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		got, want := NewAllocator(), sortAllocator{}
+		var held []string
+		// 6, 12, 24 and 48 names: on few, a cluster often has nothing but
+		// SUSPECT or DOWN resources (ErrNoResources on about one request in
+		// ten at 6); on many, the load order decides.
+		pool := 6 << (seed - 1)
+		name := func() string { return fmt.Sprintf("node%02d", rng.Intn(pool)) }
+		for step := 0; step < 10_000; step++ {
+			switch op := rng.Intn(10); {
+			case op < 2:
+				n, c, cpus := name(), clusters[rng.Intn(3)], 1+rng.Intn(8)
+				addr := fmt.Sprintf("%s.%s:%d", n, c, 7101+rng.Intn(2))
+				got.Register(n, addr, c, cpus)
+				want.Register(n, addr, c, cpus)
+			case op < 6:
+				count, cluster := 1+rng.Intn(4), ""
+				if rng.Intn(2) == 0 {
+					cluster = clusters[rng.Intn(3)]
+				}
+				gn, ga, gerr := got.allocate(count, cluster)
+				wn, wa, werr := want.allocate(count, cluster)
+				if !reflect.DeepEqual(gn, wn) || !reflect.DeepEqual(ga, wa) || gerr != werr {
+					t.Fatalf("seed %d step %d: allocate(%d, %q) = %v %v %v, the sort gives %v %v %v",
+						seed, step, count, cluster, gn, ga, gerr, wn, wa, werr)
+				}
+				held = append(held, gn...)
+			case op < 8:
+				var names []string
+				for i := rng.Intn(4); i > 0 && len(held) > 0; i-- {
+					j := rng.Intn(len(held))
+					names = append(names, held[j])
+					held[j] = held[len(held)-1]
+					held = held[:len(held)-1]
+				}
+				names = append(names, name()) // one it may not hold, or know
+				got.release(names)
+				want.release(names)
+			default:
+				n, h := name(), healths[rng.Intn(len(healths))]
+				got.SetHealth(n, h)
+				want.SetHealth(n, h)
+			}
+		}
+		for n, r := range want {
+			if got.Load(n) != r.Load || got.Health(n) != r.Health {
+				t.Fatalf("seed %d: %s ends at load %d health %v, the sort at %d %v",
+					seed, n, got.Load(n), got.Health(n), r.Load, r.Health)
+			}
+		}
+	}
+}
+
+// TestAllocateAllocatesItsResultOnly pins the cost of a slot beside
+// TestShardAllocateZeroAlloc: at 1,024 resources a two-slot request
+// allocates the two slices it returns and nothing else, no candidate list
+// and nothing per comparison.
+func TestAllocateAllocatesItsResultOnly(t *testing.T) {
+	a := NewAllocator()
+	for i := 0; i < 1024; i++ {
+		a.Register(fmt.Sprintf("node%04d", i), "localhost:1", "default", 2)
+	}
+	avg := testing.AllocsPerRun(100, func() {
+		names, _, err := a.allocate(2, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		a.release(names)
+	})
+	if avg != 2 {
+		t.Fatalf("allocate(2, \"\") + release at 1,024 resources: %.1f allocs/run, want 2", avg)
+	}
+}
+
 func TestRegistry(t *testing.T) {
 	r := NewRegistry()
 	if _, ok := r.Lookup("nope"); ok {
@@ -122,6 +278,7 @@ func startRMFTCP(t *testing.T, reg *Registry) (env *transport.TCPEnv, allocAddr 
 func TestSubmitJobEndToEndTCP(t *testing.T) {
 	reg := NewRegistry()
 	reg.Register("greet", func(env transport.Env, ctx *JobContext) error {
+		env.Sleep(20 * time.Millisecond) // still running when the Q client first asks
 		fmt.Fprintf(&ctx.Stdout, "hello %s from %s (stdin=%q, PROXY=%s)",
 			strings.Join(ctx.Args, ","), ctx.Resource, ctx.Stdin, ctx.Env["PROXY"])
 		return nil
@@ -155,8 +312,14 @@ func TestSubmitJobEndToEndTCP(t *testing.T) {
 	if len(h.Processes) != 2 {
 		t.Fatalf("%d processes", len(h.Processes))
 	}
-	if err := h.Wait(env, 10*time.Millisecond, 5*time.Second); err != nil {
+	// poll bounds how long Wait goes without checking its deadline, not how
+	// long after the last process ends it returns.
+	start := time.Now()
+	if err := h.Wait(env, time.Second, 5*time.Second); err != nil {
 		t.Fatal(err)
+	}
+	if waited := time.Since(start); waited > 500*time.Millisecond {
+		t.Fatalf("Wait(poll = 1s) on two 20 ms processes took %v", waited)
 	}
 	// Outputs staged out with per-process suffixes.
 	for i := 0; i < 2; i++ {

@@ -7,9 +7,11 @@ import "fmt"
 // fractional load (running/cpus), so Allocate and Release are O(log hosts)
 // and allocation-free in steady state. It is the wire-free analogue of
 // Allocator.allocate's least-loaded policy, shrunk to exactly what a site
-// gateway needs at 10k-host scale: the full Allocator sorts a candidate
-// slice per slot and speaks the RMF protocol per request; a Shard keeps the
-// order incrementally and is driven directly by the site's dispatch events.
+// gateway needs at 10k-host scale: the full Allocator ranks named resources
+// by health and cluster as well, registers them at run time and speaks the
+// RMF protocol per request; a Shard has a fixed host set, a capacity limit,
+// and is driven directly by the site's dispatch events. Both keep their
+// order with the same heap code (heap.go).
 //
 // Fractional loads compare by integer cross-multiplication
 // (load_i*cpus_j < load_j*cpus_i), so ordering is exact and deterministic —
@@ -96,7 +98,7 @@ func (s *Shard) Allocate() (host int, ok bool) {
 	}
 	s.load[h]++
 	s.run++
-	s.siftDown(0)
+	heapDown(s, s.heap, s.pos, 0)
 	return int(h), true
 }
 
@@ -107,52 +109,15 @@ func (s *Shard) Release(h int) {
 	}
 	s.load[h]--
 	s.run--
-	s.siftUp(int(s.pos[h]))
+	heapUp(s, s.heap, s.pos, int(s.pos[h]))
 }
 
-// less orders heap positions i, j by fractional load with exact integer
+// before orders hosts by fractional load with exact integer
 // cross-multiplication; ties break on lower host index for determinism.
-func (s *Shard) less(i, j int) bool {
-	a, b := s.heap[i], s.heap[j]
+func (s *Shard) before(a, b int32) bool {
 	la, lb := int64(s.load[a])*int64(s.cpus[b]), int64(s.load[b])*int64(s.cpus[a])
 	if la != lb {
 		return la < lb
 	}
 	return a < b
-}
-
-func (s *Shard) swap(i, j int) {
-	s.heap[i], s.heap[j] = s.heap[j], s.heap[i]
-	s.pos[s.heap[i]] = int32(i)
-	s.pos[s.heap[j]] = int32(j)
-}
-
-func (s *Shard) siftUp(i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !s.less(i, parent) {
-			break
-		}
-		s.swap(i, parent)
-		i = parent
-	}
-}
-
-func (s *Shard) siftDown(i int) {
-	n := len(s.heap)
-	for {
-		l, r := 2*i+1, 2*i+2
-		min := i
-		if l < n && s.less(l, min) {
-			min = l
-		}
-		if r < n && s.less(r, min) {
-			min = r
-		}
-		if min == i {
-			return
-		}
-		s.swap(i, min)
-		i = min
-	}
 }

@@ -126,17 +126,17 @@ func (q *tcpQueue) Get(env Env) (interface{}, bool) {
 	for len(q.items) == 0 && !q.closed {
 		q.cond.Wait()
 	}
-	if len(q.items) == 0 {
-		return nil, false
-	}
-	v := q.items[0]
-	q.items = q.items[1:]
-	return v, true
+	return q.pop()
 }
 
 func (q *tcpQueue) TryGet(env Env) (interface{}, bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
+	return q.pop()
+}
+
+// pop removes the head, if there is one; the caller holds mu.
+func (q *tcpQueue) pop() (interface{}, bool) {
 	if len(q.items) == 0 {
 		return nil, false
 	}
@@ -146,24 +146,26 @@ func (q *tcpQueue) TryGet(env Env) (interface{}, bool) {
 }
 
 func (q *tcpQueue) GetTimeout(env Env, d time.Duration) (interface{}, bool, bool) {
-	deadline := time.Now().Add(d)
-	// sync.Cond has no timed wait; poll with a short sleep, which is fine
-	// for the real-TCP environment's test workloads.
-	for {
-		if v, ok := q.TryGet(env); ok {
-			return v, true, false
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if len(q.items) == 0 && !q.closed {
+		// sync.Cond has no timed wait, so the deadline is one more waker: a
+		// timer that sets expired under the lock and broadcasts as Put and
+		// Close do.
+		expired := false
+		t := time.AfterFunc(d, func() {
+			q.mu.Lock()
+			expired = true
+			q.mu.Unlock()
+			q.cond.Broadcast()
+		})
+		defer t.Stop()
+		for len(q.items) == 0 && !q.closed && !expired {
+			q.cond.Wait()
 		}
-		q.mu.Lock()
-		closed := q.closed
-		q.mu.Unlock()
-		if closed {
-			return nil, false, false
-		}
-		if time.Now().After(deadline) {
-			return nil, false, true
-		}
-		time.Sleep(time.Millisecond)
 	}
+	v, ok := q.pop()
+	return v, ok, !ok && !q.closed
 }
 
 func (q *tcpQueue) Close() {

@@ -60,6 +60,38 @@ func TestTCPQueueGetTimeout(t *testing.T) {
 	}
 }
 
+// TestTCPQueueGetTimeoutWakesOnPut: a timed Get is a wait, woken by whichever
+// of Put, Close and the deadline comes first, not a poll of the queue.
+func TestTCPQueueGetTimeoutWakesOnPut(t *testing.T) {
+	env := NewTCPEnv("h")
+	q := NewQueue[int](env)
+	go func() {
+		time.Sleep(200 * time.Microsecond)
+		q.Put(env, 7)
+	}()
+	start := time.Now()
+	v, ok, timedOut := q.GetTimeout(env, time.Second)
+	if !ok || timedOut || v != 7 {
+		t.Fatalf("v=%d ok=%v timedOut=%v, want the value put during the wait", v, ok, timedOut)
+	}
+	if waited := time.Since(start); waited > 500*time.Millisecond {
+		t.Fatalf("a Put 200us into a 1s wait was returned after %v", waited)
+	}
+
+	go func() {
+		time.Sleep(200 * time.Microsecond)
+		q.Close()
+	}()
+	start = time.Now()
+	_, ok, timedOut = q.GetTimeout(env, time.Second)
+	if ok || timedOut {
+		t.Fatalf("Close during the wait: ok=%v timedOut=%v, want closed, not timeout", ok, timedOut)
+	}
+	if waited := time.Since(start); waited > 500*time.Millisecond {
+		t.Fatalf("a Close 200us into a 1s wait was noticed after %v", waited)
+	}
+}
+
 func TestTCPQueueCloseDrains(t *testing.T) {
 	env := NewTCPEnv("h")
 	q := NewQueue[int](env)
