@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test check chaos scenarios fleet-smoke trace-goldens benchmark-smoke race race-sched bench bench-json bench-diff experiments examples cover fuzz clean
+.PHONY: all build test check chaos scenarios fleet-smoke trace-goldens benchmark-smoke race race-sched bench experiments examples cover fuzz clean
 
 all: build check
 
@@ -14,17 +14,18 @@ test:
 
 # check is the default verification gate: vet, the end-to-end chaos
 # scenarios, the declarative scenario library gated against its committed
-# baseline (validate + run + coverage and hash gate), the fleet-scale smoke
-# run, the full test suite under the race detector (independent simulations
-# run side by side in bench.RunParallel and gridftp transfers share the stored
-# file, so race coverage is load-bearing; the allocation-budget tests of
-# internal/bench and internal/gridftp run here too), a focused race pass over
+# baseline, the fleet-scale smoke run, the full test suite under the race
+# detector (independent simulations run side by side in bench.RunParallel and
+# gridftp transfers share the stored file, so race coverage is load-bearing;
+# the allocation pins beside the kernel, trace store, MPI and data-plane code
+# run here too), every benchmark once so none rots, a focused race pass over
 # the scheduler's coroutine switches, a short fuzz smoke over the wire-facing
 # parsers, and the coverage floor — after the benchmark module, which `./...`
 # does not reach, has been vetted and smoke-tested against this tree.
 check: benchmark-smoke chaos scenarios fleet-smoke trace-goldens
 	$(GO) vet ./...
 	$(GO) test -race ./...
+	$(GO) test -run NONE -bench . -benchtime 1x ./...
 	$(MAKE) race-sched
 	$(MAKE) fuzz
 	$(MAKE) cover
@@ -48,15 +49,13 @@ chaos:
 
 # scenarios validates and runs the declarative scenario library (see
 # EXPERIMENTS.md, "Scenario runs"): every file under scenarios/ must parse,
-# validate, double-run bit-identically, and pass its declared assertions;
-# the fresh summary is then gated against the committed SCENARIOS_suite.json
-# baseline: a failed invariant, a shrunk scenario or invariant count, a
-# dropped scenario name, or a changed or missing trace hash or fingerprint
-# exits non-zero.
+# validate, double-run bit-identically, pass its declared assertions and
+# reproduce its row of the committed SCENARIOS_suite.json — a failed
+# invariant, a row without a file or a file without a row, or a changed trace
+# hash, fingerprint or invariant count exits non-zero (TestShippedScenariosRun).
 scenarios:
 	$(GO) run ./cmd/simulator validate scenarios/*.yaml
-	$(GO) run ./cmd/simulator run -json SCENARIOS_new.json scenarios/*.yaml
-	$(GO) run ./cmd/benchdiff -scenarios-old SCENARIOS_suite.json -scenarios-new SCENARIOS_new.json
+	$(GO) test -count=1 -run TestShippedScenarios ./internal/scenario/
 
 # fleet-smoke is the seconds-scale fleet gate: the open-loop engine's
 # end-to-end and determinism tests (fresh, uncached), then a 20k-job fleet
@@ -87,28 +86,6 @@ race:
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
-
-# bench-json runs the kernel/data-plane microbenchmarks and emits machine-
-# readable results for tracking regressions across commits. BENCHTIME
-# stretches each benchmark enough that the whole-run rows (FleetSweep,
-# ~100ms/op and up) get a stable sample; each benchmark runs three times and
-# cmd/benchjson keeps the median run.
-BENCHTIME ?= 2s
-BENCH_PAT = KernelStep|KernelSwitch|KernelSpawn|KernelTimerStop|ObsSpan|ObsEmit|ObsHash|SimnetThroughput|MPIPingPong|TransferSingle|TransferParallel8|FleetSweep
-
-bench-json:
-	$(GO) test -run NONE -bench '$(BENCH_PAT)' -benchtime $(BENCHTIME) -count 3 -benchmem . | $(GO) run ./cmd/benchjson > BENCH_kernel.json
-	@cat BENCH_kernel.json
-
-# bench-diff re-runs the microbenchmarks and gates on regressions against
-# the committed BENCH_kernel.json baseline: > BENCH_THRESHOLD relative ns/op
-# or allocs/op growth (any growth at all on 0-alloc baselines) exits
-# non-zero (see cmd/benchdiff).
-BENCH_THRESHOLD ?= 0.10
-
-bench-diff:
-	$(GO) test -run NONE -bench '$(BENCH_PAT)' -benchtime $(BENCHTIME) -count 3 -benchmem . | $(GO) run ./cmd/benchjson > BENCH_new.json
-	$(GO) run ./cmd/benchdiff -threshold $(BENCH_THRESHOLD) BENCH_kernel.json BENCH_new.json
 
 experiments:
 	$(GO) run ./cmd/experiments

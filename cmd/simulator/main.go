@@ -34,7 +34,7 @@ const usageText = `usage: simulator <command> [arguments]
 commands:
   validate <file>...      parse and validate scenario files (nothing runs)
   run [flags] <file>...   execute scenarios, enforcing every assertion
-      -json FILE          write the suite result JSON (benchdiff gate input)
+      -json FILE          write the suite result JSON (re-baselines SCENARIOS_suite.json)
       -v                  print per-scenario failures as they happen
   list [dir]              list scenarios in a directory (default scenarios/)
 `
@@ -74,8 +74,9 @@ func loadSpec(path string) (*scenario.Spec, error) {
 }
 
 // loadSpecs parses every file (errs[i] is file i's error) and refuses two
-// files that declare the same name: results are keyed by name — benchdiff's
-// gate looks rows up by it — so the second would leave the first ungated.
+// files that declare the same name: results are keyed by name — the
+// SCENARIOS_suite.json rows are looked up by it — so the second would leave
+// the first ungated.
 func loadSpecs(files []string) (specs []*scenario.Spec, errs []error, dup error) {
 	specs, errs = make([]*scenario.Spec, len(files)), make([]error, len(files))
 	owner := map[string]string{}

@@ -4,9 +4,10 @@
 //
 // The library lives under internal/ (see DESIGN.md for the inventory), the
 // runnable tools under cmd/, and the demonstrations under examples/. The
-// top-level test files regenerate the paper's evaluation:
+// top-level tests check the repository as a whole: the binaries and examples
+// run, every export has a caller, and the docs name only what exists. The
+// paper's evaluation is regenerated by
 //
-//	go test -bench=.      # tables 2, 4, 5, 6 and the figure flows
 //	go run ./cmd/experiments
 //
 // See README.md for the quickstart and EXPERIMENTS.md for paper-vs-measured

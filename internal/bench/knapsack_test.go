@@ -3,6 +3,7 @@ package bench
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"nxcluster/internal/cluster"
 	"nxcluster/internal/knapsack"
@@ -82,6 +83,29 @@ func TestKnapsackReportShape(t *testing.T) {
 		}
 	}
 	t.Logf("\n%s\n%s\n%s", out4, out5, out6)
+}
+
+// TestStealUnitTradesBalanceForRoundTrips: on the proxied wide-area cluster
+// at capacity 3, a steal unit of 2 beats 4, whose coarse grants let single
+// workers hoard subtrees. The sequential baseline is common to both, so
+// execution time orders their speedups.
+func TestStealUnitTradesBalanceForRoundTrips(t *testing.T) {
+	in := knapsack.Normalized(50, 3)
+	elapsed := map[int]time.Duration{}
+	for _, su := range []int{2, 4} {
+		cfg := KnapsackConfig{Params: knapsack.DefaultParams()}
+		cfg.Params.StealUnit = su
+		res, err := runOn(cfg, in, func(tb *cluster.Testbed) []mpi.Placement {
+			return tb.Placements(cluster.SystemWide, true)
+		}, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		elapsed[su] = res.Elapsed
+	}
+	if elapsed[2] >= elapsed[4] {
+		t.Errorf("stealunit 2 took %v, stealunit 4 %v: want 2 faster", elapsed[2], elapsed[4])
+	}
 }
 
 // TestSecuredProxyDoesNotChangeResults: running the wide-area system with

@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"nxcluster/internal/cluster"
 )
 
 func TestTable2ReproducesPaperShape(t *testing.T) {
@@ -35,6 +37,12 @@ func TestTable2ReproducesPaperShape(t *testing.T) {
 		t.Errorf("WAN indirect/direct latency ratio = %.1f (%v vs %v), want several x",
 			wratio, wanIndirect.Latency, wanDirect.Latency)
 	}
+	// Proxy placement: the COMPaS round trip crosses relays on both ends, the
+	// ETL one on one end only, which is why the paper's two indirect rows sit
+	// close together although their direct baselines differ by 10x.
+	if lanIndirect.Latency <= wanIndirect.Latency {
+		t.Errorf("both-sides-proxied latency %v <= one-side-proxied %v", lanIndirect.Latency, wanIndirect.Latency)
+	}
 
 	// Paper: direct LAN 1MB bandwidth 6.32 MB/s.
 	if bw := lanDirect.Bandwidth[1<<20]; bw < 4e6 || bw > 8e6 {
@@ -64,4 +72,21 @@ func TestTable2ReproducesPaperShape(t *testing.T) {
 		}
 	}
 	t.Logf("\n%s", out)
+}
+
+// TestRelayBufferSetsProxiedBandwidth: the relay pays its processing cost per
+// buffer, so the buffer size sets the proxied pipeline's ceiling — the
+// mechanism behind the paper's small-message cliff.
+func TestRelayBufferSetsProxiedBandwidth(t *testing.T) {
+	bw := map[int]float64{}
+	for _, buf := range []int{1 << 10, 4 << 10} {
+		rows, err := RunTable2(Table2Config{Rounds: 2, Options: cluster.Options{RelayBufBytes: buf}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		bw[buf] = rows[1].Bandwidth[1<<20]
+	}
+	if bw[4<<10] <= bw[1<<10] {
+		t.Errorf("proxied LAN 1 MB bandwidth %.0f B/s with 4 KiB buffers, %.0f with 1 KiB: want higher", bw[4<<10], bw[1<<10])
+	}
 }

@@ -298,6 +298,49 @@ func TestPerSourceOrderingSim(t *testing.T) {
 	}
 }
 
+// TestPingPongAllocs pins the simulated MPI stack's host-side cost: what one
+// 64-byte round trip allocates, the world's set-up taken out by difference
+// (a run of 2n round trips against a run of n). The count is process-wide,
+// so a few stray allocations of other goroutines pass.
+func TestPingPongAllocs(t *testing.T) {
+	run := func(rounds int) float64 {
+		return testing.AllocsPerRun(1, func() {
+			k, w := simWorld(t, 2)
+			payload := make([]byte, 64)
+			w.Launch(func(c *Comm) error {
+				peer := 1 - c.Rank()
+				for i := 0; i < rounds; i++ {
+					if c.Rank() == 0 {
+						if err := c.Send(peer, 1, payload); err != nil {
+							return err
+						}
+					}
+					if _, err := c.Recv(peer, 1); err != nil {
+						return err
+					}
+					if c.Rank() == 1 {
+						if err := c.Send(peer, 1, payload); err != nil {
+							return err
+						}
+					}
+				}
+				return nil
+			})
+			if err := k.Run(); err != nil {
+				t.Fatal(err)
+			}
+			k.Shutdown()
+			if err := w.Err(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	const n = 1000
+	if per := (run(2*n) - run(n)) / n; per > 30.01 {
+		t.Errorf("%.2f allocations per round trip, want <= 30", per)
+	}
+}
+
 func TestMessageLatencyReflectsTopology(t *testing.T) {
 	// Two hosts 50ms apart: a ping-pong round trip costs >= 100ms virtual.
 	k := sim.New()

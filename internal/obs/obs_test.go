@@ -211,8 +211,7 @@ func TestMetricUpdatesDoNotAllocate(t *testing.T) {
 
 // TestDisabledTracingDoesNotAllocate pins the overhead contract for the
 // span API: with tracing off (a nil observer) every call is a branch and a
-// return — no event is built, nothing escapes. BenchmarkObsSpan/disabled in
-// the root package reports the same path's per-op cost.
+// return — no event is built, nothing escapes.
 func TestDisabledTracingDoesNotAllocate(t *testing.T) {
 	var o *Observer
 	var parent TraceContext

@@ -165,26 +165,106 @@ func TestEventsSnapshots(t *testing.T) {
 }
 
 // TestEmitAmortisedAllocs pins what the store is for: once the chunks have
-// reached full size, recording an event with three fields allocates a chunk
-// now and then and nothing per event. (With a retained variadic slice it was
-// more than one allocation an event.)
+// reached full size, recording an event with three fields, a flat span or a
+// causal child span allocates a chunk now and then and nothing per call.
+// (With a retained variadic slice it was more than one allocation an event.)
 func TestEmitAmortisedAllocs(t *testing.T) {
-	o := New()
-	emit := func(n int) {
-		for i := 0; i < n; i++ {
+	for _, c := range []struct {
+		name   string
+		record func(o *Observer, root TraceContext, i int)
+	}{
+		{"emit", func(o *Observer, _ TraceContext, i int) {
 			v := int64(i)
 			o.Emit(time.Duration(i), "net", "deliver", "h", Int("bytes", v), Int("seq", v), Int("hop", 3))
+		}},
+		{"span", func(o *Observer, _ TraceContext, i int) {
+			id := o.Begin(time.Duration(i), "rmf", "job", "h")
+			o.End(time.Duration(i+1), id, "rmf", "job", "h")
+		}},
+		{"traced", func(o *Observer, root TraceContext, i int) {
+			child := o.BeginChild(time.Duration(i), root, "gram", "submit", "h")
+			o.EndSpan(time.Duration(i+1), child, "gram", "submit", "h")
+		}},
+	} {
+		o := New()
+		root := o.BeginTrace(0, "rmf", "job", "h")
+		for i := 0; i < 3*maxChunk; i++ { // warm: past the doubling
+			c.record(o, root, i)
+		}
+		const calls = 100_000
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < calls; i++ {
+			c.record(o, root, i)
+		}
+		runtime.ReadMemStats(&after)
+		if per := float64(after.Mallocs-before.Mallocs) / calls; per > 0.02 {
+			t.Errorf("%s: %.4f allocations per call, want <= 0.02", c.name, per)
 		}
 	}
-	emit(3 * maxChunk) // warm: past the doubling
-	const events = 100_000
+}
+
+// emitTrace records n instants with three integer fields — the shape of
+// simnet's per-buffer delivery event — on one fresh observer.
+func emitTrace(n int) *Observer {
+	o := New()
+	for i := 0; i < n; i++ {
+		v := int64(i)
+		o.Emit(time.Duration(i), "net", "deliver", "bench", Int("bytes", v), Int("seq", v), Int("hop", 3))
+	}
+	return o
+}
+
+// TestHashAllocsIndependentOfLength: Hash serializes every event into one
+// reused line buffer, so what it allocates is that buffer's growth — the
+// same for a trace ten times longer.
+func TestHashAllocsIndependentOfLength(t *testing.T) {
+	short, long := emitTrace(10_000), emitTrace(100_000)
+	a := testing.AllocsPerRun(3, func() { short.Hash() })
+	b := testing.AllocsPerRun(3, func() { long.Hash() })
+	if a != b || a > 8 {
+		t.Errorf("Hash allocates %v times over 10k events and %v over 100k, want the same few", a, b)
+	}
+}
+
+// obsTraceEvents is the trace length BenchmarkObsEmit records and
+// BenchmarkObsHash hashes: the size of a chaos scenario's trace, well past
+// the store's chunk doubling.
+const obsTraceEvents = 1_000_000
+
+// BenchmarkObsEmit times recording one event over a whole run's trace, growth
+// of the store included. One op is the full trace.
+func BenchmarkObsEmit(b *testing.B) {
+	b.ReportAllocs()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	emit(events)
-	runtime.ReadMemStats(&after)
-	if per := float64(after.Mallocs-before.Mallocs) / events; per > 0.02 {
-		t.Fatalf("%.4f allocations per Emit, want <= 0.02", per)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if emitTrace(obsTraceEvents).Len() != obsTraceEvents {
+			b.Fatal("trace lost events")
+		}
 	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	events := float64(b.N) * obsTraceEvents
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/events, "ns/event")
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/events, "B/event")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/events, "allocs/event")
+}
+
+// BenchmarkObsHash times the determinism witness: serializing and
+// FNV-hashing that trace, which every scenario run does once.
+func BenchmarkObsHash(b *testing.B) {
+	o := emitTrace(obsTraceEvents)
+	want := o.Hash()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if o.Hash() != want {
+			b.Fatal("hash not stable")
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*obsTraceEvents), "ns/event")
 }
 
 // TestFirstDiff: the first differing event is named by index with both

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -52,51 +53,106 @@ func TestShippedScenariosValidate(t *testing.T) {
 	}
 }
 
-// TestShippedScenariosRun is the determinism wall: every shipped scenario
-// runs (Run itself executes each workload twice and fails on any trace-hash
-// or fingerprint divergence), passes all its declared assertions, and
-// reproduces its row of the committed SCENARIOS_suite.json — the same
-// comparison `make scenarios` gates on, here without a second run.
+// suiteBaseline is the committed row per shipped scenario; regenerate it with
+// `simulator run -json SCENARIOS_suite.json scenarios/*.yaml`.
+const suiteBaseline = "SCENARIOS_suite.json"
+
+// suiteDrift compares a scenario library with its committed rows and returns
+// one line per difference, sorted, each naming its scenario: a row no file
+// declares, a file with no row, and for each result (nil: the scenario did
+// not run) a failed invariant or a trace_hash, fingerprint or invariant count
+// that differs from its row's.
+func suiteDrift(rows []Result, got map[string]*Result) []string {
+	var out []string
+	seen := map[string]bool{}
+	for _, w := range rows {
+		seen[w.Name] = true
+		res, ok := got[w.Name]
+		switch {
+		case !ok:
+			out = append(out, fmt.Sprintf("%s: row in %s has no scenario file", w.Name, suiteBaseline))
+		case res == nil:
+		case !res.Passed:
+			out = append(out, fmt.Sprintf("%s: failures: %v", w.Name, res.Failures))
+		case res.TraceHash != w.TraceHash || res.Fingerprint != w.Fingerprint || res.Invariants != w.Invariants:
+			out = append(out, fmt.Sprintf("%s: drifted from %s:\n got  trace_hash=%s invariants=%d fingerprint=%q\n want trace_hash=%s invariants=%d fingerprint=%q",
+				w.Name, suiteBaseline, res.TraceHash, res.Invariants, res.Fingerprint, w.TraceHash, w.Invariants, w.Fingerprint))
+		}
+	}
+	for name := range got {
+		if !seen[name] {
+			out = append(out, fmt.Sprintf("%s: no row in %s", name, suiteBaseline))
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+// TestSuiteDrift: each way a library can part from its rows is reported, by
+// name, and an identical library is not.
+func TestSuiteDrift(t *testing.T) {
+	rows := []Result{
+		{Name: "s", Passed: true, Invariants: 3, TraceHash: "aaaa", Fingerprint: "elapsed=1ms\n"},
+		{Name: "t", Passed: true, Invariants: 4, TraceHash: "cccc", Fingerprint: "elapsed=2ms\n"},
+	}
+	for _, tc := range []struct {
+		name   string
+		change func(got map[string]*Result)
+		want   string // "": no drift
+	}{
+		{"identical", func(map[string]*Result) {}, ""},
+		{"not run", func(got map[string]*Result) { got["s"] = nil }, ""},
+		{"failed invariant", func(got map[string]*Result) { got["s"].Passed, got["s"].Failures = false, []string{"exact-optimum"} },
+			"s: failures: [exact-optimum]"},
+		{"row without a file", func(got map[string]*Result) { delete(got, "t") }, "t: row in SCENARIOS_suite.json has no scenario file"},
+		{"file without a row", func(got map[string]*Result) { got["u"] = nil }, "u: no row in SCENARIOS_suite.json"},
+		{"trace_hash", func(got map[string]*Result) { got["s"].TraceHash = "bbbb" }, "got  trace_hash=bbbb"},
+		{"fingerprint", func(got map[string]*Result) { got["t"].Fingerprint = "elapsed=9ms\n" }, `fingerprint="elapsed=9ms\n"`},
+		{"invariant count", func(got map[string]*Result) { got["s"].Invariants = 2 }, "invariants=2"},
+	} {
+		got := map[string]*Result{}
+		for _, r := range rows {
+			got[r.Name] = &r
+		}
+		tc.change(got)
+		d := suiteDrift(rows, got)
+		if tc.want == "" && d != nil || tc.want != "" && (len(d) != 1 || !strings.Contains(d[0], tc.want)) {
+			t.Errorf("%s: drift %q, want one line containing %q", tc.name, d, tc.want)
+		}
+	}
+}
+
+// TestShippedScenariosRun is the determinism wall and the gate `make
+// scenarios` runs: every shipped scenario runs (Run itself executes each
+// workload twice and fails on any trace-hash or fingerprint divergence),
+// passes all its declared assertions, and reproduces its row of the committed
+// SCENARIOS_suite.json, which has a row for every file and no other.
 func TestShippedScenariosRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full scenario library (~5s of virtual-time runs) in -short mode")
 	}
-	const baseline = "SCENARIOS_suite.json"
-	data, err := os.ReadFile(filepath.Join("..", "..", baseline))
+	data, err := os.ReadFile(filepath.Join("..", "..", suiteBaseline))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var suite SuiteResult
 	if err := json.Unmarshal(data, &suite); err != nil {
-		t.Fatalf("%s: %v", baseline, err)
+		t.Fatalf("%s: %v", suiteBaseline, err)
 	}
-	rows := map[string]Result{}
-	for _, r := range suite.Scenarios {
-		rows[r.Name] = r
-	}
+	got := map[string]*Result{}
 	for _, file := range shippedFiles(t) {
 		s := loadShipped(t, file)
-		want, ok := rows[s.Name]
-		delete(rows, s.Name)
+		got[s.Name] = nil
 		t.Run(file, func(t *testing.T) {
-			if !ok {
-				t.Fatalf("%s has no %q row (regenerate it: simulator run -json %s scenarios/*.yaml)", baseline, s.Name, baseline)
-			}
 			res, err := Run(s)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !res.Passed {
-				t.Fatalf("failures: %v", res.Failures)
-			}
-			if res.TraceHash != want.TraceHash || res.Fingerprint != want.Fingerprint || res.Invariants != want.Invariants {
-				t.Errorf("drifted from %s:\n got  trace_hash=%s invariants=%d fingerprint=%q\n want trace_hash=%s invariants=%d fingerprint=%q",
-					baseline, res.TraceHash, res.Invariants, res.Fingerprint, want.TraceHash, want.Invariants, want.Fingerprint)
-			}
+			got[s.Name] = res
 		})
 	}
-	for name := range rows {
-		t.Errorf("%s row %q has no scenario file", baseline, name)
+	for _, d := range suiteDrift(suite.Scenarios, got) {
+		t.Error(d)
 	}
 }
 

@@ -15,8 +15,8 @@ import (
 	"nxcluster/internal/obs/timeseries"
 )
 
-// Result is the outcome of running one scenario. The JSON shape is the file
-// format of cmd/benchdiff's suite gate, which decodes into this type.
+// Result is the outcome of running one scenario. The JSON shape is a row of
+// SCENARIOS_suite.json, which TestShippedScenariosRun decodes into this type.
 type Result struct {
 	Name       string   `json:"name"`
 	Kind       string   `json:"kind"`

@@ -246,7 +246,7 @@ func TestSLOEvaluate(t *testing.T) {
 
 // TestSLOViolatedScenario runs the intentionally broken testdata scenario
 // end to end: a violated objective must fail the scenario (and with it
-// `simulator run` and the benchdiff gate), counting each objective as an
+// `simulator run` and the scenario gate), counting each objective as an
 // invariant.
 func TestSLOViolatedScenario(t *testing.T) {
 	src, err := os.ReadFile(filepath.Join("testdata", "slo-violated.yaml"))

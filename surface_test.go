@@ -5,7 +5,9 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -87,6 +89,68 @@ func TestNoUncalledExports(t *testing.T) {
 	for key := range calledByStdlibOnly {
 		if !allowed[key] {
 			t.Errorf("allow-list entry %s is stale: the function is gone or has a caller", key)
+		}
+	}
+}
+
+// removedInDocs lists what TestDocsResolve lets through although it no longer
+// resolves: each is named by a "removed in PR N" row or section of DESIGN.md
+// that says what replaced it.
+var removedInDocs = map[string]string{
+	"make chaos-suite":             "the Go-side chaos suite, removed in PR 19",
+	"make race-parallel":           "parallel-DES, removed in PR 20",
+	"internal/sim/group.go":        "parallel-DES, removed in PR 20",
+	"internal/simnet/partition.go": "parallel-DES, removed in PR 20",
+	"internal/treesearch":          "the tree-search engine, removed in PR 22",
+	"internal/nqueens":             "N-queens, removed in PR 22",
+	"examples/nqueens":             "N-queens, removed in PR 22",
+}
+
+// TestDocsResolve keeps the prose pointing at the tree: in README, DESIGN,
+// EXPERIMENTS and the verify skill, every backticked `make X` names a
+// Makefile target and every backticked path under cmd/, internal/, examples/
+// or scenarios/ exists (a glob must match something; a :line suffix is
+// ignored).
+func TestDocsResolve(t *testing.T) {
+	mk, err := os.ReadFile("Makefile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	targets := map[string]bool{}
+	for _, m := range regexp.MustCompile(`(?m)^([\w-]+):`).FindAllStringSubmatch(string(mk), -1) {
+		targets[m[1]] = true
+	}
+	path := regexp.MustCompile(`^(cmd|internal|examples|scenarios)/`)
+	used := map[string]bool{}
+	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md"} {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range regexp.MustCompile("`([^`\n]+)`").FindAllStringSubmatch(string(text), -1) {
+			words := append(strings.Fields(m[1]), "")
+			var ref string
+			var ok bool
+			switch {
+			case words[0] == "make" && words[1] != "":
+				ref, ok = "make "+words[1], targets[words[1]]
+			case path.MatchString(words[0]):
+				ref, _, _ = strings.Cut(words[0], ":")
+				matches, _ := filepath.Glob(ref)
+				ok = len(matches) > 0
+			default:
+				continue
+			}
+			if _, removed := removedInDocs[ref]; !ok && removed {
+				used[ref] = true
+			} else if !ok {
+				t.Errorf("%s: `%s` does not resolve", doc, m[1])
+			}
+		}
+	}
+	for ref := range removedInDocs {
+		if !used[ref] {
+			t.Errorf("allow-list entry %q is stale: no doc names it, or it resolves again", ref)
 		}
 	}
 }
