@@ -107,7 +107,8 @@ cover:
 # fuzz gives each wire-facing parser a short, deterministic-budget fuzz run:
 # the RSL parser, the proxy control-channel decoder, the gridftp MODE E
 # block reader, the scenario-file parser, and the request handlers of the RMF
-# allocator and Q server. Crashers land in testdata/fuzz/ and fail the build
+# allocator and Q server; and it fuzzes the kernel's lane merge against the
+# heap-only firing order. Crashers land in testdata/fuzz/ and fail the build
 # until fixed.
 FUZZTIME ?= 10s
 
@@ -118,6 +119,7 @@ fuzz:
 	$(GO) test -fuzz FuzzScenario -fuzztime $(FUZZTIME) ./internal/scenario/
 	$(GO) test -fuzz FuzzAllocatorRequest -fuzztime $(FUZZTIME) ./internal/rmf/
 	$(GO) test -fuzz FuzzQServerRequest -fuzztime $(FUZZTIME) ./internal/rmf/
+	$(GO) test -fuzz FuzzLaneOrder -fuzztime $(FUZZTIME) ./internal/sim/
 
 clean:
 	$(GO) clean ./...

@@ -109,8 +109,20 @@ type Firewall struct {
 	Outgoing RuleSet
 
 	// stats
-	allowed map[string]int
-	denied  map[string]int
+	allowed map[decision]int
+	denied  map[decision]int
+}
+
+// decision is one counted connection attempt. It is a comparable struct, so
+// counting one formats nothing; AuditLog renders the keys.
+type decision struct {
+	dir      Direction
+	src, dst string
+	port     int
+}
+
+func (d decision) String() string {
+	return fmt.Sprintf("%s %s->%s:%d", d.dir, d.src, d.dst, d.port)
 }
 
 // New creates a firewall for site with the paper's typical configuration:
@@ -153,16 +165,16 @@ func (f *Firewall) PermitConn(dir Direction, src, dst string, dstPort int) bool 
 	default:
 		verdict = f.Outgoing.Verdict(dstPort)
 	}
-	key := fmt.Sprintf("%s %s->%s:%d", dir, src, dst, dstPort)
+	key := decision{dir, src, dst, dstPort}
 	if verdict == Allow {
 		if f.allowed == nil {
-			f.allowed = make(map[string]int)
+			f.allowed = make(map[decision]int)
 		}
 		f.allowed[key]++
 		return true
 	}
 	if f.denied == nil {
-		f.denied = make(map[string]int)
+		f.denied = make(map[decision]int)
 	}
 	f.denied[key]++
 	return false
@@ -191,10 +203,10 @@ func (f *Firewall) AuditLog() string {
 	var b strings.Builder
 	var keys []string
 	for k := range f.allowed {
-		keys = append(keys, "ALLOW "+k)
+		keys = append(keys, "ALLOW "+k.String())
 	}
 	for k := range f.denied {
-		keys = append(keys, "DENY  "+k)
+		keys = append(keys, "DENY  "+k.String())
 	}
 	sort.Strings(keys)
 	for _, k := range keys {

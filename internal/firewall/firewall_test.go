@@ -144,3 +144,58 @@ func TestQuickEndpointIndependence(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestAuditLogFormat: counters are keyed on the decision, not on a formatted
+// string, and AuditLog renders them exactly as it did when they were: one
+// sorted line per distinct decision, repeats folded, mixed directions, ports
+// and verdicts.
+func TestAuditLogFormat(t *testing.T) {
+	f := New("rwcp")
+	f.AllowIncomingPort(2811, "gridftp")
+	f.DenyOutgoingPort(25, "smtp")
+	for _, c := range []struct {
+		dir      Direction
+		src, dst string
+		port     int
+	}{
+		{Incoming, "etl-0", "rwcp-gw", 2811},
+		{Incoming, "etl-0", "rwcp-gw", 40000},
+		{Outgoing, "rwcp-1", "etl-0", 25},
+		{Outgoing, "rwcp-1", "etl-0", 8000},
+		{Incoming, "etl-0", "rwcp-gw", 2811},
+		{Outgoing, "rwcp-10", "etl-0", 8000},
+		{Incoming, "etl-1", "rwcp-gw", 9},
+		{Outgoing, "rwcp-1", "etl-0", 25},
+		{Incoming, "a", "b", 0},
+	} {
+		f.PermitConn(c.dir, c.src, c.dst, c.port)
+	}
+	const want = "ALLOW incoming etl-0->rwcp-gw:2811\n" +
+		"ALLOW outgoing rwcp-1->etl-0:8000\n" +
+		"ALLOW outgoing rwcp-10->etl-0:8000\n" +
+		"DENY  incoming a->b:0\n" +
+		"DENY  incoming etl-0->rwcp-gw:40000\n" +
+		"DENY  incoming etl-1->rwcp-gw:9\n" +
+		"DENY  outgoing rwcp-1->etl-0:25\n"
+	if got := f.AuditLog(); got != want {
+		t.Fatalf("AuditLog:\n%s\nwant:\n%s", got, want)
+	}
+	if f.AllowedCount() != 4 || f.DeniedCount() != 5 {
+		t.Fatalf("counts allowed=%d denied=%d, want 4 and 5", f.AllowedCount(), f.DeniedCount())
+	}
+}
+
+// TestPermitConnZeroAlloc: a decision already counted once costs no
+// allocation to count again, allowed or denied.
+func TestPermitConnZeroAlloc(t *testing.T) {
+	f := New("rwcp")
+	f.AllowIncomingPort(7010, "nxport")
+	decide := func() {
+		f.PermitConn(Incoming, "outer", "inner", 7010)
+		f.PermitConn(Incoming, "evil", "inner", 22)
+	}
+	decide()
+	if avg := testing.AllocsPerRun(1000, decide); avg != 0 {
+		t.Errorf("warm PermitConn allocates %.2f objects/op, want 0", avg)
+	}
+}

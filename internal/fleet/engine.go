@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 	"time"
 
@@ -106,6 +106,11 @@ type siteState struct {
 	// lastClass is each host's last-published state class (-1 = never), so
 	// MDS publishing ships per-host rows only on change.
 	lastClass []int8
+	// The site's control paths, each resolved on first use (see send):
+	// core->gateway, gateway->core, and per host gateway->host and
+	// host->gateway.
+	toGw, toCore *simnet.Path
+	down, up     []*simnet.Path
 }
 
 func (s *siteState) queued() int { return len(s.queue) - s.qhead }
@@ -150,7 +155,7 @@ type job struct {
 func (j *job) OnEvent(k *sim.Kernel) {
 	e := j.e
 	s := &e.sites[j.site]
-	e.must(e.net.SendMessage(e.fl.Hosts[j.site][j.host], s.gw, msgBytes, j.atGwDone))
+	e.send(&s.up[j.host], s.hosts[j.host], s.gw, j.atGwDone)
 }
 
 // Engine drives one fleet run on a dedicated kernel. All logic is
@@ -233,6 +238,8 @@ func New(cfg Config) (*Engine, error) {
 		st.hosts = fl.Hosts[s]
 		st.shard = rmf.NewUniformShard(cfg.HostsPerSite, cfg.CPUsPerHost)
 		st.lastClass = make([]int8, cfg.HostsPerSite)
+		st.down = make([]*simnet.Path, cfg.HostsPerSite)
+		st.up = make([]*simnet.Path, cfg.HostsPerSite)
 		for h := range st.lastClass {
 			st.lastClass[h] = -1
 		}
@@ -253,6 +260,20 @@ func (e *Engine) must(err error) {
 	if err != nil && e.err == nil {
 		e.err = err
 	}
+}
+
+// send ships a control datagram on the path cached in *p, resolving src->dst
+// into it on first use so the per-message cost is no name or route lookup.
+func (e *Engine) send(p **simnet.Path, src, dst string, deliver func()) {
+	if *p == nil {
+		r, err := e.net.Resolve(src, dst)
+		if err != nil {
+			e.must(err)
+			return
+		}
+		*p = r
+	}
+	e.net.SendOn(*p, msgBytes, deliver)
 }
 
 // pickSite is power-of-two-choices over the router's outstanding counts:
@@ -313,7 +334,7 @@ func (e *Engine) arrive() {
 	}
 	s := &e.sites[j.site]
 	s.outstanding++
-	e.must(e.net.SendMessage(cluster.FleetCore, s.gw, msgBytes, j.atGateway))
+	e.send(&s.toGw, cluster.FleetCore, s.gw, j.atGateway)
 	if e.submitted < e.cfg.Jobs {
 		e.k.AfterEvent(e.arr.Next()-now, e.arrTick)
 	}
@@ -333,7 +354,7 @@ func (j *job) gatewayArrive() {
 		return
 	}
 	j.host = host
-	e.must(e.net.SendMessage(s.gw, e.fl.Hosts[j.site][host], msgBytes, j.atHost))
+	e.send(&s.down[host], s.gw, s.hosts[host], j.atHost)
 }
 
 // hostArrive runs when the job lands on its host: hold the slot for the
@@ -353,7 +374,7 @@ func (j *job) gatewayDone() {
 		host, ok := s.shard.Allocate()
 		if ok {
 			q.host = host
-			e.must(e.net.SendMessage(s.gw, e.fl.Hosts[q.site][host], msgBytes, q.atHost))
+			e.send(&s.down[host], s.gw, s.hosts[host], q.atHost)
 		} else {
 			// Cannot happen (a slot was just released), but never drop work.
 			s.queue = append(s.queue, nil)
@@ -361,7 +382,7 @@ func (j *job) gatewayDone() {
 			s.queue[s.qhead] = q
 		}
 	}
-	e.must(e.net.SendMessage(s.gw, cluster.FleetCore, msgBytes, j.atCore))
+	e.send(&s.toCore, s.gw, cluster.FleetCore, j.atCore)
 }
 
 // coreDone runs when the completion reaches the core router: account the
@@ -518,7 +539,7 @@ func (e *Engine) Result() Result {
 	}
 	if len(e.latencies) > 0 {
 		sorted := append([]int64(nil), e.latencies...)
-		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+		slices.Sort(sorted)
 		r.MeanLat = time.Duration(e.sumLatency / int64(len(sorted)))
 		r.P50Lat = time.Duration(sorted[rank(50, len(sorted))])
 		r.P99Lat = time.Duration(sorted[rank(99, len(sorted))])

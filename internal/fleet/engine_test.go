@@ -188,3 +188,43 @@ func TestConfigValidate(t *testing.T) {
 		t.Errorf("config at the host cap rejected: %v", err)
 	}
 }
+
+// TestEngineFingerprintPinned runs the 512-host shape the benchmark uses for
+// its scale comparison (16 sites x 32 hosts, 50k jobs at 0.85 utilisation,
+// seed 1) and pins its fingerprint and event count. Every kernel event and
+// message hop feeds the fingerprint, so a change in firing order — the heap
+// and lane merge, the message path — fails here in well under a second,
+// without the 10k-host run.
+func TestEngineFingerprintPinned(t *testing.T) {
+	const sites, hosts = 16, 32
+	r := runFleet(t, Config{
+		Sites: sites, HostsPerSite: hosts, Jobs: 50_000, Seed: 1,
+		Arrivals:  RateShape{Kind: RateConstant, Rate: 0.85 * sites * hosts * 2 / 10.0},
+		Sizes:     SizeDist{Kind: DistPareto, Alpha: 1.5, Min: time.Second, Max: 5 * time.Minute},
+		Heartbeat: 30 * time.Second,
+	})
+	if r.Fingerprint != 0xb4a74a85d6275267 || r.Events != 300_028 {
+		t.Fatalf("fingerprint %016x, %d events; want b4a74a85d6275267, 300028", r.Fingerprint, r.Events)
+	}
+}
+
+// TestEngineAllocsPerJob pins a run's allocations per job at the count
+// measured before fleet messages moved onto resolved paths: paths, transfer
+// records, kernel events and job records are all reused, so what remains is
+// the per-tick MDS publishing, whose count grows with the makespan. Set-up
+// and first-use path resolution are taken out by difference: a run of 2n
+// jobs against a run of n. The count is process-wide, and the race detector
+// drops sync.Pool entries at random (2.199–2.217 a job under -race at the
+// parent), so there is a twentieth of an allocation of slack; anything
+// allocating per message or per job costs at least one.
+func TestEngineAllocsPerJob(t *testing.T) {
+	const n, want = 2000, 2.195
+	run := func(jobs int) float64 {
+		cfg := smallConfig()
+		cfg.Jobs = jobs
+		return testing.AllocsPerRun(1, func() { runFleet(t, cfg) })
+	}
+	if per := (run(2*n) - run(n)) / n; per > want+0.05 {
+		t.Errorf("%.3f allocations per job, want <= %v", per, want)
+	}
+}

@@ -37,6 +37,23 @@ func TestTimerStopZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestLaneZeroAlloc: an event scheduled on a lane takes its record from the
+// free list and its slot from the lane's FIFO, so with a hundred in flight a
+// schedule-and-fire allocates nothing.
+func TestLaneZeroAlloc(t *testing.T) {
+	k := New()
+	l := k.Lane(time.Microsecond)
+	h := EventHandler(laneFunc(func() {}))
+	for i := 0; i < 100; i++ {
+		l.AfterEvent(h)
+		k.Step()
+		l.AfterEvent(h)
+	}
+	if avg := testing.AllocsPerRun(1000, func() { l.AfterEvent(h); k.Step() }); avg != 0 {
+		t.Errorf("lane AfterEvent+Step allocates %.2f objects/op, want 0", avg)
+	}
+}
+
 // kernelLoad is a program set up for n operations, run through Run — where a
 // parking process schedules onwards itself, the path workloads take — with
 // the most it may allocate per operation.

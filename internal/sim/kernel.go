@@ -20,7 +20,10 @@
 // their target directly instead of allocating a callback closure, events
 // scheduled for the current instant bypass the timer heap entirely, and the
 // timer heap itself is a 4-ary index-aware heap so Timer.Stop removes its
-// event in O(log n) instead of leaking it until popped. Kernel-aware
+// event in O(log n) instead of leaking it until popped. Events whose delay is
+// a per-link constant skip the heap: they ride a Lane, a FIFO that is sorted
+// by construction, and the dequeue merges the lane heads with the heap top in
+// the same (time, sequence) order. Kernel-aware
 // subsystems (the simnet link pumps) can also enter the ready queue as
 // inline Tasks, which run in place on whichever stack is scheduling and cost
 // no switch at all.
@@ -74,6 +77,10 @@ const (
 // maxEventPool bounds the recycled-event free list.
 const maxEventPool = 1 << 14
 
+// maxLanes bounds the kernel's lanes: every dequeue scans each lane head, so
+// delays past the first maxLanes distinct ones go through the heap instead.
+const maxLanes = 8
+
 // event is a scheduled occurrence on the virtual timeline. Exactly one of
 // task, w, h, or fn describes what firing it does:
 //
@@ -88,7 +95,7 @@ const maxEventPool = 1 << 14
 type event struct {
 	at  time.Duration
 	seq uint64
-	idx int32 // heap position, idxDue, or idxNone
+	idx int32 // heap position, idxDue, or idxNone (also while on a Lane)
 	gen uint32
 	// canceled events are skipped when dequeued; heap residents are removed
 	// eagerly instead, so only due-queue entries ever carry this flag.
@@ -265,6 +272,7 @@ type Kernel struct {
 	now     time.Duration
 	seq     uint64
 	events  eventHeap
+	lanes   []*Lane       // constant-delay FIFOs, merged with events by (at, seq)
 	due     fifo[*event]  // events scheduled for the current instant
 	ready   fifo[Task]    // work runnable at the current instant, FIFO
 	free    []*event      // recycled event records
@@ -408,6 +416,59 @@ func (k *Kernel) AfterEvent(d time.Duration, h EventHandler) {
 	k.place(ev)
 }
 
+// Lane is a FIFO of events that all fire the same delay after they are
+// scheduled. Entries are stamped now+d with rising sequence numbers, so a lane
+// is sorted by (at, seq) without a heap, and the kernel dequeues from it in the
+// same total order as if every entry had gone through AfterEvent. Lane events
+// return no Timer: nothing on a lane can be stopped.
+type Lane struct {
+	k *Kernel
+	d time.Duration
+	q fifo[*event]
+}
+
+// Lane returns the kernel's lane for delay d, created on first use. It
+// returns nil when d <= 0 or when the kernel already has its maximum number
+// of lanes; schedule with AfterEvent then.
+func (k *Kernel) Lane(d time.Duration) *Lane {
+	if d <= 0 {
+		return nil
+	}
+	for _, l := range k.lanes {
+		if l.d == d {
+			return l
+		}
+	}
+	if len(k.lanes) == maxLanes {
+		return nil
+	}
+	l := &Lane{k: k, d: d}
+	k.lanes = append(k.lanes, l)
+	return l
+}
+
+// AfterEvent schedules h.OnEvent to run inline after the lane's delay: the
+// same firing as k.AfterEvent(d, h), with no heap push.
+func (l *Lane) AfterEvent(h EventHandler) {
+	k := l.k
+	ev := k.newEvent(k.now + l.d)
+	ev.h = h
+	l.q.push(ev)
+}
+
+// queued reports whether any event waits in the heap or on a lane.
+func (k *Kernel) queued() bool {
+	if k.events.len() > 0 {
+		return true
+	}
+	for _, l := range k.lanes {
+		if l.q.len() > 0 {
+			return true
+		}
+	}
+	return false
+}
+
 // Post appends t to the ready queue: it will run at the current virtual
 // instant, after work already queued.
 func (k *Kernel) Post(t Task) { k.ready.push(t) }
@@ -470,13 +531,22 @@ func (k *Kernel) spawn(name string, fn func(p *Proc), daemon bool) *Proc {
 
 // nextEvent dequeues the next event in strict (at, seq) order that fires at or
 // before the horizon, advancing the clock when the timeline moves forward;
-// nil when there is none. Canceled due-queue entries are skipped and
-// recycled. Same-instant work (heap residents at now, which predate every due
-// entry, then the due queue) does not consult the horizon: the clock does not
-// move. With holdFn an After callback is not dequeued: nil is returned and it
-// stays next in line.
+// nil when there is none. The timed candidates are the heap top and each lane
+// head, each the least of its own queue. Canceled due-queue entries are
+// skipped and recycled. Same-instant work (heap and lane residents at now,
+// which predate every due entry, then the due queue) does not consult the
+// horizon: the clock does not move. With holdFn an After callback is not
+// dequeued: nil is returned and it stays next in line.
 func (k *Kernel) nextEvent(horizon time.Duration, holdFn bool) *event {
 	ev := k.events.peek()
+	var lane *Lane
+	for _, l := range k.lanes {
+		if l.q.len() > 0 {
+			if h := l.q.peek(); ev == nil || eventLess(h, ev) {
+				ev, lane = h, l
+			}
+		}
+	}
 	fromDue := false
 	if ev == nil || ev.at > k.now {
 		for k.due.len() > 0 && k.due.peek().canceled {
@@ -497,6 +567,9 @@ func (k *Kernel) nextEvent(horizon time.Duration, holdFn bool) *event {
 			return nil
 		}
 		k.now = ev.at
+	}
+	if lane != nil {
+		return lane.q.pop()
 	}
 	return k.events.pop()
 }
@@ -671,7 +744,7 @@ func (k *Kernel) stuck() string {
 // time) or exactly t if work remains beyond it.
 func (k *Kernel) RunUntil(t time.Duration) {
 	k.run(t)
-	if !k.stopped && k.events.len() > 0 {
+	if !k.stopped && k.queued() {
 		k.now = t
 	}
 }

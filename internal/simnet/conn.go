@@ -137,10 +137,11 @@ func (nd *Node) dial(p *sim.Proc, tctx obs.TraceContext, addr string) (transport
 	if err := nd.net.checkFirewalls(nd, dst, port); err != nil {
 		return nil, err
 	}
-	path := nd.net.route(nd, dst)
-	if path == nil && nd != dst {
+	route := nd.net.route(nd, dst)
+	if route == nil {
 		return nil, fmt.Errorf("simnet: dial %s: %w", addr, transport.ErrNoRoute)
 	}
+	path := route.links
 
 	var dialed *conn
 	var dialErr error

@@ -37,7 +37,7 @@ func (n *Network) SetParent(child, parent string) {
 		panic(fmt.Sprintf("simnet: SetParent(%q, %q): node cannot be its own parent", child, parent))
 	}
 	c.parent = p
-	n.routes = make(map[routeKey][]*linkDir) // invalidate cache
+	n.routes = make(map[routeKey]*Path) // invalidate cache
 }
 
 // hierPath composes the tree path from src to dst via their lowest common
@@ -122,16 +122,32 @@ func directLink(a, b *Node) *linkDir {
 // traffic (dispatch, completions, heartbeats) between components that are
 // already mutually trusted, not new inbound connections. Must be called
 // from kernel or process context. Same-node sends deliver after a
-// scheduling tick.
+// scheduling tick. It is Resolve then SendOn; a sender that reuses a route
+// holds the Path instead.
 func (n *Network) SendMessage(src, dst string, size int, deliver func()) error {
+	p, err := n.Resolve(src, dst)
+	if err != nil {
+		return err
+	}
+	n.SendOn(p, size, deliver)
+	return nil
+}
+
+// Resolve returns the routed path from src to dst, from the route cache.
+func (n *Network) Resolve(src, dst string) (*Path, error) {
 	a, b := n.nodes[src], n.nodes[dst]
 	if a == nil || b == nil {
-		return fmt.Errorf("simnet: SendMessage: unknown node in %q -> %q", src, dst)
+		return nil, fmt.Errorf("simnet: unknown node in %q -> %q", src, dst)
 	}
-	path := n.route(a, b)
-	if path == nil {
-		return fmt.Errorf("simnet: SendMessage: no route %q -> %q", src, dst)
+	p := n.route(a, b)
+	if p == nil {
+		return nil, fmt.Errorf("simnet: no route %q -> %q", src, dst)
 	}
-	n.send(path, size, deliver)
-	return nil
+	return p, nil
+}
+
+// SendOn is SendMessage on a resolved path: the same datagram, hop by hop,
+// with deliver run at the path's last node.
+func (n *Network) SendOn(p *Path, size int, deliver func()) {
+	n.send(p.links, size, deliver)
 }

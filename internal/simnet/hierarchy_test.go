@@ -144,22 +144,37 @@ func TestSendMessage(t *testing.T) {
 
 // TestSendMessageZeroAlloc: once the route cache is warm, a control
 // datagram costs no heap allocations — pointer-keyed route lookup, pooled
-// transfer records, pooled kernel events. This is the fleet data plane's
-// per-job budget, pinned like the kernel-step alloc tests.
+// transfer records, pooled kernel events — whether it is sent by name or on
+// a held Path. This is the fleet data plane's per-job budget, pinned like the
+// kernel-step alloc tests.
 func TestSendMessageZeroAlloc(t *testing.T) {
 	k, n := buildTree(t, 2, 2, true)
 	deliver := func() {}
-	send := func() {
-		if err := n.SendMessage("gwa-h0", "gwb-h1", 256, deliver); err != nil {
-			t.Fatalf("SendMessage: %v", err)
-		}
-		if err := k.Run(); err != nil {
-			t.Fatalf("Run: %v", err)
-		}
+	p, err := n.Resolve("gwa-h0", "gwb-h1")
+	if err != nil {
+		t.Fatalf("Resolve: %v", err)
 	}
-	send() // warm route cache and pools
-	if avg := testing.AllocsPerRun(50, send); avg != 0 {
-		t.Fatalf("warm SendMessage allocates %.1f allocs/run, want 0", avg)
+	for _, row := range []struct {
+		name string
+		send func()
+	}{
+		{"by name", func() {
+			if err := n.SendMessage("gwa-h0", "gwb-h1", 256, deliver); err != nil {
+				t.Fatalf("SendMessage: %v", err)
+			}
+		}},
+		{"on path", func() { n.SendOn(p, 256, deliver) }},
+	} {
+		run := func() {
+			row.send()
+			if err := k.Run(); err != nil {
+				t.Fatalf("Run: %v", err)
+			}
+		}
+		run() // warm route cache and pools
+		if avg := testing.AllocsPerRun(50, run); avg != 0 {
+			t.Errorf("%s: warm send allocates %.1f allocs/run, want 0", row.name, avg)
+		}
 	}
 }
 

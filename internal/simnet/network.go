@@ -73,7 +73,7 @@ type Network struct {
 	// routes caches computed paths. The key is the node-pointer pair so a
 	// cache hit — every data- and control-plane send after the first — does
 	// not allocate a concatenated string key.
-	routes    map[routeKey][]*linkDir
+	routes    map[routeKey]*Path
 	firewalls map[string]*firewall.Firewall
 	nextConn  int
 	// Free lists for the data plane: in-flight transfer records and
@@ -106,7 +106,7 @@ func New(k *sim.Kernel) *Network {
 		K:         k,
 		MTU:       DefaultMTU,
 		nodes:     make(map[string]*Node),
-		routes:    make(map[routeKey][]*linkDir),
+		routes:    make(map[routeKey]*Path),
 		firewalls: make(map[string]*firewall.Firewall),
 	}
 }
@@ -194,7 +194,7 @@ func (n *Network) addNode(node *Node) {
 		panic(fmt.Sprintf("simnet: duplicate node %q", node.name))
 	}
 	n.nodes[node.name] = node
-	n.routes = make(map[routeKey][]*linkDir) // invalidate cache
+	n.routes = make(map[routeKey]*Path) // invalidate cache
 }
 
 // Node returns the named node, or nil.
@@ -224,28 +224,36 @@ func (n *Network) Connect(a, b string, cfg LinkConfig) {
 	if na == nil || nb == nil {
 		panic(fmt.Sprintf("simnet: Connect(%q, %q): unknown node", a, b))
 	}
-	ab := &linkDir{net: n, from: na, to: nb, cfg: cfg, label: a + ">" + b}
-	ba := &linkDir{net: n, from: nb, to: na, cfg: cfg, label: b + ">" + a}
+	lane := n.K.Lane(cfg.Latency)
+	ab := &linkDir{net: n, from: na, to: nb, cfg: cfg, lane: lane, label: a + ">" + b}
+	ba := &linkDir{net: n, from: nb, to: na, cfg: cfg, lane: lane, label: b + ">" + a}
 	ab.rev, ba.rev = ba, ab
 	na.links = append(na.links, ab)
 	nb.links = append(nb.links, ba)
-	n.routes = make(map[routeKey][]*linkDir)
+	n.routes = make(map[routeKey]*Path)
 }
 
-// route computes (with caching) the minimum-latency path between two nodes
-// as a sequence of directed links. Ties break on hop count, then on node
-// name for determinism.
-func (n *Network) route(src, dst *Node) []*linkDir {
-	if src == dst {
-		return []*linkDir{}
-	}
+// Path is a resolved route: the directed links from one node to another, in
+// order. Sending on a held Path skips the name and route-cache lookups a
+// SendMessage pays; it stays valid until the topology changes (a node, link
+// or parent added).
+type Path struct{ links []*linkDir }
+
+// route computes (with caching) the minimum-latency path between two nodes;
+// nil when there is none. Ties break on hop count, then on node name for
+// determinism.
+func (n *Network) route(src, dst *Node) *Path {
 	key := routeKey{src, dst}
 	if p, ok := n.routes[key]; ok {
 		return p
 	}
-	p := n.hierPath(src, dst)
-	if p == nil {
-		p = n.dijkstra(src, dst)
+	var p *Path
+	if src == dst {
+		p = &Path{}
+	} else if links := n.hierPath(src, dst); links != nil {
+		p = &Path{links}
+	} else if links = n.dijkstra(src, dst); links != nil {
+		p = &Path{links}
 	}
 	n.routes[key] = p
 	return p
@@ -350,7 +358,8 @@ type linkDir struct {
 	to    *Node
 	rev   *linkDir
 	cfg   LinkConfig
-	label string // "from>to", the trace track and metric prefix
+	lane  *sim.Lane // the kernel's lane for cfg.Latency; nil when it has none
+	label string    // "from>to", the trace track and metric prefix
 	down  bool
 	// Gray degradation (SetLinkDegraded): extra one-way propagation delay on
 	// every transfer and extra flow-model loss probability, this direction
@@ -594,6 +603,10 @@ func (ld *linkDir) completeHead(k *sim.Kernel) {
 			obs.Int("ser_ns", int64(ld.ser)),
 			obs.Int("lat_ns", int64(lat)))
 	}
+	if ld.lane != nil && ld.extraLat == 0 {
+		ld.lane.AfterEvent(tr)
+		return
+	}
 	k.AfterEvent(lat, tr)
 }
 
@@ -682,7 +695,7 @@ func (n *Network) PathLatency(src, dst string) (time.Duration, error) {
 		return 0, fmt.Errorf("simnet: no route %q -> %q", src, dst)
 	}
 	var total time.Duration
-	for _, ld := range path {
+	for _, ld := range path.links {
 		total += ld.cfg.Latency
 	}
 	return total, nil
@@ -700,7 +713,7 @@ func (n *Network) PathBandwidth(src, dst string) (int64, error) {
 		return 0, fmt.Errorf("simnet: no route %q -> %q", src, dst)
 	}
 	var min int64
-	for _, ld := range path {
+	for _, ld := range path.links {
 		if ld.cfg.Bandwidth == 0 {
 			continue
 		}
@@ -721,5 +734,5 @@ func (n *Network) Hops(src, dst string) (int, error) {
 	if path == nil {
 		return 0, fmt.Errorf("simnet: no route %q -> %q", src, dst)
 	}
-	return len(path), nil
+	return len(path.links), nil
 }
