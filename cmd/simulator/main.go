@@ -22,6 +22,7 @@ import (
 	"path/filepath"
 	"sort"
 
+	"nxcluster/internal/bench"
 	"nxcluster/internal/scenario"
 )
 
@@ -142,12 +143,12 @@ func runRun(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "simulator run: %v\n", dup)
 		return 2
 	}
-	suite := &scenario.SuiteResult{}
+	// Every file validates before any runs. Every failure names its file; a
+	// parse error already does (loadSpec).
 	for i, path := range files {
-		// Every failure names its file; a parse error already does (loadSpec).
-		s, err := specs[i], errs[i]
+		err := errs[i]
 		if err == nil {
-			if err = scenario.Validate(s); err != nil {
+			if err = scenario.Validate(specs[i]); err != nil {
 				err = fmt.Errorf("%s: %w", path, err)
 			}
 		}
@@ -155,7 +156,17 @@ func runRun(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "simulator run: %v\n", err)
 			return 1
 		}
-		res, err := scenario.Run(s)
+	}
+	// The files share nothing, so they run side by side; rows print in
+	// argument order once all have run.
+	results := make([]*scenario.Result, len(files))
+	_ = bench.RunParallel(len(files), 0, func(i int) error {
+		results[i], errs[i] = scenario.Run(specs[i])
+		return nil // errs[i] is reported below, in order
+	})
+	suite := &scenario.SuiteResult{}
+	for i, path := range files {
+		res, err := results[i], errs[i]
 		if err != nil {
 			fmt.Fprintf(stderr, "simulator run: %s: %v\n", path, err)
 			return 1

@@ -143,15 +143,15 @@ func Build(events []obs.Event) *Forest {
 			t.Marks = append(t.Marks, Mark{At: e.At, Cat: e.Cat, Name: e.Name, Track: e.Track, Parent: e.Parent})
 		}
 	}
+	// Every span in the map was begun under a trace traceOf created.
+	for _, s := range spans {
+		if !s.Complete {
+			traces[s.Trace].Incomplete++
+		}
+	}
 	f := &Forest{}
 	for _, id := range order {
-		t := traces[id]
-		for _, s := range spans {
-			if s.Trace == id && !s.Complete {
-				t.Incomplete++
-			}
-		}
-		f.Traces = append(f.Traces, t)
+		f.Traces = append(f.Traces, traces[id])
 	}
 	return f
 }

@@ -108,6 +108,64 @@ func TestDecomposeSkipsIncompleteDescendants(t *testing.T) {
 	}
 }
 
+// TestBuildCountsIncompletePerTrace: with many interleaved traces, each
+// leaving a different number of spans open, every trace's Incomplete is what
+// the loop over every span per trace counted (kept here as the reference).
+func TestBuildCountsIncompletePerTrace(t *testing.T) {
+	const traces = 300
+	o := obs.New()
+	roots := make([]obs.TraceContext, traces)
+	for i := range roots {
+		roots[i] = o.BeginTrace(time.Duration(i)*ms, "rmf", "job", "client")
+	}
+	for i, root := range roots {
+		for j := 0; j < i%5; j++ {
+			child := o.BeginChild(time.Duration(i)*ms, root, "rmf", "exec", "host")
+			if j%2 == 0 {
+				o.EndSpan(time.Duration(i+1)*ms, child, "rmf", "exec", "host")
+			}
+		}
+	}
+	for i, root := range roots {
+		if i%3 != 0 {
+			o.EndSpan(time.Duration(i+2)*ms, root, "rmf", "job", "client")
+		}
+	}
+	f := Build(o.Events())
+	if len(f.Traces) != traces {
+		t.Fatalf("traces = %d, want %d", len(f.Traces), traces)
+	}
+	var spans []*Span // every span Build made (span IDs are unique)
+	var walk func(s *Span)
+	walk = func(s *Span) {
+		spans = append(spans, s)
+		for _, c := range s.Children {
+			walk(c)
+		}
+	}
+	for _, tr := range f.Traces {
+		for _, r := range tr.Roots {
+			walk(r)
+		}
+	}
+	open := 0
+	for _, tr := range f.Traces {
+		want := 0
+		for _, s := range spans {
+			if s.Trace == tr.ID && !s.Complete {
+				want++
+			}
+		}
+		if tr.Incomplete != want {
+			t.Errorf("trace %d: incomplete = %d, the per-trace loop counts %d", tr.ID, tr.Incomplete, want)
+		}
+		open += want
+	}
+	if open == 0 || open == len(spans) {
+		t.Fatalf("%d of %d spans incomplete: the case must mix both", open, len(spans))
+	}
+}
+
 func TestDecomposeIncompleteRootErrors(t *testing.T) {
 	o := obs.New()
 	o.BeginTrace(0, "mpi", "rank", "host")

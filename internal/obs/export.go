@@ -134,11 +134,15 @@ func appendEventLine(b []byte, e *Event) []byte {
 
 // Hash returns the FNV-64a hash of the JSONL serialization — the value the
 // golden-trace tests pin across GOMAXPROCS and worker counts. Each line is
-// folded into the hash as it is built; nothing is buffered.
+// folded into the hash as it is built; nothing is buffered. A hash-only
+// observer folded its lines as they were recorded and returns that sum.
 func (o *Observer) Hash() uint64 {
 	var h Hasher
 	if o == nil {
 		return h.Sum64()
+	}
+	if o.hashOnly {
+		return o.sum.Sum64()
 	}
 	var buf []byte
 	for _, c := range o.chunks {

@@ -105,7 +105,13 @@ type Observer struct {
 	// Filled arena chunks are kept alive by the events that point into them.
 	fields []Field
 	// flat caches the copy Events hands out; any append drops it.
-	flat      []Event
+	flat []Event
+	// hashOnly (NewHashOnly) replaces the store with its witness: add
+	// serializes each record into line, the one reused buffer, folds it into
+	// sum and keeps nothing.
+	hashOnly  bool
+	sum       Hasher
+	line      []byte
 	metrics   Metrics
 	nextID    uint64
 	nextTrace uint64
@@ -135,6 +141,13 @@ func nextChunk(prev int) int {
 // New creates an enabled observer.
 func New() *Observer { return &Observer{} }
 
+// NewHashOnly creates an enabled observer for runs whose trace is only ever
+// compared by hash: each record is serialized as its JSONL line, folded into
+// the hash and dropped, so the run stores no events. Hash, Len and Metrics
+// read as they would on New's observer of the same run; Events returns nil,
+// and the exporters and FirstDiff see an empty trace.
+func NewHashOnly() *Observer { return &Observer{hashOnly: true} }
+
 // FromEvents wraps an existing event slice (e.g. one parsed back from a
 // JSONL export) so the exporters can re-serialize it. The observer takes
 // ownership of the slice, which becomes the store's first chunk.
@@ -147,6 +160,16 @@ func FromEvents(events []Event) *Observer {
 // recording methods stay within the inliner's budget: a disabled call site
 // must remain a nil check, not a call.
 func (o *Observer) add(at time.Duration, ph byte, cat, name, track string, id, trace, parent uint64, fields []Field) {
+	o.n++
+	if o.hashOnly {
+		// The line is built before add returns, so the caller's fields need
+		// no copy. (A variable of its own: were it e, which the store keeps,
+		// the caller's variadic slice would escape to the heap.)
+		rec := Event{At: at, Ph: ph, Cat: cat, Name: name, Track: track, ID: id, Trace: trace, Parent: parent, Fields: fields}
+		o.line = appendEventLine(o.line[:0], &rec)
+		_, _ = o.sum.Write(o.line) // Hasher.Write never fails
+		return
+	}
 	e := Event{At: at, Ph: ph, Cat: cat, Name: name, Track: track, ID: id, Trace: trace, Parent: parent}
 	last := len(o.chunks) - 1
 	if last < 0 || len(o.chunks[last]) == cap(o.chunks[last]) {
@@ -172,7 +195,6 @@ func (o *Observer) add(at time.Duration, ph byte, cat, name, track string, id, t
 		e.Fields = o.fields[start : start+n : start+n]
 	}
 	o.chunks[last] = append(o.chunks[last], e)
-	o.n++
 	o.flat = nil
 }
 
@@ -270,9 +292,9 @@ func (o *Observer) EmitCtx(at time.Duration, parent TraceContext, cat, name, tra
 // the observer; callers must not mutate it. A trace that fits one chunk is
 // returned in place; a longer one is copied flat (112 bytes an event), and
 // the copy is reused until the next event is recorded. Later events never
-// show through a slice returned earlier.
+// show through a slice returned earlier. A hash-only observer returns nil.
 func (o *Observer) Events() []Event {
-	if o == nil || o.n == 0 {
+	if o == nil || o.n == 0 || o.hashOnly {
 		return nil
 	}
 	if len(o.chunks) == 1 {

@@ -9,6 +9,7 @@ import (
 	"runtime"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -126,7 +127,9 @@ func TestSuiteDrift(t *testing.T) {
 // scenarios` runs: every shipped scenario runs (Run itself executes each
 // workload twice and fails on any trace-hash or fingerprint divergence),
 // passes all its declared assertions, and reproduces its row of the committed
-// SCENARIOS_suite.json, which has a row for every file and no other.
+// SCENARIOS_suite.json, which has a row for every file and no other. The
+// files share nothing, so they run side by side; the rows are compared once
+// every file has run.
 func TestShippedScenariosRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full scenario library (~5s of virtual-time runs) in -short mode")
@@ -139,20 +142,31 @@ func TestShippedScenariosRun(t *testing.T) {
 	if err := json.Unmarshal(data, &suite); err != nil {
 		t.Fatalf("%s: %v", suiteBaseline, err)
 	}
+	var mu sync.Mutex // guards got
 	got := map[string]*Result{}
+	// Cleanup runs after the parallel subtests have finished.
+	t.Cleanup(func() {
+		mu.Lock()
+		defer mu.Unlock()
+		for _, d := range suiteDrift(suite.Scenarios, got) {
+			t.Error(d)
+		}
+	})
 	for _, file := range shippedFiles(t) {
 		s := loadShipped(t, file)
+		mu.Lock()
 		got[s.Name] = nil
+		mu.Unlock()
 		t.Run(file, func(t *testing.T) {
+			t.Parallel()
 			res, err := Run(s)
 			if err != nil {
 				t.Fatal(err)
 			}
+			mu.Lock()
 			got[s.Name] = res
+			mu.Unlock()
 		})
-	}
-	for _, d := range suiteDrift(suite.Scenarios, got) {
-		t.Error(d)
 	}
 }
 

@@ -82,8 +82,9 @@ type outcome struct {
 	// hash is the FNV-64a determinism witness.
 	hash    uint64
 	elapsed time.Duration
-	// trace is the observer behind a chaos run's hash, kept to name the first
-	// divergent event and to judge SLOs.
+	// trace is the recorded trace behind a chaos run's hash, for the latency
+	// SLOs and for naming the first divergent event; nil when the run only
+	// folded its records into the hash.
 	trace *obs.Observer
 }
 
@@ -93,9 +94,11 @@ type outcome struct {
 // the SLO objectives against the first run. The runs share nothing — each
 // builds its own kernels — so they go through bench.RunParallel side by
 // side; GOMAXPROCS=1 runs the primary, then the replay, then the baseline.
-// Harness errors — a config the runner rejects — come back as the error,
-// the primary's first; assertion violations and determinism breaks are
-// recorded as failures in the Result.
+// Chaos runs keep their traces as hashes alone (a primary judging a latency
+// SLO records), so a chaos double run that diverges is run again, recording,
+// to name the first event it parts at. Harness errors — a config the runner
+// rejects — come back as the error, the primary's first; assertion
+// violations and determinism breaks are recorded as failures in the Result.
 func Run(s *Spec) (*Result, error) {
 	if err := s.checkShape(); err != nil {
 		return nil, err
@@ -117,11 +120,11 @@ func Run(s *Spec) (*Result, error) {
 	if s.Baseline != nil {
 		specs = append(specs, s.Baseline)
 	}
+	// Only a latency objective reads a trace's events, the primary's.
+	record := s.SLO != nil && len(s.SLO.Latency) > 0
 	runs := make([]outcome, len(specs))
 	err = bench.RunParallel(len(specs), 0, func(i int) error {
-		// Only the double run's traces are compared; the baseline's is
-		// dropped unhashed.
-		out, err := specs[i].runOnce(i != baseline)
+		out, err := specs[i].runOnce(i != baseline, i == primary && record)
 		if err != nil {
 			return fmt.Errorf("scenario %s%s: %w", s.Name, labels[i], err)
 		}
@@ -143,7 +146,11 @@ func Run(s *Spec) (*Result, error) {
 		ElapsedMS:   first.elapsed.Milliseconds(),
 	}
 	res.Invariants++ // the implicit determinism invariant
-	if d := divergence(first, &runs[replay]); d != "" {
+	var rerun func() (a, b *obs.Observer, err error)
+	if s.Kind == KindChaos {
+		rerun = s.recordPair
+	}
+	if d := divergence(first, &runs[replay], rerun); d != "" {
 		res.Failures = append(res.Failures, d)
 	}
 	for _, c := range checks {
@@ -178,15 +185,22 @@ func Run(s *Spec) (*Result, error) {
 
 // runOnce executes the spec's workload once. Each run hashes its own witness
 // here, inside its RunParallel job; witness false (a baseline, whose report
-// alone is read) skips the comparison strings and lets the trace go.
-func (s *Spec) runOnce(witness bool) (outcome, error) {
+// alone is read) skips the comparison strings. A chaos run stores its trace
+// only when record is set; otherwise its observer folds each record into the
+// hash and keeps nothing (the sampler still reads its metrics).
+func (s *Spec) runOnce(witness, record bool) (outcome, error) {
 	switch s.Kind {
 	case KindChaos:
 		cfg, err := s.chaosConfig()
 		if err != nil {
 			return outcome{}, err
 		}
-		o := obs.New()
+		var o *obs.Observer
+		if record {
+			o = obs.New()
+		} else {
+			o = obs.NewHashOnly()
+		}
 		cfg.Options.Obs = o
 		rep, err := chaos.Run(cfg)
 		if err != nil {
@@ -198,7 +212,10 @@ func (s *Spec) runOnce(witness bool) (outcome, error) {
 			elapsed: rep.Elapsed,
 		}
 		if witness {
-			out.full, out.hash, out.trace = rep.Fingerprint(), o.Hash(), o
+			out.full, out.hash = rep.Fingerprint(), o.Hash()
+		}
+		if record {
+			out.trace = o
 		}
 		return out, nil
 	case KindTable2:
@@ -273,11 +290,20 @@ func (s *Spec) runOnce(witness bool) (outcome, error) {
 
 // divergence words the determinism failure of a double run, "" when the two
 // runs agree: the first event the traces part at where the hash is a trace's,
-// else the first fingerprint line that differs.
-func divergence(a, b *outcome) string {
+// else the first fingerprint line that differs. rerun, nil for kinds whose
+// hash is not a trace's, records the pair again when either run kept its
+// trace as a hash alone; it runs on this failure path only.
+func divergence(a, b *outcome, rerun func() (a, b *obs.Observer, err error)) string {
 	switch {
-	case a.hash != b.hash && a.trace != nil:
+	case a.hash != b.hash && a.trace != nil && b.trace != nil:
 		return traceDivergence(a.trace, b.trace, a.hash, b.hash)
+	case a.hash != b.hash && rerun != nil:
+		ta, tb, err := rerun()
+		if err != nil {
+			return fmt.Sprintf("determinism: trace hash %016x != %016x across identical runs; recording the pair again failed: %v",
+				a.hash, b.hash, err)
+		}
+		return traceDivergence(ta, tb, a.hash, b.hash)
 	case a.full != b.full:
 		return fingerprintDivergence(a.full, b.full)
 	case a.hash != b.hash:
@@ -286,12 +312,29 @@ func divergence(a, b *outcome) string {
 	return ""
 }
 
-// traceDivergence names both hashes, then the first event the two traces
-// disagree on, as the JSONL line of each side.
+// traceDivergence names both hashes, then the first event the two recorded
+// traces disagree on, as the JSONL line of each side. Traces that agree can
+// only be a re-run's: the divergence did not reproduce.
 func traceDivergence(a, b *obs.Observer, ha, hb uint64) string {
 	n, la, lb := obs.FirstDiff(a, b)
+	if n < 0 {
+		return fmt.Sprintf("determinism: trace hash %016x != %016x across identical runs; recorded again, the pair agreed (%016x): the divergence did not reproduce",
+			ha, hb, a.Hash())
+	}
 	return fmt.Sprintf("determinism: trace hash %016x != %016x across identical runs; first divergence at event %d: %s | %s",
 		ha, hb, n, la, lb)
+}
+
+// recordPair runs a chaos spec's double run again, both runs recording, for
+// divergence to compare event by event.
+func (s *Spec) recordPair() (a, b *obs.Observer, err error) {
+	var traces [2]*obs.Observer
+	err = bench.RunParallel(len(traces), 0, func(i int) error {
+		out, err := s.runOnce(true, true)
+		traces[i] = out.trace
+		return err
+	})
+	return traces[0], traces[1], err
 }
 
 // fingerprintDivergence names the first line the two fingerprints disagree

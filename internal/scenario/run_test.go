@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -70,23 +71,51 @@ func TestRunBadConfig(t *testing.T) {
 }
 
 // TestTraceDivergenceNamesFirstEvent: a failed determinism check says where
-// the two traces part, not just that their hashes differ.
+// the two traces part, not just that their hashes differ — from the traces
+// the runs kept, or, when they kept only hashes, from a recorded re-run of
+// the pair, which may also find that the divergence does not reproduce.
 func TestTraceDivergenceNamesFirstEvent(t *testing.T) {
-	build := func(bytes int64) *outcome {
+	record := func(bytes int64) *obs.Observer {
 		o := obs.New()
 		o.Emit(time.Millisecond, "net", "dial", "rwcp-sun")
 		o.Emit(2*time.Millisecond, "net", "deliver", "etl-gw", obs.Int("bytes", bytes))
+		return o
+	}
+	recorded := func(bytes int64) *outcome {
+		o := record(bytes)
 		return &outcome{hash: o.Hash(), trace: o}
 	}
-	a, b := build(64), build(65)
-	want := fmt.Sprintf("determinism: trace hash %016x != %016x across identical runs; first divergence at event 1: ", a.hash, b.hash) +
+	hashOnly := func(bytes int64) *outcome { return &outcome{hash: record(bytes).Hash()} }
+	rerun := func(x, y int64, err error) func() (a, b *obs.Observer, err error) {
+		return func() (a, b *obs.Observer, _ error) { return record(x), record(y), err }
+	}
+	noRerun := func() (a, b *obs.Observer, err error) {
+		t.Error("re-ran a pair that needs no re-run")
+		return nil, nil, nil
+	}
+	h64, h65 := record(64).Hash(), record(65).Hash()
+	head := fmt.Sprintf("determinism: trace hash %016x != %016x across identical runs; ", h64, h65)
+	atEvent1 := head + "first divergence at event 1: " +
 		`{"at":2000000,"ph":"i","cat":"net","name":"deliver","track":"etl-gw","bytes":64} | ` +
 		`{"at":2000000,"ph":"i","cat":"net","name":"deliver","track":"etl-gw","bytes":65}`
-	if got := divergence(a, b); got != want {
-		t.Errorf("divergence:\n got %s\nwant %s", got, want)
-	}
-	if got := divergence(a, build(64)); got != "" {
-		t.Errorf("identical traces diverge: %s", got)
+	for _, tc := range []struct {
+		name  string
+		a, b  *outcome
+		rerun func() (a, b *obs.Observer, err error)
+		want  string
+	}{
+		{"recorded", recorded(64), recorded(65), noRerun, atEvent1},
+		{"recorded, identical", recorded(64), recorded(64), noRerun, ""},
+		{"hash-only, reproduced", hashOnly(64), hashOnly(65), rerun(64, 65, nil), atEvent1},
+		{"hash-only, not reproduced", hashOnly(64), hashOnly(65), rerun(64, 64, nil),
+			head + fmt.Sprintf("recorded again, the pair agreed (%016x): the divergence did not reproduce", h64)},
+		{"hash-only, re-run fails", hashOnly(64), hashOnly(65), rerun(0, 0, errors.New("no items")),
+			head + "recording the pair again failed: no items"},
+		{"hash-only, identical", hashOnly(64), hashOnly(64), noRerun, ""},
+	} {
+		if got := divergence(tc.a, tc.b, tc.rerun); got != tc.want {
+			t.Errorf("%s:\n got %s\nwant %s", tc.name, got, tc.want)
+		}
 	}
 }
 
@@ -102,7 +131,7 @@ func TestFingerprintDivergenceNamesFirstLine(t *testing.T) {
 		{"row missing", "lan|direct|lat=100\nwan|direct|lat=900\n",
 			`determinism: results diverge at fingerprint line 3: "wan|indirect|lat=1200" vs ""`},
 	} {
-		if got := divergence(a, of(tc.b)); got != tc.want {
+		if got := divergence(a, of(tc.b), nil); got != tc.want {
 			t.Errorf("%s:\n got %s\nwant %s", tc.name, got, tc.want)
 		}
 	}
