@@ -108,9 +108,9 @@ cover:
 # the RSL parser, the proxy control-channel decoder, the gridftp MODE E
 # block reader, the scenario-file parser, and the request handlers of the RMF
 # allocator and Q server; and it fuzzes the kernel's lane merge against the
-# heap-only firing order, and the hash-only trace observer against the
-# recording one. Crashers land in testdata/fuzz/ and fail the build until
-# fixed.
+# heap-only firing order, the hash-only trace observer against the recording
+# one, and its folded span durations against the causal forest's. Crashers
+# land in testdata/fuzz/ and fail the build until fixed.
 FUZZTIME ?= 10s
 
 fuzz:
@@ -122,6 +122,7 @@ fuzz:
 	$(GO) test -fuzz FuzzQServerRequest -fuzztime $(FUZZTIME) ./internal/rmf/
 	$(GO) test -fuzz FuzzLaneOrder -fuzztime $(FUZZTIME) ./internal/sim/
 	$(GO) test -fuzz FuzzHashOnlyMatchesRecording -fuzztime $(FUZZTIME) ./internal/obs/
+	$(GO) test -fuzz FuzzFoldMatchesSpanDurations -fuzztime $(FUZZTIME) ./internal/obs/
 
 clean:
 	$(GO) clean ./...

@@ -30,11 +30,13 @@ type FleetReport struct {
 }
 
 // RunFleet builds and runs one fleet workload, timing the run itself. When
-// cfg.TraceSample > 0 and cfg.Obs is nil, an observer is attached so the
-// causal percentiles come back filled.
+// cfg.TraceSample > 0 and cfg.Obs is nil, it attaches a hash-only observer
+// (obs.NewHashOnly) folding the "fleet/job" leg: it stores no events, only
+// the sampled job spans' durations, which the causal percentiles come from.
+// A caller's own observer fills them only if it folds that leg too.
 func RunFleet(cfg fleet.Config) (*FleetReport, error) {
 	if cfg.TraceSample > 0 && cfg.Obs == nil {
-		cfg.Obs = obs.New()
+		cfg.Obs = obs.NewHashOnly("fleet/job")
 	}
 	e, err := fleet.New(cfg)
 	if err != nil {
@@ -50,12 +52,9 @@ func RunFleet(cfg fleet.Config) (*FleetReport, error) {
 		r.EventsPerSec = float64(r.Result.Events) / secs
 		r.JobsPerSec = float64(r.Result.Jobs) / secs
 	}
-	if cfg.TraceSample > 0 && cfg.Obs != nil {
-		f := causal.Build(cfg.Obs.Events())
-		if durs := causal.SpanDurations(f, "fleet/job"); len(durs) > 0 {
-			r.CausalP50 = causal.Percentile(durs, 50)
-			r.CausalP99 = causal.Percentile(durs, 99)
-		}
+	if durs := cfg.Obs.Durations("fleet/job"); len(durs) > 0 {
+		r.CausalP50 = causal.Percentile(durs, 50)
+		r.CausalP99 = causal.Percentile(durs, 99)
 	}
 	return r, nil
 }

@@ -47,18 +47,20 @@ type MonitorReport struct {
 	Store   *timeseries.Store
 	Dir     *mds.Directory
 	Elapsed time.Duration
-	// Obs is the run's observer: the causal trace the scenario DSL's SLO
-	// latency objectives decompose.
+	// Obs is the run's observer, whose metrics the sampler windowed:
+	// Config.Options.Obs when the caller set one (the scenario DSL passes one
+	// folding its SLO latency legs), else a hash-only observer
+	// (obs.NewHashOnly) that stores no events.
 	Obs *obs.Observer
 }
 
 // RunMonitor executes the wide-area (proxied) knapsack run with the full
-// monitoring plane attached: an observer collects metrics from every layer,
-// a kernel-scheduled sampler windows them into time-series, and each window
-// publishes host and link status rows into an MDS directory the way the
-// paper's GRAM reporters refreshed GIS. The publisher writes the directory
-// directly — no simulated traffic — so the workload's virtual-time results
-// are identical to an unmonitored run.
+// monitoring plane attached: an observer (MonitorReport.Obs) collects
+// metrics from every layer, a kernel-scheduled sampler windows them into
+// time-series, and each window publishes host and link status rows into an
+// MDS directory the way the paper's GRAM reporters refreshed GIS. The
+// publisher writes the directory directly — no simulated traffic — so the
+// workload's virtual-time results are identical to an unmonitored run.
 //
 // onSample, when non-nil, runs after each window (in kernel context) with
 // the live store and directory — tests use it to assert mid-run consistency.
@@ -68,9 +70,11 @@ func RunMonitor(cfg MonitorConfig, onSample func(at time.Duration, st *timeserie
 	wantNodes := knapsack.NormalizedTreeNodes(cfg.Items, cfg.Capacity)
 	wantBest := bestOf(in, cfg.Capacity)
 
-	o := obs.New()
 	opts := cfg.Options
-	opts.Obs = o
+	if opts.Obs == nil {
+		opts.Obs = obs.NewHashOnly()
+	}
+	o := opts.Obs
 	tb := cluster.NewTestbed(opts)
 	defer tb.K.Shutdown()
 

@@ -85,14 +85,18 @@ type TransferPoint struct {
 // RunTransfer sweeps parallel-stream count against WAN loss rate. Each point
 // boots a fresh Figure 5 testbed with the flow model enabled, serves a file
 // from ETL-Sun over gridftp, and pulls it from RWCP-Sun with every control
-// and data channel relayed through the firewall proxy.
+// and data channel relayed through the firewall proxy. The points serve one
+// source file: every point's store adopts the same slice, which the servers
+// only read (through gass.Store.View).
 func RunTransfer(cfg TransferConfig) ([]TransferPoint, error) {
 	cfg = cfg.withDefaults()
+	file := make([]byte, cfg.FileSize)
+	gass.FillPattern(file, 7, 10)
 	points := make([]TransferPoint, len(cfg.LossRates)*len(cfg.Streams))
 	err := RunParallel(len(points), cfg.Workers, func(i int) error {
 		loss := cfg.LossRates[i/len(cfg.Streams)]
 		streams := cfg.Streams[i%len(cfg.Streams)]
-		pt, err := transferPoint(cfg, loss, streams)
+		pt, err := transferPoint(cfg, file, loss, streams)
 		if err != nil {
 			return fmt.Errorf("loss %.3f streams %d: %w", loss, streams, err)
 		}
@@ -102,8 +106,9 @@ func RunTransfer(cfg TransferConfig) ([]TransferPoint, error) {
 	return points, err
 }
 
-// transferPoint measures one (loss, streams) combination on its own kernel.
-func transferPoint(cfg TransferConfig, loss float64, streams int) (TransferPoint, error) {
+// transferPoint measures one (loss, streams) combination on its own kernel,
+// serving file, which it does not modify.
+func transferPoint(cfg TransferConfig, file []byte, loss float64, streams int) (TransferPoint, error) {
 	tb := cluster.NewTestbed(cluster.Options{
 		RelayPerBuffer: TransferRelayPerBuffer,
 		WANLatency:     TransferWANLatency,
@@ -114,9 +119,7 @@ func transferPoint(cfg TransferConfig, loss float64, streams int) (TransferPoint
 	defer tb.K.Shutdown()
 
 	store := gass.NewStore()
-	data := make([]byte, cfg.FileSize)
-	gass.FillPattern(data, 7, 10)
-	if err := store.Adopt("/bulk/file.bin", data); err != nil { // the store owns data from here
+	if err := store.Adopt("/bulk/file.bin", file); err != nil { // read-only, shared by the sweep's stores
 		return TransferPoint{}, err
 	}
 	// ETL hosts are outside the firewall and bind directly; only the client

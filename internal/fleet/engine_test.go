@@ -125,12 +125,13 @@ func TestEngineDeterminism(t *testing.T) {
 }
 
 // TestEngineTraceSampling: with TraceSample=n, exactly ceil(jobs/n) causal
-// job spans open and close, and the causal layer can extract their durations.
+// job spans open and close, and an observer folding the leg keeps their
+// durations.
 func TestEngineTraceSampling(t *testing.T) {
 	cfg := smallConfig()
 	cfg.Jobs = 100
 	cfg.TraceSample = 10
-	cfg.Obs = obs.New()
+	cfg.Obs = obs.NewHashOnly("fleet/job")
 	e, err := New(cfg)
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -138,8 +139,7 @@ func TestEngineTraceSampling(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	f := causal.Build(cfg.Obs.Events())
-	durs := causal.SpanDurations(f, "fleet/job")
+	durs := cfg.Obs.Durations("fleet/job")
 	if len(durs) != 10 {
 		t.Fatalf("sampled %d job spans, want 10", len(durs))
 	}

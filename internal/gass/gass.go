@@ -64,9 +64,10 @@ func (s *Store) Put(path string, data []byte) error {
 }
 
 // Adopt writes a file without copying: the store takes ownership of data,
-// and the caller must not modify it afterwards. It is for a caller whose
-// buffer dies at the call; everyone else uses Put. Files beyond MaxFileSize
-// are rejected with ErrTooLarge.
+// and nobody may modify it afterwards. It is for a caller whose buffer dies
+// at the call, or is read-only from then on — such a buffer may be adopted
+// by several stores, which only ever read it; everyone else uses Put. Files
+// beyond MaxFileSize are rejected with ErrTooLarge.
 func (s *Store) Adopt(path string, data []byte) error {
 	if len(data) > MaxFileSize {
 		return tooLarge(path, data)

@@ -332,30 +332,9 @@ func Summarize(f *Forest) *Summary {
 	return sum
 }
 
-// SpanDurations collects the durations of every complete span in the forest
-// whose label ("cat/name") matches leg, in trace order. The SLO latency
-// objectives percentile over this.
-func SpanDurations(f *Forest, leg string) []time.Duration {
-	var out []time.Duration
-	var walk func(s *Span)
-	walk = func(s *Span) {
-		if s.Complete && s.Label() == leg {
-			out = append(out, s.End-s.Start)
-		}
-		for _, c := range s.Children {
-			walk(c)
-		}
-	}
-	for _, t := range f.Traces {
-		for _, r := range t.Roots {
-			walk(r)
-		}
-	}
-	return out
-}
-
 // Percentile returns the p-th percentile (nearest-rank, p in (0,100]) of
-// durations. It returns 0 for an empty slice.
+// durations — a leg's, as obs.(*Observer).Durations folds them. It returns 0
+// for an empty slice.
 func Percentile(durations []time.Duration, p float64) time.Duration {
 	if len(durations) == 0 {
 		return 0

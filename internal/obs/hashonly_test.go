@@ -28,6 +28,37 @@ func TestHashOnlyStoresNothing(t *testing.T) {
 	if grew := after.TotalAlloc - before.TotalAlloc; grew >= chunk {
 		t.Errorf("recording %d events allocated %d bytes, want under one chunk (%d)", n, grew, chunk)
 	}
+
+	// Folding a leg keeps a duration per closed span and a map entry per open
+	// one: after n closed spans of the leg, as many untraced spans of the same
+	// label, and open ones left open, the live heap has grown by at most 8
+	// bytes a closed span plus one map bucket (eight slots, their control
+	// word and an overflow pointer) an open one.
+	const open = 1000
+	bucket := 8*(unsafe.Sizeof(uint64(0))+unsafe.Sizeof(openSpan{})) + 16
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	o = NewHashOnly("rmf/job")
+	root := o.BeginTrace(0, "mpi", "rank", "h")
+	for i := 0; i < n; i++ {
+		at := time.Duration(i)
+		job := o.BeginChild(at, root, "rmf", "job", "h")
+		o.End(at+1, o.Begin(at, "rmf", "job", "h"), "rmf", "job", "h")
+		o.EndSpan(at+2, job, "rmf", "job", "h")
+	}
+	for i := 0; i < open; i++ {
+		o.BeginChild(n, root, "rmf", "job", "h")
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if durs := o.Durations("rmf/job"); len(durs) != n || durs[n-1] != 2 {
+		t.Fatalf("folded %d durations, want %d of 2ns", len(durs), n)
+	}
+	limit := 8*n + open*int64(bucket)
+	if grew := int64(after.HeapAlloc) - int64(before.HeapAlloc); grew > limit {
+		t.Errorf("folding %d closed and %d open spans grew the heap by %d bytes, want at most %d", n, open, grew, limit)
+	}
+	runtime.KeepAlive(o)
 }
 
 // FuzzHashOnlyMatchesRecording: whatever a run records, the hash-only

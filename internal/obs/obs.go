@@ -109,9 +109,14 @@ type Observer struct {
 	// hashOnly (NewHashOnly) replaces the store with its witness: add
 	// serializes each record into line, the one reused buffer, folds it into
 	// sum and keeps nothing.
-	hashOnly  bool
-	sum       Hasher
-	line      []byte
+	hashOnly bool
+	sum      Hasher
+	line     []byte
+	// legs (NewHashOnly's arguments) fold as their spans close: open holds
+	// each traced span labelled with a leg, by span ID, until its first End
+	// appends its duration to the leg's durs.
+	legs      []foldLeg
+	open      map[uint64]openSpan
 	metrics   Metrics
 	nextID    uint64
 	nextTrace uint64
@@ -146,7 +151,83 @@ func New() *Observer { return &Observer{} }
 // the hash and dropped, so the run stores no events. Hash, Len and Metrics
 // read as they would on New's observer of the same run; Events returns nil,
 // and the exporters and FirstDiff see an empty trace.
-func NewHashOnly() *Observer { return &Observer{hashOnly: true} }
+//
+// Each leg is a span label ("cat/name") whose durations the observer keeps:
+// see Durations. A span costs a map entry while it is open and 8 bytes once
+// it has closed; spans of other labels cost nothing.
+func NewHashOnly(legs ...string) *Observer {
+	o := &Observer{hashOnly: true}
+	if len(legs) > 0 {
+		o.legs = make([]foldLeg, len(legs))
+		for i, label := range legs {
+			o.legs[i].label = label // a repeated leg folds into its first entry
+		}
+		o.open = make(map[uint64]openSpan)
+	}
+	return o
+}
+
+// foldLeg is one folded span label and the durations of its closed spans.
+type foldLeg struct {
+	label string
+	durs  []time.Duration
+}
+
+// openSpan is a folded span awaiting its End: its index in legs and its start.
+type openSpan struct {
+	leg   int
+	start time.Duration
+}
+
+// fold keeps the durations of the legs' spans as the records go by, with the
+// semantics of causal.Build: an untraced span is not a leg's, the first End
+// of a span closes it, an End nobody began is ignored, and a span that never
+// ends has no duration.
+func (o *Observer) fold(at time.Duration, ph byte, cat, name string, id, trace uint64) {
+	switch ph {
+	case PhaseBegin:
+		if trace == 0 {
+			return
+		}
+		for i := range o.legs {
+			if isLabel(o.legs[i].label, cat, name) {
+				o.open[id] = openSpan{leg: i, start: at}
+				return
+			}
+		}
+	case PhaseEnd:
+		if s, ok := o.open[id]; ok {
+			delete(o.open, id)
+			l := &o.legs[s.leg]
+			l.durs = append(l.durs, at-s.start)
+		}
+	}
+}
+
+// isLabel reports whether label is cat+"/"+name without building the string:
+// the cut falls after cat, so a cat that contains '/' matches as it would
+// joined.
+func isLabel(label, cat, name string) bool {
+	return len(label) == len(cat)+1+len(name) && label[len(cat)] == '/' &&
+		label[:len(cat)] == cat && label[len(cat)+1:] == name
+}
+
+// Durations returns the durations of leg's closed spans, in the order they
+// closed, on an observer NewHashOnly made with leg among its legs (nil on
+// any other). They are the complete spans causal.Build finds labelled leg in
+// the same run's recorded trace. The slice is the observer's own; callers
+// must not mutate it.
+func (o *Observer) Durations(leg string) []time.Duration {
+	if o == nil {
+		return nil
+	}
+	for _, l := range o.legs {
+		if l.label == leg {
+			return l.durs
+		}
+	}
+	return nil
+}
 
 // FromEvents wraps an existing event slice (e.g. one parsed back from a
 // JSONL export) so the exporters can re-serialize it. The observer takes
@@ -168,6 +249,9 @@ func (o *Observer) add(at time.Duration, ph byte, cat, name, track string, id, t
 		rec := Event{At: at, Ph: ph, Cat: cat, Name: name, Track: track, ID: id, Trace: trace, Parent: parent, Fields: fields}
 		o.line = appendEventLine(o.line[:0], &rec)
 		_, _ = o.sum.Write(o.line) // Hasher.Write never fails
+		if o.legs != nil {
+			o.fold(at, ph, cat, name, id, trace)
+		}
 		return
 	}
 	e := Event{At: at, Ph: ph, Cat: cat, Name: name, Track: track, ID: id, Trace: trace, Parent: parent}

@@ -127,7 +127,10 @@ func TestSuiteDrift(t *testing.T) {
 // scenarios` runs: every shipped scenario runs (Run itself executes each
 // workload twice and fails on any trace-hash or fingerprint divergence),
 // passes all its declared assertions, and reproduces its row of the committed
-// SCENARIOS_suite.json, which has a row for every file and no other. The
+// SCENARIOS_suite.json, which has a row for every file and no other, with
+// neither its primary nor its replay storing a trace event. A file with
+// latency objectives runs once more, recording, to check that its primary's
+// folded legs read as the recorded trace does (sloMatchesRecording). The
 // files share nothing, so they run side by side; the rows are compared once
 // every file has run.
 func TestShippedScenariosRun(t *testing.T) {
@@ -159,9 +162,17 @@ func TestShippedScenariosRun(t *testing.T) {
 		mu.Unlock()
 		t.Run(file, func(t *testing.T) {
 			t.Parallel()
-			res, err := Run(s)
+			res, runs, err := s.run()
 			if err != nil {
 				t.Fatal(err)
+			}
+			for i, run := range []string{"primary", "replay"} {
+				if n := len(runs[i].observer.Events()); n > 0 {
+					t.Errorf("the %s stored %d trace events, want its hash alone", run, n)
+				}
+			}
+			if s.SLO != nil && len(s.SLO.Latency) > 0 {
+				sloMatchesRecording(t, s, &runs[0])
 			}
 			mu.Lock()
 			got[s.Name] = res

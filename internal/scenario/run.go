@@ -82,10 +82,10 @@ type outcome struct {
 	// hash is the FNV-64a determinism witness.
 	hash    uint64
 	elapsed time.Duration
-	// trace is the recorded trace behind a chaos run's hash, for the latency
-	// SLOs and for naming the first divergent event; nil when the run only
-	// folded its records into the hash.
-	trace *obs.Observer
+	// observer is the one a chaos or monitor run attached (nil for the other
+	// kinds): hash-only in Run, the primary's folding its latency legs for the
+	// SLOs; recording in recordPair, for naming the first divergent event.
+	observer *obs.Observer
 }
 
 // Run executes one validated scenario: the workload twice (the implicit
@@ -94,23 +94,31 @@ type outcome struct {
 // the SLO objectives against the first run. The runs share nothing — each
 // builds its own kernels — so they go through bench.RunParallel side by
 // side; GOMAXPROCS=1 runs the primary, then the replay, then the baseline.
-// Chaos runs keep their traces as hashes alone (a primary judging a latency
-// SLO records), so a chaos double run that diverges is run again, recording,
-// to name the first event it parts at. Harness errors — a config the runner
-// rejects — come back as the error, the primary's first; assertion
-// violations and determinism breaks are recorded as failures in the Result.
+// Every run keeps its trace as a hash alone, the primary also folding the
+// span durations its latency objectives judge, so a chaos double run that
+// diverges is run again, recording, to name the first event it parts at.
+// Harness errors — a config the runner rejects — come back as the error, the
+// primary's first; assertion violations and determinism breaks are recorded
+// as failures in the Result.
 func Run(s *Spec) (*Result, error) {
+	res, _, err := s.run()
+	return res, err
+}
+
+// run is Run, also handing back each run's outcome: the primary's, the
+// replay's, then any baseline's.
+func (s *Spec) run() (*Result, []outcome, error) {
 	if err := s.checkShape(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	checks, err := buildAsserts(s)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	var compare func(rep, base *chaos.Report) error
 	if s.Baseline != nil && s.Compare != "" {
 		if compare, err = comparatorOf(s.Compare); err != nil {
-			return nil, fmt.Errorf("scenario %s: %w", s.Name, err)
+			return nil, nil, fmt.Errorf("scenario %s: %w", s.Name, err)
 		}
 	}
 
@@ -120,11 +128,13 @@ func Run(s *Spec) (*Result, error) {
 	if s.Baseline != nil {
 		specs = append(specs, s.Baseline)
 	}
-	// Only a latency objective reads a trace's events, the primary's.
-	record := s.SLO != nil && len(s.SLO.Latency) > 0
 	runs := make([]outcome, len(specs))
 	err = bench.RunParallel(len(specs), 0, func(i int) error {
-		out, err := specs[i].runOnce(i != baseline, i == primary && record)
+		var legs []string // only the primary's SLOs are judged
+		if i == primary {
+			legs = s.SLO.legs()
+		}
+		out, err := specs[i].runOnce(i != baseline, obs.NewHashOnly(legs...))
 		if err != nil {
 			return fmt.Errorf("scenario %s%s: %w", s.Name, labels[i], err)
 		}
@@ -135,7 +145,7 @@ func Run(s *Spec) (*Result, error) {
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	first := &runs[primary]
 	res := &Result{
@@ -168,38 +178,30 @@ func Run(s *Spec) (*Result, error) {
 	if s.SLO != nil {
 		// checkShape restricts SLOs to the two kinds that run with an observer
 		// attached; both reports carry the windowed store.
-		var events []obs.Event
 		var store *timeseries.Store
 		switch rep := first.v.(type) {
 		case *bench.MonitorReport:
-			events, store = rep.Obs.Events(), rep.Store
+			store = rep.Store
 		case *chaos.Report:
-			events, store = first.trace.Events(), rep.Store
+			store = rep.Store
 		}
 		res.Invariants += s.SLO.Objectives()
-		res.Failures = append(res.Failures, s.SLO.Evaluate(events, store)...)
+		res.Failures = append(res.Failures, s.SLO.Evaluate(first.observer, store)...)
 	}
 	res.Passed = len(res.Failures) == 0
-	return res, nil
+	return res, runs, nil
 }
 
-// runOnce executes the spec's workload once. Each run hashes its own witness
-// here, inside its RunParallel job; witness false (a baseline, whose report
-// alone is read) skips the comparison strings. A chaos run stores its trace
-// only when record is set; otherwise its observer folds each record into the
-// hash and keeps nothing (the sampler still reads its metrics).
-func (s *Spec) runOnce(witness, record bool) (outcome, error) {
+// runOnce executes the spec's workload once, a chaos or monitor run with o
+// attached (its sampler reads o's metrics; the other kinds ignore o). Each
+// run hashes its own witness here, inside its RunParallel job; witness false
+// (a baseline, whose report alone is read) skips the comparison strings.
+func (s *Spec) runOnce(witness bool, o *obs.Observer) (outcome, error) {
 	switch s.Kind {
 	case KindChaos:
 		cfg, err := s.chaosConfig()
 		if err != nil {
 			return outcome{}, err
-		}
-		var o *obs.Observer
-		if record {
-			o = obs.New()
-		} else {
-			o = obs.NewHashOnly()
 		}
 		cfg.Options.Obs = o
 		rep, err := chaos.Run(cfg)
@@ -207,15 +209,13 @@ func (s *Spec) runOnce(witness, record bool) (outcome, error) {
 			return outcome{}, err
 		}
 		out := outcome{
-			v:       rep,
-			fp:      fmt.Sprintf("elapsed=%dms job=%dms", rep.Elapsed.Milliseconds(), rep.JobDone.Milliseconds()),
-			elapsed: rep.Elapsed,
+			v:        rep,
+			fp:       fmt.Sprintf("elapsed=%dms job=%dms", rep.Elapsed.Milliseconds(), rep.JobDone.Milliseconds()),
+			elapsed:  rep.Elapsed,
+			observer: o,
 		}
 		if witness {
 			out.full, out.hash = rep.Fingerprint(), o.Hash()
-		}
-		if record {
-			out.trace = o
 		}
 		return out, nil
 	case KindTable2:
@@ -239,11 +239,13 @@ func (s *Spec) runOnce(witness, record bool) (outcome, error) {
 		fp := fingerprintTable4(rep)
 		return outcome{v: rep, fp: fp, hash: fnvHash(fp), elapsed: rep.SeqTime}, nil
 	case KindMonitor:
-		rep, err := bench.RunMonitor(s.monitorConfig(), nil)
+		cfg := s.monitorConfig()
+		cfg.Options.Obs = o
+		rep, err := bench.RunMonitor(cfg, nil)
 		if err != nil {
 			return outcome{}, err
 		}
-		return outcome{v: rep, fp: fingerprintMonitor(rep), hash: rep.Store.Hash(), elapsed: rep.Elapsed}, nil
+		return outcome{v: rep, fp: fingerprintMonitor(rep), hash: rep.Store.Hash(), elapsed: rep.Elapsed, observer: o}, nil
 	case KindGridFTP:
 		pts, err := bench.RunTransfer(*s.GridFTP)
 		if err != nil {
@@ -291,12 +293,10 @@ func (s *Spec) runOnce(witness, record bool) (outcome, error) {
 // divergence words the determinism failure of a double run, "" when the two
 // runs agree: the first event the traces part at where the hash is a trace's,
 // else the first fingerprint line that differs. rerun, nil for kinds whose
-// hash is not a trace's, records the pair again when either run kept its
-// trace as a hash alone; it runs on this failure path only.
+// hash is not a trace's, records the pair again (the runs kept their traces
+// as hashes alone); it runs on this failure path only.
 func divergence(a, b *outcome, rerun func() (a, b *obs.Observer, err error)) string {
 	switch {
-	case a.hash != b.hash && a.trace != nil && b.trace != nil:
-		return traceDivergence(a.trace, b.trace, a.hash, b.hash)
 	case a.hash != b.hash && rerun != nil:
 		ta, tb, err := rerun()
 		if err != nil {
@@ -330,8 +330,8 @@ func traceDivergence(a, b *obs.Observer, ha, hb uint64) string {
 func (s *Spec) recordPair() (a, b *obs.Observer, err error) {
 	var traces [2]*obs.Observer
 	err = bench.RunParallel(len(traces), 0, func(i int) error {
-		out, err := s.runOnce(true, true)
-		traces[i] = out.trace
+		traces[i] = obs.New()
+		_, err := s.runOnce(true, traces[i])
 		return err
 	})
 	return traces[0], traces[1], err

@@ -11,8 +11,8 @@ import (
 )
 
 // SLOSpec is a scenario's `slo:` block: service-level objectives evaluated
-// deterministically against the run's causal trace (latency percentiles over
-// span legs) and its time-series store (throughput floors and error budgets
+// deterministically against the span durations the run's observer folds
+// (latency percentiles over span legs) and its time-series store (throughput floors and error budgets
 // with burn-rate windows). Every objective counts as one invariant; a
 // violated objective is a scenario failure exactly like a failed assertion.
 //
@@ -76,21 +76,32 @@ func (sl *SLOSpec) Objectives() int {
 	return len(sl.Latency) + len(sl.Throughput) + len(sl.Budgets)
 }
 
-// Evaluate checks every objective against the run's recorded events and
-// time-series store, returning one failure string per violated objective.
-// Evaluation is pure (no simulation, no clock), so it is trivially
-// deterministic: the same trace and store always yield the same verdict.
-func (sl *SLOSpec) Evaluate(events []obs.Event, store *timeseries.Store) []string {
+// legs lists the span labels the latency objectives judge: the legs the
+// run's observer must fold (obs.NewHashOnly) for Evaluate to read.
+func (sl *SLOSpec) legs() []string {
+	if sl == nil {
+		return nil
+	}
+	legs := make([]string, len(sl.Latency))
+	for i, l := range sl.Latency {
+		legs[i] = l.Leg
+	}
+	return legs
+}
+
+// Evaluate checks every objective against the run's observer, which folded
+// the legs' span durations (see legs), and its time-series store, returning
+// one failure string per violated objective. Evaluation is pure (no
+// simulation, no clock), so it is trivially deterministic: the same run
+// always yields the same verdict.
+func (sl *SLOSpec) Evaluate(o *obs.Observer, store *timeseries.Store) []string {
 	if sl == nil {
 		return nil
 	}
 	var fails []string
-	if len(sl.Latency) > 0 {
-		f := causal.Build(events)
-		for _, l := range sl.Latency {
-			if msg := l.check(f); msg != "" {
-				fails = append(fails, msg)
-			}
+	for _, l := range sl.Latency {
+		if msg := l.check(o.Durations(l.Leg)); msg != "" {
+			fails = append(fails, msg)
 		}
 	}
 	for _, tp := range sl.Throughput {
@@ -106,8 +117,7 @@ func (sl *SLOSpec) Evaluate(events []obs.Event, store *timeseries.Store) []strin
 	return fails
 }
 
-func (l LatencySLO) check(f *causal.Forest) string {
-	durs := causal.SpanDurations(f, l.Leg)
+func (l LatencySLO) check(durs []time.Duration) string {
 	minCount := l.MinCount
 	if minCount <= 0 {
 		minCount = 1

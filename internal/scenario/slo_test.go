@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"nxcluster/internal/obs"
+	"nxcluster/internal/obs/causal"
 	"nxcluster/internal/obs/timeseries"
 	"nxcluster/internal/sim"
 )
@@ -173,11 +174,11 @@ func testStore(t *testing.T, deltas map[string][]int64) *timeseries.Store {
 	return st
 }
 
-// testEvents builds a trace with completed rmf/job spans of the given
-// durations, plus one never-ended mpi/rank span (open spans have no
-// duration and must not count).
-func testEvents(durations ...time.Duration) []obs.Event {
-	o := obs.New()
+// testObserver folds the legs of spec's latency objectives over completed
+// rmf/job spans of the given durations, plus one never-ended mpi/rank span
+// (open spans have no duration and must not count).
+func testObserver(spec *SLOSpec, durations ...time.Duration) *obs.Observer {
+	o := obs.NewHashOnly(spec.legs()...)
 	at := time.Duration(0)
 	for _, d := range durations {
 		tc := o.BeginTrace(at, "rmf", "job", "rmf0")
@@ -185,11 +186,11 @@ func testEvents(durations ...time.Duration) []obs.Event {
 		at += time.Second
 	}
 	o.BeginTrace(at, "mpi", "rank", "rank0")
-	return o.Events()
+	return o
 }
 
 func TestSLOEvaluate(t *testing.T) {
-	events := testEvents(10*time.Millisecond, 30*time.Millisecond)
+	durations := []time.Duration{10 * time.Millisecond, 30 * time.Millisecond}
 	store := testStore(t, map[string][]int64{
 		"rmf.a.jobs_done":   {1, 2, 0, 3, 0},
 		"rmf.a.jobs_failed": {0, 0, 5, 0, 0},
@@ -219,7 +220,7 @@ func TestSLOEvaluate(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			fails := tc.spec.Evaluate(events, store)
+			fails := tc.spec.Evaluate(testObserver(&tc.spec, durations...), store)
 			if tc.wantErr == "" {
 				if len(fails) != 0 {
 					t.Fatalf("Evaluate = %q, want no failures", fails)
@@ -237,11 +238,59 @@ func TestSLOEvaluate(t *testing.T) {
 
 	t.Run("nil store fails loudly", func(t *testing.T) {
 		spec := SLOSpec{Throughput: []ThroughputSLO{{Series: "x", MinTotal: 1}}}
-		fails := spec.Evaluate(events, nil)
+		fails := spec.Evaluate(testObserver(&spec, durations...), nil)
 		if len(fails) != 1 || !strings.Contains(fails[0], "no time-series store") {
 			t.Fatalf("Evaluate with nil store = %q", fails)
 		}
 	})
+}
+
+// sloMatchesRecording checks that each latency objective of s read the same
+// numbers from the primary's folded legs as it would from a recording run of
+// s walked through the causal forest, the way objectives were judged before
+// their legs folded: the span count and the percentile, not only the
+// verdict. The recording run must hash as the primary did. It runs s once
+// more, recording.
+func sloMatchesRecording(t *testing.T, s *Spec, primary *outcome) {
+	t.Helper()
+	rec := obs.New()
+	if _, err := s.runOnce(true, rec); err != nil {
+		t.Fatal(err)
+	}
+	if h := primary.observer.Hash(); rec.Hash() != h {
+		t.Errorf("the recording run hashed %016x, the primary %016x", rec.Hash(), h)
+	}
+	forest := causal.Build(rec.Events())
+	for _, l := range s.SLO.Latency {
+		got, want := primary.observer.Durations(l.Leg), spanDurations(forest, l.Leg)
+		gp, wp := causal.Percentile(got, l.Percentile), causal.Percentile(want, l.Percentile)
+		if len(got) != len(want) || gp != wp {
+			t.Errorf("slo latency %s p%v: folded %d spans, p = %v; the causal walk finds %d, p = %v",
+				l.Leg, l.Percentile, len(got), gp, len(want), wp)
+		}
+	}
+}
+
+// spanDurations is the walk the latency objectives read before their legs
+// were folded: the durations of every complete span in the forest whose
+// label ("cat/name") is leg, in trace order.
+func spanDurations(f *causal.Forest, leg string) []time.Duration {
+	var out []time.Duration
+	var walk func(s *causal.Span)
+	walk = func(s *causal.Span) {
+		if s.Complete && s.Label() == leg {
+			out = append(out, s.End-s.Start)
+		}
+		for _, c := range s.Children {
+			walk(c)
+		}
+	}
+	for _, t := range f.Traces {
+		for _, r := range t.Roots {
+			walk(r)
+		}
+	}
+	return out
 }
 
 // TestSLOViolatedScenario runs the intentionally broken testdata scenario
