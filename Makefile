@@ -106,7 +106,7 @@ cover:
 
 # fuzz gives each wire-facing parser a short, deterministic-budget fuzz run:
 # the RSL parser, the proxy control-channel decoder, the gridftp MODE E
-# block reader, the scenario-file parser, and the request handlers of the RMF
+# block reader and restart-marker ledger, the scenario-file parser, and the request handlers of the RMF
 # allocator and Q server; and it fuzzes the kernel's lane merge against the
 # heap-only firing order, the hash-only trace observer against the recording
 # one, and its folded span durations against the causal forest's. Crashers
@@ -117,6 +117,7 @@ fuzz:
 	$(GO) test -fuzz FuzzParse -fuzztime $(FUZZTIME) ./internal/rsl/
 	$(GO) test -fuzz FuzzReadMsg -fuzztime $(FUZZTIME) ./internal/proxy/
 	$(GO) test -fuzz FuzzReadBlock -fuzztime $(FUZZTIME) ./internal/gridftp/
+	$(GO) test -fuzz FuzzLedgerAdd -fuzztime $(FUZZTIME) ./internal/gridftp/
 	$(GO) test -fuzz FuzzScenario -fuzztime $(FUZZTIME) ./internal/scenario/
 	$(GO) test -fuzz FuzzAllocatorRequest -fuzztime $(FUZZTIME) ./internal/rmf/
 	$(GO) test -fuzz FuzzQServerRequest -fuzztime $(FUZZTIME) ./internal/rmf/

@@ -21,10 +21,11 @@ func allocatedBy(t *testing.T, f func() error) uint64 {
 }
 
 // TestTransferAllocationBudget pins the payload-ownership rule on the gridftp
-// path: a served file is allocated once, a received file is allocated once,
-// and nothing between them allocates in proportion to the bytes moved. With
-// the store copying in and out, a fresh buffer per block and a per-byte fill,
-// the same point allocated over 5 x FileSize.
+// path: the served file is allocated once, and nothing on the receive side
+// or between the ends allocates in proportion to the file (the point checks
+// each block against the source instead of assembling a copy). With the store
+// copying in and out, a fresh buffer per block and a per-byte fill, the same
+// point allocated over 5 x FileSize; with a received copy, 2.19 x.
 func TestTransferAllocationBudget(t *testing.T) {
 	const fileSize = 4 << 20
 	got := allocatedBy(t, func() error {
@@ -35,8 +36,8 @@ func TestTransferAllocationBudget(t *testing.T) {
 	})
 	t.Logf("one %d-byte transfer over 2 streams allocated %d bytes (%.2f x FileSize)",
 		fileSize, got, float64(got)/fileSize)
-	if got >= fileSize*5/2 {
-		t.Errorf("transfer allocated %d bytes, want < 2.5 x FileSize (%d)", got, fileSize*5/2)
+	if got >= fileSize*3/2 {
+		t.Errorf("transfer allocated %d bytes, want < 1.5 x FileSize (%d)", got, fileSize*3/2)
 	}
 }
 

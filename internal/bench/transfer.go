@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 	"time"
@@ -87,7 +88,8 @@ type TransferPoint struct {
 // from ETL-Sun over gridftp, and pulls it from RWCP-Sun with every control
 // and data channel relayed through the firewall proxy. The points serve one
 // source file: every point's store adopts the same slice, which the servers
-// only read (through gass.Store.View).
+// only read (through gass.Store.View), and every point checks each block it
+// receives against that slice instead of keeping a copy.
 func RunTransfer(cfg TransferConfig) ([]TransferPoint, error) {
 	cfg = cfg.withDefaults()
 	file := make([]byte, cfg.FileSize)
@@ -138,13 +140,13 @@ func transferPoint(cfg TransferConfig, file []byte, loss float64, streams int) (
 		}
 		url := gridftp.URL(<-addr, "/bulk/file.bin")
 		cl := &gridftp.Client{Dialer: tb.Dialer(), Streams: streams}
-		got, stats, err := cl.Get(env, url)
+		stats, err := cl.GetTo(env, url, verifier(file))
 		if err != nil {
 			benchErr = err
 			return
 		}
-		if len(got) != cfg.FileSize {
-			benchErr = fmt.Errorf("received %d bytes, want %d", len(got), cfg.FileSize)
+		if stats.Bytes != int64(cfg.FileSize) {
+			benchErr = fmt.Errorf("received %d bytes, want %d", stats.Bytes, cfg.FileSize)
 			return
 		}
 		pt.Bytes = stats.Bytes
@@ -160,6 +162,26 @@ func transferPoint(cfg TransferConfig, file []byte, loss float64, streams int) (
 	fs := tb.Net.FlowStats()
 	pt.Drops, pt.Retransmits, pt.Cuts = fs.Drops, fs.Retransmits, fs.Cuts
 	return pt, nil
+}
+
+// verifier is the destination a sweep point downloads into: it compares each
+// block with the same range of the source file and keeps nothing, so a
+// point holds one copy of the file, the one it serves.
+type verifier []byte
+
+func (v verifier) WriteAt(p []byte, off int64) (int, error) {
+	if off < 0 || off > int64(len(v)) || int64(len(p)) > int64(len(v))-off {
+		return 0, fmt.Errorf("block [%d,+%d) outside the %d-byte source", off, len(p), len(v))
+	}
+	src := v[off : off+int64(len(p))]
+	if !bytes.Equal(p, src) {
+		i := 0
+		for p[i] == src[i] {
+			i++
+		}
+		return 0, fmt.Errorf("block [%d,+%d) differs from the source at byte %d", off, len(p), off+int64(i))
+	}
+	return len(p), nil
 }
 
 // FormatTransfer renders the sweep as throughput-vs-streams curves, one

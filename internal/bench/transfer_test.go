@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -103,5 +104,34 @@ func TestTransferDeterministic(t *testing.T) {
 	}
 	if transferHash(first) != transferHash(limited) {
 		t.Fatalf("GOMAXPROCS changes results:\n%s\nvs\n%s", FormatTransfer(first), FormatTransfer(limited))
+	}
+}
+
+// TestVerifierRejectsWhatTheSourceDoesNot: a block equal to its range of the
+// source is accepted; a flipped byte or a block past the end is refused, and
+// the error names the offset.
+func TestVerifierRejectsWhatTheSourceDoesNot(t *testing.T) {
+	file := make([]byte, 4096)
+	for i := range file {
+		file[i] = byte(i * 7)
+	}
+	v := verifier(file)
+	if n, err := v.WriteAt(file[1024:1536], 1024); err != nil || n != 512 {
+		t.Fatalf("matching block: %d, %v", n, err)
+	}
+	flipped := append([]byte(nil), file[1024:1536]...)
+	flipped[1234-1024] ^= 0xff
+	for _, tc := range []struct {
+		p    []byte
+		off  int64
+		name string
+	}{
+		{flipped, 1024, "1234"},
+		{file[:512], 4000, "4000"},
+		{file[:1], -3, "-3"},
+	} {
+		if _, err := v.WriteAt(tc.p, tc.off); err == nil || !strings.Contains(err.Error(), tc.name) {
+			t.Errorf("WriteAt(%d bytes, %d) = %v, want an error naming %s", len(tc.p), tc.off, err, tc.name)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package gridftp
 
 import (
 	"fmt"
+	"io"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -86,46 +87,85 @@ func (c *Client) retryDelay() time.Duration {
 	return 50 * time.Millisecond
 }
 
-// getSink is the shared receive state of a download: the assembly buffer,
-// the restart-marker ledger, and a progress counter the watchdog samples.
+// getSink is the shared receive state of a download: where landed blocks
+// go, the restart-marker ledger, and a progress counter the watchdog samples.
 // Parallel channels (and striped sources) all land blocks here.
 type getSink struct {
 	mu       sync.Mutex
-	size     int64 // -1 until the first server reply
+	size     int64       // -1 until the first server reply
+	dst      io.WriterAt // the caller's destination; nil assembles into buf
 	buf      []byte
+	err      error // the first error dst returned; every later land returns it
 	ledger   Ledger
 	progress atomic.Int64
 }
 
-func newGetSink() *getSink { return &getSink{size: -1} }
+func newGetSink(dst io.WriterAt) *getSink { return &getSink{size: -1, dst: dst} }
 
 func (g *getSink) setSize(n int64) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if g.size < 0 {
 		g.size = n
-		g.buf = make([]byte, n)
+		if g.dst == nil {
+			g.buf = make([]byte, n)
+		}
 	}
 }
 
 func (g *getSink) land(off int64, payload []byte) error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
+	if g.err != nil {
+		return g.err
+	}
 	if off+int64(len(payload)) > g.size {
 		return fmt.Errorf("gridftp: block [%d,+%d) beyond size %d", off, len(payload), g.size)
 	}
-	copy(g.buf[off:], payload)
+	if g.dst == nil {
+		copy(g.buf[off:], payload)
+	} else if _, err := g.dst.WriteAt(payload, off); err != nil {
+		g.err = fmt.Errorf("gridftp: write block [%d,+%d): %w", off, len(payload), err)
+		return g.err
+	}
 	g.ledger.Add(off, int64(len(payload)))
 	g.progress.Add(int64(len(payload)))
 	return nil
 }
 
+// refused returns the error the destination returned, if any.
+func (g *getSink) refused() error {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.err
+}
+
 // Get downloads url over parallel data channels, resuming from restart
-// markers after interruptions.
+// markers after interruptions, and returns the file.
 func (c *Client) Get(env transport.Env, url string) ([]byte, *TransferStats, error) {
+	sink := newGetSink(nil)
+	stats, err := c.get(env, url, sink)
+	if err != nil {
+		return nil, stats, err
+	}
+	return sink.buf, stats, nil
+}
+
+// GetTo downloads url like Get, but writes each block to dst at its file
+// offset as it arrives instead of assembling the file in memory. Blocks come
+// in any order, one WriteAt at a time. An error from dst ends the download
+// at once, without resuming; the returned error wraps it.
+func (c *Client) GetTo(env transport.Env, url string, dst io.WriterAt) (*TransferStats, error) {
+	return c.get(env, url, newGetSink(dst))
+}
+
+// get is the download loop behind Get and GetTo: fetch into sink, and after
+// a channel error resume from its ledger until the file is complete or the
+// retries run out.
+func (c *Client) get(env transport.Env, url string, sink *getSink) (*TransferStats, error) {
 	hostport, path, err := ParseURL(url)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	start := env.Now()
 	o := obs.From(env)
@@ -133,7 +173,6 @@ func (c *Client) Get(env transport.Env, url string) ([]byte, *TransferStats, err
 	if o != nil {
 		span = o.BeginChild(start, obs.CtxOf(env), "gridftp", "get", env.Hostname(), obs.Str("url", url))
 	}
-	sink := newGetSink()
 	stats := &TransferStats{Streams: c.streams()}
 	var lastErr error
 	for attempt := 0; ; attempt++ {
@@ -142,6 +181,10 @@ func (c *Client) Get(env transport.Env, url string) ([]byte, *TransferStats, err
 			env.Sleep(c.retryDelay() * time.Duration(attempt))
 		}
 		lastErr = c.fetch(env, hostport, path, c.streams(), &sink.ledger, sink)
+		if err := sink.refused(); err != nil {
+			lastErr = err // the destination failed, not the network: no resume
+			break
+		}
 		if sink.size >= 0 && sink.ledger.Complete(sink.size) {
 			stats.Bytes = sink.size
 			stats.Elapsed = env.Now() - start
@@ -150,7 +193,7 @@ func (c *Client) Get(env transport.Env, url string) ([]byte, *TransferStats, err
 					obs.Int("bytes", stats.Bytes), obs.Int("resumes", int64(stats.Resumes)))
 				o.Metrics().Counter("gridftp." + env.Hostname() + ".bytes_in").Add(stats.Bytes)
 			}
-			return sink.buf, stats, nil
+			return stats, nil
 		}
 		if attempt >= c.retries() {
 			break
@@ -163,7 +206,7 @@ func (c *Client) Get(env transport.Env, url string) ([]byte, *TransferStats, err
 	if o != nil {
 		o.EndSpan(env.Now(), span, "gridftp", "get", env.Hostname(), obs.Str("err", err.Error()))
 	}
-	return nil, stats, err
+	return stats, err
 }
 
 // fetch runs one download attempt against one server: announce the have
@@ -426,7 +469,7 @@ func (c *Client) GetStriped(env transport.Env, urls []string) ([]byte, *Transfer
 		span = o.BeginChild(start, obs.CtxOf(env), "gridftp", "get-striped", env.Hostname(),
 			obs.Int("bytes", size), obs.Int("sources", int64(len(urls))))
 	}
-	sink := newGetSink()
+	sink := newGetSink(nil)
 	sink.setSize(size)
 	// Assign whole blocks round-robin across sources; each source is told
 	// the complement of its stripe as "already held", so it streams exactly

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"io"
+	"slices"
 	"testing"
 )
 
@@ -93,6 +94,50 @@ func FuzzDecodeLedger(f *testing.F) {
 		}
 		if !bytes.Equal(re.Encode(), dec.Encode()) {
 			t.Fatal("encode not stable")
+		}
+	})
+}
+
+// refLedgerAdd is Ledger.Add as it was before it merged in place: the
+// reference FuzzLedgerAdd compares against.
+func refLedgerAdd(ranges []Range, off, n int64) []Range {
+	if n <= 0 || off < 0 {
+		return ranges
+	}
+	end := off + n
+	i := 0
+	for i < len(ranges) && ranges[i].End() < off {
+		i++
+	}
+	j := i
+	for j < len(ranges) && ranges[j].Off <= end {
+		if ranges[j].Off < off {
+			off = ranges[j].Off
+		}
+		if ranges[j].End() > end {
+			end = ranges[j].End()
+		}
+		j++
+	}
+	merged := Range{Off: off, Len: end - off}
+	return append(ranges[:i], append([]Range{merged}, ranges[j:]...)...)
+}
+
+// FuzzLedgerAdd drives Ledger.Add with byte-chosen (off, n) pairs, negative
+// ones included, and requires the ranges refLedgerAdd gives after every add.
+func FuzzLedgerAdd(f *testing.F) {
+	f.Add([]byte{50, 25, 0, 25, 100, 5, 25, 25, 70, 100})
+	f.Add([]byte{0, 0, 0x80, 10, 5, 0x80, 10, 1, 12, 1, 11, 1})
+	f.Fuzz(func(t *testing.T, in []byte) {
+		var l Ledger
+		var ref []Range
+		for i := 0; i+1 < len(in); i += 2 {
+			off, n := 2*int64(int8(in[i])), int64(int8(in[i+1]))
+			l.Add(off, n)
+			ref = refLedgerAdd(ref, off, n)
+			if got := l.Ranges(); !slices.Equal(got, ref) {
+				t.Fatalf("after Add(%d, %d): %v, want %v", off, n, got, ref)
+			}
 		}
 	})
 }

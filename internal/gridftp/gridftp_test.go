@@ -41,6 +41,24 @@ func TestLedgerAddMergesRanges(t *testing.T) {
 	}
 }
 
+// TestLedgerAddZeroAlloc: a block that extends, overlaps or bridges ranges
+// of a warmed ledger merges in place.
+func TestLedgerAddZeroAlloc(t *testing.T) {
+	var l Ledger
+	for off := int64(0); off < 64<<10; off += 8 << 10 {
+		l.Add(off, 1<<10) // disjoint ranges 8 KiB apart
+	}
+	end := int64(1 << 10)
+	adjacent := testing.AllocsPerRun(1000, func() {
+		l.Add(end, 512) // extends the first range, bridging into the next in turn
+		end += 512
+	})
+	overlapping := testing.AllocsPerRun(1000, func() { l.Add(100, 2000) })
+	if adjacent != 0 || overlapping != 0 {
+		t.Fatalf("allocs per Add: adjacent %v, overlapping %v; want 0", adjacent, overlapping)
+	}
+}
+
 func TestLedgerMissing(t *testing.T) {
 	var l Ledger
 	if got := l.Missing(100); !reflect.DeepEqual(got, []Range{{0, 100}}) {
@@ -201,7 +219,7 @@ func TestGetResumesFromLedger(t *testing.T) {
 	srv.Store.Put("/bulk/r.bin", payload)
 	cl := &Client{Streams: 2, BlockSize: 64 << 10}
 
-	sink := newGetSink()
+	sink := newGetSink(nil)
 	sink.setSize(int64(len(payload)))
 	half := int64(len(payload) / 2)
 	if err := sink.land(0, payload[:half]); err != nil {

@@ -3,6 +3,7 @@ package gridftp
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 )
 
 // Range is a half-open byte interval [Off, Off+Len) of a file.
@@ -47,7 +48,12 @@ func (l *Ledger) Add(off, n int64) {
 		j++
 	}
 	merged := Range{Off: off, Len: end - off}
-	l.ranges = append(l.ranges[:i], append([]Range{merged}, l.ranges[j:]...)...)
+	if i == j { // touches nothing: insert, growing only here
+		l.ranges = slices.Insert(l.ranges, i, merged)
+		return
+	}
+	l.ranges[i] = merged
+	l.ranges = slices.Delete(l.ranges, i+1, j)
 }
 
 // Ranges returns the covered ranges, sorted by offset.

@@ -44,19 +44,17 @@ func TestSizeDoesNotCopyTheFile(t *testing.T) {
 	}
 }
 
-// TestGetChannelKeepsOneBlockBuffer runs runGetChannel against a data
-// channel that sends one block at MaxBlock and then sixteen 64 KiB ones: the
-// bytes land where their offsets say, and the channel allocates its block
-// buffer once (a fresh buffer per block would allocate the 2 MiB moved).
-func TestGetChannelKeepsOneBlockBuffer(t *testing.T) {
+// serveBlocks listens on loopback TCP for one data channel and sends it
+// file as one block at MaxBlock and then 64 KiB ones.
+func serveBlocks(t *testing.T, file []byte) (*transport.TCPEnv, string) {
+	t.Helper()
 	env := transport.NewTCPEnv("localhost")
 	l, err := env.Listen(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer l.Close(env)
-	const small, nSmall = 64 << 10, 16
-	file := pattern(MaxBlock + nSmall*small)
+	t.Cleanup(func() { l.Close(env) })
+	const small = 64 << 10
 	go func() {
 		c, err := l.Accept(env)
 		if err != nil {
@@ -73,13 +71,22 @@ func TestGetChannelKeepsOneBlockBuffer(t *testing.T) {
 		}
 		_ = writeEOD(st)
 	}()
+	return env, l.Addr()
+}
 
+// TestGetChannelKeepsOneBlockBuffer runs runGetChannel against a data
+// channel that sends one block at MaxBlock and then sixteen 64 KiB ones: the
+// bytes land where their offsets say, and the channel allocates its block
+// buffer once (a fresh buffer per block would allocate the 2 MiB moved).
+func TestGetChannelKeepsOneBlockBuffer(t *testing.T) {
+	file := pattern(MaxBlock + 16*64<<10)
+	env, addr := serveBlocks(t, file)
 	cl := &Client{}
-	sink := newGetSink()
+	sink := newGetSink(nil)
 	sink.setSize(int64(len(file)))
 	w := cl.armWatchdog(env, &sink.progress) // inert: no ProgressTimeout
 	var chanErr error
-	got := allocatedBy(func() { chanErr = cl.runGetChannel(env, w, l.Addr(), "r1", 0, sink) })
+	got := allocatedBy(func() { chanErr = cl.runGetChannel(env, w, addr, "r1", 0, sink) })
 	if chanErr != nil {
 		t.Fatal(chanErr)
 	}
@@ -88,6 +95,33 @@ func TestGetChannelKeepsOneBlockBuffer(t *testing.T) {
 	}
 	if got >= MaxBlock+MaxBlock/2 {
 		t.Errorf("channel allocated %d bytes for %d moved, want one %d-byte block buffer and change",
+			got, len(file), MaxBlock)
+	}
+}
+
+// TestGetToChannelKeepsOneBlockBuffer is its twin for GetTo's sink: sizing
+// the sink and landing the file into a WriterAt allocate one block buffer and
+// change, not the file (an assembly buffer would add its 2 MiB).
+func TestGetToChannelKeepsOneBlockBuffer(t *testing.T) {
+	file := pattern(MaxBlock + 16*64<<10)
+	env, addr := serveBlocks(t, file)
+	cl := &Client{}
+	dst := make(memAt, len(file))
+	sink := newGetSink(dst)
+	w := cl.armWatchdog(env, &sink.progress) // inert: no ProgressTimeout
+	var chanErr error
+	got := allocatedBy(func() {
+		sink.setSize(int64(len(file)))
+		chanErr = cl.runGetChannel(env, w, addr, "r1", 0, sink)
+	})
+	if chanErr != nil {
+		t.Fatal(chanErr)
+	}
+	if !sink.ledger.Complete(int64(len(file))) || sink.buf != nil || !bytes.Equal(dst, file) {
+		t.Fatal("channel did not deliver the file to the WriterAt alone")
+	}
+	if got >= MaxBlock+MaxBlock/2 {
+		t.Errorf("channel allocated %d bytes for a %d-byte file, want one %d-byte block buffer and change",
 			got, len(file), MaxBlock)
 	}
 }
