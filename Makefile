@@ -53,17 +53,20 @@ chaos:
 # reproduce its row of the committed SCENARIOS_suite.json — a failed
 # invariant, a row without a file or a file without a row, or a changed trace
 # hash, fingerprint or invariant count exits non-zero (TestShippedScenariosRun).
+# The paper-scale files under scenarios/paper/ are validated, not run (they
+# have no row; `make experiments` runs them).
 scenarios:
-	$(GO) run ./cmd/simulator validate scenarios/*.yaml
+	$(GO) run ./cmd/simulator validate scenarios/*.yaml scenarios/paper/*.yaml
 	$(GO) test -count=1 -run TestShippedScenarios ./internal/scenario/
 
 # fleet-smoke is the seconds-scale fleet gate: the open-loop engine's
-# end-to-end and determinism tests (fresh, uncached), then a 20k-job fleet
-# run through the real CLI. The full 10k-host / 1M-job scale point lives in
-# scenarios/fleet-10k.yaml and runs under `make scenarios`.
+# end-to-end and determinism tests (fresh, uncached), then the 50k-job flash
+# crowd through the real CLI, which prints its fleet summary. The full
+# 10k-host / 1M-job scale point lives in scenarios/fleet-10k.yaml and runs
+# under `make scenarios`.
 fleet-smoke:
 	$(GO) test -count=1 -run 'TestEngine' ./internal/fleet/
-	$(GO) run ./cmd/experiments -run fleet -fleet-sites 8 -fleet-hosts 16 -fleet-jobs 20000
+	$(GO) run ./cmd/simulator run scenarios/fleet-flash-crowd.yaml
 
 # benchmark-smoke builds what the pipeline's benchmark builds: benchmark/ is a
 # module of its own (replaced onto this one), so neither `go build ./...` nor
@@ -74,10 +77,12 @@ fleet-smoke:
 benchmark-smoke:
 	cd benchmark && GOTOOLCHAIN=local GOPROXY=off $(GO) vet ./... && GOTOOLCHAIN=local GOPROXY=off $(GO) test ./...
 
-# trace-goldens re-runs (uncached) the byte-exact observability goldens —
-# the Chrome trace_event and JSONL exports, the HTML time-series report —
-# plus the causal-analysis and tracer CLI tests. Regenerate intentional
-# drift with `go test ./internal/obs/... -run Golden -update`.
+# trace-goldens re-runs (uncached) the byte-exact goldens — the Chrome
+# trace_event and JSONL exports, the HTML time-series report, and the bench
+# reports no scenario kind renders (Figures 1-5, Table 3, the bandwidth sweep,
+# the latency decomposition) — plus the causal-analysis and tracer CLI tests.
+# Regenerate intentional drift with `go test ./internal/obs/... -run Golden
+# -update` or `go test ./internal/bench -run Golden -update`.
 trace-goldens:
 	$(GO) test -count=1 -run 'Golden|TestChrome|TestBuild|TestDecompose|TestSummarize|TestSpanDurations|TestCausal|TestTable4Jobs|TestAnalyze|TestQuery|TestRoundTrip' ./internal/obs/... ./internal/bench/ ./cmd/tracer/
 
@@ -87,8 +92,11 @@ race:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
+# experiments regenerates the paper's evaluation: Table 2 from the library
+# file, then Tables 4-6, the GridFTP sweep, the monitored run and the fleet
+# run from the paper-scale files, each row followed by its report.
 experiments:
-	$(GO) run ./cmd/experiments
+	$(GO) run ./cmd/simulator run scenarios/table2-rtt.yaml scenarios/paper/*.yaml
 
 examples:
 	for d in examples/*/; do $(GO) run ./$$d || exit 1; done

@@ -1,5 +1,6 @@
 // Command simulator runs declarative scenario files against the simulated
-// wide-area testbed.
+// wide-area testbed; it is the one front end that regenerates the paper's
+// evaluation.
 //
 //	simulator validate <file>...        parse + validate, no execution
 //	simulator run [flags] <file>...     execute with invariant enforcement
@@ -11,10 +12,20 @@
 // sites x hosts tree), a fault schedule, and end-of-run assertions.
 // Every run is executed twice and must reproduce bit-identically — the
 // implicit determinism invariant every scenario carries.
+//
+// After each file's status row, run prints the report its kind renders:
+// Table 2, Tables 4-6, the monitor's GIS table and dashboard, the GridFTP
+// sweep, the fleet summary, or a chaos or grid run's full fingerprint.
+// scenarios/paper/ holds the configurations the docs quote:
+//
+//	simulator run scenarios/table2-rtt.yaml scenarios/paper/*.yaml
+//	simulator run -trace knap.jsonl scenarios/paper/monitor.yaml
+//	tracer chrome -o knap.json knap.jsonl   # chrome://tracing, Perfetto
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -23,6 +34,7 @@ import (
 	"sort"
 
 	"nxcluster/internal/bench"
+	"nxcluster/internal/obs"
 	"nxcluster/internal/scenario"
 )
 
@@ -37,6 +49,7 @@ commands:
   run [flags] <file>...   execute scenarios, enforcing every assertion
       -json FILE          write the suite result JSON (re-baselines SCENARIOS_suite.json)
       -v                  print per-scenario failures as they happen
+      -trace FILE         write the replay's event trace as JSONL (one chaos or monitor file)
   list [dir]              list scenarios in a directory (default scenarios/)
 `
 
@@ -130,7 +143,11 @@ func runRun(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	jsonOut := fs.String("json", "", "write suite result JSON to this file")
 	verbose := fs.Bool("v", false, "print failures as they happen")
+	traceOut := fs.String("trace", "", "write the replay run's event trace as JSONL to this file (one chaos or monitor file)")
 	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
 		return 2
 	}
 	files := fs.Args()
@@ -142,6 +159,16 @@ func runRun(args []string, stdout, stderr io.Writer) int {
 	if dup != nil {
 		fmt.Fprintf(stderr, "simulator run: %v\n", dup)
 		return 2
+	}
+	// The replay of the one traced file records; the determinism check then
+	// proves its trace is the primary's.
+	var rec *obs.Observer
+	if *traceOut != "" {
+		if err := traceable(files, specs); err != nil {
+			fmt.Fprintf(stderr, "simulator run: -trace: %v\n", err)
+			return 2
+		}
+		rec = obs.New()
 	}
 	// Every file validates before any runs. Every failure names its file; a
 	// parse error already does (loadSpec).
@@ -160,8 +187,9 @@ func runRun(args []string, stdout, stderr io.Writer) int {
 	// The files share nothing, so they run side by side; rows print in
 	// argument order once all have run.
 	results := make([]*scenario.Result, len(files))
+	reports := make([]any, len(files))
 	_ = bench.RunParallel(len(files), 0, func(i int) error {
-		results[i], errs[i] = scenario.Run(specs[i])
+		results[i], reports[i], errs[i] = scenario.RunReport(specs[i], rec)
 		return nil // errs[i] is reported below, in order
 	})
 	suite := &scenario.SuiteResult{}
@@ -183,6 +211,7 @@ func runRun(args []string, stdout, stderr io.Writer) int {
 				fmt.Fprintf(stdout, "    FAIL %s\n", f)
 			}
 		}
+		fmt.Fprint(stdout, report(reports[i]))
 	}
 	sc, inv, fails := suite.Counts()
 	fmt.Fprintf(stdout, "scenarios=%d invariants=%d failures=%d\n", sc, inv, fails)
@@ -196,10 +225,64 @@ func runRun(args []string, stdout, stderr io.Writer) int {
 			return 1
 		}
 	}
+	if rec != nil {
+		if err := writeTrace(*traceOut, rec); err != nil {
+			fmt.Fprintf(stderr, "simulator run: writing %s: %v\n", *traceOut, err)
+			return 1
+		}
+	}
 	if !suite.Passed() {
 		return 1
 	}
 	return 0
+}
+
+// traceable refuses -trace unless it names one file whose kind runs with an
+// observer attached: chaos or monitor. A file that does not parse is left to
+// the validation that follows.
+func traceable(files []string, specs []*scenario.Spec) error {
+	if len(files) != 1 {
+		return fmt.Errorf("takes exactly one scenario file, got %d", len(files))
+	}
+	if s := specs[0]; s != nil && s.Kind != scenario.KindChaos && s.Kind != scenario.KindMonitor {
+		return fmt.Errorf("%s is kind %s; only chaos and monitor runs are traced", files[0], s.Kind)
+	}
+	return nil
+}
+
+// writeTrace writes o's events to path as JSONL.
+func writeTrace(path string, o *obs.Observer) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := o.WriteJSONL(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
+// report renders what a file's primary run leaves (scenario.RunReport), each
+// table followed by a blank line: Table 2, Tables 4-6, the monitor's GIS table
+// and headline dashboard, the GridFTP sweep, the fleet summary; a chaos or
+// grid run's full fingerprint as one indented line.
+func report(v any) string {
+	switch v := v.(type) {
+	case []bench.Table2Row:
+		return bench.FormatTable2(v) + "\n"
+	case *bench.KnapsackReport:
+		return bench.FormatTable4(v) + "\n" + bench.FormatTable5(v) + "\n" + bench.FormatTable6(v) + "\n"
+	case *bench.MonitorReport:
+		return bench.FormatMonitor(v, bench.DefaultMonitorFilter) + "\n"
+	case []bench.TransferPoint:
+		return bench.FormatTransfer(v) + "\n"
+	case *bench.FleetReport:
+		return bench.FormatFleet(v) + "\n"
+	case interface{ Fingerprint() string }: // chaos, grid
+		return "    " + v.Fingerprint() + "\n"
+	}
+	return ""
 }
 
 func runList(args []string, stdout, stderr io.Writer) int {

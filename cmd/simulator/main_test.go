@@ -3,11 +3,13 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"nxcluster/internal/obs"
 	"nxcluster/internal/scenario"
 )
 
@@ -34,6 +36,18 @@ workload:
   sizes: [4096]
 assert:
   - rows: 99
+`
+
+// chaosScenario is a sub-second chaos run, the kind -trace records.
+const chaosScenario = `
+name: cli-chaos
+kind: chaos
+workload:
+  items: 8
+  capacity: 2
+  horizon: 30s
+assert:
+  - exact-optimum
 `
 
 const invalidScenario = `
@@ -71,6 +85,9 @@ func TestUsageAndUnknownCommand(t *testing.T) {
 	out.Reset()
 	if code := run([]string{"help"}, &out, &errb); code != 0 {
 		t.Errorf("help: exit %d, want 0", code)
+	}
+	if code := run([]string{"run", "-h"}, &out, &errb); code != 0 {
+		t.Errorf("run -h: exit %d, want 0", code)
 	}
 	if !strings.Contains(out.String(), "validate <file>") {
 		t.Errorf("help text missing commands: %q", out.String())
@@ -171,6 +188,73 @@ func TestRunCommandFailure(t *testing.T) {
 
 	if code := run([]string{"run"}, &out, &errb); code != 2 {
 		t.Errorf("run with no files: exit %d, want 2", code)
+	}
+}
+
+// TestRunPrintsReports: after its status row each file prints the report its
+// kind renders — here Table 2 and a chaos run's full fingerprint.
+func TestRunPrintsReports(t *testing.T) {
+	var out, errb bytes.Buffer
+	if code := run([]string{"run", writeTemp(t, "rtt.yaml", fastScenario), writeTemp(t, "chaos.yaml", chaosScenario)}, &out, &errb); code != 0 {
+		t.Fatalf("run: exit %d, stderr %q", code, errb.String())
+	}
+	lines := strings.Split(out.String(), "\n")
+	if !strings.HasPrefix(lines[0], "cli-rtt ") || lines[1] != "Table 2. Communication latency and bandwidth" {
+		t.Errorf("the table2 row is not followed by Table 2:\n%s", out.String())
+	}
+	if !strings.Contains(out.String(), "PASS  kind=chaos") || !strings.Contains(out.String(), "\n    completed=true best=") {
+		t.Errorf("the chaos row is not followed by its fingerprint:\n%s", out.String())
+	}
+}
+
+// TestRunTrace: -trace writes the replay's trace, and the determinism check
+// has compared it with the primary's: read back and hashed, it is the printed
+// row's trace hash.
+func TestRunTrace(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "trace.jsonl")
+	var out, errb bytes.Buffer
+	if code := run([]string{"run", "-trace", path, writeTemp(t, "chaos.yaml", chaosScenario)}, &out, &errb); code != 0 {
+		t.Fatalf("run -trace: exit %d, stdout %q, stderr %q", code, out.String(), errb.String())
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	events, err := obs.ReadJSONL(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf(" trace=%016x\n", obs.FromEvents(events).Hash()); len(events) == 0 || !strings.Contains(out.String(), want) {
+		t.Errorf("%d events in %s; row %q does not end %q", len(events), path, strings.SplitN(out.String(), "\n", 2)[0], want)
+	}
+}
+
+// TestRunTraceRefused: -trace names one chaos or monitor file; anything else
+// is a usage error before anything runs, and no file is written.
+func TestRunTraceRefused(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "trace.jsonl")
+	chaos := writeTemp(t, "chaos.yaml", chaosScenario)
+	fleet := "kind: fleet\nworkload:\n  sites: 2\n  hosts_per_site: 2\n  jobs: 10\n  arrivals: {kind: constant, rate: 1}\n  sizes: {kind: fixed, mean: 1s}\n"
+	for _, tc := range []struct {
+		files []string
+		want  string
+	}{
+		{[]string{chaos, writeTemp(t, "rtt.yaml", fastScenario)}, "takes exactly one scenario file, got 2"},
+		{[]string{writeTemp(t, "rtt.yaml", fastScenario)}, "is kind table2"},
+		{[]string{writeTemp(t, "t4.yaml", "name: t4\nkind: table4\nworkload:\n  capacity: 2\n")}, "is kind table4"},
+		{[]string{writeTemp(t, "ftp.yaml", "name: ftp\nkind: gridftp\nworkload:\n  streams: [1]\n")}, "is kind gridftp"},
+		{[]string{writeTemp(t, "grid.yaml", "name: grid\nkind: grid\nworkload:\n  items: 8\n  capacity: 2\n")}, "is kind grid"},
+		{[]string{writeTemp(t, "fleet.yaml", "name: fleet\n"+fleet)}, "is kind fleet"},
+	} {
+		var out, errb bytes.Buffer
+		code := run(append([]string{"run", "-trace", path}, tc.files...), &out, &errb)
+		if code != 2 || out.Len() != 0 || !strings.Contains(errb.String(), "simulator run: -trace: ") || !strings.Contains(errb.String(), tc.want) {
+			t.Errorf("%q: exit %d, stdout %q, stderr %q; want exit 2, no output, %q", tc.files, code, out.String(), errb.String(), tc.want)
+		}
+		if _, err := os.Stat(path); err == nil {
+			t.Fatalf("%q wrote %s", tc.files, path)
+		}
 	}
 }
 

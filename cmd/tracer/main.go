@@ -13,6 +13,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -60,6 +61,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 2
 }
 
+// parseExit is the exit code of a failed flag parse: 0 when -h asked for the
+// usage, else 2.
+func parseExit(err error) int {
+	if errors.Is(err, flag.ErrHelp) {
+		return 0
+	}
+	return 2
+}
+
 // load reads one JSONL trace file ("-" = stdin).
 func load(path string, stderr io.Writer) ([]obs.Event, bool) {
 	var r io.Reader
@@ -92,7 +102,7 @@ func runAnalyze(args []string, stdout, stderr io.Writer) int {
 	top := fs.Int("top", 10, "show the K slowest jobs (0 = all)")
 	legs := fs.Bool("legs", false, "print each listed job's full decomposition")
 	if err := fs.Parse(args); err != nil {
-		return 2
+		return parseExit(err)
 	}
 	if fs.NArg() != 1 {
 		fmt.Fprintf(stderr, "tracer analyze: want exactly one trace file\n")
@@ -127,7 +137,7 @@ func runQuery(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	traceID := fs.Uint64("trace", 0, "trace ID to decompose")
 	if err := fs.Parse(args); err != nil {
-		return 2
+		return parseExit(err)
 	}
 	if fs.NArg() != 1 || *traceID == 0 {
 		fmt.Fprintf(stderr, "tracer query: want -trace N and one trace file\n")
@@ -168,7 +178,7 @@ func runChrome(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	out := fs.String("o", "", "output file (default stdout)")
 	if err := fs.Parse(args); err != nil {
-		return 2
+		return parseExit(err)
 	}
 	if fs.NArg() != 1 {
 		fmt.Fprintf(stderr, "tracer chrome: want exactly one trace file\n")

@@ -116,4 +116,9 @@ func TestUsage(t *testing.T) {
 	if code := run([]string{"bogus"}, &out, &errb); code != 2 {
 		t.Errorf("unknown command should exit 2, got %d", code)
 	}
+	for _, cmd := range []string{"analyze", "query", "chrome"} {
+		if code := run([]string{cmd, "-h"}, &out, &errb); code != 0 {
+			t.Errorf("%s -h should exit 0, got %d", cmd, code)
+		}
+	}
 }

@@ -224,3 +224,26 @@ func TestBinarySimulatorRunNamesTheFile(t *testing.T) {
 		}
 	}
 }
+
+// TestBinaryTraceIsAnalyzable: the trace `simulator run -trace` writes is one
+// `tracer analyze` accepts.
+func TestBinaryTraceIsAnalyzable(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs real binaries")
+	}
+	bins := buildBinaries(t, "simulator", "tracer")
+	dir := t.TempDir()
+	spec, trace := filepath.Join(dir, "chaos.yaml"), filepath.Join(dir, "trace.jsonl")
+	doc := "name: t\nkind: chaos\nworkload:\n  items: 8\n  capacity: 2\n  horizon: 30s\n"
+	if err := os.WriteFile(spec, []byte(doc), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{
+		{bins["simulator"], "run", "-trace", trace, spec},
+		{bins["tracer"], "analyze", trace},
+	} {
+		if out, err := exec.Command(args[0], args[1:]...).CombinedOutput(); err != nil {
+			t.Fatalf("%s %q: %v\n%s", filepath.Base(args[0]), args[1:], err, out)
+		}
+	}
+}

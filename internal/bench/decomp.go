@@ -44,7 +44,7 @@ type Decomposition struct {
 	Latency time.Duration
 	// Rows are the segments, in virtual-time order; their deltas sum to RTT.
 	Rows []DecompRow
-	// Obs holds the point's full trace (for -trace export).
+	// Obs holds the point's full trace.
 	Obs *obs.Observer
 }
 

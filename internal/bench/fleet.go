@@ -68,8 +68,9 @@ func cpusPerHost(cfg fleet.Config) int {
 	return cfg.CPUsPerHost
 }
 
-// FormatFleet renders the summary table cmd/experiments prints: topology,
-// throughput, and the latency profile.
+// FormatFleet renders the summary `simulator run` prints after a fleet
+// scenario's row: topology, throughput, and the latency profile. Its wall:
+// line is host time, so it is the one line that differs run to run.
 func FormatFleet(r *FleetReport) string {
 	var b strings.Builder
 	res := r.Result

@@ -1,8 +1,12 @@
 package bench
 
 import (
+	"bytes"
+	"flag"
 	"fmt"
 	"hash/fnv"
+	"os"
+	"path/filepath"
 	"runtime"
 	"testing"
 	"time"
@@ -11,6 +15,57 @@ import (
 	"nxcluster/internal/knapsack"
 	"nxcluster/internal/mpi"
 )
+
+var update = flag.Bool("update", false, "rewrite the report goldens under testdata/")
+
+// TestGoldenReports pins byte for byte the reports no scenario kind renders:
+// Figures 1-5, Table 3, the bandwidth sweep and the latency decomposition.
+// Each testdata/<name>.txt holds the report followed by a blank line, as
+// `simulator run` separates its reports. Regenerate intended drift with
+// `go test ./internal/bench -run Golden -update`.
+func TestGoldenReports(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		render func() (string, error)
+	}{
+		{"figure1", Figure1},
+		{"figure2", Figure2},
+		{"figure3", Figure3},
+		{"figure4", Figure4},
+		{"figure5", Figure5},
+		{"table3", func() (string, error) { return FormatTable3(), nil }},
+		{"sweep", func() (string, error) {
+			sweeps, err := RunBandwidthSweep(Table2Config{Rounds: 4})
+			return FormatSweep(sweeps), err
+		}},
+		{"decomp", func() (string, error) {
+			ds, err := RunDecomposition(Table2Config{})
+			return FormatDecomposition(ds), err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			out, err := tc.render()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := []byte(out + "\n")
+			path := filepath.Join("testdata", tc.name+".txt")
+			if *update {
+				if err := os.WriteFile(path, got, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("%s differs from %s (rerun with -update if intended):\n%s", tc.name, path, got)
+			}
+		})
+	}
+}
 
 // goldenOutputs runs a small Table 2 + Tables 4-6 sweep and hashes the
 // formatted output. Every virtual-time number appears in the formatted

@@ -195,15 +195,6 @@ func FormatMonitor(r *MonitorReport, filter func(string) bool) string {
 	return b.String()
 }
 
-// MonitorHTMLOptions returns the HTML renderer options: every series when
-// all is set, otherwise the headline filter the dashboard uses.
-func MonitorHTMLOptions(all bool) timeseries.DashboardOptions {
-	if all {
-		return timeseries.DashboardOptions{}
-	}
-	return timeseries.DashboardOptions{Filter: DefaultMonitorFilter}
-}
-
 // DefaultMonitorFilter keeps the dashboard to the headline series: WAN and
 // gateway links, relay activity, RMF lifecycle, and the cluster probes.
 func DefaultMonitorFilter(name string) bool {

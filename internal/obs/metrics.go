@@ -1,11 +1,8 @@
 package obs
 
 import (
-	"fmt"
 	"math/bits"
 	"sort"
-	"strings"
-	"time"
 )
 
 // Metrics is an ordered registry of counters, gauges, and histograms.
@@ -95,20 +92,12 @@ type Histogram struct {
 	buckets [histBuckets]int64
 	count   int64
 	sum     int64
-	min     int64
-	max     int64
 }
 
 // Observe records one sample.
 func (h *Histogram) Observe(v int64) {
 	if h == nil {
 		return
-	}
-	if h.count == 0 || v < h.min {
-		h.min = v
-	}
-	if h.count == 0 || v > h.max {
-		h.max = v
 	}
 	h.count++
 	h.sum += v
@@ -233,52 +222,4 @@ func (m *Metrics) Snapshot(buf []SnapshotRow) []SnapshotRow {
 		buf = append(buf, SnapshotRow{Kind: KindHistogram, Name: n, Value: m.histograms[n].count})
 	}
 	return buf
-}
-
-// Format renders a snapshot table of every instrument, sorted by name so the
-// output is deterministic. Counters print their value; gauges print level
-// and high-water mark; histograms print count, mean, min and max. Duration
-// semantics are not inferred — callers pick nanosecond-valued names (suffix
-// "_ns") when they record times.
-func (m *Metrics) Format() string {
-	if m == nil {
-		return ""
-	}
-	var b strings.Builder
-	names := make([]string, 0, len(m.counters))
-	for n := range m.counters {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		fmt.Fprintf(&b, "counter %-40s %12d\n", n, m.counters[n].v)
-	}
-	names = names[:0]
-	for n := range m.gauges {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		g := m.gauges[n]
-		fmt.Fprintf(&b, "gauge   %-40s %12d  max %d\n", n, g.v, g.max)
-	}
-	names = names[:0]
-	for n := range m.histograms {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		h := m.histograms[n]
-		mean := int64(0)
-		if h.count > 0 {
-			mean = h.sum / h.count
-		}
-		if strings.HasSuffix(n, "_ns") {
-			fmt.Fprintf(&b, "hist    %-40s n=%d mean=%v min=%v max=%v\n", n, h.count,
-				time.Duration(mean), time.Duration(h.min), time.Duration(h.max))
-		} else {
-			fmt.Fprintf(&b, "hist    %-40s n=%d mean=%d min=%d max=%d\n", n, h.count, mean, h.min, h.max)
-		}
-	}
-	return b.String()
 }

@@ -12,7 +12,7 @@
 //     categorized (net, relay, proxy, rmf, hbm, knap, xfer, proc) and stamped
 //     with sim time, exported as JSONL and Chrome trace_event JSON;
 //   - metrics (metrics.go): an allocation-free registry of counters, gauges
-//     and power-of-two histograms with a snapshot table printer;
+//     and power-of-two histograms, read as one sorted snapshot;
 //   - export (export.go): deterministic serialization and hashing.
 //
 // # Overhead contract

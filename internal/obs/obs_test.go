@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -42,8 +43,8 @@ func TestNilObserverIsNoOp(t *testing.T) {
 	if h.Count() != 0 || h.Sum() != 0 {
 		t.Fatal("nil histogram held samples")
 	}
-	if m.Format() != "" {
-		t.Fatal("nil registry formatted output")
+	if rows := m.Snapshot(nil); len(rows) != 0 {
+		t.Fatalf("nil registry snapshot %v", rows)
 	}
 	if err := o.WriteJSONL(&strings.Builder{}); err != nil {
 		t.Fatal(err)
@@ -148,7 +149,7 @@ func TestChromeTrace(t *testing.T) {
 }
 
 // TestMetrics exercises counters, gauges (high-water), histograms
-// (bucketing, min/max), handle caching, and the snapshot printer.
+// (count and sum), handle caching, and the sorted snapshot.
 func TestMetrics(t *testing.T) {
 	o := New()
 	m := o.Metrics()
@@ -175,15 +176,9 @@ func TestMetrics(t *testing.T) {
 	if h.Count() != 6 || h.Sum() != 1501006 {
 		t.Fatalf("hist n=%d sum=%d", h.Count(), h.Sum())
 	}
-	out := m.Format()
-	for _, want := range []string{"link.bytes", "128", "queue.depth", "max 2", "rtt_ns", "n=6"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("snapshot missing %q:\n%s", want, out)
-		}
-	}
-	// Formatting is deterministic.
-	if m.Format() != out {
-		t.Fatal("Format not stable")
+	want := []SnapshotRow{{KindCounter, "link.bytes", 128}, {KindGauge, "queue.depth", 1}, {KindHistogram, "rtt_ns", 6}}
+	if rows := m.Snapshot(nil); !reflect.DeepEqual(rows, want) {
+		t.Errorf("snapshot %v, want %v", rows, want)
 	}
 }
 

@@ -393,9 +393,9 @@ func compileCheck(kind Kind, a AssertSpec, path string) (check, error) {
 		switch a.Name {
 		case "all-jobs-done":
 			return check{a.Name, func(v any) error {
-				fr := v.(*fleetRun)
-				if fr.res.Jobs != fr.cfg.Jobs {
-					return fmt.Errorf("completed %d of %d jobs", fr.res.Jobs, fr.cfg.Jobs)
+				fr := v.(*bench.FleetReport)
+				if fr.Result.Jobs != fr.Config.Jobs {
+					return fmt.Errorf("completed %d of %d jobs", fr.Result.Jobs, fr.Config.Jobs)
 				}
 				return nil
 			}}, argNone(a, path)
@@ -405,9 +405,9 @@ func compileCheck(kind Kind, a AssertSpec, path string) (check, error) {
 				return zero, err
 			}
 			return check{a.Name, func(v any) error {
-				fr := v.(*fleetRun)
-				if fr.res.P99Lat > d {
-					return fmt.Errorf("p99 latency %v > ceiling %v", fr.res.P99Lat, d)
+				fr := v.(*bench.FleetReport)
+				if fr.Result.P99Lat > d {
+					return fmt.Errorf("p99 latency %v > ceiling %v", fr.Result.P99Lat, d)
 				}
 				return nil
 			}}, nil
@@ -417,9 +417,9 @@ func compileCheck(kind Kind, a AssertSpec, path string) (check, error) {
 				return zero, err
 			}
 			return check{a.Name, func(v any) error {
-				fr := v.(*fleetRun)
-				if fr.res.QueuedPeak > n {
-					return fmt.Errorf("gateway queue peaked at %d, ceiling %d", fr.res.QueuedPeak, n)
+				fr := v.(*bench.FleetReport)
+				if fr.Result.QueuedPeak > n {
+					return fmt.Errorf("gateway queue peaked at %d, ceiling %d", fr.Result.QueuedPeak, n)
 				}
 				return nil
 			}}, nil
@@ -431,9 +431,9 @@ func compileCheck(kind Kind, a AssertSpec, path string) (check, error) {
 				return zero, err
 			}
 			return check{a.Name, func(v any) error {
-				fr := v.(*fleetRun)
-				if fr.res.QueuedPeak < n {
-					return fmt.Errorf("gateway queue peaked at %d, want >= %d", fr.res.QueuedPeak, n)
+				fr := v.(*bench.FleetReport)
+				if fr.Result.QueuedPeak < n {
+					return fmt.Errorf("gateway queue peaked at %d, want >= %d", fr.Result.QueuedPeak, n)
 				}
 				return nil
 			}}, nil
@@ -443,9 +443,9 @@ func compileCheck(kind Kind, a AssertSpec, path string) (check, error) {
 				return zero, err
 			}
 			return check{a.Name, func(v any) error {
-				fr := v.(*fleetRun)
-				if fr.res.Events < uint64(n) {
-					return fmt.Errorf("kernel stamped %d events, want >= %d", fr.res.Events, n)
+				fr := v.(*bench.FleetReport)
+				if fr.Result.Events < uint64(n) {
+					return fmt.Errorf("kernel stamped %d events, want >= %d", fr.Result.Events, n)
 				}
 				return nil
 			}}, nil
@@ -455,9 +455,9 @@ func compileCheck(kind Kind, a AssertSpec, path string) (check, error) {
 				return zero, err
 			}
 			return check{a.Name, func(v any) error {
-				fr := v.(*fleetRun)
-				if fr.res.Makespan > d {
-					return fmt.Errorf("makespan %v > ceiling %v", fr.res.Makespan, d)
+				fr := v.(*bench.FleetReport)
+				if fr.Result.Makespan > d {
+					return fmt.Errorf("makespan %v > ceiling %v", fr.Result.Makespan, d)
 				}
 				return nil
 			}}, nil

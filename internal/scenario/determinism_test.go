@@ -54,6 +54,35 @@ func TestShippedScenariosValidate(t *testing.T) {
 	}
 }
 
+// TestPaperScenariosValidate keeps the paper-scale configurations under
+// scenarios/paper/ from going stale: each parses and validates, under a name
+// neither a top-level file nor another paper file declares, so `simulator
+// run` takes them beside the library. They have no SCENARIOS_suite.json row
+// and are not run here.
+func TestPaperScenariosValidate(t *testing.T) {
+	owner := map[string]string{}
+	for _, file := range shippedFiles(t) {
+		owner[loadShipped(t, file).Name] = file
+	}
+	paper, err := filepath.Glob(filepath.Join("..", "..", "scenarios", "paper", "*.yaml"))
+	if err != nil || len(paper) == 0 {
+		t.Fatalf("no scenarios/paper/*.yaml (%v)", err)
+	}
+	for _, path := range paper {
+		file := filepath.Join("paper", filepath.Base(path))
+		t.Run(filepath.Base(path), func(t *testing.T) {
+			s := loadShipped(t, file)
+			if err := Validate(s); err != nil {
+				t.Fatal(err)
+			}
+			if prev, ok := owner[s.Name]; ok {
+				t.Fatalf("name %q is already declared by %s", s.Name, prev)
+			}
+			owner[s.Name] = file
+		})
+	}
+}
+
 // suiteBaseline is the committed row per shipped scenario; regenerate it with
 // `simulator run -json SCENARIOS_suite.json scenarios/*.yaml`.
 const suiteBaseline = "SCENARIOS_suite.json"
@@ -162,7 +191,7 @@ func TestShippedScenariosRun(t *testing.T) {
 		mu.Unlock()
 		t.Run(file, func(t *testing.T) {
 			t.Parallel()
-			res, runs, err := s.run()
+			res, runs, err := s.run(nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -65,11 +65,8 @@ type gridRun struct {
 	res             *bench.GridResult
 }
 
-// fleetRun carries a fleet result plus the config its assertions need.
-type fleetRun struct {
-	cfg fleet.Config
-	res fleet.Result
-}
+// Fingerprint renders the solve in full, as its row records it.
+func (g *gridRun) Fingerprint() string { return fingerprintGrid(g.res) }
 
 // outcome is what one run of a scenario's workload leaves behind.
 type outcome struct {
@@ -101,13 +98,29 @@ type outcome struct {
 // primary's first; assertion violations and determinism breaks are recorded
 // as failures in the Result.
 func Run(s *Spec) (*Result, error) {
-	res, _, err := s.run()
+	res, _, err := s.run(nil)
 	return res, err
 }
 
-// run is Run, also handing back each run's outcome: the primary's, the
-// replay's, then any baseline's.
-func (s *Spec) run() (*Result, []outcome, error) {
+// RunReport is Run, also handing back the primary run's report for a front
+// end to render: a []bench.Table2Row (table2), *bench.KnapsackReport
+// (table4), *bench.MonitorReport (monitor), []bench.TransferPoint (gridftp)
+// or *bench.FleetReport (fleet); for chaos and grid, a value whose
+// Fingerprint method renders the run in full. replay, when non-nil, is the
+// observer a chaos or monitor replay runs with instead of a hash-only one —
+// obs.New() to keep its trace — so the determinism check compares the
+// primary's trace hash with the replay's.
+func RunReport(s *Spec, replay *obs.Observer) (*Result, any, error) {
+	res, runs, err := s.run(replay)
+	if err != nil {
+		return nil, nil, err
+	}
+	return res, runs[0].v, nil
+}
+
+// run is Run, the replay attaching replay when it is non-nil, also handing
+// back each run's outcome: the primary's, the replay's, then any baseline's.
+func (s *Spec) run(replayObs *obs.Observer) (*Result, []outcome, error) {
 	if err := s.checkShape(); err != nil {
 		return nil, nil, err
 	}
@@ -134,7 +147,11 @@ func (s *Spec) run() (*Result, []outcome, error) {
 		if i == primary {
 			legs = s.SLO.legs()
 		}
-		out, err := specs[i].runOnce(i != baseline, obs.NewHashOnly(legs...))
+		o := obs.NewHashOnly(legs...)
+		if i == replay && replayObs != nil {
+			o = replayObs
+		}
+		out, err := specs[i].runOnce(i != baseline, o)
 		if err != nil {
 			return fmt.Errorf("scenario %s%s: %w", s.Name, labels[i], err)
 		}
@@ -245,7 +262,10 @@ func (s *Spec) runOnce(witness bool, o *obs.Observer) (outcome, error) {
 		if err != nil {
 			return outcome{}, err
 		}
-		return outcome{v: rep, fp: fingerprintMonitor(rep), hash: rep.Store.Hash(), elapsed: rep.Elapsed, observer: o}, nil
+		// The double run also compares the runs' trace hashes: a replay that
+		// records (RunReport) is proved to have kept the primary's trace.
+		fp := fingerprintMonitor(rep)
+		return outcome{v: rep, fp: fp, full: fmt.Sprintf("%s trace=%016x", fp, o.Hash()), hash: rep.Store.Hash(), elapsed: rep.Elapsed, observer: o}, nil
 	case KindGridFTP:
 		pts, err := bench.RunTransfer(*s.GridFTP)
 		if err != nil {
@@ -274,18 +294,14 @@ func (s *Spec) runOnce(witness bool, o *obs.Observer) (outcome, error) {
 		hash := fnvHash(fmt.Sprintf("%016x ", res.TraceHash))
 		return outcome{v: gr, fp: fingerprintGrid(res), hash: hash, elapsed: res.Elapsed}, nil
 	case KindFleet:
-		cfg := *s.Fleet
-		e, err := fleet.New(cfg)
+		rep, err := bench.RunFleet(*s.Fleet)
 		if err != nil {
 			return outcome{}, err
 		}
-		if err := e.Run(); err != nil {
-			return outcome{}, err
-		}
-		res := e.Result()
+		res := rep.Result
 		// The engine's own FNV fingerprint is the trace hash: it folds in
 		// event counts, latency percentiles, and per-site completions.
-		return outcome{v: &fleetRun{cfg: cfg, res: res}, fp: fingerprintFleet(res), hash: res.Fingerprint, elapsed: res.Makespan}, nil
+		return outcome{v: rep, fp: fingerprintFleet(res), hash: res.Fingerprint, elapsed: res.Makespan}, nil
 	}
 	return outcome{}, fmt.Errorf("unknown kind %q", s.Kind)
 }

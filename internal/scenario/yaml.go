@@ -6,9 +6,10 @@
 // schedule reusing simnet.FaultPlan's primitives, and a list of end-of-run
 // assertions reusing the chaos invariant library.
 //
-// Scenarios compile to exactly the configurations the hand-wired
-// `experiments -run ...` code paths use, so a ported scenario reproduces the
-// legacy run bit for bit, and every scenario doubles as a deterministic
+// Scenarios compile to exactly the configurations the internal/bench runners
+// take, so a scenario reproduces the bench run it declares bit for bit, and
+// `simulator run` prints the report the kind renders (scenarios/paper/ holds
+// the paper-scale files). Every scenario doubles as a deterministic
 // regression test: Run executes each scenario twice and the two runs must
 // agree on a canonical result fingerprint (and, where an observer is
 // attached, the full FNV-64a trace hash).
