@@ -80,7 +80,8 @@ benchmark-smoke:
 # trace-goldens re-runs (uncached) the byte-exact goldens — the Chrome
 # trace_event and JSONL exports, the HTML time-series report, and the bench
 # reports no scenario kind renders (Figures 1-5, Table 3, the bandwidth sweep,
-# the latency decomposition) — plus the causal-analysis and tracer CLI tests.
+# the latency decomposition) and Tables 4-6 at capacity 4 — plus the
+# causal-analysis and tracer CLI tests.
 # Regenerate intentional drift with `go test ./internal/obs/... -run Golden
 # -update` or `go test ./internal/bench -run Golden -update`.
 trace-goldens:
@@ -116,7 +117,8 @@ cover:
 # the RSL parser, the proxy control-channel decoder, the gridftp MODE E
 # block reader and restart-marker ledger, the scenario-file parser, and the request handlers of the RMF
 # allocator and Q server; and it fuzzes the kernel's lane merge against the
-# heap-only firing order, the hash-only trace observer against the recording
+# heap-only firing order, SleepEach's in-place slices against the Sleep loop
+# they replace, the hash-only trace observer against the recording
 # one, and its folded span durations against the causal forest's. Crashers
 # land in testdata/fuzz/ and fail the build until fixed.
 FUZZTIME ?= 10s
@@ -130,6 +132,7 @@ fuzz:
 	$(GO) test -fuzz FuzzAllocatorRequest -fuzztime $(FUZZTIME) ./internal/rmf/
 	$(GO) test -fuzz FuzzQServerRequest -fuzztime $(FUZZTIME) ./internal/rmf/
 	$(GO) test -fuzz FuzzLaneOrder -fuzztime $(FUZZTIME) ./internal/sim/
+	$(GO) test -fuzz FuzzSleepEachOrder -fuzztime $(FUZZTIME) ./internal/sim/
 	$(GO) test -fuzz FuzzHashOnlyMatchesRecording -fuzztime $(FUZZTIME) ./internal/obs/
 	$(GO) test -fuzz FuzzFoldMatchesSpanDurations -fuzztime $(FUZZTIME) ./internal/obs/
 

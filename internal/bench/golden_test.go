@@ -18,9 +18,10 @@ import (
 
 var update = flag.Bool("update", false, "rewrite the report goldens under testdata/")
 
-// TestGoldenReports pins byte for byte the reports no scenario kind renders:
-// Figures 1-5, Table 3, the bandwidth sweep and the latency decomposition.
-// Each testdata/<name>.txt holds the report followed by a blank line, as
+// TestGoldenReports pins byte for byte the reports no scenario kind renders
+// (Figures 1-5, Table 3, the bandwidth sweep and the latency decomposition)
+// and Tables 4-6 at the capacity-4 scale the docs quote, as `simulator run
+// scenarios/paper/table4.yaml` prints them. Each testdata/<name>.txt holds the report followed by a blank line, as
 // `simulator run` separates its reports. Regenerate intended drift with
 // `go test ./internal/bench -run Golden -update`.
 func TestGoldenReports(t *testing.T) {
@@ -41,6 +42,13 @@ func TestGoldenReports(t *testing.T) {
 		{"decomp", func() (string, error) {
 			ds, err := RunDecomposition(Table2Config{})
 			return FormatDecomposition(ds), err
+		}},
+		{"table4", func() (string, error) {
+			rep, err := RunKnapsack(KnapsackConfig{Capacity: 4})
+			if err != nil {
+				return "", err
+			}
+			return FormatTable4(rep) + "\n" + FormatTable5(rep) + "\n" + FormatTable6(rep), nil
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -8,6 +8,7 @@ import (
 	"nxcluster/internal/mpi"
 	"nxcluster/internal/nexus"
 	"nxcluster/internal/obs"
+	"nxcluster/internal/transport"
 )
 
 // This file is the fault-tolerant variant of the self-scheduling
@@ -357,12 +358,20 @@ func runFTMaster(c *mpi.Comm, in *Instance, p FTParams, start time.Duration) (*R
 		return true
 	}
 
+	// step ends each interval's compute slice in place (ComputeEach),
+	// handing back when the stack is empty, a steal can be served or a
+	// message is waiting.
+	step := func() time.Duration {
+		if solver.Stack.Len() == 0 || len(pending) > 0 && solver.Stack.Len() > reserve ||
+			c.Iprobe(mpi.AnySource, mpi.AnyTag) {
+			return 0
+		}
+		return intervalCost(p.Params, solver.BranchN(p.Interval))
+	}
+
 	for {
 		if solver.Stack.Len() > 0 {
-			ran := solver.BranchN(p.Interval)
-			if p.NodeCost > 0 && ran > 0 {
-				c.Env().Compute(time.Duration(ran) * p.NodeCost)
-			}
+			transport.ComputeEach(c.Env(), intervalCost(p.Params, solver.BranchN(p.Interval)), step)
 			for c.Iprobe(mpi.AnySource, mpi.AnyTag) {
 				m, err := c.Recv(mpi.AnySource, mpi.AnyTag)
 				if err != nil {
@@ -487,6 +496,26 @@ func runFTSlave(c *mpi.Comm, in *Instance, p FTParams) (*Result, error) {
 		lastContact = c.Env().Now()
 		return c.Send(0, tagFTBack, encodeFTBack(snapshot(), batch))
 	}
+	// backDue is when nodes are due back (parallel.go's two triggers) or,
+	// with heartbeats on, a beat is: read at the wakeup that ends a slice.
+	backDue := func() bool {
+		return p.BackThreshold > 0 && worker.Stack.Len() > p.BackThreshold ||
+			p.ShareInterval > 0 && opsSinceShare >= p.ShareInterval && worker.Stack.Len() > p.BackUnit+1 ||
+			p.HeartbeatEvery > 0 && c.Env().Now()-lastContact >= p.HeartbeatEvery
+	}
+	branch := func() time.Duration {
+		ran := worker.BranchN(p.Interval)
+		opsSinceShare += ran
+		return intervalCost(p.Params, ran)
+	}
+	// step ends each interval's compute slice in place (ComputeEach),
+	// handing back when the stack is empty or backDue holds.
+	step := func() time.Duration {
+		if worker.Stack.Len() == 0 || backDue() {
+			return 0
+		}
+		return branch()
+	}
 	for {
 		if worker.Stack.Len() == 0 {
 			seq++
@@ -530,11 +559,7 @@ func runFTSlave(c *mpi.Comm, in *Instance, p FTParams) (*Result, error) {
 			}
 			continue
 		}
-		ran := worker.BranchN(p.Interval)
-		opsSinceShare += ran
-		if p.NodeCost > 0 && ran > 0 {
-			c.Env().Compute(time.Duration(ran) * p.NodeCost)
-		}
+		transport.ComputeEach(c.Env(), branch(), step)
 		switch {
 		case p.BackThreshold > 0 && worker.Stack.Len() > p.BackThreshold:
 			if err := sendBack(p.BackUnit); err != nil {

@@ -1,6 +1,8 @@
 package knapsack
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -72,24 +74,63 @@ func TestQuickSolverOptimality(t *testing.T) {
 	}
 }
 
-func TestStackTakeTop(t *testing.T) {
-	var s Stack
-	for i := 0; i < 5; i++ {
-		s.Push(Node{Index: int32(i)})
+// TestStackMatchesSliceModel runs random Push/Pop/PushAll/TakeBottom
+// sequences against a plain slice whose TakeBottom shifts, as the stack's
+// used to: every result and the live nodes after every operation must
+// agree, across compactions of the head index and across emptying.
+func TestStackMatchesSliceModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(35))
+	compactions := 0
+	for trial := 0; trial < 40; trial++ {
+		var s Stack
+		var ref []Node
+		next := int32(0)
+		node := func() Node { next++; return Node{Index: next, Value: int64(next) * 3, Capacity: -int64(next)} }
+		for op := 0; op < 3000; op++ {
+			head := s.head
+			switch r := rng.Intn(10); {
+			case r < 4:
+				n := node()
+				s.Push(n)
+				ref = append(ref, n)
+			case r < 6:
+				got, ok := s.Pop()
+				var want Node
+				if len(ref) > 0 {
+					want, ref = ref[len(ref)-1], ref[:len(ref)-1]
+				}
+				if ok != (want != Node{}) || got != want {
+					t.Fatalf("trial %d op %d: Pop = %v, %v; want %v", trial, op, got, ok, want)
+				}
+			case r < 8:
+				ns := make([]Node, rng.Intn(6))
+				for i := range ns {
+					ns[i] = node()
+				}
+				s.PushAll(ns)
+				ref = append(ref, ns...)
+			default:
+				k := rng.Intn(7)
+				got := s.TakeBottom(k)
+				if k > len(ref) {
+					k = len(ref)
+				}
+				want := append([]Node(nil), ref[:k]...)
+				ref = append(ref[:0], ref[k:]...)
+				if !slices.Equal(got, want) {
+					t.Fatalf("trial %d op %d: TakeBottom = %v, want %v", trial, op, got, want)
+				}
+			}
+			if s.head < head && s.Len() > 0 {
+				compactions++
+			}
+			if !slices.Equal(s.nodes[s.head:], ref) {
+				t.Fatalf("trial %d op %d: stack holds %v, want %v", trial, op, s.nodes[s.head:], ref)
+			}
+		}
 	}
-	top := s.TakeTop(2)
-	if len(top) != 2 || top[0].Index != 3 || top[1].Index != 4 {
-		t.Fatalf("TakeTop(2) = %v", top)
-	}
-	if s.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", s.Len())
-	}
-	rest := s.TakeTop(10)
-	if len(rest) != 3 {
-		t.Fatalf("TakeTop(10) returned %d", len(rest))
-	}
-	if _, ok := s.Pop(); ok {
-		t.Fatal("Pop on empty succeeded")
+	if compactions == 0 {
+		t.Fatal("no sequence compacted the stack")
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"nxcluster/internal/mpi"
 	"nxcluster/internal/nexus"
 	"nxcluster/internal/obs"
+	"nxcluster/internal/transport"
 )
 
 // Message tags of the self-scheduling protocol.
@@ -258,10 +259,7 @@ func runSequentialMaster(c *mpi.Comm, in *Instance, p Params) (RankStats, error)
 	solver.PruneBound = p.PruneBound
 	var batched time.Duration
 	for solver.Stack.Len() > 0 {
-		ran := solver.BranchN(p.Interval)
-		if p.NodeCost > 0 && ran > 0 {
-			batched += time.Duration(ran) * p.NodeCost
-		}
+		batched += intervalCost(p, solver.BranchN(p.Interval))
 	}
 	if batched > 0 {
 		c.Env().Compute(batched)
@@ -270,9 +268,17 @@ func runSequentialMaster(c *mpi.Comm, in *Instance, p Params) (RankStats, error)
 	return st, nil
 }
 
+// intervalCost is the virtual CPU time of ran branch operations.
+func intervalCost(p Params, ran int) time.Duration {
+	if p.NodeCost > 0 && ran > 0 {
+		return time.Duration(ran) * p.NodeCost
+	}
+	return 0
+}
+
 // runMaster is the paper's master: read data, push the root, branch in
-// interval-sized batches, and serve steal requests from the top of the
-// stack.
+// interval-sized batches, and serve steal requests from the bottom of the
+// stack (the paper's "top"; see serve).
 func runMaster(c *mpi.Comm, in *Instance, p Params) (int64, RankStats, error) {
 	solver := NewSolver(in)
 	solver.PruneBound = p.PruneBound
@@ -326,16 +332,29 @@ func runMaster(c *mpi.Comm, in *Instance, p Params) (int64, RankStats, error) {
 		return nil
 	}
 
+	emitBound := func() {
+		if o != nil && solver.Best != lastBest {
+			lastBest = solver.Best
+			o.EmitCtx(c.Env().Now(), obs.CtxOf(c.Env()), "knap", "bound", trk, obs.Int("best", lastBest))
+		}
+	}
+	// step ends each interval's compute slice in place (ComputeEach): it
+	// emits the bound, hands back to the loop below when there is anything
+	// to do but branch (the stack is empty, a steal can be served, a
+	// message is waiting), and otherwise branches the next interval.
+	step := func() time.Duration {
+		emitBound()
+		if solver.Stack.Len() == 0 || len(pending) > 0 && solver.Stack.Len() > reserve ||
+			c.Iprobe(mpi.AnySource, mpi.AnyTag) {
+			return 0
+		}
+		return intervalCost(p, solver.BranchN(p.Interval))
+	}
+
 	for {
 		if solver.Stack.Len() > 0 {
-			ran := solver.BranchN(p.Interval)
-			if p.NodeCost > 0 && ran > 0 {
-				c.Env().Compute(time.Duration(ran) * p.NodeCost)
-			}
-			if o != nil && solver.Best != lastBest {
-				lastBest = solver.Best
-				o.EmitCtx(c.Env().Now(), obs.CtxOf(c.Env()), "knap", "bound", trk, obs.Int("best", lastBest))
-			}
+			transport.ComputeEach(c.Env(), intervalCost(p, solver.BranchN(p.Interval)), step)
+			emitBound() // a no-op after step's, unless the interval cost nothing
 			for c.Iprobe(mpi.AnySource, mpi.AnyTag) {
 				m, err := c.Recv(mpi.AnySource, mpi.AnyTag)
 				if err != nil {
@@ -396,6 +415,34 @@ func runSlave(c *mpi.Comm, in *Instance, p Params) (RankStats, error) {
 		}
 		return c.Send(0, tagBack, EncodeNodes(batch))
 	}
+	emitBound := func() {
+		if o != nil && worker.Best != lastBest {
+			lastBest = worker.Best
+			o.EmitCtx(c.Env().Now(), obs.CtxOf(c.Env()), "knap", "bound", trk, obs.Int("best", lastBest))
+		}
+	}
+	// backDue is when the stack has grown past the threshold, or the slave
+	// has branched ShareInterval operations since it last shared, with
+	// enough left for itself.
+	backDue := func() bool {
+		return p.BackThreshold > 0 && worker.Stack.Len() > p.BackThreshold ||
+			p.ShareInterval > 0 && opsSinceShare >= p.ShareInterval && worker.Stack.Len() > p.BackUnit+1
+	}
+	branch := func() time.Duration {
+		ran := worker.BranchN(p.Interval)
+		opsSinceShare += ran
+		return intervalCost(p, ran)
+	}
+	// step ends each interval's compute slice in place (ComputeEach): it
+	// emits the bound, hands back when the stack is empty or nodes are due
+	// back, and otherwise branches the next interval.
+	step := func() time.Duration {
+		emitBound()
+		if worker.Stack.Len() == 0 || backDue() {
+			return 0
+		}
+		return branch()
+	}
 	for {
 		if worker.Stack.Len() == 0 {
 			st.Steals++
@@ -423,21 +470,9 @@ func runSlave(c *mpi.Comm, in *Instance, p Params) (RankStats, error) {
 			worker.Stack.PushAll(ns)
 			continue
 		}
-		ran := worker.BranchN(p.Interval)
-		opsSinceShare += ran
-		if p.NodeCost > 0 && ran > 0 {
-			c.Env().Compute(time.Duration(ran) * p.NodeCost)
-		}
-		if o != nil && worker.Best != lastBest {
-			lastBest = worker.Best
-			o.EmitCtx(c.Env().Now(), obs.CtxOf(c.Env()), "knap", "bound", trk, obs.Int("best", lastBest))
-		}
-		switch {
-		case p.BackThreshold > 0 && worker.Stack.Len() > p.BackThreshold:
-			if err := sendBack(p.BackUnit); err != nil {
-				return st, err
-			}
-		case p.ShareInterval > 0 && opsSinceShare >= p.ShareInterval && worker.Stack.Len() > p.BackUnit+1:
+		transport.ComputeEach(c.Env(), branch(), step)
+		emitBound() // a no-op after step's, unless the interval cost nothing
+		if backDue() {
 			if err := sendBack(p.BackUnit); err != nil {
 				return st, err
 			}

@@ -17,57 +17,72 @@ type Node struct {
 }
 
 // Stack is the LIFO the search tree lives on; nodes are pushed by the branch
-// operation and popped for expansion.
+// operation and popped for expansion. TakeBottom removes from the other end,
+// so the live nodes are nodes[head:]: taking from the bottom advances head
+// instead of shifting the stack, and the dead prefix is compacted away once
+// it is half the slice, as the kernel's FIFOs do.
 type Stack struct {
 	nodes []Node
+	head  int
 }
 
 // Push adds a node.
-func (s *Stack) Push(n Node) { s.nodes = append(s.nodes, n) }
+func (s *Stack) Push(n Node) {
+	if len(s.nodes) == cap(s.nodes) && s.head > 0 {
+		s.compact()
+	}
+	s.nodes = append(s.nodes, n)
+}
 
 // Pop removes and returns the most recent node.
 func (s *Stack) Pop() (Node, bool) {
-	if len(s.nodes) == 0 {
+	top := len(s.nodes) - 1
+	if top < s.head {
 		return Node{}, false
 	}
-	n := s.nodes[len(s.nodes)-1]
-	s.nodes = s.nodes[:len(s.nodes)-1]
+	n := s.nodes[top]
+	s.nodes = s.nodes[:top]
 	return n, true
-}
-
-// TakeTop removes and returns up to k nodes from the top of the stack —
-// the unit of work stealing ("the master sends stealunit nodes on top of its
-// stack to the slave").
-func (s *Stack) TakeTop(k int) []Node {
-	if k > len(s.nodes) {
-		k = len(s.nodes)
-	}
-	out := make([]Node, k)
-	copy(out, s.nodes[len(s.nodes)-k:])
-	s.nodes = s.nodes[:len(s.nodes)-k]
-	return out
 }
 
 // TakeBottom removes and returns up to k nodes from the bottom of the
 // stack: the oldest, shallowest nodes, whose subtrees are the largest. This
 // is what a slave ships back to the master for redistribution — returning
 // coarse work keeps the master able to feed other processors while the
-// slave retains the deep nodes it is actively expanding.
+// slave retains the deep nodes it is actively expanding — and what the
+// master serves steal requests from. It costs O(k), amortized.
 func (s *Stack) TakeBottom(k int) []Node {
-	if k > len(s.nodes) {
-		k = len(s.nodes)
+	if n := s.Len(); k > n {
+		k = n
 	}
 	out := make([]Node, k)
-	copy(out, s.nodes[:k])
-	s.nodes = append(s.nodes[:0], s.nodes[k:]...)
+	copy(out, s.nodes[s.head:])
+	s.head += k
+	switch {
+	case s.head == len(s.nodes):
+		s.nodes, s.head = s.nodes[:0], 0
+	case s.head >= 64 && s.head*2 >= len(s.nodes):
+		s.compact()
+	}
 	return out
 }
 
+// compact moves the live nodes to the front of the slice, in order.
+func (s *Stack) compact() {
+	n := copy(s.nodes, s.nodes[s.head:])
+	s.nodes, s.head = s.nodes[:n], 0
+}
+
 // PushAll pushes nodes in order.
-func (s *Stack) PushAll(ns []Node) { s.nodes = append(s.nodes, ns...) }
+func (s *Stack) PushAll(ns []Node) {
+	if len(s.nodes)+len(ns) > cap(s.nodes) && s.head > 0 {
+		s.compact()
+	}
+	s.nodes = append(s.nodes, ns...)
+}
 
 // Len reports the stack depth.
-func (s *Stack) Len() int { return len(s.nodes) }
+func (s *Stack) Len() int { return len(s.nodes) - s.head }
 
 // Solver holds the state of a branch-and-bound search over one instance.
 type Solver struct {

@@ -573,6 +573,16 @@ var panicCases = map[string]struct {
 		},
 		"sim: kernel-context panic in *sim.panicHandler: handler boom",
 	},
+	// A SleepEach step is inline work too: the panic is the kernel's, named
+	// after the process whose slice it was (here on that process's stack).
+	"slice": {
+		func(k *Kernel) {
+			k.Spawn("x", func(p *Proc) {
+				p.SleepEach(time.Millisecond, func() time.Duration { panic("step boom") })
+			})
+		},
+		`sim: kernel-context panic in slice of process "x": step boom`,
+	},
 	// Same, on the stack of a process that has already exited.
 	"task-after-exit": {
 		func(k *Kernel) { k.Spawn("x", func(*Proc) { k.AfterTask(time.Millisecond, panicTask{}) }) },

@@ -43,6 +43,18 @@
 // victim's own stack. Step keeps strict single-step semantics: under it a
 // parking process yields at once. A process's panic, or its runtime.Goexit,
 // comes out of Run/RunUntil/Step on the caller's goroutine.
+//
+// # Slices
+//
+// Proc.SleepEach runs a loop of sleeps with work between them without
+// resuming the process in between: at each wakeup, where the ready queue
+// would have resumed the process, the scheduling loop calls the process's
+// step in place and reschedules it, so events, sequence numbers and ready
+// order are the loop's while a series of N slices costs no more switches
+// than one Sleep. A step is inline work: it must never block, never Kill or
+// Shutdown, and must hand back before any side effect the process has to
+// make itself; it is not called once the process is killed, and its panic
+// is a kernel-context panic that names the process.
 package sim
 
 import (
@@ -621,7 +633,7 @@ func (k *Kernel) next(inProc bool) *Proc {
 			t := k.ready.pop()
 			if p, isProc := t.(*Proc); !isProc {
 				k.runInline(t)
-			} else if !p.exited {
+			} else if k.wakes(p) {
 				return p
 			}
 			continue
@@ -633,6 +645,45 @@ func (k *Kernel) next(inProc bool) *Proc {
 		k.fire(ev)
 	}
 	return nil
+}
+
+// wakes decides for p, just taken from the ready queue, whether it is to be
+// resumed: not when it has exited, nor when it is in a SleepEach series whose
+// step, run here in place, asks for another slice (p is rescheduled exactly
+// as its own Sleep would have done).
+func (k *Kernel) wakes(p *Proc) bool {
+	if p.exited {
+		return false
+	}
+	if p.each == nil {
+		return true
+	}
+	if d := k.slice(p); d > 0 {
+		k.scheduleTask(k.now+d, p)
+		return false
+	}
+	p.each = nil
+	return true
+}
+
+// slice runs p's SleepEach step as inline work. Its panic is the step's,
+// not the scheduling process's: it names p and travels as a kernel-context
+// panic (a plain string on the caller's own stack).
+func (k *Kernel) slice(p *Proc) time.Duration {
+	defer func() {
+		if r := recover(); r != nil {
+			k.inline = nil
+			msg := fmt.Sprintf("sim: kernel-context panic in slice of process %q: %v", p.name, r)
+			if k.current != nil {
+				panic(kernelPanic(msg))
+			}
+			panic(msg)
+		}
+	}()
+	k.inline = p
+	d := p.each()
+	k.inline = nil
+	return d
 }
 
 // run is Run and RunUntil: the caller resumes whichever process the last one
@@ -674,6 +725,9 @@ func (k *Kernel) dispatch(self *Proc) (resumed bool) {
 	// place, not the process: say so, and name the work.
 	defer func() {
 		if r := recover(); r != nil {
+			if kp, named := r.(kernelPanic); named { // a slice's, see slice
+				panic(kp)
+			}
 			msg := fmt.Sprintf("sim: kernel-context panic in %T: %v", k.inline, r)
 			k.inline = nil
 			panic(kernelPanic(msg))
@@ -690,7 +744,9 @@ func (k *Kernel) dispatch(self *Proc) (resumed bool) {
 // Step executes the next unit of work: either runs a ready task or advances
 // the clock to the next event and fires it. It reports whether any work was
 // performed. A process resumed by Step returns control to the caller when it
-// next parks, rather than scheduling onwards itself.
+// next parks, rather than scheduling onwards itself; a process in a SleepEach
+// series runs one slice, and is resumed in the same Step only when that
+// slice hands back.
 func (k *Kernel) Step() bool {
 	if k.stopped {
 		return false
@@ -698,7 +754,9 @@ func (k *Kernel) Step() bool {
 	if k.ready.len() > 0 {
 		t := k.ready.pop()
 		if p, isProc := t.(*Proc); isProc {
-			p.RunTask(k)
+			if k.wakes(p) {
+				p.RunTask(k)
+			}
 		} else {
 			k.runInline(t)
 		}

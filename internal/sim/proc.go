@@ -24,6 +24,10 @@ type Proc struct {
 	exited bool
 	killed bool
 	daemon bool
+
+	// each is the step of a SleepEach series in progress: the kernel runs it
+	// in place at each wakeup instead of resuming the process.
+	each func() time.Duration
 }
 
 // PID returns the kernel-unique process id.
@@ -154,6 +158,32 @@ func (p *Proc) Sleep(d time.Duration) {
 		p.Yield()
 		return
 	}
+	p.k.scheduleTask(p.k.now+d, p)
+	p.park()
+}
+
+// SleepEach runs a series of sleeps with work between them:
+//
+//	for d > 0 {
+//		p.Sleep(d)
+//		d = step()
+//	}
+//
+// with the same events, sequence numbers and ready-queue order, but at each
+// wakeup the kernel calls step in place, where it would have resumed the
+// process, and resumes it only when step returns d <= 0. A series of N
+// slices costs the coroutine switches of one Sleep, not N.
+//
+// step runs in kernel context, on whatever stack is scheduling (see the
+// package comment's Slices section): it must never block, never Kill or
+// Shutdown, and must hand back (return <= 0) before any side effect the
+// process has to make itself. It is not called once the process has been
+// killed.
+func (p *Proc) SleepEach(d time.Duration, step func() time.Duration) {
+	if d <= 0 {
+		return
+	}
+	p.each = step
 	p.k.scheduleTask(p.k.now+d, p)
 	p.park()
 }

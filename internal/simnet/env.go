@@ -69,8 +69,93 @@ func (e *Env) Compute(d time.Duration) {
 		return
 	}
 	e.node.cpus.Acquire(e.p)
-	e.p.Sleep(time.Duration(float64(d) / e.node.speed))
+	e.p.Sleep(e.scaled(d))
 	e.node.cpus.Release()
+}
+
+// scaled is how long a charge of d holds a CPU at the host's speed now.
+func (e *Env) scaled(d time.Duration) time.Duration {
+	return time.Duration(float64(d) / e.node.speed)
+}
+
+// ComputeEach implements transport.ComputeEach's fast path: it behaves as
+//
+//	for d > 0 {
+//		e.Compute(d)
+//		d = step()
+//	}
+//
+// but step runs in place at each wakeup (sim.Proc.SleepEach), releasing the
+// CPU before it and taking it back after it. The process is resumed only
+// when step hands back (d <= 0) or when the CPU is taken, in which case it
+// queues for it with a blocking Acquire, in the order Compute would have.
+// step follows SleepEach's rules.
+func (e *Env) ComputeEach(d time.Duration, step func() time.Duration) {
+	if d <= 0 {
+		return
+	}
+	net := e.node.net
+	s := net.takeSlice(e, step)
+	for d > 0 {
+		e.node.cpus.Acquire(e.p)
+		sc := e.scaled(d)
+		if sc <= 0 { // Compute's Sleep(0): yield holding the CPU
+			e.p.Yield()
+			e.node.cpus.Release()
+			d = step()
+			continue
+		}
+		e.p.SleepEach(sc, s.wake)
+		d = s.d
+	}
+	net.putSlice(s)
+}
+
+// computeSlice is one ComputeEach call's wakeup step. Records are recycled
+// per network, and wake is bound once per record, so a call allocates
+// nothing in steady state.
+type computeSlice struct {
+	e    *Env
+	step func() time.Duration
+	// d is step's last result: the charge the process must start itself
+	// when wake hands back with d > 0.
+	d    time.Duration
+	wake func() time.Duration
+}
+
+// run is the wakeup: Compute's Release, step, then the next Compute's
+// Acquire if the CPU is free. It hands back (0) when step does, when the CPU
+// is taken, or when the next charge scales to nothing.
+func (s *computeSlice) run() time.Duration {
+	cpus := s.e.node.cpus
+	cpus.Release()
+	s.d = s.step()
+	if s.d <= 0 || !cpus.TryAcquire() {
+		return 0
+	}
+	if sc := s.e.scaled(s.d); sc > 0 {
+		return sc
+	}
+	cpus.Release() // undone: the process acquires and yields as Compute does
+	return 0
+}
+
+func (n *Network) takeSlice(e *Env, step func() time.Duration) *computeSlice {
+	var s *computeSlice
+	if k := len(n.freeSlices); k > 0 {
+		s = n.freeSlices[k-1]
+		n.freeSlices = n.freeSlices[:k-1]
+	} else {
+		s = &computeSlice{}
+		s.wake = s.run
+	}
+	s.e, s.step = e, step
+	return s
+}
+
+func (n *Network) putSlice(s *computeSlice) {
+	s.e, s.step = nil, nil
+	n.freeSlices = append(n.freeSlices, s)
 }
 
 // Dial implements transport.Env.

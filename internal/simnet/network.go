@@ -82,6 +82,8 @@ type Network struct {
 	// single-kernel objects, so the pools need no locking.
 	freeTr  []*transfer
 	freeSeg [][]byte
+	// freeSlices recycles ComputeEach's per-call wakeup steps.
+	freeSlices []*computeSlice
 
 	// TCP-Reno flow model (see flow.go); off by default, and when off the
 	// data plane behaves bit-identically to a network built before the model

@@ -116,6 +116,30 @@ func Abort(env Env, c Conn) error {
 	return c.Close(env)
 }
 
+// ComputeEach charges compute in slices with work between them:
+//
+//	for d > 0 {
+//		env.Compute(d)
+//		d = step()
+//	}
+//
+// An environment that can run step in place at each slice's end, without
+// resuming the caller in between, does so (simnet's, through
+// sim.Proc.SleepEach): step must then never block, and must hand back
+// (return d <= 0) before any side effect the caller has to make itself.
+func ComputeEach(env Env, d time.Duration, step func() time.Duration) {
+	if ce, ok := env.(interface {
+		ComputeEach(d time.Duration, step func() time.Duration)
+	}); ok {
+		ce.ComputeEach(d, step)
+		return
+	}
+	for d > 0 {
+		env.Compute(d)
+		d = step()
+	}
+}
+
 // Listener accepts inbound connections on a bound port.
 type Listener interface {
 	// Accept blocks until a connection arrives or the listener closes.
