@@ -78,11 +78,11 @@ benchmark-smoke:
 	cd benchmark && GOTOOLCHAIN=local GOPROXY=off $(GO) vet ./... && GOTOOLCHAIN=local GOPROXY=off $(GO) test ./...
 
 # trace-goldens re-runs (uncached) the byte-exact goldens — the Chrome
-# trace_event and JSONL exports, the HTML time-series report, and the bench
+# trace_event and JSONL exports, the time-series JSONL, and the bench
 # reports no scenario kind renders (Figures 1-5, Table 3, the bandwidth sweep,
 # the latency decomposition) and Tables 4-6 at capacity 4 — plus the
 # causal-analysis and tracer CLI tests.
-# Regenerate intentional drift with `go test ./internal/obs/... -run Golden
+# Regenerate intentional drift with `go test ./internal/obs -run Golden
 # -update` or `go test ./internal/bench -run Golden -update`.
 trace-goldens:
 	$(GO) test -count=1 -run 'Golden|TestChrome|TestBuild|TestDecompose|TestSummarize|TestSpanDurations|TestCausal|TestTable4Jobs|TestAnalyze|TestQuery|TestRoundTrip' ./internal/obs/... ./internal/bench/ ./cmd/tracer/

@@ -3,6 +3,7 @@ package repro
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"os/exec"
@@ -10,6 +11,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"nxcluster/internal/proxy"
+	"nxcluster/internal/transport"
 )
 
 // buildBinaries compiles the daemons once per test binary run.
@@ -83,44 +87,77 @@ func freePorts(t *testing.T, n int) []int {
 	return ports
 }
 
-// TestBinariesProxyAndBench runs the real nxproxy daemons plus nxbench as
-// separate OS processes: the paper's deployment, scaled to loopback.
+// TestBinariesProxyAndBench runs the real nxproxy daemons as separate OS
+// processes, the paper's deployment scaled to loopback, and drives them with
+// the proxy package as a firewalled client would (examples/quickstart does
+// the same in one process): a connect through the outer server reaches an
+// echo server in this process, and a 64 B round trip and a 1 MiB payload
+// come back byte for byte.
 func TestBinariesProxyAndBench(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs real binaries")
 	}
-	bins := buildBinaries(t, "nxproxy-inner", "nxproxy-outer", "nxbench")
-	ports := freePorts(t, 3)
-	nxport, outerPort, benchPort := ports[0], ports[1], ports[2]
+	bins := buildBinaries(t, "nxproxy-inner", "nxproxy-outer")
+	ports := freePorts(t, 2)
+	nxport, outerPort := ports[0], ports[1]
 
 	startDaemon(t, bins["nxproxy-inner"], "-port", fmt.Sprint(nxport))
 	waitPort(t, fmt.Sprintf("127.0.0.1:%d", nxport))
 	startDaemon(t, bins["nxproxy-outer"], "-port", fmt.Sprint(outerPort),
 		"-inner", fmt.Sprintf("localhost:%d", nxport))
 	waitPort(t, fmt.Sprintf("127.0.0.1:%d", outerPort))
-	startDaemon(t, bins["nxbench"], "-serve", "-port", fmt.Sprint(benchPort))
-	waitPort(t, fmt.Sprintf("127.0.0.1:%d", benchPort))
 
-	run := func(args ...string) string {
-		cmd := exec.Command(bins["nxbench"], args...)
-		out, err := cmd.CombinedOutput()
-		if err != nil {
-			t.Fatalf("nxbench %v: %v\n%s", args, err, out)
+	env := transport.NewTCPEnv("localhost")
+	echo, err := env.Listen(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = echo.Close(env) })
+	env.Spawn("echo", func(e transport.Env) {
+		for {
+			c, err := echo.Accept(e)
+			if err != nil {
+				return
+			}
+			e.Spawn("echo-conn", func(e transport.Env) {
+				defer c.Close(e)
+				_, _ = io.Copy(transport.Stream{Env: e, Conn: c}, transport.Stream{Env: e, Conn: c})
+			})
 		}
-		return string(out)
+	})
+
+	cfg := proxy.Config{
+		OuterServer: fmt.Sprintf("localhost:%d", outerPort),
+		InnerServer: fmt.Sprintf("localhost:%d", nxport),
 	}
-	direct := run("-target", fmt.Sprintf("localhost:%d", benchPort), "-rounds", "4")
-	if !strings.Contains(direct, "direct") || !strings.Contains(direct, "latency") {
-		t.Fatalf("direct output:\n%s", direct)
+	c, err := proxy.NXProxyConnect(env, cfg, echo.Addr())
+	if err != nil {
+		t.Fatalf("NXProxyConnect through the daemons: %v", err)
 	}
-	viaProxy := run("-target", fmt.Sprintf("localhost:%d", benchPort), "-rounds", "4",
-		"-outer", fmt.Sprintf("localhost:%d", outerPort),
-		"-inner", fmt.Sprintf("localhost:%d", nxport))
-	if !strings.Contains(viaProxy, "indirect (via Nexus Proxy)") {
-		t.Fatalf("proxy output:\n%s", viaProxy)
-	}
-	if !strings.Contains(viaProxy, "bandwidth") {
-		t.Fatalf("proxy output missing bandwidth:\n%s", viaProxy)
+	defer c.Close(env)
+	st := transport.Stream{Env: env, Conn: c}
+	for _, size := range []int{64, 1 << 20} {
+		payload := make([]byte, size)
+		for i := range payload {
+			payload[i] = byte(i*7 + i>>8)
+		}
+		// Write from a second goroutine: a 1 MiB echo does not fit in the
+		// socket buffers along the relay path.
+		wrote := make(chan error, 1)
+		env.Spawn("writer", func(e transport.Env) {
+			_, err := transport.Stream{Env: e, Conn: c}.Write(payload)
+			wrote <- err
+		})
+		got := make([]byte, size)
+		if _, err := io.ReadFull(st, got); err != nil {
+			t.Fatalf("%d B echo through the proxy: %v", size, err)
+		}
+		if err := <-wrote; err != nil {
+			t.Fatalf("%d B write through the proxy: %v", size, err)
+		}
+		if !bytes.Equal(got, payload) {
+			t.Fatalf("%d B echo through the proxy came back altered", size)
+		}
 	}
 }
 

@@ -60,12 +60,6 @@ func (kr *Keyring) Grant(cred Credential, localUser string) {
 	kr.local[cred.Subject] = localUser
 }
 
-// Revoke removes a subject.
-func (kr *Keyring) Revoke(subject string) {
-	delete(kr.keys, subject)
-	delete(kr.local, subject)
-}
-
 // LocalUser returns the account a subject maps to.
 func (kr *Keyring) LocalUser(subject string) (string, bool) {
 	u, ok := kr.local[subject]

@@ -81,20 +81,6 @@ func TestWrongKeyDenied(t *testing.T) {
 	}
 }
 
-func TestRevokeDenies(t *testing.T) {
-	cred, _ := NewCredential("/CN=gone")
-	kr := NewKeyring()
-	kr.Grant(cred, "gone")
-	kr.Revoke(cred.Subject)
-	_, _, sErr := runHandshake(t, cred, kr)
-	if !errors.Is(sErr, ErrDenied) {
-		t.Fatalf("server err = %v, want ErrDenied", sErr)
-	}
-	if _, ok := kr.LocalUser(cred.Subject); ok {
-		t.Fatal("LocalUser after revoke")
-	}
-}
-
 func TestDistinctCredentialsHaveDistinctKeys(t *testing.T) {
 	a, _ := NewCredential("/CN=a")
 	b, _ := NewCredential("/CN=b")

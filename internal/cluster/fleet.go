@@ -108,6 +108,3 @@ func NewFleet(opts FleetOptions) *Fleet {
 
 // TotalHosts reports sites × hosts-per-site.
 func (f *Fleet) TotalHosts() int { return f.Opts.Sites * f.Opts.HostsPerSite }
-
-// TotalCPUs reports the fleet's slot capacity.
-func (f *Fleet) TotalCPUs() int { return f.TotalHosts() * f.Opts.CPUsPerHost }

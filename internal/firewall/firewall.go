@@ -17,7 +17,6 @@ package firewall
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -114,15 +113,11 @@ type Firewall struct {
 }
 
 // decision is one counted connection attempt. It is a comparable struct, so
-// counting one formats nothing; AuditLog renders the keys.
+// counting one formats nothing.
 type decision struct {
 	dir      Direction
 	src, dst string
 	port     int
-}
-
-func (d decision) String() string {
-	return fmt.Sprintf("%s %s->%s:%d", d.dir, d.src, d.dst, d.port)
 }
 
 // New creates a firewall for site with the paper's typical configuration:
@@ -146,11 +141,6 @@ func (f *Firewall) AllowIncomingPort(port int, comment string) {
 // degrades a deny-based firewall into an allow-based one.
 func (f *Firewall) AllowIncomingRange(min, max int, comment string) {
 	f.Incoming.Rules = append(f.Incoming.Rules, Rule{PortMin: min, PortMax: max, Policy: Allow, Comment: comment})
-}
-
-// DenyOutgoingPort closes a single outbound destination port.
-func (f *Firewall) DenyOutgoingPort(port int, comment string) {
-	f.Outgoing.Rules = append(f.Outgoing.Rules, Rule{PortMin: port, PortMax: port, Policy: Deny, Comment: comment})
 }
 
 // PermitConn decides a connection attempt crossing the firewall in the given
@@ -196,23 +186,6 @@ func (f *Firewall) AllowedCount() int {
 		n += c
 	}
 	return n
-}
-
-// AuditLog renders the decision counters, sorted, one per line.
-func (f *Firewall) AuditLog() string {
-	var b strings.Builder
-	var keys []string
-	for k := range f.allowed {
-		keys = append(keys, "ALLOW "+k.String())
-	}
-	for k := range f.denied {
-		keys = append(keys, "DENY  "+k.String())
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		fmt.Fprintln(&b, k)
-	}
-	return b.String()
 }
 
 // Describe renders the configuration in a human-readable form.

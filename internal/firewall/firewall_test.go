@@ -1,6 +1,7 @@
 package firewall
 
 import (
+	"maps"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -61,7 +62,7 @@ func TestFirstMatchWins(t *testing.T) {
 
 func TestDenyOutgoingPort(t *testing.T) {
 	f := New("site")
-	f.DenyOutgoingPort(25, "no smtp")
+	f.Outgoing.Rules = append(f.Outgoing.Rules, Rule{PortMin: 25, PortMax: 25, Policy: Deny, Comment: "no smtp"})
 	if f.PermitConn(Outgoing, "in", "out", 25) {
 		t.Fatal("denied outgoing port permitted")
 	}
@@ -89,9 +90,8 @@ func TestCountersAndAudit(t *testing.T) {
 	if f.DeniedCount() != 1 {
 		t.Fatalf("DeniedCount = %d, want 1", f.DeniedCount())
 	}
-	log := f.AuditLog()
-	if !strings.Contains(log, "DENY") || !strings.Contains(log, "ALLOW") {
-		t.Fatalf("audit log missing entries:\n%s", log)
+	if len(f.allowed) != 1 || len(f.denied) != 1 {
+		t.Fatalf("tallies allowed=%v denied=%v, want one decision each", f.allowed, f.denied)
 	}
 }
 
@@ -145,14 +145,13 @@ func TestQuickEndpointIndependence(t *testing.T) {
 	}
 }
 
-// TestAuditLogFormat: counters are keyed on the decision, not on a formatted
-// string, and AuditLog renders them exactly as it did when they were: one
-// sorted line per distinct decision, repeats folded, mixed directions, ports
-// and verdicts.
-func TestAuditLogFormat(t *testing.T) {
+// TestDecisionTallies: counters are keyed on the decision, one tally per
+// distinct (direction, source, destination, port), repeats folded, across
+// mixed directions, ports and verdicts.
+func TestDecisionTallies(t *testing.T) {
 	f := New("rwcp")
 	f.AllowIncomingPort(2811, "gridftp")
-	f.DenyOutgoingPort(25, "smtp")
+	f.Outgoing.Rules = append(f.Outgoing.Rules, Rule{PortMin: 25, PortMax: 25, Policy: Deny, Comment: "smtp"})
 	for _, c := range []struct {
 		dir      Direction
 		src, dst string
@@ -170,15 +169,19 @@ func TestAuditLogFormat(t *testing.T) {
 	} {
 		f.PermitConn(c.dir, c.src, c.dst, c.port)
 	}
-	const want = "ALLOW incoming etl-0->rwcp-gw:2811\n" +
-		"ALLOW outgoing rwcp-1->etl-0:8000\n" +
-		"ALLOW outgoing rwcp-10->etl-0:8000\n" +
-		"DENY  incoming a->b:0\n" +
-		"DENY  incoming etl-0->rwcp-gw:40000\n" +
-		"DENY  incoming etl-1->rwcp-gw:9\n" +
-		"DENY  outgoing rwcp-1->etl-0:25\n"
-	if got := f.AuditLog(); got != want {
-		t.Fatalf("AuditLog:\n%s\nwant:\n%s", got, want)
+	wantAllowed := map[decision]int{
+		{Incoming, "etl-0", "rwcp-gw", 2811}: 2,
+		{Outgoing, "rwcp-1", "etl-0", 8000}:  1,
+		{Outgoing, "rwcp-10", "etl-0", 8000}: 1,
+	}
+	wantDenied := map[decision]int{
+		{Incoming, "a", "b", 0}:               1,
+		{Incoming, "etl-0", "rwcp-gw", 40000}: 1,
+		{Incoming, "etl-1", "rwcp-gw", 9}:     1,
+		{Outgoing, "rwcp-1", "etl-0", 25}:     2,
+	}
+	if !maps.Equal(f.allowed, wantAllowed) || !maps.Equal(f.denied, wantDenied) {
+		t.Fatalf("tallies allowed=%v denied=%v\nwant allowed=%v denied=%v", f.allowed, f.denied, wantAllowed, wantDenied)
 	}
 	if f.AllowedCount() != 4 || f.DeniedCount() != 5 {
 		t.Fatalf("counts allowed=%d denied=%d, want 4 and 5", f.AllowedCount(), f.DeniedCount())

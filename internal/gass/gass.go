@@ -367,31 +367,6 @@ func (c *Client) insert(url string, data []byte) {
 	c.size += len(data)
 }
 
-// Invalidate drops a cached URL.
-func (c *Client) Invalidate(url string) {
-	c.mu.Lock()
-	if e, ok := c.entries[url]; ok {
-		c.size -= len(e.data)
-		c.unlink(e)
-		delete(c.entries, url)
-	}
-	c.mu.Unlock()
-}
-
-// CacheSize reports cached entry count.
-func (c *Client) CacheSize() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}
-
-// CacheBytes reports the cached data volume.
-func (c *Client) CacheBytes() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.size
-}
-
 // Fetch retrieves a URL without caching.
 func Fetch(env transport.Env, url string) ([]byte, error) {
 	hostport, path, err := ParseURL(url)

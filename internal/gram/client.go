@@ -6,7 +6,6 @@ import (
 
 	"nxcluster/internal/auth"
 	"nxcluster/internal/nexus"
-	"nxcluster/internal/rsl"
 	"nxcluster/internal/transport"
 )
 
@@ -110,15 +109,6 @@ func Wait(env transport.Env, gkAddr string, cred auth.Credential, contact string
 	}
 }
 
-// Cancel aborts a job; only the submitting subject's credential works.
-func Cancel(env transport.Env, gkAddr string, cred auth.Credential, contact string) error {
-	req := nexus.NewBuffer()
-	req.PutInt32(opCancel)
-	req.PutString(contact)
-	_, err := request(env, gkAddr, cred, req)
-	return err
-}
-
 // List returns the credential subject's job contacts at a gatekeeper.
 func List(env transport.Env, gkAddr string, cred auth.Credential) ([]string, error) {
 	req := nexus.NewBuffer()
@@ -142,50 +132,4 @@ func List(env transport.Env, gkAddr string, cred auth.Credential) ([]string, err
 		}
 	}
 	return out, nil
-}
-
-// SubJob is one component of a co-allocated multirequest.
-type SubJob struct {
-	// Gatekeeper is the component's gatekeeper address.
-	Gatekeeper string
-	// Contact is the component's job contact.
-	Contact string
-}
-
-// SubmitMulti performs DUROC-style co-allocation of an RSL multirequest:
-// each subrequest names its resourceManagerContact, resolved through
-// contacts to a gatekeeper address; all components are submitted before any
-// is waited on, so they start together as MPICH-G requires.
-func SubmitMulti(env transport.Env, cred auth.Credential, spec *rsl.Spec, contacts map[string]string) ([]SubJob, error) {
-	if !spec.IsMulti() {
-		return nil, fmt.Errorf("%w: SubmitMulti wants a + multirequest", ErrBadRequest)
-	}
-	var jobs []SubJob
-	for i, sub := range spec.Multi {
-		rm := sub.GetString("resourceManagerContact", "")
-		if rm == "" {
-			return nil, fmt.Errorf("%w: subrequest %d missing resourceManagerContact", ErrBadRequest, i)
-		}
-		gk, ok := contacts[rm]
-		if !ok {
-			return nil, fmt.Errorf("%w: no gatekeeper known for contact %q", ErrBadRequest, rm)
-		}
-		contact, err := Submit(env, gk, cred, sub.String())
-		if err != nil {
-			return jobs, fmt.Errorf("gram: subrequest %d (%s): %w", i, rm, err)
-		}
-		jobs = append(jobs, SubJob{Gatekeeper: gk, Contact: contact})
-	}
-	return jobs, nil
-}
-
-// WaitMulti waits for every component of a co-allocated job.
-func WaitMulti(env transport.Env, cred auth.Credential, jobs []SubJob, poll, timeout time.Duration) error {
-	var firstErr error
-	for _, j := range jobs {
-		if err := Wait(env, j.Gatekeeper, cred, j.Contact, poll, timeout); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
 }

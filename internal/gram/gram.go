@@ -12,9 +12,6 @@
 //     (paper Figure 2: "when the RMF type GRAM is used, computing resources
 //     inside the firewall can be utilized via a Globus gatekeeper which is
 //     running outside the firewall").
-//
-// DUROC-style multirequests (+ specs) co-allocate one job across several
-// gatekeepers; see SubmitMulti.
 package gram
 
 import (
@@ -39,7 +36,6 @@ const DefaultPort = 2119
 const (
 	opSubmit = int32(1)
 	opStatus = int32(2)
-	opCancel = int32(3)
 	opList   = int32(4)
 )
 
@@ -60,13 +56,12 @@ type Config struct {
 
 // managedJob is a job manager's record.
 type managedJob struct {
-	contact  string
-	subject  string
-	state    rmf.State
-	errMsg   string
-	handle   *rmf.JobHandle // rmf jobs
-	pending  int            // fork jobs: processes still running
-	canceled bool
+	contact string
+	subject string
+	state   rmf.State
+	errMsg  string
+	handle  *rmf.JobHandle // rmf jobs
+	pending int            // fork jobs: processes still running
 }
 
 // Gatekeeper authenticates and dispatches job requests.
@@ -176,17 +171,6 @@ func (g *Gatekeeper) handle(env transport.Env, c transport.Conn) {
 		resp.PutBool(true)
 		resp.PutInt32(int32(state))
 		resp.PutString(msg)
-	case opCancel:
-		contact, err := req.GetString()
-		if err != nil {
-			putErr(resp, err)
-			break
-		}
-		if err := g.cancel(contact, subject); err != nil {
-			putErr(resp, err)
-			break
-		}
-		resp.PutBool(true)
 	case opList:
 		contacts := g.listJobs(subject)
 		resp.PutBool(true)
@@ -213,7 +197,7 @@ func (g *Gatekeeper) submit(env transport.Env, subject, rslText string) (string,
 		return "", fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
 	if spec.IsMulti() {
-		return "", fmt.Errorf("%w: multirequests are co-allocated client-side (SubmitMulti)", ErrBadRequest)
+		return "", fmt.Errorf("%w: multirequests are not supported", ErrBadRequest)
 	}
 	executable := spec.GetString("executable", "")
 	if executable == "" {
@@ -295,7 +279,7 @@ func (g *Gatekeeper) startFork(env transport.Env, job *managedJob, spec rmf.Proc
 			if err != nil && job.errMsg == "" {
 				job.errMsg = err.Error()
 			}
-			if job.pending == 0 && job.state == rmf.StateActive && !job.canceled {
+			if job.pending == 0 && job.state == rmf.StateActive {
 				if job.errMsg != "" {
 					job.state = rmf.StateFailed
 				} else {
@@ -336,9 +320,7 @@ func (g *Gatekeeper) startRMF(env transport.Env, job *managedJob, spec rmf.Proce
 			return
 		}
 		g.mu.Lock()
-		if !job.canceled {
-			job.state = rmf.StateDone
-		}
+		job.state = rmf.StateDone
 		g.mu.Unlock()
 		g.tracef("job manager %s: all processes done", job.contact)
 	})
@@ -347,36 +329,9 @@ func (g *Gatekeeper) startRMF(env transport.Env, job *managedJob, spec rmf.Proce
 func (g *Gatekeeper) fail(job *managedJob, err error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if job.canceled {
-		return // cancellation message wins
-	}
 	job.state = rmf.StateFailed
 	job.errMsg = err.Error()
 	g.tracef("job %s failed: %v", job.contact, err)
-}
-
-// cancel marks a job canceled. A pending or active job moves to FAILED with
-// a cancellation message; already-running processes finish their current
-// work (the Q system has no preemption, like the paper's), but the job
-// manager stops tracking them. Only the submitting subject may cancel.
-func (g *Gatekeeper) cancel(contact, subject string) error {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	job, ok := g.jobs[contact]
-	if !ok {
-		return fmt.Errorf("gram: unknown job contact %q", contact)
-	}
-	if job.subject != subject {
-		return fmt.Errorf("gram: job %s belongs to another subject", contact)
-	}
-	if job.state == rmf.StateDone || job.state == rmf.StateFailed {
-		return fmt.Errorf("gram: job %s already finished (%s)", contact, job.state)
-	}
-	job.canceled = true
-	job.state = rmf.StateFailed
-	job.errMsg = "canceled by " + subject
-	g.tracef("gatekeeper: job %s canceled by %s", contact, subject)
-	return nil
 }
 
 // listJobs returns the subject's job contacts, sorted.

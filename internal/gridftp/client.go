@@ -89,7 +89,7 @@ func (c *Client) retryDelay() time.Duration {
 
 // getSink is the shared receive state of a download: where landed blocks
 // go, the restart-marker ledger, and a progress counter the watchdog samples.
-// Parallel channels (and striped sources) all land blocks here.
+// Parallel channels all land blocks here.
 type getSink struct {
 	mu       sync.Mutex
 	size     int64       // -1 until the first server reply
@@ -438,113 +438,6 @@ func (c *Client) runPutChannel(env transport.Env, w *watchdog, dataAddr, id stri
 	return writeEOD(st)
 }
 
-// GetStriped downloads one file striped across multiple replica servers:
-// source j serves the blocks with index ≡ j (mod len(urls)), all landing in
-// one shared sink. If any stripe is interrupted, the remainder is fetched
-// from the first source via the normal resume path.
-func (c *Client) GetStriped(env transport.Env, urls []string) ([]byte, *TransferStats, error) {
-	if len(urls) == 0 {
-		return nil, nil, fmt.Errorf("gridftp: striped get needs at least one URL")
-	}
-	if len(urls) == 1 {
-		return c.Get(env, urls[0])
-	}
-	type source struct{ hostport, path string }
-	srcs := make([]source, len(urls))
-	for i, u := range urls {
-		hp, p, err := ParseURL(u)
-		if err != nil {
-			return nil, nil, err
-		}
-		srcs[i] = source{hp, p}
-	}
-	start := env.Now()
-	size, err := c.Size(env, urls[0])
-	if err != nil {
-		return nil, nil, err
-	}
-	o := obs.From(env)
-	var span obs.TraceContext
-	if o != nil {
-		span = o.BeginChild(start, obs.CtxOf(env), "gridftp", "get-striped", env.Hostname(),
-			obs.Int("bytes", size), obs.Int("sources", int64(len(urls))))
-	}
-	sink := newGetSink(nil)
-	sink.setSize(size)
-	// Assign whole blocks round-robin across sources; each source is told
-	// the complement of its stripe as "already held", so it streams exactly
-	// its own blocks.
-	all := chopRanges([]Range{{Off: 0, Len: size}}, c.blockSize())
-	perStripe := c.streams() / len(urls)
-	if perStripe < 1 {
-		perStripe = 1
-	}
-	done := transport.NewQueue[error](env)
-	for j := range srcs {
-		var stripe []Range
-		for i := j; i < len(all); i += len(srcs) {
-			stripe = append(stripe, all[i])
-		}
-		have := complementLedger(size, stripe)
-		src := srcs[j]
-		env.Spawn("gridftp:stripe", func(e transport.Env) {
-			done.Put(e, c.fetch(e, src.hostport, src.path, perStripe, have, sink))
-		})
-	}
-	var stripeErr error
-	for range srcs {
-		if err, _ := done.Get(env); err != nil && stripeErr == nil {
-			stripeErr = err
-		}
-	}
-	stats := &TransferStats{Streams: perStripe * len(srcs)}
-	if !sink.ledger.Complete(size) {
-		// Fall back to the first source for whatever the stripes missed.
-		for attempt := 0; attempt <= c.retries() && !sink.ledger.Complete(size); attempt++ {
-			stats.Resumes++
-			if err := c.fetch(env, srcs[0].hostport, srcs[0].path, c.streams(), &sink.ledger, sink); err != nil {
-				stripeErr = err
-			}
-		}
-	}
-	if !sink.ledger.Complete(size) {
-		if stripeErr == nil {
-			stripeErr = errIncomplete
-		}
-		err := fmt.Errorf("gridftp: striped get: %w", stripeErr)
-		if o != nil {
-			o.EndSpan(env.Now(), span, "gridftp", "get-striped", env.Hostname(), obs.Str("err", err.Error()))
-		}
-		return nil, stats, err
-	}
-	stats.Bytes = size
-	stats.Elapsed = env.Now() - start
-	if o != nil {
-		o.EndSpan(env.Now(), span, "gridftp", "get-striped", env.Hostname(),
-			obs.Int("bytes", size), obs.Int("resumes", int64(stats.Resumes)))
-	}
-	return sink.buf, stats, nil
-}
-
-// complementLedger builds the ledger covering [0, size) minus the given
-// sorted, disjoint ranges.
-func complementLedger(size int64, ranges []Range) *Ledger {
-	l := &Ledger{}
-	var pos int64
-	for _, r := range ranges {
-		if r.Off > pos {
-			l.Add(pos, r.Off-pos)
-		}
-		if r.End() > pos {
-			pos = r.End()
-		}
-	}
-	if pos < size {
-		l.Add(pos, size-pos)
-	}
-	return l
-}
-
 // Size asks a server for a file's size.
 func (c *Client) Size(env transport.Env, url string) (int64, error) {
 	hostport, path, err := ParseURL(url)
@@ -560,41 +453,6 @@ func (c *Client) Size(env transport.Env, url string) (int64, error) {
 	req := nexus.NewBuffer()
 	req.PutInt32(opSize)
 	req.PutString(path)
-	if err := nexus.WriteFrame(st, req); err != nil {
-		return 0, err
-	}
-	resp, err := nexus.ReadFrame(st, 0)
-	if err != nil {
-		return 0, err
-	}
-	if err := checkStatus(resp); err != nil {
-		return 0, err
-	}
-	return resp.GetInt64()
-}
-
-// ThirdParty asks the server holding srcURL to push the file directly to
-// destURL (server-to-server; the data never touches this client). It
-// returns the bytes moved.
-func (c *Client) ThirdParty(env transport.Env, srcURL, destURL string) (int64, error) {
-	hostport, path, err := ParseURL(srcURL)
-	if err != nil {
-		return 0, err
-	}
-	if _, _, err := ParseURL(destURL); err != nil {
-		return 0, err
-	}
-	ctrl, err := c.Dialer.Dial(env, hostport)
-	if err != nil {
-		return 0, fmt.Errorf("gridftp: dial %s: %w", hostport, err)
-	}
-	defer ctrl.Close(env)
-	st := transport.Stream{Env: env, Conn: ctrl}
-	req := nexus.NewBuffer()
-	req.PutInt32(opXfer)
-	req.PutString(path)
-	req.PutString(destURL)
-	req.PutInt32(int32(c.streams()))
 	if err := nexus.WriteFrame(st, req); err != nil {
 		return 0, err
 	}

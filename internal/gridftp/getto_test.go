@@ -31,18 +31,19 @@ func (f failAt) WriteAt(p []byte, off int64) (int, error) {
 	return len(p), nil
 }
 
-// simRun is what one simulated download returned, and its trace hash.
+// simRun is what one simulated download returned, its trace hash, and how
+// many stalled attempts the client's watchdog tore down.
 type simRun struct {
-	stats *TransferStats
-	err   error
-	hash  uint64
+	stats       *TransferStats
+	err         error
+	hash        uint64
+	stallAborts int
 }
 
 // simGet serves file from ETL-Sun and downloads it on RWCP-Sun through the
-// Nexus Proxy over the flow-modelled WAN with get, which calls Get or GetTo
-// (chaos.RunTransferOutage's setup). With outage set, the WAN is cut from
-// 300 ms to 1.3 s, and the client's stall watchdog and restart markers carry
-// the download across the cut.
+// Nexus Proxy over the flow-modelled WAN with get, which calls Get or GetTo.
+// With outage set, the WAN is cut from 300 ms to 1.3 s, and the client's
+// stall watchdog and restart markers carry the download across the cut.
 func simGet(t *testing.T, file []byte, outage bool, get func(cl *Client, env transport.Env, url string) (*TransferStats, error)) simRun {
 	t.Helper()
 	o := obs.New()
@@ -83,6 +84,11 @@ func simGet(t *testing.T, file []byte, outage bool, get func(cl *Client, env tra
 	if !returned {
 		t.Fatal("the download did not return within 30 s of virtual time")
 	}
+	for _, e := range o.Events() {
+		if e.Cat == "gridftp" && e.Name == "stall-abort" {
+			run.stallAborts++
+		}
+	}
 	run.hash = o.Hash()
 	return run
 }
@@ -90,7 +96,10 @@ func simGet(t *testing.T, file []byte, outage bool, get func(cl *Client, env tra
 // TestGetToMatchesGet: Get and GetTo are one download path. GetTo into a
 // buffer gives Get's bytes, stats and trace, undisturbed and across an outage
 // that forces resumes, on simnet; and the same bytes and counts on loopback
-// TCP, where Elapsed is host time.
+// TCP, where Elapsed is host time. The outage exercises the recovery chain
+// end to end: the watchdog tears the dead attempt down, the restart-marker
+// ledger resumes once the link returns, and a repeat of the run reproduces
+// its trace. Undisturbed, the watchdog never fires.
 func TestGetToMatchesGet(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -123,6 +132,25 @@ func TestGetToMatchesGet(t *testing.T) {
 			}
 			if tc.outage != (w.Resumes > 0) {
 				t.Fatalf("outage %v, %d resumes", tc.outage, w.Resumes)
+			}
+			if tc.outage != (viaGetTo.stallAborts > 0) {
+				t.Fatalf("outage %v, %d stall aborts", tc.outage, viaGetTo.stallAborts)
+			}
+			if !tc.outage {
+				return
+			}
+			// The download rode out the outage: it cannot have finished
+			// before the link came back.
+			if w.Elapsed < time.Second {
+				t.Fatalf("elapsed %v shorter than the 1 s outage", w.Elapsed)
+			}
+			again := simGet(t, file, true, func(cl *Client, env transport.Env, url string) (*TransferStats, error) {
+				return cl.GetTo(env, url, make(memAt, len(file)))
+			})
+			if again.err != nil || again.hash != viaGetTo.hash ||
+				again.stats.Resumes != w.Resumes || again.stats.Elapsed != w.Elapsed {
+				t.Fatalf("a repeat run diverged: %+v, hash %#x; first %+v, hash %#x",
+					again.stats, again.hash, *w, viaGetTo.hash)
 			}
 		})
 	}

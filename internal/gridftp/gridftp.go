@@ -4,10 +4,7 @@
 // transfers — N parallel data channels so aggregate throughput is not capped
 // by one congestion-limited TCP stream, extended-block framing where every
 // block carries its file offset, restart markers (a ledger of received
-// ranges) so an interrupted transfer resumes instead of starting over,
-// striped transfers pulling disjoint blocks from multiple replica hosts, and
-// third-party transfers where a client steers data directly between two
-// servers.
+// ranges) so an interrupted transfer resumes instead of starting over.
 //
 // Control and data channels are ordinary transport streams dialed through a
 // proxy.Dialer, so transfers traverse the paper's Nexus Proxy firewall relay
@@ -73,7 +70,6 @@ const (
 	opRetr = int32(1) // download: path, have-ledger, streams
 	opStor = int32(2) // upload: path, size, streams, uploadID
 	opSize = int32(3) // stat: path -> size
-	opXfer = int32(4) // third-party: srcPath, destURL, streams
 )
 
 // retrXfer is one active download: the store's own slice for the file as it
@@ -114,8 +110,7 @@ type Server struct {
 	// Store backs the served files.
 	Store *gass.Store
 	// Dialer provides firewall traversal: listeners bind through it
-	// (passive mode via the Nexus Proxy when enabled) and third-party
-	// transfers dial out through it.
+	// (passive mode via the Nexus Proxy when enabled).
 	Dialer proxy.Dialer
 	// BlockSize is the server-side block granularity for downloads
 	// (default DefaultBlockSize).
@@ -207,8 +202,8 @@ func putErr(resp *nexus.Buffer, err error) {
 }
 
 // handleCtrl serves one control connection: a single request frame, a reply
-// frame, and — for uploads and third-party transfers — a final completion
-// frame once the data movement ends.
+// frame, and — for uploads — a final completion frame once the data movement
+// ends.
 func (s *Server) handleCtrl(env transport.Env, c transport.Conn) {
 	defer c.Close(env)
 	st := transport.Stream{Env: env, Conn: c}
@@ -239,9 +234,6 @@ func (s *Server) handleCtrl(env transport.Env, c transport.Conn) {
 		}
 		resp.PutBool(true)
 		resp.PutInt64(int64(len(data)))
-	case opXfer:
-		s.handleXfer(env, st, req, resp)
-		return // handleXfer writes its own frames
 	default:
 		putErr(resp, fmt.Errorf("gridftp: unknown op %d", op))
 	}
@@ -367,37 +359,6 @@ func (s *Server) handleStor(env transport.Env, st transport.Stream, req, resp *n
 		putErr(final, fmt.Errorf("gridftp: upload incomplete (%d/%d bytes)", got, size))
 	}
 	_ = nexus.WriteFrame(st, final)
-}
-
-// handleXfer performs a third-party transfer: this server pushes srcPath to
-// a destination gridftp URL and reports the outcome on the control channel.
-func (s *Server) handleXfer(env transport.Env, st transport.Stream, req, resp *nexus.Buffer) {
-	srcPath, e1 := req.GetString()
-	destURL, e2 := req.GetString()
-	streams, e3 := req.GetInt32()
-	if e1 != nil || e2 != nil || e3 != nil || streams < 1 || streams > 64 {
-		putErr(resp, fmt.Errorf("gridftp: malformed XFER"))
-		_ = nexus.WriteFrame(st, resp)
-		return
-	}
-	data, err := s.Store.View(srcPath)
-	if err != nil {
-		putErr(resp, err)
-		_ = nexus.WriteFrame(st, resp)
-		return
-	}
-	if o := obs.From(env); o != nil {
-		o.Emit(env.Now(), "gridftp", "xfer", env.Hostname(),
-			obs.Str("src", srcPath), obs.Str("dest", destURL), obs.Int("bytes", int64(len(data))))
-	}
-	sub := &Client{Dialer: s.Dialer, Streams: int(streams), BlockSize: s.blockSize()}
-	if _, err := sub.Put(env, destURL, data); err != nil {
-		putErr(resp, err)
-	} else {
-		resp.PutBool(true)
-		resp.PutInt64(int64(len(data)))
-	}
-	_ = nexus.WriteFrame(st, resp)
 }
 
 // handleData serves one data channel. The channel handshake names the

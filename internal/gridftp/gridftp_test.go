@@ -94,14 +94,10 @@ func TestLedgerEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
-func TestChopAndComplement(t *testing.T) {
+func TestChopRanges(t *testing.T) {
 	blocks := chopRanges([]Range{{0, 250}}, 100)
 	if !reflect.DeepEqual(blocks, []Range{{0, 100}, {100, 100}, {200, 50}}) {
 		t.Fatalf("chopRanges = %v", blocks)
-	}
-	comp := complementLedger(250, []Range{{0, 100}, {200, 50}})
-	if got := comp.Ranges(); !reflect.DeepEqual(got, []Range{{100, 100}}) {
-		t.Fatalf("complementLedger = %v", got)
 	}
 }
 
@@ -272,39 +268,6 @@ func TestPutResumesFromServerPartial(t *testing.T) {
 	srv.mu.Unlock()
 	if live {
 		t.Fatal("partial survived a committed upload")
-	}
-}
-
-func TestGetStriped(t *testing.T) {
-	env1, srv1, addr1 := startServer(t)
-	_, srv2, addr2 := startServer(t)
-	payload := pattern(400<<10 + 11)
-	srv1.Store.Put("/rep/f.bin", payload)
-	srv2.Store.Put("/rep/f.bin", payload)
-	cl := &Client{Streams: 4, BlockSize: 64 << 10}
-	got, stats, err := cl.GetStriped(env1,
-		[]string{URL(addr1, "/rep/f.bin"), URL(addr2, "/rep/f.bin")})
-	if err != nil || !bytes.Equal(got, payload) {
-		t.Fatalf("GetStriped = %d bytes, %v", len(got), err)
-	}
-	if stats.Bytes != int64(len(payload)) || stats.Resumes != 0 {
-		t.Fatalf("striped stats = %+v", stats)
-	}
-}
-
-func TestThirdPartyTransfer(t *testing.T) {
-	env1, srv1, addr1 := startServer(t)
-	_, srv2, addr2 := startServer(t)
-	payload := pattern(128 << 10)
-	srv1.Store.Put("/src/f.bin", payload)
-	cl := &Client{Streams: 2}
-	n, err := cl.ThirdParty(env1, URL(addr1, "/src/f.bin"), URL(addr2, "/dst/f.bin"))
-	if err != nil || n != int64(len(payload)) {
-		t.Fatalf("ThirdParty = %d, %v", n, err)
-	}
-	stored, err := srv2.Store.Get("/dst/f.bin")
-	if err != nil || !bytes.Equal(stored, payload) {
-		t.Fatalf("dest store holds %d bytes, %v", len(stored), err)
 	}
 }
 

@@ -56,9 +56,6 @@ func (l *Ledger) Add(off, n int64) {
 	l.ranges = slices.Delete(l.ranges, i+1, j)
 }
 
-// Ranges returns the covered ranges, sorted by offset.
-func (l *Ledger) Ranges() []Range { return append([]Range(nil), l.ranges...) }
-
 // Bytes reports the total number of covered bytes.
 func (l *Ledger) Bytes() int64 {
 	var total int64

@@ -56,7 +56,6 @@ func (h Health) String() string {
 // Wire ops.
 const (
 	opBeat       = int32(1) // fields: name (registers implicitly)
-	opStatus     = int32(2) // fields: name
 	opList       = int32(3)
 	opDeregister = int32(4) // fields: name (graceful shutdown, not a death)
 )
@@ -284,16 +283,6 @@ func (m *Monitor) Snapshot(now time.Duration) map[string]Health {
 	return out
 }
 
-// Beats reports the total heartbeat count for a process.
-func (m *Monitor) Beats(name string) int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if r, ok := m.procs[name]; ok {
-		return r.beats
-	}
-	return 0
-}
-
 // Serve runs the monitor's wire protocol; it blocks its process.
 func (m *Monitor) Serve(env transport.Env, port int, ready func(addr string)) error {
 	l, err := env.Listen(port)
@@ -353,21 +342,6 @@ func (m *Monitor) handle(env transport.Env, c transport.Conn) {
 		}
 		m.deregister(name)
 		resp.PutBool(true)
-	case opStatus:
-		name, err := req.GetString()
-		if err != nil {
-			resp.PutBool(false)
-			resp.PutString(err.Error())
-			break
-		}
-		h, err := m.Status(name, env.Now())
-		if err != nil {
-			resp.PutBool(false)
-			resp.PutString(err.Error())
-			break
-		}
-		resp.PutBool(true)
-		resp.PutInt32(int32(h))
 	case opList:
 		snap := m.Snapshot(env.Now())
 		names := make([]string, 0, len(snap))
@@ -406,19 +380,6 @@ func Deregister(env transport.Env, addr, name string) error {
 	req.PutString(name)
 	_, err := roundTrip(env, addr, req)
 	return err
-}
-
-// QueryStatus asks the monitor for a process's health.
-func QueryStatus(env transport.Env, addr, name string) (Health, error) {
-	req := nexus.NewBuffer()
-	req.PutInt32(opStatus)
-	req.PutString(name)
-	resp, err := roundTrip(env, addr, req)
-	if err != nil {
-		return Down, err
-	}
-	h, err := resp.GetInt32()
-	return Health(h), err
 }
 
 // QueryAll asks the monitor for every process's health.
@@ -472,7 +433,7 @@ func roundTrip(env transport.Env, addr string, req *nexus.Buffer) (*nexus.Buffer
 
 // Reporter periodically beats on behalf of a named process. Start launches
 // the beat loop as a service process; Stop ends it gracefully (with a final
-// deregister beat), Abandon ends it silently, modeling a crash.
+// deregister beat). A reporter whose host crashes stops without one.
 type Reporter struct {
 	// MonitorAddr is the monitor's "host:port".
 	MonitorAddr string
@@ -488,9 +449,8 @@ type Reporter struct {
 	// loop compute-free and bit-identical to the original.
 	BeatCost time.Duration
 
-	stopped   bool
-	abandoned bool
-	mu        sync.Mutex
+	stopped bool
+	mu      sync.Mutex
 }
 
 // Start launches the beat loop.
@@ -498,12 +458,10 @@ func (r *Reporter) Start(env transport.Env) {
 	env.SpawnService("hbm:reporter:"+r.Name, func(e transport.Env) {
 		for {
 			r.mu.Lock()
-			stopped, abandoned := r.stopped, r.abandoned
+			stopped := r.stopped
 			r.mu.Unlock()
 			if stopped {
-				if !abandoned {
-					_ = Deregister(e, r.MonitorAddr, r.Name) // best effort
-				}
+				_ = Deregister(e, r.MonitorAddr, r.Name) // best effort
 				return
 			}
 			if r.BeatCost > 0 {
@@ -521,15 +479,5 @@ func (r *Reporter) Start(env transport.Env) {
 func (r *Reporter) Stop() {
 	r.mu.Lock()
 	r.stopped = true
-	r.mu.Unlock()
-}
-
-// Abandon ends the beat loop without deregistering: the monitor keeps the
-// record and will classify the process LATE, then DOWN, exactly as if it
-// crashed. Tests and fault-injection harnesses use this to model failures.
-func (r *Reporter) Abandon() {
-	r.mu.Lock()
-	r.stopped = true
-	r.abandoned = true
 	r.mu.Unlock()
 }

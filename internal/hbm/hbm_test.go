@@ -44,14 +44,16 @@ func TestClassification(t *testing.T) {
 }
 
 // TestMonitorDetectsDeadProcessInSim runs the full loop: a reporter beats,
-// the monitor sees UP; the reporter stops, the monitor transitions the
-// process to DOWN; a second reporter keeps beating throughout.
+// the monitor sees UP; the reporter's host crashes, the monitor transitions
+// the process to DOWN; a second reporter keeps beating throughout.
 func TestMonitorDetectsDeadProcessInSim(t *testing.T) {
 	k := sim.New()
 	n := simnet.New(k)
 	n.AddHost("mon", simnet.HostConfig{})
 	n.AddHost("svc", simnet.HostConfig{})
+	n.AddHost("flakyhost", simnet.HostConfig{})
 	n.Connect("mon", "svc", simnet.LinkConfig{Latency: time.Millisecond})
+	n.Connect("mon", "flakyhost", simnet.LinkConfig{Latency: time.Millisecond})
 
 	m := NewMonitor(time.Second)
 	n.Node("mon").SpawnDaemonOn("monitor", func(e transport.Env) {
@@ -60,34 +62,25 @@ func TestMonitorDetectsDeadProcessInSim(t *testing.T) {
 
 	flaky := &Reporter{MonitorAddr: "mon:7300", Name: "flaky", Interval: time.Second}
 	steady := &Reporter{MonitorAddr: "mon:7300", Name: "steady", Interval: time.Second}
-	var atFive, atTwenty Health
-	var steadyLater Health
+	n.Node("flakyhost").SpawnOn("flaky", func(e transport.Env) { flaky.Start(e) })
+	// Crash at t=6s: the reporter stops beating without deregistering.
+	k.After(6*time.Second, func() {
+		if err := n.CrashHost("flakyhost"); err != nil {
+			t.Error(err)
+		}
+	})
+	var atFive, atTwenty map[string]Health
 	var steadyBeats int64
 	n.Node("svc").SpawnOn("driver", func(e transport.Env) {
-		flaky.Start(e)
 		steady.Start(e)
 		e.Sleep(5 * time.Second)
 		var err error
-		atFive, err = QueryStatus(e, "mon:7300", "flaky")
-		if err != nil {
+		if atFive, err = QueryAll(e, "mon:7300"); err != nil {
 			t.Error(err)
 		}
-		flaky.Abandon() // crash: stop beating without deregistering
 		e.Sleep(15 * time.Second)
-		atTwenty, err = QueryStatus(e, "mon:7300", "flaky")
-		if err != nil {
+		if atTwenty, err = QueryAll(e, "mon:7300"); err != nil {
 			t.Error(err)
-		}
-		steadyLater, err = QueryStatus(e, "mon:7300", "steady")
-		if err != nil {
-			t.Error(err)
-		}
-		all, err := QueryAll(e, "mon:7300")
-		if err != nil {
-			t.Error(err)
-		}
-		if len(all) != 2 {
-			t.Errorf("QueryAll = %v", all)
 		}
 		steadyBeats = m.Beats("steady")
 		steady.Stop() // graceful: the final deregister beat removes the record
@@ -95,25 +88,23 @@ func TestMonitorDetectsDeadProcessInSim(t *testing.T) {
 	k.RunUntil(60 * time.Second)
 	k.Shutdown()
 
-	if atFive != Up {
-		t.Fatalf("flaky at t=5s: %v, want UP", atFive)
+	if atFive["flaky"] != Up || atFive["steady"] != Up {
+		t.Fatalf("at t=5s: %v, want both UP", atFive)
 	}
-	if atTwenty != Down {
-		t.Fatalf("flaky at t=20s: %v, want DOWN", atTwenty)
-	}
-	if steadyLater != Up {
-		t.Fatalf("steady at t=20s: %v, want UP", steadyLater)
+	if len(atTwenty) != 2 || atTwenty["flaky"] != Down || atTwenty["steady"] != Up {
+		t.Fatalf("at t=20s: %v, want flaky DOWN and steady UP", atTwenty)
 	}
 	if steadyBeats < 15 {
 		t.Fatalf("steady beat only %d times", steadyBeats)
 	}
-	// steady.Stop deregistered on its way out; flaky's abandoned record stays.
+	// steady.Stop deregistered on its way out; the crashed flaky's record
+	// stays.
 	final := m.Snapshot(20 * time.Second)
 	if _, ok := final["steady"]; ok {
 		t.Errorf("steady still registered after graceful Stop: %v", final)
 	}
 	if h, ok := final["flaky"]; !ok || h != Down {
-		t.Errorf("flaky after Abandon = %v, %v; want DOWN", h, ok)
+		t.Errorf("flaky after its host crashed = %v, %v; want DOWN", h, ok)
 	}
 }
 
@@ -144,8 +135,8 @@ func TestCustomThresholds(t *testing.T) {
 }
 
 // TestDeregisterOverWire checks the opDeregister round trip: a deregistered
-// process vanishes from Status and QueryAll instead of decaying to DOWN, and
-// a later beat re-registers it from scratch.
+// process vanishes from QueryAll instead of decaying to DOWN, and a later
+// beat re-registers it from scratch.
 func TestDeregisterOverWire(t *testing.T) {
 	k := sim.New()
 	n := simnet.New(k)
@@ -161,14 +152,11 @@ func TestDeregisterOverWire(t *testing.T) {
 		if err := Beat(e, "mon:7300", "p"); err != nil {
 			t.Error(err)
 		}
-		if h, err := QueryStatus(e, "mon:7300", "p"); err != nil || h != Up {
-			t.Errorf("after beat: %v, %v", h, err)
+		if all, err := QueryAll(e, "mon:7300"); err != nil || len(all) != 1 || all["p"] != Up {
+			t.Errorf("after beat: %v, %v", all, err)
 		}
 		if err := Deregister(e, "mon:7300", "p"); err != nil {
 			t.Error(err)
-		}
-		if _, err := QueryStatus(e, "mon:7300", "p"); err == nil {
-			t.Error("after deregister: status query succeeded, want unknown-process error")
 		}
 		all, err := QueryAll(e, "mon:7300")
 		if err != nil || len(all) != 0 {
@@ -177,8 +165,8 @@ func TestDeregisterOverWire(t *testing.T) {
 		if err := Beat(e, "mon:7300", "p"); err != nil {
 			t.Error(err)
 		}
-		if h, err := QueryStatus(e, "mon:7300", "p"); err != nil || h != Up {
-			t.Errorf("after re-registration: %v, %v", h, err)
+		if all, err := QueryAll(e, "mon:7300"); err != nil || len(all) != 1 || all["p"] != Up {
+			t.Errorf("after re-registration: %v, %v", all, err)
 		}
 	})
 	k.RunUntil(10 * time.Second)
@@ -201,24 +189,26 @@ func TestMonitorOverTCP(t *testing.T) {
 	if err := Beat(env, addr, "proc1"); err != nil {
 		t.Fatal(err)
 	}
-	h, err := QueryStatus(env, addr, "proc1")
-	if err != nil || h != Up {
-		t.Fatalf("status = %v, %v", h, err)
+	status := func() map[string]Health {
+		t.Helper()
+		all, err := QueryAll(env, addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return all
+	}
+	if all := status(); all["proc1"] != Up {
+		t.Fatalf("status = %v", all)
 	}
 	env.Sleep(300 * time.Millisecond) // interval+grace = 200ms
-	h, err = QueryStatus(env, addr, "proc1")
-	if err != nil || h != Down {
-		t.Fatalf("status after silence = %v, %v", h, err)
+	if all := status(); all["proc1"] != Down {
+		t.Fatalf("status after silence = %v", all)
 	}
 	// Recovery: a fresh beat brings it back UP.
 	if err := Beat(env, addr, "proc1"); err != nil {
 		t.Fatal(err)
 	}
-	h, _ = QueryStatus(env, addr, "proc1")
-	if h != Up {
-		t.Fatalf("status after recovery = %v", h)
-	}
-	if _, err := QueryStatus(env, addr, "ghost"); err == nil {
-		t.Fatal("unknown process accepted")
+	if all := status(); len(all) != 1 || all["proc1"] != Up {
+		t.Fatalf("status after recovery = %v", all)
 	}
 }

@@ -9,8 +9,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-
-	"nxcluster/internal/nexus"
 )
 
 // Item is one knapsack item.
@@ -47,33 +45,6 @@ func (in *Instance) Validate() error {
 	}
 	return nil
 }
-
-// TotalProfit sums all profits.
-func (in *Instance) TotalProfit() int64 {
-	var s int64
-	for _, it := range in.Items {
-		s += it.Profit
-	}
-	return s
-}
-
-// NoPruning builds the paper's normalized workload: input data chosen so
-// that no branches are pruned and the entire 2^(n+1)-1 node search space is
-// traced ("in order to evaluate the performance characteristics of the
-// cluster system clear and normalize the problem"). Every item fits
-// regardless of choices (weights sum to at most the capacity), so the
-// capacity check never cuts a subtree.
-func NoPruning(n int) *Instance {
-	items := make([]Item, n)
-	for i := range items {
-		items[i] = Item{Profit: int64(i%7 + 1), Weight: 1}
-	}
-	return &Instance{Items: items, Capacity: int64(n)}
-}
-
-// FullTreeNodes returns the node count a no-pruning instance of n items
-// traverses: the full binary tree with n+1 levels.
-func FullTreeNodes(n int) int64 { return (int64(1) << (n + 1)) - 1 }
 
 // Normalized builds the paper's experiment workload: n items (the paper
 // uses 50) of unit weight with capacity cap. Bound pruning stays off, so the
@@ -128,81 +99,4 @@ func Random(n int, maxCoeff int64, seed int64) *Instance {
 		wsum += items[i].Weight
 	}
 	return &Instance{Items: items, Capacity: wsum / 2}
-}
-
-// StronglyCorrelated builds a strongly correlated instance (profit = weight
-// + maxCoeff/10), the hard family from Martello & Toth.
-func StronglyCorrelated(n int, maxCoeff int64, seed int64) *Instance {
-	r := rand.New(rand.NewSource(seed))
-	items := make([]Item, n)
-	var wsum int64
-	for i := range items {
-		w := r.Int63n(maxCoeff) + 1
-		items[i] = Item{Profit: w + maxCoeff/10, Weight: w}
-		wsum += w
-	}
-	return &Instance{Items: items, Capacity: wsum / 2}
-}
-
-// BruteForce computes the optimal profit by exhaustive enumeration; usable
-// only for small n, as the test oracle.
-func BruteForce(in *Instance) int64 {
-	n := in.N()
-	if n > 24 {
-		panic("knapsack: BruteForce limited to n <= 24")
-	}
-	var best int64
-	for mask := 0; mask < 1<<n; mask++ {
-		var p, w int64
-		for i := 0; i < n; i++ {
-			if mask&(1<<i) != 0 {
-				p += in.Items[i].Profit
-				w += in.Items[i].Weight
-			}
-		}
-		if w <= in.Capacity && p > best {
-			best = p
-		}
-	}
-	return best
-}
-
-// EncodeInstance serializes an instance for staging through GASS ("a master
-// reads a data file" in the paper's algorithm).
-func EncodeInstance(in *Instance) []byte {
-	b := nexus.NewBuffer()
-	b.PutInt64(in.Capacity)
-	b.PutInt32(int32(len(in.Items)))
-	for _, it := range in.Items {
-		b.PutInt64(it.Profit)
-		b.PutInt64(it.Weight)
-	}
-	return b.Bytes()
-}
-
-// DecodeInstance parses a staged instance file.
-func DecodeInstance(data []byte) (*Instance, error) {
-	b := nexus.FromBytes(data)
-	in := &Instance{}
-	var err error
-	if in.Capacity, err = b.GetInt64(); err != nil {
-		return nil, err
-	}
-	n, err := b.GetInt32()
-	if err != nil {
-		return nil, err
-	}
-	if n < 0 {
-		return nil, errors.New("knapsack: negative item count")
-	}
-	in.Items = make([]Item, n)
-	for i := range in.Items {
-		if in.Items[i].Profit, err = b.GetInt64(); err != nil {
-			return nil, err
-		}
-		if in.Items[i].Weight, err = b.GetInt64(); err != nil {
-			return nil, err
-		}
-	}
-	return in, in.Validate()
 }

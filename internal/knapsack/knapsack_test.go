@@ -201,57 +201,3 @@ func TestDefaultParams(t *testing.T) {
 		t.Fatalf("withDefaults left non-positive knobs: %+v", wd)
 	}
 }
-
-func TestInstanceCodecRoundTrip(t *testing.T) {
-	for _, in := range []*Instance{
-		Normalized(50, 4),
-		Random(20, 500, 3),
-		StronglyCorrelated(15, 100, 9),
-	} {
-		got, err := DecodeInstance(EncodeInstance(in))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Capacity != in.Capacity || len(got.Items) != len(in.Items) {
-			t.Fatalf("shape mismatch")
-		}
-		for i := range in.Items {
-			if got.Items[i] != in.Items[i] {
-				t.Fatalf("item %d mismatch", i)
-			}
-		}
-	}
-	if _, err := DecodeInstance([]byte{1, 2}); err == nil {
-		t.Fatal("truncated instance decoded")
-	}
-	// An encoded-but-invalid instance must fail validation on decode.
-	bad := &Instance{Items: []Item{{Profit: -1, Weight: 1}}, Capacity: 1}
-	if _, err := DecodeInstance(EncodeInstance(bad)); err == nil {
-		t.Fatal("invalid instance decoded")
-	}
-}
-
-func TestQuickInstanceCodec(t *testing.T) {
-	prop := func(cap uint16, profits []uint16) bool {
-		if len(profits) == 0 {
-			return true
-		}
-		in := &Instance{Capacity: int64(cap)}
-		for _, p := range profits {
-			in.Items = append(in.Items, Item{Profit: int64(p), Weight: int64(p % 7)})
-		}
-		got, err := DecodeInstance(EncodeInstance(in))
-		if err != nil {
-			return false
-		}
-		for i := range in.Items {
-			if got.Items[i] != in.Items[i] {
-				return false
-			}
-		}
-		return got.Capacity == in.Capacity
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}

@@ -275,18 +275,6 @@ func combine(op string, fs []Filter) string {
 // Eq builds an equality filter; val "*" tests presence.
 func Eq(attr, val string) Filter { return eqFilter{strings.ToLower(attr), val} }
 
-// Ge builds an attr>=n filter.
-func Ge(attr string, n int) Filter { return cmpFilter{strings.ToLower(attr), ">=", n} }
-
-// And combines filters conjunctively.
-func And(fs ...Filter) Filter { return andFilter(fs) }
-
-// Or combines filters disjunctively.
-func Or(fs ...Filter) Filter { return orFilter(fs) }
-
-// Not negates a filter.
-func Not(f Filter) Filter { return notFilter{f} }
-
 // ParseFilter parses an LDAP-style filter:
 // (&(objectclass=resource)(freecpus>=4)(!(site=etl))).
 func ParseFilter(s string) (Filter, error) {

@@ -97,17 +97,26 @@ func TestSearchSubtreeAndFilters(t *testing.T) {
 	if err != nil || len(rwcp) != 3 {
 		t.Fatalf("search rwcp subtree = %d, %v", len(rwcp), err)
 	}
-	big, err := d.Search("o=grid", And(Eq("objectclass", "resource"), Ge("freecpus", 4)))
-	if err != nil || len(big) != 2 {
-		t.Fatalf("search cpus>=4 = %d, %v", len(big), err)
+	search := func(filter string) []*Entry {
+		t.Helper()
+		f, err := ParseFilter(filter)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := d.Search("o=grid", f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
 	}
-	notEtl, err := d.Search("o=grid", And(Eq("objectclass", "resource"), Not(Eq("cluster", "etl"))))
-	if err != nil || len(notEtl) != 2 {
-		t.Fatalf("search not etl = %d, %v", len(notEtl), err)
+	if big := search("(&(objectclass=resource)(freecpus>=4))"); len(big) != 2 {
+		t.Fatalf("search cpus>=4 = %d", len(big))
 	}
-	either, err := d.Search("o=grid", Or(Eq("cluster", "etl"), Eq("cluster", "compas")))
-	if err != nil || len(either) != 2 {
-		t.Fatalf("search or = %d, %v", len(either), err)
+	if notEtl := search("(&(objectclass=resource)(!(cluster=etl)))"); len(notEtl) != 2 {
+		t.Fatalf("search not etl = %d", len(notEtl))
+	}
+	if either := search("(|(cluster=etl)(cluster=compas))"); len(either) != 2 {
+		t.Fatalf("search or = %d", len(either))
 	}
 	// Presence
 	pres, err := d.Search("o=grid", Eq("cluster", "*"))
@@ -146,7 +155,7 @@ func TestQuickFilterRoundTrip(t *testing.T) {
 	// Property: a built filter's String() re-parses to a filter with the
 	// same verdict on arbitrary single-attribute entries.
 	prop := func(val uint8, threshold uint8) bool {
-		f := And(Eq("objectclass", "resource"), Ge("freecpus", int(threshold)))
+		f := andFilter{Eq("objectclass", "resource"), cmpFilter{"freecpus", ">=", int(threshold)}}
 		parsed, err := ParseFilter(f.String())
 		if err != nil {
 			return false

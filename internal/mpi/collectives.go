@@ -3,13 +3,12 @@ package mpi
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 )
 
 // Op selects a reduction operator.
 type Op int
 
-// Reduction operators over int64/float64 values.
+// Reduction operators over int64 values.
 const (
 	OpSum Op = iota
 	OpMin
@@ -17,23 +16,6 @@ const (
 )
 
 func (o Op) applyInt(a, b int64) int64 {
-	switch o {
-	case OpMin:
-		if b < a {
-			return b
-		}
-		return a
-	case OpMax:
-		if b > a {
-			return b
-		}
-		return a
-	default:
-		return a + b
-	}
-}
-
-func (o Op) applyFloat(a, b float64) float64 {
 	switch o {
 	case OpMin:
 		if b < a {
@@ -147,35 +129,6 @@ func (c *Comm) AllreduceInt64(v int64, op Op) (int64, error) {
 	return int64(binary.BigEndian.Uint64(out)), nil
 }
 
-// AllreduceFloat64 combines each rank's float with op on every rank.
-func (c *Comm) AllreduceFloat64(v float64, op Op) (float64, error) {
-	// Float bits order-compare incorrectly, so reduce at rank 0 in value
-	// space and broadcast the bits.
-	if c.rank == 0 {
-		acc := v
-		for i := 1; i < c.Size(); i++ {
-			m, err := c.recv(i, tagReduce)
-			if err != nil {
-				return 0, err
-			}
-			acc = op.applyFloat(acc, bitsToFloat(m.Data))
-		}
-		out, err := c.Bcast(0, floatToBits(acc))
-		if err != nil {
-			return 0, err
-		}
-		return bitsToFloat(out), nil
-	}
-	if err := c.send(0, tagReduce, floatToBits(v)); err != nil {
-		return 0, err
-	}
-	out, err := c.Bcast(0, nil)
-	if err != nil {
-		return 0, err
-	}
-	return bitsToFloat(out), nil
-}
-
 // Gather collects each rank's buffer at root in rank order; only root gets
 // the slices (nil elsewhere).
 func (c *Comm) Gather(root int, data []byte) ([][]byte, error) {
@@ -196,17 +149,3 @@ func (c *Comm) Gather(root int, data []byte) ([][]byte, error) {
 	}
 	return nil, c.send(root, tagGather, data)
 }
-
-func floatToBits(v float64) []byte {
-	var buf [8]byte
-	binary.BigEndian.PutUint64(buf[:], floatBits(v))
-	return buf[:]
-}
-
-func bitsToFloat(b []byte) float64 {
-	return floatFromBits(binary.BigEndian.Uint64(b))
-}
-
-// floatBits and floatFromBits isolate the math import to two tiny helpers.
-func floatBits(v float64) uint64     { return math.Float64bits(v) }
-func floatFromBits(b uint64) float64 { return math.Float64frombits(b) }

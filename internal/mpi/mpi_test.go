@@ -177,14 +177,6 @@ func TestCollectivesSim(t *testing.T) {
 		if max != 4 {
 			return fmt.Errorf("allreduce max = %d", max)
 		}
-		// Allreduce float min
-		fmin, err := c.AllreduceFloat64(float64(c.Rank())+0.5, OpMin)
-		if err != nil {
-			return err
-		}
-		if fmin != 0.5 {
-			return fmt.Errorf("allreduce fmin = %v", fmin)
-		}
 		// Gather
 		parts, err := c.Gather(0, []byte{byte('a' + c.Rank())})
 		if err != nil {

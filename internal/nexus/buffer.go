@@ -12,7 +12,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 )
 
 // ErrBufferShort is returned by Get operations that run past the end of the
@@ -62,11 +61,6 @@ func (b *Buffer) PutInt64(v int64) {
 	b.data = append(b.data, tmp[:]...)
 }
 
-// PutFloat64 appends a 64-bit float.
-func (b *Buffer) PutFloat64(v float64) {
-	b.PutInt64(int64(math.Float64bits(v)))
-}
-
 // PutBool appends a boolean as one byte.
 func (b *Buffer) PutBool(v bool) {
 	if v {
@@ -84,14 +78,6 @@ func (b *Buffer) PutBytes(v []byte) {
 
 // PutString appends a length-prefixed string.
 func (b *Buffer) PutString(v string) { b.PutBytes([]byte(v)) }
-
-// PutInt64s appends a length-prefixed slice of 64-bit integers.
-func (b *Buffer) PutInt64s(vs []int64) {
-	b.PutInt32(int32(len(vs)))
-	for _, v := range vs {
-		b.PutInt64(v)
-	}
-}
 
 func (b *Buffer) take(n int) ([]byte, error) {
 	if b.Remaining() < n {
@@ -118,15 +104,6 @@ func (b *Buffer) GetInt64() (int64, error) {
 		return 0, err
 	}
 	return int64(binary.BigEndian.Uint64(s)), nil
-}
-
-// GetFloat64 consumes a 64-bit float.
-func (b *Buffer) GetFloat64() (float64, error) {
-	v, err := b.GetInt64()
-	if err != nil {
-		return 0, err
-	}
-	return math.Float64frombits(uint64(v)), nil
 }
 
 // GetBool consumes a boolean.
@@ -158,22 +135,4 @@ func (b *Buffer) GetString() (string, error) {
 		return "", err
 	}
 	return string(s), nil
-}
-
-// GetInt64s consumes a length-prefixed slice of 64-bit integers.
-func (b *Buffer) GetInt64s() ([]int64, error) {
-	n, err := b.GetInt32()
-	if err != nil {
-		return nil, err
-	}
-	if n < 0 {
-		return nil, fmt.Errorf("%w: negative length", ErrBufferShort)
-	}
-	out := make([]int64, n)
-	for i := range out {
-		if out[i], err = b.GetInt64(); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
 }

@@ -60,10 +60,6 @@ func (c *Context) Addr() string { return c.addr }
 // Delivered returns the count of RSRs dispatched to handlers.
 func (c *Context) Delivered() int64 { return atomic.LoadInt64(&c.rsrCount) }
 
-// Dropped returns the count of RSRs that arrived for unknown endpoints or
-// handlers.
-func (c *Context) Dropped() int64 { return atomic.LoadInt64(&c.dropCount) }
-
 // Shutdown closes the listener; existing connections drain on their own.
 func (c *Context) Shutdown(env transport.Env) {
 	if c.closed {
@@ -143,9 +139,6 @@ func (ep *Endpoint) Address() string {
 	return fmt.Sprintf("%s%s/%d", Scheme, ep.ctx.addr, ep.id)
 }
 
-// Destroy unregisters the endpoint.
-func (ep *Endpoint) Destroy() { delete(ep.ctx.endpoints, ep.id) }
-
 // ParseAddress splits an endpoint address into transport address and
 // endpoint id.
 func ParseAddress(addr string) (hostport string, epID uint32, err error) {
@@ -190,9 +183,6 @@ func (c *Context) Attach(env transport.Env, addr string) (*Startpoint, error) {
 
 // Address returns the attached endpoint's address.
 func (sp *Startpoint) Address() string { return sp.addr }
-
-// Sent returns the number of RSRs sent.
-func (sp *Startpoint) Sent() int64 { return atomic.LoadInt64(&sp.sent) }
 
 // Send issues a remote service request: the buffer is delivered to the
 // endpoint's handler handlerID. Sends from multiple processes serialize on

@@ -70,23 +70,30 @@ func TestShutdownStopsAccepting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	deliver := func(msg string) {
+		t.Helper()
+		b := NewBuffer()
+		b.PutString(msg)
+		if err := sp.Send(env, 1, b); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case s := <-got:
+			if s != msg {
+				t.Fatalf("got %q, want %q", s, msg)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatalf("%q not delivered", msg)
+		}
+	}
+	// One delivery first, so the listener has accepted the connection: one
+	// still in its backlog would be reset by the Shutdown below.
+	deliver("established")
 	ctx.Shutdown(env)
 	ctx.Shutdown(env) // idempotent
 
 	// The pre-existing connection still delivers.
-	b := NewBuffer()
-	b.PutString("still-alive")
-	if err := sp.Send(env, 1, b); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case s := <-got:
-		if s != "still-alive" {
-			t.Fatalf("got %q", s)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("existing startpoint broken by Shutdown")
-	}
+	deliver("still-alive")
 	// New attaches fail: the listener is gone.
 	if _, err := ctx.Attach(env, ep.Address()); err == nil {
 		t.Fatal("attach succeeded after Shutdown")

@@ -69,17 +69,3 @@ func TestQuickWireRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestEndpointDestroyDropsRSRs(t *testing.T) {
-	// Covered behaviorally: destroying an endpoint makes later RSRs count
-	// as dropped. Uses the in-package context plumbing directly.
-	ctx := &Context{endpoints: make(map[uint32]*Endpoint)}
-	ep := ctx.NewEndpoint()
-	if ctx.endpoints[ep.id] == nil {
-		t.Fatal("endpoint not registered")
-	}
-	ep.Destroy()
-	if ctx.endpoints[ep.id] != nil {
-		t.Fatal("endpoint still registered after Destroy")
-	}
-}

@@ -1,20 +1,16 @@
 package obs
 
-import (
-	"math/bits"
-	"sort"
-)
+import "sort"
 
-// Metrics is an ordered registry of counters, gauges, and histograms.
+// Metrics is an ordered registry of counters and gauges.
 // Instruments are looked up once (at wiring time, typically when a link or
 // connection is created) and the returned handle is cached by the caller;
 // updates through a handle are a field increment — no map lookups, no
 // allocation. All handle methods are nil-receiver-safe so a disabled
 // observer hands back nil handles and the update sites need no guards.
 type Metrics struct {
-	counters   map[string]*Counter
-	gauges     map[string]*Gauge
-	histograms map[string]*Histogram
+	counters map[string]*Counter
+	gauges   map[string]*Gauge
 }
 
 // Counter is a monotonically increasing count (bytes, retries, requeues).
@@ -81,49 +77,6 @@ func (g *Gauge) Max() int64 {
 	return g.max
 }
 
-// histBuckets is the fixed bucket count: bucket i counts samples in
-// [2^(i-1), 2^i), with bucket 0 holding zero and negative samples.
-const histBuckets = 64
-
-// Histogram is a power-of-two histogram of int64 samples (durations in
-// nanoseconds, message sizes). Fixed-size array: recording never allocates.
-type Histogram struct {
-	name    string
-	buckets [histBuckets]int64
-	count   int64
-	sum     int64
-}
-
-// Observe records one sample.
-func (h *Histogram) Observe(v int64) {
-	if h == nil {
-		return
-	}
-	h.count++
-	h.sum += v
-	i := 0
-	if v > 0 {
-		i = bits.Len64(uint64(v))
-	}
-	h.buckets[i]++
-}
-
-// Count reads the number of samples (0 on nil).
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.count
-}
-
-// Sum reads the sample total (0 on nil).
-func (h *Histogram) Sum() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.sum
-}
-
 // Counter returns the named counter, creating it on first use. Nil-safe:
 // a nil registry returns a nil handle.
 func (m *Metrics) Counter(name string) *Counter {
@@ -157,31 +110,14 @@ func (m *Metrics) Gauge(name string) *Gauge {
 	return g
 }
 
-// Histogram returns the named histogram, creating it on first use.
-func (m *Metrics) Histogram(name string) *Histogram {
-	if m == nil {
-		return nil
-	}
-	if h, ok := m.histograms[name]; ok {
-		return h
-	}
-	if m.histograms == nil {
-		m.histograms = make(map[string]*Histogram)
-	}
-	h := &Histogram{name: name}
-	m.histograms[name] = h
-	return h
-}
-
 // Instrument kind tags for Snapshot rows.
 const (
-	KindCounter   = byte('c')
-	KindGauge     = byte('g')
-	KindHistogram = byte('h')
+	KindCounter = byte('c')
+	KindGauge   = byte('g')
 )
 
 // SnapshotRow is one instrument's current reading: a counter's cumulative
-// value, a gauge's level, or a histogram's sample count.
+// value or a gauge's level.
 type SnapshotRow struct {
 	Kind  byte
 	Name  string
@@ -189,7 +125,7 @@ type SnapshotRow struct {
 }
 
 // Snapshot appends every instrument's current reading to buf (counters, then
-// gauges, then histograms, each group sorted by name) and returns the result.
+// gauges, each group sorted by name) and returns the result.
 // Passing the previous call's buf[:0] makes periodic sampling — the
 // time-series layer calls this once per window — allocation-light. The order
 // is deterministic, so samplers driven from kernel context stay reproducible.
@@ -212,14 +148,6 @@ func (m *Metrics) Snapshot(buf []SnapshotRow) []SnapshotRow {
 	sort.Strings(names)
 	for _, n := range names {
 		buf = append(buf, SnapshotRow{Kind: KindGauge, Name: n, Value: m.gauges[n].v})
-	}
-	names = names[:0]
-	for n := range m.histograms {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		buf = append(buf, SnapshotRow{Kind: KindHistogram, Name: n, Value: m.histograms[n].count})
 	}
 	return buf
 }

@@ -11,8 +11,8 @@
 //   - structured tracing (this file): instant events and begin/end spans,
 //     categorized (net, relay, proxy, rmf, hbm, knap, xfer, proc) and stamped
 //     with sim time, exported as JSONL and Chrome trace_event JSON;
-//   - metrics (metrics.go): an allocation-free registry of counters, gauges
-//     and power-of-two histograms, read as one sorted snapshot;
+//   - metrics (metrics.go): an allocation-free registry of counters and
+//     gauges, read as one sorted snapshot;
 //   - export (export.go): deterministic serialization and hashing.
 //
 // # Overhead contract

@@ -38,11 +38,6 @@ func TestNilObserverIsNoOp(t *testing.T) {
 	if g.Value() != 0 || g.Max() != 0 {
 		t.Fatal("nil gauge held a value")
 	}
-	h := m.Histogram("h")
-	h.Observe(9)
-	if h.Count() != 0 || h.Sum() != 0 {
-		t.Fatal("nil histogram held samples")
-	}
 	if rows := m.Snapshot(nil); len(rows) != 0 {
 		t.Fatalf("nil registry snapshot %v", rows)
 	}
@@ -148,8 +143,8 @@ func TestChromeTrace(t *testing.T) {
 	}
 }
 
-// TestMetrics exercises counters, gauges (high-water), histograms
-// (count and sum), handle caching, and the sorted snapshot.
+// TestMetrics exercises counters, gauges (high-water), handle caching, and
+// the sorted snapshot.
 func TestMetrics(t *testing.T) {
 	o := New()
 	m := o.Metrics()
@@ -169,14 +164,7 @@ func TestMetrics(t *testing.T) {
 	if g.Value() != 1 || g.Max() != 2 {
 		t.Fatalf("gauge = %d max %d", g.Value(), g.Max())
 	}
-	h := m.Histogram("rtt_ns")
-	for _, v := range []int64{0, 1, 2, 3, 1000, 1500000} {
-		h.Observe(v)
-	}
-	if h.Count() != 6 || h.Sum() != 1501006 {
-		t.Fatalf("hist n=%d sum=%d", h.Count(), h.Sum())
-	}
-	want := []SnapshotRow{{KindCounter, "link.bytes", 128}, {KindGauge, "queue.depth", 1}, {KindHistogram, "rtt_ns", 6}}
+	want := []SnapshotRow{{KindCounter, "link.bytes", 128}, {KindGauge, "queue.depth", 1}}
 	if rows := m.Snapshot(nil); !reflect.DeepEqual(rows, want) {
 		t.Errorf("snapshot %v, want %v", rows, want)
 	}
@@ -188,17 +176,13 @@ func TestMetricUpdatesDoNotAllocate(t *testing.T) {
 	o := New()
 	c := o.Metrics().Counter("c")
 	g := o.Metrics().Gauge("g")
-	h := o.Metrics().Histogram("h")
 	var nilC *Counter
 	var nilG *Gauge
-	var nilH *Histogram
 	if n := testing.AllocsPerRun(1000, func() {
 		c.Add(1)
 		g.Add(1)
-		h.Observe(42)
 		nilC.Add(1)
 		nilG.Add(1)
-		nilH.Observe(42)
 	}); n != 0 {
 		t.Fatalf("metric updates allocate: %v allocs/op", n)
 	}

@@ -2,8 +2,8 @@
 // deterministic, virtual-time time-series store fed by a kernel-scheduled
 // sampler. Where obs records flat cumulative counters and post-hoc traces,
 // this package turns them into fixed-interval windowed series — per-window
-// deltas of every counter (rates), window-end levels of every gauge, count
-// deltas of every histogram, plus caller-registered derived probes
+// deltas of every counter (rates), window-end levels of every gauge, plus
+// caller-registered derived probes
 // (utilization, queue depths computed from subsystem state).
 //
 // Determinism is the same contract the rest of the repo pins: the sampler
@@ -244,7 +244,7 @@ func (s *Sampler) sample() {
 		switch r.Kind {
 		case obs.KindGauge:
 			s.store.recordLevel(r.Name, r.Value)
-		default: // counters and histogram counts are cumulative
+		default: // counters are cumulative
 			s.store.recordCum(r.Name, r.Value)
 		}
 	}

@@ -75,31 +75,6 @@ func (a *Allocator) WatchHBM(env transport.Env, hbmAddr string, interval time.Du
 	})
 }
 
-// SubmitRetry submits one process to a Q server, retrying transient failures
-// (dial refused during a restart window, a reset mid-handshake) with capped
-// exponential backoff. attempts bounds the total tries; zero means 5.
-func SubmitRetry(env transport.Env, qserverAddr string, spec ProcessSpec, bo transport.Backoff, attempts int) (string, error) {
-	if attempts <= 0 {
-		attempts = 5
-	}
-	if bo.Key == "" {
-		bo.Key = "rmf-submit@" + qserverAddr
-	}
-	if bo.Rand == nil {
-		bo.Rand = transport.RandOf(env)
-	}
-	var lastErr error
-	for i := 0; i < attempts; i++ {
-		id, err := Submit(env, qserverAddr, spec)
-		if err == nil {
-			return id, nil
-		}
-		lastErr = err
-		env.Sleep(bo.Next())
-	}
-	return "", fmt.Errorf("rmf: submit to %s after %d attempts: %w", qserverAddr, attempts, lastErr)
-}
-
 // RecoveryPolicy makes JobHandle.Wait survive Q server failures. A process
 // whose Q server stops answering Status (or forgets the job id across a
 // restart) is declared lost after StatusRetries consecutive errors; its slot

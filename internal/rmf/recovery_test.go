@@ -1,7 +1,6 @@
 package rmf
 
 import (
-	"strings"
 	"testing"
 	"time"
 
@@ -144,41 +143,5 @@ func TestJobRequeuedAfterQServerCrash(t *testing.T) {
 	}
 	if alloc.Health("q1") != hbm.Up {
 		t.Errorf("allocator view of q1 = %v, want UP", alloc.Health("q1"))
-	}
-}
-
-// TestSubmitRetrySurvivesRestartWindow submits against a Q server that only
-// comes up after a delay: the first attempts fail and the backoff carries
-// the client into the window where the server is listening.
-func TestSubmitRetrySurvivesRestartWindow(t *testing.T) {
-	k := sim.New()
-	n := simnet.New(k)
-	n.AddHost("q", simnet.HostConfig{})
-	n.AddHost("client", simnet.HostConfig{})
-	n.Connect("q", "client", simnet.LinkConfig{Latency: time.Millisecond})
-
-	reg := NewRegistry()
-	reg.Register("noop", func(env transport.Env, ctx *JobContext) error { return nil })
-	q := NewQServer("q", "c", 1, reg)
-	n.Node("q").SpawnDaemonOn("qserver", func(e transport.Env) {
-		e.Sleep(500 * time.Millisecond) // not listening yet: dials are refused
-		_ = q.Serve(e, QServerPort, "", nil)
-	})
-
-	var id string
-	var err error
-	n.Node("client").SpawnOn("client", func(e transport.Env) {
-		id, err = SubmitRetry(e, "q:7101", ProcessSpec{Executable: "noop"},
-			transport.Backoff{Base: 100 * time.Millisecond, Max: time.Second}, 10)
-	})
-	if rErr := k.Run(); rErr != nil {
-		t.Fatal(rErr)
-	}
-	k.Shutdown()
-	if err != nil {
-		t.Fatalf("SubmitRetry = %v", err)
-	}
-	if !strings.HasPrefix(id, "q.") {
-		t.Fatalf("job id = %q", id)
 	}
 }

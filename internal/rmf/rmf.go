@@ -27,11 +27,9 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strconv"
 	"sync"
 
 	"nxcluster/internal/hbm"
-	"nxcluster/internal/mds"
 	"nxcluster/internal/nexus"
 	"nxcluster/internal/obs"
 	"nxcluster/internal/transport"
@@ -155,13 +153,6 @@ type Allocator struct {
 	pos      []int32            // id -> index in its cluster's heap
 	listener transport.Listener
 	trace    func(format string, args ...interface{})
-
-	// mdsAddr and mdsBase, when set, make the allocator publish every
-	// registered resource into the Grid Information Service so other tools
-	// can discover the site's capacity (the Globus GRAM reporter role).
-	mdsAddr string
-	mdsBase string
-	mdsErrs int
 }
 
 // NewAllocator creates an empty allocator.
@@ -171,46 +162,6 @@ func NewAllocator() *Allocator {
 
 // SetTrace installs a tracing callback (used by the Figure 2 renderer).
 func (a *Allocator) SetTrace(fn func(string, ...interface{})) { a.trace = fn }
-
-// PublishTo makes the allocator mirror its resource table into the MDS at
-// addr, under base (e.g. "ou=rwcp, o=grid"). Entries are written on
-// registration and their load attribute updated on allocate/release.
-func (a *Allocator) PublishTo(addr, base string) {
-	a.mdsAddr, a.mdsBase = addr, base
-}
-
-// MDSErrors reports how many MDS publications failed (publishing is
-// best-effort; allocation never blocks on the directory).
-func (a *Allocator) MDSErrors() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.mdsErrs
-}
-
-// publish mirrors one resource into the MDS from a fresh process so a slow
-// or absent directory never stalls the allocator protocol.
-func (a *Allocator) publish(env transport.Env, r resourceInfo) {
-	if a.mdsAddr == "" {
-		return
-	}
-	addr, base := a.mdsAddr, a.mdsBase
-	env.SpawnService("rmf-alloc:mds", func(e transport.Env) {
-		dn := fmt.Sprintf("hn=%s, %s", r.Name, base)
-		err := mds.Client{Addr: addr}.Add(e, dn, map[string][]string{
-			"objectclass": {"resource"},
-			"cluster":     {r.Cluster},
-			"qserveraddr": {r.Addr},
-			"cpus":        {strconv.Itoa(r.CPUs)},
-			"load":        {strconv.Itoa(r.Load)},
-		})
-		if err != nil {
-			a.mu.Lock()
-			a.mdsErrs++
-			a.mu.Unlock()
-			a.tracef("allocator: mds publish %s failed: %v", r.Name, err)
-		}
-	})
-}
 
 func (a *Allocator) tracef(format string, args ...interface{}) {
 	if a.trace != nil {
@@ -372,42 +323,6 @@ func (a *Allocator) Load(name string) int {
 	return -1
 }
 
-// publishLoads refreshes the load attribute of the named resources in the
-// MDS, deduplicated, best-effort.
-func (a *Allocator) publishLoads(env transport.Env, names []string) {
-	if a.mdsAddr == "" {
-		return
-	}
-	seen := map[string]bool{}
-	a.mu.Lock()
-	var snaps []resourceInfo
-	for _, n := range names {
-		if seen[n] {
-			continue
-		}
-		seen[n] = true
-		if id, ok := a.ids[n]; ok {
-			snaps = append(snaps, a.res[id])
-		}
-	}
-	a.mu.Unlock()
-	addr, base := a.mdsAddr, a.mdsBase
-	for _, r := range snaps {
-		r := r
-		env.SpawnService("rmf-alloc:mds", func(e transport.Env) {
-			dn := fmt.Sprintf("hn=%s, %s", r.Name, base)
-			err := mds.Client{Addr: addr}.Modify(e, dn, map[string][]string{
-				"load": {strconv.Itoa(r.Load)},
-			})
-			if err != nil {
-				a.mu.Lock()
-				a.mdsErrs++
-				a.mu.Unlock()
-			}
-		})
-	}
-}
-
 // Allocator wire ops.
 const (
 	opRegister = int32(1)
@@ -491,7 +406,6 @@ func (a *Allocator) handle(env transport.Env, c transport.Conn) {
 		}
 		a.Register(name, addr, cluster, int(cpus))
 		a.tracef("allocator: registered %s (%s, %d cpus) at %s", name, cluster, cpus, addr)
-		a.publish(env, resourceInfo{Name: name, Addr: addr, Cluster: cluster, CPUs: int(cpus)})
 		resp.PutBool(true)
 	case opAlloc:
 		count, e1 := req.GetInt32()
@@ -509,7 +423,6 @@ func (a *Allocator) handle(env transport.Env, c transport.Conn) {
 			break
 		}
 		a.tracef("allocator: selected %v for %d-process request", names, count)
-		a.publishLoads(env, names)
 		a.noteLoads(o, names)
 		resp.PutBool(true)
 		resp.PutInt32(int32(len(names)))
@@ -534,7 +447,6 @@ func (a *Allocator) handle(env transport.Env, c transport.Conn) {
 		}
 		if err == nil {
 			a.release(names)
-			a.publishLoads(env, names)
 			a.noteLoads(o, names)
 			resp.PutBool(true)
 		}

@@ -14,7 +14,6 @@ import (
 	"nxcluster/internal/gass"
 	"nxcluster/internal/gridftp"
 	"nxcluster/internal/hbm"
-	"nxcluster/internal/mds"
 	"nxcluster/internal/nexus"
 	"nxcluster/internal/proxy"
 	"nxcluster/internal/sim"
@@ -473,111 +472,6 @@ func TestRMFBeyondFirewallInSim(t *testing.T) {
 	// dial is denied.
 	if fw.AllowedCount() == 0 {
 		t.Fatal("firewall saw no traffic")
-	}
-}
-
-// TestAllocatorPublishesToMDS verifies the GIS mirror: registrations appear
-// as directory entries and allocations update their load attribute.
-func TestAllocatorPublishesToMDS(t *testing.T) {
-	env := transport.NewTCPEnv("localhost")
-
-	dir := mds.NewDirectory()
-	msrv := mds.NewServer(dir)
-	mready := make(chan string, 1)
-	env.Spawn("mds", func(e transport.Env) {
-		_ = msrv.Serve(e, 0, func(a string) { mready <- a })
-	})
-	mdsAddr := <-mready
-	defer msrv.Close(env)
-
-	alloc := NewAllocator()
-	alloc.PublishTo(mdsAddr, "ou=rwcp, o=grid")
-	aready := make(chan string, 1)
-	env.Spawn("alloc", func(e transport.Env) {
-		_ = alloc.Serve(e, 0, func(a string) { aready <- a })
-	})
-	allocAddr := <-aready
-	defer alloc.Close(env)
-
-	if err := RegisterResource(env, allocAddr, "compas00", "compas00:7101", "compas", 4); err != nil {
-		t.Fatal(err)
-	}
-	// Publication is asynchronous; poll briefly.
-	var e *mds.Entry
-	var err error
-	for i := 0; i < 200; i++ {
-		e, err = mds.Client{Addr: mdsAddr}.Get(env, "hn=compas00, ou=rwcp, o=grid")
-		if err == nil {
-			break
-		}
-		env.Sleep(5 * time.Millisecond)
-	}
-	if err != nil {
-		t.Fatalf("entry never appeared: %v", err)
-	}
-	if e.First("cluster") != "compas" || e.Int("cpus", 0) != 4 || e.Int("load", -1) != 0 {
-		t.Fatalf("entry = %+v", e.Attrs)
-	}
-
-	if _, _, err := Allocate(env, allocAddr, 2, ""); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 200; i++ {
-		e, _ = mds.Client{Addr: mdsAddr}.Get(env, "hn=compas00, ou=rwcp, o=grid")
-		if e != nil && e.Int("load", -1) == 2 {
-			break
-		}
-		env.Sleep(5 * time.Millisecond)
-	}
-	if e.Int("load", -1) != 2 {
-		t.Fatalf("load = %s, want 2", e.First("load"))
-	}
-	if err := Release(env, allocAddr, []string{"compas00", "compas00"}); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 200; i++ {
-		e, _ = mds.Client{Addr: mdsAddr}.Get(env, "hn=compas00, ou=rwcp, o=grid")
-		if e != nil && e.Int("load", -1) == 0 {
-			break
-		}
-		env.Sleep(5 * time.Millisecond)
-	}
-	if e.Int("load", -1) != 0 {
-		t.Fatalf("load after release = %s, want 0", e.First("load"))
-	}
-	if alloc.MDSErrors() != 0 {
-		t.Fatalf("MDS errors: %d", alloc.MDSErrors())
-	}
-}
-
-// TestAllocatorSurvivesMissingMDS: publishing is best-effort.
-func TestAllocatorSurvivesMissingMDS(t *testing.T) {
-	env := transport.NewTCPEnv("localhost")
-	// Find a dead port.
-	l, _ := env.Listen(0)
-	dead := l.Addr()
-	_ = l.Close(env)
-
-	alloc := NewAllocator()
-	alloc.PublishTo(dead, "o=grid")
-	aready := make(chan string, 1)
-	env.Spawn("alloc", func(e transport.Env) {
-		_ = alloc.Serve(e, 0, func(a string) { aready <- a })
-	})
-	allocAddr := <-aready
-	defer alloc.Close(env)
-
-	if err := RegisterResource(env, allocAddr, "n0", "n0:1", "c", 1); err != nil {
-		t.Fatalf("registration failed because of MDS: %v", err)
-	}
-	if _, _, err := Allocate(env, allocAddr, 1, ""); err != nil {
-		t.Fatalf("allocation failed because of MDS: %v", err)
-	}
-	for i := 0; i < 200 && alloc.MDSErrors() == 0; i++ {
-		env.Sleep(5 * time.Millisecond)
-	}
-	if alloc.MDSErrors() == 0 {
-		t.Fatal("publish failures not counted")
 	}
 }
 

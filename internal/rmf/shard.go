@@ -20,31 +20,11 @@ import "fmt"
 // Shard is not safe for concurrent use; fleet engines drive one shard per
 // site from kernel context.
 type Shard struct {
-	cpus []int32 // capacity per host (immutable after NewShard)
+	cpus []int32 // capacity per host (immutable after construction)
 	load []int32 // running jobs per host
 	heap []int32 // host indexes, min-heap by fractional load
 	pos  []int32 // host index -> heap position
 	run  int     // total running
-}
-
-// NewShard creates a shard over len(cpus) hosts with the given per-host CPU
-// capacities. Every capacity must be positive.
-func NewShard(cpus []int32) *Shard {
-	s := &Shard{
-		cpus: make([]int32, len(cpus)),
-		load: make([]int32, len(cpus)),
-		heap: make([]int32, len(cpus)),
-		pos:  make([]int32, len(cpus)),
-	}
-	for i, c := range cpus {
-		if c <= 0 {
-			panic(fmt.Sprintf("rmf: NewShard: host %d has non-positive capacity %d", i, c))
-		}
-		s.cpus[i] = c
-		s.heap[i] = int32(i)
-		s.pos[i] = int32(i)
-	}
-	return s
 }
 
 // NewUniformShard creates a shard over hosts identical hosts of cpusEach
@@ -78,15 +58,6 @@ func (s *Shard) Load(h int) int { return int(s.load[h]) }
 
 // Cpus reports host h's capacity.
 func (s *Shard) Cpus(h int) int { return int(s.cpus[h]) }
-
-// Free reports the total free slots across the shard.
-func (s *Shard) Free() int {
-	total := 0
-	for _, c := range s.cpus {
-		total += int(c)
-	}
-	return total - s.run
-}
 
 // Allocate claims one CPU slot on the least-fractionally-loaded host and
 // returns its index. ok is false when every host is saturated — the caller

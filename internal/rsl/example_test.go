@@ -38,8 +38,8 @@ func ExampleParse_multirequest() {
 
 func ExampleSpec_String() {
 	spec := &rsl.Spec{}
-	spec.Set("executable", rsl.StringValue("hostname"))
-	spec.Set("count", rsl.StringValue("2"))
+	spec.Set("executable", rsl.Value{Str: "hostname"})
+	spec.Set("count", rsl.Value{Str: "2"})
 	fmt.Println(spec.String())
 	// Output:
 	// &(executable=hostname)(count=2)

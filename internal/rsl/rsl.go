@@ -5,8 +5,8 @@
 //	&(executable=/usr/local/bin/knapsack)(count=8)(arguments=50 "steal=4")
 //	 (environment=(NEXUS_PROXY_OUTER_SERVER rwcp-outer:7000))
 //
-// and DUROC-style multirequests, which co-allocate one job across several
-// resource managers:
+// and DUROC-style multirequests, which name one subjob per resource manager
+// (the gatekeeper refuses them; it runs one job per request):
 //
 //	+(&(resourceManagerContact=rwcp)(count=4))
 //	 (&(resourceManagerContact=etl)(count=8))
@@ -32,17 +32,6 @@ type Value struct {
 
 // IsList reports whether the value is a sublist.
 func (v Value) IsList() bool { return v.List != nil }
-
-// StringValue builds a scalar value.
-func StringValue(s string) Value { return Value{Str: s} }
-
-// ListValue builds a sublist value.
-func ListValue(vs ...Value) Value {
-	if vs == nil {
-		vs = []Value{}
-	}
-	return Value{List: vs}
-}
 
 // Relation is one (attribute = values...) clause.
 type Relation struct {

@@ -44,12 +44,6 @@ func NewChan[T any](k *Kernel, capacity int) *Chan[T] {
 // Len reports the number of buffered values.
 func (c *Chan[T]) Len() int { return c.buf.len() }
 
-// Cap reports the channel capacity.
-func (c *Chan[T]) Cap() int { return c.capacity }
-
-// Closed reports whether Close has been called.
-func (c *Chan[T]) Closed() bool { return c.closed }
-
 // Close marks the channel closed. Blocked receivers wake with ok=false once
 // the buffer drains; blocked senders wake with ErrClosed. Close may be called
 // from process or kernel context.

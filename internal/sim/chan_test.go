@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"time"
 )
@@ -373,64 +374,26 @@ func TestEventWaitTimeout(t *testing.T) {
 	}
 }
 
-func TestCondSignalWakesOne(t *testing.T) {
+func TestCondBroadcastWakesAll(t *testing.T) {
 	k := New()
 	c := NewCond(k)
-	woke := 0
+	var woke []time.Duration
 	for i := 0; i < 3; i++ {
 		k.Spawn("waiter", func(p *Proc) {
 			c.Wait(p)
-			woke++
+			woke = append(woke, p.Now())
 		})
 	}
-	k.Spawn("signaler", func(p *Proc) {
-		p.Sleep(time.Second)
-		c.Signal()
+	k.Spawn("broadcaster", func(p *Proc) {
 		p.Sleep(time.Second)
 		c.Broadcast()
+		p.Sleep(time.Second)
+		c.Broadcast() // no waiters left: a no-op
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if woke != 3 {
-		t.Fatalf("woke = %d, want 3", woke)
-	}
-}
-
-func TestWaitGroup(t *testing.T) {
-	k := New()
-	wg := NewWaitGroup(k)
-	wg.Add(3)
-	var doneAt time.Duration
-	for i := 1; i <= 3; i++ {
-		i := i
-		k.Spawn("worker", func(p *Proc) {
-			p.Sleep(time.Duration(i) * time.Second)
-			wg.Done()
-		})
-	}
-	k.Spawn("waiter", func(p *Proc) {
-		wg.Wait(p)
-		doneAt = p.Now()
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if doneAt != 3*time.Second {
-		t.Fatalf("WaitGroup released at %v, want 3s", doneAt)
-	}
-}
-
-func TestWaitGroupZeroWaitDoesNotBlock(t *testing.T) {
-	k := New()
-	wg := NewWaitGroup(k)
-	k.Spawn("p", func(p *Proc) {
-		wg.Wait(p)
-		if p.Now() != 0 {
-			t.Errorf("Wait on zero wg advanced clock")
-		}
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
+	if !slices.Equal(woke, []time.Duration{time.Second, time.Second, time.Second}) {
+		t.Fatalf("woke at %v, want all three at 1s", woke)
 	}
 }

@@ -47,7 +47,7 @@ func seriesProgram(k *Kernel, seed uint64, each bool, log *[]rec) {
 					note("slice")
 					switch k.Rand() % 4 {
 					case 0:
-						cond.Signal()
+						cond.Broadcast()
 					case 1:
 						k.Post(postFunc(func() { note("posted") }))
 					}

@@ -149,17 +149,6 @@ func TestChanLenCapClosed(t *testing.T) {
 	}
 }
 
-func TestWaitGroupPanicsOnNegative(t *testing.T) {
-	k := New()
-	wg := NewWaitGroup(k)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("negative WaitGroup did not panic")
-		}
-	}()
-	wg.Done()
-}
-
 func TestRunUntilWithNoWorkReturns(t *testing.T) {
 	k := New()
 	k.RunUntil(time.Hour)

@@ -53,8 +53,8 @@ func randomProgram(k *Kernel, seed uint64, n, steps int, log *[]rec) {
 					ok := cond.WaitTimeout(p, d+time.Microsecond)
 					note(fmt.Sprint("wait ", ok))
 				case 5:
-					cond.Signal()
-					note("signal")
+					cond.Broadcast()
+					note("broadcast")
 				case 6:
 					// A general After callback, so process-side loops meet fn
 					// events and must hand them to the caller.

@@ -80,24 +80,6 @@ func TestMultipleSleepersOrdered(t *testing.T) {
 	}
 }
 
-func TestSleepUntil(t *testing.T) {
-	k := New()
-	k.Spawn("p", func(p *Proc) {
-		p.SleepUntil(10 * time.Second)
-		if p.Now() != 10*time.Second {
-			t.Errorf("Now() = %v, want 10s", p.Now())
-		}
-		// SleepUntil in the past must not rewind the clock.
-		p.SleepUntil(1 * time.Second)
-		if p.Now() != 10*time.Second {
-			t.Errorf("clock rewound to %v", p.Now())
-		}
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestAfterTimerFiresAndStops(t *testing.T) {
 	k := New()
 	fired := 0

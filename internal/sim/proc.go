@@ -188,16 +188,6 @@ func (p *Proc) SleepEach(d time.Duration, step func() time.Duration) {
 	p.park()
 }
 
-// SleepUntil blocks until the virtual clock reaches t.
-func (p *Proc) SleepUntil(t time.Duration) {
-	if t <= p.k.now {
-		p.Yield()
-		return
-	}
-	p.k.scheduleTask(t, p)
-	p.park()
-}
-
 // Done returns a channel closed when the process exits. Call it while
 // holding control (from simulated code, or between runs); the channel may then
 // be read from anywhere.
@@ -210,9 +200,6 @@ func (p *Proc) Done() <-chan struct{} {
 	}
 	return p.done
 }
-
-// Exited reports whether the process function has returned.
-func (p *Proc) Exited() bool { return p.exited }
 
 // waiter represents one parked process waiting on a primitive, with
 // cancelable timeout support. A waiter fires at most once; timedOut records

@@ -1,7 +1,5 @@
 package sim
 
-import "time"
-
 // Semaphore is a counting semaphore for simulated processes.
 type Semaphore struct {
 	k       *Kernel
@@ -45,9 +43,6 @@ func (s *Semaphore) Release() {
 	}
 	s.count++
 }
-
-// Available reports the current count.
-func (s *Semaphore) Available() int { return s.count }
 
 // Mutex is a binary semaphore with lock semantics.
 type Mutex struct{ s *Semaphore }
@@ -97,25 +92,7 @@ func (e *Event) Wait(p *Proc) {
 	p.park()
 }
 
-// WaitTimeout blocks until the event is set or d elapses; it reports whether
-// the event was set.
-func (e *Event) WaitTimeout(p *Proc, d time.Duration) bool {
-	if e.set {
-		return true
-	}
-	if d == 0 {
-		return false
-	}
-	w := newWaiter(p)
-	e.waiters = append(e.waiters, w)
-	if d > 0 {
-		w.setTimeout(d)
-	}
-	p.park()
-	return !w.timedOut
-}
-
-// Cond is a condition variable: Wait parks until a Signal or Broadcast.
+// Cond is a condition variable: Wait parks until a Broadcast.
 // Unlike sync.Cond there is no associated lock; the single-threaded kernel
 // makes check-then-wait atomic as long as no blocking call intervenes.
 type Cond struct {
@@ -126,38 +103,11 @@ type Cond struct {
 // NewCond creates a condition variable.
 func NewCond(k *Kernel) *Cond { return &Cond{k: k} }
 
-// Wait parks the process until signaled.
+// Wait parks the process until the next Broadcast.
 func (c *Cond) Wait(p *Proc) {
 	w := newWaiter(p)
 	c.waiters = append(c.waiters, w)
 	p.park()
-}
-
-// WaitTimeout parks until signaled or d elapses; reports whether a signal
-// (not the timeout) woke the process.
-func (c *Cond) WaitTimeout(p *Proc, d time.Duration) bool {
-	if d == 0 {
-		return false
-	}
-	w := newWaiter(p)
-	c.waiters = append(c.waiters, w)
-	if d > 0 {
-		w.setTimeout(d)
-	}
-	p.park()
-	// A fired-by-timeout waiter is dropped lazily; Signal skips fired entries.
-	return !w.timedOut
-}
-
-// Signal wakes one waiting process, if any.
-func (c *Cond) Signal() {
-	for len(c.waiters) > 0 {
-		w := c.waiters[0]
-		c.waiters = c.waiters[1:]
-		if w.fire() {
-			return
-		}
-	}
 }
 
 // Broadcast wakes every waiting process.
@@ -167,39 +117,4 @@ func (c *Cond) Broadcast() {
 	for _, w := range ws {
 		w.fire()
 	}
-}
-
-// WaitGroup counts outstanding work items in virtual time.
-type WaitGroup struct {
-	k     *Kernel
-	n     int
-	event *Event
-}
-
-// NewWaitGroup creates a wait group with zero count.
-func NewWaitGroup(k *Kernel) *WaitGroup {
-	return &WaitGroup{k: k, event: NewEvent(k)}
-}
-
-// Add increments the counter by delta.
-func (wg *WaitGroup) Add(delta int) {
-	wg.n += delta
-	if wg.n < 0 {
-		panic("sim: negative WaitGroup counter")
-	}
-	if wg.n == 0 {
-		wg.event.Set()
-		wg.event = NewEvent(wg.k)
-	}
-}
-
-// Done decrements the counter by one.
-func (wg *WaitGroup) Done() { wg.Add(-1) }
-
-// Wait blocks until the counter reaches zero.
-func (wg *WaitGroup) Wait(p *Proc) {
-	if wg.n == 0 {
-		return
-	}
-	wg.event.Wait(p)
 }

@@ -36,9 +36,6 @@ func (nd *Node) untrackConn(c *conn) {
 	}
 }
 
-// Crashed reports whether the host is currently down.
-func (nd *Node) Crashed() bool { return nd.crashed }
-
 // OnRestart registers a boot script for the host: after every RestartHost,
 // fn is spawned as a daemon process (in registration order), modeling init
 // scripts that bring a machine's services back after a reboot.
@@ -221,20 +218,6 @@ func (n *Network) SetLinkDegraded(a, b string, addLatency time.Duration, lossPct
 	return found
 }
 
-// LinkDegraded reports the a->b direction's current extra latency and loss.
-func (n *Network) LinkDegraded(a, b string) (time.Duration, float64) {
-	na, nb := n.nodes[a], n.nodes[b]
-	if na == nil || nb == nil {
-		return 0, 0
-	}
-	for _, ld := range na.links {
-		if ld.to == nb {
-			return ld.extraLat, ld.extraLoss
-		}
-	}
-	return 0, 0
-}
-
 // SetHostSpeed rescales a host's compute speed to configured/factor: factor
 // 2 makes every Compute call take twice as long (a straggler), factor 1
 // restores nominal. Sleep is wall-time, not compute, and stays unscaled.
@@ -251,20 +234,6 @@ func (n *Network) SetHostSpeed(name string, factor float64) error {
 	}
 	nd.speed = nd.baseSpeed / factor
 	return nil
-}
-
-// LinkDown reports whether the a->b link is out of service.
-func (n *Network) LinkDown(a, b string) bool {
-	na, nb := n.nodes[a], n.nodes[b]
-	if na == nil || nb == nil {
-		return false
-	}
-	for _, ld := range na.links {
-		if ld.to == nb {
-			return ld.down
-		}
-	}
-	return false
 }
 
 // LinkStats reports one directed link's traffic counters.
@@ -300,23 +269,4 @@ func (n *Network) Stats() []LinkStats {
 		return out[i].To < out[j].To
 	})
 	return out
-}
-
-// Utilization reports the a->b link's busy fraction of the elapsed virtual
-// time (0 when no time has passed).
-func (n *Network) Utilization(a, b string) (float64, error) {
-	na, nb := n.nodes[a], n.nodes[b]
-	if na == nil || nb == nil {
-		return 0, fmt.Errorf("simnet: unknown node in %q -> %q", a, b)
-	}
-	for _, ld := range na.links {
-		if ld.to == nb {
-			now := n.K.Now()
-			if now == 0 {
-				return 0, nil
-			}
-			return float64(ld.busy) / float64(now), nil
-		}
-	}
-	return 0, fmt.Errorf("simnet: no link %q -> %q", a, b)
 }
