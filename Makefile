@@ -119,7 +119,8 @@ cover:
 # allocator and Q server; and it fuzzes the kernel's lane merge against the
 # heap-only firing order, SleepEach's in-place slices against the Sleep loop
 # they replace, the hash-only trace observer against the recording
-# one, and its folded span durations against the causal forest's. Crashers
+# one, its folded span durations against the causal forest's, and the
+# knapsack solver's BranchN loop against one branch operation at a time. Crashers
 # land in testdata/fuzz/ and fail the build until fixed.
 FUZZTIME ?= 10s
 
@@ -135,6 +136,7 @@ fuzz:
 	$(GO) test -fuzz FuzzSleepEachOrder -fuzztime $(FUZZTIME) ./internal/sim/
 	$(GO) test -fuzz FuzzHashOnlyMatchesRecording -fuzztime $(FUZZTIME) ./internal/obs/
 	$(GO) test -fuzz FuzzFoldMatchesSpanDurations -fuzztime $(FUZZTIME) ./internal/obs/
+	$(GO) test -fuzz FuzzBranchN -fuzztime $(FUZZTIME) ./internal/knapsack/
 
 clean:
 	$(GO) clean ./...

@@ -11,6 +11,19 @@ func (in *Instance) TotalProfit() int64 {
 	return s
 }
 
+// Pop removes and returns the most recent node. The solver pops inside
+// BranchN's loop; the stack model test and the one-node-at-a-time reference
+// pop through this.
+func (s *Stack) Pop() (Node, bool) {
+	top := len(s.nodes) - 1
+	if top < s.head {
+		return Node{}, false
+	}
+	n := s.nodes[top]
+	s.nodes = s.nodes[:top]
+	return n, true
+}
+
 // NoPruning builds the paper's normalized workload: input data chosen so
 // that no branches are pruned and the entire 2^(n+1)-1 node search space is
 // traced ("in order to evaluate the performance characteristics of the

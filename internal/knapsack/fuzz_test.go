@@ -2,7 +2,9 @@ package knapsack
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -84,4 +86,90 @@ func TestSchedulerParameterFuzz(t *testing.T) {
 			t.Fatalf("trial %d (%+v): best %d, want %d", trial, params, res.Best, wantBest)
 		}
 	}
+}
+
+// branchRef is the one-node-at-a-time branch operation BranchN's loop
+// replaced, kept as its oracle: pop a node, check it, and push its (one or
+// two) children. It reports whether a node was available.
+func branchRef(s *Solver) bool {
+	n, ok := s.Stack.Pop()
+	if !ok {
+		return false
+	}
+	s.Traversed++
+	if n.Value > s.Best {
+		s.Best = n.Value
+	}
+	if int(n.Index) >= s.in.N() {
+		return true // leaf: all items fixed
+	}
+	if s.PruneBound && bound(n, s.in.Items, s.boundOrder()) <= s.Best {
+		return true // cannot beat the incumbent
+	}
+	it := s.in.Items[n.Index]
+	// Child 0: item not taken. Always feasible.
+	s.Stack.Push(Node{Index: n.Index + 1, Value: n.Value, Capacity: n.Capacity})
+	// Child 1: item taken, if it fits.
+	if it.Weight <= n.Capacity {
+		s.Stack.Push(Node{Index: n.Index + 1, Value: n.Value + it.Profit, Capacity: n.Capacity - it.Weight})
+	}
+	return true
+}
+
+// FuzzBranchN runs BranchN and the branchRef loop side by side on one
+// instance, with TakeBottom and PushAll calls between the branch calls as a
+// master's serves and a slave's steals make them. After every call the two
+// solvers must hold the same live stack, Best and Traversed, and BranchN
+// must report the count of operations the reference ran.
+func FuzzBranchN(f *testing.F) {
+	f.Add(int64(1), false, false, []byte{0, 4, 8, 252, 2, 1, 7, 3, 0, 253})
+	f.Add(int64(2), true, false, []byte{5, 9, 14, 6, 3, 0, 255})
+	f.Add(int64(3), true, true, []byte{4, 4, 6, 10, 7, 11, 252, 254})
+	f.Add(int64(4), false, true, []byte{8, 12, 16, 2, 3, 255})
+	f.Fuzz(func(t *testing.T, seed int64, random, prune bool, script []byte) {
+		var in *Instance
+		if random {
+			in = Random(4+int(uint64(seed)%10), 60, seed)
+		} else {
+			in = Normalized(4+int(uint64(seed)%16), 1+int(uint64(seed)/16%4))
+		}
+		got, want := NewSolver(in), NewSolver(in)
+		got.PruneBound, want.PruneBound = prune, prune
+		var held []Node // nodes TakeBottom removed, for PushAll to return
+		for op, b := range script {
+			arg := int(b >> 2)
+			switch b & 3 {
+			case 0, 1:
+				k := arg % 40 // 0 and 1 included
+				if arg >= 60 {
+					k = math.MaxInt // more than the nodes left
+				}
+				ran := got.BranchN(k)
+				wantRan := 0
+				for wantRan < k && branchRef(want) {
+					wantRan++
+				}
+				if ran != wantRan {
+					t.Fatalf("op %d: BranchN(%d) = %d, want %d", op, k, ran, wantRan)
+				}
+			case 2:
+				g, w := got.Stack.TakeBottom(arg%5), want.Stack.TakeBottom(arg%5)
+				if !slices.Equal(g, w) {
+					t.Fatalf("op %d: TakeBottom = %v, want %v", op, g, w)
+				}
+				held = append(held, g...)
+			case 3:
+				k := min(arg%5, len(held))
+				got.Stack.PushAll(held[len(held)-k:])
+				want.Stack.PushAll(held[len(held)-k:])
+				held = held[:len(held)-k]
+			}
+			if !slices.Equal(got.Stack.nodes[got.Stack.head:], want.Stack.nodes[want.Stack.head:]) {
+				t.Fatalf("op %d: stack %v, want %v", op, got.Stack.nodes[got.Stack.head:], want.Stack.nodes[want.Stack.head:])
+			}
+			if got.Best != want.Best || got.Traversed != want.Traversed {
+				t.Fatalf("op %d: Best %d Traversed %d, want %d and %d", op, got.Best, got.Traversed, want.Best, want.Traversed)
+			}
+		}
+	})
 }

@@ -1,10 +1,13 @@
 package knapsack
 
 import (
+	"bytes"
 	"math/rand"
 	"slices"
 	"testing"
 	"testing/quick"
+
+	"nxcluster/internal/nexus"
 )
 
 func TestNoPruningTraversesFullTree(t *testing.T) {
@@ -150,6 +153,51 @@ func TestEncodeDecodeNodes(t *testing.T) {
 	}
 	if _, err := DecodeNodes([]byte{0, 0, 0}); err == nil {
 		t.Fatal("truncated batch decoded")
+	}
+}
+
+// TestEncodeNodesMatchesBuffer pins EncodeNodes' bytes to the nexus.Buffer
+// encoding DecodeNodes reads, and checks the slice is sized exactly.
+func TestEncodeNodesMatchesBuffer(t *testing.T) {
+	many := make([]Node, 37)
+	for i := range many {
+		many[i] = Node{Index: int32(i*7 - 3), Value: int64(i) << 40, Capacity: -int64(i) * 1e9}
+	}
+	for _, ns := range [][]Node{nil, {{Index: 5, Value: -1, Capacity: 1 << 62}}, many} {
+		b := nexus.NewBuffer()
+		b.PutInt32(int32(len(ns)))
+		for _, n := range ns {
+			b.PutInt32(n.Index)
+			b.PutInt64(n.Value)
+			b.PutInt64(n.Capacity)
+		}
+		got := EncodeNodes(ns)
+		if !bytes.Equal(got, b.Bytes()) {
+			t.Fatalf("%d nodes: EncodeNodes = %x, want %x", len(ns), got, b.Bytes())
+		}
+		if len(got) != cap(got) {
+			t.Fatalf("%d nodes: %d bytes in a %d-byte slice", len(ns), len(got), cap(got))
+		}
+	}
+}
+
+// TestBranchNZeroAlloc pins the branch loop at no allocations per call once
+// the stack has grown to the search's working depth.
+func TestBranchNZeroAlloc(t *testing.T) {
+	for _, prune := range []bool{false, true} {
+		in := Normalized(50, 5) // 20.6 M nodes unpruned
+		if prune {
+			in = Random(100, 1000, 1) // 171 k nodes pruned
+		}
+		s := NewSolver(in)
+		s.PruneBound = prune
+		s.BranchN(10000)
+		if avg := testing.AllocsPerRun(1000, func() { s.BranchN(25) }); avg != 0 {
+			t.Fatalf("PruneBound=%v: BranchN(25) allocates %.1f times per call", prune, avg)
+		}
+		if s.Stack.Len() == 0 {
+			t.Fatalf("PruneBound=%v: the search ran out before the measurement ended", prune)
+		}
 	}
 }
 

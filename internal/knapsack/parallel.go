@@ -2,6 +2,7 @@ package knapsack
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"time"
 
@@ -33,9 +34,8 @@ type Params struct {
 	BackUnit int
 	// BackThreshold is the slave stack depth that triggers sending nodes
 	// back to the master. 0 selects an automatic threshold of
-	// items + StealUnit (a stack deeper than one full tree path means the
-	// slave is hoarding multiple sizable branches); negative disables the
-	// mechanism entirely.
+	// StealUnit + 6 (see resolve); negative disables the mechanism
+	// entirely.
 	BackThreshold int
 	// MasterReserve is the stack depth the master keeps for itself while
 	// serving steal requests, so that serving one fast slave cannot strip
@@ -247,22 +247,17 @@ func decodeStats(rank int, data []byte) (RankStats, error) {
 
 // runSequentialMaster is the single-rank fast path used by the sequential
 // baseline runs. With no slaves there are no steal requests to poll and no
-// messages to serve, so the per-interval Compute charges — which runMaster
-// issues one steal-interval at a time purely to stay responsive — are
-// accumulated over the whole search and the scheduler is entered once with
-// the batched total. The batched charge equals the sum of the per-interval
-// charges whenever each charge is exact under the host's speed scaling
-// (always true at nominal speed 1.0, where the baseline runs), so the
-// reported Elapsed is bit-identical to the interval-at-a-time loop.
+// messages to serve, so the search runs in one BranchN call to exhaustion
+// and the scheduler is entered once with ran × NodeCost. That is exactly the
+// sum of the per-interval charges runMaster would issue one steal-interval
+// at a time, in integers, whenever each charge is exact under the host's
+// speed scaling (always true at nominal speed 1.0, where the baseline runs),
+// so the reported Elapsed is bit-identical to the interval-at-a-time loop.
 func runSequentialMaster(c *mpi.Comm, in *Instance, p Params) (RankStats, error) {
 	solver := NewSolver(in)
 	solver.PruneBound = p.PruneBound
-	var batched time.Duration
-	for solver.Stack.Len() > 0 {
-		batched += intervalCost(p, solver.BranchN(p.Interval))
-	}
-	if batched > 0 {
-		c.Env().Compute(batched)
+	if cost := intervalCost(p, solver.BranchN(math.MaxInt)); cost > 0 {
+		c.Env().Compute(cost)
 	}
 	st := RankStats{Rank: 0, Name: c.Name(0), Traversed: solver.Traversed, bestForReduce: solver.Best}
 	return st, nil

@@ -1,6 +1,9 @@
 package knapsack
 
 import (
+	"encoding/binary"
+	"math"
+	"slices"
 	"sort"
 
 	"nxcluster/internal/nexus"
@@ -34,17 +37,6 @@ func (s *Stack) Push(n Node) {
 	s.nodes = append(s.nodes, n)
 }
 
-// Pop removes and returns the most recent node.
-func (s *Stack) Pop() (Node, bool) {
-	top := len(s.nodes) - 1
-	if top < s.head {
-		return Node{}, false
-	}
-	n := s.nodes[top]
-	s.nodes = s.nodes[:top]
-	return n, true
-}
-
 // TakeBottom removes and returns up to k nodes from the bottom of the
 // stack: the oldest, shallowest nodes, whose subtrees are the largest. This
 // is what a slave ships back to the master for redistribution — returning
@@ -65,6 +57,14 @@ func (s *Stack) TakeBottom(k int) []Node {
 		s.compact()
 	}
 	return out
+}
+
+// reserve makes room for n more nodes without growing the slice.
+func (s *Stack) reserve(n int) {
+	if cap(s.nodes)-len(s.nodes) < n && s.head > 0 {
+		s.compact()
+	}
+	s.nodes = slices.Grow(s.nodes, n)
 }
 
 // compact moves the live nodes to the front of the slice, in order.
@@ -115,7 +115,11 @@ func NewWorker(in *Instance) *Solver {
 	return &Solver{in: in, Best: -1}
 }
 
-func (s *Solver) initDensityOrder() {
+// boundOrder returns densityOrder, computing it on first use.
+func (s *Solver) boundOrder() []int {
+	if s.densityOrder != nil {
+		return s.densityOrder
+	}
 	s.densityOrder = make([]int, s.in.N())
 	for i := range s.densityOrder {
 		s.densityOrder[i] = i
@@ -129,22 +133,20 @@ func (s *Solver) initDensityOrder() {
 		}
 		return ia.Profit*ib.Weight > ib.Profit*ia.Weight
 	})
+	return s.densityOrder
 }
 
 // bound computes the fractional-relaxation upper bound for a node: current
 // value plus a greedy fractional fill of the remaining capacity with the
-// not-yet-fixed items, taken in decreasing profit density.
-func (s *Solver) bound(n Node) int64 {
-	if s.densityOrder == nil {
-		s.initDensityOrder()
-	}
+// not-yet-fixed items, taken in order (decreasing profit density).
+func bound(n Node, items []Item, order []int) int64 {
 	b := n.Value
 	cap := n.Capacity
-	for _, i := range s.densityOrder {
+	for _, i := range order {
 		if i < int(n.Index) {
 			continue // already fixed by this node
 		}
-		it := s.in.Items[i]
+		it := items[i]
 		if it.Weight <= cap {
 			b += it.Profit
 			cap -= it.Weight
@@ -158,50 +160,72 @@ func (s *Solver) bound(n Node) int64 {
 	return b
 }
 
-// Branch performs one branch operation, the paper's three steps: pop a
-// node, check it, and push its (one or two) children. It reports whether a
-// node was available.
-func (s *Solver) Branch() bool {
-	n, ok := s.Stack.Pop()
-	if !ok {
-		return false
-	}
-	s.Traversed++
-	if n.Value > s.Best {
-		s.Best = n.Value
-	}
-	if int(n.Index) >= s.in.N() {
-		return true // leaf: all items fixed
-	}
-	if s.PruneBound && s.bound(n) <= s.Best {
-		return true // cannot beat the incumbent
-	}
-	it := s.in.Items[n.Index]
-	// Child 0: item not taken. Always feasible.
-	s.Stack.Push(Node{Index: n.Index + 1, Value: n.Value, Capacity: n.Capacity})
-	// Child 1: item taken, if it fits.
-	if it.Weight <= n.Capacity {
-		s.Stack.Push(Node{Index: n.Index + 1, Value: n.Value + it.Profit, Capacity: n.Capacity - it.Weight})
-	}
-	return true
-}
-
 // BranchN performs up to k branch operations ("the master repeats the branch
 // operation interval times") and returns how many ran before the stack
-// emptied.
+// emptied. Each operation is the paper's three steps: pop a node, check it,
+// and push its (one or two) children. The loop holds the node it expands in
+// locals: it pushes only the "not taken" child and carries on with the
+// "taken" (or only) child, popping only at a leaf or a pruned node. After
+// the k-th operation it pushes the held node back, so the stack, Best and
+// Traversed are exactly what k single pop-and-push operations leave.
 func (s *Solver) BranchN(k int) int {
-	for i := 0; i < k; i++ {
-		if !s.Branch() {
-			return i
+	if k <= 0 || s.Stack.Len() == 0 {
+		return 0
+	}
+	items, best := s.in.Items, s.Best
+	var order []int // the bound's fill order; nil when pruning is off
+	if s.PruneBound {
+		order = s.boundOrder()
+	}
+	// The nodes one call has pushed and not yet popped have strictly
+	// increasing indexes in [1, len(items)], so they and the held node put
+	// back take at most len(items)+1 slots, one of them freed by the first
+	// pop. With len(items) reserved a push never grows the slice, and the
+	// loop keeps the stack's top in a local too.
+	s.Stack.reserve(len(items))
+	buf, head := s.Stack.nodes[:cap(s.Stack.nodes)], s.Stack.head
+	top := len(s.Stack.nodes) - 1
+	nd, left := buf[top], k
+	for {
+		left--
+		if nd.Value > best {
+			best = nd.Value
+		}
+		// A leaf has every item fixed; with pruning on, a node whose bound
+		// cannot beat the incumbent is a leaf too.
+		if int(nd.Index) >= len(items) || order != nil && bound(nd, items, order) <= best {
+			if left == 0 || top <= head {
+				break
+			}
+			top--
+			nd = buf[top]
+			continue
+		}
+		it := items[nd.Index]
+		nd.Index++
+		// Child 0, item not taken, is always feasible; child 1, item
+		// taken, exists if the item fits and is the one held.
+		if it.Weight <= nd.Capacity {
+			buf[top] = nd
+			top++
+			nd.Value += it.Profit
+			nd.Capacity -= it.Weight
+		}
+		if left == 0 {
+			buf[top] = nd
+			top++
+			break
 		}
 	}
-	return k
+	s.Stack.nodes = buf[:top]
+	s.Best = best
+	s.Traversed += int64(k - left)
+	return k - left
 }
 
 // Run exhausts the stack and returns the best value found.
 func (s *Solver) Run() int64 {
-	for s.Branch() {
-	}
+	s.BranchN(math.MaxInt)
 	return s.Best
 }
 
@@ -222,16 +246,19 @@ func SolveExhaustive(in *Instance) (int64, int64) {
 	return best, s.Traversed
 }
 
-// EncodeNodes serializes a work batch for an MPI message.
+// EncodeNodes serializes a work batch for an MPI message: a big-endian
+// int32 count, then each node's int32 index and int64 value and capacity,
+// the bytes nexus.Buffer's PutInt32/PutInt64 would write, into one slice
+// sized up front.
 func EncodeNodes(ns []Node) []byte {
-	b := nexus.NewBuffer()
-	b.PutInt32(int32(len(ns)))
+	b := make([]byte, 4, 4+20*len(ns))
+	binary.BigEndian.PutUint32(b, uint32(len(ns)))
 	for _, n := range ns {
-		b.PutInt32(n.Index)
-		b.PutInt64(n.Value)
-		b.PutInt64(n.Capacity)
+		b = binary.BigEndian.AppendUint32(b, uint32(n.Index))
+		b = binary.BigEndian.AppendUint64(b, uint64(n.Value))
+		b = binary.BigEndian.AppendUint64(b, uint64(n.Capacity))
 	}
-	return b.Bytes()
+	return b
 }
 
 // DecodeNodes parses a work batch.

@@ -16,9 +16,6 @@ const (
 	opGet    = byte(3)
 	opModify = byte(4)
 	opDelete = byte(5)
-
-	statusOK  = byte(0)
-	statusErr = byte(1)
 )
 
 // Server exposes a Directory over the transport layer, one request per

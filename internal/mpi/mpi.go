@@ -32,12 +32,11 @@ const AnyTag = -1
 
 // Internal tags live in negative space below AnyTag; user tags must be >= 0.
 const (
-	tagBarrier      = -10
-	tagBarrierDone  = -11
-	tagBcast        = -12
-	tagReduce       = -13
-	tagReduceResult = -14
-	tagGather       = -15
+	tagBarrier     = -10
+	tagBarrierDone = -11
+	tagBcast       = -12
+	tagReduce      = -13
+	tagGather      = -15
 )
 
 // handler id for data messages on each rank's endpoint.
