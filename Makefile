@@ -115,8 +115,9 @@ cover:
 
 # fuzz gives each wire-facing parser a short, deterministic-budget fuzz run:
 # the RSL parser, the proxy control-channel decoder, the gridftp MODE E
-# block reader and restart-marker ledger, the scenario-file parser, and the request handlers of the RMF
-# allocator and Q server; and it fuzzes the kernel's lane merge against the
+# block reader and restart-marker ledger, the scenario-file parser, and the
+# request handlers of the RMF allocator and Q server, the MDS directory server
+# and the HBM monitor; and it fuzzes the kernel's lane merge against the
 # heap-only firing order, SleepEach's in-place slices against the Sleep loop
 # they replace, the hash-only trace observer against the recording
 # one, its folded span durations against the causal forest's, and the
@@ -132,6 +133,8 @@ fuzz:
 	$(GO) test -fuzz FuzzScenario -fuzztime $(FUZZTIME) ./internal/scenario/
 	$(GO) test -fuzz FuzzAllocatorRequest -fuzztime $(FUZZTIME) ./internal/rmf/
 	$(GO) test -fuzz FuzzQServerRequest -fuzztime $(FUZZTIME) ./internal/rmf/
+	$(GO) test -fuzz FuzzDirectoryRequest -fuzztime $(FUZZTIME) ./internal/mds/
+	$(GO) test -fuzz FuzzMonitorRequest -fuzztime $(FUZZTIME) ./internal/hbm/
 	$(GO) test -fuzz FuzzLaneOrder -fuzztime $(FUZZTIME) ./internal/sim/
 	$(GO) test -fuzz FuzzSleepEachOrder -fuzztime $(FUZZTIME) ./internal/sim/
 	$(GO) test -fuzz FuzzHashOnlyMatchesRecording -fuzztime $(FUZZTIME) ./internal/obs/

@@ -13,7 +13,6 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
-	"io"
 
 	"nxcluster/internal/nexus"
 	"nxcluster/internal/transport"
@@ -23,6 +22,10 @@ import (
 var ErrDenied = errors.New("auth: authentication failed")
 
 const nonceLen = 32
+
+// maxFrame bounds one handshake frame, which carries a subject and a nonce
+// or a MAC.
+const maxFrame = 1 << 20
 
 // Credential is a subject identity with its secret key.
 type Credential struct {
@@ -86,10 +89,10 @@ func Initiate(env transport.Env, conn transport.Conn, cred Credential) error {
 	hello := nexus.NewBuffer()
 	hello.PutString(cred.Subject)
 	hello.PutBytes(nc)
-	if err := writeFrame(st, hello); err != nil {
+	if err := nexus.WriteFrame(st, hello); err != nil {
 		return err
 	}
-	resp, err := readFrame(st)
+	resp, err := nexus.ReadFrame(st, maxFrame)
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrDenied, err)
 	}
@@ -110,10 +113,10 @@ func Initiate(env transport.Env, conn transport.Conn, cred Credential) error {
 	}
 	final := nexus.NewBuffer()
 	final.PutBytes(mac(cred.Key, "client", ns, nc))
-	if err := writeFrame(st, final); err != nil {
+	if err := nexus.WriteFrame(st, final); err != nil {
 		return err
 	}
-	done, err := readFrame(st)
+	done, err := nexus.ReadFrame(st, maxFrame)
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrDenied, err)
 	}
@@ -128,7 +131,7 @@ func Initiate(env transport.Env, conn transport.Conn, cred Credential) error {
 // subject.
 func Accept(env transport.Env, conn transport.Conn, kr *Keyring) (subject string, err error) {
 	st := transport.Stream{Env: env, Conn: conn}
-	hello, err := readFrame(st)
+	hello, err := nexus.ReadFrame(st, maxFrame)
 	if err != nil {
 		return "", err
 	}
@@ -144,7 +147,7 @@ func Accept(env transport.Env, conn transport.Conn, kr *Keyring) (subject string
 	deny := func() (string, error) {
 		resp := nexus.NewBuffer()
 		resp.PutBool(false)
-		_ = writeFrame(st, resp)
+		_ = nexus.WriteFrame(st, resp)
 		return "", fmt.Errorf("%w: subject %q", ErrDenied, subject)
 	}
 	if !known {
@@ -158,10 +161,10 @@ func Accept(env transport.Env, conn transport.Conn, kr *Keyring) (subject string
 	resp.PutBool(true)
 	resp.PutBytes(ns)
 	resp.PutBytes(mac(key, "server", nc, ns))
-	if err := writeFrame(st, resp); err != nil {
+	if err := nexus.WriteFrame(st, resp); err != nil {
 		return "", err
 	}
-	final, err := readFrame(st)
+	final, err := nexus.ReadFrame(st, maxFrame)
 	if err != nil {
 		return "", fmt.Errorf("%w: %v", ErrDenied, err)
 	}
@@ -172,40 +175,12 @@ func Accept(env transport.Env, conn transport.Conn, kr *Keyring) (subject string
 	done := nexus.NewBuffer()
 	if !hmac.Equal(proof, mac(key, "client", ns, nc)) {
 		done.PutBool(false)
-		_ = writeFrame(st, done)
+		_ = nexus.WriteFrame(st, done)
 		return "", fmt.Errorf("%w: client proof invalid for %q", ErrDenied, subject)
 	}
 	done.PutBool(true)
-	if err := writeFrame(st, done); err != nil {
+	if err := nexus.WriteFrame(st, done); err != nil {
 		return "", err
 	}
 	return subject, nil
-}
-
-// Frame helpers (length-prefixed nexus buffers).
-
-func writeFrame(st transport.Stream, b *nexus.Buffer) error {
-	n := b.Len()
-	hdr := []byte{byte(n >> 24), byte(n >> 16), byte(n >> 8), byte(n)}
-	if _, err := st.Write(hdr); err != nil {
-		return err
-	}
-	_, err := st.Write(b.Bytes())
-	return err
-}
-
-func readFrame(st transport.Stream) (*nexus.Buffer, error) {
-	hdr := make([]byte, 4)
-	if _, err := io.ReadFull(st, hdr); err != nil {
-		return nil, err
-	}
-	n := int(hdr[0])<<24 | int(hdr[1])<<16 | int(hdr[2])<<8 | int(hdr[3])
-	if n > 1<<20 {
-		return nil, errors.New("auth: frame too large")
-	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(st, body); err != nil {
-		return nil, err
-	}
-	return nexus.FromBytes(body), nil
 }

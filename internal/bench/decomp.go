@@ -9,7 +9,6 @@ import (
 	"nxcluster/internal/knapsack"
 	"nxcluster/internal/mpi"
 	"nxcluster/internal/obs"
-	"nxcluster/internal/proxy"
 	"nxcluster/internal/transport"
 )
 
@@ -88,129 +87,33 @@ func (d Decomposition) Mode() string {
 	return "direct"
 }
 
-// decompPoint runs one Table 2 point's connection setup exactly as
-// measurePoint does (client on RWCP-Sun, server on peer, forward and reverse
-// channels each built per that side's configuration), then times a single
-// 1-byte ping-pong with tracing enabled and telescopes the trace window into
-// rows.
+// decompPoint runs one Table 2 point's channel setup exactly as
+// measurePoint does, then times a single 1-byte ping-pong with tracing
+// enabled and telescopes the trace window into rows.
 func decompPoint(path, peer string, indirect bool, opts cluster.Options) (Decomposition, error) {
 	o := obs.New()
-	opts.OpenFirewall = !indirect
 	opts.Obs = o
-	tb := cluster.NewTestbed(opts)
-	defer tb.K.Shutdown()
-
 	d := Decomposition{Path: path, Indirect: indirect, Obs: o}
-	peerProxied := indirect && strings.HasPrefix(peer, "compas")
-
-	serverAddr := make(chan string, 1)
-	var benchErr error
-	fail := func(err error) { benchErr = fmt.Errorf("%s: %w", path, err) }
-
-	tb.Node(peer).SpawnDaemonOn("t2-server", func(env transport.Env) {
-		var l transport.Listener
-		var err error
-		if peerProxied {
-			l, err = proxy.NXProxyBind(env, tb.ProxyCfg)
-		} else {
-			l, err = env.Listen(6100)
-		}
-		if err != nil {
-			fail(err)
-			return
-		}
-		serverAddr <- l.Addr()
-		fwd, err := l.Accept(env)
-		if err != nil {
-			return
-		}
-		st := transport.Stream{Env: env, Conn: fwd}
-		revAddr, err := readAddr(st)
-		if err != nil {
-			fail(err)
-			return
-		}
-		var rev transport.Conn
-		if peerProxied {
-			rev, err = proxy.NXProxyConnect(env, tb.ProxyCfg, revAddr)
-		} else {
-			rev, err = env.Dial(revAddr)
-		}
-		if err != nil {
-			fail(err)
-			return
-		}
-		serveT2(env, fwd, rev)
-	})
-
 	var start, end time.Duration
 	startIdx, endIdx := 0, 0
-	done := false
-	tb.Node(cluster.RWCPSun).SpawnOn("t2-client", func(env transport.Env) {
-		var rl transport.Listener
-		var err error
-		if indirect {
-			rl, err = proxy.NXProxyBind(env, tb.ProxyCfg)
-		} else {
-			rl, err = env.Listen(6200)
-		}
-		if err != nil {
-			fail(err)
-			return
-		}
-		for len(serverAddr) == 0 {
-			env.Sleep(time.Millisecond)
-		}
-		addr := <-serverAddr
-		var fwd transport.Conn
-		if indirect {
-			fwd, err = proxy.NXProxyConnect(env, tb.ProxyCfg, addr)
-		} else {
-			fwd, err = env.Dial(addr)
-		}
-		if err != nil {
-			fail(err)
-			return
-		}
-		fst := transport.Stream{Env: env, Conn: fwd}
-		if err := writeAddr(fst, rl.Addr()); err != nil {
-			fail(err)
-			return
-		}
-		rev, err := rl.Accept(env)
-		if err != nil {
-			fail(err)
-			return
-		}
-		rst := transport.Stream{Env: env, Conn: rev}
-
+	err := runPoint(path, peer, indirect, opts, func(env transport.Env, fst, rst transport.Stream) error {
 		ping := make([]byte, 1)
 		if err := pingPong(fst, rst, ping); err != nil { // warmup
-			fail(err)
-			return
+			return err
 		}
 		// The decomposed round trip: mark the trace window around one
 		// ping-pong so setup and warmup traffic stays out of the rows.
 		startIdx = o.Len()
 		start = env.Now()
 		if err := pingPong(fst, rst, ping); err != nil {
-			fail(err)
-			return
+			return err
 		}
 		end = env.Now()
 		endIdx = o.Len()
-		done = true
-		_ = fwd.Close(env)
+		return nil
 	})
-
-	if err := tb.K.Run(); err != nil {
+	if err != nil {
 		return d, err
-	}
-	if benchErr != nil {
-		return d, benchErr
-	}
-	if !done {
-		return d, fmt.Errorf("measurement did not complete")
 	}
 
 	d.RTT = end - start
@@ -281,5 +184,5 @@ func RunKnapsackTraced(cfg KnapsackConfig, o *obs.Observer) (*knapsack.Result, e
 	in := knapsack.Normalized(cfg.Items, cfg.Capacity)
 	return runOn(cfg, in, func(tb *cluster.Testbed) []mpi.Placement {
 		return tb.Placements(cluster.SystemWide, true)
-	}, true)
+	}, nil)
 }

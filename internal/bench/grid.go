@@ -55,42 +55,23 @@ type GridResult struct {
 // RunGridKnapsack executes one wide-grid knapsack solve.
 func RunGridKnapsack(cfg GridConfig) (*GridResult, error) {
 	cfg = cfg.withDefaults()
-	tb := cluster.NewTestbed(cfg.Options)
-	defer tb.Shutdown()
-
 	h := fnv.New64a()
-	tb.K.Trace = func(at time.Duration, format string, args ...interface{}) {
-		fmt.Fprintf(h, "%d ", at)
-		fmt.Fprintf(h, format, args...)
-		h.Write([]byte{'\n'})
-	}
-	if cfg.Plan != nil {
-		if err := tb.ApplyPlan(cfg.Plan); err != nil {
-			return nil, err
-		}
-	}
-
 	in := knapsack.Normalized(cfg.Items, cfg.Capacity)
-	w := mpi.NewWorld(tb.GridPlacements(cfg.UseProxy))
-	var res *knapsack.Result
-	w.Launch(func(c *mpi.Comm) error {
-		r, err := knapsack.Run(c, in, cfg.Params)
-		if err != nil {
-			return err
+	res, err := runOn(KnapsackConfig{Params: cfg.Params, Options: cfg.Options}, in, func(tb *cluster.Testbed) []mpi.Placement {
+		return tb.GridPlacements(cfg.UseProxy)
+	}, func(tb *cluster.Testbed) error {
+		tb.K.Trace = func(at time.Duration, format string, args ...interface{}) {
+			fmt.Fprintf(h, "%d ", at)
+			fmt.Fprintf(h, format, args...)
+			h.Write([]byte{'\n'})
 		}
-		if c.Rank() == 0 {
-			res = r
+		if cfg.Plan != nil {
+			return tb.ApplyPlan(cfg.Plan)
 		}
 		return nil
 	})
-	if err := tb.Run(); err != nil {
-		return nil, err
-	}
-	if err := w.Err(); err != nil {
-		return nil, err
-	}
-	if res == nil {
-		return nil, fmt.Errorf("bench: grid run: no result from master")
+	if err != nil {
+		return nil, fmt.Errorf("bench: grid run: %w", err)
 	}
 	return &GridResult{
 		Elapsed:   res.Elapsed,

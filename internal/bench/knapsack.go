@@ -99,7 +99,7 @@ func RunKnapsack(cfg KnapsackConfig) (*KnapsackReport, error) {
 	cfg = cfg.withDefaults()
 	in := knapsack.Normalized(cfg.Items, cfg.Capacity)
 	wantNodes := knapsack.NormalizedTreeNodes(cfg.Items, cfg.Capacity)
-	wantBest := bestOf(in, cfg.Capacity)
+	wantBest := knapsack.NormalizedBest(cfg.Items, cfg.Capacity)
 	report := &KnapsackReport{Config: cfg}
 
 	type entry struct {
@@ -126,7 +126,7 @@ func RunKnapsack(cfg KnapsackConfig) (*KnapsackReport, error) {
 			// degenerates to the pure solver loop.
 			res, err := runOn(cfg, in, func(tb *cluster.Testbed) []mpi.Placement {
 				return tb.SequentialPlacement()
-			}, false)
+			}, nil)
 			if err != nil {
 				return fmt.Errorf("bench: sequential baseline: %w", err)
 			}
@@ -138,7 +138,7 @@ func RunKnapsack(cfg KnapsackConfig) (*KnapsackReport, error) {
 		c.Options.OpenFirewall = c.Options.OpenFirewall || e.openFW
 		res, err := runOn(c, in, func(tb *cluster.Testbed) []mpi.Placement {
 			return tb.Placements(e.system, e.useProxy)
-		}, e.useProxy)
+		}, nil)
 		if err != nil {
 			return fmt.Errorf("bench: %s: %w", e.name, err)
 		}
@@ -178,25 +178,21 @@ func RunKnapsack(cfg KnapsackConfig) (*KnapsackReport, error) {
 	return report, nil
 }
 
-// bestOf computes the optimum of a unit-weight instance: the top `cap`
-// profits.
-func bestOf(in *knapsack.Instance, cap int) int64 {
-	profits := make([]int64, 0, len(in.Items))
-	for _, it := range in.Items {
-		profits = append(profits, it.Profit)
-	}
-	sort.Slice(profits, func(i, j int) bool { return profits[i] > profits[j] })
-	var s int64
-	for i := 0; i < cap && i < len(profits); i++ {
-		s += profits[i]
-	}
-	return s
-}
-
-// runOn executes one knapsack run on a fresh testbed.
-func runOn(cfg KnapsackConfig, in *knapsack.Instance, place func(*cluster.Testbed) []mpi.Placement, proxied bool) (*knapsack.Result, error) {
+// runOn executes one knapsack run on a fresh testbed. setup, when non-nil,
+// runs between building the testbed and placing the ranks: where a run
+// attaches a kernel trace, a fault plan or a sampler without moving the
+// workload's events. A kernel trace sees the run, not the teardown.
+func runOn(cfg KnapsackConfig, in *knapsack.Instance, place func(*cluster.Testbed) []mpi.Placement, setup func(*cluster.Testbed) error) (*knapsack.Result, error) {
 	tb := cluster.NewTestbed(cfg.Options)
-	defer tb.Shutdown()
+	defer func() {
+		tb.K.Trace = nil
+		tb.Shutdown()
+	}()
+	if setup != nil {
+		if err := setup(tb); err != nil {
+			return nil, err
+		}
+	}
 	w := mpi.NewWorld(place(tb))
 	var res *knapsack.Result
 	w.Launch(func(c *mpi.Comm) error {

@@ -97,7 +97,7 @@ func TestStealUnitTradesBalanceForRoundTrips(t *testing.T) {
 		cfg.Params.StealUnit = su
 		res, err := runOn(cfg, in, func(tb *cluster.Testbed) []mpi.Placement {
 			return tb.Placements(cluster.SystemWide, true)
-		}, true)
+		}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -119,7 +119,7 @@ func TestSecuredProxyDoesNotChangeResults(t *testing.T) {
 	runWide := func(cfg KnapsackConfig) *knapsack.Result {
 		res, err := runOn(cfg, in, func(tb *cluster.Testbed) []mpi.Placement {
 			return tb.Placements(cluster.SystemWide, true)
-		}, true)
+		}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

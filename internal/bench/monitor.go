@@ -68,63 +68,47 @@ func RunMonitor(cfg MonitorConfig, onSample func(at time.Duration, st *timeserie
 	cfg = cfg.withDefaults()
 	in := knapsack.Normalized(cfg.Items, cfg.Capacity)
 	wantNodes := knapsack.NormalizedTreeNodes(cfg.Items, cfg.Capacity)
-	wantBest := bestOf(in, cfg.Capacity)
+	wantBest := knapsack.NormalizedBest(cfg.Items, cfg.Capacity)
 
-	opts := cfg.Options
-	if opts.Obs == nil {
-		opts.Obs = obs.NewHashOnly()
+	kc := cfg.KnapsackConfig
+	if kc.Options.Obs == nil {
+		kc.Options.Obs = obs.NewHashOnly()
 	}
-	o := opts.Obs
-	tb := cluster.NewTestbed(opts)
-	defer tb.K.Shutdown()
-
+	o := kc.Options.Obs
 	dir := mds.NewDirectory()
-	pub := mds.NewPublisher(dir, MonitorBase, cfg.TTL)
-	s := timeseries.NewSampler(tb.K, cfg.Interval, o.Metrics())
-	s.Probe("cluster.hosts_up", timeseries.KindGauge, func() int64 {
-		var up int64
-		for _, h := range tb.Net.HostStatuses() {
-			if h.Up {
-				up++
+	var s *timeseries.Sampler
+	res, err := runOn(kc, in, func(tb *cluster.Testbed) []mpi.Placement {
+		return tb.Placements(cluster.SystemWide, true)
+	}, func(tb *cluster.Testbed) error {
+		pub := mds.NewPublisher(dir, MonitorBase, cfg.TTL)
+		s = timeseries.NewSampler(tb.K, cfg.Interval, o.Metrics())
+		s.Probe("cluster.hosts_up", timeseries.KindGauge, func() int64 {
+			var up int64
+			for _, h := range tb.Net.HostStatuses() {
+				if h.Up {
+					up++
+				}
 			}
-		}
-		return up
-	})
-	s.Probe("cluster.conns", timeseries.KindGauge, func() int64 {
-		var c int64
-		for _, h := range tb.Net.HostStatuses() {
-			c += int64(h.Conns)
-		}
-		return c
-	})
-	s.OnSample(func(at time.Duration) {
-		pub.Publish(at, statusRows(tb))
-		if onSample != nil {
-			onSample(at, s.Store(), dir)
-		}
-	})
-	s.Start()
-
-	w := mpi.NewWorld(tb.Placements(cluster.SystemWide, true))
-	var res *knapsack.Result
-	w.Launch(func(c *mpi.Comm) error {
-		r, err := knapsack.Run(c, in, cfg.Params)
-		if err != nil {
-			return err
-		}
-		if c.Rank() == 0 {
-			res = r
-		}
+			return up
+		})
+		s.Probe("cluster.conns", timeseries.KindGauge, func() int64 {
+			var c int64
+			for _, h := range tb.Net.HostStatuses() {
+				c += int64(h.Conns)
+			}
+			return c
+		})
+		s.OnSample(func(at time.Duration) {
+			pub.Publish(at, statusRows(tb))
+			if onSample != nil {
+				onSample(at, s.Store(), dir)
+			}
+		})
+		s.Start()
 		return nil
 	})
-	if err := tb.K.Run(); err != nil {
-		return nil, err
-	}
-	if err := w.Err(); err != nil {
-		return nil, err
-	}
-	if res == nil {
-		return nil, fmt.Errorf("bench: monitored run: no result from master")
+	if err != nil {
+		return nil, fmt.Errorf("bench: monitored run: %w", err)
 	}
 	if res.Best != wantBest {
 		return nil, fmt.Errorf("bench: monitored run found %d, want %d", res.Best, wantBest)

@@ -109,15 +109,53 @@ func RunTable2(cfg Table2Config) ([]Table2Row, error) {
 	return rows, nil
 }
 
-// measurePoint measures one Table 2 row on a fresh testbed. The client runs
-// on RWCP-Sun (always behind the firewall); the server on the peer host.
+// measurePoint measures one Table 2 row on a fresh testbed.
 func measurePoint(path, peer string, indirect bool, cfg Table2Config) (Table2Row, error) {
-	opts := cfg.Options
+	row := Table2Row{Path: path, Indirect: indirect, Bandwidth: make(map[int]float64)}
+	err := runPoint(path, peer, indirect, cfg.Options, func(env transport.Env, fst, rst transport.Stream) error {
+		// Latency: 1-byte ping (forward) / 1-byte ack (reverse).
+		ping := make([]byte, 1)
+		if err := pingPong(fst, rst, ping); err != nil { // warmup
+			return err
+		}
+		start := env.Now()
+		for i := 0; i < cfg.Rounds; i++ {
+			if err := pingPong(fst, rst, ping); err != nil {
+				return err
+			}
+		}
+		row.Latency = (env.Now() - start) / time.Duration(2*cfg.Rounds)
+
+		// Bandwidth per message size: one message each, sent every round.
+		for _, size := range cfg.Sizes {
+			payload := make([]byte, size)
+			if err := pingPong(fst, rst, payload); err != nil { // warmup
+				return err
+			}
+			start := env.Now()
+			for i := 0; i < cfg.Rounds; i++ {
+				if err := pingPong(fst, rst, payload); err != nil {
+					return err
+				}
+			}
+			elapsed := env.Now() - start
+			row.Bandwidth[size] = float64(size) * float64(cfg.Rounds) / elapsed.Seconds()
+		}
+		return nil
+	})
+	return row, err
+}
+
+// runPoint sets up one Table 2 point's channel pair on a fresh testbed and
+// runs measure over it. The client runs on RWCP-Sun (always behind the
+// firewall), the server on the peer host; the forward and reverse channels
+// are each built the way that side's configuration dictates. The firewall is
+// open exactly when the point is direct.
+func runPoint(path, peer string, indirect bool, opts cluster.Options, measure func(env transport.Env, fst, rst transport.Stream) error) error {
 	opts.OpenFirewall = !indirect
 	tb := cluster.NewTestbed(opts)
 	defer tb.K.Shutdown()
 
-	row := Table2Row{Path: path, Indirect: indirect, Bandwidth: make(map[int]float64)}
 	peerProxied := indirect && strings.HasPrefix(peer, "compas")
 
 	serverAddr := make(chan string, 1)
@@ -201,54 +239,24 @@ func measurePoint(path, peer string, indirect bool, cfg Table2Config) (Table2Row
 			fail(err)
 			return
 		}
-		rst := transport.Stream{Env: env, Conn: rev}
-
-		// Latency: 1-byte ping (forward) / 1-byte ack (reverse).
-		ping := make([]byte, 1)
-		if err := pingPong(fst, rst, ping); err != nil { // warmup
+		if err := measure(env, fst, transport.Stream{Env: env, Conn: rev}); err != nil {
 			fail(err)
 			return
-		}
-		start := env.Now()
-		for i := 0; i < cfg.Rounds; i++ {
-			if err := pingPong(fst, rst, ping); err != nil {
-				fail(err)
-				return
-			}
-		}
-		row.Latency = (env.Now() - start) / time.Duration(2*cfg.Rounds)
-
-		// Bandwidth per message size: one message each, sent every round.
-		for _, size := range cfg.Sizes {
-			payload := make([]byte, size)
-			if err := pingPong(fst, rst, payload); err != nil { // warmup
-				fail(err)
-				return
-			}
-			start := env.Now()
-			for i := 0; i < cfg.Rounds; i++ {
-				if err := pingPong(fst, rst, payload); err != nil {
-					fail(err)
-					return
-				}
-			}
-			elapsed := env.Now() - start
-			row.Bandwidth[size] = float64(size) * float64(cfg.Rounds) / elapsed.Seconds()
 		}
 		done = true
 		_ = fwd.Close(env)
 	})
 
 	if err := tb.K.Run(); err != nil {
-		return row, err
+		return err
 	}
 	if benchErr != nil {
-		return row, benchErr
+		return benchErr
 	}
 	if !done {
-		return row, fmt.Errorf("measurement did not complete")
+		return fmt.Errorf("measurement did not complete")
 	}
-	return row, nil
+	return nil
 }
 
 // pingPong sends payload (with a 4-byte size header) forward and waits for

@@ -182,7 +182,7 @@ func Run(cfg Config) (*Report, error) {
 	}
 	rep := &Report{}
 	in := knapsack.Normalized(cfg.Items, cfg.Capacity)
-	rep.WantBest, _ = knapsack.Solve(in)
+	rep.WantBest = knapsack.NormalizedBest(cfg.Items, cfg.Capacity)
 	rep.WantNodes = knapsack.NormalizedTreeNodes(cfg.Items, cfg.Capacity)
 
 	tb := cluster.NewTestbed(cfg.Options)

@@ -157,15 +157,12 @@ const (
 
 // Server serves a Store over the transport.
 type Server struct {
-	Store    *Store
-	listener transport.Listener
+	transport.Bound
+	Store *Store
 }
 
 // NewServer wraps a store.
 func NewServer(store *Store) *Server { return &Server{Store: store} }
-
-// Addr returns the bound address once serving.
-func (s *Server) Addr() string { return s.listener.Addr() }
 
 // Serve binds and accepts; it blocks its process.
 func (s *Server) Serve(env transport.Env, port int, ready func(addr string)) error {
@@ -173,25 +170,12 @@ func (s *Server) Serve(env transport.Env, port int, ready func(addr string)) err
 	if err != nil {
 		return fmt.Errorf("gass: listen: %w", err)
 	}
-	s.listener = l
+	s.Hold(l)
 	if ready != nil {
 		ready(l.Addr())
 	}
-	for {
-		c, err := l.Accept(env)
-		if err != nil {
-			return nil
-		}
-		conn := c
-		env.SpawnService("gass:conn", func(e transport.Env) { s.handle(e, conn) })
-	}
-}
-
-// Close shuts the listener down.
-func (s *Server) Close(env transport.Env) {
-	if s.listener != nil {
-		_ = s.listener.Close(env)
-	}
+	transport.Serve(env, l, "gass:conn", s.handle)
+	return nil
 }
 
 // handle serves one request: [op:1][pathLen:2][path]([dataLen:4][data])

@@ -1,6 +1,7 @@
 package gram
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -22,29 +23,20 @@ func dialAuthed(env transport.Env, gkAddr string, cred auth.Credential) (transpo
 	return c, nil
 }
 
+// request is one control exchange with the gatekeeper at gkAddr, on a
+// connection authenticated as cred.
 func request(env transport.Env, gkAddr string, cred auth.Credential, req *nexus.Buffer) (*nexus.Buffer, error) {
 	c, err := dialAuthed(env, gkAddr, cred)
 	if err != nil {
 		return nil, err
 	}
 	defer c.Close(env)
-	st := transport.Stream{Env: env, Conn: c}
-	if err := nexus.WriteFrame(st, req); err != nil {
-		return nil, err
+	resp, err := nexus.Call(transport.Stream{Env: env, Conn: c}, req)
+	var se *nexus.StatusError
+	if errors.As(err, &se) {
+		return nil, fmt.Errorf("gram: %s: %w", gkAddr, se)
 	}
-	resp, err := nexus.ReadFrame(st, 0)
-	if err != nil {
-		return nil, err
-	}
-	ok, err := resp.GetBool()
-	if err != nil {
-		return nil, err
-	}
-	if !ok {
-		msg, _ := resp.GetString()
-		return nil, fmt.Errorf("gram: %s: %s", gkAddr, msg)
-	}
-	return resp, nil
+	return resp, err
 }
 
 // Submit sends an RSL job request to a gatekeeper (like globusrun) and

@@ -66,12 +66,12 @@ type managedJob struct {
 
 // Gatekeeper authenticates and dispatches job requests.
 type Gatekeeper struct {
-	cfg      Config
-	mu       sync.Mutex
-	nextJob  int
-	jobs     map[string]*managedJob
-	listener transport.Listener
-	trace    func(format string, args ...interface{})
+	transport.Bound
+	cfg     Config
+	mu      sync.Mutex
+	nextJob int
+	jobs    map[string]*managedJob
+	trace   func(format string, args ...interface{})
 }
 
 // NewGatekeeper creates a gatekeeper.
@@ -98,25 +98,12 @@ func (g *Gatekeeper) Serve(env transport.Env, port int, ready func(addr string))
 	if err != nil {
 		return fmt.Errorf("gram: listen: %w", err)
 	}
-	g.listener = l
+	g.Hold(l)
 	if ready != nil {
 		ready(l.Addr())
 	}
-	for {
-		c, err := l.Accept(env)
-		if err != nil {
-			return nil
-		}
-		conn := c
-		env.SpawnService("gatekeeper:conn", func(e transport.Env) { g.handle(e, conn) })
-	}
-}
-
-// Close shuts the listener down.
-func (g *Gatekeeper) Close(env transport.Env) {
-	if g.listener != nil {
-		_ = g.listener.Close(env)
-	}
+	transport.Serve(env, l, "gatekeeper:conn", g.handle)
+	return nil
 }
 
 func (g *Gatekeeper) handle(env transport.Env, c transport.Conn) {
@@ -147,12 +134,12 @@ func (g *Gatekeeper) handle(env transport.Env, c transport.Conn) {
 	case opSubmit:
 		rslText, err := req.GetString()
 		if err != nil {
-			putErr(resp, err)
+			nexus.PutStatus(resp, err)
 			break
 		}
 		contact, err := g.submit(env, subject, rslText)
 		if err != nil {
-			putErr(resp, err)
+			nexus.PutStatus(resp, err)
 			break
 		}
 		resp.PutBool(true)
@@ -160,12 +147,12 @@ func (g *Gatekeeper) handle(env transport.Env, c transport.Conn) {
 	case opStatus:
 		contact, err := req.GetString()
 		if err != nil {
-			putErr(resp, err)
+			nexus.PutStatus(resp, err)
 			break
 		}
 		state, msg, err := g.jobStatus(contact)
 		if err != nil {
-			putErr(resp, err)
+			nexus.PutStatus(resp, err)
 			break
 		}
 		resp.PutBool(true)
@@ -179,14 +166,9 @@ func (g *Gatekeeper) handle(env transport.Env, c transport.Conn) {
 			resp.PutString(c)
 		}
 	default:
-		putErr(resp, fmt.Errorf("gram: unknown op %d", op))
+		nexus.PutStatus(resp, fmt.Errorf("gram: unknown op %d", op))
 	}
 	_ = nexus.WriteFrame(st, resp)
-}
-
-func putErr(b *nexus.Buffer, err error) {
-	b.PutBool(false)
-	b.PutString(err.Error())
 }
 
 // submit parses the RSL and forks the job manager (Figure 2 step 2: "the

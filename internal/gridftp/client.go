@@ -1,6 +1,7 @@
 package gridftp
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"sync"
@@ -219,7 +220,6 @@ func (c *Client) fetch(env transport.Env, hostport, path string, streams int, ha
 		return fmt.Errorf("gridftp: dial %s: %w", hostport, err)
 	}
 	defer ctrl.Close(env)
-	st := transport.Stream{Env: env, Conn: ctrl}
 	req := nexus.NewBuffer()
 	req.PutInt32(opRetr)
 	req.PutString(path)
@@ -227,15 +227,9 @@ func (c *Client) fetch(env transport.Env, hostport, path string, streams int, ha
 	req.PutBytes(have.Encode())
 	sink.mu.Unlock()
 	req.PutInt32(int32(streams))
-	if err := nexus.WriteFrame(st, req); err != nil {
-		return err
-	}
-	resp, err := nexus.ReadFrame(st, 0)
+	resp, err := nexus.Call(transport.Stream{Env: env, Conn: ctrl}, req)
 	if err != nil {
-		return err
-	}
-	if err := checkStatus(resp); err != nil {
-		return err
+		return replyErr(err)
 	}
 	size, e1 := resp.GetInt64()
 	id, e2 := resp.GetString()
@@ -360,15 +354,9 @@ func (c *Client) putOnce(env transport.Env, hostport, path string, data []byte, 
 	req.PutInt64(int64(len(data)))
 	req.PutInt32(int32(c.streams()))
 	req.PutString(uploadID)
-	if err := nexus.WriteFrame(st, req); err != nil {
-		return false, err
-	}
-	resp, err := nexus.ReadFrame(st, 0)
+	resp, err := nexus.Call(st, req)
 	if err != nil {
-		return false, err
-	}
-	if err := checkStatus(resp); err != nil {
-		return false, err
+		return false, replyErr(err)
 	}
 	id, e1 := resp.GetString()
 	dataAddr, e2 := resp.GetString()
@@ -400,15 +388,14 @@ func (c *Client) putOnce(env transport.Env, hostport, path string, data []byte, 
 			chanErr = err
 		}
 	}
-	final, err := nexus.ReadFrame(st, 0)
-	if err != nil {
-		if chanErr != nil {
+	// The verdict: a refusal is the server's word; a broken control channel
+	// is better explained by a failed data channel, if one failed.
+	if _, err := nexus.ReadReply(st); err != nil {
+		var se *nexus.StatusError
+		if chanErr != nil && !errors.As(err, &se) {
 			return false, chanErr
 		}
-		return false, err
-	}
-	if err := checkStatus(final); err != nil {
-		return false, err
+		return false, replyErr(err)
 	}
 	return true, nil
 }
@@ -438,49 +425,17 @@ func (c *Client) runPutChannel(env transport.Env, w *watchdog, dataAddr, id stri
 	return writeEOD(st)
 }
 
-// Size asks a server for a file's size.
-func (c *Client) Size(env transport.Env, url string) (int64, error) {
-	hostport, path, err := ParseURL(url)
-	if err != nil {
-		return 0, err
-	}
-	ctrl, err := c.Dialer.Dial(env, hostport)
-	if err != nil {
-		return 0, fmt.Errorf("gridftp: dial %s: %w", hostport, err)
-	}
-	defer ctrl.Close(env)
-	st := transport.Stream{Env: env, Conn: ctrl}
-	req := nexus.NewBuffer()
-	req.PutInt32(opSize)
-	req.PutString(path)
-	if err := nexus.WriteFrame(st, req); err != nil {
-		return 0, err
-	}
-	resp, err := nexus.ReadFrame(st, 0)
-	if err != nil {
-		return 0, err
-	}
-	if err := checkStatus(resp); err != nil {
-		return 0, err
-	}
-	return resp.GetInt64()
-}
-
-// checkStatus consumes a reply frame's status bool, converting a server
-// error message into an error.
-func checkStatus(resp *nexus.Buffer) error {
-	ok, err := resp.GetBool()
-	if err != nil {
+// replyErr restates a control server's refusal in gridftp's words; other
+// errors pass through.
+func replyErr(err error) error {
+	var se *nexus.StatusError
+	if !errors.As(err, &se) {
 		return err
 	}
-	if !ok {
-		msg, err := resp.GetString()
-		if err != nil {
-			return fmt.Errorf("gridftp: malformed error reply")
-		}
-		return fmt.Errorf("gridftp: server: %s", msg)
+	if se.Malformed {
+		return fmt.Errorf("gridftp: malformed error reply")
 	}
-	return nil
+	return fmt.Errorf("gridftp: server: %w", se)
 }
 
 // watchdog aborts an attempt's connections after ProgressTimeout without

@@ -69,7 +69,6 @@ func URL(hostport, path string) string {
 const (
 	opRetr = int32(1) // download: path, have-ledger, streams
 	opStor = int32(2) // upload: path, size, streams, uploadID
-	opSize = int32(3) // stat: path -> size
 )
 
 // retrXfer is one active download: the store's own slice for the file as it
@@ -107,6 +106,8 @@ type storXfer struct {
 // Server serves a gass.Store over the gridftp protocol on two listeners: a
 // control port and a data port (control port + 1 when listening directly).
 type Server struct {
+	// Bound holds the control listener, then the data listener.
+	transport.Bound
 	// Store backs the served files.
 	Store *gass.Store
 	// Dialer provides firewall traversal: listeners bind through it
@@ -121,7 +122,6 @@ type Server struct {
 	retrs  map[string]*retrXfer
 	stors  map[string]*storXfer
 	parts  map[string]*storPartial
-	ctrlL  transport.Listener
 	dataL  transport.Listener
 }
 
@@ -143,9 +143,6 @@ func (s *Server) blockSize() int {
 	return DefaultBlockSize
 }
 
-// Addr returns the control listener's public address once serving.
-func (s *Server) Addr() string { return s.ctrlL.Addr() }
-
 // Serve binds the control and data listeners and accepts until closed; it
 // blocks its process. ready (optional) receives the control address.
 func (s *Server) Serve(env transport.Env, port int, ready func(addr string)) error {
@@ -162,43 +159,16 @@ func (s *Server) Serve(env transport.Env, port int, ready func(addr string)) err
 		_ = ctrl.Close(env)
 		return fmt.Errorf("gridftp: listen data: %w", err)
 	}
-	s.ctrlL, s.dataL = ctrl, data
+	s.Hold(ctrl, data)
+	s.dataL = data
 	if ready != nil {
 		ready(ctrl.Addr())
 	}
 	env.SpawnService("gridftp:data-accept", func(e transport.Env) {
-		for {
-			c, err := data.Accept(e)
-			if err != nil {
-				return
-			}
-			conn := c
-			e.SpawnService("gridftp:data", func(e2 transport.Env) { s.handleData(e2, conn) })
-		}
+		transport.Serve(e, data, "gridftp:data", s.handleData)
 	})
-	for {
-		c, err := ctrl.Accept(env)
-		if err != nil {
-			return nil
-		}
-		conn := c
-		env.SpawnService("gridftp:ctrl", func(e transport.Env) { s.handleCtrl(e, conn) })
-	}
-}
-
-// Close shuts both listeners down.
-func (s *Server) Close(env transport.Env) {
-	if s.ctrlL != nil {
-		_ = s.ctrlL.Close(env)
-	}
-	if s.dataL != nil {
-		_ = s.dataL.Close(env)
-	}
-}
-
-func putErr(resp *nexus.Buffer, err error) {
-	resp.PutBool(false)
-	resp.PutString(err.Error())
+	transport.Serve(env, ctrl, "gridftp:ctrl", s.handleCtrl)
+	return nil
 }
 
 // handleCtrl serves one control connection: a single request frame, a reply
@@ -221,21 +191,8 @@ func (s *Server) handleCtrl(env transport.Env, c transport.Conn) {
 		s.handleRetr(env, st, req, resp)
 	case opStor:
 		s.handleStor(env, st, req, resp)
-	case opSize:
-		path, err := req.GetString()
-		if err != nil {
-			putErr(resp, err)
-			break
-		}
-		data, err := s.Store.View(path)
-		if err != nil {
-			putErr(resp, err)
-			break
-		}
-		resp.PutBool(true)
-		resp.PutInt64(int64(len(data)))
 	default:
-		putErr(resp, fmt.Errorf("gridftp: unknown op %d", op))
+		nexus.PutStatus(resp, fmt.Errorf("gridftp: unknown op %d", op))
 	}
 	_ = nexus.WriteFrame(st, resp)
 }
@@ -247,17 +204,17 @@ func (s *Server) handleRetr(env transport.Env, st transport.Stream, req, resp *n
 	haveBytes, e2 := req.GetBytes()
 	streams, e3 := req.GetInt32()
 	if e1 != nil || e2 != nil || e3 != nil || streams < 1 || streams > 64 {
-		putErr(resp, fmt.Errorf("gridftp: malformed RETR"))
+		nexus.PutStatus(resp, fmt.Errorf("gridftp: malformed RETR"))
 		return
 	}
 	have, err := DecodeLedger(haveBytes)
 	if err != nil {
-		putErr(resp, err)
+		nexus.PutStatus(resp, err)
 		return
 	}
 	data, err := s.Store.View(path)
 	if err != nil {
-		putErr(resp, err)
+		nexus.PutStatus(resp, err)
 		return
 	}
 	// The block list is exactly what the client does not yet have: resume
@@ -287,11 +244,11 @@ func (s *Server) handleStor(env transport.Env, st transport.Stream, req, resp *n
 	streams, e3 := req.GetInt32()
 	uploadID, e4 := req.GetString()
 	if e1 != nil || e2 != nil || e3 != nil || e4 != nil || size < 0 || streams < 1 || streams > 64 {
-		putErr(resp, fmt.Errorf("gridftp: malformed STOR"))
+		nexus.PutStatus(resp, fmt.Errorf("gridftp: malformed STOR"))
 		return
 	}
 	if size > gass.MaxFileSize {
-		putErr(resp, fmt.Errorf("%w (%d bytes)", gass.ErrTooLarge, size))
+		nexus.PutStatus(resp, fmt.Errorf("%w (%d bytes)", gass.ErrTooLarge, size))
 		return
 	}
 	s.mu.Lock()
@@ -344,7 +301,7 @@ func (s *Server) handleStor(env transport.Env, st transport.Stream, req, resp *n
 		part.committed = true
 		s.mu.Unlock()
 		if err := s.Store.Adopt(path, part.buf); err != nil {
-			putErr(final, err)
+			nexus.PutStatus(final, err)
 		} else {
 			s.mu.Lock()
 			delete(s.parts, uploadID)
@@ -356,7 +313,7 @@ func (s *Server) handleStor(env transport.Env, st transport.Stream, req, resp *n
 		s.mu.Lock()
 		got := part.ledger.Bytes()
 		s.mu.Unlock()
-		putErr(final, fmt.Errorf("gridftp: upload incomplete (%d/%d bytes)", got, size))
+		nexus.PutStatus(final, fmt.Errorf("gridftp: upload incomplete (%d/%d bytes)", got, size))
 	}
 	_ = nexus.WriteFrame(st, final)
 }

@@ -165,9 +165,6 @@ func TestPutGetRoundTrip(t *testing.T) {
 	if gstats.Bytes != int64(len(payload)) || gstats.Resumes != 0 {
 		t.Fatalf("get stats = %+v", gstats)
 	}
-	if sz, err := cl.Size(env, url); err != nil || sz != int64(len(payload)) {
-		t.Fatalf("Size = %d, %v", sz, err)
-	}
 }
 
 func TestEmptyAndSingleByteFiles(t *testing.T) {

@@ -23,27 +23,6 @@ func allocatedBy(f func()) uint64 {
 	return after.TotalAlloc - before.TotalAlloc
 }
 
-// TestSizeDoesNotCopyTheFile pins opSize to the shared read: reporting the
-// length of a 1 MiB file costs a few frames, not a copy of the file.
-func TestSizeDoesNotCopyTheFile(t *testing.T) {
-	env, srv, addr := startServer(t)
-	const fileSize = 1 << 20
-	if err := srv.Store.Adopt("/bulk/big.bin", pattern(fileSize)); err != nil {
-		t.Fatal(err)
-	}
-	cl := &Client{}
-	url := URL(addr, "/bulk/big.bin")
-	size := func() {
-		if sz, err := cl.Size(env, url); err != nil || sz != fileSize {
-			t.Fatalf("Size = %d, %v", sz, err)
-		}
-	}
-	size() // warm the dial path
-	if got := allocatedBy(size); got >= fileSize/16 {
-		t.Errorf("Size of a %d-byte file allocated %d bytes, want O(1) (< %d)", fileSize, got, fileSize/16)
-	}
-}
-
 // serveBlocks listens on loopback TCP for one data channel and sends it
 // file as one block at MaxBlock and then 64 KiB ones.
 func serveBlocks(t *testing.T, file []byte) (*transport.TCPEnv, string) {
@@ -148,14 +127,8 @@ func TestLateBlockAfterCommitIsDropped(t *testing.T) {
 	req.PutInt64(int64(len(file)))
 	req.PutInt32(2)
 	req.PutString(uploadID)
-	if err := nexus.WriteFrame(cst, req); err != nil {
-		t.Fatal(err)
-	}
-	resp, err := nexus.ReadFrame(cst, 0)
+	resp, err := nexus.Call(cst, req)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := checkStatus(resp); err != nil {
 		t.Fatal(err)
 	}
 	id, _ := resp.GetString()
@@ -201,11 +174,7 @@ func TestLateBlockAfterCommitIsDropped(t *testing.T) {
 	if err := writeEOD(ch0); err != nil {
 		t.Fatal(err)
 	}
-	final, err := nexus.ReadFrame(cst, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := checkStatus(final); err != nil {
+	if _, err := nexus.ReadReply(cst); err != nil {
 		t.Fatalf("upload did not commit: %v", err)
 	}
 

@@ -77,6 +77,7 @@ type record struct {
 
 // Monitor is the heartbeat collector daemon.
 type Monitor struct {
+	transport.Bound
 	// Interval is the expected beat period.
 	Interval time.Duration
 	// Grace is how far past the interval a beat may be before the process
@@ -97,10 +98,9 @@ type Monitor struct {
 	// three-state behavior exactly.
 	SuspectWindow time.Duration
 
-	mu       sync.Mutex
-	procs    map[string]*record
-	listener transport.Listener
-	obs      *obs.Observer // bound at Serve; nil when tracing is off
+	mu    sync.Mutex
+	procs map[string]*record
+	obs   *obs.Observer // bound at Serve; nil when tracing is off
 	// suspects/downs count transitions INTO the respective state — the
 	// flap-vs-suspect evidence chaos invariants assert on.
 	suspects int64
@@ -289,26 +289,13 @@ func (m *Monitor) Serve(env transport.Env, port int, ready func(addr string)) er
 	if err != nil {
 		return fmt.Errorf("hbm: listen: %w", err)
 	}
-	m.listener = l
+	m.Hold(l)
 	m.obs = obs.From(env)
 	if ready != nil {
 		ready(l.Addr())
 	}
-	for {
-		c, err := l.Accept(env)
-		if err != nil {
-			return nil
-		}
-		conn := c
-		env.SpawnService("hbm:conn", func(e transport.Env) { m.handle(e, conn) })
-	}
-}
-
-// Close shuts the listener down.
-func (m *Monitor) Close(env transport.Env) {
-	if m.listener != nil {
-		_ = m.listener.Close(env)
-	}
+	transport.Serve(env, l, "hbm:conn", m.handle)
+	return nil
 }
 
 func (m *Monitor) handle(env transport.Env, c transport.Conn) {
@@ -327,8 +314,7 @@ func (m *Monitor) handle(env transport.Env, c transport.Conn) {
 	case opBeat:
 		name, err := req.GetString()
 		if err != nil || name == "" {
-			resp.PutBool(false)
-			resp.PutString("hbm: bad beat")
+			nexus.PutStatus(resp, errors.New("hbm: bad beat"))
 			break
 		}
 		m.beat(name, env.Now())
@@ -336,8 +322,7 @@ func (m *Monitor) handle(env transport.Env, c transport.Conn) {
 	case opDeregister:
 		name, err := req.GetString()
 		if err != nil || name == "" {
-			resp.PutBool(false)
-			resp.PutString("hbm: bad deregister")
+			nexus.PutStatus(resp, errors.New("hbm: bad deregister"))
 			break
 		}
 		m.deregister(name)
@@ -356,8 +341,7 @@ func (m *Monitor) handle(env transport.Env, c transport.Conn) {
 			resp.PutInt32(int32(snap[n]))
 		}
 	default:
-		resp.PutBool(false)
-		resp.PutString("hbm: unknown op")
+		nexus.PutStatus(resp, errors.New("hbm: unknown op"))
 	}
 	_ = nexus.WriteFrame(st, resp)
 }
@@ -406,29 +390,15 @@ func QueryAll(env transport.Env, addr string) (map[string]Health, error) {
 	return out, nil
 }
 
+// roundTrip is one control exchange with the monitor at addr. A refusal
+// comes back as the monitor's message itself.
 func roundTrip(env transport.Env, addr string, req *nexus.Buffer) (*nexus.Buffer, error) {
 	c, err := env.Dial(addr)
 	if err != nil {
 		return nil, fmt.Errorf("hbm: dial %s: %w", addr, err)
 	}
 	defer c.Close(env)
-	st := transport.Stream{Env: env, Conn: c}
-	if err := nexus.WriteFrame(st, req); err != nil {
-		return nil, err
-	}
-	resp, err := nexus.ReadFrame(st, 0)
-	if err != nil {
-		return nil, err
-	}
-	ok, err := resp.GetBool()
-	if err != nil {
-		return nil, err
-	}
-	if !ok {
-		msg, _ := resp.GetString()
-		return nil, errors.New(msg)
-	}
-	return resp, nil
+	return nexus.Call(transport.Stream{Env: env, Conn: c}, req)
 }
 
 // Reporter periodically beats on behalf of a named process. Start launches

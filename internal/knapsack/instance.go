@@ -56,9 +56,30 @@ func (in *Instance) Validate() error {
 func Normalized(n, cap int) *Instance {
 	items := make([]Item, n)
 	for i := range items {
-		items[i] = Item{Profit: int64(i%7 + 1), Weight: 1}
+		items[i] = Item{Profit: int64(i%normalizedProfits + 1), Weight: 1}
 	}
 	return &Instance{Items: items, Capacity: int64(cap)}
+}
+
+// normalizedProfits is the period of Normalized's profits, which cycle
+// 1, 2, ..., normalizedProfits.
+const normalizedProfits = 7
+
+// NormalizedBest returns Normalized(n, cap)'s optimum. Every item weighs 1,
+// so it is the sum of the cap largest profits: take profit p's items, from
+// the largest p down, until cap are taken.
+func NormalizedBest(n, cap int) int64 {
+	var best int64
+	for p := normalizedProfits; p >= 1 && cap > 0; p-- {
+		k := n / normalizedProfits // items i < n with i%normalizedProfits == p-1
+		if p-1 < n%normalizedProfits {
+			k++
+		}
+		k = min(k, cap)
+		best += int64(p * k)
+		cap -= k
+	}
+	return best
 }
 
 // NormalizedTreeNodes returns the exact node count Normalized(n, cap)

@@ -26,6 +26,20 @@ func TestNoPruningTraversesFullTree(t *testing.T) {
 	}
 }
 
+// TestNormalizedBestMatchesSolve checks the closed form against the solver
+// over every size the experiments ship (up to the paper's 50 items, capacity
+// 6) and on to a capacity above the item count.
+func TestNormalizedBestMatchesSolve(t *testing.T) {
+	for n := 1; n <= 50; n++ {
+		for cap := 0; cap <= n+1; cap++ {
+			want, _ := Solve(Normalized(n, cap))
+			if got := NormalizedBest(n, cap); got != want {
+				t.Fatalf("NormalizedBest(%d, %d) = %d, Solve says %d", n, cap, got, want)
+			}
+		}
+	}
+}
+
 func TestSolveMatchesBruteForceRandom(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		in := Random(14, 100, seed)

@@ -108,24 +108,6 @@ func (d *Directory) Add(dn string, attrs map[string][]string) error {
 	return nil
 }
 
-// Modify updates attributes of an existing entry (set semantics per key).
-func (d *Directory) Modify(dn string, attrs map[string][]string) error {
-	norm, err := normalizeDN(dn)
-	if err != nil {
-		return err
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	e, ok := d.entries[norm]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrNotFound, dn)
-	}
-	for k, vs := range attrs {
-		e.Attrs[strings.ToLower(k)] = append([]string(nil), vs...)
-	}
-	return nil
-}
-
 // Delete removes an entry.
 func (d *Directory) Delete(dn string) error {
 	norm, err := normalizeDN(dn)

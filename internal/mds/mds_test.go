@@ -2,9 +2,11 @@ package mds
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"testing/quick"
 
+	"nxcluster/internal/nexus"
 	"nxcluster/internal/transport"
 )
 
@@ -55,21 +57,6 @@ func TestAddGetDelete(t *testing.T) {
 	}
 	if _, err := d.Get("hn=rwcp-sun, ou=rwcp, o=grid"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("Get after delete = %v", err)
-	}
-}
-
-func TestModify(t *testing.T) {
-	d := NewDirectory()
-	_ = d.Add("hn=a, o=grid", hostEntry("rwcp", 4))
-	if err := d.Modify("hn=a, o=grid", map[string][]string{"freecpus": {"2"}}); err != nil {
-		t.Fatal(err)
-	}
-	e, _ := d.Get("hn=a, o=grid")
-	if e.Int("freecpus", 0) != 2 || e.First("cluster") != "rwcp" {
-		t.Fatalf("modify lost data: %+v", e)
-	}
-	if err := d.Modify("hn=missing, o=grid", nil); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("Modify missing = %v", err)
 	}
 }
 
@@ -173,7 +160,14 @@ func TestQuickFilterRoundTrip(t *testing.T) {
 
 func TestServerClientOverTCP(t *testing.T) {
 	env := transport.NewTCPEnv("localhost")
-	srv := NewServer(NewDirectory())
+	dir := NewDirectory()
+	if err := dir.Add("hn=rwcp-sun, ou=rwcp, o=grid", hostEntry("rwcp", 4)); err != nil {
+		t.Fatal(err)
+	}
+	if err := dir.Add("hn=etl-o2k, ou=etl, o=grid", hostEntry("etl", 16)); err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(dir)
 	ready := make(chan string, 1)
 	env.Spawn("mds", func(e transport.Env) {
 		_ = srv.Serve(e, 0, func(addr string) { ready <- addr })
@@ -182,35 +176,71 @@ func TestServerClientOverTCP(t *testing.T) {
 	defer srv.Close(env)
 
 	cl := Client{Addr: addr}
-	if err := cl.Add(env, "hn=rwcp-sun, ou=rwcp, o=grid", hostEntry("rwcp", 4)); err != nil {
-		t.Fatal(err)
-	}
-	if err := cl.Add(env, "hn=etl-o2k, ou=etl, o=grid", hostEntry("etl", 16)); err != nil {
-		t.Fatal(err)
-	}
-	e, err := cl.Get(env, "hn=rwcp-sun, ou=rwcp, o=grid")
-	if err != nil || e.First("cluster") != "rwcp" {
-		t.Fatalf("Get = %+v, %v", e, err)
-	}
 	res, err := cl.Search(env, "o=grid", "(freecpus>=8)")
 	if err != nil || len(res) != 1 || res[0].First("cluster") != "etl" {
 		t.Fatalf("Search = %v, %v", res, err)
 	}
-	if err := cl.Modify(env, "hn=etl-o2k, ou=etl, o=grid", map[string][]string{"freecpus": {"0"}}); err != nil {
+	if err := dir.Add("hn=etl-o2k, ou=etl, o=grid", hostEntry("etl", 0)); err != nil {
 		t.Fatal(err)
 	}
 	res, err = cl.Search(env, "o=grid", "(freecpus>=8)")
 	if err != nil || len(res) != 0 {
-		t.Fatalf("Search after modify = %v, %v", res, err)
-	}
-	if err := cl.Delete(env, "hn=etl-o2k, ou=etl, o=grid"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cl.Get(env, "hn=etl-o2k, ou=etl, o=grid"); err == nil {
-		t.Fatal("Get after delete succeeded")
+		t.Fatalf("Search after the update = %v, %v", res, err)
 	}
 	// Bad filter surfaces as server error.
-	if _, err := cl.Search(env, "o=grid", "(((("); err == nil {
-		t.Fatal("bad filter accepted")
+	if _, err := cl.Search(env, "o=grid", "(((("); err == nil || !strings.HasPrefix(err.Error(), "mds: server error: ") {
+		t.Fatalf("bad filter: err = %v", err)
+	}
+}
+
+// TestSearchRejectsLyingCounts sends Search replies whose counts the frame
+// cannot hold: the client must refuse them, not size an allocation by them.
+func TestSearchRejectsLyingCounts(t *testing.T) {
+	entry := func(attrs, values int32) *nexus.Buffer {
+		b := nexus.NewBuffer()
+		b.PutBool(true)
+		b.PutInt32(1) // one entry
+		b.PutString("hn=x, o=grid")
+		b.PutInt32(attrs)
+		if attrs == 1 {
+			b.PutString("cpus")
+			b.PutInt32(values)
+		}
+		return b
+	}
+	entries := nexus.NewBuffer()
+	entries.PutBool(true)
+	entries.PutInt32(-1)
+	cases := map[string]*nexus.Buffer{
+		"entries -1":      entries,
+		"attrs -1":        entry(-1, 0),
+		"attrs too many":  entry(1<<20, 0),
+		"values -1":       entry(1, -1),
+		"values too many": entry(1, 1<<20),
+	}
+	env := transport.NewTCPEnv("localhost")
+	for name, reply := range cases {
+		t.Run(name, func(t *testing.T) {
+			l, err := env.Listen(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer l.Close(env)
+			env.Spawn("liar", func(e transport.Env) {
+				c, err := l.Accept(e)
+				if err != nil {
+					return
+				}
+				defer c.Close(e)
+				st := transport.Stream{Env: e, Conn: c}
+				if _, err := nexus.ReadFrame(st, 0); err == nil {
+					_ = nexus.WriteFrame(st, reply)
+				}
+			})
+			res, err := (Client{Addr: l.Addr()}).Search(env, "o=grid", "")
+			if err == nil || (name != "entries -1" && !errors.Is(err, errMalformed)) {
+				t.Fatalf("Search = %v, %v; want the lying count refused", res, err)
+			}
+		})
 	}
 }

@@ -49,7 +49,9 @@ func Init(env transport.Env, cfg proxy.Config) (*Context, error) {
 		addr:      l.Addr(),
 		endpoints: make(map[uint32]*Endpoint),
 	}
-	env.SpawnService("nexus:accept", ctx.acceptLoop)
+	env.SpawnService("nexus:accept", func(e transport.Env) {
+		transport.Serve(e, l, "nexus:reader", ctx.readLoop)
+	})
 	return ctx, nil
 }
 
@@ -67,17 +69,6 @@ func (c *Context) Shutdown(env transport.Env) {
 	}
 	c.closed = true
 	_ = c.listener.Close(env)
-}
-
-func (c *Context) acceptLoop(env transport.Env) {
-	for {
-		conn, err := c.listener.Accept(env)
-		if err != nil {
-			return
-		}
-		cc := conn
-		env.SpawnService("nexus:reader", func(e transport.Env) { c.readLoop(e, cc) })
-	}
 }
 
 // readLoop decodes frames [epID u32][handlerID u32][len u32][payload] and

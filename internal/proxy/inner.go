@@ -16,13 +16,13 @@ import (
 // root) strengthens the deployment; port policy is the operator's choice
 // here and the firewall restricts the source anyway.
 type InnerServer struct {
+	transport.Bound
 	// Relay tunes the data pumps.
 	Relay RelayConfig
 	// Secret, when non-empty, requires an HMAC proof on every splice
 	// request; configure the same site secret on the outer server.
 	Secret string
 
-	listener transport.Listener
 	// Relay counters, updated atomically (see OuterServer).
 	bindRelays     int64
 	bytes          int64
@@ -55,34 +55,18 @@ func (s *InnerServer) Stats() Stats {
 	}
 }
 
-// Addr returns the nxport listener address once Serve has bound it.
-func (s *InnerServer) Addr() string { return s.listener.Addr() }
-
 // Serve binds the nxport and runs the accept loop; it blocks its process.
 func (s *InnerServer) Serve(env transport.Env, nxport int, ready func(addr string)) error {
 	l, err := env.Listen(nxport)
 	if err != nil {
 		return fmt.Errorf("proxy inner: listen: %w", err)
 	}
-	s.listener = l
+	s.Hold(l)
 	if ready != nil {
 		ready(l.Addr())
 	}
-	for {
-		c, err := l.Accept(env)
-		if err != nil {
-			return nil
-		}
-		conn := c
-		env.SpawnService("inner:conn", func(e transport.Env) { s.handle(e, conn) })
-	}
-}
-
-// Close shuts down the nxport listener.
-func (s *InnerServer) Close(env transport.Env) {
-	if s.listener != nil {
-		_ = s.listener.Close(env)
-	}
+	transport.Serve(env, l, "inner:conn", s.handle)
+	return nil
 }
 
 // handle serves one connection from the outer server: read the splice

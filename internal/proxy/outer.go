@@ -14,6 +14,7 @@ import (
 // on dynamically bound public ports — remote processes connecting toward
 // bound clients.
 type OuterServer struct {
+	transport.Bound
 	// InnerAddr is the inner server's "host:nxport"; the firewall must
 	// permit incoming connections from this server to that address.
 	InnerAddr string
@@ -24,7 +25,6 @@ type OuterServer struct {
 	// the inner server and in client Configs.
 	Secret string
 
-	listener transport.Listener
 	nextBind int64
 	// Relay counters, updated atomically: handler goroutines on real TCP
 	// run concurrently.
@@ -87,37 +87,20 @@ func (s *OuterServer) innerAddr() string {
 	return s.InnerAddr
 }
 
-// Addr returns the control listener address once Serve has bound it.
-func (s *OuterServer) Addr() string { return s.listener.Addr() }
-
 // Serve binds the control port and runs the accept loop; it blocks its
 // process (start it under a daemon Spawn). port 0 picks an ephemeral port;
-// call Addr after Bound fires... to avoid a race, Serve accepts a ready
-// callback invoked after binding.
+// ready (optional) receives the bound address, after which Addr is valid.
 func (s *OuterServer) Serve(env transport.Env, port int, ready func(addr string)) error {
 	l, err := env.Listen(port)
 	if err != nil {
 		return fmt.Errorf("proxy outer: listen: %w", err)
 	}
-	s.listener = l
+	s.Hold(l)
 	if ready != nil {
 		ready(l.Addr())
 	}
-	for {
-		c, err := l.Accept(env)
-		if err != nil {
-			return nil // listener closed: normal shutdown
-		}
-		conn := c
-		env.SpawnService("outer:conn", func(e transport.Env) { s.handleControl(e, conn) })
-	}
-}
-
-// Close shuts down the control listener.
-func (s *OuterServer) Close(env transport.Env) {
-	if s.listener != nil {
-		_ = s.listener.Close(env)
-	}
+	transport.Serve(env, l, "outer:conn", s.handleControl)
+	return nil // listener closed: normal shutdown
 }
 
 // handleControl serves one client connection on the control port,
@@ -266,34 +249,27 @@ func (s *OuterServer) handleBind(env transport.Env, c transport.Conn, clientAddr
 // connects to the inner server through the pre-opened nxport and asks it to
 // splice toward the client's private listener.
 func (s *OuterServer) acceptPublic(env transport.Env, b *outerBind) {
-	for {
-		peer, err := b.public.Accept(env)
+	transport.Serve(env, b.public, "outer:"+b.id+":peer", func(e transport.Env, pc transport.Conn) {
+		connID := fmt.Sprintf("%s/conn-%d", b.id, atomic.AddInt64(&b.nextConn, 1))
+		inner := s.innerAddr()
+		s.tracef("outer: peer %s for %s; splicing via inner %s", pc.RemoteAddr(), b.id, inner)
+		in, err := e.Dial(inner)
 		if err != nil {
+			_ = pc.Close(e)
 			return
 		}
-		pc := peer
-		env.SpawnService("outer:"+b.id+":peer", func(e transport.Env) {
-			connID := fmt.Sprintf("%s/conn-%d", b.id, atomic.AddInt64(&b.nextConn, 1))
-			inner := s.innerAddr()
-			s.tracef("outer: peer %s for %s; splicing via inner %s", pc.RemoteAddr(), b.id, inner)
-			in, err := e.Dial(inner)
-			if err != nil {
-				_ = pc.Close(e)
-				return
-			}
-			ist := transport.Stream{Env: e, Conn: in}
-			if err := sendAuthedRequest(ist, s.Secret, msgSplice, b.clientAddr, connID); err != nil {
-				_ = in.Close(e)
-				_ = pc.Close(e)
-				return
-			}
-			if _, err := expect(ist, msgOK); err != nil {
-				_ = in.Close(e)
-				_ = pc.Close(e)
-				return
-			}
-			atomic.AddInt64(&s.bindRelays, 1)
-			splice(e, "outer:"+connID, pc, in, s.Relay, &s.bytes)
-		})
-	}
+		ist := transport.Stream{Env: e, Conn: in}
+		if err := sendAuthedRequest(ist, s.Secret, msgSplice, b.clientAddr, connID); err != nil {
+			_ = in.Close(e)
+			_ = pc.Close(e)
+			return
+		}
+		if _, err := expect(ist, msgOK); err != nil {
+			_ = in.Close(e)
+			_ = pc.Close(e)
+			return
+		}
+		atomic.AddInt64(&s.bindRelays, 1)
+		splice(e, "outer:"+connID, pc, in, s.Relay, &s.bytes)
+	})
 }

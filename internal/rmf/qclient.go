@@ -1,6 +1,7 @@
 package rmf
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"time"
@@ -10,30 +11,20 @@ import (
 	"nxcluster/internal/transport"
 )
 
-// roundTrip sends one framed request and reads the status-prefixed reply.
+// roundTrip is one control exchange with the allocator or a Q server at
+// addr.
 func roundTrip(env transport.Env, addr string, req *nexus.Buffer) (*nexus.Buffer, error) {
 	c, err := env.Dial(addr)
 	if err != nil {
 		return nil, fmt.Errorf("rmf: dial %s: %w", addr, err)
 	}
 	defer c.Close(env)
-	st := transport.Stream{Env: env, Conn: c}
-	if err := nexus.WriteFrame(st, req); err != nil {
-		return nil, err
+	resp, err := nexus.Call(transport.Stream{Env: env, Conn: c}, req)
+	var se *nexus.StatusError
+	if errors.As(err, &se) {
+		return nil, fmt.Errorf("rmf: %s: %w", addr, se)
 	}
-	resp, err := nexus.ReadFrame(st, 0)
-	if err != nil {
-		return nil, err
-	}
-	ok, err := resp.GetBool()
-	if err != nil {
-		return nil, err
-	}
-	if !ok {
-		msg, _ := resp.GetString()
-		return nil, fmt.Errorf("rmf: %s: %s", addr, msg)
-	}
-	return resp, nil
+	return resp, err
 }
 
 // RegisterResource announces a Q server to the allocator.

@@ -38,6 +38,7 @@ type jobRecord struct {
 // to "a server of the Q system runs on every computing resource inside the
 // firewall".
 type QServer struct {
+	transport.Bound
 	// Resource is this resource's name (its host).
 	Resource string
 	// Cluster labels the resource's cluster for allocation filtering.
@@ -47,11 +48,10 @@ type QServer struct {
 	// Registry resolves executable names.
 	Registry *Registry
 
-	mu       sync.Mutex
-	nextID   int
-	jobs     map[string]*jobRecord
-	listener transport.Listener
-	trace    func(format string, args ...interface{})
+	mu     sync.Mutex
+	nextID int
+	jobs   map[string]*jobRecord
+	trace  func(format string, args ...interface{})
 }
 
 // NewQServer creates a Q server for a resource.
@@ -81,7 +81,7 @@ func (q *QServer) Serve(env transport.Env, port int, allocatorAddr string, ready
 	if err != nil {
 		return fmt.Errorf("rmf qserver %s: listen: %w", q.Resource, err)
 	}
-	q.listener = l
+	q.Hold(l)
 	if allocatorAddr != "" {
 		if err := RegisterResource(env, allocatorAddr, q.Resource, l.Addr(), q.Cluster, q.CPUs); err != nil {
 			_ = l.Close(env)
@@ -91,21 +91,8 @@ func (q *QServer) Serve(env transport.Env, port int, allocatorAddr string, ready
 	if ready != nil {
 		ready(l.Addr())
 	}
-	for {
-		c, err := l.Accept(env)
-		if err != nil {
-			return nil
-		}
-		conn := c
-		env.SpawnService("qserver:conn", func(e transport.Env) { q.handle(e, conn) })
-	}
-}
-
-// Close shuts the listener down.
-func (q *QServer) Close(env transport.Env) {
-	if q.listener != nil {
-		_ = q.listener.Close(env)
-	}
+	transport.Serve(env, l, "qserver:conn", q.handle)
+	return nil
 }
 
 func (q *QServer) handle(env transport.Env, c transport.Conn) {
@@ -129,7 +116,7 @@ func (q *QServer) handle(env transport.Env, c transport.Conn) {
 	case opStatus:
 		id, err := req.GetString()
 		if err != nil {
-			putErr(resp, err)
+			nexus.PutStatus(resp, err)
 			break
 		}
 		q.putStatus(env, resp, id, 0)
@@ -137,12 +124,12 @@ func (q *QServer) handle(env transport.Env, c transport.Conn) {
 		id, e1 := req.GetString()
 		hold, e2 := req.GetInt64()
 		if e1 != nil || e2 != nil || hold < 0 {
-			putErr(resp, fmt.Errorf("rmf: malformed await"))
+			nexus.PutStatus(resp, fmt.Errorf("rmf: malformed await"))
 			break
 		}
 		q.putStatus(env, resp, id, min(time.Duration(hold), maxAwaitHold))
 	default:
-		putErr(resp, fmt.Errorf("rmf: unknown qserver op %d", op))
+		nexus.PutStatus(resp, fmt.Errorf("rmf: unknown qserver op %d", op))
 	}
 	_ = nexus.WriteFrame(st, resp)
 }
@@ -154,7 +141,7 @@ func (q *QServer) putStatus(env transport.Env, resp *nexus.Buffer, id string, ho
 	rec, ok := q.jobs[id]
 	if !ok {
 		q.mu.Unlock()
-		putErr(resp, fmt.Errorf("%w: %s", ErrUnknownJob, id))
+		nexus.PutStatus(resp, fmt.Errorf("%w: %s", ErrUnknownJob, id))
 		return
 	}
 	if hold > 0 && !rec.state.ended() {
@@ -183,20 +170,20 @@ func (q *QServer) handleSubmit(env transport.Env, req *nexus.Buffer, resp *nexus
 	// entry two of them, so a count the frame cannot hold is refused before it
 	// sizes an allocation.
 	if e1 != nil || e2 != nil || nargs < 0 || int(nargs) > req.Remaining()/4 {
-		putErr(resp, fmt.Errorf("rmf: malformed submit"))
+		nexus.PutStatus(resp, fmt.Errorf("rmf: malformed submit"))
 		return
 	}
 	args := make([]string, nargs)
 	var err error
 	for i := range args {
 		if args[i], err = req.GetString(); err != nil {
-			putErr(resp, err)
+			nexus.PutStatus(resp, err)
 			return
 		}
 	}
 	nenv, err := req.GetInt32()
 	if err != nil || nenv < 0 || int(nenv) > req.Remaining()/8 {
-		putErr(resp, fmt.Errorf("rmf: malformed environment"))
+		nexus.PutStatus(resp, fmt.Errorf("rmf: malformed environment"))
 		return
 	}
 	envMap := make(map[string]string, nenv)
@@ -204,7 +191,7 @@ func (q *QServer) handleSubmit(env transport.Env, req *nexus.Buffer, resp *nexus
 		k, e1 := req.GetString()
 		v, e2 := req.GetString()
 		if e1 != nil || e2 != nil {
-			putErr(resp, fmt.Errorf("rmf: malformed environment"))
+			nexus.PutStatus(resp, fmt.Errorf("rmf: malformed environment"))
 			return
 		}
 		envMap[k] = v
@@ -212,13 +199,13 @@ func (q *QServer) handleSubmit(env transport.Env, req *nexus.Buffer, resp *nexus
 	stdinURL, e1 := req.GetString()
 	stdoutURL, e2 := req.GetString()
 	if e1 != nil || e2 != nil {
-		putErr(resp, fmt.Errorf("rmf: malformed urls"))
+		nexus.PutStatus(resp, fmt.Errorf("rmf: malformed urls"))
 		return
 	}
 
 	prog, ok := q.Registry.Lookup(executable)
 	if !ok {
-		putErr(resp, fmt.Errorf("rmf: %s: no such executable %q", q.Resource, executable))
+		nexus.PutStatus(resp, fmt.Errorf("rmf: %s: no such executable %q", q.Resource, executable))
 		return
 	}
 	q.mu.Lock()

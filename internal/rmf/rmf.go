@@ -146,13 +146,13 @@ type resourceInfo struct {
 // a resource's key (allocate, release, SetHealth, a re-Register) repairs the
 // one heap it is in.
 type Allocator struct {
-	mu       sync.Mutex
-	res      []resourceInfo     // by id
-	ids      map[string]int32   // name -> id
-	heaps    map[string][]int32 // cluster -> its ids in heap order; never empty
-	pos      []int32            // id -> index in its cluster's heap
-	listener transport.Listener
-	trace    func(format string, args ...interface{})
+	transport.Bound
+	mu    sync.Mutex
+	res   []resourceInfo     // by id
+	ids   map[string]int32   // name -> id
+	heaps map[string][]int32 // cluster -> its ids in heap order; never empty
+	pos   []int32            // id -> index in its cluster's heap
+	trace func(format string, args ...interface{})
 }
 
 // NewAllocator creates an empty allocator.
@@ -341,25 +341,12 @@ func (a *Allocator) Serve(env transport.Env, port int, ready func(addr string)) 
 	if err != nil {
 		return fmt.Errorf("rmf allocator: listen: %w", err)
 	}
-	a.listener = l
+	a.Hold(l)
 	if ready != nil {
 		ready(l.Addr())
 	}
-	for {
-		c, err := l.Accept(env)
-		if err != nil {
-			return nil
-		}
-		conn := c
-		env.SpawnService("rmf-alloc:conn", func(e transport.Env) { a.handle(e, conn) })
-	}
-}
-
-// Close shuts the listener down.
-func (a *Allocator) Close(env transport.Env) {
-	if a.listener != nil {
-		_ = a.listener.Close(env)
-	}
+	transport.Serve(env, l, "rmf-alloc:conn", a.handle)
+	return nil
 }
 
 // noteLoads refreshes the per-resource load gauges the monitoring plane
@@ -401,7 +388,7 @@ func (a *Allocator) handle(env transport.Env, c transport.Conn) {
 		cluster, e3 := req.GetString()
 		cpus, e4 := req.GetInt32()
 		if e1 != nil || e2 != nil || e3 != nil || e4 != nil || cpus <= 0 {
-			putErr(resp, fmt.Errorf("rmf: malformed register"))
+			nexus.PutStatus(resp, fmt.Errorf("rmf: malformed register"))
 			break
 		}
 		a.Register(name, addr, cluster, int(cpus))
@@ -411,7 +398,7 @@ func (a *Allocator) handle(env transport.Env, c transport.Conn) {
 		count, e1 := req.GetInt32()
 		cluster, e2 := req.GetString()
 		if e1 != nil || e2 != nil || count <= 0 || count > maxAllocSlots {
-			putErr(resp, fmt.Errorf("rmf: malformed alloc"))
+			nexus.PutStatus(resp, fmt.Errorf("rmf: malformed alloc"))
 			break
 		}
 		if o != nil {
@@ -419,7 +406,7 @@ func (a *Allocator) handle(env transport.Env, c transport.Conn) {
 		}
 		names, addrs, err := a.allocate(int(count), cluster)
 		if err != nil {
-			putErr(resp, err)
+			nexus.PutStatus(resp, err)
 			break
 		}
 		a.tracef("allocator: selected %v for %d-process request", names, count)
@@ -435,13 +422,13 @@ func (a *Allocator) handle(env transport.Env, c transport.Conn) {
 		// frame cannot hold is refused before it sizes an allocation.
 		n, err := req.GetInt32()
 		if err != nil || n < 0 || int(n) > req.Remaining()/4 {
-			putErr(resp, fmt.Errorf("rmf: malformed release"))
+			nexus.PutStatus(resp, fmt.Errorf("rmf: malformed release"))
 			break
 		}
 		names := make([]string, n)
 		for i := range names {
 			if names[i], err = req.GetString(); err != nil {
-				putErr(resp, err)
+				nexus.PutStatus(resp, err)
 				break
 			}
 		}
@@ -451,12 +438,7 @@ func (a *Allocator) handle(env transport.Env, c transport.Conn) {
 			resp.PutBool(true)
 		}
 	default:
-		putErr(resp, fmt.Errorf("rmf: unknown allocator op %d", op))
+		nexus.PutStatus(resp, fmt.Errorf("rmf: unknown allocator op %d", op))
 	}
 	_ = nexus.WriteFrame(st, resp)
-}
-
-func putErr(b *nexus.Buffer, err error) {
-	b.PutBool(false)
-	b.PutString(err.Error())
 }

@@ -246,7 +246,7 @@ func compileCheck(kind Kind, a AssertSpec, path string) (check, error) {
 		case "exact-optimum":
 			return check{a.Name, func(v any) error {
 				rep := v.(*bench.KnapsackReport)
-				want := wantBest(rep.Config.Items, rep.Config.Capacity)
+				want := knapsack.NormalizedBest(rep.Config.Items, rep.Config.Capacity)
 				for _, row := range rep.Rows {
 					if row.Result != nil && row.Result.Best != want {
 						return fmt.Errorf("%s: best = %d, want %d", row.System, row.Result.Best, want)
@@ -296,7 +296,7 @@ func compileCheck(kind Kind, a AssertSpec, path string) (check, error) {
 		case "exact-optimum":
 			return check{a.Name, func(v any) error {
 				rep := v.(*bench.MonitorReport)
-				want := wantBest(rep.Config.Items, rep.Config.Capacity)
+				want := knapsack.NormalizedBest(rep.Config.Items, rep.Config.Capacity)
 				if rep.Result == nil || rep.Result.Best != want {
 					return fmt.Errorf("best = %v, want %d", resultBest(rep.Result), want)
 				}
@@ -359,7 +359,7 @@ func compileCheck(kind Kind, a AssertSpec, path string) (check, error) {
 		case "exact-optimum":
 			return check{a.Name, func(v any) error {
 				gr := v.(*gridRun)
-				want := wantBest(gr.items, gr.capacity)
+				want := knapsack.NormalizedBest(gr.items, gr.capacity)
 				if gr.res.Best != want {
 					return fmt.Errorf("best = %d, want %d", gr.res.Best, want)
 				}

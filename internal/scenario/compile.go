@@ -7,7 +7,6 @@ import (
 	"nxcluster/internal/bench"
 	"nxcluster/internal/chaos"
 	"nxcluster/internal/cluster"
-	"nxcluster/internal/knapsack"
 	"nxcluster/internal/simnet"
 )
 
@@ -232,12 +231,4 @@ func (s *Spec) gridConfig() (bench.GridConfig, error) {
 	cfg := *s.Grid
 	cfg.Options, cfg.Plan = s.Topology, plan
 	return cfg, nil
-}
-
-// wantBest computes the normalized instance's known optimum (the capacity
-// largest profits — see knapsack.Normalized's construction).
-func wantBest(items, capacity int) int64 {
-	in := knapsack.Normalized(items, capacity)
-	best, _ := knapsack.Solve(in)
-	return best
 }
