@@ -115,20 +115,22 @@ cover:
 
 # fuzz gives each wire-facing parser a short, deterministic-budget fuzz run:
 # the RSL parser, the proxy control-channel decoder, the gridftp MODE E
-# block reader and restart-marker ledger, the scenario-file parser, and the
-# request handlers of the RMF allocator and Q server, the MDS directory server
-# and the HBM monitor; and it fuzzes the kernel's lane merge against the
-# heap-only firing order, SleepEach's in-place slices against the Sleep loop
-# they replace, the hash-only trace observer against the recording
+# block reader, restart-marker decoder and ledger, the scenario-file parser
+# (each accepted spec's config and comparator built through its kind's
+# entry), and the request handlers of the RMF allocator and Q server, the MDS
+# directory server and the HBM monitor; and it fuzzes the kernel's lane merge
+# against the heap-only firing order, SleepEach's in-place slices against the
+# Sleep loop they replace, the hash-only trace observer against the recording
 # one, its folded span durations against the causal forest's, and the
-# knapsack solver's BranchN loop against one branch operation at a time. Crashers
-# land in testdata/fuzz/ and fail the build until fixed.
+# knapsack solver's BranchN loop against one branch operation at a time.
+# Crashers land in testdata/fuzz/ and fail the build until fixed.
 FUZZTIME ?= 10s
 
 fuzz:
 	$(GO) test -fuzz FuzzParse -fuzztime $(FUZZTIME) ./internal/rsl/
 	$(GO) test -fuzz FuzzReadMsg -fuzztime $(FUZZTIME) ./internal/proxy/
 	$(GO) test -fuzz FuzzReadBlock -fuzztime $(FUZZTIME) ./internal/gridftp/
+	$(GO) test -fuzz FuzzDecodeLedger -fuzztime $(FUZZTIME) ./internal/gridftp/
 	$(GO) test -fuzz FuzzLedgerAdd -fuzztime $(FUZZTIME) ./internal/gridftp/
 	$(GO) test -fuzz FuzzScenario -fuzztime $(FUZZTIME) ./internal/scenario/
 	$(GO) test -fuzz FuzzAllocatorRequest -fuzztime $(FUZZTIME) ./internal/rmf/

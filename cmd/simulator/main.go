@@ -187,7 +187,7 @@ func runRun(args []string, stdout, stderr io.Writer) int {
 	// The files share nothing, so they run side by side; rows print in
 	// argument order once all have run.
 	results := make([]*scenario.Result, len(files))
-	reports := make([]any, len(files))
+	reports := make([]string, len(files))
 	_ = bench.RunParallel(len(files), 0, func(i int) error {
 		results[i], reports[i], errs[i] = scenario.RunReport(specs[i], rec)
 		return nil // errs[i] is reported below, in order
@@ -211,7 +211,7 @@ func runRun(args []string, stdout, stderr io.Writer) int {
 				fmt.Fprintf(stdout, "    FAIL %s\n", f)
 			}
 		}
-		fmt.Fprint(stdout, report(reports[i]))
+		fmt.Fprint(stdout, reports[i])
 	}
 	sc, inv, fails := suite.Counts()
 	fmt.Fprintf(stdout, "scenarios=%d invariants=%d failures=%d\n", sc, inv, fails)
@@ -238,14 +238,16 @@ func runRun(args []string, stdout, stderr io.Writer) int {
 }
 
 // traceable refuses -trace unless it names one file whose kind runs with an
-// observer attached: chaos or monitor. A file that does not parse is left to
-// the validation that follows.
+// observer attached (scenario.Traceable). A file that does not parse is left
+// to the validation that follows.
 func traceable(files []string, specs []*scenario.Spec) error {
 	if len(files) != 1 {
 		return fmt.Errorf("takes exactly one scenario file, got %d", len(files))
 	}
-	if s := specs[0]; s != nil && s.Kind != scenario.KindChaos && s.Kind != scenario.KindMonitor {
-		return fmt.Errorf("%s is kind %s; only chaos and monitor runs are traced", files[0], s.Kind)
+	if s := specs[0]; s != nil {
+		if err := scenario.Traceable(s); err != nil {
+			return fmt.Errorf("%s %v", files[0], err)
+		}
 	}
 	return nil
 }
@@ -261,28 +263,6 @@ func writeTrace(path string, o *obs.Observer) error {
 		return err
 	}
 	return f.Close()
-}
-
-// report renders what a file's primary run leaves (scenario.RunReport), each
-// table followed by a blank line: Table 2, Tables 4-6, the monitor's GIS table
-// and headline dashboard, the GridFTP sweep, the fleet summary; a chaos or
-// grid run's full fingerprint as one indented line.
-func report(v any) string {
-	switch v := v.(type) {
-	case []bench.Table2Row:
-		return bench.FormatTable2(v) + "\n"
-	case *bench.KnapsackReport:
-		return bench.FormatTable4(v) + "\n" + bench.FormatTable5(v) + "\n" + bench.FormatTable6(v) + "\n"
-	case *bench.MonitorReport:
-		return bench.FormatMonitor(v, bench.DefaultMonitorFilter) + "\n"
-	case []bench.TransferPoint:
-		return bench.FormatTransfer(v) + "\n"
-	case *bench.FleetReport:
-		return bench.FormatFleet(v) + "\n"
-	case interface{ Fingerprint() string }: // chaos, grid
-		return "    " + v.Fingerprint() + "\n"
-	}
-	return ""
 }
 
 func runList(args []string, stdout, stderr io.Writer) int {

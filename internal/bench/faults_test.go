@@ -1,12 +1,15 @@
 package bench
 
 import (
+	"errors"
+	"strings"
 	"testing"
 	"time"
 
 	"nxcluster/internal/cluster"
 	"nxcluster/internal/knapsack"
 	"nxcluster/internal/mpi"
+	"nxcluster/internal/transport"
 )
 
 // TestKnapsackSurvivesWANOutage injects a WAN outage into the middle of a
@@ -70,5 +73,19 @@ func TestKnapsackSurvivesWANOutage(t *testing.T) {
 	// livelock: generous bound of outage length x3.
 	if outage.Elapsed > healthy.Elapsed+600*time.Second {
 		t.Fatalf("outage cost %v, implausibly large", outage.Elapsed-healthy.Elapsed)
+	}
+}
+
+// TestGridDeniedRankErrorFirst: a grid solve without the proxy behind the
+// closed firewall fails because a rank's dial is denied; the kernel's
+// deadlock that follows is the symptom. The error names the denial first,
+// and errors.Is reaches it.
+func TestGridDeniedRankErrorFirst(t *testing.T) {
+	_, err := RunGridKnapsack(GridConfig{Items: 8, Capacity: 2})
+	if !errors.Is(err, transport.ErrFirewallDenied) {
+		t.Fatalf("RunGridKnapsack without the proxy = %v, want a transport.ErrFirewallDenied", err)
+	}
+	if msg := err.Error(); !strings.HasPrefix(msg, "bench: grid run: rank ") || !strings.Contains(msg, "deadlock") {
+		t.Errorf("error %q: want the rank's error first, then the kernel's deadlock", msg)
 	}
 }

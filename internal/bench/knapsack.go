@@ -205,11 +205,17 @@ func runOn(cfg KnapsackConfig, in *knapsack.Instance, place func(*cluster.Testbe
 		}
 		return nil
 	})
-	if err := tb.Run(); err != nil {
+	// A rank's error comes first: a kernel that deadlocked is the symptom of
+	// a rank that failed (a dial the firewall denied), not the cause.
+	runErr := tb.Run()
+	if err := w.Err(); err != nil {
+		if runErr != nil {
+			return nil, fmt.Errorf("%w (then %w)", err, runErr)
+		}
 		return nil, err
 	}
-	if err := w.Err(); err != nil {
-		return nil, err
+	if runErr != nil {
+		return nil, runErr
 	}
 	if res == nil {
 		return nil, fmt.Errorf("no result from master")

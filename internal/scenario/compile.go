@@ -2,10 +2,7 @@ package scenario
 
 import (
 	"fmt"
-	"time"
 
-	"nxcluster/internal/bench"
-	"nxcluster/internal/chaos"
 	"nxcluster/internal/cluster"
 	"nxcluster/internal/simnet"
 )
@@ -96,30 +93,10 @@ func systemOf(name string) (cluster.System, error) {
 	return 0, fmt.Errorf("unknown system %q (one of: compas, etl-o2k, local, wide)", name)
 }
 
-// chaosConfig attaches to the decoded chaos config what no workload key
-// states: the fault plan, the testbed options and the sampler.
-func (s *Spec) chaosConfig() (chaos.Config, error) {
-	plan, err := s.faultPlan()
-	if err != nil {
-		return chaos.Config{}, err
-	}
-	cfg := *s.Chaos
-	cfg.Plan, cfg.Options = plan, s.Topology
-	// An SLO block needs windowed series to judge, so it switches the
-	// chaos sampler on (reads only — never perturbs virtual-time results).
-	if s.SLO != nil {
-		cfg.SampleInterval = s.SLO.Interval
-		if cfg.SampleInterval <= 0 {
-			cfg.SampleInterval = time.Second
-		}
-	}
-	return cfg, nil
-}
-
 // Validate checks a parsed spec end to end without running the workload:
-// kind-specific constraints, assertion names and arguments, and — by
-// building the scenario's testbed and applying the compiled plan — every
-// fault's host and link names.
+// the shape every kind shares, assertion names and arguments, the kind's own
+// constraints, and — by building the scenario's testbed and applying the
+// compiled plan — every fault's host and link names.
 func Validate(s *Spec) error {
 	if err := s.checkShape(); err != nil {
 		return err
@@ -132,39 +109,25 @@ func Validate(s *Spec) error {
 			return err
 		}
 		if s.Compare != "" {
-			if _, err := comparatorOf(s.Compare); err != nil {
+			if _, err := s.comparator(); err != nil {
 				return fmt.Errorf("scenario %s: %w", s.Name, err)
 			}
 		}
 	}
-
+	plan, err := s.faultPlan()
+	if err != nil {
+		return err
+	}
+	k := kindOf(s.Kind)
+	if k.validate != nil {
+		if err := k.validate(s); err != nil {
+			return err
+		}
+	}
 	// Host/link validation: build the testbed the run would use and apply
 	// the plan to it, then throw it away. ApplyPlan is where unknown-name
 	// and no-such-link errors surface (never a panic).
-	switch s.Kind {
-	case KindChaos:
-		cfg, err := s.chaosConfig()
-		if err != nil {
-			return err
-		}
-		if cfg.Items <= 0 || cfg.Capacity <= 0 {
-			return fmt.Errorf("scenario %s: workload needs items > 0 and capacity > 0 (got %d/%d)", s.Name, cfg.Items, cfg.Capacity)
-		}
-		if cfg.Horizon <= 0 {
-			return fmt.Errorf("scenario %s: workload.horizon required (how long the kernel runs)", s.Name)
-		}
-		tb := cluster.NewTestbed(cfg.Options)
-		defer tb.Shutdown()
-		if cfg.Plan != nil {
-			if err := tb.ApplyPlan(cfg.Plan); err != nil {
-				return fmt.Errorf("scenario %s: fault plan: %w", s.Name, err)
-			}
-		}
-	case KindGrid:
-		plan, err := s.faultPlan()
-		if err != nil {
-			return err
-		}
+	if k.faults {
 		tb := cluster.NewTestbed(s.Topology)
 		defer tb.Shutdown()
 		if plan != nil {
@@ -176,59 +139,20 @@ func Validate(s *Spec) error {
 	return nil
 }
 
-// checkShape enforces the per-kind structural constraints.
+// checkShape enforces the sections each kind's entry allows.
 func (s *Spec) checkShape() error {
-	if len(s.Faults) > 0 && s.Kind != KindChaos && s.Kind != KindGrid {
-		return fmt.Errorf("scenario %s: faults are not supported for kind %s (only chaos and grid take a fault plan)", s.Name, s.Kind)
-	}
-	if s.SLO != nil {
-		if s.Kind != KindChaos && s.Kind != KindMonitor {
-			return fmt.Errorf("scenario %s: slo blocks are not supported for kind %s (only chaos and monitor run with an observer attached)", s.Name, s.Kind)
-		}
-		if s.Kind == KindMonitor && s.SLO.Interval != 0 {
-			return fmt.Errorf("scenario %s: slo.interval is the chaos sampler window; monitor scenarios window on workload.interval", s.Name)
-		}
-	}
-	switch s.Kind {
-	case KindGridFTP:
-		if s.Topology != (cluster.Options{}) {
-			return fmt.Errorf("scenario %s: kind gridftp builds its own congestion-modeled testbed per point; the topology section must be empty", s.Name)
-		}
-	case KindFleet:
-		if s.Topology != (cluster.Options{}) {
-			return fmt.Errorf("scenario %s: kind fleet stamps its own sites x hosts tree from the workload block; the topology section must be empty", s.Name)
-		}
+	k := kindOf(s.Kind)
+	switch {
+	case k == nil:
+		return fmt.Errorf("scenario %s: unknown kind %q (one of: %s)", s.Name, s.Kind, kindNames(", ", nil))
+	case len(s.Faults) > 0 && !k.faults:
+		return fmt.Errorf("scenario %s: faults are not supported for kind %s (only %s take a fault plan)",
+			s.Name, s.Kind, kindNames(" and ", func(k *kind) bool { return k.faults }))
+	case s.SLO != nil && !k.observed:
+		return fmt.Errorf("scenario %s: slo blocks are not supported for kind %s (only %s run with an observer attached)",
+			s.Name, s.Kind, kindNames(" and ", func(k *kind) bool { return k.observed }))
+	case k.ownTestbed != "" && s.Topology != (cluster.Options{}):
+		return fmt.Errorf("scenario %s: kind %s %s; the topology section must be empty", s.Name, s.Kind, k.ownTestbed)
 	}
 	return nil
-}
-
-// --- per-kind bench configs: the decoded workload plus the testbed options ---
-
-func (s *Spec) table2Config() bench.Table2Config {
-	cfg := *s.Table2
-	cfg.Options = s.Topology
-	return cfg
-}
-
-func (s *Spec) table4Config() bench.KnapsackConfig {
-	cfg := *s.Table4
-	cfg.Options = s.Topology
-	return cfg
-}
-
-// monitorConfig pins the sweep width to 1: a monitor run is one kernel.
-func (s *Spec) monitorConfig() bench.MonitorConfig {
-	cfg := *s.Monitor
-	cfg.Options, cfg.Workers = s.Topology, 1
-	return cfg
-}
-
-func (s *Spec) gridConfig() (bench.GridConfig, error) {
-	plan, err := s.faultPlan()
-	if err != nil {
-		return bench.GridConfig{}, err
-	}
-	cfg := *s.Grid
-	cfg.Options, cfg.Plan = s.Topology, plan
-	return cfg, nil
 }

@@ -21,6 +21,16 @@ func loadShipped(t *testing.T, file string) *Spec {
 	return s
 }
 
+// configOf is the config s's kind entry hands its runner.
+func configOf[C any](t *testing.T, s *Spec) C {
+	t.Helper()
+	cfg, err := kindOf(s.Kind).config(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cfg.(C)
+}
+
 // TestTable2Equivalence: the ported Table 2 scenario must reproduce the
 // legacy bench.RunTable2 results bit for bit (fingerprint equality renders
 // every latency in nanoseconds and every bandwidth via shortest-exact float).
@@ -33,7 +43,7 @@ func TestTable2Equivalence(t *testing.T) {
 	if !res.Passed {
 		t.Fatalf("scenario failed: %v", res.Failures)
 	}
-	rows, err := bench.RunTable2(s.table2Config())
+	rows, err := bench.RunTable2(configOf[bench.Table2Config](t, s))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +65,7 @@ func TestTable4Equivalence(t *testing.T) {
 	if !res.Passed {
 		t.Fatalf("scenario failed: %v", res.Failures)
 	}
-	rep, err := bench.RunKnapsack(s.table4Config())
+	rep, err := bench.RunKnapsack(configOf[bench.KnapsackConfig](t, s))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,11 +88,7 @@ func TestGridEquivalence(t *testing.T) {
 	if !res.Passed {
 		t.Fatalf("scenario failed: %v", res.Failures)
 	}
-	cfg, err := s.gridConfig()
-	if err != nil {
-		t.Fatal(err)
-	}
-	gres, err := bench.RunGridKnapsack(cfg)
+	gres, err := bench.RunGridKnapsack(configOf[bench.GridConfig](t, s))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,6 +43,9 @@ func FuzzScenario(f *testing.F) {
 		// Validate off to build a hundred-million-host testbed.
 		"name: t\nkind: table2\nworkload:\n  rounds: 1\n  sizes: [-4]\n",
 		"name: t\nkind: grid\nworkload:\n  items: 10\n  capacity: 2\ntopology:\n  extra_sites: 100000000\n",
+		// A baseline patch that changes the kind once validated, and then
+		// handed the comparator a table4 report as a chaos one.
+		"name: t\nkind: chaos\nworkload:\n  items: 8\n  capacity: 2\n  horizon: 30s\ncompare: baseline-reregisters\nbaseline: {kind: table4, workload: {horizon: null}}\n",
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))
@@ -58,17 +61,22 @@ func FuzzScenario(f *testing.F) {
 		if s.Name == "" {
 			t.Fatalf("Parse(%q) accepted a spec with no name", data)
 		}
-		// The shape and assertion layers must be panic-free on anything the
-		// decoder accepts. (Full Validate builds a testbed — too heavy per
-		// fuzz exec — but checkShape/buildAsserts/faultPlan are the layers
-		// fuzzing can actually break.)
-		_ = s.checkShape()
-		_, _ = buildAsserts(s)
-		_, _ = s.faultPlan()
-		if s.Baseline != nil {
-			_ = s.Baseline.checkShape()
-			_, _ = buildAsserts(s.Baseline)
-			_, _ = s.Baseline.faultPlan()
+		// The shape, assertion and config layers must be panic-free on
+		// anything the decoder accepts, and the comparator must resolve
+		// through the kind's entry. (Full Validate builds a testbed — too
+		// heavy per fuzz exec — but these are the layers fuzzing can actually
+		// break.)
+		for _, sp := range []*Spec{s, s.Baseline} {
+			if sp == nil {
+				continue
+			}
+			_ = sp.checkShape()
+			_, _ = buildAsserts(sp)
+			_, _ = sp.faultPlan()
+			_, _ = kindOf(sp.Kind).config(sp)
+		}
+		if s.Compare != "" {
+			_, _ = s.comparator()
 		}
 	})
 }

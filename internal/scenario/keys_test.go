@@ -48,13 +48,12 @@ func wantTopology() cluster.Options {
 
 // TestEveryKeyReachesItsConfig pins the wiring from file to run: per kind, one
 // document sets every key of every block to a distinct non-default value, and
-// the config the runner is handed must equal the literal — so a key that
-// decodes into the wrong field, or into none, fails here and not in a
-// fingerprint three layers up.
+// the config its kind entry hands the runner must equal the literal — so a
+// key that decodes into the wrong field, or into none, fails here and not in
+// a fingerprint three layers up.
 func TestEveryKeyReachesItsConfig(t *testing.T) {
 	cases := []struct {
 		kind, doc string
-		compile   func(*Spec) (any, error)
 		want      any
 	}{
 		{"chaos", everyTopologyKey + `
@@ -86,7 +85,6 @@ slo:
   latency:
     - {leg: rmf/job, percentile: 99, max: 1s}
 `,
-			func(s *Spec) (any, error) { return s.chaosConfig() },
 			chaos.Config{
 				Items:    21,
 				Capacity: 3,
@@ -114,23 +112,18 @@ slo:
 				Options:        wantTopology(),
 			}},
 		{"table2", everyTopologyKey + "workload: {rounds: 3, sizes: [64, 4096], workers: 5}\n",
-			func(s *Spec) (any, error) { return s.table2Config(), nil },
 			bench.Table2Config{Rounds: 3, Sizes: []int{64, 4096}, Workers: 5, Options: wantTopology()}},
 		{"table4", everyTopologyKey + "workload: {items: 21, capacity: 3, workers: 5}\n",
-			func(s *Spec) (any, error) { return s.table4Config(), nil },
 			bench.KnapsackConfig{Items: 21, Capacity: 3, Workers: 5, Options: wantTopology()}},
 		// A monitor run is one kernel: the compiled sweep width is always 1.
 		{"monitor", everyTopologyKey + "workload: {items: 21, capacity: 3, interval: 250ms}\n",
-			func(s *Spec) (any, error) { return s.monitorConfig(), nil },
 			bench.MonitorConfig{
 				KnapsackConfig: bench.KnapsackConfig{Items: 21, Capacity: 3, Workers: 1, Options: wantTopology()},
 				Interval:       250 * time.Millisecond,
 			}},
 		{"gridftp", "workload: {file_size: 1024, streams: [1, 8], loss_rates: [0, 0.02], seed: 7, workers: 5}\n",
-			func(s *Spec) (any, error) { return *s.GridFTP, nil },
 			bench.TransferConfig{FileSize: 1024, Streams: []int{1, 8}, LossRates: []float64{0, 0.02}, Seed: 7, Workers: 5}},
 		{"grid", everyTopologyKey + "workload: {items: 21, capacity: 3, use_proxy: true}\n",
-			func(s *Spec) (any, error) { return s.gridConfig() },
 			bench.GridConfig{Items: 21, Capacity: 3, UseProxy: true, Options: wantTopology()}},
 		// No one fleet block can use every arrivals and sizes key and still pass
 		// fleet.Config.Validate's per-kind checks; these two kinds read the most.
@@ -146,7 +139,6 @@ workload:
   arrivals: {kind: flash-crowd, rate: 10, amplitude: 0.5, period: 60s, peak: 3, from: 1s, to: 5s}
   sizes: {kind: pareto, mean: 2s, alpha: 1.5, min: 100ms, max: 10s, mu: 1.25, sigma: 0.75}
 `,
-			func(s *Spec) (any, error) { return *s.Fleet, nil },
 			fleet.Config{
 				Sites: 2, HostsPerSite: 4, CPUsPerHost: 3, Jobs: 100, Seed: 7,
 				Heartbeat: 5 * time.Second, TraceSample: 9,
@@ -162,7 +154,7 @@ workload:
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := tc.compile(s)
+			got, err := kindOf(s.Kind).config(s)
 			if err != nil {
 				t.Fatal(err)
 			}

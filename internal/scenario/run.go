@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"nxcluster/internal/bench"
-	"nxcluster/internal/chaos"
 	"nxcluster/internal/fleet"
 	"nxcluster/internal/obs"
 	"nxcluster/internal/obs/timeseries"
@@ -65,9 +64,6 @@ type gridRun struct {
 	res             *bench.GridResult
 }
 
-// Fingerprint renders the solve in full, as its row records it.
-func (g *gridRun) Fingerprint() string { return fingerprintGrid(g.res) }
-
 // outcome is what one run of a scenario's workload leaves behind.
 type outcome struct {
 	// v is what the kind's assertions read.
@@ -79,10 +75,15 @@ type outcome struct {
 	// hash is the FNV-64a determinism witness.
 	hash    uint64
 	elapsed time.Duration
-	// observer is the one a chaos or monitor run attached (nil for the other
+	// observer is the one an observed kind's run attached (nil for the other
 	// kinds): hash-only in Run, the primary's folding its latency legs for the
 	// SLOs; recording in recordPair, for naming the first divergent event.
+	// store is the windowed time-series the run sampled, for the SLOs.
 	observer *obs.Observer
+	store    *timeseries.Store
+	// traced: hash is the observer's trace hash, so a pair that diverges is
+	// recorded again to name the first event it parts at.
+	traced bool
 }
 
 // Run executes one validated scenario: the workload twice (the implicit
@@ -102,20 +103,19 @@ func Run(s *Spec) (*Result, error) {
 	return res, err
 }
 
-// RunReport is Run, also handing back the primary run's report for a front
-// end to render: a []bench.Table2Row (table2), *bench.KnapsackReport
-// (table4), *bench.MonitorReport (monitor), []bench.TransferPoint (gridftp)
-// or *bench.FleetReport (fleet); for chaos and grid, a value whose
-// Fingerprint method renders the run in full. replay, when non-nil, is the
-// observer a chaos or monitor replay runs with instead of a hash-only one —
-// obs.New() to keep its trace — so the determinism check compares the
-// primary's trace hash with the replay's.
-func RunReport(s *Spec, replay *obs.Observer) (*Result, any, error) {
+// RunReport is Run, also handing back the report the primary run renders for
+// a front end to print after its row: Table 2, Tables 4-6, the monitor's GIS
+// table and headline dashboard, the GridFTP sweep, the fleet summary, or a
+// chaos or grid run's full fingerprint as one indented line. replay, when
+// non-nil, is the observer an observed kind's replay runs with instead of a
+// hash-only one — obs.New() to keep its trace (see Traceable) — so the
+// determinism check compares the primary's trace hash with the replay's.
+func RunReport(s *Spec, replay *obs.Observer) (*Result, string, error) {
 	res, runs, err := s.run(replay)
 	if err != nil {
-		return nil, nil, err
+		return nil, "", err
 	}
-	return res, runs[0].v, nil
+	return res, kindOf(s.Kind).report(runs[0].v), nil
 }
 
 // run is Run, the replay attaching replay when it is non-nil, also handing
@@ -128,9 +128,9 @@ func (s *Spec) run(replayObs *obs.Observer) (*Result, []outcome, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	var compare func(rep, base *chaos.Report) error
+	var compare func(rep, base any) error
 	if s.Baseline != nil && s.Compare != "" {
-		if compare, err = comparatorOf(s.Compare); err != nil {
+		if compare, err = s.comparator(); err != nil {
 			return nil, nil, fmt.Errorf("scenario %s: %w", s.Name, err)
 		}
 	}
@@ -174,7 +174,7 @@ func (s *Spec) run(replayObs *obs.Observer) (*Result, []outcome, error) {
 	}
 	res.Invariants++ // the implicit determinism invariant
 	var rerun func() (a, b *obs.Observer, err error)
-	if s.Kind == KindChaos {
+	if first.traced {
 		rerun = s.recordPair
 	}
 	if d := divergence(first, &runs[replay], rerun); d != "" {
@@ -188,122 +188,31 @@ func (s *Spec) run(replayObs *obs.Observer) (*Result, []outcome, error) {
 	}
 	if compare != nil {
 		res.Invariants++
-		if err := compare(first.v.(*chaos.Report), runs[baseline].v.(*chaos.Report)); err != nil {
+		if err := compare(first.v, runs[baseline].v); err != nil {
 			res.Failures = append(res.Failures, fmt.Sprintf("baseline-compare: %v", err))
 		}
 	}
 	if s.SLO != nil {
-		// checkShape restricts SLOs to the two kinds that run with an observer
-		// attached; both reports carry the windowed store.
-		var store *timeseries.Store
-		switch rep := first.v.(type) {
-		case *bench.MonitorReport:
-			store = rep.Store
-		case *chaos.Report:
-			store = rep.Store
-		}
+		// checkShape restricts SLOs to the kinds that run with an observer
+		// attached; their runs leave the windowed store.
 		res.Invariants += s.SLO.Objectives()
-		res.Failures = append(res.Failures, s.SLO.Evaluate(first.observer, store)...)
+		res.Failures = append(res.Failures, s.SLO.Evaluate(first.observer, first.store)...)
 	}
 	res.Passed = len(res.Failures) == 0
 	return res, runs, nil
 }
 
-// runOnce executes the spec's workload once, a chaos or monitor run with o
-// attached (its sampler reads o's metrics; the other kinds ignore o). Each
+// runOnce executes the spec's workload once, an observed kind's with o
+// attached: the config its kind builds from the spec now, then one run. Each
 // run hashes its own witness here, inside its RunParallel job; witness false
-// (a baseline, whose report alone is read) skips the comparison strings.
+// (a baseline, whose report alone is read) may skip the comparison strings.
 func (s *Spec) runOnce(witness bool, o *obs.Observer) (outcome, error) {
-	switch s.Kind {
-	case KindChaos:
-		cfg, err := s.chaosConfig()
-		if err != nil {
-			return outcome{}, err
-		}
-		cfg.Options.Obs = o
-		rep, err := chaos.Run(cfg)
-		if err != nil {
-			return outcome{}, err
-		}
-		out := outcome{
-			v:        rep,
-			fp:       fmt.Sprintf("elapsed=%dms job=%dms", rep.Elapsed.Milliseconds(), rep.JobDone.Milliseconds()),
-			elapsed:  rep.Elapsed,
-			observer: o,
-		}
-		if witness {
-			out.full, out.hash = rep.Fingerprint(), o.Hash()
-		}
-		return out, nil
-	case KindTable2:
-		rows, err := bench.RunTable2(s.table2Config())
-		if err != nil {
-			return outcome{}, err
-		}
-		fp := fingerprintTable2(rows)
-		var max time.Duration
-		for _, r := range rows {
-			if r.Latency > max {
-				max = r.Latency
-			}
-		}
-		return outcome{v: rows, fp: fp, hash: fnvHash(fp), elapsed: max}, nil
-	case KindTable4:
-		rep, err := bench.RunKnapsack(s.table4Config())
-		if err != nil {
-			return outcome{}, err
-		}
-		fp := fingerprintTable4(rep)
-		return outcome{v: rep, fp: fp, hash: fnvHash(fp), elapsed: rep.SeqTime}, nil
-	case KindMonitor:
-		cfg := s.monitorConfig()
-		cfg.Options.Obs = o
-		rep, err := bench.RunMonitor(cfg, nil)
-		if err != nil {
-			return outcome{}, err
-		}
-		// The double run also compares the runs' trace hashes: a replay that
-		// records (RunReport) is proved to have kept the primary's trace.
-		fp := fingerprintMonitor(rep)
-		return outcome{v: rep, fp: fp, full: fmt.Sprintf("%s trace=%016x", fp, o.Hash()), hash: rep.Store.Hash(), elapsed: rep.Elapsed, observer: o}, nil
-	case KindGridFTP:
-		pts, err := bench.RunTransfer(*s.GridFTP)
-		if err != nil {
-			return outcome{}, err
-		}
-		fp := fingerprintTransfer(pts)
-		var max time.Duration
-		for _, p := range pts {
-			if p.Elapsed > max {
-				max = p.Elapsed
-			}
-		}
-		return outcome{v: pts, fp: fp, hash: fnvHash(fp), elapsed: max}, nil
-	case KindGrid:
-		cfg, err := s.gridConfig()
-		if err != nil {
-			return outcome{}, err
-		}
-		res, err := bench.RunGridKnapsack(cfg)
-		if err != nil {
-			return outcome{}, err
-		}
-		gr := &gridRun{items: cfg.Items, capacity: cfg.Capacity, res: res}
-		// The hash of the kernel hash, trailing space included: the grammar
-		// the committed grid rows were written in.
-		hash := fnvHash(fmt.Sprintf("%016x ", res.TraceHash))
-		return outcome{v: gr, fp: fingerprintGrid(res), hash: hash, elapsed: res.Elapsed}, nil
-	case KindFleet:
-		rep, err := bench.RunFleet(*s.Fleet)
-		if err != nil {
-			return outcome{}, err
-		}
-		res := rep.Result
-		// The engine's own FNV fingerprint is the trace hash: it folds in
-		// event counts, latency percentiles, and per-site completions.
-		return outcome{v: rep, fp: fingerprintFleet(res), hash: res.Fingerprint, elapsed: res.Makespan}, nil
+	k := kindOf(s.Kind)
+	cfg, err := k.config(s)
+	if err != nil {
+		return outcome{}, err
 	}
-	return outcome{}, fmt.Errorf("unknown kind %q", s.Kind)
+	return k.run(cfg, o, witness)
 }
 
 // divergence words the determinism failure of a double run, "" when the two
@@ -341,7 +250,7 @@ func traceDivergence(a, b *obs.Observer, ha, hb uint64) string {
 		ha, hb, n, la, lb)
 }
 
-// recordPair runs a chaos spec's double run again, both runs recording, for
+// recordPair runs a traced spec's double run again, both runs recording, for
 // divergence to compare event by event.
 func (s *Spec) recordPair() (a, b *obs.Observer, err error) {
 	var traces [2]*obs.Observer

@@ -2,14 +2,12 @@ package scenario
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"nxcluster/internal/bench"
 	"nxcluster/internal/chaos"
 	"nxcluster/internal/cluster"
 	"nxcluster/internal/fleet"
-	"nxcluster/internal/rmf"
 	"nxcluster/internal/simnet"
 )
 
@@ -19,8 +17,8 @@ type Kind string
 
 const (
 	// KindChaos runs the Table 4 knapsack workload on the recovery-enabled
-	// testbed under a fault schedule with the full invariant library
-	// (internal/chaos.Run).
+	// testbed under a fault schedule (internal/chaos.Run), judged by the
+	// recovery invariants of its entry in kinds.
 	KindChaos Kind = "chaos"
 	// KindTable2 measures the paper's Table 2 latency/bandwidth points
 	// (bench.RunTable2).
@@ -42,12 +40,10 @@ const (
 	KindFleet Kind = "fleet"
 )
 
-// validKinds lists every kind for error messages, in display order.
-var validKinds = []Kind{KindChaos, KindTable2, KindTable4, KindMonitor, KindGridFTP, KindGrid, KindFleet}
-
 // Spec is a fully decoded scenario file. The topology and workload sections
-// decode straight into the configs the run consumes (see decode.go); compile.go
-// attaches what no key states — the fault plan, the testbed options, the
+// decode straight into the configs the run consumes (see decode.go); the
+// kind's entry (kinds.go) builds its runner's config from them at run time,
+// attaching what no key states — the fault plan, the testbed options, the
 // sampler an slo block needs.
 type Spec struct {
 	Name string
@@ -129,13 +125,13 @@ func Parse(data []byte) (*Spec, error) {
 
 func decodeSpec(doc any, allowBaseline bool) (*Spec, error) {
 	s := &Spec{}
-	var kind string
+	var kindName string
 	var topology, workload, slo, baseline any
 	var faults, asserts []any
 	if err := decode(doc, "", table{
 		{"name", &s.Name},
 		{"desc", &s.Desc},
-		{"kind", &kind},
+		{"kind", &kindName},
 		{"topology", &topology},
 		{"workload", &workload},
 		{"faults", &faults},
@@ -149,12 +145,13 @@ func decodeSpec(doc any, allowBaseline bool) (*Spec, error) {
 	if s.Name == "" {
 		return nil, fmt.Errorf("scenario: missing required key \"name\"")
 	}
-	if kind == "" {
-		return nil, fmt.Errorf("scenario %s: missing required key \"kind\" (one of: %s)", s.Name, kindList())
+	if kindName == "" {
+		return nil, fmt.Errorf("scenario %s: missing required key \"kind\" (one of: %s)", s.Name, kindNames(", ", nil))
 	}
-	s.Kind = Kind(kind)
-	if !validKind(s.Kind) {
-		return nil, fmt.Errorf("scenario %s: unknown kind %q (one of: %s)", s.Name, kind, kindList())
+	s.Kind = Kind(kindName)
+	k := kindOf(s.Kind)
+	if k == nil {
+		return nil, fmt.Errorf("scenario %s: unknown kind %q (one of: %s)", s.Name, kindName, kindNames(", ", nil))
 	}
 	if topology != nil {
 		if err := decodeTopology(topology, &s.Topology); err != nil {
@@ -164,7 +161,7 @@ func decodeSpec(doc any, allowBaseline bool) (*Spec, error) {
 	if workload == nil {
 		return nil, fmt.Errorf("scenario %s: missing required key \"workload\" (kind %s needs one)", s.Name, s.Kind)
 	}
-	if err := decodeWorkload(workload, s); err != nil {
+	if err := k.decode(workload, s); err != nil {
 		return nil, err
 	}
 	for i, e := range faults {
@@ -198,8 +195,8 @@ func decodeSpec(doc any, allowBaseline bool) (*Spec, error) {
 		if !allowBaseline {
 			return nil, fmt.Errorf("scenario %s: baseline cannot itself declare a baseline", s.Name)
 		}
-		if s.Kind != KindChaos {
-			return nil, fmt.Errorf("scenario %s: baseline is only supported for kind chaos", s.Name)
+		if len(k.compare) == 0 {
+			return nil, fmt.Errorf("scenario %s: baseline is only supported for kind %s", s.Name, kindNames(" and ", func(k *kind) bool { return len(k.compare) > 0 }))
 		}
 		patch, ok := baseline.(map[string]any)
 		if !ok {
@@ -213,29 +210,16 @@ func decodeSpec(doc any, allowBaseline bool) (*Spec, error) {
 		if err != nil {
 			return nil, fmt.Errorf("scenario %s: baseline: %w", s.Name, err)
 		}
+		// The comparators read both runs as the one kind's reports.
+		if base.Kind != s.Kind {
+			return nil, fmt.Errorf("scenario %s: baseline: kind %s differs from the scenario's kind %s", s.Name, base.Kind, s.Kind)
+		}
 		s.Baseline = base
 	}
 	if s.Compare != "" && s.Baseline == nil {
 		return nil, fmt.Errorf("scenario %s: compare %q requires a baseline", s.Name, s.Compare)
 	}
 	return s, nil
-}
-
-func validKind(k Kind) bool {
-	for _, v := range validKinds {
-		if k == v {
-			return true
-		}
-	}
-	return false
-}
-
-func kindList() string {
-	parts := make([]string, len(validKinds))
-	for i, k := range validKinds {
-		parts[i] = string(k)
-	}
-	return strings.Join(parts, ", ")
 }
 
 // pruneKeys shallow-copies m without the named keys.
@@ -306,156 +290,6 @@ func decodeTopology(v any, o *cluster.Options) error {
 		return fmt.Errorf("scenario: topology.wan.loss %v outside [0,1] — loss is a probability", o.WANLossRate)
 	}
 	return nil
-}
-
-// decodeWorkload fills the run config of the spec's kind from the workload
-// block. Defaults that are not the zero value are set on the config before
-// the walk.
-func decodeWorkload(v any, s *Spec) error {
-	const path = "workload"
-	switch s.Kind {
-	case KindChaos:
-		c := &chaos.Config{System: cluster.SystemWide, UseProxy: true}
-		// A recovery block overrides the job's policy by being there.
-		rec, hasRec := &rmf.RecoveryPolicy{}, false
-		s.Chaos = c
-		err := decode(v, path, table{
-			{"items", &c.Items},
-			{"capacity", &c.Capacity},
-			{"system", func(name string) (err error) { c.System, err = systemOf(name); return }},
-			{"use_proxy", &c.UseProxy},
-			{"horizon", &c.Horizon},
-			{"control_plane", &c.ControlPlane},
-			{"job_runtime", &c.JobRuntime},
-			{"job_compute", &c.JobCompute},
-			{"extra_jobs", &c.ExtraJobs},
-			{"suspect_window", &c.SuspectWindow},
-			{"beat_cost", &c.BeatCost},
-			{"hbm", table{
-				{"late_after", &c.HBMLateAfter},
-				{"down_after", &c.HBMDownAfter},
-			}},
-			{"ft", table{
-				{"interval", &c.FT.Interval},
-				{"steal_unit", &c.FT.StealUnit},
-				{"node_cost", &c.FT.NodeCost},
-				{"slave_timeout", &c.FT.SlaveTimeout},
-				{"steal_timeout", &c.FT.StealTimeout},
-				{"steal_retries", &c.FT.StealRetries},
-				{"heartbeat_every", &c.FT.HeartbeatEvery},
-			}},
-			{"keepalive", table{
-				{"interval", &c.Keepalive.Interval},
-				{"timeout", &c.Keepalive.Timeout},
-				{"miss_budget", &c.Keepalive.MissBudget},
-			}},
-			{"recovery", present{&hasRec, table{
-				{"status_retries", &rec.StatusRetries},
-				{"speculate_after", &rec.SpeculateAfter},
-			}}},
-		})
-		if hasRec {
-			c.Recovery = rec
-		}
-		return err
-	case KindTable2:
-		c := &bench.Table2Config{}
-		s.Table2 = c
-		return decode(v, path, table{
-			{"rounds", &c.Rounds},
-			{"sizes", &c.Sizes},
-			{"workers", &c.Workers},
-		})
-	case KindTable4:
-		c := &bench.KnapsackConfig{}
-		s.Table4 = c
-		return decode(v, path, table{
-			{"items", &c.Items},
-			{"capacity", &c.Capacity},
-			{"workers", &c.Workers},
-		})
-	case KindMonitor:
-		c := &bench.MonitorConfig{}
-		s.Monitor = c
-		return decode(v, path, table{
-			{"items", &c.Items},
-			{"capacity", &c.Capacity},
-			{"interval", &c.Interval},
-		})
-	case KindGridFTP:
-		c := &bench.TransferConfig{}
-		s.GridFTP = c
-		if err := decode(v, path, table{
-			{"file_size", &c.FileSize},
-			{"streams", &c.Streams},
-			{"loss_rates", &c.LossRates},
-			{"seed", &c.Seed},
-			{"workers", &c.Workers},
-		}); err != nil {
-			return err
-		}
-		for _, l := range c.LossRates {
-			if l < 0 || l > 1 {
-				return fmt.Errorf("scenario: workload.loss_rates entry %v outside [0,1] — loss is a probability", l)
-			}
-		}
-		return nil
-	case KindGrid:
-		c := &bench.GridConfig{}
-		s.Grid = c
-		return decode(v, path, table{
-			{"items", &c.Items},
-			{"capacity", &c.Capacity},
-			{"use_proxy", &c.UseProxy},
-		})
-	case KindFleet:
-		c := &fleet.Config{Arrivals: fleet.RateShape{Kind: "constant"}, Sizes: fleet.SizeDist{Kind: "fixed"}}
-		var hasArrivals, hasSizes bool
-		s.Fleet = c
-		if err := decode(v, path, table{
-			{"sites", &c.Sites},
-			{"hosts_per_site", &c.HostsPerSite},
-			{"cpus_per_host", &c.CPUsPerHost},
-			{"jobs", &c.Jobs},
-			{"seed", &c.Seed},
-			{"heartbeat", &c.Heartbeat},
-			{"trace_sample", &c.TraceSample},
-			{"arrivals", present{&hasArrivals, table{
-				{"kind", &c.Arrivals.Kind},
-				{"rate", &c.Arrivals.Rate},
-				{"amplitude", &c.Arrivals.Amplitude},
-				{"period", &c.Arrivals.Period},
-				{"peak", &c.Arrivals.Peak},
-				{"from", &c.Arrivals.From},
-				{"to", &c.Arrivals.To},
-			}}},
-			{"sizes", present{&hasSizes, table{
-				{"kind", &c.Sizes.Kind},
-				{"mean", &c.Sizes.Mean},
-				{"alpha", &c.Sizes.Alpha},
-				{"min", &c.Sizes.Min},
-				{"max", &c.Sizes.Max},
-				{"mu", &c.Sizes.Mu},
-				{"sigma", &c.Sizes.Sigma},
-			}}},
-		}); err != nil {
-			return err
-		}
-		if !hasArrivals {
-			return fmt.Errorf("scenario %s: workload.arrivals required (the open-loop rate process)", s.Name)
-		}
-		if !hasSizes {
-			return fmt.Errorf("scenario %s: workload.sizes required (the job service-time distribution)", s.Name)
-		}
-		// Strict decode: a fleet block that parses but cannot run (unknown
-		// distribution, rate <= 0, sites x hosts past the host cap) is a parse
-		// error, not a deferred run failure.
-		if err := c.Validate(); err != nil {
-			return fmt.Errorf("scenario %s: workload: %w", s.Name, err)
-		}
-		return nil
-	}
-	return fmt.Errorf("scenario %s: unknown kind %q", s.Name, s.Kind)
 }
 
 // decodeFault decodes one `- kind: {...}` entry of the faults list: the kind's

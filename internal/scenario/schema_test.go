@@ -87,6 +87,9 @@ func TestParseErrors(t *testing.T) {
 		{"baseline on non-chaos", "name: t\nkind: table4\nworkload:\n  items: 10\n  capacity: 2\nbaseline:\n  name: b\n", "baseline is only supported for kind chaos"},
 		{"compare without baseline", chaosOK + "compare: speculation-wins\n", `compare "speculation-wins" requires a baseline`},
 		{"baseline in baseline", chaosOK + "baseline:\n  baseline: {name: b2}\n", "baseline cannot itself declare a baseline"},
+		// The comparators read both runs as reports of the scenario's kind.
+		{"baseline changes kind", chaosOK + "compare: baseline-reregisters\nbaseline: {kind: table4, workload: {horizon: null}}\n",
+			"baseline: kind table4 differs from the scenario's kind chaos"},
 		{"assert not name or map", chaosOK + "assert:\n  - 3\n", `must be a name or "name: arg"`},
 	}
 	for _, tc := range cases {

@@ -4,7 +4,7 @@
 // measurements, chaos runs under a fault schedule, the monitoring plane, the
 // gridftp congestion sweep, or a wide-grid solve), a fault
 // schedule reusing simnet.FaultPlan's primitives, and a list of end-of-run
-// assertions reusing the chaos invariant library.
+// assertions named from its kind's table (kinds.go).
 //
 // Scenarios compile to exactly the configurations the internal/bench runners
 // take, so a scenario reproduces the bench run it declares bit for bit, and
