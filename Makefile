@@ -37,10 +37,13 @@ check: benchmark-smoke chaos scenarios fleet-smoke trace-goldens
 # detector models as release/acquire pairs and whose overlapping use it
 # reports. So the race detector is the check, with one P and with several
 # (the goroutine driving a Run need not be the one that spawned the process
-# or drove the last Run).
+# or drove the last Run). The in-place relay pumps and stream readers, whose
+# steps run on whichever stack is scheduling, get the same two passes.
 race-sched:
 	GOMAXPROCS=1 $(GO) test -race -count=3 ./internal/sim/
 	GOMAXPROCS=4 $(GO) test -race -count=3 ./internal/sim/
+	GOMAXPROCS=1 $(GO) test -race -count=3 -run InPlace ./internal/simnet ./internal/proxy
+	GOMAXPROCS=4 $(GO) test -race -count=3 -run InPlace ./internal/simnet ./internal/proxy
 
 # chaos runs the fault-injection recovery scenarios (see EXPERIMENTS.md,
 # "Chaos runs") on their own, under the race detector.
@@ -119,10 +122,12 @@ cover:
 # (each accepted spec's config and comparator built through its kind's
 # entry), and the request handlers of the RMF allocator and Q server, the MDS
 # directory server and the HBM monitor; and it fuzzes the kernel's lane merge
-# against the heap-only firing order, SleepEach's in-place slices against the
-# Sleep loop they replace, the hash-only trace observer against the recording
-# one, its folded span durations against the causal forest's, and the
-# knapsack solver's BranchN loop against one branch operation at a time.
+# against the heap-only firing order, SleepEach's in-place slices (sleeping or
+# parked on a Cond or Semaphore) against the blocking loop they replace, the
+# in-place relay pumps and Nexus frame reader against their blocking loops,
+# the hash-only trace observer against the recording one, its folded span
+# durations against the causal forest's, and the knapsack solver's BranchN
+# loop against one branch operation at a time.
 # Crashers land in testdata/fuzz/ and fail the build until fixed.
 FUZZTIME ?= 10s
 
@@ -139,6 +144,8 @@ fuzz:
 	$(GO) test -fuzz FuzzMonitorRequest -fuzztime $(FUZZTIME) ./internal/hbm/
 	$(GO) test -fuzz FuzzLaneOrder -fuzztime $(FUZZTIME) ./internal/sim/
 	$(GO) test -fuzz FuzzSleepEachOrder -fuzztime $(FUZZTIME) ./internal/sim/
+	$(GO) test -fuzz FuzzRelayInPlace -fuzztime $(FUZZTIME) ./internal/proxy/
+	$(GO) test -fuzz FuzzRSRFrames -fuzztime $(FUZZTIME) ./internal/nexus/
 	$(GO) test -fuzz FuzzHashOnlyMatchesRecording -fuzztime $(FUZZTIME) ./internal/obs/
 	$(GO) test -fuzz FuzzFoldMatchesSpanDurations -fuzztime $(FUZZTIME) ./internal/obs/
 	$(GO) test -fuzz FuzzBranchN -fuzztime $(FUZZTIME) ./internal/knapsack/

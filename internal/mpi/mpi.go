@@ -154,6 +154,7 @@ func (w *World) runRank(env transport.Env, rank int, pl Placement, fn func(*Comm
 		ctx:   ctx,
 		sps:   make([]*nexus.Startpoint, len(w.placements)),
 		inbox: transport.NewQueue[Message](env),
+		out:   nexus.NewBuffer(),
 	}
 	if o := obs.From(env); o != nil {
 		pfx := "mpi.rank" + strconv.Itoa(rank)
@@ -169,9 +170,8 @@ func (w *World) runRank(env transport.Env, rank int, pl Placement, fn func(*Comm
 		if err1 != nil || err2 != nil || err3 != nil {
 			return // malformed; drop
 		}
-		cp := make([]byte, len(data))
-		copy(cp, data)
-		c.inbox.Put(e, Message{Src: int(src), Tag: int(tag), Data: cp})
+		// The frame's payload is the handler's own: keep it, no copy.
+		c.inbox.Put(e, Message{Src: int(src), Tag: int(tag), Data: data})
 	})
 
 	// Publish the address and poll until the whole roster is there.
@@ -201,7 +201,8 @@ func (w *World) runRank(env transport.Env, rank int, pl Placement, fn func(*Comm
 	return appErr
 }
 
-// Comm is one rank's handle on COMM_WORLD.
+// Comm is one rank's handle on COMM_WORLD. It belongs to the rank's process:
+// only that process may call its methods.
 type Comm struct {
 	env     transport.Env
 	world   *World
@@ -210,6 +211,7 @@ type Comm struct {
 	sps     []*nexus.Startpoint
 	inbox   transport.Queue[Message]
 	pending []Message
+	out     *nexus.Buffer // the send buffer, reused per message
 	// cached observability handles (nil when tracing is off — updates are
 	// then branch-and-return no-ops, keeping the send path allocation-free)
 	mSent  *obs.Counter
@@ -260,7 +262,8 @@ func (c *Comm) send(to, tag int, data []byte) error {
 	if err != nil {
 		return err
 	}
-	b := nexus.NewBuffer()
+	b := c.out
+	b.Reset()
 	b.PutInt32(int32(c.rank))
 	b.PutInt32(int32(tag))
 	b.PutBytes(data)

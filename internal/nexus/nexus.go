@@ -3,7 +3,6 @@ package nexus
 import (
 	"encoding/binary"
 	"fmt"
-	"io"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -15,10 +14,10 @@ import (
 // Scheme prefixes every endpoint address.
 const Scheme = "x-nexus://"
 
-// Handler receives a remote service request's buffer. Handlers run on the
-// delivering connection's reader process, so per-startpoint ordering is
-// preserved; a handler must not block waiting for a later message from the
-// same connection (hand work to a queue instead).
+// Handler receives a remote service request's buffer, which it may keep.
+// Handlers run on the delivering connection's reader, so per-startpoint
+// ordering is preserved; on the simulator that reader runs in place, in
+// kernel context. So a handler must not block: hand work to a queue.
 type Handler func(env transport.Env, b *Buffer)
 
 // Context is one process's Nexus world: a single listener (direct or via
@@ -72,36 +71,64 @@ func (c *Context) Shutdown(env transport.Env) {
 }
 
 // readLoop decodes frames [epID u32][handlerID u32][len u32][payload] and
-// dispatches to handlers in arrival order.
+// dispatches to handlers in arrival order, until the stream ends or a frame
+// header announces more than DefaultMaxFrame bytes.
 func (c *Context) readLoop(env transport.Env, conn transport.Conn) {
-	st := transport.Stream{Env: env, Conn: conn}
-	var hdr [12]byte
+	f := &frames{ctx: c, env: env}
+	_ = transport.ReadEach(env, conn, f.fill)
+	_ = conn.Close(env)
+}
+
+// frames is one connection's frame assembler: transport.ReadEach fills its
+// header, then its payload, and each complete frame is dispatched.
+type frames struct {
+	ctx       *Context
+	env       transport.Env
+	hdr       [12]byte
+	payload   []byte
+	inPayload bool
+	got       int // bytes of the header or payload received so far
+}
+
+// fill takes the n bytes that arrived and hands out the rest of the current
+// header or payload; nil stops the reader on an oversized frame.
+func (f *frames) fill(n int) []byte {
+	f.got += n
 	for {
-		if _, err := io.ReadFull(st, hdr[:]); err != nil {
-			_ = conn.Close(env)
-			return
+		if !f.inPayload {
+			if f.got < len(f.hdr) {
+				return f.hdr[f.got:]
+			}
+			size := binary.BigEndian.Uint32(f.hdr[8:12])
+			if size > DefaultMaxFrame {
+				atomic.AddInt64(&f.ctx.dropCount, 1)
+				return nil
+			}
+			f.payload, f.inPayload, f.got = make([]byte, size), true, 0
 		}
-		epID := binary.BigEndian.Uint32(hdr[0:4])
-		handlerID := binary.BigEndian.Uint32(hdr[4:8])
-		n := binary.BigEndian.Uint32(hdr[8:12])
-		payload := make([]byte, n)
-		if _, err := io.ReadFull(st, payload); err != nil {
-			_ = conn.Close(env)
-			return
+		if f.got < len(f.payload) {
+			return f.payload[f.got:]
 		}
-		ep := c.endpoints[epID]
-		if ep == nil {
-			atomic.AddInt64(&c.dropCount, 1)
-			continue
-		}
-		h := ep.handlers[handlerID]
-		if h == nil {
-			atomic.AddInt64(&c.dropCount, 1)
-			continue
-		}
-		atomic.AddInt64(&c.rsrCount, 1)
-		h(env, FromBytes(payload))
+		payload := f.payload
+		f.payload, f.inPayload, f.got = nil, false, 0
+		f.ctx.dispatch(f.env, binary.BigEndian.Uint32(f.hdr[0:4]), binary.BigEndian.Uint32(f.hdr[4:8]), payload)
 	}
+}
+
+// dispatch hands one RSR's payload to its handler, or counts it dropped.
+func (c *Context) dispatch(env transport.Env, epID, handlerID uint32, payload []byte) {
+	ep := c.endpoints[epID]
+	if ep == nil {
+		atomic.AddInt64(&c.dropCount, 1)
+		return
+	}
+	h := ep.handlers[handlerID]
+	if h == nil {
+		atomic.AddInt64(&c.dropCount, 1)
+		return
+	}
+	atomic.AddInt64(&c.rsrCount, 1)
+	h(env, FromBytes(payload))
 }
 
 // Endpoint is a communication endpoint: an addressable handler table.
@@ -151,11 +178,12 @@ func ParseAddress(addr string) (hostport string, epID uint32, err error) {
 // Startpoint is the sending side of a Nexus communication link, attached to
 // one remote endpoint over one connection.
 type Startpoint struct {
-	conn transport.Conn
-	epID uint32
-	addr string
-	mu   transport.Mutex
-	sent int64
+	conn  transport.Conn
+	epID  uint32
+	addr  string
+	mu    transport.Mutex
+	frame []byte // the frame being sent, reused under mu
+	sent  int64
 }
 
 // Attach connects a startpoint to the endpoint at addr, dialing through the
@@ -179,15 +207,14 @@ func (sp *Startpoint) Address() string { return sp.addr }
 // endpoint's handler handlerID. Sends from multiple processes serialize on
 // an internal lock; per-startpoint ordering is guaranteed.
 func (sp *Startpoint) Send(env transport.Env, handlerID uint32, b *Buffer) error {
-	payload := b.Bytes()
-	frame := make([]byte, 12+len(payload))
-	binary.BigEndian.PutUint32(frame[0:4], sp.epID)
-	binary.BigEndian.PutUint32(frame[4:8], handlerID)
-	binary.BigEndian.PutUint32(frame[8:12], uint32(len(payload)))
-	copy(frame[12:], payload)
 	sp.mu.Lock(env)
 	defer sp.mu.Unlock(env)
-	if _, err := sp.conn.Write(env, frame); err != nil {
+	payload := b.Bytes()
+	frame := binary.BigEndian.AppendUint32(sp.frame[:0], sp.epID)
+	frame = binary.BigEndian.AppendUint32(frame, handlerID)
+	frame = binary.BigEndian.AppendUint32(frame, uint32(len(payload)))
+	sp.frame = append(frame, payload...)
+	if _, err := sp.conn.Write(env, sp.frame); err != nil {
 		return fmt.Errorf("nexus: send to %s: %w", sp.addr, err)
 	}
 	atomic.AddInt64(&sp.sent, 1)

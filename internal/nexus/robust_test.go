@@ -1,6 +1,7 @@
 package nexus
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -49,6 +50,69 @@ func TestGarbageOnListenerIgnored(t *testing.T) {
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("RSR lost after garbage connection")
+	}
+}
+
+// TestOversizedFrameHeaderBounded: a 12-byte RSR header announcing a 1 GiB
+// payload must not make the reader allocate it. The reader drops the frame
+// and closes that connection before any payload byte arrives, and a later
+// well-formed RSR on another connection still arrives.
+func TestOversizedFrameHeaderBounded(t *testing.T) {
+	env := transport.NewTCPEnv("localhost")
+	ctx, err := Init(env, proxy.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ctx.Shutdown(env)
+	got := make(chan int64, 1)
+	ep := ctx.NewEndpoint()
+	ep.Register(1, func(e transport.Env, b *Buffer) {
+		v, _ := b.GetInt64()
+		got <- v
+	})
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	g, err := env.Dial(ctx.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close(env)
+	hdr := []byte{0, 0, 0, 1, 0, 0, 0, 1, 0x40, 0, 0, 0}
+	if _, err := g.Write(env, hdr); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(2 * time.Second); ctx.Dropped() == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("the oversized frame was never dropped")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 16<<20 {
+		t.Fatalf("the oversized header cost %d bytes of allocation, want < 16 MiB", grew)
+	}
+	// The reader closed the connection: the peer reads EOF.
+	if n, err := g.Read(env, make([]byte, 1)); err == nil {
+		t.Fatalf("read %d bytes from a connection the reader should have closed", n)
+	}
+
+	sp, err := ctx.Attach(env, ep.Address())
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := NewBuffer()
+	b.PutInt64(4242)
+	if err := sp.Send(env, 1, b); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case v := <-got:
+		if v != 4242 {
+			t.Fatalf("got %d", v)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("RSR lost after the oversized header")
 	}
 }
 

@@ -1,8 +1,6 @@
 package proxy
 
 import (
-	"errors"
-	"io"
 	"sync/atomic"
 	"time"
 
@@ -55,15 +53,16 @@ type Stats struct {
 }
 
 // pump copies bytes from src to dst until EOF or error, charging the
-// configured per-buffer processing cost. It runs as its own process; a
-// relayed connection uses two pumps, one per direction.
+// configured per-buffer processing cost (transport.Relay, which runs the
+// cycle in place on the simulator). It runs as its own process; a relayed
+// connection uses two pumps, one per direction.
 //
 // Teardown distinguishes how the stream ended: a clean EOF closes both legs
 // in order, while a mid-stream transport failure (connection reset, crashed
 // endpoint) aborts both legs, so the surviving endpoint observes ErrReset
 // rather than mistaking the break for an orderly close.
 func pump(env transport.Env, name string, src, dst transport.Conn, cfg RelayConfig, bytes *int64) {
-	buf := make([]byte, cfg.bufBytes())
+	p := &transport.Pump{Buf: make([]byte, cfg.bufBytes()), PerBuffer: cfg.PerBuffer}
 	// The observer is resolved once per pump: nil on real TCP and when
 	// tracing is off. recv marks a buffer landing in the relay, fwd marks it
 	// leaving — the gap between them is the store-and-forward cost the paper
@@ -84,42 +83,25 @@ func pump(env transport.Env, name string, src, dst transport.Conn, cfg RelayConf
 		mStreams := o.Metrics().Gauge("relay." + env.Hostname() + ".streams")
 		mStreams.Add(1)
 		defer mStreams.Add(-1)
-	}
-	var failure error
-	for {
-		n, err := src.Read(env, buf)
-		if n > 0 {
-			if o != nil {
-				o.EmitCtx(env.Now(), tc, "relay", "recv", track, obs.Int("bytes", int64(n)))
-				mOcc.Add(int64(n))
-			}
-			if cfg.PerBuffer > 0 {
-				env.Compute(cfg.PerBuffer)
-			}
-			if _, werr := dst.Write(env, buf[:n]); werr != nil {
-				failure = werr
-				break
-			}
-			if o != nil {
-				o.EmitCtx(env.Now(), tc, "relay", "fwd", track, obs.Int("bytes", int64(n)))
-				mOcc.Add(-int64(n))
-				mBytes.Add(int64(n))
-			}
-			if bytes != nil {
-				// Atomic because the two pumps of a TCP relay are separate
-				// goroutines (in the simulator they are cooperatively
-				// scheduled and the atomicity is free).
-				atomic.AddInt64(bytes, int64(n))
-			}
-		}
-		if err != nil {
-			if !errors.Is(err, io.EOF) {
-				failure = err
-			}
-			break
+		p.Recv = func(n int) {
+			o.EmitCtx(env.Now(), tc, "relay", "recv", track, obs.Int("bytes", int64(n)))
+			mOcc.Add(int64(n))
 		}
 	}
-	if failure != nil {
+	p.Fwd = func(n int) {
+		if o != nil {
+			o.EmitCtx(env.Now(), tc, "relay", "fwd", track, obs.Int("bytes", int64(n)))
+			mOcc.Add(-int64(n))
+			mBytes.Add(int64(n))
+		}
+		if bytes != nil {
+			// Atomic because the two pumps of a TCP relay are separate
+			// goroutines (in the simulator they are cooperatively
+			// scheduled and the atomicity is free).
+			atomic.AddInt64(bytes, int64(n))
+		}
+	}
+	if err := transport.Relay(env, src, dst, p); err != nil {
 		_ = transport.Abort(env, dst)
 		_ = transport.Abort(env, src)
 		return

@@ -75,8 +75,11 @@ func sleeper(offset time.Duration, n int) func(p *Proc) {
 // switchLoads count one operation per resume: of a lone sleeper that is
 // always its own successor (self: no switch), of two processes alternating
 // over an unbuffered Chan (pair: two coroutine switches through the Run
-// caller, and the Chan's waiter allocations), and of twenty sleepers offset
-// by 50 ns so their wakeups interleave (staggered20).
+// caller; every receive is delivered, and its waiter recycled), of twenty
+// sleepers offset by 50 ns so their wakeups interleave (staggered20), of a
+// process woken by a Broadcast each microsecond (cond), and of two processes
+// taking turns at a one-unit Semaphore (semaphore). The waiters of Cond,
+// Semaphore and Chan come from free lists, so none of them allocates.
 var switchLoads = []kernelLoad{
 	{"self", func(k *Kernel, n int) { k.Spawn("s", sleeper(0, n)) }, 0},
 	{"pair", func(k *Kernel, n int) {
@@ -91,10 +94,36 @@ var switchLoads = []kernelLoad{
 				_, _ = c.Recv(p)
 			}
 		})
-	}, 3},
+	}, 0},
 	{"staggered20", func(k *Kernel, n int) {
 		for j := 0; j < 20; j++ {
 			k.Spawn("s", sleeper(time.Duration(j)*50*time.Nanosecond, (n+19)/20))
+		}
+	}, 0},
+	{"cond", func(k *Kernel, n int) {
+		c := NewCond(k)
+		k.SpawnDaemon("waiter", func(p *Proc) {
+			for {
+				c.Wait(p)
+			}
+		})
+		k.Spawn("broadcaster", func(p *Proc) {
+			for i := 0; i < n; i++ {
+				p.Sleep(time.Microsecond)
+				c.Broadcast()
+			}
+		})
+	}, 0},
+	{"semaphore", func(k *Kernel, n int) {
+		s := NewSemaphore(k, 1)
+		for j := 0; j < 2; j++ {
+			k.Spawn("s", func(p *Proc) {
+				for i := 0; i < (n+1)/2; i++ {
+					s.Acquire(p)
+					p.Sleep(time.Microsecond)
+					s.Release()
+				}
+			})
 		}
 	}, 0},
 }

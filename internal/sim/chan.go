@@ -20,17 +20,42 @@ type Chan[T any] struct {
 	k        *Kernel
 	capacity int
 	buf      fifo[T]
-	senders  []*chanWaiter[T] // blocked senders, FIFO
-	recvers  []*chanWaiter[T] // blocked receivers, FIFO
+	senders  fifo[*chanWaiter[T]] // blocked senders
+	recvers  fifo[*chanWaiter[T]] // blocked receivers
 	closed   bool
+	// free recycles waiters that left their queue delivered or closed; a
+	// timed-out one may still sit in its queue and stays garbage.
+	free []*chanWaiter[T]
 }
 
 type chanWaiter[T any] struct {
-	w *waiter
+	w waiter
 	// for senders: value to hand off; for receivers: slot filled by sender.
 	val       T
 	ok        bool // receiver: value delivered (vs closed/timeout)
 	delivered bool // sender: value was taken
+}
+
+// newWaiter takes a waiter for p from the channel's free list.
+func (c *Chan[T]) newWaiter(p *Proc) *chanWaiter[T] {
+	if n := len(c.free); n > 0 {
+		cw := c.free[n-1]
+		c.free[n-1] = nil
+		c.free = c.free[:n-1]
+		cw.w.p = p
+		return cw
+	}
+	return &chanWaiter[T]{w: waiter{p: p}}
+}
+
+// recycle returns a waiter that left its queue to the free list, unless it
+// timed out.
+func (c *Chan[T]) recycle(cw *chanWaiter[T]) {
+	if cw.w.timedOut {
+		return
+	}
+	*cw = chanWaiter[T]{}
+	c.free = append(c.free, cw)
 }
 
 // NewChan creates a channel bound to kernel k with the given capacity.
@@ -52,26 +77,23 @@ func (c *Chan[T]) Close() {
 		return
 	}
 	c.closed = true
-	for _, sw := range c.senders {
-		sw.w.fire()
+	for c.senders.len() > 0 {
+		c.senders.pop().w.fire()
 	}
-	c.senders = nil
 	if c.buf.len() == 0 {
-		for _, rw := range c.recvers {
+		for c.recvers.len() > 0 {
+			rw := c.recvers.pop()
 			rw.ok = false
 			rw.w.fire()
 		}
-		c.recvers = nil
 	}
 }
 
 // popRecver removes and returns the first receiver that has not already been
 // woken (e.g. by a timeout), or nil.
 func (c *Chan[T]) popRecver() *chanWaiter[T] {
-	for len(c.recvers) > 0 {
-		rw := c.recvers[0]
-		c.recvers = c.recvers[1:]
-		if !rw.w.fired {
+	for c.recvers.len() > 0 {
+		if rw := c.recvers.pop(); !rw.w.fired {
 			return rw
 		}
 	}
@@ -79,10 +101,8 @@ func (c *Chan[T]) popRecver() *chanWaiter[T] {
 }
 
 func (c *Chan[T]) popSender() *chanWaiter[T] {
-	for len(c.senders) > 0 {
-		sw := c.senders[0]
-		c.senders = c.senders[1:]
-		if !sw.w.fired {
+	for c.senders.len() > 0 {
+		if sw := c.senders.pop(); !sw.w.fired {
 			return sw
 		}
 	}
@@ -125,20 +145,23 @@ func (c *Chan[T]) SendTimeout(p *Proc, v T, d time.Duration) error {
 	if d == 0 {
 		return ErrTimeout
 	}
-	sw := &chanWaiter[T]{w: newWaiter(p), val: v}
-	c.senders = append(c.senders, sw)
+	sw := c.newWaiter(p)
+	sw.val = v
+	c.senders.push(sw)
 	if d > 0 {
 		sw.w.setTimeout(d)
 	}
-	p.park()
+	p.park("Chan.Send")
+	var err error
 	switch {
 	case sw.delivered:
-		return nil
 	case sw.w.timedOut:
-		return ErrTimeout
+		err = ErrTimeout
 	default: // woken by Close
-		return ErrClosed
+		err = ErrClosed
 	}
+	c.recycle(sw)
+	return err
 }
 
 // TryRecv attempts a non-blocking receive. ok reports whether a value was
@@ -185,18 +208,21 @@ func (c *Chan[T]) RecvTimeout(p *Proc, d time.Duration) (T, error) {
 		var zero T
 		return zero, ErrTimeout
 	}
-	rw := &chanWaiter[T]{w: newWaiter(p)}
-	c.recvers = append(c.recvers, rw)
+	rw := c.newWaiter(p)
+	c.recvers.push(rw)
 	if d > 0 {
 		rw.w.setTimeout(d)
 	}
-	p.park()
-	if rw.ok {
-		return rw.val, nil
+	p.park("Chan.Recv")
+	v := rw.val
+	var err error
+	switch {
+	case rw.ok:
+	case rw.w.timedOut:
+		err = ErrTimeout
+	default: // woken by Close
+		err = ErrClosed
 	}
-	var zero T
-	if rw.w.timedOut {
-		return zero, ErrTimeout
-	}
-	return zero, ErrClosed
+	c.recycle(rw)
+	return v, err
 }

@@ -12,12 +12,56 @@ import (
 // with the process left out of the wakeups: these tests run the two side by
 // side and pin what the loop would have done, slice by slice.
 
-// sleepLoop is the specification SleepEach replaces.
-func sleepLoop(p *Proc, d time.Duration, step func() time.Duration) {
-	for d > 0 {
-		p.Sleep(d)
+// Besides sleeps, the test programs block on a Cond or a Semaphore between
+// two steps. A step asks for that with these markers; blockingLoop waits
+// itself, while eachStep enlists the process and returns Parked.
+const (
+	onCond = -1 - iota
+	onSem
+)
+
+// blockingLoop is the specification SleepEach replaces: the Sleep loop, with
+// a step's Cond and Semaphore waits done by the process.
+func blockingLoop(p *Proc, d time.Duration, step func() time.Duration, cond *Cond, sem *Semaphore) {
+	for {
+		switch {
+		case d == onCond:
+			cond.Wait(p)
+		case d == onSem:
+			sem.Acquire(p)
+		case d > 0:
+			p.Sleep(d)
+		default:
+			return
+		}
 		d = step()
 	}
+}
+
+// eachStep carries a step's markers out in place: a Cond wait enlists the
+// process, and so does a Semaphore with no unit free; a free unit is taken
+// and, as after an Acquire that does not block, the next step runs at once.
+// It is the form of step SleepEach takes in place of blockingLoop's.
+func eachStep(p *Proc, d time.Duration, step func() time.Duration, cond *Cond, sem *Semaphore) time.Duration {
+	for {
+		switch {
+		case d == onCond:
+			cond.Enlist(p)
+			return Parked
+		case d == onSem && !sem.TryAcquire():
+			sem.Enlist(p)
+			return Parked
+		case d == onSem:
+			d = step()
+		default:
+			return d
+		}
+	}
+}
+
+// sleepLoop is blockingLoop for steps that only sleep.
+func sleepLoop(p *Proc, d time.Duration, step func() time.Duration) {
+	blockingLoop(p, d, step, nil, nil)
 }
 
 // postFunc runs fn as an inline Task.
@@ -25,24 +69,50 @@ type postFunc func()
 
 func (f postFunc) RunTask(*Kernel) { f() }
 
-// tiedDelays makes same-instant wakeups common; its zero ends a series.
-var tiedDelays = []time.Duration{0, time.Microsecond, time.Microsecond, 2 * time.Microsecond, 3 * time.Microsecond}
+// tiedDelays makes same-instant wakeups common; its zero ends a series, and
+// its markers block the series on the program's Cond or Semaphore.
+var tiedDelays = []time.Duration{0, time.Microsecond, time.Microsecond, 2 * time.Microsecond, 3 * time.Microsecond, onCond, onSem}
 
 // seriesProgram spawns seeded processes that each run a few series of
 // slices, every slice drawing its next delay from the kernel's stream and
 // sometimes waking a peer or posting inline work, so that a slice changes
-// the ready queue exactly where the process's own step would have. each
-// picks SleepEach or the Sleep loop; nothing else differs.
+// the ready queue exactly where the process's own step would have. A slice
+// may also block its series on a Cond (a ticker broadcasts it until every
+// worker is done) or take the one unit of a Semaphore (held until the
+// process's next slice). each picks SleepEach or the blocking loop; nothing
+// else differs.
 func seriesProgram(k *Kernel, seed uint64, each bool, log *[]rec) {
 	k.Seed(seed)
 	cond := NewCond(k)
+	sem := NewSemaphore(k, 1)
 	delay := func() time.Duration { return tiedDelays[k.Rand()%uint64(len(tiedDelays))] }
 	n := 2 + int(k.Rand()%4)
+	done := 0
+	k.Spawn("ticker", func(p *Proc) {
+		for done < n {
+			p.Sleep(2 * time.Microsecond)
+			cond.Broadcast()
+		}
+	})
 	for i := 0; i < n; i++ {
 		k.Spawn(fmt.Sprint("p", i), func(p *Proc) {
+			defer func() { done++ }()
 			note := func(op string) { *log = append(*log, rec{p.Now(), p.PID(), op}) }
 			for round := 0; round < 3; round++ {
 				left := 1 + int(k.Rand()%12)
+				held := false
+				release := func() {
+					if held {
+						sem.Release()
+						held = false
+					}
+				}
+				plan := func() time.Duration {
+					release()
+					d := delay()
+					held = d == onSem
+					return d
+				}
 				step := func() time.Duration {
 					note("slice")
 					switch k.Rand() % 4 {
@@ -52,14 +122,17 @@ func seriesProgram(k *Kernel, seed uint64, each bool, log *[]rec) {
 						k.Post(postFunc(func() { note("posted") }))
 					}
 					if left--; left == 0 {
+						release()
 						return 0
 					}
-					return delay()
+					return plan()
 				}
 				if each {
-					p.SleepEach(delay(), step)
+					p.SleepEach(eachStep(p, plan(), step, cond, sem), func() time.Duration {
+						return eachStep(p, step(), step, cond, sem)
+					})
 				} else {
-					sleepLoop(p, delay(), step)
+					blockingLoop(p, plan(), step, cond, sem)
 				}
 				note("resumed")
 				if k.Rand()%2 == 0 {
@@ -297,4 +370,80 @@ func TestSleepEachRefusesKill(t *testing.T) {
 		t.Fatal("the bystander was killed")
 	}
 	k.Shutdown()
+}
+
+// TestSleepEachRefusesBlocking: a step that blocks — sleeps, waits on a Cond,
+// takes a Semaphore with no unit free — would yield whichever coroutine is
+// scheduling, so park refuses it by name.
+func TestSleepEachRefusesBlocking(t *testing.T) {
+	for op, block := range map[string]func(p *Proc, c *Cond, s *Semaphore){
+		"Sleep":             func(p *Proc, _ *Cond, _ *Semaphore) { p.Sleep(time.Millisecond) },
+		"Cond.Wait":         func(p *Proc, c *Cond, _ *Semaphore) { c.Wait(p) },
+		"Semaphore.Acquire": func(p *Proc, _ *Cond, s *Semaphore) { s.Acquire(p) },
+	} {
+		k := New()
+		c, s := NewCond(k), NewSemaphore(k, 0)
+		k.Spawn("x", func(p *Proc) {
+			p.SleepEach(time.Millisecond, func() time.Duration {
+				block(p, c, s)
+				return 0
+			})
+		})
+		var got any
+		func() {
+			defer func() { got = recover() }()
+			_ = k.Run()
+		}()
+		want := fmt.Sprintf("sim: %s blocks inside in-place work of process %q", op, "x")
+		if s, _ := got.(string); !strings.Contains(s, want) {
+			t.Errorf("%s in a step: recovered %v, want it to contain %q", op, got, want)
+		}
+		k.Shutdown()
+	}
+}
+
+// TestSleepEachParkedSwitches: a series that parks on a Cond between steps is
+// resumed only when it hands back, however many Broadcasts wake it in
+// between; with a Wait loop each wakeup costs two switches.
+func TestSleepEachParkedSwitches(t *testing.T) {
+	switches := func(n int, each bool) uint64 {
+		k := New()
+		c := NewCond(k)
+		calls := 0
+		k.Spawn("waiter", func(p *Proc) {
+			if !each {
+				for i := 0; i < n; i++ {
+					c.Wait(p)
+				}
+				return
+			}
+			c.Enlist(p)
+			p.SleepEach(Parked, func() time.Duration {
+				if calls++; calls == n {
+					return 0
+				}
+				c.Enlist(p)
+				return Parked
+			})
+		})
+		k.Spawn("waker", func(p *Proc) {
+			for i := 0; i < n; i++ {
+				p.Sleep(time.Microsecond)
+				c.Broadcast()
+			}
+		})
+		if err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return k.switches
+	}
+	base := switches(1, true)
+	for _, n := range []int{10, 1000} {
+		if got := switches(n, true); got != base {
+			t.Errorf("parked series, %d wakeups: %d switches, want %d as for one", n, got, base)
+		}
+	}
+	if got := switches(1000, false); got < 2*1000 {
+		t.Errorf("Wait loop, 1000 wakeups: %d switches, want at least 2 per wakeup", got)
+	}
 }

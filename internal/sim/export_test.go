@@ -28,7 +28,7 @@ func (e *Event) WaitTimeout(p *Proc, d time.Duration) bool {
 	if d > 0 {
 		w.setTimeout(d)
 	}
-	p.park()
+	p.park("WaitTimeout")
 	return !w.timedOut
 }
 
@@ -43,7 +43,7 @@ func (c *Cond) WaitTimeout(p *Proc, d time.Duration) bool {
 	if d > 0 {
 		w.setTimeout(d)
 	}
-	p.park()
+	p.park("WaitTimeout")
 	// A fired-by-timeout waiter is dropped lazily; Broadcast skips it.
 	return !w.timedOut
 }

@@ -44,17 +44,22 @@
 // parking process yields at once. A process's panic, or its runtime.Goexit,
 // comes out of Run/RunUntil/Step on the caller's goroutine.
 //
-// # Slices
+// # In-place steps
 //
-// Proc.SleepEach runs a loop of sleeps with work between them without
-// resuming the process in between: at each wakeup, where the ready queue
-// would have resumed the process, the scheduling loop calls the process's
-// step in place and reschedules it, so events, sequence numbers and ready
-// order are the loop's while a series of N slices costs no more switches
-// than one Sleep. A step is inline work: it must never block, never Kill or
+// Proc.SleepEach runs a loop of blocking waits with work between them
+// without resuming the process in between: at each wakeup, where the ready
+// queue would have resumed the process, the scheduling loop calls the
+// process's step in place. A step ends by asking for a sleep (the kernel
+// reschedules the process exactly as its own Sleep would have), by returning
+// Parked after enlisting the process on a primitive (Cond.Enlist,
+// Semaphore.Enlist: the primitive's wakeup posts it again, where it would
+// have resumed it), or by handing back (0: the process resumes). So events,
+// sequence numbers and ready order are the blocking loop's while a series of
+// N wakeups costs no more switches than one. A step is inline work: it must
+// never block (park panics under it, naming the process), never Kill or
 // Shutdown, and must hand back before any side effect the process has to
-// make itself; it is not called once the process is killed, and its panic
-// is a kernel-context panic that names the process.
+// make itself; it is not called once the process is killed, and its panic is
+// a kernel-context panic that names the process.
 package sim
 
 import (
@@ -88,6 +93,9 @@ const (
 
 // maxEventPool bounds the recycled-event free list.
 const maxEventPool = 1 << 14
+
+// maxWaiterPool bounds the recycled-waiter free list.
+const maxWaiterPool = 1 << 12
 
 // maxLanes bounds the kernel's lanes: every dequeue scans each lane head, so
 // delays past the first maxLanes distinct ones go through the heap instead.
@@ -281,16 +289,18 @@ func (q *fifo[T]) pop() T {
 // concurrent use from multiple goroutines except through its own process
 // scheduling: all simulated code runs under the kernel's control.
 type Kernel struct {
-	now     time.Duration
-	seq     uint64
-	events  eventHeap
-	lanes   []*Lane       // constant-delay FIFOs, merged with events by (at, seq)
-	due     fifo[*event]  // events scheduled for the current instant
-	ready   fifo[Task]    // work runnable at the current instant, FIFO
-	free    []*event      // recycled event records
-	procs   map[int]*Proc // processes that have not exited
-	live    int           // non-daemon entries of procs
-	nextPID int
+	now    time.Duration
+	seq    uint64
+	events eventHeap
+	lanes  []*Lane      // constant-delay FIFOs, merged with events by (at, seq)
+	due    fifo[*event] // events scheduled for the current instant
+	ready  fifo[Task]   // work runnable at the current instant, FIFO
+	free   []*event     // recycled event records
+	// freeWaiters recycles the waiters of Cond, Semaphore and Event.
+	freeWaiters []*waiter
+	procs       map[int]*Proc // processes that have not exited
+	live        int           // non-daemon entries of procs
+	nextPID     int
 	// current is the process that holds control, running either its own code
 	// or the scheduling loop; nil while the caller of Run/RunUntil/Step holds
 	// it.
@@ -650,7 +660,8 @@ func (k *Kernel) next(inProc bool) *Proc {
 // wakes decides for p, just taken from the ready queue, whether it is to be
 // resumed: not when it has exited, nor when it is in a SleepEach series whose
 // step, run here in place, asks for another slice (p is rescheduled exactly
-// as its own Sleep would have done).
+// as its own Sleep would have done) or has enlisted p on a primitive (whose
+// wakeup posts p again, as it would have resumed the parked process).
 func (k *Kernel) wakes(p *Proc) bool {
 	if p.exited {
 		return false
@@ -658,8 +669,11 @@ func (k *Kernel) wakes(p *Proc) bool {
 	if p.each == nil {
 		return true
 	}
-	if d := k.slice(p); d > 0 {
+	switch d := k.slice(p); {
+	case d > 0:
 		k.scheduleTask(k.now+d, p)
+		return false
+	case d == Parked:
 		return false
 	}
 	p.each = nil

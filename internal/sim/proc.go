@@ -2,8 +2,15 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"time"
 )
+
+// Parked is what an in-place step (Proc.SleepEach) returns after enlisting
+// its process on a primitive without parking it (Cond.Enlist,
+// Semaphore.Enlist): the primitive's wakeup posts the process to the ready
+// queue, exactly where it would have resumed it, and the step runs there.
+const Parked = time.Duration(math.MinInt64)
 
 // Proc is the handle a simulated process uses for every interaction with the
 // kernel: reading the clock, sleeping, and blocking on synchronization
@@ -123,10 +130,14 @@ func (p *Proc) RunTask(k *Kernel) {
 // schedules onwards itself first, under Step it returns to the caller at
 // once. A killed process cannot block again (its killer is waiting for it to
 // unwind): deferred cleanup that tries to keeps unwinding, as does a process
-// resumed by stop.
-func (p *Proc) park() {
+// resumed by stop. Nor can in-place work block (op names the blocking call):
+// it runs on whichever stack is scheduling, which is not p's to yield.
+func (p *Proc) park(op string) {
 	if p.killed {
 		panic(errKilled)
+	}
+	if p.k.inline != nil {
+		panic(fmt.Sprintf("sim: %s blocks inside in-place work of process %q", op, p.name))
 	}
 	if p.k.dispatch(p) {
 		return
@@ -140,7 +151,7 @@ func (p *Proc) park() {
 // ready processes run first. Useful to model round-robin CPU sharing.
 func (p *Proc) Yield() {
 	p.k.ready.push(p)
-	p.park()
+	p.park("Yield")
 }
 
 // wake makes a parked process runnable at the current instant.
@@ -159,7 +170,7 @@ func (p *Proc) Sleep(d time.Duration) {
 		return
 	}
 	p.k.scheduleTask(p.k.now+d, p)
-	p.park()
+	p.park("Sleep")
 }
 
 // SleepEach runs a series of sleeps with work between them:
@@ -174,18 +185,27 @@ func (p *Proc) Sleep(d time.Duration) {
 // process, and resumes it only when step returns d <= 0. A series of N
 // slices costs the coroutine switches of one Sleep, not N.
 //
+// Either d or a step may also be Parked: the process has just been enlisted
+// on a primitive (Cond.Enlist, Semaphore.Enlist) in place of a blocking wait,
+// and the next step runs when that primitive wakes it. So a step is the
+// process's code from one blocking call to the next, with each block an
+// enlistment or a sleep.
+//
 // step runs in kernel context, on whatever stack is scheduling (see the
-// package comment's Slices section): it must never block, never Kill or
-// Shutdown, and must hand back (return <= 0) before any side effect the
+// package comment's In-place steps section): it must never block, never Kill
+// or Shutdown, and must hand back (return 0) before any side effect the
 // process has to make itself. It is not called once the process has been
 // killed.
 func (p *Proc) SleepEach(d time.Duration, step func() time.Duration) {
-	if d <= 0 {
-		return
+	switch {
+	case d == Parked:
+		p.each = step
+		p.park("SleepEach")
+	case d > 0:
+		p.each = step
+		p.k.scheduleTask(p.k.now+d, p)
+		p.park("SleepEach")
 	}
-	p.each = step
-	p.k.scheduleTask(p.k.now+d, p)
-	p.park()
 }
 
 // Done returns a channel closed when the process exits. Call it while
@@ -211,7 +231,31 @@ type waiter struct {
 	timer    Timer
 }
 
-func newWaiter(p *Proc) *waiter { return &waiter{p: p} }
+// newWaiter takes a waiter for p from its kernel's free list.
+func newWaiter(p *Proc) *waiter {
+	k := p.k
+	if n := len(k.freeWaiters); n > 0 {
+		w := k.freeWaiters[n-1]
+		k.freeWaiters[n-1] = nil
+		k.freeWaiters = k.freeWaiters[:n-1]
+		w.p = p
+		return w
+	}
+	return &waiter{p: p}
+}
+
+// recycle returns a waiter its primitive has dropped to the free list. One
+// that ever had a timeout stays garbage: the woken process reads timedOut.
+func (w *waiter) recycle() {
+	if w.timer.k != nil {
+		return
+	}
+	k := w.p.k
+	*w = waiter{}
+	if len(k.freeWaiters) < maxWaiterPool {
+		k.freeWaiters = append(k.freeWaiters, w)
+	}
+}
 
 // fire wakes the waiting process if it has not been woken yet, canceling any
 // pending timeout. It reports whether this call performed the wakeup.

@@ -4,7 +4,7 @@ package sim
 type Semaphore struct {
 	k       *Kernel
 	count   int
-	waiters []*waiter
+	waiters fifo[*waiter]
 }
 
 // NewSemaphore creates a semaphore with the given initial count.
@@ -18,10 +18,15 @@ func (s *Semaphore) Acquire(p *Proc) {
 		s.count--
 		return
 	}
-	w := newWaiter(p)
-	s.waiters = append(s.waiters, w)
-	p.park()
+	s.Enlist(p)
+	p.park("Semaphore.Acquire")
 }
+
+// Enlist queues p as an acquirer without parking it, for an in-place step
+// (Proc.SleepEach) that found no unit free and returns Parked: the Release
+// that hands p a unit posts p to the ready queue owning it, where Acquire
+// would have resumed it, and the series' step runs there.
+func (s *Semaphore) Enlist(p *Proc) { s.waiters.push(newWaiter(p)) }
 
 // TryAcquire takes a unit if one is immediately available.
 func (s *Semaphore) TryAcquire() bool {
@@ -34,10 +39,11 @@ func (s *Semaphore) TryAcquire() bool {
 
 // Release returns one unit, waking the longest-blocked acquirer if any.
 func (s *Semaphore) Release() {
-	for len(s.waiters) > 0 {
-		w := s.waiters[0]
-		s.waiters = s.waiters[1:]
-		if w.fire() {
+	for s.waiters.len() > 0 {
+		w := s.waiters.pop()
+		fired := w.fire()
+		w.recycle()
+		if fired {
 			return
 		}
 	}
@@ -78,6 +84,7 @@ func (e *Event) Set() {
 	e.set = true
 	for _, w := range e.waiters {
 		w.fire()
+		w.recycle()
 	}
 	e.waiters = nil
 }
@@ -87,9 +94,8 @@ func (e *Event) Wait(p *Proc) {
 	if e.set {
 		return
 	}
-	w := newWaiter(p)
-	e.waiters = append(e.waiters, w)
-	p.park()
+	e.waiters = append(e.waiters, newWaiter(p))
+	p.park("Event.Wait")
 }
 
 // Cond is a condition variable: Wait parks until a Broadcast.
@@ -105,16 +111,24 @@ func NewCond(k *Kernel) *Cond { return &Cond{k: k} }
 
 // Wait parks the process until the next Broadcast.
 func (c *Cond) Wait(p *Proc) {
-	w := newWaiter(p)
-	c.waiters = append(c.waiters, w)
-	p.park()
+	c.Enlist(p)
+	p.park("Cond.Wait")
 }
 
-// Broadcast wakes every waiting process.
+// Enlist queues p for the next Broadcast without parking it, for an
+// in-place step (Proc.SleepEach) that returns Parked: the Broadcast posts p
+// to the ready queue where Wait would have resumed it, and the series' step
+// runs there.
+func (c *Cond) Enlist(p *Proc) { c.waiters = append(c.waiters, newWaiter(p)) }
+
+// Broadcast wakes every waiting process. The waiter slice is kept for the
+// next round of waits.
 func (c *Cond) Broadcast() {
 	ws := c.waiters
-	c.waiters = nil
-	for _, w := range ws {
+	for i, w := range ws {
 		w.fire()
+		w.recycle()
+		ws[i] = nil
 	}
+	c.waiters = ws[:0]
 }

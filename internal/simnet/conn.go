@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -219,68 +220,95 @@ func (nd *Node) dial(p *sim.Proc, tctx obs.TraceContext, addr string) (transport
 	return dialed, nil
 }
 
-// Read implements transport.Conn.
+// errWouldBlock is what the non-blocking cores report when the caller has
+// to wait: for data or an end of stream (tryRead), for credit (tryWrite).
+var errWouldBlock = errors.New("simnet: would block")
+
+// Read implements transport.Conn: tryRead, waiting on readCond while it
+// would block.
 func (c *conn) Read(env transport.Env, b []byte) (int, error) {
 	p := procOf(env, "Read")
 	for {
-		if c.inboxHead < len(c.inbox) {
-			seg := &c.inbox[c.inboxHead]
-			n := copy(b, seg.buf[seg.off:])
-			seg.off += n
-			if seg.off == len(seg.buf) {
-				c.node.net.putSeg(seg.buf)
-				seg.buf = nil
-				c.inboxHead++
-				if c.inboxHead == len(c.inbox) {
-					c.inbox = c.inbox[:0]
-					c.inboxHead = 0
-				}
-			}
-			return n, nil
-		}
-		if c.remoteReset {
-			return 0, transport.ErrReset
-		}
-		if c.remoteClosed {
-			return 0, io.EOF
-		}
-		if c.aborted {
-			return 0, transport.ErrReset
-		}
-		if c.closed {
-			return 0, transport.ErrClosed
+		n, err := c.tryRead(b)
+		if err != errWouldBlock { //nolint:errorlint // sentinel identity
+			return n, err
 		}
 		c.readCond.Wait(p)
 	}
 }
 
+// tryRead is Read's core: it copies from the head segment, or reports how
+// the stream ended, or errWouldBlock when neither has happened yet.
+func (c *conn) tryRead(b []byte) (int, error) {
+	if c.inboxHead < len(c.inbox) {
+		seg := &c.inbox[c.inboxHead]
+		n := copy(b, seg.buf[seg.off:])
+		seg.off += n
+		if seg.off == len(seg.buf) {
+			c.node.net.putSeg(seg.buf)
+			seg.buf = nil
+			c.inboxHead++
+			if c.inboxHead == len(c.inbox) {
+				c.inbox = c.inbox[:0]
+				c.inboxHead = 0
+			}
+		}
+		return n, nil
+	}
+	switch {
+	case c.remoteReset:
+		return 0, transport.ErrReset
+	case c.remoteClosed:
+		return 0, io.EOF
+	case c.aborted:
+		return 0, transport.ErrReset
+	case c.closed:
+		return 0, transport.ErrClosed
+	}
+	return 0, errWouldBlock
+}
+
 // Write implements transport.Conn. Data is segmented at the network MTU;
 // each segment consumes window credit that returns when the segment lands in
-// the peer's buffer.
+// the peer's buffer. It is tryWrite, waiting on creditCond while it would
+// block.
 func (c *conn) Write(env transport.Env, b []byte) (int, error) {
 	p := procOf(env, "Write")
+	total, woke := 0, false
+	for {
+		n, err := c.tryWrite(b[total:], woke)
+		total += n
+		if err != errWouldBlock { //nolint:errorlint // sentinel identity
+			return total, err
+		}
+		c.creditCond.Wait(p)
+		woke = true
+	}
+}
+
+// tryWrite is Write's core: it sends the segments of b that credit (and, on
+// flow-modeled streams, the congestion window) admits and reports how many
+// bytes it sent, with errWouldBlock when the rest waits for credit. woke says
+// the caller has just waited for credit: the first segment then goes out as
+// soon as it fits, and the connection's state is checked only if it does
+// not, exactly as after a wait inside a blocking Write.
+func (c *conn) tryWrite(b []byte, woke bool) (int, error) {
 	total := 0
 	mtu := c.node.net.MTU
 	for len(b) > 0 {
-		if c.aborted || c.remoteReset {
-			return total, transport.ErrReset
-		}
-		if c.closed || c.remoteClosed {
-			return total, transport.ErrClosed
-		}
 		chunk := len(b)
 		if chunk > mtu {
 			chunk = mtu
 		}
-		for c.credit < chunk || (c.flow != nil && c.flow.inflight+chunk > c.flow.cwnd) {
-			if c.aborted || c.remoteReset {
-				return total, transport.ErrReset
+		if !woke || !c.fits(chunk) {
+			if err := c.writeErr(); err != nil {
+				return total, err
 			}
-			if c.closed || c.remoteClosed {
-				return total, transport.ErrClosed
+			if !c.fits(chunk) {
+				return total, errWouldBlock
 			}
-			c.creditCond.Wait(p)
 		}
+		woke = false
 		c.credit -= chunk
 		seg := c.node.net.getSeg(chunk)
 		copy(seg, b[:chunk])
@@ -289,6 +317,22 @@ func (c *conn) Write(env transport.Env, b []byte) (int, error) {
 		total += chunk
 	}
 	return total, nil
+}
+
+// fits reports whether a segment of size bytes may be sent now.
+func (c *conn) fits(size int) bool {
+	return c.credit >= size && (c.flow == nil || c.flow.inflight+size <= c.flow.cwnd)
+}
+
+// writeErr is why nothing more can be written, if anything.
+func (c *conn) writeErr() error {
+	switch {
+	case c.aborted || c.remoteReset:
+		return transport.ErrReset
+	case c.closed || c.remoteClosed:
+		return transport.ErrClosed
+	}
+	return nil
 }
 
 // Close implements transport.Conn: both directions shut down; the peer

@@ -207,11 +207,14 @@ func (nd *Node) SpawnDaemonOn(name string, fn func(transport.Env)) {
 }
 
 // procOf extracts the kernel process from a caller's Env, guarding against
-// mixing environments from a different implementation.
+// mixing environments from a different implementation. An Env that wraps a
+// simnet one and exposes its process (Proc) passes.
 func procOf(env transport.Env, op string) *sim.Proc {
-	se, ok := env.(*Env)
-	if !ok {
-		panic(fmt.Sprintf("simnet: %s called with non-simnet Env %T", op, env))
+	switch se := env.(type) {
+	case *Env:
+		return se.p
+	case interface{ Proc() *sim.Proc }:
+		return se.Proc()
 	}
-	return se.p
+	panic(fmt.Sprintf("simnet: %s called with non-simnet Env %T", op, env))
 }
