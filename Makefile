@@ -48,7 +48,7 @@ race-sched:
 # chaos runs the fault-injection recovery scenarios (see EXPERIMENTS.md,
 # "Chaos runs") on their own, under the race detector.
 chaos:
-	$(GO) test -race -v -run 'TestChaos' ./internal/chaos/
+	$(GO) test -race -v -run 'TestChaos' ./internal/bench/
 
 # scenarios validates and runs the declarative scenario library (see
 # EXPERIMENTS.md, "Scenario runs"): every file under scenarios/ must parse,

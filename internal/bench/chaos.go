@@ -1,17 +1,4 @@
-// Package chaos runs the paper's Table 4 knapsack workload on the Figure 5
-// wide-area testbed while a seeded fault plan crashes hosts and flaps links,
-// then reports whether every recovery layer did its job: the inner relay
-// re-registering with the outer server after a boundary flap, HBM marking
-// the crashed Q server DOWN and UP again after its restart, RMF requeuing
-// the lost job onto a surviving resource, and the fault-tolerant knapsack
-// scheduler reclaiming the dead rank's work.
-//
-// Everything runs under the deterministic simulation kernel, so a chaos run
-// is reproducible bit for bit: the same Config yields the same Report,
-// faults included. The branch-and-bound optimum is the invariant the whole
-// exercise hangs on — faults may slow the search down, but they must never
-// change its answer.
-package chaos
+package bench
 
 import (
 	"errors"
@@ -34,8 +21,8 @@ import (
 // HBMPort is where the heartbeat monitor listens on rwcp-inner.
 const HBMPort = 7300
 
-// Config describes one chaos run.
-type Config struct {
+// ChaosConfig describes one chaos run.
+type ChaosConfig struct {
 	// Items and Capacity select the normalized knapsack instance
 	// (the paper's Table 4 workload uses capacity 3).
 	Items    int
@@ -70,7 +57,7 @@ type Config struct {
 	// ExtraJobs submits that many additional RMF jobs in a staggered burst
 	// shortly after the primary — a flash crowd against the site's 8
 	// capacity-1 Q servers. The allocator queues the overflow and drains it
-	// in waves; Report.ExtraJobsDone counts clean completions.
+	// in waves; ChaosReport.ExtraJobsDone counts clean completions.
 	ExtraJobs int
 	// Recovery overrides the RMF job's recovery policy (nil = the default
 	// {StatusRetries: 3}). Set SpeculateAfter here to enable straggler
@@ -90,31 +77,20 @@ type Config struct {
 	HBMDownAfter time.Duration
 	// SampleInterval, when nonzero (and Options.Obs is set), attaches a
 	// kernel-scheduled time-series sampler with that window width; the
-	// windowed series land in Report.Store. Sampling only reads metrics, so
-	// it never changes the run's virtual-time results. The scenario DSL's
-	// slo: block switches this on to judge throughput floors and error
-	// budgets.
+	// windowed series land in ChaosReport.Store. Sampling only reads
+	// metrics, so it never changes the run's virtual-time results. The
+	// scenario DSL's slo: block switches this on to judge throughput floors
+	// and error budgets.
 	SampleInterval time.Duration
 	// Options forwards testbed construction options.
 	Options cluster.Options
 }
 
-// Report is the outcome of a chaos run.
-type Report struct {
-	// WantBest and WantNodes are the sequential optimum and the full
-	// normalized tree size — the ground truth the run is checked against.
-	WantBest  int64
-	WantNodes int64
-	// Completed reports whether the knapsack master terminated before the
-	// horizon; Best, Elapsed, TotalTraversed are its result.
-	Completed      bool
-	Best           int64
-	Elapsed        time.Duration
-	TotalTraversed int64
-	// RankErrs holds per-rank outcomes (nil for ranks killed mid-run);
-	// Orphans counts slaves that gave up with ErrOrphaned.
-	RankErrs []error
-	Orphans  int
+// ChaosReport is the outcome of a chaos run: its solve (a master still
+// searching at the horizon leaves it incomplete, a rank it killed a nil
+// error) and what every recovery layer did.
+type ChaosReport struct {
+	Solve
 	// InnerRegistrations counts registration sessions the inner relay
 	// established (1 fault-free; +1 per recovery). OuterBoots counts outer
 	// server boots (1 + restarts).
@@ -134,8 +110,8 @@ type Report struct {
 	// did); JobSpeculations counts speculative duplicates launched.
 	JobDone         time.Duration
 	JobSpeculations int
-	// ExtraJobsDone counts flash-crowd jobs (Config.ExtraJobs) whose Wait
-	// returned cleanly before the horizon.
+	// ExtraJobsDone counts flash-crowd jobs (ChaosConfig.ExtraJobs) whose
+	// Wait returned cleanly before the horizon.
 	ExtraJobsDone int
 	// InnerStats snapshots the inner relay's counters at the horizon
 	// (SuspectPeriods is the degraded-boundary evidence).
@@ -145,14 +121,14 @@ type Report struct {
 	// show suspects without DOWN/UP churn.
 	HBMSuspects int64
 	HBMDowns    int64
-	// Store holds the windowed time-series when Config.SampleInterval asked
-	// for sampling (nil otherwise).
+	// Store holds the windowed time-series when ChaosConfig.SampleInterval
+	// asked for sampling (nil otherwise).
 	Store *timeseries.Store
 }
 
 // Fingerprint reduces the report to a canonical string so a double run can
 // be compared field by field (map iteration order excluded).
-func (rep *Report) Fingerprint() string {
+func (rep *ChaosReport) Fingerprint() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "completed=%v best=%d elapsed=%v traversed=%d orphans=%d",
 		rep.Completed, rep.Best, rep.Elapsed, rep.TotalTraversed, rep.Orphans)
@@ -172,73 +148,59 @@ func (rep *Report) Fingerprint() string {
 	return b.String()
 }
 
-// Run executes one chaos scenario and returns its report.
-func Run(cfg Config) (*Report, error) {
+// RunChaos solves the Table 4 knapsack on the Figure 5 testbed while a
+// seeded fault plan crashes hosts and flaps links, and reports whether every
+// recovery layer did its job: the inner relay re-registering after a
+// boundary flap, HBM marking a crashed Q server DOWN and UP again after its
+// restart, RMF requeuing the lost job, and the fault-tolerant scheduler
+// reclaiming a dead rank's work without changing the optimum. It is one
+// runOn to cfg.Horizon, whose setup is the testbed steps: the recovery
+// relays, the control plane, the sampler and the fault plan. The same cfg
+// yields the same report, faults included.
+func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 	if cfg.Items <= 0 || cfg.Capacity <= 0 {
-		return nil, fmt.Errorf("chaos: instance size %d/%d", cfg.Items, cfg.Capacity)
+		return nil, fmt.Errorf("bench: chaos instance size %d/%d", cfg.Items, cfg.Capacity)
 	}
 	if cfg.Horizon <= 0 {
-		return nil, errors.New("chaos: horizon required")
+		return nil, errors.New("bench: chaos horizon required")
 	}
-	rep := &Report{}
-	in := knapsack.Normalized(cfg.Items, cfg.Capacity)
-	rep.WantBest = knapsack.NormalizedBest(cfg.Items, cfg.Capacity)
-	rep.WantNodes = knapsack.NormalizedTreeNodes(cfg.Items, cfg.Capacity)
-
-	tb := cluster.NewTestbed(cfg.Options)
-	tb.EnableRecovery(cfg.Keepalive)
+	rep := &ChaosReport{}
 	var mon *hbm.Monitor
-	if cfg.ControlPlane {
-		mon = startControlPlane(tb, cfg, rep)
-	}
-	if cfg.SampleInterval > 0 && cfg.Options.Obs != nil {
-		// KeepAlive: chaos kernels run to a horizon with daemons beating
-		// forever, so the sampler must not stop itself when live work dips.
-		smp := timeseries.NewSampler(tb.K, cfg.SampleInterval, cfg.Options.Obs.Metrics())
-		smp.KeepAlive = true
-		smp.Start()
-		rep.Store = smp.Store()
-	}
-
-	var res *knapsack.Result
-	w := mpi.NewWorld(tb.Placements(cfg.System, cfg.UseProxy))
-	w.Launch(func(c *mpi.Comm) error {
-		r, err := knapsack.RunFT(c, in, cfg.FT)
-		if c.Rank() == 0 && r != nil {
-			res = r
+	kc := KnapsackConfig{Items: cfg.Items, Capacity: cfg.Capacity, Options: cfg.Options}
+	s, err := runOn(kc, func(tb *cluster.Testbed) []mpi.Placement {
+		return tb.Placements(cfg.System, cfg.UseProxy)
+	}, func(tb *cluster.Testbed) error {
+		tb.EnableRecovery(cfg.Keepalive)
+		if cfg.ControlPlane {
+			mon = startControlPlane(tb, cfg, rep)
 		}
-		return err
-	})
-
-	if cfg.Plan != nil {
-		if err := tb.Net.ApplyPlan(cfg.Plan); err != nil {
-			return nil, err
+		if cfg.SampleInterval > 0 && cfg.Options.Obs != nil {
+			// KeepAlive: chaos kernels run to a horizon with daemons beating
+			// forever, so the sampler must not stop itself when live work dips.
+			smp := timeseries.NewSampler(tb.K, cfg.SampleInterval, cfg.Options.Obs.Metrics())
+			smp.KeepAlive = true
+			smp.Start()
+			rep.Store = smp.Store()
 		}
-	}
-	tb.K.RunUntil(cfg.Horizon)
-
-	if res != nil {
-		rep.Completed = true
-		rep.Best = res.Best
-		rep.Elapsed = res.Elapsed
-		rep.TotalTraversed = res.TotalTraversed
-	}
-	rep.RankErrs = w.RankErrs()
-	for _, e := range rep.RankErrs {
-		if errors.Is(e, knapsack.ErrOrphaned) {
-			rep.Orphans++
+		if cfg.Plan != nil {
+			return tb.ApplyPlan(cfg.Plan)
 		}
+		return nil
+	}, horizon{at: cfg.Horizon, ft: cfg.FT, read: func(tb *cluster.Testbed) {
+		rep.InnerStats = tb.Inner.Stats()
+		rep.InnerRegistrations = rep.InnerStats.Registrations
+		rep.OuterBoots = tb.OuterBoots
+		rep.OuterStats = tb.Outer.Stats()
+		if mon != nil {
+			rep.HBM = mon.Snapshot(cfg.Horizon)
+			rep.HBMSuspects = mon.SuspectCount()
+			rep.HBMDowns = mon.DownCount()
+		}
+	}})
+	if err != nil {
+		return nil, err
 	}
-	rep.InnerStats = tb.Inner.Stats()
-	rep.InnerRegistrations = rep.InnerStats.Registrations
-	rep.OuterBoots = tb.OuterBoots
-	rep.OuterStats = tb.Outer.Stats()
-	if mon != nil {
-		rep.HBM = mon.Snapshot(cfg.Horizon)
-		rep.HBMSuspects = mon.SuspectCount()
-		rep.HBMDowns = mon.DownCount()
-	}
-	tb.K.Shutdown()
+	rep.Solve = *s
 	return rep, nil
 }
 
@@ -248,7 +210,7 @@ func Run(cfg Config) (*Report, error) {
 // scripts so a host restart brings them back — and one recoverable RMF job
 // submitted from rwcp-sun. All of it stays inside the firewall, matching
 // the paper's deployment of RMF at the protected site.
-func startControlPlane(tb *cluster.Testbed, cfg Config, rep *Report) *hbm.Monitor {
+func startControlPlane(tb *cluster.Testbed, cfg ChaosConfig, rep *ChaosReport) *hbm.Monitor {
 	const beat = 250 * time.Millisecond
 	monAddr := transport.JoinAddr(cluster.RWCPInner, HBMPort)
 	allocAddr := transport.JoinAddr(cluster.RWCPSun, rmf.AllocatorPort)
@@ -307,22 +269,26 @@ func startControlPlane(tb *cluster.Testbed, cfg Config, rep *Report) *hbm.Monito
 	if cfg.JobCompute {
 		exe = "chaos-burn"
 	}
+	pol := rmf.RecoveryPolicy{StatusRetries: 3}
+	if cfg.Recovery != nil {
+		pol = *cfg.Recovery
+	}
+	// submit hands one job to the allocator, under its own copy of the policy.
+	submit := func(env transport.Env) (*rmf.JobHandle, error) {
+		h, err := rmf.SubmitJob(env, allocAddr, rmf.JobRequest{Count: 1, Cluster: "compas", Spec: rmf.ProcessSpec{Executable: exe}})
+		if err == nil {
+			p := pol
+			h.Recovery = &p
+		}
+		return h, err
+	}
 	tb.Node(cluster.RWCPSun).SpawnOn("chaos-qclient", func(env transport.Env) {
 		env.Sleep(500 * time.Millisecond)
-		h, err := rmf.SubmitJob(env, allocAddr, rmf.JobRequest{
-			Count:   1,
-			Cluster: "compas",
-			Spec:    rmf.ProcessSpec{Executable: exe},
-		})
+		h, err := submit(env)
 		if err != nil {
 			rep.JobErr = err
 			return
 		}
-		pol := rmf.RecoveryPolicy{StatusRetries: 3}
-		if cfg.Recovery != nil {
-			pol = *cfg.Recovery
-		}
-		h.Recovery = &pol
 		rep.JobErr = h.Wait(env, 100*time.Millisecond, 30*time.Second)
 		rep.JobDone = env.Now()
 		rep.JobRequeues = h.Requeues
@@ -348,12 +314,7 @@ func startControlPlane(tb *cluster.Testbed, cfg Config, rep *Report) *hbm.Monito
 			var h *rmf.JobHandle
 			var err error
 			for attempt := 0; attempt < 240; attempt++ {
-				h, err = rmf.SubmitJob(env, allocAddr, rmf.JobRequest{
-					Count:   1,
-					Cluster: "compas",
-					Spec:    rmf.ProcessSpec{Executable: exe},
-				})
-				if err == nil {
+				if h, err = submit(env); err == nil {
 					break
 				}
 				env.Sleep(250 * time.Millisecond)
@@ -361,11 +322,6 @@ func startControlPlane(tb *cluster.Testbed, cfg Config, rep *Report) *hbm.Monito
 			if err != nil {
 				return
 			}
-			pol := rmf.RecoveryPolicy{StatusRetries: 3}
-			if cfg.Recovery != nil {
-				pol = *cfg.Recovery
-			}
-			h.Recovery = &pol
 			if h.Wait(env, 100*time.Millisecond, 60*time.Second) == nil {
 				rep.ExtraJobsDone++
 			}

@@ -1,6 +1,8 @@
-package chaos
+package bench
 
 import (
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -14,8 +16,8 @@ import (
 // baseConfig is the Table-4-style wide-area run every chaos test starts
 // from: the 20-processor wide-area cluster through the Nexus Proxy, with
 // the full control plane up.
-func baseConfig() Config {
-	return Config{
+func baseConfig() ChaosConfig {
+	return ChaosConfig{
 		Items:    24,
 		Capacity: 3,
 		System:   cluster.SystemWide,
@@ -52,9 +54,9 @@ func chaosPlan() *simnet.FaultPlan {
 }
 
 // runOnce fails the test on harness errors.
-func runOnce(t *testing.T, cfg Config) *Report {
+func runOnce(t *testing.T, cfg ChaosConfig) *ChaosReport {
 	t.Helper()
-	rep, err := Run(cfg)
+	rep, err := RunChaos(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +171,7 @@ func TestChaosRecoveryEndToEnd(t *testing.T) {
 // a bit-identical report: same elapsed virtual time, same traversal count,
 // same recovery counters. Fault injection must not break reproducibility.
 func TestChaosDeterministic(t *testing.T) {
-	run := func() *Report {
+	run := func() *ChaosReport {
 		cfg := baseConfig()
 		cfg.Plan = chaosPlan()
 		return runOnce(t, cfg)
@@ -182,5 +184,23 @@ func TestChaosDeterministic(t *testing.T) {
 	if a.InnerRegistrations != b.InnerRegistrations || a.JobRequeues != b.JobRequeues {
 		t.Fatalf("recovery counters diverge: registrations %d/%d requeues %d/%d",
 			a.InnerRegistrations, b.InnerRegistrations, a.JobRequeues, b.JobRequeues)
+	}
+}
+
+// TestChaosRefusedPlanShutsDown: a fault plan whose crash names no host
+// fails the run with the plan's error, and the testbed already built for it
+// (relays, control plane) is shut down on that path too: every process
+// goroutine it started is gone once RunChaos returns.
+func TestChaosRefusedPlanShutsDown(t *testing.T) {
+	before := runtime.NumGoroutine()
+	cfg := baseConfig()
+	cfg.Plan = &simnet.FaultPlan{}
+	cfg.Plan.CrashWindow("compas99", time.Second, 2*time.Second)
+	_, err := RunChaos(cfg)
+	if err == nil || !strings.Contains(err.Error(), `simnet: fault plan: "compas99" is not a host`) {
+		t.Fatalf("RunChaos = %v, want the plan's not-a-host error", err)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("goroutines %d -> %d: the refused run left its testbed running", before, after)
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"nxcluster/internal/cluster"
-	"nxcluster/internal/knapsack"
 	"nxcluster/internal/mpi"
 	"nxcluster/internal/obs"
 	"nxcluster/internal/transport"
@@ -178,11 +177,10 @@ func fmtNS(d time.Duration) string {
 // Proxy) with the given observer attached to the testbed: every steal,
 // bound improvement, relay buffer and link hop lands in the trace, ready
 // for JSONL or Chrome trace_event export.
-func RunKnapsackTraced(cfg KnapsackConfig, o *obs.Observer) (*knapsack.Result, error) {
+func RunKnapsackTraced(cfg KnapsackConfig, o *obs.Observer) (*Solve, error) {
 	cfg = cfg.withDefaults()
 	cfg.Options.Obs = o
-	in := knapsack.Normalized(cfg.Items, cfg.Capacity)
-	return runOn(cfg, in, func(tb *cluster.Testbed) []mpi.Placement {
+	return runOn(cfg, func(tb *cluster.Testbed) []mpi.Placement {
 		return tb.Placements(cluster.SystemWide, true)
-	}, nil)
+	}, nil, horizon{})
 }

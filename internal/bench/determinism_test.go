@@ -44,8 +44,8 @@ func TestKnapsackDeterministic(t *testing.T) {
 		t.Fatalf("sequential time differs: %v vs %v", a.SeqTime, b.SeqTime)
 	}
 	for i := range a.Rows {
-		if a.Rows[i].Exec != b.Rows[i].Exec {
-			t.Fatalf("%s exec differs: %v vs %v", a.Rows[i].System, a.Rows[i].Exec, b.Rows[i].Exec)
+		if a.Rows[i].Elapsed != b.Rows[i].Elapsed {
+			t.Fatalf("%s exec differs: %v vs %v", a.Rows[i].System, a.Rows[i].Elapsed, b.Rows[i].Elapsed)
 		}
 	}
 	if a.Wide.MasterHandled != b.Wide.MasterHandled {

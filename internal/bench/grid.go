@@ -40,14 +40,10 @@ func (c GridConfig) withDefaults() GridConfig {
 	return c
 }
 
-// GridResult is one wide-grid run's outcome: the virtual-time results the
-// determinism checks compare.
+// GridResult is one wide-grid run's outcome: the solve and the kernel's
+// event interleaving the determinism checks compare.
 type GridResult struct {
-	// Elapsed is the solve's virtual execution time.
-	Elapsed time.Duration
-	// Best and Traversed are the knapsack optimum and total node count.
-	Best      int64
-	Traversed int64
+	Solve
 	// TraceHash is the FNV-64a hash of the kernel's event interleaving.
 	TraceHash uint64
 }
@@ -56,8 +52,8 @@ type GridResult struct {
 func RunGridKnapsack(cfg GridConfig) (*GridResult, error) {
 	cfg = cfg.withDefaults()
 	h := fnv.New64a()
-	in := knapsack.Normalized(cfg.Items, cfg.Capacity)
-	res, err := runOn(KnapsackConfig{Params: cfg.Params, Options: cfg.Options}, in, func(tb *cluster.Testbed) []mpi.Placement {
+	kc := KnapsackConfig{Items: cfg.Items, Capacity: cfg.Capacity, Params: cfg.Params, Options: cfg.Options}
+	s, err := runOn(kc, func(tb *cluster.Testbed) []mpi.Placement {
 		return tb.GridPlacements(cfg.UseProxy)
 	}, func(tb *cluster.Testbed) error {
 		tb.K.Trace = func(at time.Duration, format string, args ...interface{}) {
@@ -69,14 +65,9 @@ func RunGridKnapsack(cfg GridConfig) (*GridResult, error) {
 			return tb.ApplyPlan(cfg.Plan)
 		}
 		return nil
-	})
+	}, horizon{})
 	if err != nil {
 		return nil, fmt.Errorf("bench: grid run: %w", err)
 	}
-	return &GridResult{
-		Elapsed:   res.Elapsed,
-		Best:      res.Best,
-		Traversed: res.TotalTraversed,
-		TraceHash: h.Sum64(),
-	}, nil
+	return &GridResult{Solve: *s, TraceHash: h.Sum64()}, nil
 }

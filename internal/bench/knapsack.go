@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -45,18 +46,52 @@ func (c KnapsackConfig) withDefaults() KnapsackConfig {
 	return c
 }
 
-// Table4Row is one system's execution time and speedup.
-type Table4Row struct {
-	// System is the paper's system name.
+// Solve is one knapsack run beside its instance's ground truth: the result
+// type of every knapsack kind. A Table 4 row, a monitored run, a grid run and
+// a chaos run each embed one.
+type Solve struct {
+	// System names the run within a sweep ("" for a lone run).
 	System string
+	// WantBest and WantNodes are the instance's sequential optimum and full
+	// normalized tree size: the ground truth the run is checked against.
+	WantBest  int64
+	WantNodes int64
+	// Completed reports whether the master finished; Result is then its
+	// result (zero otherwise). A run to quiescence always completes.
+	Completed bool
+	knapsack.Result
+	// RankErrs holds per-rank outcomes (nil for ranks killed mid-run) and
+	// Orphans counts slaves that gave up with knapsack.ErrOrphaned. A run to
+	// quiescence fails on a rank error instead, so only a horizon run
+	// reports them.
+	RankErrs []error
+	Orphans  int
+}
+
+// Solves lists s alone: a lone run's report embeds its Solve, and with it
+// the method every knapsack report answers.
+func (s *Solve) Solves() []Solve { return []Solve{*s} }
+
+// exact is nil when the run named name found its instance's optimum over
+// exactly its full tree: what a fault-free run to quiescence must.
+func (s *Solve) exact(name string) error {
+	if s.Best != s.WantBest {
+		return fmt.Errorf("bench: %s found %d, want %d", name, s.Best, s.WantBest)
+	}
+	if s.TotalTraversed != s.WantNodes {
+		return fmt.Errorf("bench: %s traversed %d nodes, want %d", name, s.TotalTraversed, s.WantNodes)
+	}
+	return nil
+}
+
+// Table4Row is one system's run (its Elapsed is the execution time) and
+// speedup.
+type Table4Row struct {
+	Solve
 	// Processors in the system.
 	Processors int
-	// Exec is the virtual execution time.
-	Exec time.Duration
 	// Speedup relative to the sequential RWCP-Sun baseline.
 	Speedup float64
-	// Result carries the run's full statistics (nil for the baseline).
-	Result *knapsack.Result
 }
 
 // KnapsackReport aggregates everything Tables 4, 5 and 6 need.
@@ -74,6 +109,16 @@ type KnapsackReport struct {
 	Wide  *knapsack.Result
 }
 
+// Solves lists the sweep's runs in the paper's order (the baseline is no
+// row).
+func (r *KnapsackReport) Solves() []Solve {
+	out := make([]Solve, len(r.Rows))
+	for i, row := range r.Rows {
+		out[i] = row.Solve
+	}
+	return out
+}
+
 // ProxyOverhead returns the relative execution-time overhead of the proxy on
 // the wide-area cluster (the paper measures ~3.5%).
 func (r *KnapsackReport) ProxyOverhead() float64 {
@@ -81,9 +126,9 @@ func (r *KnapsackReport) ProxyOverhead() float64 {
 	for _, row := range r.Rows {
 		switch row.System {
 		case "Wide-area Cluster (use Nexus Proxy)":
-			with = row.Exec
+			with = row.Elapsed
 		case "Wide-area Cluster (not use Nexus Proxy)":
-			without = row.Exec
+			without = row.Elapsed
 		}
 	}
 	if with == 0 || without == 0 {
@@ -97,9 +142,6 @@ func (r *KnapsackReport) ProxyOverhead() float64 {
 // (for which the firewall is temporarily opened, as in the paper).
 func RunKnapsack(cfg KnapsackConfig) (*KnapsackReport, error) {
 	cfg = cfg.withDefaults()
-	in := knapsack.Normalized(cfg.Items, cfg.Capacity)
-	wantNodes := knapsack.NormalizedTreeNodes(cfg.Items, cfg.Capacity)
-	wantBest := knapsack.NormalizedBest(cfg.Items, cfg.Capacity)
 	report := &KnapsackReport{Config: cfg}
 
 	type entry struct {
@@ -119,30 +161,21 @@ func RunKnapsack(cfg KnapsackConfig) (*KnapsackReport, error) {
 	// All six runs (the sequential baseline at slot 0, the Table 3 systems
 	// after it) are independent simulations on private kernels; fan them out
 	// across host threads and aggregate by slot for deterministic ordering.
-	results := make([]*knapsack.Result, len(entries)+1)
+	results := make([]*Solve, len(entries)+1)
 	err := RunParallel(len(entries)+1, cfg.Workers, func(i int) error {
-		if i == 0 {
-			// Sequential baseline on RWCP-Sun: a single-rank parallel run
-			// degenerates to the pure solver loop.
-			res, err := runOn(cfg, in, func(tb *cluster.Testbed) []mpi.Placement {
-				return tb.SequentialPlacement()
-			}, nil)
-			if err != nil {
-				return fmt.Errorf("bench: sequential baseline: %w", err)
-			}
-			results[0] = res
-			return nil
+		// Sequential baseline on RWCP-Sun: a single-rank parallel run
+		// degenerates to the pure solver loop.
+		c, name, place := cfg, "sequential baseline", (*cluster.Testbed).SequentialPlacement
+		if i > 0 {
+			e := entries[i-1]
+			c.Options.OpenFirewall = c.Options.OpenFirewall || e.openFW
+			name, place = e.name, func(tb *cluster.Testbed) []mpi.Placement { return tb.Placements(e.system, e.useProxy) }
 		}
-		e := entries[i-1]
-		c := cfg
-		c.Options.OpenFirewall = c.Options.OpenFirewall || e.openFW
-		res, err := runOn(c, in, func(tb *cluster.Testbed) []mpi.Placement {
-			return tb.Placements(e.system, e.useProxy)
-		}, nil)
+		s, err := runOn(c, place, nil, horizon{})
 		if err != nil {
-			return fmt.Errorf("bench: %s: %w", e.name, err)
+			return fmt.Errorf("bench: %s: %w", name, err)
 		}
-		results[i] = res
+		results[i] = s
 		return nil
 	})
 	if err != nil {
@@ -151,38 +184,45 @@ func RunKnapsack(cfg KnapsackConfig) (*KnapsackReport, error) {
 	report.SeqTime = results[0].Elapsed
 	report.SeqTraversed = results[0].TotalTraversed
 
+	report.Rows = make([]Table4Row, len(entries))
 	for i, e := range entries {
-		res := results[i+1]
-		if res.Best != wantBest {
-			return nil, fmt.Errorf("bench: %s found %d, want %d", e.name, res.Best, wantBest)
+		s := results[i+1]
+		if err := s.exact(e.name); err != nil {
+			return nil, err
 		}
-		if res.TotalTraversed != wantNodes {
-			return nil, fmt.Errorf("bench: %s traversed %d nodes, want %d",
-				e.name, res.TotalTraversed, wantNodes)
-		}
-		row := Table4Row{
-			System:     e.name,
-			Processors: e.system.Processors(),
-			Exec:       res.Elapsed,
-			Speedup:    float64(report.SeqTime) / float64(res.Elapsed),
-			Result:     res,
-		}
-		report.Rows = append(report.Rows, row)
+		s.System = e.name
+		row := &report.Rows[i]
+		*row = Table4Row{Solve: *s, Processors: e.system.Processors(), Speedup: float64(report.SeqTime) / float64(s.Elapsed)}
 		switch e.name {
 		case "Local-area Cluster":
-			report.Local = res
+			report.Local = &row.Result
 		case "Wide-area Cluster (use Nexus Proxy)":
-			report.Wide = res
+			report.Wide = &row.Result
 		}
 	}
 	return report, nil
 }
 
-// runOn executes one knapsack run on a fresh testbed. setup, when non-nil,
-// runs between building the testbed and placing the ranks: where a run
-// attaches a kernel trace, a fault plan or a sampler without moving the
-// workload's events. A kernel trace sees the run, not the teardown.
-func runOn(cfg KnapsackConfig, in *knapsack.Instance, place func(*cluster.Testbed) []mpi.Placement, setup func(*cluster.Testbed) error) (*knapsack.Result, error) {
+// A horizon stops a run at a fixed virtual time instead of at quiescence:
+// the rule of a run whose daemons never stop (a chaos run's control plane
+// beats forever). The zero horizon runs knapsack.Run to quiescence, and a
+// rank error fails the run. A horizon run solves with knapsack.RunFT and
+// keeps rank errors, orphans and an unfinished master as report data.
+type horizon struct {
+	at time.Duration
+	ft knapsack.FTParams
+	// read, when non-nil, reads the testbed at the horizon, before it shuts
+	// down.
+	read func(*cluster.Testbed)
+}
+
+// runOn solves cfg's normalized instance once on a fresh testbed, until
+// quiescence or the horizon h. setup, when non-nil, runs between building
+// the testbed and placing the ranks: where a run arms recovery or attaches a
+// kernel trace, a fault plan or a sampler without moving the workload's
+// events. A kernel trace sees the run, not the teardown, and the testbed
+// shuts down on every path.
+func runOn(cfg KnapsackConfig, place func(*cluster.Testbed) []mpi.Placement, setup func(*cluster.Testbed) error, h horizon) (*Solve, error) {
 	tb := cluster.NewTestbed(cfg.Options)
 	defer func() {
 		tb.K.Trace = nil
@@ -193,34 +233,56 @@ func runOn(cfg KnapsackConfig, in *knapsack.Instance, place func(*cluster.Testbe
 			return nil, err
 		}
 	}
+	in := knapsack.Normalized(cfg.Items, cfg.Capacity)
+	solve := func(c *mpi.Comm) (*knapsack.Result, error) { return knapsack.Run(c, in, cfg.Params) }
+	if h.at > 0 {
+		solve = func(c *mpi.Comm) (*knapsack.Result, error) { return knapsack.RunFT(c, in, h.ft) }
+	}
 	w := mpi.NewWorld(place(tb))
 	var res *knapsack.Result
 	w.Launch(func(c *mpi.Comm) error {
-		r, err := knapsack.Run(c, in, cfg.Params)
-		if err != nil {
-			return err
-		}
-		if c.Rank() == 0 {
+		r, err := solve(c)
+		if c.Rank() == 0 && r != nil {
 			res = r
 		}
-		return nil
+		return err
 	})
-	// A rank's error comes first: a kernel that deadlocked is the symptom of
-	// a rank that failed (a dial the firewall denied), not the cause.
-	runErr := tb.Run()
-	if err := w.Err(); err != nil {
-		if runErr != nil {
-			return nil, fmt.Errorf("%w (then %w)", err, runErr)
+	s := &Solve{
+		WantBest:  knapsack.NormalizedBest(cfg.Items, cfg.Capacity),
+		WantNodes: knapsack.NormalizedTreeNodes(cfg.Items, cfg.Capacity),
+	}
+	if h.at > 0 {
+		tb.K.RunUntil(h.at)
+		s.RankErrs = w.RankErrs()
+		for _, e := range s.RankErrs {
+			if errors.Is(e, knapsack.ErrOrphaned) {
+				s.Orphans++
+			}
 		}
-		return nil, err
+		if h.read != nil {
+			h.read(tb)
+		}
+	} else {
+		// A rank's error comes first: a kernel that deadlocked is the symptom
+		// of a rank that failed (a dial the firewall denied), not the cause.
+		runErr := tb.Run()
+		if err := w.Err(); err != nil {
+			if runErr != nil {
+				return nil, fmt.Errorf("%w (then %w)", err, runErr)
+			}
+			return nil, err
+		}
+		if runErr != nil {
+			return nil, runErr
+		}
+		if res == nil {
+			return nil, fmt.Errorf("no result from master")
+		}
 	}
-	if runErr != nil {
-		return nil, runErr
+	if res != nil {
+		s.Completed, s.Result = true, *res
 	}
-	if res == nil {
-		return nil, fmt.Errorf("no result from master")
-	}
-	return res, nil
+	return s, nil
 }
 
 // clusterOf maps a rank's host name to its paper cluster label.
@@ -298,7 +360,7 @@ func FormatTable4(r *KnapsackReport) string {
 	fmt.Fprintf(&b, "%-42s %6s %18s %9s\n", "System", "procs", "execution time", "speedup")
 	fmt.Fprintf(&b, "%-42s %6d %18s %9s\n", "RWCP-Sun (sequential baseline)", 1, fmtSeconds(r.SeqTime), "1.00")
 	for _, row := range r.Rows {
-		fmt.Fprintf(&b, "%-42s %6d %18s %9.2f\n", row.System, row.Processors, fmtSeconds(row.Exec), row.Speedup)
+		fmt.Fprintf(&b, "%-42s %6d %18s %9.2f\n", row.System, row.Processors, fmtSeconds(row.Elapsed), row.Speedup)
 	}
 	fmt.Fprintf(&b, "proxy overhead on wide-area cluster: %.1f%%\n", r.ProxyOverhead()*100)
 	return b.String()

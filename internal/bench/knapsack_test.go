@@ -90,14 +90,13 @@ func TestKnapsackReportShape(t *testing.T) {
 // workers hoard subtrees. The sequential baseline is common to both, so
 // execution time orders their speedups.
 func TestStealUnitTradesBalanceForRoundTrips(t *testing.T) {
-	in := knapsack.Normalized(50, 3)
 	elapsed := map[int]time.Duration{}
 	for _, su := range []int{2, 4} {
-		cfg := KnapsackConfig{Params: knapsack.DefaultParams()}
+		cfg := KnapsackConfig{Items: 50, Capacity: 3, Params: knapsack.DefaultParams()}
 		cfg.Params.StealUnit = su
-		res, err := runOn(cfg, in, func(tb *cluster.Testbed) []mpi.Placement {
+		res, err := runOn(cfg, func(tb *cluster.Testbed) []mpi.Placement {
 			return tb.Placements(cluster.SystemWide, true)
-		}, nil)
+		}, nil, horizon{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,14 +111,13 @@ func TestStealUnitTradesBalanceForRoundTrips(t *testing.T) {
 // authenticated relay control channels costs only connection setup, so the
 // computation's outputs are identical and the execution time very close.
 func TestSecuredProxyDoesNotChangeResults(t *testing.T) {
-	open := KnapsackConfig{Capacity: 3}
-	secured := KnapsackConfig{Capacity: 3}
+	open := KnapsackConfig{Items: 50, Capacity: 3}
+	secured := KnapsackConfig{Items: 50, Capacity: 3}
 	secured.Options.Secret = "site-secret"
-	in := knapsack.Normalized(50, 3)
-	runWide := func(cfg KnapsackConfig) *knapsack.Result {
-		res, err := runOn(cfg, in, func(tb *cluster.Testbed) []mpi.Placement {
+	runWide := func(cfg KnapsackConfig) *Solve {
+		res, err := runOn(cfg, func(tb *cluster.Testbed) []mpi.Placement {
 			return tb.Placements(cluster.SystemWide, true)
-		}, nil)
+		}, nil, horizon{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"nxcluster/internal/cluster"
-	"nxcluster/internal/knapsack"
 	"nxcluster/internal/mds"
 	"nxcluster/internal/mpi"
 	"nxcluster/internal/obs"
@@ -42,11 +41,10 @@ func (c MonitorConfig) withDefaults() MonitorConfig {
 // MonitorReport is the outcome of a monitored run: the workload's result,
 // the sampled time-series, and the GIS directory as the monitor left it.
 type MonitorReport struct {
-	Config  MonitorConfig
-	Result  *knapsack.Result
-	Store   *timeseries.Store
-	Dir     *mds.Directory
-	Elapsed time.Duration
+	Config MonitorConfig
+	Solve
+	Store *timeseries.Store
+	Dir   *mds.Directory
 	// Obs is the run's observer, whose metrics the sampler windowed:
 	// Config.Options.Obs when the caller set one (the scenario DSL passes one
 	// folding its SLO latency legs), else a hash-only observer
@@ -66,10 +64,6 @@ type MonitorReport struct {
 // the live store and directory — tests use it to assert mid-run consistency.
 func RunMonitor(cfg MonitorConfig, onSample func(at time.Duration, st *timeseries.Store, dir *mds.Directory)) (*MonitorReport, error) {
 	cfg = cfg.withDefaults()
-	in := knapsack.Normalized(cfg.Items, cfg.Capacity)
-	wantNodes := knapsack.NormalizedTreeNodes(cfg.Items, cfg.Capacity)
-	wantBest := knapsack.NormalizedBest(cfg.Items, cfg.Capacity)
-
 	kc := cfg.KnapsackConfig
 	if kc.Options.Obs == nil {
 		kc.Options.Obs = obs.NewHashOnly()
@@ -77,7 +71,7 @@ func RunMonitor(cfg MonitorConfig, onSample func(at time.Duration, st *timeserie
 	o := kc.Options.Obs
 	dir := mds.NewDirectory()
 	var s *timeseries.Sampler
-	res, err := runOn(kc, in, func(tb *cluster.Testbed) []mpi.Placement {
+	res, err := runOn(kc, func(tb *cluster.Testbed) []mpi.Placement {
 		return tb.Placements(cluster.SystemWide, true)
 	}, func(tb *cluster.Testbed) error {
 		pub := mds.NewPublisher(dir, MonitorBase, cfg.TTL)
@@ -106,20 +100,14 @@ func RunMonitor(cfg MonitorConfig, onSample func(at time.Duration, st *timeserie
 		})
 		s.Start()
 		return nil
-	})
+	}, horizon{})
 	if err != nil {
 		return nil, fmt.Errorf("bench: monitored run: %w", err)
 	}
-	if res.Best != wantBest {
-		return nil, fmt.Errorf("bench: monitored run found %d, want %d", res.Best, wantBest)
+	if err := res.exact("monitored run"); err != nil {
+		return nil, err
 	}
-	if res.TotalTraversed != wantNodes {
-		return nil, fmt.Errorf("bench: monitored run traversed %d nodes, want %d",
-			res.TotalTraversed, wantNodes)
-	}
-	return &MonitorReport{
-		Config: cfg, Result: res, Store: s.Store(), Dir: dir, Elapsed: res.Elapsed, Obs: o,
-	}, nil
+	return &MonitorReport{Config: cfg, Solve: *res, Store: s.Store(), Dir: dir, Obs: o}, nil
 }
 
 // statusRows snapshots the testbed into GIS-style rows: one per host
@@ -166,7 +154,7 @@ func statusRows(tb *cluster.Testbed) []mds.StatusRow {
 func FormatMonitor(r *MonitorReport, filter func(string) bool) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Monitored wide-area run: %d items, capacity %d, exec %s, best %d\n",
-		r.Config.Items, r.Config.Capacity, fmtSeconds(r.Elapsed), r.Result.Best)
+		r.Config.Items, r.Config.Capacity, fmtSeconds(r.Elapsed), r.Best)
 	fmt.Fprintf(&b, "\nGIS directory (base %q) after final window:\n", MonitorBase)
 	entries, _ := r.Dir.Search(MonitorBase, mds.Eq("objectclass", "host"))
 	fmt.Fprintf(&b, "%-16s %-6s %-8s %-6s %-6s\n", "host", "site", "status", "load", "cpus")

@@ -6,7 +6,7 @@ import (
 )
 
 // check is one compiled assertion. Fn reads what the kind's run leaves in
-// outcome.v (a *chaos.Report, []bench.Table2Row, *gridRun, ...).
+// outcome.v (a *bench.ChaosReport, []bench.Table2Row, *bench.GridResult, ...).
 type check struct {
 	Name string
 	Fn   func(v any) error

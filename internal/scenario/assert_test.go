@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"nxcluster/internal/bench"
-	"nxcluster/internal/chaos"
 	"nxcluster/internal/fleet"
 	"nxcluster/internal/hbm"
 	"nxcluster/internal/knapsack"
@@ -31,18 +30,27 @@ type judged struct {
 // satisfies it. A row without both a violation and a satisfied case fails.
 func TestAssertionTable(t *testing.T) {
 	const sec = time.Second
-	healthy := func() *chaos.Report {
-		return &chaos.Report{
-			Completed: true, Best: 10, WantBest: 10, TotalTraversed: 20, WantNodes: 20,
+	// solve is a knapsack run that found best of want and traversed
+	// traversed of nodes in elapsed.
+	solve := func(best, want, traversed, nodes int64, elapsed time.Duration) bench.Solve {
+		return bench.Solve{
+			WantBest: want, WantNodes: nodes, Completed: true,
+			Result: knapsack.Result{Best: best, TotalTraversed: traversed, Elapsed: elapsed},
+		}
+	}
+	healthy := func() *bench.ChaosReport {
+		return &bench.ChaosReport{
+			Solve:              solve(10, 10, 20, 20, 0),
 			InnerRegistrations: 1, JobResource: "compas01", JobDone: sec,
 			HBM: map[string]hbm.Health{"x": hbm.Up},
 		}
 	}
-	withReport := func(f func(r *chaos.Report)) *chaos.Report {
+	withReport := func(f func(r *bench.ChaosReport)) *bench.ChaosReport {
 		r := healthy()
 		f(r)
 		return r
 	}
+	bare := func(s bench.Solve) *bench.ChaosReport { return &bench.ChaosReport{Solve: s} }
 	rows := func(latencies ...time.Duration) []bench.Table2Row {
 		var out []bench.Table2Row
 		for i, l := range latencies {
@@ -50,25 +58,23 @@ func TestAssertionTable(t *testing.T) {
 		}
 		return out
 	}
+	row := func(system string, s bench.Solve, speedup float64) bench.Table4Row {
+		s.System = system
+		return bench.Table4Row{Solve: s, Speedup: speedup}
+	}
 	wide := func(with, without time.Duration) *bench.KnapsackReport {
 		return &bench.KnapsackReport{Rows: []bench.Table4Row{
-			{System: "Wide-area Cluster (use Nexus Proxy)", Exec: with, Speedup: 2},
-			{System: "Wide-area Cluster (not use Nexus Proxy)", Exec: without, Speedup: 3},
+			row("Wide-area Cluster (use Nexus Proxy)", bench.Solve{Result: knapsack.Result{Elapsed: with}}, 2),
+			row("Wide-area Cluster (not use Nexus Proxy)", bench.Solve{Result: knapsack.Result{Elapsed: without}}, 3),
 		}}
 	}
 	best := knapsack.NormalizedBest(10, 2)
+	nodes := knapsack.NormalizedTreeNodes(10, 2)
 	solved := func(b int64) *bench.KnapsackReport {
-		return &bench.KnapsackReport{
-			Config: bench.KnapsackConfig{Items: 10, Capacity: 2},
-			Rows:   []bench.Table4Row{{System: "COMPaS", Speedup: 1, Result: &knapsack.Result{Best: b}}},
-		}
+		return &bench.KnapsackReport{Rows: []bench.Table4Row{row("COMPaS", solve(b, best, nodes, nodes, 0), 1)}}
 	}
-	monitored := func(result *knapsack.Result) *bench.MonitorReport {
-		return &bench.MonitorReport{
-			Config: bench.MonitorConfig{KnapsackConfig: bench.KnapsackConfig{Items: 10, Capacity: 2}},
-			Result: result,
-			Store:  testStore(t, map[string][]int64{"a": {1, 2}, "b": {3}}),
-		}
+	monitored := func(s bench.Solve) *bench.MonitorReport {
+		return &bench.MonitorReport{Solve: s, Store: testStore(t, map[string][]int64{"a": {1, 2}, "b": {3}})}
 	}
 	sweep := func(wideGoodput float64) []bench.TransferPoint {
 		return []bench.TransferPoint{
@@ -77,8 +83,9 @@ func TestAssertionTable(t *testing.T) {
 			{Streams: 8, LossRate: 0.02, Goodput: wideGoodput},
 		}
 	}
-	grid := func(res bench.GridResult) *gridRun { return &gridRun{items: 10, capacity: 2, res: &res} }
-	nodes := knapsack.NormalizedTreeNodes(10, 2)
+	grid := func(b, traversed int64, elapsed time.Duration) *bench.GridResult {
+		return &bench.GridResult{Solve: solve(b, best, traversed, nodes, elapsed)}
+	}
 	fleetRun := func(r fleet.Result) *bench.FleetReport {
 		return &bench.FleetReport{Config: fleet.Config{Jobs: 10}, Result: r}
 	}
@@ -86,82 +93,82 @@ func TestAssertionTable(t *testing.T) {
 	cases := map[Kind]map[string][]judged{
 		KindChaos: {
 			"exact-optimum": {
-				{nil, &chaos.Report{Completed: false}, nil, "did not complete"},
-				{nil, &chaos.Report{Completed: true, Best: 9, WantBest: 10}, nil, "best = 9, want 10"},
+				{nil, bare(bench.Solve{WantBest: 10}), nil, "did not complete"},
+				{nil, bare(solve(9, 10, 20, 20, 0)), nil, "best = 9, want 10"},
 				{nil, healthy(), nil, ""},
 			},
 			"all-work-done": {
-				{nil, &chaos.Report{TotalTraversed: 5, WantNodes: 10}, nil, "work was lost"},
+				{nil, bare(solve(10, 10, 5, 10, 0)), nil, "work was lost"},
 				{nil, healthy(), nil, ""},
 			},
 			"no-orphans": {
-				{nil, &chaos.Report{Orphans: 2}, nil, "2 orphaned slaves"},
+				{nil, bare(bench.Solve{Orphans: 2}), nil, "2 orphaned slaves"},
 				{nil, healthy(), nil, ""},
 			},
 			"no-rank-errors": {
-				{nil, &chaos.Report{RankErrs: []error{nil, errors.New("boom")}}, nil, "rank 1: boom"},
-				{nil, withReport(func(r *chaos.Report) { r.RankErrs = []error{nil, nil} }), nil, ""},
+				{nil, bare(bench.Solve{RankErrs: []error{nil, errors.New("boom")}}), nil, "rank 1: boom"},
+				{nil, withReport(func(r *bench.ChaosReport) { r.RankErrs = []error{nil, nil} }), nil, ""},
 			},
 			"registrations": {
-				{map[string]any{"min": int64(2)}, &chaos.Report{InnerRegistrations: 1}, nil, "registrations = 1"},
-				{map[string]any{"min": int64(1), "max": int64(1)}, &chaos.Report{InnerRegistrations: 3}, nil, "registrations = 3"},
+				{map[string]any{"min": int64(2)}, &bench.ChaosReport{InnerRegistrations: 1}, nil, "registrations = 1"},
+				{map[string]any{"min": int64(1), "max": int64(1)}, &bench.ChaosReport{InnerRegistrations: 3}, nil, "registrations = 3"},
 				{map[string]any{"min": int64(1), "max": int64(1)}, healthy(), nil, ""},
 			},
 			"suspect-periods": {
-				{int64(1), &chaos.Report{}, nil, "suspect periods = 0"},
-				{int64(1), withReport(func(r *chaos.Report) { r.InnerStats = proxy.Stats{SuspectPeriods: 1} }), nil, ""},
+				{int64(1), &bench.ChaosReport{}, nil, "suspect periods = 0"},
+				{int64(1), withReport(func(r *bench.ChaosReport) { r.InnerStats = proxy.Stats{SuspectPeriods: 1} }), nil, ""},
 			},
 			"job-completed": {
-				{nil, &chaos.Report{JobErr: errors.New("lost")}, nil, "job error: lost"},
-				{nil, &chaos.Report{}, nil, "job never ran"},
+				{nil, &bench.ChaosReport{JobErr: errors.New("lost")}, nil, "job error: lost"},
+				{nil, &bench.ChaosReport{}, nil, "job never ran"},
 				{nil, healthy(), nil, ""},
 			},
 			"job-off-host": {
-				{"compas00", &chaos.Report{JobResource: "compas00"}, nil, "job finished on compas00"},
+				{"compas00", &bench.ChaosReport{JobResource: "compas00"}, nil, "job finished on compas00"},
 				{"compas00", healthy(), nil, ""},
 			},
 			"min-requeues": {
-				{int64(1), &chaos.Report{}, nil, "requeues = 0, want >= 1"},
-				{int64(1), withReport(func(r *chaos.Report) { r.JobRequeues = 1 }), nil, ""},
+				{int64(1), &bench.ChaosReport{}, nil, "requeues = 0, want >= 1"},
+				{int64(1), withReport(func(r *bench.ChaosReport) { r.JobRequeues = 1 }), nil, ""},
 			},
 			"max-requeues": {
-				{int64(0), &chaos.Report{JobRequeues: 2}, nil, "requeues = 2, want <= 0"},
+				{int64(0), &bench.ChaosReport{JobRequeues: 2}, nil, "requeues = 2, want <= 0"},
 				{int64(0), healthy(), nil, ""},
 			},
 			"min-speculations": {
-				{int64(1), &chaos.Report{}, nil, "speculations = 0"},
-				{int64(1), withReport(func(r *chaos.Report) { r.JobSpeculations = 1 }), nil, ""},
+				{int64(1), &bench.ChaosReport{}, nil, "speculations = 0"},
+				{int64(1), withReport(func(r *bench.ChaosReport) { r.JobSpeculations = 1 }), nil, ""},
 			},
 			"elapsed-ceiling": {
-				{"1s", &chaos.Report{Elapsed: 2 * sec}, nil, "elapsed 2s > ceiling 1s"},
+				{"1s", bare(solve(10, 10, 20, 20, 2*sec)), nil, "elapsed 2s > ceiling 1s"},
 				{"1m", healthy(), nil, ""},
 			},
 			"hbm-all-up": {
-				{nil, &chaos.Report{HBM: map[string]hbm.Health{"x": hbm.Down}}, nil, "want Up"},
+				{nil, &bench.ChaosReport{HBM: map[string]hbm.Health{"x": hbm.Down}}, nil, "want Up"},
 				{nil, healthy(), nil, ""},
 			},
 			"hbm-suspects": {
-				{int64(1), &chaos.Report{}, nil, "suspect transitions = 0"},
-				{int64(1), withReport(func(r *chaos.Report) { r.HBMSuspects = 1 }), nil, ""},
+				{int64(1), &bench.ChaosReport{}, nil, "suspect transitions = 0"},
+				{int64(1), withReport(func(r *bench.ChaosReport) { r.HBMSuspects = 1 }), nil, ""},
 			},
 			"hbm-no-downs": {
-				{nil, &chaos.Report{HBMDowns: 3}, nil, "down transitions = 3"},
+				{nil, &bench.ChaosReport{HBMDowns: 3}, nil, "down transitions = 3"},
 				{nil, healthy(), nil, ""},
 			},
 			"extra-jobs-done": {
-				{int64(5), &chaos.Report{ExtraJobsDone: 4}, nil, "extra jobs done = 4, want >= 5"},
+				{int64(5), &bench.ChaosReport{ExtraJobsDone: 4}, nil, "extra jobs done = 4, want >= 5"},
 				{int64(0), healthy(), nil, ""},
 			},
 			"speculation-wins": {
-				{nil, withReport(func(r *chaos.Report) { r.JobDone = 5 * sec }), withReport(func(r *chaos.Report) { r.JobDone = 4 * sec }),
+				{nil, withReport(func(r *bench.ChaosReport) { r.JobDone = 5 * sec }), withReport(func(r *bench.ChaosReport) { r.JobDone = 4 * sec }),
 					"speculation did not win: job done at 5s, baseline 4s"},
-				{nil, healthy(), withReport(func(r *chaos.Report) { r.JobErr = errors.New("lost") }), "baseline job error: lost"},
-				{nil, healthy(), withReport(func(r *chaos.Report) { r.JobDone, r.Best = 4*sec, 9 }), "optimum drifted: spec 10 base 9 want 10"},
-				{nil, healthy(), withReport(func(r *chaos.Report) { r.JobDone = 4 * sec }), ""},
+				{nil, healthy(), withReport(func(r *bench.ChaosReport) { r.JobErr = errors.New("lost") }), "baseline job error: lost"},
+				{nil, healthy(), withReport(func(r *bench.ChaosReport) { r.JobDone, r.Best = 4*sec, 9 }), "optimum drifted: spec 10 base 9 want 10"},
+				{nil, healthy(), withReport(func(r *bench.ChaosReport) { r.JobDone = 4 * sec }), ""},
 			},
 			"baseline-reregisters": {
 				{nil, healthy(), healthy(), "baseline without a miss budget re-registered 1 times, want >= 2"},
-				{nil, healthy(), withReport(func(r *chaos.Report) { r.InnerRegistrations = 2 }), ""},
+				{nil, healthy(), withReport(func(r *bench.ChaosReport) { r.InnerRegistrations = 2 }), ""},
 			},
 		},
 		KindTable2: {
@@ -189,23 +196,23 @@ func TestAssertionTable(t *testing.T) {
 				{nil, solved(best), nil, ""},
 			},
 			"speedup-positive": {
-				{nil, &bench.KnapsackReport{Rows: []bench.Table4Row{{System: "COMPaS"}}}, nil, "COMPaS: speedup 0.000 <= 0"},
+				{nil, &bench.KnapsackReport{Rows: []bench.Table4Row{row("COMPaS", bench.Solve{}, 0)}}, nil, "COMPaS: speedup 0.000 <= 0"},
 				{nil, wide(12*sec, 10*sec), nil, ""},
 			},
 		},
 		KindMonitor: {
 			"min-windows": {
-				{int64(3), monitored(nil), nil, "windows = 2, want >= 3"},
-				{int64(2), monitored(nil), nil, ""},
+				{int64(3), monitored(bench.Solve{}), nil, "windows = 2, want >= 3"},
+				{int64(2), monitored(bench.Solve{}), nil, ""},
 			},
 			"min-series": {
-				{int64(3), monitored(nil), nil, "series = 2, want >= 3"},
-				{int64(2), monitored(nil), nil, ""},
+				{int64(3), monitored(bench.Solve{}), nil, "series = 2, want >= 3"},
+				{int64(2), monitored(bench.Solve{}), nil, ""},
 			},
 			"exact-optimum": {
-				{nil, monitored(nil), nil, "best = <no result>, want " + itoa(best)},
-				{nil, monitored(&knapsack.Result{Best: best - 1}), nil, "best = " + itoa(best-1) + ", want " + itoa(best)},
-				{nil, monitored(&knapsack.Result{Best: best}), nil, ""},
+				{nil, monitored(bench.Solve{WantBest: best}), nil, "best = <no result>, want " + itoa(best)},
+				{nil, monitored(solve(best-1, best, nodes, nodes, 0)), nil, "best = " + itoa(best-1) + ", want " + itoa(best)},
+				{nil, monitored(solve(best, best, nodes, nodes, 0)), nil, ""},
 			},
 		},
 		KindGridFTP: {
@@ -221,16 +228,16 @@ func TestAssertionTable(t *testing.T) {
 		},
 		KindGrid: {
 			"exact-optimum": {
-				{nil, grid(bench.GridResult{Best: best - 1}), nil, "best = " + itoa(best-1) + ", want " + itoa(best)},
-				{nil, grid(bench.GridResult{Best: best}), nil, ""},
+				{nil, grid(best-1, nodes, 0), nil, "best = " + itoa(best-1) + ", want " + itoa(best)},
+				{nil, grid(best, nodes, 0), nil, ""},
 			},
 			"all-work-done": {
-				{nil, grid(bench.GridResult{Traversed: nodes - 1}), nil, "traversed " + itoa(nodes-1) + " < " + itoa(nodes) + ": work was lost"},
-				{nil, grid(bench.GridResult{Traversed: nodes}), nil, ""},
+				{nil, grid(best, nodes-1, 0), nil, "traversed " + itoa(nodes-1) + " < " + itoa(nodes) + ": work was lost"},
+				{nil, grid(best, nodes, 0), nil, ""},
 			},
 			"elapsed-ceiling": {
-				{"1s", grid(bench.GridResult{Elapsed: 2 * sec}), nil, "elapsed 2s > ceiling 1s"},
-				{"2s", grid(bench.GridResult{Elapsed: 2 * sec}), nil, ""},
+				{"1s", grid(best, nodes, 2*sec), nil, "elapsed 2s > ceiling 1s"},
+				{"2s", grid(best, nodes, 2*sec), nil, ""},
 			},
 		},
 		KindFleet: {

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"nxcluster/internal/bench"
-	"nxcluster/internal/chaos"
 	"nxcluster/internal/cluster"
 	"nxcluster/internal/fleet"
 	"nxcluster/internal/knapsack"
@@ -85,7 +84,7 @@ slo:
   latency:
     - {leg: rmf/job, percentile: 99, max: 1s}
 `,
-			chaos.Config{
+			bench.ChaosConfig{
 				Items:    21,
 				Capacity: 3,
 				System:   cluster.SystemLocal,

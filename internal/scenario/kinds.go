@@ -6,11 +6,9 @@ import (
 	"time"
 
 	"nxcluster/internal/bench"
-	"nxcluster/internal/chaos"
 	"nxcluster/internal/cluster"
 	"nxcluster/internal/fleet"
 	"nxcluster/internal/hbm"
-	"nxcluster/internal/knapsack"
 	"nxcluster/internal/obs"
 	"nxcluster/internal/rmf"
 )
@@ -54,6 +52,48 @@ type kind struct {
 	report func(v any) string
 }
 
+// solved is what a knapsack kind's run leaves: its solves, each beside the
+// instance's ground truth (a *bench.ChaosReport, *bench.KnapsackReport,
+// *bench.MonitorReport or *bench.GridResult).
+type solved interface{ Solves() []bench.Solve }
+
+// eachSolve is a row every knapsack kind may carry: fn judges each solve of
+// the run, and the first violation is named after its system in a sweep.
+func eachSolve[A any](name string, fn func(s bench.Solve, a A) error) assertion {
+	return on(name, func(r solved, a A) error {
+		for _, s := range r.Solves() {
+			switch err := fn(s, a); {
+			case err == nil:
+			case s.System != "":
+				return fmt.Errorf("%s: %w", s.System, err)
+			default:
+				return err
+			}
+		}
+		return nil
+	})
+}
+
+var (
+	// The bit-exact sequential optimum: the invariant the whole exercise
+	// hangs on.
+	exactOptimum = eachSolve("exact-optimum", func(s bench.Solve, _ none) error {
+		if !s.Completed {
+			return fmt.Errorf("best = <no result>, want %d: the search did not complete", s.WantBest)
+		}
+		return failIf(s.Best != s.WantBest, "best = %d, want %d", s.Best, s.WantBest)
+	})
+	// Reclaimed batches may be re-expanded (work grows), but the traversal
+	// can never undercount.
+	allWorkDone = eachSolve("all-work-done", func(s bench.Solve, _ none) error {
+		return failIf(s.TotalTraversed < s.WantNodes, "traversed %d < %d: work was lost", s.TotalTraversed, s.WantNodes)
+	})
+	// Recovery may slow the search but must not let it crawl.
+	elapsedCeiling = eachSolve("elapsed-ceiling", func(s bench.Solve, d time.Duration) error {
+		return failIf(s.Elapsed > d, "elapsed %v > ceiling %v", s.Elapsed, d)
+	})
+)
+
 // kinds lists every kind, in display order.
 var kinds = []kind{
 	{
@@ -61,7 +101,7 @@ var kinds = []kind{
 		faults:   true,
 		observed: true,
 		decode: func(w any, s *Spec) error {
-			c := &chaos.Config{System: cluster.SystemWide, UseProxy: true}
+			c := &bench.ChaosConfig{System: cluster.SystemWide, UseProxy: true}
 			// A recovery block overrides the job's policy by being there.
 			rec, hasRec := &rmf.RecoveryPolicy{}, false
 			s.Chaos = c
@@ -129,9 +169,9 @@ var kinds = []kind{
 			return cfg, nil
 		},
 		run: func(cfg any, o *obs.Observer, witness bool) (outcome, error) {
-			c := cfg.(chaos.Config)
+			c := cfg.(bench.ChaosConfig)
 			c.Options.Obs = o
-			rep, err := chaos.Run(c)
+			rep, err := bench.RunChaos(c)
 			if err != nil {
 				return outcome{}, err
 			}
@@ -149,25 +189,14 @@ var kinds = []kind{
 			return out, nil
 		},
 		asserts: []assertion{
-			// The bit-exact sequential optimum: the invariant the whole
-			// exercise hangs on.
-			on("exact-optimum", func(r *chaos.Report, _ none) error {
-				if !r.Completed {
-					return fmt.Errorf("search did not complete before the horizon")
-				}
-				return failIf(r.Best != r.WantBest, "best = %d, want %d", r.Best, r.WantBest)
-			}),
-			// Reclaimed batches may be re-expanded (work grows), but the
-			// traversal can never undercount.
-			on("all-work-done", func(r *chaos.Report, _ none) error {
-				return failIf(r.TotalTraversed < r.WantNodes, "traversed %d < %d: work was lost", r.TotalTraversed, r.WantNodes)
-			}),
+			exactOptimum,
+			allWorkDone,
 			// No slave gave up with ErrOrphaned: the master survived.
-			on("no-orphans", func(r *chaos.Report, _ none) error {
+			on("no-orphans", func(r *bench.ChaosReport, _ none) error {
 				return failIf(r.Orphans != 0, "%d orphaned slaves", r.Orphans)
 			}),
 			// Every rank's error slot is nil (killed ranks stay nil).
-			on("no-rank-errors", func(r *chaos.Report, _ none) error {
+			on("no-rank-errors", func(r *bench.ChaosReport, _ none) error {
 				for i, e := range r.RankErrs {
 					if e != nil {
 						return fmt.Errorf("rank %d: %v", i, e)
@@ -178,43 +207,40 @@ var kinds = []kind{
 			// The inner relay's registration sessions: exactly 1 on a healthy
 			// or merely degraded boundary, >= 2 after a flap that outlives the
 			// keepalive timeout. max 0 leaves the count unbounded above.
-			on("registrations", func(r *chaos.Report, b minMax) error {
+			on("registrations", func(r *bench.ChaosReport, b minMax) error {
 				return failIf(r.InnerRegistrations < b.min || (b.max > 0 && r.InnerRegistrations > b.max),
 					"registrations = %d, want [%d,%d]", r.InnerRegistrations, b.min, b.max)
 			}),
 			// The inner relay rode out keepalive misses as SUSPECT instead of
 			// tearing the session down.
-			on("suspect-periods", func(r *chaos.Report, min int) error {
+			on("suspect-periods", func(r *bench.ChaosReport, min int) error {
 				return failIf(r.InnerStats.SuspectPeriods < min, "suspect periods = %d, want >= %d", r.InnerStats.SuspectPeriods, min)
 			}),
 			// The RMF job's Wait returned cleanly on some resource.
-			on("job-completed", func(r *chaos.Report, _ none) error {
+			on("job-completed", func(r *bench.ChaosReport, _ none) error {
 				if r.JobErr != nil {
 					return fmt.Errorf("job error: %v", r.JobErr)
 				}
 				return failIf(r.JobResource == "", "job never ran")
 			}),
 			// The job did not finish on the named (crashed or straggling) host.
-			named("job-off-host", func(host string) string { return "job-off-" + host }, func(r *chaos.Report, host string) error {
+			named("job-off-host", func(host string) string { return "job-off-" + host }, func(r *bench.ChaosReport, host string) error {
 				return failIf(r.JobResource == host, "job finished on %s", host)
 			}),
-			on("min-requeues", func(r *chaos.Report, min int) error {
+			on("min-requeues", func(r *bench.ChaosReport, min int) error {
 				return failIf(r.JobRequeues < min, "requeues = %d, want >= %d", r.JobRequeues, min)
 			}),
 			// Speculation scenarios promote the copy instead of requeueing.
-			on("max-requeues", func(r *chaos.Report, max int) error {
+			on("max-requeues", func(r *bench.ChaosReport, max int) error {
 				return failIf(r.JobRequeues > max, "requeues = %d, want <= %d", r.JobRequeues, max)
 			}),
-			on("min-speculations", func(r *chaos.Report, min int) error {
+			on("min-speculations", func(r *bench.ChaosReport, min int) error {
 				return failIf(r.JobSpeculations < min, "speculations = %d, want >= %d", r.JobSpeculations, min)
 			}),
-			// Recovery may slow the search but must not let it crawl.
-			on("elapsed-ceiling", func(r *chaos.Report, d time.Duration) error {
-				return failIf(r.Elapsed > d, "elapsed %v > ceiling %v", r.Elapsed, d)
-			}),
+			elapsedCeiling,
 			// Every monitored process is UP at the horizon: restarted hosts
 			// rebooted their reporters, degraded hosts were restored.
-			on("hbm-all-up", func(r *chaos.Report, _ none) error {
+			on("hbm-all-up", func(r *bench.ChaosReport, _ none) error {
 				for name, h := range r.HBM {
 					if h != hbm.Up {
 						return fmt.Errorf("HBM %s = %v at horizon, want Up", name, h)
@@ -223,24 +249,24 @@ var kinds = []kind{
 				return nil
 			}),
 			// Transitions into SUSPECT: the gray-failure signal.
-			on("hbm-suspects", func(r *chaos.Report, min int) error {
+			on("hbm-suspects", func(r *bench.ChaosReport, min int) error {
 				return failIf(r.HBMSuspects < int64(min), "suspect transitions = %d, want >= %d", r.HBMSuspects, min)
 			}),
 			// The monitor never flapped a slow-but-alive host through DOWN —
 			// the point of the SUSPECT state.
-			on("hbm-no-downs", func(r *chaos.Report, _ none) error {
+			on("hbm-no-downs", func(r *bench.ChaosReport, _ none) error {
 				return failIf(r.HBMDowns != 0, "down transitions = %d, want 0", r.HBMDowns)
 			}),
 			// Flash-crowd jobs (workload.extra_jobs) completed cleanly before
 			// the horizon.
-			on("extra-jobs-done", func(r *chaos.Report, min int) error {
+			on("extra-jobs-done", func(r *bench.ChaosReport, min int) error {
 				return failIf(r.ExtraJobsDone < min, "extra jobs done = %d, want >= %d", r.ExtraJobsDone, min)
 			}),
 		},
 		compare: []comparator{
 			// The mitigated run's job must finish strictly earlier than the
 			// baseline's, with both keeping the exact optimum.
-			versus("speculation-wins", func(rep, base *chaos.Report) error {
+			versus("speculation-wins", func(rep, base *bench.ChaosReport) error {
 				if base.JobErr != nil {
 					return fmt.Errorf("baseline job error: %v", base.JobErr)
 				}
@@ -253,12 +279,12 @@ var kinds = []kind{
 			// The baseline (without the mitigation) must have flapped through
 			// at least one re-registration — proof the mitigation is
 			// load-bearing.
-			versus("baseline-reregisters", func(_, base *chaos.Report) error {
+			versus("baseline-reregisters", func(_, base *bench.ChaosReport) error {
 				return failIf(base.InnerRegistrations < 2,
 					"baseline without a miss budget re-registered %d times, want >= 2 (the budget should be what prevents the flap)", base.InnerRegistrations)
 			}),
 		},
-		report: func(v any) string { return "    " + v.(*chaos.Report).Fingerprint() + "\n" },
+		report: func(v any) string { return "    " + v.(*bench.ChaosReport).Fingerprint() + "\n" },
 	},
 	{
 		name: KindTable2,
@@ -348,15 +374,7 @@ var kinds = []kind{
 				ov := rep.ProxyOverhead()
 				return failIf(ov > f, "proxy overhead %.4f > ceiling %.4f", ov, f)
 			}),
-			on("exact-optimum", func(rep *bench.KnapsackReport, _ none) error {
-				want := knapsack.NormalizedBest(rep.Config.Items, rep.Config.Capacity)
-				for _, row := range rep.Rows {
-					if row.Result != nil && row.Result.Best != want {
-						return fmt.Errorf("%s: best = %d, want %d", row.System, row.Result.Best, want)
-					}
-				}
-				return nil
-			}),
+			exactOptimum,
 			on("speedup-positive", func(rep *bench.KnapsackReport, _ none) error {
 				for _, row := range rep.Rows {
 					if row.Speedup <= 0 {
@@ -413,13 +431,7 @@ var kinds = []kind{
 			on("min-series", func(rep *bench.MonitorReport, n int) error {
 				return failIf(rep.Store.Len() < n, "series = %d, want >= %d", rep.Store.Len(), n)
 			}),
-			on("exact-optimum", func(rep *bench.MonitorReport, _ none) error {
-				want := knapsack.NormalizedBest(rep.Config.Items, rep.Config.Capacity)
-				if rep.Result == nil {
-					return fmt.Errorf("best = <no result>, want %d", want)
-				}
-				return failIf(rep.Result.Best != want, "best = %d, want %d", rep.Result.Best, want)
-			}),
+			exactOptimum,
 		},
 		report: func(v any) string {
 			return bench.FormatMonitor(v.(*bench.MonitorReport), bench.DefaultMonitorFilter) + "\n"
@@ -518,31 +530,17 @@ var kinds = []kind{
 			return cfg, nil
 		},
 		run: func(cfg any, _ *obs.Observer, _ bool) (outcome, error) {
-			c := cfg.(bench.GridConfig)
-			res, err := bench.RunGridKnapsack(c)
+			res, err := bench.RunGridKnapsack(cfg.(bench.GridConfig))
 			if err != nil {
 				return outcome{}, err
 			}
-			gr := &gridRun{items: c.Items, capacity: c.Capacity, res: res}
 			// The hash of the kernel hash, trailing space included: the grammar
 			// the committed grid rows were written in.
 			hash := fnvHash(fmt.Sprintf("%016x ", res.TraceHash))
-			return outcome{v: gr, fp: fingerprintGrid(res), hash: hash, elapsed: res.Elapsed}, nil
+			return outcome{v: res, fp: fingerprintGrid(res), hash: hash, elapsed: res.Elapsed}, nil
 		},
-		asserts: []assertion{
-			on("exact-optimum", func(gr *gridRun, _ none) error {
-				want := knapsack.NormalizedBest(gr.items, gr.capacity)
-				return failIf(gr.res.Best != want, "best = %d, want %d", gr.res.Best, want)
-			}),
-			on("all-work-done", func(gr *gridRun, _ none) error {
-				want := knapsack.NormalizedTreeNodes(gr.items, gr.capacity)
-				return failIf(gr.res.Traversed < want, "traversed %d < %d: work was lost", gr.res.Traversed, want)
-			}),
-			on("elapsed-ceiling", func(gr *gridRun, d time.Duration) error {
-				return failIf(gr.res.Elapsed > d, "elapsed %v > ceiling %v", gr.res.Elapsed, d)
-			}),
-		},
-		report: func(v any) string { return "    " + fingerprintGrid(v.(*gridRun).res) + "\n" },
+		asserts: []assertion{exactOptimum, allWorkDone, elapsedCeiling},
+		report:  func(v any) string { return "    " + fingerprintGrid(v.(*bench.GridResult)) + "\n" },
 	},
 	{
 		name:       KindFleet,

@@ -58,12 +58,6 @@ func (r *SuiteResult) Counts() (scenarios, invariants, failures int) {
 	return
 }
 
-// gridRun carries a grid result plus the instance shape its assertions need.
-type gridRun struct {
-	items, capacity int
-	res             *bench.GridResult
-}
-
 // outcome is what one run of a scenario's workload leaves behind.
 type outcome struct {
 	// v is what the kind's assertions read.
@@ -313,24 +307,15 @@ func fingerprintTable4(rep *bench.KnapsackReport) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "seq=%d traversed=%d\n", rep.SeqTime.Nanoseconds(), rep.SeqTraversed)
 	for _, r := range rep.Rows {
-		fmt.Fprintf(&b, "%s|p=%d|exec=%d|speedup=%s", r.System, r.Processors, r.Exec.Nanoseconds(), ffloat(r.Speedup))
-		if r.Result != nil {
-			fmt.Fprintf(&b, "|best=%d|traversed=%d", r.Result.Best, r.Result.TotalTraversed)
-		}
-		b.WriteByte('\n')
+		fmt.Fprintf(&b, "%s|p=%d|exec=%d|speedup=%s|best=%d|traversed=%d\n",
+			r.System, r.Processors, r.Elapsed.Nanoseconds(), ffloat(r.Speedup), r.Best, r.TotalTraversed)
 	}
 	return b.String()
 }
 
 func fingerprintMonitor(rep *bench.MonitorReport) string {
-	best := int64(-1)
-	var traversed int64
-	if rep.Result != nil {
-		best = rep.Result.Best
-		traversed = rep.Result.TotalTraversed
-	}
 	return fmt.Sprintf("elapsed=%d best=%d traversed=%d windows=%d series=%d store=%016x",
-		rep.Elapsed.Nanoseconds(), best, traversed, rep.Store.Windows(), rep.Store.Len(), rep.Store.Hash())
+		rep.Elapsed.Nanoseconds(), rep.Best, rep.TotalTraversed, rep.Store.Windows(), rep.Store.Len(), rep.Store.Hash())
 }
 
 func fingerprintTransfer(pts []bench.TransferPoint) string {
@@ -352,5 +337,5 @@ func fingerprintFleet(res fleet.Result) string {
 
 func fingerprintGrid(res *bench.GridResult) string {
 	return fmt.Sprintf("elapsed=%d best=%d traversed=%d trace=%016x",
-		res.Elapsed.Nanoseconds(), res.Best, res.Traversed, res.TraceHash)
+		res.Elapsed.Nanoseconds(), res.Best, res.TotalTraversed, res.TraceHash)
 }

@@ -7,7 +7,7 @@ import (
 	"testing"
 	"time"
 
-	"nxcluster/internal/chaos"
+	"nxcluster/internal/bench"
 	"nxcluster/internal/cluster"
 	"nxcluster/internal/obs"
 )
@@ -18,7 +18,7 @@ func tinyChaos(name string, asserts ...AssertSpec) *Spec {
 	return &Spec{
 		Name:    name,
 		Kind:    KindChaos,
-		Chaos:   &chaos.Config{Items: 8, Capacity: 2, System: cluster.SystemCompas, Horizon: 30 * time.Second},
+		Chaos:   &bench.ChaosConfig{Items: 8, Capacity: 2, System: cluster.SystemCompas, Horizon: 30 * time.Second},
 		Asserts: asserts,
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"nxcluster/internal/bench"
-	"nxcluster/internal/chaos"
 	"nxcluster/internal/cluster"
 	"nxcluster/internal/fleet"
 	"nxcluster/internal/simnet"
@@ -17,8 +16,8 @@ type Kind string
 
 const (
 	// KindChaos runs the Table 4 knapsack workload on the recovery-enabled
-	// testbed under a fault schedule (internal/chaos.Run), judged by the
-	// recovery invariants of its entry in kinds.
+	// testbed under a fault schedule to a horizon (bench.RunChaos), judged by
+	// the recovery invariants of its entry in kinds.
 	KindChaos Kind = "chaos"
 	// KindTable2 measures the paper's Table 2 latency/bandwidth points
 	// (bench.RunTable2).
@@ -60,7 +59,7 @@ type Spec struct {
 	SLO *SLOSpec
 
 	// Exactly one of the following is non-nil, matching Kind.
-	Chaos   *chaos.Config
+	Chaos   *bench.ChaosConfig
 	Table2  *bench.Table2Config
 	Table4  *bench.KnapsackConfig
 	Monitor *bench.MonitorConfig

@@ -115,6 +115,7 @@ var removedInDocs = map[string]string{
 	"examples/nqueens":             "N-queens, removed in PR 22",
 	"cmd/experiments":              "the second front end, replaced by simulator run",
 	"internal/chaos/transfer.go":   "the chaos transfer runner, removed in PR 36",
+	"internal/chaos":               "the second knapsack harness, removed in PR 41",
 	"cmd/nxbench":                  "the proxy measurement command, removed in PR 36",
 	"examples/knapsackrun":         "the Table 4 example, removed in PR 36",
 }
