@@ -38,12 +38,18 @@ check: benchmark-smoke chaos scenarios fleet-smoke trace-goldens
 # reports. So the race detector is the check, with one P and with several
 # (the goroutine driving a Run need not be the one that spawned the process
 # or drove the last Run). The in-place relay pumps and stream readers, whose
-# steps run on whichever stack is scheduling, get the same two passes.
+# steps run on whichever stack is scheduling, get the same two passes. So do
+# the TCP relay tests: a real relay's two pumps are separate goroutines that
+# share an atomic byte counter, and a direction that fills its buffer hands
+# off from the read/write loop to splice(2), which changes how they
+# interleave.
 race-sched:
 	GOMAXPROCS=1 $(GO) test -race -count=3 ./internal/sim/
 	GOMAXPROCS=4 $(GO) test -race -count=3 ./internal/sim/
 	GOMAXPROCS=1 $(GO) test -race -count=3 -run InPlace ./internal/simnet ./internal/proxy
 	GOMAXPROCS=4 $(GO) test -race -count=3 -run InPlace ./internal/simnet ./internal/proxy
+	GOMAXPROCS=1 $(GO) test -race -count=3 -run TCP ./internal/proxy ./internal/transport
+	GOMAXPROCS=4 $(GO) test -race -count=3 -run TCP ./internal/proxy ./internal/transport
 
 # chaos runs the fault-injection recovery scenarios (see EXPERIMENTS.md,
 # "Chaos runs") on their own, under the race detector.

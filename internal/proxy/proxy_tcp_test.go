@@ -1,9 +1,14 @@
 package proxy
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"io"
+	"math/rand"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -259,55 +264,221 @@ func TestTCPUnbindReleasesPublicPort(t *testing.T) {
 	}
 }
 
-func TestTCPLargeTransferIntegrity(t *testing.T) {
-	cfg, _, _ := startTCPProxy(t, RelayConfig{BufBytes: 1024})
-	env := transport.NewTCPEnv("localhost")
-
-	dst, err := env.Listen(0)
+// proxiedPair opens a connection through the relays and returns both ends.
+// An active open (NXProxyConnect to a plain listener) is relayed by the
+// outer server; a passive open (NXProxyBind, a dial from outside to the
+// advertised address, NXProxyAccept) by the outer and the inner server.
+func proxiedPair(t *testing.T, env transport.Env, cfg Config, passive bool) (client, far transport.Conn) {
+	t.Helper()
+	var accept func(e transport.Env) (transport.Conn, error)
+	var dial func() (transport.Conn, error)
+	if passive {
+		pl, err := NXProxyBind(env, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer pl.Close(env)
+		accept = func(e transport.Env) (transport.Conn, error) { return NXProxyAccept(e, pl) }
+		dial = func() (transport.Conn, error) { return env.Dial(pl.Addr()) }
+	} else {
+		l, err := env.Listen(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer l.Close(env)
+		accept = l.Accept
+		dial = func() (transport.Conn, error) { return NXProxyConnect(env, cfg, l.Addr()) }
+	}
+	accepted := make(chan transport.Conn, 1)
+	env.Spawn("far", func(e transport.Env) {
+		c, _ := accept(e)
+		accepted <- c
+	})
+	client, err := dial()
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer dst.Close(env)
-	const size = 1 << 20
-	sum := make(chan byte, 1)
-	env.Spawn("sink", func(e transport.Env) {
-		c, err := dst.Accept(e)
-		if err != nil {
+	if far = <-accepted; far == nil {
+		t.Fatal("the far end accepted no connection")
+	}
+	return client, far
+}
+
+// pattern returns n seeded pseudo-random bytes: no block repeats, so a
+// reordered, dropped or duplicated block shows.
+func pattern(n int, seed int64) []byte {
+	b := make([]byte, n)
+	rand.New(rand.NewSource(seed)).Read(b)
+	return b
+}
+
+// swap sends out from a to b and back from b to a, both at once, and checks
+// byte for byte that each side received exactly what the other sent.
+func swap(t *testing.T, env transport.Env, a, b transport.Conn, out, back []byte) {
+	t.Helper()
+	errs := make(chan error, 4)
+	var wg sync.WaitGroup
+	send := func(c transport.Conn, p []byte) {
+		defer wg.Done()
+		if _, err := c.Write(env, p); err != nil {
+			errs <- fmt.Errorf("write: %w", err)
+		}
+	}
+	recv := func(c transport.Conn, want []byte, dir string) {
+		defer wg.Done()
+		got := make([]byte, len(want))
+		if _, err := io.ReadFull(transport.Stream{Env: env, Conn: c}, got); err != nil {
+			errs <- fmt.Errorf("%s read: %w", dir, err)
 			return
 		}
-		var x byte
-		buf := make([]byte, 32*1024)
-		total := 0
-		for total < size {
-			n, err := c.Read(e, buf)
-			for _, b := range buf[:n] {
-				x ^= b
-			}
-			total += n
-			if err != nil {
-				break
+		for i := range got {
+			if got[i] != want[i] {
+				errs <- fmt.Errorf("%s: byte %d of %d is %#x, want %#x", dir, i, len(want), got[i], want[i])
+				return
 			}
 		}
-		sum <- x
-	})
+	}
+	wg.Add(4)
+	go send(a, out)
+	go send(b, back)
+	go recv(b, out, "forward")
+	go recv(a, back, "reverse")
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+}
 
-	c, err := NXProxyConnect(env, cfg, dst.Addr())
-	if err != nil {
-		t.Fatal(err)
+// waitFor polls cond for up to five seconds and reports whether it held.
+func waitFor(cond func() bool) bool {
+	for deadline := time.Now().Add(5 * time.Second); !cond(); {
+		if time.Now().After(deadline) {
+			return false
+		}
+		time.Sleep(time.Millisecond)
 	}
-	data := make([]byte, size)
-	var want byte
-	for i := range data {
-		data[i] = byte(i * 31)
-		want ^= data[i]
+	return true
+}
+
+// TestTCPLargeTransferIntegrity moves a seeded stream through the relay in
+// both directions at once, at sizes on each side of the point where a relay
+// read fills its buffer and the direction moves into the kernel, and
+// compares every byte.
+func TestTCPLargeTransferIntegrity(t *testing.T) {
+	const buf = 1024
+	cfg, _, _ := startTCPProxy(t, RelayConfig{BufBytes: buf})
+	env := transport.NewTCPEnv("localhost")
+	for _, passive := range []bool{false, true} {
+		for _, size := range []int{buf - 1, buf, buf + 1, 64<<10 + 1, 4 << 20} {
+			t.Run(fmt.Sprintf("passive=%v/%d", passive, size), func(t *testing.T) {
+				a, b := proxiedPair(t, env, cfg, passive)
+				defer a.Close(env)
+				defer b.Close(env)
+				swap(t, env, a, b, pattern(size, int64(size)), pattern(size, int64(size)+1))
+			})
+		}
 	}
-	if _, err := c.Write(env, data); err != nil {
-		t.Fatal(err)
+}
+
+// TestTCPSplicedRelayKeepsStream pushes bulk both ways through a passive
+// open, so both directions at both relays leave the read/write loop, then
+// checks that
+// small echoes on the same connection still arrive intact and in order,
+// that the byte counters account for every byte once both ends close, and
+// that no pump is left running.
+func TestTCPSplicedRelayKeepsStream(t *testing.T) {
+	cfg, outer, inner := startTCPProxy(t, RelayConfig{})
+	env := transport.NewTCPEnv("localhost")
+	start := runtime.NumGoroutine()
+
+	a, b := proxiedPair(t, env, cfg, true)
+	const bulk, echoes = 1 << 20, 100
+	swap(t, env, a, b, pattern(bulk, 1), pattern(bulk, 2))
+	msgs := pattern(echoes*64, 3)
+	sa, sb := transport.Stream{Env: env, Conn: a}, transport.Stream{Env: env, Conn: b}
+	got := make([]byte, 64)
+	for i := 0; i < echoes; i++ {
+		msg := msgs[i*64 : (i+1)*64]
+		if _, err := sa.Write(msg); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := io.ReadFull(sb, got); err != nil {
+			t.Fatalf("echo %d forward: %v", i, err)
+		}
+		if !bytes.Equal(got, msg) {
+			t.Fatalf("echo %d forward: got %x, want %x", i, got, msg)
+		}
+		if _, err := sb.Write(got); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := io.ReadFull(sa, got); err != nil {
+			t.Fatalf("echo %d reverse: %v", i, err)
+		}
+		if !bytes.Equal(got, msg) {
+			t.Fatalf("echo %d reverse: got %x, want %x", i, got, msg)
+		}
 	}
-	if got := <-sum; got != want {
-		t.Fatalf("checksum mismatch: got %#x want %#x", got, want)
+	_ = a.Close(env)
+	_ = b.Close(env)
+
+	want := int64(2*bulk + 2*echoes*64)
+	if !waitFor(func() bool { return outer.Stats().Bytes == want && inner.Stats().Bytes == want }) {
+		t.Errorf("relayed bytes outer=%d inner=%d, want %d each", outer.Stats().Bytes, inner.Stats().Bytes, want)
 	}
-	_ = c.Close(env)
+	if !waitFor(func() bool { return runtime.NumGoroutine() <= start }) {
+		t.Errorf("%d goroutines after close, %d before the connection", runtime.NumGoroutine(), start)
+	}
+}
+
+// TestTCPSplicedRelayEnds checks how a spliced direction ends, across both
+// relays: a clean close after bulk reads as EOF at the far end, an abort
+// mid-bulk as ErrReset.
+func TestTCPSplicedRelayEnds(t *testing.T) {
+	cfg, _, _ := startTCPProxy(t, RelayConfig{})
+	env := transport.NewTCPEnv("localhost")
+	const bulk = 256 << 10
+	data := pattern(bulk, 4)
+	for _, tc := range []struct {
+		name string
+		end  func(transport.Conn) error
+		want error
+	}{
+		{"close", func(c transport.Conn) error { return c.Close(env) }, io.EOF},
+		{"abort", func(c transport.Conn) error { return transport.Abort(env, c) }, transport.ErrReset},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a, b := proxiedPair(t, env, cfg, true)
+			defer b.Close(env)
+			wrote := make(chan error, 1)
+			go func() {
+				_, err := a.Write(env, data)
+				wrote <- err
+			}()
+			// Half the bulk read, the rest in flight or in buffers.
+			got := make([]byte, bulk)
+			sb := transport.Stream{Env: env, Conn: b}
+			if _, err := io.ReadFull(sb, got[:bulk/2]); err != nil {
+				t.Fatal(err)
+			}
+			if err := <-wrote; err != nil {
+				t.Fatal(err)
+			}
+			if err := tc.end(a); err != nil {
+				t.Fatal(err)
+			}
+			n, err := io.ReadFull(sb, got[bulk/2:])
+			for extra := make([]byte, 1); err == nil; {
+				_, err = b.Read(env, extra)
+			}
+			if !errors.Is(err, tc.want) {
+				t.Fatalf("far end read after %s = %v, want %v", tc.name, err, tc.want)
+			}
+			if tc.want == io.EOF && (n != bulk/2 || !bytes.Equal(got, data)) {
+				t.Fatalf("far end read %d of %d bytes after close, or other bytes than sent", bulk/2+n, bulk)
+			}
+		})
+	}
 }
 
 func TestDialerFallsBackToDirect(t *testing.T) {

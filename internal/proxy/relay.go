@@ -12,9 +12,12 @@ import (
 // the two legs of a relayed connection.
 type RelayConfig struct {
 	// BufBytes is the relay read buffer; each read-process-write cycle
-	// handles at most this many bytes (default 4096). It is the knob behind
-	// the paper's small-message bandwidth cliff and is swept by the
-	// ablation benchmarks.
+	// handles at most this many bytes (default 4096). In the simulator it is
+	// the per-buffer unit PerBuffer is charged on: the knob behind the
+	// paper's small-message bandwidth cliff, swept by the ablation
+	// benchmarks. On real TCP it sizes the loop's reads and is the splice
+	// threshold: once a read fills it, the rest of that direction moves in
+	// the kernel (transport.Relay).
 	BufBytes int
 	// PerBuffer is the processing cost charged (as CPU time on the relay
 	// host) per buffer relayed. It models the year-2000 userspace relay
@@ -37,7 +40,9 @@ type Stats struct {
 	ConnectRelays int
 	// BindRelays counts passive opens spliced.
 	BindRelays int
-	// Bytes counts payload bytes pumped in both directions.
+	// Bytes counts payload bytes pumped in both directions. A direction
+	// that has moved into the kernel on real TCP adds at most 1 MiB at a
+	// time, so while it runs the count may trail the stream by that much.
 	Bytes int64
 	// Registrations counts registration sessions established on the
 	// inner-to-outer control channel (1 in a fault-free run; each recovery
@@ -54,7 +59,8 @@ type Stats struct {
 
 // pump copies bytes from src to dst until EOF or error, charging the
 // configured per-buffer processing cost (transport.Relay, which runs the
-// cycle in place on the simulator). It runs as its own process; a relayed
+// cycle in place on the simulator, and on real TCP hands a direction that
+// fills its buffer to splice(2)). It runs as its own process; a relayed
 // connection uses two pumps, one per direction.
 //
 // Teardown distinguishes how the stream ended: a clean EOF closes both legs

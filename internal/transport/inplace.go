@@ -10,7 +10,9 @@ import (
 // each buffer it moves.
 type Pump struct {
 	// Buf is the relay buffer; each read-process-write cycle moves at most
-	// len(Buf) bytes.
+	// len(Buf) bytes. On real TCP it is also the hand-off threshold: a read
+	// that fills it moves the rest of the direction into the kernel (see
+	// Relay).
 	Buf []byte
 	// PerBuffer is the CPU time charged (Compute) per buffer relayed.
 	PerBuffer time.Duration
@@ -39,6 +41,13 @@ type Pump struct {
 // place, without resuming the caller between buffers, does so (simnet's):
 // Recv and Fwd must then never block. It hands back on EOF or failure only,
 // so teardown stays with the caller.
+//
+// On real TCP, once a read fills Buf, the rest of the direction moves in the
+// kernel (splice(2) on Linux, a generic copy elsewhere) when both legs are
+// raw TCPEnv sockets and the pump has no PerBuffer charge and no Recv hook.
+// Fwd is then told at most 1 MiB at a time; a reset still ends the relay
+// with ErrReset, and a closed socket ends it as EOF does. A direction that
+// never fills Buf (a small-message round trip) stays on the loop.
 func Relay(env Env, src, dst Conn, pump *Pump) error {
 	if r, ok := env.(interface {
 		Relay(src, dst Conn, pump *Pump) (bool, error)
@@ -68,6 +77,11 @@ func Relay(env Env, src, dst Conn, pump *Pump) error {
 				return nil
 			}
 			return err
+		}
+		if n == len(pump.Buf) && pump.PerBuffer == 0 && pump.Recv == nil {
+			if sc, dc := tcpSocket(src), tcpSocket(dst); sc != nil && dc != nil {
+				return spliceRest(sc, dc, pump.Fwd)
+			}
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"io"
 	"net"
 	"strings"
+	"sync/atomic"
 	"syscall"
 	"time"
 )
@@ -152,6 +153,53 @@ func (t *tcpConn) Abort(env Env) error {
 		_ = tc.SetLinger(0)
 	}
 	return t.c.Close()
+}
+
+// spliceChunk is how much of a handed-off relay direction one ReadFrom call
+// moves before Relay's Fwd hook is told.
+const spliceChunk = 1 << 20
+
+// spliceHandoffs counts relay directions handed to the kernel, for tests.
+var spliceHandoffs atomic.Int64
+
+// tcpSocket returns the socket under c when c is a TCPEnv connection, and
+// nil otherwise.
+func tcpSocket(c Conn) *net.TCPConn {
+	t, _ := c.(*tcpConn)
+	if t == nil {
+		return nil
+	}
+	s, _ := t.c.(*net.TCPConn)
+	return s
+}
+
+// spliceRest moves the rest of src to dst with (*net.TCPConn).ReadFrom,
+// which Go implements with splice(2) on Linux, telling fwd each call's count.
+// It maps errors as tcpConn.Read and Write do: a reset is ErrReset, while a
+// closed socket, or a call that ends short of its limit, is the end of the
+// stream (nil).
+func spliceRest(src, dst *net.TCPConn, fwd func(n int)) error {
+	spliceHandoffs.Add(1)
+	lr := &io.LimitedReader{R: src}
+	for {
+		lr.N = spliceChunk
+		n, err := dst.ReadFrom(lr)
+		if n > 0 && fwd != nil {
+			fwd(int(n))
+		}
+		switch {
+		case err == nil && lr.N == 0:
+			continue
+		case err == nil:
+			return nil
+		case isResetErr(err):
+			return ErrReset
+		case isClosedErr(err):
+			return nil
+		default:
+			return err
+		}
+	}
 }
 
 func (t *tcpConn) LocalAddr() string { return t.local }
