@@ -18,7 +18,7 @@ import (
 
 func main() {
 	port := flag.Int("port", 7010, "nxport to listen on (the firewall's one opened inbound port)")
-	buf := flag.Int("buf", 4096, "relay read buffer in bytes; a relay direction whose read fills it moves the rest in the kernel (splice)")
+	buf := flag.Int("buf", 4096, "relay read buffer in bytes; on Linux a relay direction whose read fills it moves the rest in the kernel (splice)")
 	verbose := flag.Bool("v", false, "trace relay activity")
 	flag.Parse()
 

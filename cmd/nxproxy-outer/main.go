@@ -21,7 +21,7 @@ import (
 func main() {
 	port := flag.Int("port", 7000, "control port to listen on")
 	inner := flag.String("inner", "", "inner server address host:nxport (required)")
-	buf := flag.Int("buf", 4096, "relay read buffer in bytes; a relay direction whose read fills it moves the rest in the kernel (splice)")
+	buf := flag.Int("buf", 4096, "relay read buffer in bytes; on Linux a relay direction whose read fills it moves the rest in the kernel (splice)")
 	verbose := flag.Bool("v", false, "trace relay activity")
 	flag.Parse()
 	if *inner == "" {

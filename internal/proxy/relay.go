@@ -15,9 +15,9 @@ type RelayConfig struct {
 	// handles at most this many bytes (default 4096). In the simulator it is
 	// the per-buffer unit PerBuffer is charged on: the knob behind the
 	// paper's small-message bandwidth cliff, swept by the ablation
-	// benchmarks. On real TCP it sizes the loop's reads and is the splice
-	// threshold: once a read fills it, the rest of that direction moves in
-	// the kernel (transport.Relay).
+	// benchmarks. On real TCP it sizes the loop's reads, and a read that
+	// fills it moves the rest of that direction into the kernel
+	// (transport.Relay).
 	BufBytes int
 	// PerBuffer is the processing cost charged (as CPU time on the relay
 	// host) per buffer relayed. It models the year-2000 userspace relay
@@ -40,9 +40,11 @@ type Stats struct {
 	ConnectRelays int
 	// BindRelays counts passive opens spliced.
 	BindRelays int
-	// Bytes counts payload bytes pumped in both directions. A direction
-	// that has moved into the kernel on real TCP adds at most 1 MiB at a
-	// time, so while it runs the count may trail the stream by that much.
+	// Bytes counts payload bytes pumped in both directions. After a
+	// direction has moved into the kernel on real TCP, its bytes are
+	// counted per 1 MiB or at the end of the stream, so on a connection
+	// that then carries only small messages the count may not move again
+	// until it closes.
 	Bytes int64
 	// Registrations counts registration sessions established on the
 	// inner-to-outer control channel (1 in a fault-free run; each recovery

@@ -10,9 +10,8 @@ import (
 // each buffer it moves.
 type Pump struct {
 	// Buf is the relay buffer; each read-process-write cycle moves at most
-	// len(Buf) bytes. On real TCP it is also the hand-off threshold: a read
-	// that fills it moves the rest of the direction into the kernel (see
-	// Relay).
+	// len(Buf) bytes. On real TCP a read that fills it moves the rest of
+	// the direction into the kernel (see Relay).
 	Buf []byte
 	// PerBuffer is the CPU time charged (Compute) per buffer relayed.
 	PerBuffer time.Duration
@@ -42,12 +41,15 @@ type Pump struct {
 // Recv and Fwd must then never block. It hands back on EOF or failure only,
 // so teardown stays with the caller.
 //
-// On real TCP, once a read fills Buf, the rest of the direction moves in the
-// kernel (splice(2) on Linux, a generic copy elsewhere) when both legs are
-// raw TCPEnv sockets and the pump has no PerBuffer charge and no Recv hook.
-// Fwd is then told at most 1 MiB at a time; a reset still ends the relay
-// with ErrReset, and a closed socket ends it as EOF does. A direction that
-// never fills Buf (a small-message round trip) stays on the loop.
+// On real TCP (Linux), once a read fills Buf, the rest of the direction
+// moves in the kernel with splice(2) when both legs are raw TCPEnv sockets
+// and the pump has no PerBuffer charge and no Recv hook. Fwd is then told
+// per 1 MiB moved or at the end of the stream; a reset still ends the relay
+// with ErrReset, and a closed socket ends it as EOF does. Splicing costs a
+// small message's round trip nothing measurable, but a spliced direction
+// holds a pipe (two descriptors) for as long as it lives and its byte count
+// lags. A direction that never fills Buf, such as one carrying only small
+// messages, stays on the loop and pays neither.
 func Relay(env Env, src, dst Conn, pump *Pump) error {
 	if r, ok := env.(interface {
 		Relay(src, dst Conn, pump *Pump) (bool, error)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -37,11 +38,14 @@ func tcpPair(t *testing.T, env *TCPEnv) (dialed, accepted Conn) {
 }
 
 // relayRig is client -> (in) Relay (out) -> server on raw loopback sockets.
+// The loop tells Fwd of at most len(Buf) bytes at a time and a spliced
+// direction of up to 1 MiB, so the largest count Fwd was told of shows
+// whether the direction has moved into the kernel.
 type relayRig struct {
 	env            *TCPEnv
 	client, server Conn
 	done           chan error
-	fwd            int64 // bytes Fwd was told of; read after done
+	fwd, maxFwd    atomic.Int64 // bytes Fwd was told of, and its largest call
 }
 
 func startRelay(t *testing.T, pump *Pump) *relayRig {
@@ -49,9 +53,25 @@ func startRelay(t *testing.T, pump *Pump) *relayRig {
 	client, in := tcpPair(t, env)
 	out, server := tcpPair(t, env)
 	r := &relayRig{env: env, client: client, server: server, done: make(chan error, 1)}
-	pump.Fwd = func(n int) { r.fwd += int64(n) }
+	pump.Fwd = func(n int) {
+		r.fwd.Add(int64(n))
+		if int64(n) > r.maxFwd.Load() {
+			r.maxFwd.Store(int64(n))
+		}
+	}
 	go func() { r.done <- Relay(env, in, out, pump) }()
 	return r
+}
+
+// eventually polls cond for up to five seconds and reports whether it held.
+func eventually(cond func() bool) bool {
+	for deadline := time.Now().Add(5 * time.Second); !cond(); {
+		if time.Now().After(deadline) {
+			return false
+		}
+		time.Sleep(time.Millisecond)
+	}
+	return true
 }
 
 // send writes msg from the client and checks the server reads it back whole.
@@ -80,18 +100,19 @@ func (r *relayRig) send(t *testing.T, msg []byte) {
 // moves the rest of the direction into the kernel, after which small
 // messages still arrive whole and in order and Fwd has counted every byte.
 func TestRelayTCPHandOff(t *testing.T) {
+	const buf = 4096
 	for _, tc := range []struct {
-		name     string
-		pump     Pump
-		handOffs int64
+		name    string
+		pump    Pump
+		spliced bool
 	}{
-		{"plain", Pump{}, 1},
-		{"per-buffer", Pump{PerBuffer: time.Microsecond}, 0},
-		{"recv-hook", Pump{Recv: func(int) {}}, 0},
+		{"plain", Pump{}, true},
+		{"per-buffer", Pump{PerBuffer: time.Microsecond}, false},
+		{"recv-hook", Pump{Recv: func(int) {}}, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			pump := tc.pump
-			pump.Buf = make([]byte, 4096)
+			pump.Buf = make([]byte, buf)
 			r := startRelay(t, &pump)
 			rng := rand.New(rand.NewSource(1))
 			small := func() {
@@ -101,24 +122,25 @@ func TestRelayTCPHandOff(t *testing.T) {
 					r.send(t, msg)
 				}
 			}
-			before := SpliceHandoffs()
+			// On the loop each message is counted as it is written on.
 			small()
-			if got := SpliceHandoffs() - before; got != 0 {
-				t.Fatalf("%d hand-offs after 64-byte messages, want 0", got)
+			if !eventually(func() bool { return r.fwd.Load() == 50*64 }) || r.maxFwd.Load() > buf {
+				t.Fatalf("after 64-byte messages Fwd counted %d bytes, at most %d at once; want %d, at most %d",
+					r.fwd.Load(), r.maxFwd.Load(), 50*64, buf)
 			}
 			bulk := make([]byte, 3<<20+7)
 			rng.Read(bulk)
 			r.send(t, bulk)
 			small()
-			if got := SpliceHandoffs() - before; got != tc.handOffs {
-				t.Fatalf("%d hand-offs after bulk, want %d", got, tc.handOffs)
-			}
 			_ = r.client.Close(r.env)
 			if err := <-r.done; err != nil {
 				t.Fatalf("Relay after the client closed = %v, want nil", err)
 			}
-			if want := int64(2*50*64 + len(bulk)); r.fwd != want {
-				t.Fatalf("Fwd counted %d bytes, want %d", r.fwd, want)
+			if got := r.maxFwd.Load() > buf; got != tc.spliced {
+				t.Fatalf("Fwd told of at most %d bytes at once after bulk; spliced = %v, want %v", r.maxFwd.Load(), got, tc.spliced)
+			}
+			if want := int64(2*50*64 + len(bulk)); r.fwd.Load() != want {
+				t.Fatalf("Fwd counted %d bytes, want %d", r.fwd.Load(), want)
 			}
 		})
 	}
@@ -127,11 +149,11 @@ func TestRelayTCPHandOff(t *testing.T) {
 // TestRelayTCPResetAfterHandOff aborts the client once its direction has
 // moved into the kernel: Relay ends with ErrReset, not as a finished stream.
 func TestRelayTCPResetAfterHandOff(t *testing.T) {
-	r := startRelay(t, &Pump{Buf: make([]byte, 4096)})
-	before := SpliceHandoffs()
-	r.send(t, make([]byte, 1<<20))
-	if SpliceHandoffs() == before {
-		t.Fatal("bulk did not hand off")
+	const buf = 4096
+	r := startRelay(t, &Pump{Buf: make([]byte, buf)})
+	r.send(t, make([]byte, 2<<20))
+	if !eventually(func() bool { return r.maxFwd.Load() > buf }) {
+		t.Fatalf("bulk did not hand off: Fwd told of at most %d bytes at once", r.maxFwd.Load())
 	}
 	_ = Abort(r.env, r.client)
 	if err := <-r.done; !errors.Is(err, ErrReset) {

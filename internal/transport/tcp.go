@@ -4,8 +4,8 @@ import (
 	"errors"
 	"io"
 	"net"
+	"runtime"
 	"strings"
-	"sync/atomic"
 	"syscall"
 	"time"
 )
@@ -159,14 +159,13 @@ func (t *tcpConn) Abort(env Env) error {
 // moves before Relay's Fwd hook is told.
 const spliceChunk = 1 << 20
 
-// spliceHandoffs counts relay directions handed to the kernel, for tests.
-var spliceHandoffs atomic.Int64
-
-// tcpSocket returns the socket under c when c is a TCPEnv connection, and
-// nil otherwise.
+// tcpSocket returns the socket under c when c is a TCPEnv connection on
+// Linux, and nil otherwise. Elsewhere (*net.TCPConn).ReadFrom is Go's
+// generic copy, which would gain nothing over Relay's loop and allocate a
+// buffer per call.
 func tcpSocket(c Conn) *net.TCPConn {
 	t, _ := c.(*tcpConn)
-	if t == nil {
+	if t == nil || runtime.GOOS != "linux" {
 		return nil
 	}
 	s, _ := t.c.(*net.TCPConn)
@@ -175,11 +174,11 @@ func tcpSocket(c Conn) *net.TCPConn {
 
 // spliceRest moves the rest of src to dst with (*net.TCPConn).ReadFrom,
 // which Go implements with splice(2) on Linux, telling fwd each call's count.
-// It maps errors as tcpConn.Read and Write do: a reset is ErrReset, while a
-// closed socket, or a call that ends short of its limit, is the end of the
-// stream (nil).
+// Each call holds a pipe from Go's pool, two descriptors, until it has moved
+// spliceChunk bytes or the stream ends. It maps errors as tcpConn.Read and
+// Write do: a reset is ErrReset, while a closed socket, or a call that ends
+// short of its limit, is the end of the stream (nil).
 func spliceRest(src, dst *net.TCPConn, fwd func(n int)) error {
-	spliceHandoffs.Add(1)
 	lr := &io.LimitedReader{R: src}
 	for {
 		lr.N = spliceChunk
