@@ -127,7 +127,8 @@ cover:
 # block reader, restart-marker decoder and ledger, the scenario-file parser
 # (each accepted spec's config and comparator built through its kind's
 # entry), and the request handlers of the RMF allocator and Q server, the MDS
-# directory server and the HBM monitor; and it fuzzes the kernel's lane merge
+# directory server and the HBM monitor, and the HBM client's list-reply
+# decoder; and it fuzzes the kernel's lane merge
 # against the heap-only firing order, SleepEach's in-place slices (sleeping or
 # parked on a Cond or Semaphore) against the blocking loop they replace, the
 # in-place relay pumps and Nexus frame reader against their blocking loops,
@@ -148,6 +149,7 @@ fuzz:
 	$(GO) test -fuzz FuzzQServerRequest -fuzztime $(FUZZTIME) ./internal/rmf/
 	$(GO) test -fuzz FuzzDirectoryRequest -fuzztime $(FUZZTIME) ./internal/mds/
 	$(GO) test -fuzz FuzzMonitorRequest -fuzztime $(FUZZTIME) ./internal/hbm/
+	$(GO) test -fuzz FuzzListReply -fuzztime $(FUZZTIME) ./internal/hbm/
 	$(GO) test -fuzz FuzzLaneOrder -fuzztime $(FUZZTIME) ./internal/sim/
 	$(GO) test -fuzz FuzzSleepEachOrder -fuzztime $(FUZZTIME) ./internal/sim/
 	$(GO) test -fuzz FuzzRelayInPlace -fuzztime $(FUZZTIME) ./internal/proxy/

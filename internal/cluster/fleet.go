@@ -11,10 +11,9 @@ import (
 // Fleet topology: the testbed scaled past the paper's 4 sites / 20
 // processors toward the ROADMAP's production-scale grid. N sites hang off a
 // single core router over WAN-class links; each site is M hosts behind a
-// site gateway on LAN-class links. The tree shape is deliberate: it is what
-// simnet's hierarchical routing composes exactly (every node gets a parent
-// pointer), so route lookup cost is O(depth) per uncached pair no matter
-// how many hosts the fleet stamps out.
+// site gateway on LAN-class links. The topology is a tree, as every simnet
+// topology is, so an uncached route is a climb of at most four hops to the
+// two hosts' common ancestor however many hosts the fleet stamps out.
 //
 // Fleet links carry control datagrams (dispatch, completions, batched
 // heartbeats), so they are configured with unlimited bandwidth: a message
@@ -60,7 +59,7 @@ type Fleet struct {
 }
 
 // NewFleet builds an N-site × M-host fleet on a fresh kernel: core router,
-// per-site gateways and hosts, links, and the routing hierarchy. Only
+// per-site gateways and hosts, and links. Only
 // topology is built — no processes are spawned; the fleet engine drives
 // everything event-style.
 func NewFleet(opts FleetOptions) *Fleet {
@@ -92,14 +91,12 @@ func NewFleet(opts FleetOptions) *Fleet {
 		f.Gateways[s] = gw
 		n.AddRouter(gw, site)
 		n.Connect(FleetCore, gw, wan)
-		n.SetParent(gw, FleetCore)
 		hosts := make([]string, opts.HostsPerSite)
 		for h := 0; h < opts.HostsPerSite; h++ {
 			name := FleetHost(s, h)
 			hosts[h] = name
 			n.AddHost(name, simnet.HostConfig{Site: site, Speed: 1.0, CPUs: opts.CPUsPerHost})
 			n.Connect(name, gw, lan)
-			n.SetParent(name, gw)
 		}
 		f.Hosts[s] = hosts
 	}

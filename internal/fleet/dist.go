@@ -1,11 +1,11 @@
 // Package fleet is the open-loop, fleet-scale workload layer: a seeded
 // deterministic arrival generator with heavy-tailed job sizes and
-// time-varying rates, driving an event-style control plane (hierarchical
-// site routing, sharded per-site allocation, batched heartbeats and batched
-// MDS publishing) over a cluster.NewFleet topology. A 10k-host / 1M-job run
-// costs roughly a dozen kernel events per job, so it completes in seconds
-// of wall clock while staying bit-deterministic across runs and GOMAXPROCS
-// settings.
+// time-varying rates, driving an event-style control plane (tree routes
+// through the site gateways, sharded per-site allocation, batched
+// heartbeats and batched MDS publishing) over a cluster.NewFleet topology.
+// A 10k-host / 1M-job run costs roughly a dozen kernel events per job, so
+// it completes in seconds of wall clock while staying bit-deterministic
+// across runs and GOMAXPROCS settings.
 //
 // Unlike the paper-shaped workloads (closed-loop MPI programs), the
 // generator is open loop: arrivals follow the configured rate process

@@ -60,8 +60,7 @@ type managedJob struct {
 	subject string
 	state   rmf.State
 	errMsg  string
-	handle  *rmf.JobHandle // rmf jobs
-	pending int            // fork jobs: processes still running
+	pending int // fork jobs: processes still running
 }
 
 // Gatekeeper authenticates and dispatches job requests.
@@ -294,9 +293,6 @@ func (g *Gatekeeper) startRMF(env transport.Env, job *managedJob, spec rmf.Proce
 			g.fail(job, err)
 			return
 		}
-		g.mu.Lock()
-		job.handle = h
-		g.mu.Unlock()
 		if err := h.Wait(e, 10*time.Millisecond, 0); err != nil {
 			g.fail(job, err)
 			return

@@ -83,3 +83,30 @@ func FuzzMonitorRequest(f *testing.F) {
 		}
 	})
 }
+
+// FuzzListReply holds QueryAll's side of the list exchange to the bar
+// FuzzMonitorRequest sets for the monitor's: no panic, and no allocation
+// sized by a count the reply did not pay for. A list reply past its status
+// is laid out as request lays out a body: a count, then name and health
+// fields.
+func FuzzListReply(f *testing.F) {
+	f.Add(request(0))
+	f.Add(request(2, "node0", int(Up), "node1", int(Down)))
+	f.Add(request(1 << 24))
+	f.Add(request(1<<31 - 1))
+	f.Add(request(-1))
+	f.Add(request(2, "node0", int(Up)))
+	f.Add([]byte{0, 0})
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		out, err := decodeList(nexus.FromBytes(body))
+		runtime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 8<<20+64*uint64(len(body)) {
+			t.Fatalf("a %d-byte reply made the decoder allocate %d bytes", len(body), grew)
+		}
+		if err == nil && 8*len(out) > len(body) {
+			t.Fatalf("a %d-byte reply decoded to %d entries", len(body), len(out))
+		}
+	})
+}

@@ -374,9 +374,19 @@ func QueryAll(env transport.Env, addr string) (map[string]Health, error) {
 	if err != nil {
 		return nil, err
 	}
+	return decodeList(resp)
+}
+
+// decodeList decodes a list reply past its status: a count, then each
+// process's name and health.
+func decodeList(resp *nexus.Buffer) (map[string]Health, error) {
 	n, err := resp.GetInt32()
 	if err != nil {
 		return nil, err
+	}
+	// Every entry costs at least its name's 4-byte length and its health.
+	if n < 0 || int(n) > resp.Remaining()/8 {
+		return nil, fmt.Errorf("hbm: malformed list reply: %d entries in %d bytes", n, resp.Remaining())
 	}
 	out := make(map[string]Health, n)
 	for i := int32(0); i < n; i++ {

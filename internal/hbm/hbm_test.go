@@ -2,9 +2,11 @@ package hbm
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 	"time"
 
+	"nxcluster/internal/nexus"
 	"nxcluster/internal/sim"
 	"nxcluster/internal/simnet"
 	"nxcluster/internal/transport"
@@ -210,5 +212,56 @@ func TestMonitorOverTCP(t *testing.T) {
 	}
 	if all := status(); len(all) != 1 || all["proc1"] != Up {
 		t.Fatalf("status after recovery = %v", all)
+	}
+}
+
+// TestQueryAllRefusesLyingCount: a list reply whose count its frame does not
+// pay for is refused before anything is sized by it. The fake monitor
+// answers with 9 bytes on the wire (frame length, status true, count 2^20);
+// sizing the result map by that count would allocate tens of megabytes.
+func TestQueryAllRefusesLyingCount(t *testing.T) {
+	k := sim.New()
+	n := simnet.New(k)
+	n.AddHost("mon", simnet.HostConfig{})
+	n.AddHost("cli", simnet.HostConfig{})
+	n.Connect("mon", "cli", simnet.LinkConfig{Latency: time.Millisecond})
+	n.Node("mon").SpawnDaemonOn("liar", func(e transport.Env) {
+		l, err := e.Listen(7300)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		c, err := l.Accept(e)
+		if err != nil {
+			return
+		}
+		s := transport.Stream{Env: e, Conn: c}
+		if _, err := nexus.ReadFrame(s, 0); err != nil {
+			t.Error(err)
+			return
+		}
+		resp := nexus.NewBuffer()
+		resp.PutBool(true)
+		resp.PutInt32(1 << 20)
+		_ = nexus.WriteFrame(s, resp)
+	})
+	var err error
+	var grew uint64
+	n.Node("cli").SpawnOn("query", func(e transport.Env) {
+		e.Sleep(time.Millisecond)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err = QueryAll(e, "mon:7300")
+		runtime.ReadMemStats(&after)
+		grew = after.TotalAlloc - before.TotalAlloc
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if err == nil {
+		t.Fatal("QueryAll accepted a count of 2^20 entries in a 5-byte reply")
+	}
+	if grew > 1<<20 {
+		t.Fatalf("QueryAll allocated %d bytes on a 5-byte reply", grew)
 	}
 }

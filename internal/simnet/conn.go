@@ -138,11 +138,15 @@ func (nd *Node) dial(p *sim.Proc, tctx obs.TraceContext, addr string) (transport
 	if err := nd.net.checkFirewalls(nd, dst, port); err != nil {
 		return nil, err
 	}
-	route := nd.net.route(nd, dst)
-	if route == nil {
+	fwd, err := nd.net.route(nd, dst)
+	if err != nil {
+		return nil, fmt.Errorf("simnet: dial %s: %w", addr, err)
+	}
+	if fwd == nil {
 		return nil, fmt.Errorf("simnet: dial %s: %w", addr, transport.ErrNoRoute)
 	}
-	path := route.links
+	rev, _ := nd.net.route(dst, nd) // the same tree path, walked back
+	path, back := fwd.links, rev.links
 
 	var dialed *conn
 	var dialErr error
@@ -159,7 +163,7 @@ func (nd *Node) dial(p *sim.Proc, tctx obs.TraceContext, addr string) (transport
 			return
 		}
 		if dst.crashed {
-			n.send(reversePath(path), ctlSize, func() {
+			n.send(back, ctlSize, func() {
 				dialErr = transport.ErrHostDown
 				done.Set()
 			})
@@ -167,7 +171,7 @@ func (nd *Node) dial(p *sim.Proc, tctx obs.TraceContext, addr string) (transport
 		}
 		l := dst.listeners[port]
 		if l == nil || l.closed {
-			n.send(reversePath(path), ctlSize, func() {
+			n.send(back, ctlSize, func() {
 				dialErr = transport.ErrRefused
 				done.Set()
 			})
@@ -182,7 +186,7 @@ func (nd *Node) dial(p *sim.Proc, tctx obs.TraceContext, addr string) (transport
 			finSeq: -1,
 		}
 		cAcc := &conn{
-			node: dst, local: remoteAddr, remote: localAddr, path: reversePath(path),
+			node: dst, local: remoteAddr, remote: localAddr, path: back,
 			readCond: sim.NewCond(n.K), credit: DefaultWindow, creditCond: sim.NewCond(n.K),
 			finSeq: -1,
 		}
@@ -193,7 +197,7 @@ func (nd *Node) dial(p *sim.Proc, tctx obs.TraceContext, addr string) (transport
 			cAcc.flow = n.newFlowState(cAcc.path, remoteAddr+">"+localAddr)
 		}
 		if err := l.pending.TrySend(cAcc); err != nil {
-			n.send(reversePath(path), ctlSize, func() {
+			n.send(back, ctlSize, func() {
 				dialErr = transport.ErrRefused
 				done.Set()
 			})
@@ -201,7 +205,7 @@ func (nd *Node) dial(p *sim.Proc, tctx obs.TraceContext, addr string) (transport
 		}
 		nd.trackConn(cDial)
 		dst.trackConn(cAcc)
-		n.send(reversePath(path), ctlSize, func() {
+		n.send(back, ctlSize, func() {
 			dialed = cDial
 			done.Set()
 		})

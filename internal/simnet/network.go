@@ -23,7 +23,6 @@
 package simnet
 
 import (
-	"container/heap"
 	"fmt"
 	"time"
 
@@ -70,10 +69,17 @@ type Network struct {
 	// guards on the nil check before building an event.
 	Obs   *obs.Observer
 	nodes map[string]*Node
+	// order lists the nodes as they were added; orient roots each component
+	// at its first-added node, so the tree and a refused cycle's report do
+	// not depend on map order.
+	order []*Node
 	// routes caches computed paths. The key is the node-pointer pair so a
 	// cache hit — every data- and control-plane send after the first — does
-	// not allocate a concatenated string key.
+	// not allocate a concatenated string key. A topology change sets it to
+	// nil, and the next route orients the tree again; cycle is what that
+	// orientation refused, if anything.
 	routes    map[routeKey]*Path
+	cycle     error
 	firewalls map[string]*firewall.Firewall
 	nextConn  int
 	// Free lists for the data plane: in-flight transfer records and
@@ -108,7 +114,6 @@ func New(k *sim.Kernel) *Network {
 		K:         k,
 		MTU:       DefaultMTU,
 		nodes:     make(map[string]*Node),
-		routes:    make(map[routeKey]*Path),
 		firewalls: make(map[string]*firewall.Firewall),
 	}
 }
@@ -127,10 +132,11 @@ type Node struct {
 	links     []*linkDir
 	listeners map[int]*listener
 	nextPort  int
-	// parent, when set (SetParent), places the node in a tree-shaped routing
-	// hierarchy: paths between parented nodes compose by LCA walk instead of
-	// Dijkstra. Nil everywhere keeps routing exactly as before.
-	parent *Node
+	// Tree orientation (see orient): up is the link toward the parent (nil
+	// at a root), root the component's root, depth the hops below it.
+	up    *linkDir
+	root  *Node
+	depth int
 
 	// Crash/restart state: every process spawned on the host and every open
 	// connection endpoint is tracked so CrashHost can take them down, and
@@ -196,7 +202,8 @@ func (n *Network) addNode(node *Node) {
 		panic(fmt.Sprintf("simnet: duplicate node %q", node.name))
 	}
 	n.nodes[node.name] = node
-	n.routes = make(map[routeKey]*Path) // invalidate cache
+	n.order = append(n.order, node)
+	n.routes = nil
 }
 
 // Node returns the named node, or nil.
@@ -232,112 +239,101 @@ func (n *Network) Connect(a, b string, cfg LinkConfig) {
 	ab.rev, ba.rev = ba, ab
 	na.links = append(na.links, ab)
 	nb.links = append(nb.links, ba)
-	n.routes = make(map[routeKey]*Path)
+	n.routes = nil
 }
 
 // Path is a resolved route: the directed links from one node to another, in
 // order. Sending on a held Path skips the name and route-cache lookups a
-// SendMessage pays; it stays valid until the topology changes (a node, link
-// or parent added).
+// SendMessage pays; it stays valid until the topology changes (a node or
+// link added).
 type Path struct{ links []*linkDir }
 
-// route computes (with caching) the minimum-latency path between two nodes;
-// nil when there is none. Ties break on hop count, then on node name for
-// determinism.
-func (n *Network) route(src, dst *Node) *Path {
+// route returns (with caching) the path between two nodes; nil when they
+// are in different components. Topologies are trees — each site behind one
+// gateway, the sites joined at the core — so the path is the unique one
+// through the nodes' lowest common ancestor. A topology with a cycle is
+// refused: every route then fails with the error naming the closing link.
+func (n *Network) route(src, dst *Node) (*Path, error) {
 	key := routeKey{src, dst}
 	if p, ok := n.routes[key]; ok {
-		return p
+		return p, nil
+	}
+	if n.routes == nil {
+		n.cycle = n.orient()
+		n.routes = make(map[routeKey]*Path)
+	}
+	if n.cycle != nil {
+		return nil, n.cycle
 	}
 	var p *Path
-	if src == dst {
-		p = &Path{}
-	} else if links := n.hierPath(src, dst); links != nil {
-		p = &Path{links}
-	} else if links = n.dijkstra(src, dst); links != nil {
-		p = &Path{links}
+	if src.root == dst.root {
+		p = &Path{treePath(src, dst)}
 	}
 	n.routes[key] = p
-	return p
+	return p, nil
 }
 
 // routeKey identifies a cached path by its endpoint nodes.
 type routeKey struct{ src, dst *Node }
 
-type pqItem struct {
-	node *Node
-	dist time.Duration
-	hops int
-	via  *linkDir
-	prev *pqItem
-	idx  int
-}
-
-type pq []*pqItem
-
-func (q pq) Len() int { return len(q) }
-func (q pq) Less(i, j int) bool {
-	if q[i].dist != q[j].dist {
-		return q[i].dist < q[j].dist
+// orient roots every component at its first-added node and records each
+// node's up link, root and depth by breadth-first search. A link that
+// reaches an already visited node other than over the link just climbed
+// closes a cycle (a loop, a doubled link or a ring), and orient refuses the
+// topology naming it.
+func (n *Network) orient() error {
+	for _, nd := range n.order {
+		nd.up, nd.root, nd.depth = nil, nil, 0
 	}
-	if q[i].hops != q[j].hops {
-		return q[i].hops < q[j].hops
-	}
-	return q[i].node.name < q[j].node.name
-}
-func (q pq) Swap(i, j int)       { q[i], q[j] = q[j], q[i]; q[i].idx, q[j].idx = i, j }
-func (q *pq) Push(x interface{}) { it := x.(*pqItem); it.idx = len(*q); *q = append(*q, it) }
-func (q *pq) Pop() interface{} {
-	old := *q
-	it := old[len(old)-1]
-	*q = old[:len(old)-1]
-	return it
-}
-
-func (n *Network) dijkstra(src, dst *Node) []*linkDir {
-	settled := make(map[string]bool)
-	best := make(map[string]*pqItem)
-	q := &pq{}
-	start := &pqItem{node: src}
-	heap.Push(q, start)
-	best[src.name] = start
-	for q.Len() > 0 {
-		it := heap.Pop(q).(*pqItem)
-		if settled[it.node.name] {
+	queue := make([]*Node, 0, len(n.order))
+	for _, r := range n.order {
+		if r.root != nil {
 			continue
 		}
-		settled[it.node.name] = true
-		if it.node == dst {
-			var path []*linkDir
-			for cur := it; cur.via != nil; cur = cur.prev {
-				path = append([]*linkDir{cur.via}, path...)
-			}
-			return path
-		}
-		for _, ld := range it.node.links {
-			if settled[ld.to.name] {
-				continue
-			}
-			// A nanosecond per hop keeps zero-latency topologies ordered.
-			nd := it.dist + ld.cfg.Latency + 1
-			cur, ok := best[ld.to.name]
-			cand := &pqItem{node: ld.to, dist: nd, hops: it.hops + 1, via: ld, prev: it}
-			if !ok || pq([]*pqItem{cand, cur}).Less(0, 1) {
-				best[ld.to.name] = cand
-				heap.Push(q, cand)
+		r.root = r
+		queue = append(queue[:0], r)
+		for i := 0; i < len(queue); i++ {
+			nd := queue[i]
+			for _, ld := range nd.links {
+				if ld == nd.up {
+					continue
+				}
+				if ld.to.root != nil {
+					return fmt.Errorf("simnet: topology is not a tree: link %s closes a cycle", ld.label)
+				}
+				ld.to.up, ld.to.root, ld.to.depth = ld.rev, r, nd.depth+1
+				queue = append(queue, ld.to)
 			}
 		}
 	}
 	return nil
 }
 
-// reversePath returns the reverse direction of each link, in reverse order.
-func reversePath(path []*linkDir) []*linkDir {
-	out := make([]*linkDir, len(path))
-	for i, ld := range path {
-		out[len(path)-1-i] = ld.rev
+// treePath climbs the deeper end to the other's depth, then both ends to
+// their common node, and returns the links src climbs followed by those
+// that descend to dst.
+func treePath(src, dst *Node) []*linkDir {
+	a, b := src, dst
+	for a.depth > b.depth {
+		a = a.up.to
 	}
-	return out
+	for b.depth > a.depth {
+		b = b.up.to
+	}
+	for a != b {
+		a, b = a.up.to, b.up.to
+	}
+	path := make([]*linkDir, src.depth+dst.depth-2*a.depth)
+	i, j := 0, len(path)
+	for x := src; x != a; x = x.up.to {
+		path[i] = x.up
+		i++
+	}
+	for x := dst; x != a; x = x.up.to {
+		j--
+		path[j] = x.up.rev
+	}
+	return path
 }
 
 // linkDir pump states.
@@ -685,19 +681,56 @@ func (n *Network) checkFirewalls(src, dst *Node, dstPort int) error {
 	return nil
 }
 
+// SendMessage delivers a connection-less control datagram of size bytes from
+// src to dst: it traverses the routed path hop by hop (each hop costs the
+// link's serialization and propagation exactly like a stream segment) and
+// runs deliver at the final node. There is no connection handshake and —
+// unlike Dial — no firewall check: datagrams model intra-fleet control
+// traffic (dispatch, completions, heartbeats) between components that are
+// already mutually trusted, not new inbound connections. Must be called
+// from kernel or process context. Same-node sends deliver after a
+// scheduling tick. It is Resolve then SendOn; a sender that reuses a route
+// holds the Path instead.
+func (n *Network) SendMessage(src, dst string, size int, deliver func()) error {
+	p, err := n.Resolve(src, dst)
+	if err != nil {
+		return err
+	}
+	n.SendOn(p, size, deliver)
+	return nil
+}
+
+// Resolve returns the routed path from src to dst, from the route cache.
+func (n *Network) Resolve(src, dst string) (*Path, error) {
+	a, b := n.nodes[src], n.nodes[dst]
+	if a == nil || b == nil {
+		return nil, fmt.Errorf("simnet: unknown node in %q -> %q", src, dst)
+	}
+	p, err := n.route(a, b)
+	if err != nil {
+		return nil, err
+	}
+	if p == nil {
+		return nil, fmt.Errorf("simnet: no route %q -> %q", src, dst)
+	}
+	return p, nil
+}
+
+// SendOn is SendMessage on a resolved path: the same datagram, hop by hop,
+// with deliver run at the path's last node.
+func (n *Network) SendOn(p *Path, size int, deliver func()) {
+	n.send(p.links, size, deliver)
+}
+
 // PathLatency reports the one-way propagation latency between two hosts
 // (sum of link latencies on the routed path), for calibration and tests.
 func (n *Network) PathLatency(src, dst string) (time.Duration, error) {
-	a, b := n.nodes[src], n.nodes[dst]
-	if a == nil || b == nil {
-		return 0, fmt.Errorf("simnet: unknown node in %q -> %q", src, dst)
-	}
-	path := n.route(a, b)
-	if path == nil {
-		return 0, fmt.Errorf("simnet: no route %q -> %q", src, dst)
+	p, err := n.Resolve(src, dst)
+	if err != nil {
+		return 0, err
 	}
 	var total time.Duration
-	for _, ld := range path.links {
+	for _, ld := range p.links {
 		total += ld.cfg.Latency
 	}
 	return total, nil
@@ -706,16 +739,12 @@ func (n *Network) PathLatency(src, dst string) (time.Duration, error) {
 // PathBandwidth reports the bottleneck bandwidth along the routed path;
 // 0 means unlimited end to end.
 func (n *Network) PathBandwidth(src, dst string) (int64, error) {
-	a, b := n.nodes[src], n.nodes[dst]
-	if a == nil || b == nil {
-		return 0, fmt.Errorf("simnet: unknown node in %q -> %q", src, dst)
-	}
-	path := n.route(a, b)
-	if path == nil {
-		return 0, fmt.Errorf("simnet: no route %q -> %q", src, dst)
+	p, err := n.Resolve(src, dst)
+	if err != nil {
+		return 0, err
 	}
 	var min int64
-	for _, ld := range path.links {
+	for _, ld := range p.links {
 		if ld.cfg.Bandwidth == 0 {
 			continue
 		}
@@ -728,13 +757,9 @@ func (n *Network) PathBandwidth(src, dst string) (int64, error) {
 
 // Hops reports the number of links on the routed path.
 func (n *Network) Hops(src, dst string) (int, error) {
-	a, b := n.nodes[src], n.nodes[dst]
-	if a == nil || b == nil {
-		return 0, fmt.Errorf("simnet: unknown node in %q -> %q", src, dst)
+	p, err := n.Resolve(src, dst)
+	if err != nil {
+		return 0, err
 	}
-	path := n.route(a, b)
-	if path == nil {
-		return 0, fmt.Errorf("simnet: no route %q -> %q", src, dst)
-	}
-	return len(path.links), nil
+	return len(p.links), nil
 }

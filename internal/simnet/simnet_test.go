@@ -245,30 +245,6 @@ func TestMultiHopPipelines(t *testing.T) {
 	}
 }
 
-func TestRoutingPrefersLowLatency(t *testing.T) {
-	k := sim.New()
-	n := New(k)
-	n.AddHost("a", HostConfig{})
-	n.AddHost("b", HostConfig{})
-	n.AddRouter("fast", "")
-	n.AddRouter("slow", "")
-	n.Connect("a", "fast", LinkConfig{Latency: time.Millisecond})
-	n.Connect("fast", "b", LinkConfig{Latency: time.Millisecond})
-	n.Connect("a", "slow", LinkConfig{Latency: 100 * time.Millisecond})
-	n.Connect("slow", "b", LinkConfig{Latency: 100 * time.Millisecond})
-	lat, err := n.PathLatency("a", "b")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lat != 2*time.Millisecond {
-		t.Fatalf("PathLatency = %v, want 2ms via fast router", lat)
-	}
-	hops, _ := n.Hops("a", "b")
-	if hops != 2 {
-		t.Fatalf("Hops = %d, want 2", hops)
-	}
-}
-
 func TestPathBandwidthBottleneck(t *testing.T) {
 	k := sim.New()
 	n := New(k)

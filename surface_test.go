@@ -15,8 +15,7 @@ import (
 
 // frontEnds lists the exported functions TestNoUncalledExports lets through
 // although no non-test Go file names them, each with the front end that
-// reaches it instead: a byte golden its test renders, or the standard library
-// calling it through an interface.
+// reaches it instead: a byte golden its test renders.
 var frontEnds = map[string]string{
 	"internal/bench/figures.go:Figure1":       "golden internal/bench/testdata/figure1.txt (TestGoldenReports)",
 	"internal/bench/figures.go:Figure3":       "golden internal/bench/testdata/figure3.txt (TestGoldenReports)",
@@ -24,7 +23,6 @@ var frontEnds = map[string]string{
 	"internal/bench/figures.go:Figure5":       "golden internal/bench/testdata/figure5.txt (TestGoldenReports)",
 	"internal/bench/knapsack.go:FormatTable3": "golden internal/bench/testdata/table3.txt (TestGoldenReports)",
 	"internal/bench/sweep.go:FormatSweep":     "golden internal/bench/testdata/sweep.txt (TestGoldenReports)",
-	"internal/simnet/network.go:Swap":         "container/heap calls pq.Swap through heap.Interface",
 }
 
 // TestNoUncalledExports keeps the library's surface to what a front end
@@ -116,6 +114,7 @@ var removedInDocs = map[string]string{
 	"cmd/experiments":              "the second front end, replaced by simulator run",
 	"internal/chaos/transfer.go":   "the chaos transfer runner, removed in PR 36",
 	"internal/chaos":               "the second knapsack harness, removed in PR 41",
+	"internal/simnet/hierarchy.go": "the parent-pointer router, replaced by the tree router in network.go",
 	"cmd/nxbench":                  "the proxy measurement command, removed in PR 36",
 	"examples/knapsackrun":         "the Table 4 example, removed in PR 36",
 }
