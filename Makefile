@@ -42,14 +42,16 @@ check: benchmark-smoke chaos scenarios fleet-smoke trace-goldens
 # the TCP relay tests: a real relay's two pumps are separate goroutines that
 # share an atomic byte counter, and a direction that fills its buffer hands
 # off from the read/write loop to splice(2), which changes how they
-# interleave.
+# interleave. And so do the TCP tests of the control plane (nexus, gram,
+# gass, rmf): a frame on a real socket is built in a pooled buffer that
+# every writer goroutine shares.
 race-sched:
 	GOMAXPROCS=1 $(GO) test -race -count=3 ./internal/sim/
 	GOMAXPROCS=4 $(GO) test -race -count=3 ./internal/sim/
 	GOMAXPROCS=1 $(GO) test -race -count=3 -run InPlace ./internal/simnet ./internal/proxy
 	GOMAXPROCS=4 $(GO) test -race -count=3 -run InPlace ./internal/simnet ./internal/proxy
-	GOMAXPROCS=1 $(GO) test -race -count=3 -run TCP ./internal/proxy ./internal/transport
-	GOMAXPROCS=4 $(GO) test -race -count=3 -run TCP ./internal/proxy ./internal/transport
+	GOMAXPROCS=1 $(GO) test -race -count=3 -run TCP ./internal/proxy ./internal/transport ./internal/nexus ./internal/gram ./internal/gass ./internal/rmf
+	GOMAXPROCS=4 $(GO) test -race -count=3 -run TCP ./internal/proxy ./internal/transport ./internal/nexus ./internal/gram ./internal/gass ./internal/rmf
 
 # chaos runs the fault-injection recovery scenarios (see EXPERIMENTS.md,
 # "Chaos runs") on their own, under the race detector.
@@ -128,7 +130,8 @@ cover:
 # (each accepted spec's config and comparator built through its kind's
 # entry), and the request handlers of the RMF allocator and Q server, the MDS
 # directory server and the HBM monitor, and the HBM client's list-reply
-# decoder; and it fuzzes the kernel's lane merge
+# decoder, the knapsack work-batch decoder and the gatekeeper's half of the
+# authentication handshake; and it fuzzes the kernel's lane merge
 # against the heap-only firing order, SleepEach's in-place slices (sleeping or
 # parked on a Cond or Semaphore) against the blocking loop they replace, the
 # in-place relay pumps and Nexus frame reader against their blocking loops,
@@ -150,6 +153,8 @@ fuzz:
 	$(GO) test -fuzz FuzzDirectoryRequest -fuzztime $(FUZZTIME) ./internal/mds/
 	$(GO) test -fuzz FuzzMonitorRequest -fuzztime $(FUZZTIME) ./internal/hbm/
 	$(GO) test -fuzz FuzzListReply -fuzztime $(FUZZTIME) ./internal/hbm/
+	$(GO) test -fuzz FuzzDecodeNodes -fuzztime $(FUZZTIME) ./internal/knapsack/
+	$(GO) test -fuzz FuzzAuthAccept -fuzztime $(FUZZTIME) ./internal/auth/
 	$(GO) test -fuzz FuzzLaneOrder -fuzztime $(FUZZTIME) ./internal/sim/
 	$(GO) test -fuzz FuzzSleepEachOrder -fuzztime $(FUZZTIME) ./internal/sim/
 	$(GO) test -fuzz FuzzRelayInPlace -fuzztime $(FUZZTIME) ./internal/proxy/

@@ -204,10 +204,7 @@ func (s *Server) handle(env transport.Env, c transport.Conn) {
 		var sz [5]byte
 		sz[0] = 0 // OK
 		binary.BigEndian.PutUint32(sz[1:], uint32(len(data)))
-		if _, err := st.Write(sz[:]); err != nil {
-			return
-		}
-		_, _ = st.Write(data)
+		_ = transport.WriteHead(st, sz[:], data)
 	case opPut:
 		var sz [4]byte
 		if _, err := io.ReadFull(st, sz[:]); err != nil {
@@ -416,10 +413,7 @@ func publish(env transport.Env, hostport, path, url string, data []byte) error {
 	}
 	var sz [4]byte
 	binary.BigEndian.PutUint32(sz[:], uint32(len(data)))
-	if _, err := st.Write(sz[:]); err != nil {
-		return err
-	}
-	if _, err := st.Write(data); err != nil {
+	if err := transport.WriteHead(st, sz[:], data); err != nil {
 		return err
 	}
 	status := make([]byte, 1)

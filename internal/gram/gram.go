@@ -293,14 +293,17 @@ func (g *Gatekeeper) startRMF(env transport.Env, job *managedJob, spec rmf.Proce
 			g.fail(job, err)
 			return
 		}
-		if err := h.Wait(e, 10*time.Millisecond, 0); err != nil {
+		// The job is DONE (or FAILED) as its last process ends: the slots
+		// go back to the allocator after that, off the client's path.
+		if err := h.Await(e, 10*time.Millisecond, 0); err != nil {
 			g.fail(job, err)
-			return
+		} else {
+			g.mu.Lock()
+			job.state = rmf.StateDone
+			g.mu.Unlock()
+			g.tracef("job manager %s: all processes done", job.contact)
 		}
-		g.mu.Lock()
-		job.state = rmf.StateDone
-		g.mu.Unlock()
-		g.tracef("job manager %s: all processes done", job.contact)
+		h.ReleaseSlots(e)
 	})
 }
 

@@ -273,3 +273,73 @@ func TestListRejectsBadReplyCount(t *testing.T) {
 		}
 	}
 }
+
+// TestRMFJobReleasesAfterDoneTCP: the rmf job manager reports DONE (or
+// FAILED) before it returns the job's allocator slots, so gram.Wait can
+// return while the slots are still counted; they must still come back. Each
+// job runs alone, so after it every resource's load must fall back to 0.
+func TestRMFJobReleasesAfterDoneTCP(t *testing.T) {
+	reg := rmf.NewRegistry()
+	reg.Register("ok", func(e transport.Env, ctx *rmf.JobContext) error { return nil })
+	reg.Register("broken", func(e transport.Env, ctx *rmf.JobContext) error {
+		return fmt.Errorf("broken on %s", ctx.Resource)
+	})
+	env := transport.NewTCPEnv("localhost")
+	alloc := rmf.NewAllocator()
+	allocReady := make(chan string, 1)
+	env.Spawn("alloc", func(e transport.Env) {
+		_ = alloc.Serve(e, 0, func(a string) { allocReady <- a })
+	})
+	allocAddr := <-allocReady
+	t.Cleanup(func() { alloc.Close(env) })
+	resources := []string{"q0", "q1"}
+	for _, name := range resources {
+		q := rmf.NewQServer(name, "c", 2, reg)
+		ready := make(chan string, 1)
+		env.Spawn("qserver-"+name, func(e transport.Env) {
+			_ = q.Serve(e, 0, allocAddr, func(a string) { ready <- a })
+		})
+		<-ready
+		t.Cleanup(func() { q.Close(env) })
+	}
+	for alloc.Load(resources[0]) < 0 || alloc.Load(resources[1]) < 0 {
+		time.Sleep(time.Millisecond) // registration is asynchronous
+	}
+	cred, err := auth.NewCredential("/O=Grid/CN=tester")
+	if err != nil {
+		t.Fatal(err)
+	}
+	kr := auth.NewKeyring()
+	kr.Grant(cred, "tester")
+	gk := NewGatekeeper(Config{Keyring: kr, Registry: reg, AllocatorAddr: allocAddr, DefaultJobManager: "rmf"})
+	gkReady := make(chan string, 1)
+	env.Spawn("gk", func(e transport.Env) {
+		_ = gk.Serve(e, 0, func(a string) { gkReady <- a })
+	})
+	gkAddr := <-gkReady
+	t.Cleanup(func() { gk.Close(env) })
+
+	for _, job := range []struct{ exe, fails string }{
+		{"ok", ""},
+		{"no-such-program", "no such executable"}, // refused at submit
+		{"broken", "broken on"},                   // fails as it runs
+	} {
+		contact, err := Submit(env, gkAddr, cred, fmt.Sprintf(`&(executable=%s)(count=2)`, job.exe))
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = Wait(env, gkAddr, cred, contact, time.Millisecond, 5*time.Second)
+		if job.fails == "" && err != nil || job.fails != "" && (err == nil || !strings.Contains(err.Error(), job.fails)) {
+			t.Fatalf("%s job: Wait = %v, want failure %q", job.exe, err, job.fails)
+		}
+		deadline := time.Now().Add(2 * time.Second)
+		for _, r := range resources {
+			for alloc.Load(r) != 0 {
+				if time.Now().After(deadline) {
+					t.Fatalf("%s job: load on %s is %d after Wait returned, want 0", job.exe, r, alloc.Load(r))
+				}
+				time.Sleep(time.Millisecond)
+			}
+		}
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 	"time"
@@ -170,6 +171,33 @@ func FuzzBranchN(f *testing.F) {
 			if got.Best != want.Best || got.Traversed != want.Traversed {
 				t.Fatalf("op %d: Best %d Traversed %d, want %d and %d", op, got.Best, got.Traversed, want.Best, want.Traversed)
 			}
+		}
+	})
+}
+
+// FuzzDecodeNodes feeds DecodeNodes arbitrary work batches. It must never
+// panic, must size nothing by a count the batch's bytes cannot hold (20 per
+// node), and whatever it accepts must re-encode to the bytes it read.
+func FuzzDecodeNodes(f *testing.F) {
+	f.Add(EncodeNodes(nil))
+	f.Add(EncodeNodes([]Node{{Index: 1, Value: 100, Capacity: 50}, {Index: 30, Value: -2}}))
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
+	f.Add([]byte{0x7f, 0xff, 0xff, 0xff})
+	f.Add([]byte{0, 0x10, 0, 0, 1, 2, 3})
+	f.Add([]byte{0, 0, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		ns, err := DecodeNodes(data)
+		runtime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<10+2*uint64(len(data)) {
+			t.Fatalf("a %d-byte batch made the decoder allocate %d bytes", len(data), grew)
+		}
+		if err != nil {
+			return
+		}
+		if enc := EncodeNodes(ns); !slices.Equal(enc, data[:len(enc)]) {
+			t.Fatalf("%d nodes re-encode to %x, batch began %x", len(ns), enc, data[:len(enc)])
 		}
 	})
 }

@@ -168,6 +168,13 @@ func TestEncodeDecodeNodes(t *testing.T) {
 	if _, err := DecodeNodes([]byte{0, 0, 0}); err == nil {
 		t.Fatal("truncated batch decoded")
 	}
+	// A count the bytes cannot hold is refused before it sizes anything:
+	// -1 once panicked in make, and 2^24 allocated 384 MiB for 8 bytes.
+	for _, batch := range [][]byte{{0xff, 0xff, 0xff, 0xff}, {1, 0, 0, 0, 0, 0, 0, 0}} {
+		if ns, err := DecodeNodes(batch); err == nil {
+			t.Fatalf("batch %x decoded to %d nodes", batch, len(ns))
+		}
+	}
 }
 
 // TestEncodeNodesMatchesBuffer pins EncodeNodes' bytes to the nexus.Buffer

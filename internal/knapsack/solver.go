@@ -2,6 +2,7 @@ package knapsack
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"slices"
 	"sort"
@@ -261,12 +262,16 @@ func EncodeNodes(ns []Node) []byte {
 	return b
 }
 
-// DecodeNodes parses a work batch.
+// DecodeNodes parses a work batch. A count the batch's bytes cannot hold
+// (20 per node) is refused before anything is sized by it.
 func DecodeNodes(data []byte) ([]Node, error) {
 	b := nexus.FromBytes(data)
 	k, err := b.GetInt32()
 	if err != nil {
 		return nil, err
+	}
+	if k < 0 || int(k) > b.Remaining()/20 {
+		return nil, fmt.Errorf("knapsack: batch claims %d nodes in %d bytes", k, b.Remaining())
 	}
 	ns := make([]Node, k)
 	for i := range ns {

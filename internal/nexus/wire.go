@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+
+	"nxcluster/internal/transport"
 )
 
 // The control-plane wire. Every control daemon behind the one open port
@@ -17,15 +19,12 @@ import (
 const DefaultMaxFrame = 16 << 20
 
 // WriteFrame writes a length-prefixed buffer: a 4-byte big-endian length,
-// then the bytes.
+// then the bytes. On a real socket that is one write, on simnet two
+// segments (transport.WriteHead).
 func WriteFrame(w io.Writer, b *Buffer) error {
 	var hdr [4]byte
 	binary.BigEndian.PutUint32(hdr[:], uint32(b.Len()))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(b.Bytes())
-	return err
+	return transport.WriteHead(w, hdr[:], b.Bytes())
 }
 
 // ReadFrame reads a length-prefixed buffer, rejecting frames over max

@@ -178,18 +178,18 @@ type JobHandle struct {
 	// Specs holds each process's submitted spec so a lost process can be
 	// requeued verbatim.
 	Specs []ProcessSpec
-	// Recovery, when non-nil, makes Wait requeue processes lost to Q server
+	// Recovery, when non-nil, makes Await requeue processes lost to Q server
 	// failures instead of reporting them as errors.
 	Recovery *RecoveryPolicy
 	// Requeues counts processes recovered onto replacement resources.
 	Requeues int
-	// Speculations counts speculative duplicates launched by Wait under a
+	// Speculations counts speculative duplicates launched by Await under a
 	// RecoveryPolicy with SpeculateAfter set.
 	Speculations int
 	// Trace is the job's root trace context, minted by SubmitJob when an
 	// observer is attached (zero otherwise). Allocation, per-process
 	// submission, server-side execution and staging all parent under it;
-	// Wait closes the root span when the job reaches a terminal state.
+	// ReleaseSlots closes the root span.
 	Trace    obs.TraceContext
 	released bool
 }
@@ -261,9 +261,19 @@ func SubmitJob(env transport.Env, allocatorAddr string, req JobRequest) (*JobHan
 	return h, nil
 }
 
-// Wait blocks until every process reaches a terminal state or the timeout
-// expires, then releases the allocation. It returns the first failure. poll
-// is the longest Wait goes without looking at its deadline.
+// Wait is Await followed by ReleaseSlots: it blocks until every process
+// reaches a terminal state or the timeout expires, then releases the
+// allocation, and returns Await's result.
+func (h *JobHandle) Wait(env transport.Env, poll, timeout time.Duration) error {
+	err := h.Await(env, poll, timeout)
+	h.ReleaseSlots(env)
+	return err
+}
+
+// Await blocks until every process reaches a terminal state or the timeout
+// expires, and returns the first failure; the slots stay allocated until
+// ReleaseSlots. poll is the longest Await goes without looking at its
+// deadline.
 //
 // Without a RecoveryPolicy it asks each Q server to answer when the process
 // ends (Await, held for poll at a time), so it returns as the last process
@@ -274,7 +284,7 @@ func SubmitJob(env transport.Env, allocatorAddr string, req JobRequest) (*JobHan
 // A process whose Q server stops answering — crashed host, restarted daemon
 // that forgot the job id — is then requeued onto a fresh slot instead of
 // failing the job (see RecoveryPolicy for semantics).
-func (h *JobHandle) Wait(env transport.Env, poll, timeout time.Duration) error {
+func (h *JobHandle) Await(env transport.Env, poll, timeout time.Duration) error {
 	if poll <= 0 {
 		poll = 50 * time.Millisecond
 	}
@@ -282,17 +292,13 @@ func (h *JobHandle) Wait(env transport.Env, poll, timeout time.Duration) error {
 	if timeout <= 0 {
 		deadline = time.Duration(math.MaxInt64)
 	}
-	var err error
 	if h.Recovery == nil {
-		err = h.awaitAll(env, poll, deadline)
-	} else {
-		err = h.pollAll(env, poll, deadline)
+		return h.awaitAll(env, poll, deadline)
 	}
-	h.ReleaseSlots(env)
-	return err
+	return h.pollAll(env, poll, deadline)
 }
 
-// awaitAll is Wait for a job without a RecoveryPolicy.
+// awaitAll is Await for a job without a RecoveryPolicy.
 func (h *JobHandle) awaitAll(env transport.Env, poll, deadline time.Duration) error {
 	var firstErr error
 	for _, p := range h.Processes {

@@ -75,7 +75,7 @@ func (a *Allocator) WatchHBM(env transport.Env, hbmAddr string, interval time.Du
 	})
 }
 
-// RecoveryPolicy makes JobHandle.Wait survive Q server failures. A process
+// RecoveryPolicy makes JobHandle.Await survive Q server failures. A process
 // whose Q server stops answering Status (or forgets the job id across a
 // restart) is declared lost after StatusRetries consecutive errors; its slot
 // is released, a replacement is allocated — the health-aware allocator
@@ -103,7 +103,7 @@ type RecoveryPolicy struct {
 	SpeculateAfter time.Duration
 }
 
-// pollAll is Wait under a RecoveryPolicy: Status every poll, requeue and
+// pollAll is Await under a RecoveryPolicy: Status every poll, requeue and
 // speculation decided between polls.
 func (h *JobHandle) pollAll(env transport.Env, poll, deadline time.Duration) error {
 	statusRetries := h.Recovery.StatusRetries
@@ -224,7 +224,7 @@ func (h *JobHandle) pollAll(env transport.Env, poll, deadline time.Duration) err
 // allocator's load- and health-aware ranking steers the copy away from the
 // straggler, which still holds its own slot. Best-effort by design: a copy
 // that cannot be placed or submitted is skipped, and since the progress
-// deadline stays expired, Wait simply tries again on a later poll.
+// deadline stays expired, Await simply tries again on a later poll.
 func (h *JobHandle) speculate(env transport.Env, i int, o *obs.Observer) *Process {
 	names, addrs, err := Allocate(env, h.AllocatorAddr, 1, h.Cluster)
 	if err != nil {

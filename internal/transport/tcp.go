@@ -6,6 +6,7 @@ import (
 	"net"
 	"runtime"
 	"strings"
+	"sync"
 	"syscall"
 	"time"
 )
@@ -204,6 +205,40 @@ func spliceRest(src, dst *net.TCPConn, fwd func(n int)) error {
 func (t *tcpConn) LocalAddr() string { return t.local }
 
 func (t *tcpConn) RemoteAddr() string { return t.remote }
+
+// joinMax is the largest head plus body WriteHead copies into one write.
+// Past it the copy is no longer small beside the system call it saves.
+const joinMax = 64 << 10
+
+// joinPool holds WriteHead's frame buffers, each grown to the largest frame
+// it has carried, up to joinMax.
+var joinPool = sync.Pool{New: func() any { b := make([]byte, 0, 256); return &b }}
+
+// WriteHead writes a message head (a length prefix, a status byte) and then
+// its body to w. On a Stream over a TCPEnv socket every write is a system
+// call and, with Nagle's algorithm off, a segment of its own, so head and
+// body go out as one write through a pooled buffer when together they fit
+// in joinMax bytes. Anywhere else, a simnet stream in particular, whose
+// segments are events of the model, they are two writes, as the protocols
+// have always issued them.
+func WriteHead(w io.Writer, head, body []byte) error {
+	bp := joinPool.Get().(*[]byte)
+	defer joinPool.Put(bp)
+	join := false
+	if s, ok := w.(Stream); ok && len(head)+len(body) <= joinMax {
+		_, join = s.Conn.(*tcpConn)
+	}
+	frame := append((*bp)[:0], head...)
+	if join {
+		frame = append(frame, body...)
+	}
+	*bp = frame
+	if _, err := w.Write(frame); err != nil || join {
+		return err
+	}
+	_, err := w.Write(body)
+	return err
+}
 
 // isResetErr detects an abrupt peer teardown (RST / broken pipe), which
 // upper layers must see as ErrReset, never as an orderly EOF.

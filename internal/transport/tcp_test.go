@@ -1,8 +1,10 @@
 package transport
 
 import (
+	"bytes"
 	"errors"
 	"io"
+	"net"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -137,5 +139,75 @@ func TestTCPEnvClockMonotonic(t *testing.T) {
 	env.Sleep(10 * 1e6) // 10ms
 	if env.Now() <= a {
 		t.Fatal("clock did not advance")
+	}
+}
+
+// recConn is a socket that records each write it is given.
+type recConn struct {
+	net.Conn
+	writes [][]byte
+}
+
+func (r *recConn) Write(b []byte) (int, error) {
+	r.writes = append(r.writes, append([]byte(nil), b...))
+	return len(b), nil
+}
+
+// recEnd is a Conn that is not a TCPEnv socket and records its writes.
+type recEnd struct {
+	tcpConn
+	writes [][]byte
+}
+
+func (r *recEnd) Write(env Env, b []byte) (int, error) {
+	r.writes = append(r.writes, append([]byte(nil), b...))
+	return len(b), nil
+}
+
+func writeSizes(ws [][]byte) []int {
+	out := make([]int, len(ws))
+	for i, w := range ws {
+		out[i] = len(w)
+	}
+	return out
+}
+
+// TestTCPWriteHeadJoins checks WriteHead's one write per message on a TCPEnv
+// socket up to joinMax, and its two writes past it and on any other Conn,
+// and that the socket path allocates nothing once its pooled buffer has
+// grown.
+func TestTCPWriteHeadJoins(t *testing.T) {
+	head, body := []byte{0, 0, 0, 100}, bytes.Repeat([]byte{7}, 100)
+	sock := &recConn{}
+	st := Stream{Conn: &tcpConn{c: sock}}
+	if err := WriteHead(st, head, body); err != nil {
+		t.Fatal(err)
+	}
+	if len(sock.writes) != 1 || !bytes.Equal(sock.writes[0], append(head, body...)) {
+		t.Fatalf("socket writes %v, want one of 104 bytes", writeSizes(sock.writes))
+	}
+	sock.writes = nil
+	big := make([]byte, joinMax)
+	if err := WriteHead(st, head, big); err != nil {
+		t.Fatal(err)
+	}
+	if got := writeSizes(sock.writes); len(got) != 2 || got[0] != 4 || got[1] != joinMax {
+		t.Fatalf("socket writes %v past joinMax, want [4 %d]", got, joinMax)
+	}
+	other := &recEnd{}
+	if err := WriteHead(Stream{Conn: other}, head, body); err != nil {
+		t.Fatal(err)
+	}
+	if got := writeSizes(other.writes); len(got) != 2 || got[0] != 4 || got[1] != 100 {
+		t.Fatalf("non-socket writes %v, want [4 100]", got)
+	}
+	sock.writes = make([][]byte, 0, 1000)
+	var w io.Writer = st // as the protocols hold it
+	if n := testing.AllocsPerRun(100, func() {
+		_ = WriteHead(w, head, body)
+		sock.writes = sock.writes[:0]
+	}); n > 1 {
+		// One allocation is recConn's own copy of the write.
+		t.Fatalf("WriteHead on a socket allocates %.0f times per call, want none of its own", n-1)
 	}
 }
