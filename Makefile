@@ -44,7 +44,8 @@ check: benchmark-smoke chaos scenarios fleet-smoke trace-goldens
 # off from the read/write loop to splice(2), which changes how they
 # interleave. And so do the TCP tests of the control plane (nexus, gram,
 # gass, rmf): a frame on a real socket is built in a pooled buffer that
-# every writer goroutine shares.
+# every writer goroutine shares, and a TCPEnv's idle GRAM sessions are one
+# table its goroutines share while a gatekeeper's Close races its sessions.
 race-sched:
 	GOMAXPROCS=1 $(GO) test -race -count=3 ./internal/sim/
 	GOMAXPROCS=4 $(GO) test -race -count=3 ./internal/sim/
@@ -130,14 +131,15 @@ cover:
 # (each accepted spec's config and comparator built through its kind's
 # entry), and the request handlers of the RMF allocator and Q server, the MDS
 # directory server and the HBM monitor, and the HBM client's list-reply
-# decoder, the knapsack work-batch decoder and the gatekeeper's half of the
-# authentication handshake; and it fuzzes the kernel's lane merge
-# against the heap-only firing order, SleepEach's in-place slices (sleeping or
-# parked on a Cond or Semaphore) against the blocking loop they replace, the
-# in-place relay pumps and Nexus frame reader against their blocking loops,
-# the hash-only trace observer against the recording one, its folded span
-# durations against the causal forest's, and the knapsack solver's BranchN
-# loop against one branch operation at a time.
+# decoder, the knapsack work-batch decoder, the gatekeeper's half of the
+# authentication handshake and the request loop of its sessions; and it
+# fuzzes the kernel's lane merge against the heap-only firing order,
+# SleepEach's in-place slices (sleeping or parked on a Cond or Semaphore)
+# against the blocking loop they replace, the in-place relay pumps and Nexus
+# frame reader against their blocking loops, the hash-only trace observer
+# against the recording one, its folded span durations against the causal
+# forest's, and the knapsack solver's BranchN loop against one branch
+# operation at a time.
 # Crashers land in testdata/fuzz/ and fail the build until fixed.
 FUZZTIME ?= 10s
 
@@ -155,6 +157,7 @@ fuzz:
 	$(GO) test -fuzz FuzzListReply -fuzztime $(FUZZTIME) ./internal/hbm/
 	$(GO) test -fuzz FuzzDecodeNodes -fuzztime $(FUZZTIME) ./internal/knapsack/
 	$(GO) test -fuzz FuzzAuthAccept -fuzztime $(FUZZTIME) ./internal/auth/
+	$(GO) test -fuzz FuzzGatekeeperSession -fuzztime $(FUZZTIME) ./internal/gram/
 	$(GO) test -fuzz FuzzLaneOrder -fuzztime $(FUZZTIME) ./internal/sim/
 	$(GO) test -fuzz FuzzSleepEachOrder -fuzztime $(FUZZTIME) ./internal/sim/
 	$(GO) test -fuzz FuzzRelayInPlace -fuzztime $(FUZZTIME) ./internal/proxy/

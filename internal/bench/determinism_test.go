@@ -57,3 +57,21 @@ func TestKnapsackDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestFigure2Repeatable: two Figure 2 runs in one process render the same
+// text. Each testbed's network keeps its own idle GRAM sessions, so the
+// second run's client cannot pick up a session dialed in the first run's
+// finished kernel.
+func TestFigure2Repeatable(t *testing.T) {
+	first, err := Figure2()
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := Figure2()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first != second {
+		t.Fatalf("Figure 2 changed between runs:\n%s\nthen:\n%s", first, second)
+	}
+}

@@ -12,6 +12,18 @@
 //     (paper Figure 2: "when the RMF type GRAM is used, computing resources
 //     inside the firewall can be utilized via a Globus gatekeeper which is
 //     running outside the firewall").
+//
+// An authenticated gatekeeper connection is a session: the handshake runs
+// once, and the connection then carries request after request. Submit,
+// Status and List take an idle session for their key (the caller's host,
+// the gatekeeper's address, the credential's subject) from the table of the
+// env's network (transport.SessionsOf), dial and authenticate a new one
+// when none is idle, and keep it again after a complete reply. A reused
+// session's trace baggage is set to its new caller's context, and the
+// gatekeeper adopts the baggage per request. A request that fails on a reused session
+// before any byte of its reply arrives is sent once more, on a new session;
+// the gatekeeper ends a session only between requests, so it never acted on
+// such a request.
 package gram
 
 import (
@@ -70,7 +82,10 @@ type Gatekeeper struct {
 	mu      sync.Mutex
 	nextJob int
 	jobs    map[string]*managedJob
-	trace   func(format string, args ...interface{})
+	// sessions are the open connections, and closed is set by Close.
+	sessions []*session
+	closed   bool
+	trace    func(format string, args ...interface{})
 }
 
 // NewGatekeeper creates a gatekeeper.
@@ -105,12 +120,16 @@ func (g *Gatekeeper) Serve(env transport.Env, port int, ready func(addr string))
 	return nil
 }
 
+// handle serves one session: it authenticates the connection once, then
+// answers request frames until EOF, a frame that does not decode (answered,
+// then the session ends), or Close.
 func (g *Gatekeeper) handle(env transport.Env, c transport.Conn) {
 	defer c.Close(env)
-	// Adopt the submitter's trace context from connection baggage: job
-	// manager processes spawned below inherit it, chaining the RSL submit
-	// leg into the submitter's trace.
-	obs.SetCtx(env, obs.BaggageOf(c))
+	s := &session{c: c}
+	if !g.track(s) {
+		return
+	}
+	defer g.untrack(s)
 	subject, err := auth.Accept(env, c, g.cfg.Keyring)
 	if err != nil {
 		g.tracef("gatekeeper: authentication failed: %v", err)
@@ -120,21 +139,39 @@ func (g *Gatekeeper) handle(env transport.Env, c transport.Conn) {
 	g.tracef("gatekeeper: authenticated %s (local user %s)", subject, local)
 
 	st := transport.Stream{Env: env, Conn: c}
-	req, err := nexus.ReadFrame(st, 0)
-	if err != nil {
-		return
+	for {
+		req, err := nexus.ReadFrame(st, 0)
+		if err != nil || !g.setBusy(s, true) {
+			return
+		}
+		// Adopt the submitter's trace context from connection baggage:
+		// job manager processes spawned below inherit it, chaining the
+		// RSL submit leg into the submitter's trace. A kept session's
+		// client sets it before each request.
+		obs.SetCtx(env, obs.BaggageOf(c))
+		resp, ok := g.serve(env, subject, req)
+		err = nexus.WriteFrame(st, resp)
+		if !g.setBusy(s, false) || !ok || err != nil {
+			return
+		}
 	}
+}
+
+// serve answers one request. ok is false when the request did not decode;
+// the reply then carries why.
+func (g *Gatekeeper) serve(env transport.Env, subject string, req *nexus.Buffer) (resp *nexus.Buffer, ok bool) {
+	resp = nexus.NewBuffer()
 	op, err := req.GetInt32()
 	if err != nil {
-		return
+		nexus.PutStatus(resp, err)
+		return resp, false
 	}
-	resp := nexus.NewBuffer()
 	switch op {
 	case opSubmit:
 		rslText, err := req.GetString()
 		if err != nil {
 			nexus.PutStatus(resp, err)
-			break
+			return resp, false
 		}
 		contact, err := g.submit(env, subject, rslText)
 		if err != nil {
@@ -147,7 +184,7 @@ func (g *Gatekeeper) handle(env transport.Env, c transport.Conn) {
 		contact, err := req.GetString()
 		if err != nil {
 			nexus.PutStatus(resp, err)
-			break
+			return resp, false
 		}
 		state, msg, err := g.jobStatus(contact)
 		if err != nil {
@@ -167,7 +204,65 @@ func (g *Gatekeeper) handle(env transport.Env, c transport.Conn) {
 	default:
 		nexus.PutStatus(resp, fmt.Errorf("gram: unknown op %d", op))
 	}
-	_ = nexus.WriteFrame(st, resp)
+	return resp, true
+}
+
+// session is one open gatekeeper connection; busy while it serves a
+// request.
+type session struct {
+	c    transport.Conn
+	busy bool
+}
+
+// track records a new session; it reports false once Close has run.
+func (g *Gatekeeper) track(s *session) bool {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if g.closed {
+		return false
+	}
+	g.sessions = append(g.sessions, s)
+	return true
+}
+
+func (g *Gatekeeper) untrack(s *session) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	for i, t := range g.sessions {
+		if t == s {
+			g.sessions = append(g.sessions[:i], g.sessions[i+1:]...)
+			return
+		}
+	}
+}
+
+// setBusy marks s as serving a request or done with one; it reports false
+// once Close has run, and the session must then end (before acting on a
+// request, or after answering one).
+func (g *Gatekeeper) setBusy(s *session, busy bool) bool {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	s.busy = busy
+	return !g.closed
+}
+
+// Close stops accepting and ends every session: an idle one at once, a busy
+// one after its reply. A request on a session it ends is either answered or
+// never acted on.
+func (g *Gatekeeper) Close(env transport.Env) {
+	g.mu.Lock()
+	g.closed = true
+	var idle []transport.Conn
+	for _, s := range g.sessions {
+		if !s.busy {
+			idle = append(idle, s.c)
+		}
+	}
+	g.mu.Unlock()
+	g.Bound.Close(env)
+	for _, c := range idle {
+		_ = c.Close(env)
+	}
 }
 
 // submit parses the RSL and forks the job manager (Figure 2 step 2: "the
@@ -236,8 +331,10 @@ func (g *Gatekeeper) startFork(env transport.Env, job *managedJob, spec rmf.Proc
 		g.fail(job, fmt.Errorf("no such executable %q", spec.Executable))
 		return
 	}
+	g.mu.Lock()
 	job.state = rmf.StateActive
 	job.pending = count
+	g.mu.Unlock()
 	for i := 0; i < count; i++ {
 		i := i
 		env.Spawn(fmt.Sprintf("fork:%s:%d", job.contact, i), func(e transport.Env) {
@@ -273,7 +370,9 @@ func (g *Gatekeeper) startFork(env transport.Env, job *managedJob, spec rmf.Proc
 
 // startRMF runs the job through the paper's Q system.
 func (g *Gatekeeper) startRMF(env transport.Env, job *managedJob, spec rmf.ProcessSpec, count int, cluster string) {
+	g.mu.Lock()
 	job.state = rmf.StateActive
+	g.mu.Unlock()
 	env.Spawn("jobmanager:"+job.contact, func(e transport.Env) {
 		g.tracef("job manager %s: creating Q client", job.contact)
 		// The job manager span covers the job's whole gatekeeper-side life

@@ -15,8 +15,9 @@ import (
 	"nxcluster/internal/transport"
 )
 
-// startGatekeeperTCP boots a fork-only gatekeeper on loopback TCP.
-func startGatekeeperTCP(t *testing.T, reg *rmf.Registry) (*transport.TCPEnv, auth.Credential, string, *Gatekeeper) {
+// newGatekeeperTCP makes a fork-only gatekeeper for a loopback TCP env and
+// a credential it grants, without serving it.
+func newGatekeeperTCP(t *testing.T, reg *rmf.Registry) (*transport.TCPEnv, auth.Credential, *auth.Keyring, *Gatekeeper) {
 	t.Helper()
 	env := transport.NewTCPEnv("localhost")
 	cred, err := auth.NewCredential("/O=Grid/CN=tester")
@@ -25,12 +26,14 @@ func startGatekeeperTCP(t *testing.T, reg *rmf.Registry) (*transport.TCPEnv, aut
 	}
 	kr := auth.NewKeyring()
 	kr.Grant(cred, "tester")
-	gk := NewGatekeeper(Config{Keyring: kr, Registry: reg})
-	ready := make(chan string, 1)
-	env.Spawn("gk", func(e transport.Env) {
-		_ = gk.Serve(e, 0, func(a string) { ready <- a })
-	})
-	addr := <-ready
+	return env, cred, kr, NewGatekeeper(Config{Keyring: kr, Registry: reg})
+}
+
+// startGatekeeperTCP boots a fork-only gatekeeper on loopback TCP.
+func startGatekeeperTCP(t *testing.T, reg *rmf.Registry) (*transport.TCPEnv, auth.Credential, string, *Gatekeeper) {
+	t.Helper()
+	env, cred, _, gk := newGatekeeperTCP(t, reg)
+	addr := serveGatekeeper(t, env, gk, 0)
 	t.Cleanup(func() { gk.Close(env) })
 	return env, cred, addr, gk
 }

@@ -1,8 +1,12 @@
 package nexus
 
 import (
+	"bytes"
+	"errors"
+	"io"
 	"runtime"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"nxcluster/internal/proxy"
@@ -113,6 +117,49 @@ func TestOversizedFrameHeaderBounded(t *testing.T) {
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("RSR lost after the oversized header")
+	}
+}
+
+// TestFrameHeaderAllocBounded: a control frame's 4-byte header announcing
+// 16 MiB, followed by the end of the stream, must cost ReadFrame what
+// arrives, not what is announced. Every daemon reads its first frame before
+// it authenticates anyone, and a session reads many.
+func TestFrameHeaderAllocBounded(t *testing.T) {
+	in := []byte{0, 0xff, 0xff, 0xff}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadFrame(bytes.NewReader(in), 0)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, io.EOF) {
+		t.Fatalf("ReadFrame on a bare header = %v, want io.EOF", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 256<<10 {
+		t.Fatalf("a bare 16 MiB header cost %d bytes of allocation, want < 256 KiB", grew)
+	}
+}
+
+// TestReadFrameGrows: frames past the first allocation read whole, through
+// a reader that hands out a few bytes at a time, and one cut short anywhere
+// is an unexpected EOF, as io.ReadFull reports it.
+func TestReadFrameGrows(t *testing.T) {
+	for _, n := range []int{frameChunk - 1, frameChunk, frameChunk + 1, 5*frameChunk + 7} {
+		body := make([]byte, n)
+		for i := range body {
+			body[i] = byte(i * 7)
+		}
+		var w bytes.Buffer
+		if err := WriteFrame(&w, FromBytes(body)); err != nil {
+			t.Fatal(err)
+		}
+		got, err := ReadFrame(iotest.HalfReader(bytes.NewReader(w.Bytes())), 0)
+		if err != nil || !bytes.Equal(got.Bytes(), body) {
+			t.Fatalf("%d-byte frame: err = %v, equal = %v", n, err, err == nil && bytes.Equal(got.Bytes(), body))
+		}
+		for _, cut := range []int{4 + frameChunk/2, 4 + n - 1} {
+			if _, err := ReadFrame(bytes.NewReader(w.Bytes()[:cut]), 0); !errors.Is(err, io.ErrUnexpectedEOF) {
+				t.Fatalf("%d-byte frame cut to %d bytes: err = %v, want io.ErrUnexpectedEOF", n, cut, err)
+			}
+		}
 	}
 }
 

@@ -27,8 +27,13 @@ func WriteFrame(w io.Writer, b *Buffer) error {
 	return transport.WriteHead(w, hdr[:], b.Bytes())
 }
 
+// frameChunk is the most ReadFrame allocates for a frame before its bytes
+// arrive: a header alone cannot make a reader allocate what it announces.
+const frameChunk = 64 << 10
+
 // ReadFrame reads a length-prefixed buffer, rejecting frames over max
-// bytes (DefaultMaxFrame if max <= 0).
+// bytes (DefaultMaxFrame if max <= 0). A frame over frameChunk is read into
+// a buffer that doubles as its bytes arrive.
 func ReadFrame(r io.Reader, max int) (*Buffer, error) {
 	if max <= 0 {
 		max = DefaultMaxFrame
@@ -41,11 +46,22 @@ func ReadFrame(r io.Reader, max int) (*Buffer, error) {
 	if int(n) > max {
 		return nil, fmt.Errorf("nexus: frame of %d bytes exceeds limit %d", n, max)
 	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return nil, err
+	body := make([]byte, min(int(n), frameChunk))
+	for got := 0; ; {
+		m, err := io.ReadFull(r, body[got:])
+		if got += m; err != nil {
+			if got > 0 && err == io.EOF { //nolint:errorlint // ReadFull returns it bare
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, err
+		}
+		if got == int(n) {
+			return FromBytes(body), nil
+		}
+		grown := make([]byte, min(2*len(body), int(n)))
+		copy(grown, body)
+		body = grown
 	}
-	return FromBytes(body), nil
 }
 
 // StatusError is a reply whose status was false: the server refused the

@@ -468,3 +468,12 @@ func BaggageOf(conn interface{}) TraceContext {
 	}
 	return TraceContext{}
 }
+
+// SetBaggage attaches tc as the trace baggage of conn and its peer, when
+// conn carries baggage. A kept session, which carries requests from more
+// than one trace, sets it before each request.
+func SetBaggage(conn interface{}, tc TraceContext) {
+	if c, ok := conn.(interface{ SetTraceBaggage(TraceContext) }); ok {
+		c.SetTraceBaggage(tc)
+	}
+}

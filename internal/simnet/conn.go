@@ -116,6 +116,11 @@ type conn struct {
 // (obs.BaggageOf is the portable extraction).
 func (c *conn) TraceBaggage() obs.TraceContext { return c.bag }
 
+// SetTraceBaggage attaches tc to both endpoints, so the accepting side reads
+// the trace of the request that follows (obs.SetBaggage is the portable
+// form).
+func (c *conn) SetTraceBaggage(tc obs.TraceContext) { c.bag, c.peer.bag = tc, tc }
+
 func (c *conn) pushInbox(seg []byte) {
 	c.inbox = append(c.inbox, inSeg{buf: seg})
 }

@@ -177,6 +177,10 @@ func (e *Env) Observer() *obs.Observer { return e.node.net.Obs }
 // transport.RandOf for the portable extraction used by retry jitter.
 func (e *Env) Rand() uint64 { return e.node.net.K.Rand() }
 
+// Sessions returns the network's idle-session table; see
+// transport.SessionsOf.
+func (e *Env) Sessions() *transport.Sessions { return &e.node.net.sessions }
+
 // TraceContext returns the process's ambient trace context; obs.CtxOf is
 // the portable extraction instrumentation sites use.
 func (e *Env) TraceContext() obs.TraceContext { return e.tctx }

@@ -90,6 +90,9 @@ type Network struct {
 	freeSeg [][]byte
 	// freeSlices recycles ComputeEach's per-call wakeup steps.
 	freeSlices []*computeSlice
+	// sessions holds the idle client sessions dialed on this network (see
+	// transport.SessionsOf); one per network, so none crosses kernels.
+	sessions transport.Sessions
 
 	// TCP-Reno flow model (see flow.go); off by default, and when off the
 	// data plane behaves bit-identically to a network built before the model

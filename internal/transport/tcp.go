@@ -22,13 +22,20 @@ type TCPEnv struct {
 	// DialGuard, when non-nil, is consulted before every Dial; it lets
 	// tests interpose a firewall rule set in front of real sockets.
 	DialGuard func(addr string) error
+	// sessions is this environment's idle-session table; Spawn's copies
+	// share it.
+	sessions *Sessions
 }
 
 // NewTCPEnv creates a real-TCP environment. host is the name Dial targets
 // resolve against for the loopback interface; listeners bind 127.0.0.1.
 func NewTCPEnv(host string) *TCPEnv {
-	return &TCPEnv{host: host, bind: "127.0.0.1", start: time.Now()}
+	return &TCPEnv{host: host, bind: "127.0.0.1", start: time.Now(), sessions: &Sessions{}}
 }
+
+// Sessions returns the idle-session table this environment and its Spawn
+// copies share (see SessionsOf).
+func (e *TCPEnv) Sessions() *Sessions { return e.sessions }
 
 // Hostname implements Env.
 func (e *TCPEnv) Hostname() string { return e.host }
