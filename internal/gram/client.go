@@ -1,6 +1,7 @@
 package gram
 
 import (
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"time"
@@ -25,8 +26,14 @@ func dialAuthed(env transport.Env, gkAddr string, cred auth.Credential) (transpo
 }
 
 // sessionKey names the sessions a call may reuse: from which host, to
-// which gatekeeper, as whom.
-type sessionKey struct{ host, addr, subject string }
+// which gatekeeper, as whom, and with which key. The key's digest is part
+// of it so that a session is only reused by the credential that
+// authenticated it: a caller with the right subject and a wrong key dials
+// and runs the handshake itself, and is refused.
+type sessionKey struct {
+	host, addr, subject string
+	key                 [sha256.Size]byte
+}
 
 // request is one control exchange with the gatekeeper at gkAddr on a
 // session authenticated as cred, with decode applied to the reply's
@@ -34,11 +41,13 @@ type sessionKey struct{ host, addr, subject string }
 // one, and a new one otherwise. After a complete reply, true or false, whose
 // results decode, the session is kept for the next call; after any other
 // error it is closed. A request that fails on a reused session before a
-// byte of its reply arrives is sent once more, on a new session: the
-// gatekeeper ends sessions only between requests, so it did not act on it.
+// byte of its reply arrives is sent once more, on a new session: a
+// gatekeeper that stops through Close ends sessions only between requests,
+// so it did not act on it (one that dies mid-request may have; see the
+// package doc).
 func request(env transport.Env, gkAddr string, cred auth.Credential, req *nexus.Buffer, decode func(*nexus.Buffer) error) error {
 	table := transport.SessionsOf(env)
-	key := sessionKey{env.Hostname(), gkAddr, cred.Subject}
+	key := sessionKey{env.Hostname(), gkAddr, cred.Subject, sha256.Sum256(cred.Key)}
 	if c := table.Take(key); c != nil {
 		// The gatekeeper adopts the trace of each request from the
 		// connection's baggage; a new session carries the dialer's.

@@ -16,14 +16,18 @@
 // An authenticated gatekeeper connection is a session: the handshake runs
 // once, and the connection then carries request after request. Submit,
 // Status and List take an idle session for their key (the caller's host,
-// the gatekeeper's address, the credential's subject) from the table of the
-// env's network (transport.SessionsOf), dial and authenticate a new one
-// when none is idle, and keep it again after a complete reply. A reused
-// session's trace baggage is set to its new caller's context, and the
-// gatekeeper adopts the baggage per request. A request that fails on a reused session
-// before any byte of its reply arrives is sent once more, on a new session;
-// the gatekeeper ends a session only between requests, so it never acted on
-// such a request.
+// the gatekeeper's address, the credential's subject and a digest of its
+// key, so only the credential that authenticated a session reuses it) from
+// the table of the env's network (transport.SessionsOf), dial and
+// authenticate a new one when none is idle, and keep it again after a
+// complete reply. A reused session's trace baggage is set to its new
+// caller's context, and the gatekeeper adopts the baggage per request. A
+// request that fails on a reused session before any byte of its reply
+// arrives is sent once more, on a new session. A gatekeeper that stops
+// through Close ends a session only between requests, so it never acted on
+// such a request. One that dies between acting on a Submit and replying
+// did, and the resent Submit runs the job a second time: a known limit
+// until the gatekeeper daemon drains through Close on SIGTERM.
 package gram
 
 import (

@@ -125,6 +125,42 @@ func TestSessionsSharedTCP(t *testing.T) {
 	}
 }
 
+// TestSessionNotReusedWithWrongKeyTCP: a caller with a granted subject but
+// another key does not get the idle session that the right key
+// authenticated. It dials, runs the handshake itself and is refused, for
+// every call; the right credential then goes on on its own session.
+func TestSessionNotReusedWithWrongKeyTCP(t *testing.T) {
+	env, cred, _, gk := newGatekeeperTCP(t, okRegistry())
+	var auths authCounter
+	gk.SetTrace(auths.trace)
+	addr := serveGatekeeper(t, env, gk, 0)
+	t.Cleanup(func() { gk.Close(env) })
+
+	contact, err := Submit(env, addr, cred, `&(executable=ok)`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale, err := auth.NewCredential(cred.Subject)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Submit(env, addr, stale, `&(executable=ok)`); err == nil {
+		t.Fatal("Submit with the subject's name and a wrong key succeeded")
+	}
+	if _, _, err := Status(env, addr, stale, contact); err == nil {
+		t.Fatal("Status with the subject's name and a wrong key succeeded")
+	}
+	if _, err := List(env, addr, stale); err == nil {
+		t.Fatal("List with the subject's name and a wrong key succeeded")
+	}
+	if got, err := List(env, addr, cred); err != nil || len(got) != 1 || got[0] != contact {
+		t.Fatalf("List with the right key = %v, %v; want [%s]", got, err, contact)
+	}
+	if n := auths.of(cred.Subject); n != 1 {
+		t.Fatalf("the gatekeeper authenticated %d sessions for %s, want 1", n, cred.Subject)
+	}
+}
+
 // TestSessionRetryTCP: a gatekeeper restarted on the same port has ended
 // the client's idle session, so the next Submit and the next Status fail on
 // it before any reply byte and each succeed on exactly one new session. A
