@@ -129,9 +129,9 @@ cover:
 # the RSL parser, the proxy control-channel decoder, the gridftp MODE E
 # block reader, restart-marker decoder and ledger, the scenario-file parser
 # (each accepted spec's config and comparator built through its kind's
-# entry), and the request handlers of the RMF allocator and Q server, the MDS
-# directory server and the HBM monitor, and the HBM client's list-reply
-# decoder, the knapsack work-batch decoder, the gatekeeper's half of the
+# entry), the session loops of the RMF allocator and Q server, the request
+# handlers of the MDS directory server and the HBM monitor, the HBM
+# client's list-reply decoder, the knapsack work-batch decoder, the gatekeeper's half of the
 # authentication handshake and the request loop of its sessions; and it
 # fuzzes the kernel's lane merge against the heap-only firing order,
 # SleepEach's in-place slices (sleeping or parked on a Cond or Semaphore)

@@ -13,21 +13,17 @@
 //     inside the firewall can be utilized via a Globus gatekeeper which is
 //     running outside the firewall").
 //
-// An authenticated gatekeeper connection is a session: the handshake runs
+// An authenticated gatekeeper connection is a session (nexus.Request on the
+// client, transport.Bound.Session on the gatekeeper): the handshake runs
 // once, and the connection then carries request after request. Submit,
-// Status and List take an idle session for their key (the caller's host,
-// the gatekeeper's address, the credential's subject and a digest of its
-// key, so only the credential that authenticated a session reuses it) from
-// the table of the env's network (transport.SessionsOf), dial and
-// authenticate a new one when none is idle, and keep it again after a
-// complete reply. A reused session's trace baggage is set to its new
-// caller's context, and the gatekeeper adopts the baggage per request. A
-// request that fails on a reused session before any byte of its reply
-// arrives is sent once more, on a new session. A gatekeeper that stops
-// through Close ends a session only between requests, so it never acted on
-// such a request. One that dies between acting on a Submit and replying
-// did, and the resent Submit runs the job a second time: a known limit
-// until the gatekeeper daemon drains through Close on SIGTERM.
+// Status and List keep idle sessions per caller host, gatekeeper address,
+// credential subject and a digest of the credential's key, so only the
+// credential that authenticated a session reuses it. A reused session that
+// fails before any reply byte is retried once on a new one. A gatekeeper
+// that stops through Close never acted on such a request; one that dies
+// between acting on a Submit and replying did, and the resent Submit runs
+// the job a second time: a known limit until the gatekeeper daemon drains
+// through Close on SIGTERM.
 package gram
 
 import (
@@ -86,10 +82,7 @@ type Gatekeeper struct {
 	mu      sync.Mutex
 	nextJob int
 	jobs    map[string]*managedJob
-	// sessions are the open connections, and closed is set by Close.
-	sessions []*session
-	closed   bool
-	trace    func(format string, args ...interface{})
+	trace   func(format string, args ...interface{})
 }
 
 // NewGatekeeper creates a gatekeeper.
@@ -124,41 +117,35 @@ func (g *Gatekeeper) Serve(env transport.Env, port int, ready func(addr string))
 	return nil
 }
 
-// handle serves one session: it authenticates the connection once, then
-// answers request frames until EOF, a frame that does not decode (answered,
-// then the session ends), or Close.
+// handle serves one session (transport.Bound.Session): it authenticates
+// the connection once, then answers request frames until EOF, a frame that
+// does not decode (answered, then the session ends), or Close.
 func (g *Gatekeeper) handle(env transport.Env, c transport.Conn) {
-	defer c.Close(env)
-	s := &session{c: c}
-	if !g.track(s) {
-		return
-	}
-	defer g.untrack(s)
-	subject, err := auth.Accept(env, c, g.cfg.Keyring)
-	if err != nil {
-		g.tracef("gatekeeper: authentication failed: %v", err)
-		return
-	}
-	local, _ := g.cfg.Keyring.LocalUser(subject)
-	g.tracef("gatekeeper: authenticated %s (local user %s)", subject, local)
-
 	st := transport.Stream{Env: env, Conn: c}
-	for {
-		req, err := nexus.ReadFrame(st, 0)
-		if err != nil || !g.setBusy(s, true) {
-			return
+	var subject string
+	var req *nexus.Buffer
+	authed := false
+	g.Session(env, c, func() (err error) {
+		if !authed {
+			if subject, err = auth.Accept(env, c, g.cfg.Keyring); err != nil {
+				g.tracef("gatekeeper: authentication failed: %v", err)
+				return err
+			}
+			authed = true
+			local, _ := g.cfg.Keyring.LocalUser(subject)
+			g.tracef("gatekeeper: authenticated %s (local user %s)", subject, local)
 		}
+		req, err = nexus.ReadFrame(st, 0)
+		return err
+	}, func() bool {
 		// Adopt the submitter's trace context from connection baggage:
 		// job manager processes spawned below inherit it, chaining the
 		// RSL submit leg into the submitter's trace. A kept session's
 		// client sets it before each request.
 		obs.SetCtx(env, obs.BaggageOf(c))
 		resp, ok := g.serve(env, subject, req)
-		err = nexus.WriteFrame(st, resp)
-		if !g.setBusy(s, false) || !ok || err != nil {
-			return
-		}
-	}
+		return nexus.WriteFrame(st, resp) == nil && ok
+	})
 }
 
 // serve answers one request. ok is false when the request did not decode;
@@ -211,64 +198,6 @@ func (g *Gatekeeper) serve(env transport.Env, subject string, req *nexus.Buffer)
 	return resp, true
 }
 
-// session is one open gatekeeper connection; busy while it serves a
-// request.
-type session struct {
-	c    transport.Conn
-	busy bool
-}
-
-// track records a new session; it reports false once Close has run.
-func (g *Gatekeeper) track(s *session) bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.closed {
-		return false
-	}
-	g.sessions = append(g.sessions, s)
-	return true
-}
-
-func (g *Gatekeeper) untrack(s *session) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	for i, t := range g.sessions {
-		if t == s {
-			g.sessions = append(g.sessions[:i], g.sessions[i+1:]...)
-			return
-		}
-	}
-}
-
-// setBusy marks s as serving a request or done with one; it reports false
-// once Close has run, and the session must then end (before acting on a
-// request, or after answering one).
-func (g *Gatekeeper) setBusy(s *session, busy bool) bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	s.busy = busy
-	return !g.closed
-}
-
-// Close stops accepting and ends every session: an idle one at once, a busy
-// one after its reply. A request on a session it ends is either answered or
-// never acted on.
-func (g *Gatekeeper) Close(env transport.Env) {
-	g.mu.Lock()
-	g.closed = true
-	var idle []transport.Conn
-	for _, s := range g.sessions {
-		if !s.busy {
-			idle = append(idle, s.c)
-		}
-	}
-	g.mu.Unlock()
-	g.Bound.Close(env)
-	for _, c := range idle {
-		_ = c.Close(env)
-	}
-}
-
 // submit parses the RSL and forks the job manager (Figure 2 step 2: "the
 // job manager invoked by the gatekeeper creates a Q client process").
 func (g *Gatekeeper) submit(env transport.Env, subject, rslText string) (string, error) {
@@ -288,6 +217,12 @@ func (g *Gatekeeper) submit(env transport.Env, subject, rslText string) (string,
 		return "", fmt.Errorf("%w: bad count", ErrBadRequest)
 	}
 	jmType := spec.GetString("jobmanager", g.cfg.DefaultJobManager)
+	switch {
+	case jmType == "rmf" && g.cfg.AllocatorAddr == "":
+		return "", fmt.Errorf("%w: gatekeeper has no RMF allocator configured", ErrBadRequest)
+	case jmType != "rmf" && jmType != "fork":
+		return "", fmt.Errorf("%w: unknown jobmanager %q", ErrBadRequest, jmType)
+	}
 	envPairs, err := spec.Pairs("environment")
 	if err != nil {
 		return "", fmt.Errorf("%w: %v", ErrBadRequest, err)
@@ -313,17 +248,10 @@ func (g *Gatekeeper) submit(env transport.Env, subject, rslText string) (string,
 	g.tracef("gatekeeper: job request %s from %s: %s x%d via %s jobmanager",
 		contact, subject, executable, count, jmType)
 
-	switch jmType {
-	case "fork":
+	if jmType == "fork" {
 		g.startFork(env, job, procSpec, count)
-	case "rmf":
-		if g.cfg.AllocatorAddr == "" {
-			return "", fmt.Errorf("%w: gatekeeper has no RMF allocator configured", ErrBadRequest)
-		}
-		cluster := spec.GetString("cluster", "")
-		g.startRMF(env, job, procSpec, count, cluster)
-	default:
-		return "", fmt.Errorf("%w: unknown jobmanager %q", ErrBadRequest, jmType)
+	} else {
+		g.startRMF(env, job, procSpec, count, spec.GetString("cluster", ""))
 	}
 	return contact, nil
 }

@@ -1,6 +1,7 @@
 package gram
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -76,6 +77,27 @@ func TestSubmitBadRSL(t *testing.T) {
 		if _, err := Submit(env, addr, cred, bad); err == nil {
 			t.Errorf("Submit(%q) succeeded", bad)
 		}
+	}
+}
+
+// TestRefusedSubmitNotListedTCP: a submit refused for its job manager — an
+// unknown type, or rmf on a gatekeeper with no allocator — registers no job,
+// and its error is a refusal that names its package and the gatekeeper's
+// address once each.
+func TestRefusedSubmitNotListedTCP(t *testing.T) {
+	env, cred, addr, _ := startGatekeeperTCP(t, rmf.NewRegistry())
+	for _, rslText := range []string{`&(executable=a)(jobmanager=weird)`, `&(executable=a)(jobmanager=rmf)`} {
+		_, err := Submit(env, addr, cred, rslText)
+		var se *nexus.StatusError
+		if !errors.As(err, &se) {
+			t.Fatalf("Submit(%q) = %v, want a refusal", rslText, err)
+		}
+		if msg := err.Error(); strings.Count(msg, "gram:") != 1 || strings.Count(msg, addr) != 1 {
+			t.Fatalf("Submit(%q) error %q: want gram: and %s once each", rslText, msg, addr)
+		}
+	}
+	if got, err := List(env, addr, cred); err != nil || len(got) != 0 {
+		t.Fatalf("List after two refused submits = %v, %v; want none", got, err)
 	}
 }
 

@@ -1,7 +1,6 @@
 package rmf
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"time"
@@ -12,19 +11,36 @@ import (
 )
 
 // roundTrip is one control exchange with the allocator or a Q server at
-// addr.
+// addr, on a session kept per (caller host, addr) where sessions(env) holds
+// and on a connection of its own otherwise (nexus.Request).
 func roundTrip(env transport.Env, addr string, req *nexus.Buffer) (*nexus.Buffer, error) {
-	c, err := env.Dial(addr)
-	if err != nil {
-		return nil, fmt.Errorf("rmf: dial %s: %w", addr, err)
+	var table *transport.Sessions
+	if sessions(env) {
+		table = transport.SessionsOf(env)
 	}
-	defer c.Close(env)
-	resp, err := nexus.Call(transport.Stream{Env: env, Conn: c}, req)
-	var se *nexus.StatusError
-	if errors.As(err, &se) {
-		return nil, fmt.Errorf("rmf: %s: %w", addr, se)
-	}
-	return resp, err
+	return nexus.Request(env, table, sessionKey{env.Hostname(), addr}, addr, func() (transport.Conn, error) {
+		c, err := env.Dial(addr)
+		if err != nil {
+			return nil, fmt.Errorf("rmf: dial %s: %w", addr, err)
+		}
+		return c, nil
+	}, req)
+}
+
+// sessionKey names the sessions a call may reuse: from which host, to which
+// daemon.
+type sessionKey struct{ host, addr string }
+
+// sessions reports whether rmf's control calls on env keep their connection
+// for the next call, on both sides: true on real sockets only. On simnet
+// every connection's SYN, FIN and segments are trace events, and a server
+// that loops moves its FIN behind the client's, which moves the trace hash of
+// every chaos row in SCENARIOS_suite.json; so simulated runs keep one call
+// per connection until ROADMAP 23 step 2, the simnet re-baseline, deletes
+// this predicate.
+func sessions(env transport.Env) bool {
+	_, ok := env.(*transport.TCPEnv)
+	return ok
 }
 
 // RegisterResource announces a Q server to the allocator.

@@ -95,21 +95,15 @@ func (q *QServer) Serve(env transport.Env, port int, allocatorAddr string, ready
 	return nil
 }
 
+// handle serves one Q server session (serveSession). The caller's trace
+// context, adopted per request, parents the spans the handler and the
+// processes it spawns open under the submitting job.
 func (q *QServer) handle(env transport.Env, c transport.Conn) {
-	defer c.Close(env)
-	// Adopt the dialer's trace context from connection baggage so spans the
-	// handler (and processes it spawns) open parent under the submitting job.
-	obs.SetCtx(env, obs.BaggageOf(c))
-	st := transport.Stream{Env: env, Conn: c}
-	req, err := nexus.ReadFrame(st, 0)
-	if err != nil {
-		return
-	}
-	op, err := req.GetInt32()
-	if err != nil {
-		return
-	}
-	resp := nexus.NewBuffer()
+	serveSession(env, &q.Bound, c, q.serve)
+}
+
+// serve answers one Q server request.
+func (q *QServer) serve(env transport.Env, op int32, req, resp *nexus.Buffer) {
 	switch op {
 	case opSubmit:
 		q.handleSubmit(env, req, resp)
@@ -131,7 +125,6 @@ func (q *QServer) handle(env transport.Env, c transport.Conn) {
 	default:
 		nexus.PutStatus(resp, fmt.Errorf("rmf: unknown qserver op %d", op))
 	}
-	_ = nexus.WriteFrame(st, resp)
 }
 
 // putStatus answers opStatus and opAwait: the process's state and failure

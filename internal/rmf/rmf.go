@@ -15,7 +15,11 @@
 //
 // The site firewall must permit the Q client's connections to the allocator
 // and the Q servers — the paper calls this configuration out explicitly —
-// which cluster.Testbed models by opening those registered ports.
+// which cluster.Testbed models by opening those registered ports. On real
+// sockets those connections are kept sessions, as the gatekeeper's are
+// (nexus.Request, transport.Bound.Session); simulated runs keep one call per
+// connection (see sessions). Allocator and Q server state is in-process: a
+// daemon killed mid-request loses what it acted on.
 //
 // Because jobs in the simulation cannot be exec'ed binaries, a Registry maps
 // executable names to Go functions; file input/output is staged through
@@ -368,19 +372,39 @@ func (a *Allocator) noteLoads(o *obs.Observer, names []string) {
 	}
 }
 
+// handle serves one allocator session (serveSession).
 func (a *Allocator) handle(env transport.Env, c transport.Conn) {
-	defer c.Close(env)
-	o := obs.From(env)
+	serveSession(env, &a.Bound, c, a.serve)
+}
+
+// serveSession serves c as a session of the daemon d
+// (transport.Bound.Session): each request frame's op and fields go to serve,
+// with the caller's trace context adopted from the connection's baggage, and
+// the reply serve writes goes back. The session ends at EOF, on a frame
+// whose op does not decode (refused first), at Close, or, where sessions(env)
+// is false, after the first reply.
+func serveSession(env transport.Env, d *transport.Bound, c transport.Conn, serve func(env transport.Env, op int32, req, resp *nexus.Buffer)) {
 	st := transport.Stream{Env: env, Conn: c}
-	req, err := nexus.ReadFrame(st, 0)
-	if err != nil {
-		return
-	}
-	op, err := req.GetInt32()
-	if err != nil {
-		return
-	}
-	resp := nexus.NewBuffer()
+	var req *nexus.Buffer
+	d.Session(env, c, func() (err error) {
+		req, err = nexus.ReadFrame(st, 0)
+		return err
+	}, func() bool {
+		obs.SetCtx(env, obs.BaggageOf(c))
+		resp := nexus.NewBuffer()
+		op, err := req.GetInt32()
+		if err != nil {
+			nexus.PutStatus(resp, fmt.Errorf("rmf: malformed request"))
+		} else {
+			serve(env, op, req, resp)
+		}
+		return nexus.WriteFrame(st, resp) == nil && err == nil && sessions(env)
+	})
+}
+
+// serve answers one allocator request.
+func (a *Allocator) serve(env transport.Env, op int32, req, resp *nexus.Buffer) {
+	o := obs.From(env)
 	switch op {
 	case opRegister:
 		name, e1 := req.GetString()
@@ -440,5 +464,4 @@ func (a *Allocator) handle(env transport.Env, c transport.Conn) {
 	default:
 		nexus.PutStatus(resp, fmt.Errorf("rmf: unknown allocator op %d", op))
 	}
-	_ = nexus.WriteFrame(st, resp)
 }
