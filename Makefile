@@ -44,8 +44,8 @@ check: benchmark-smoke chaos scenarios fleet-smoke trace-goldens
 # off from the read/write loop to splice(2), which changes how they
 # interleave. And so do the TCP tests of the control plane (nexus, gram,
 # gass, rmf): a frame on a real socket is built in a pooled buffer that
-# every writer goroutine shares, and a TCPEnv's idle GRAM sessions are one
-# table its goroutines share while a gatekeeper's Close races its sessions.
+# every writer goroutine shares, and a TCPEnv's idle sessions are one
+# table its goroutines share while a daemon's Close races its sessions.
 race-sched:
 	GOMAXPROCS=1 $(GO) test -race -count=3 ./internal/sim/
 	GOMAXPROCS=4 $(GO) test -race -count=3 ./internal/sim/
@@ -132,7 +132,8 @@ cover:
 # entry), the session loops of the RMF allocator and Q server, the request
 # handlers of the MDS directory server and the HBM monitor, the HBM
 # client's list-reply decoder, the knapsack work-batch decoder, the gatekeeper's half of the
-# authentication handshake and the request loop of its sessions; and it
+# authentication handshake and the request loop of its sessions, the GASS
+# server's session loop; and it
 # fuzzes the kernel's lane merge against the heap-only firing order,
 # SleepEach's in-place slices (sleeping or parked on a Cond or Semaphore)
 # against the blocking loop they replace, the in-place relay pumps and Nexus
@@ -158,6 +159,7 @@ fuzz:
 	$(GO) test -fuzz FuzzDecodeNodes -fuzztime $(FUZZTIME) ./internal/knapsack/
 	$(GO) test -fuzz FuzzAuthAccept -fuzztime $(FUZZTIME) ./internal/auth/
 	$(GO) test -fuzz FuzzGatekeeperSession -fuzztime $(FUZZTIME) ./internal/gram/
+	$(GO) test -fuzz FuzzGASSSession -fuzztime $(FUZZTIME) ./internal/gass/
 	$(GO) test -fuzz FuzzLaneOrder -fuzztime $(FUZZTIME) ./internal/sim/
 	$(GO) test -fuzz FuzzSleepEachOrder -fuzztime $(FUZZTIME) ./internal/sim/
 	$(GO) test -fuzz FuzzRelayInPlace -fuzztime $(FUZZTIME) ./internal/proxy/

@@ -6,7 +6,10 @@
 // A Server exposes a Store (an in-memory file system; the simulated
 // equivalent of a spool directory) at x-gass://host:port/path URLs. The
 // Client fetches and publishes files, with an optional local cache keyed by
-// URL, mirroring the GASS file cache.
+// URL, mirroring the GASS file cache. Fetch and Publish run on sessions kept
+// per caller host and server (nexus.OnSession, the discipline of the
+// control-plane calls), and a Server answers request after request on each
+// (transport.Bound.Session).
 package gass
 
 import (
@@ -18,6 +21,7 @@ import (
 	"strings"
 	"sync"
 
+	"nxcluster/internal/nexus"
 	"nxcluster/internal/obs"
 	"nxcluster/internal/transport"
 )
@@ -178,60 +182,67 @@ func (s *Server) Serve(env transport.Env, port int, ready func(addr string)) err
 	return nil
 }
 
-// handle serves one request: [op:1][pathLen:2][path]([dataLen:4][data])
-// with response [status:1]([dataLen:4][data] | [msgLen:2][msg]).
+// handle serves one session (transport.Bound.Session): request after
+// request, [op:1][pathLen:2][path]([dataLen:4][data]), each answered with
+// [status:1]([dataLen:4][data] | [msgLen:2][msg]). A malformed request, or a
+// put refused for its size (its body is left unread), is answered and ends
+// the session.
 func (s *Server) handle(env transport.Env, c transport.Conn) {
-	defer c.Close(env)
 	st := transport.Stream{Env: env, Conn: c}
 	var hdr [3]byte
-	if _, err := io.ReadFull(st, hdr[:]); err != nil {
-		return
-	}
-	op := hdr[0]
-	pathLen := int(binary.BigEndian.Uint16(hdr[1:3]))
-	pathBuf := make([]byte, pathLen)
-	if _, err := io.ReadFull(st, pathBuf); err != nil {
-		return
-	}
-	path := string(pathBuf)
+	var path []byte
+	s.Session(env, c, func() (err error) {
+		if _, err = io.ReadFull(st, hdr[:]); err != nil {
+			return err
+		}
+		path, err = nexus.ReadN(st, int(binary.BigEndian.Uint16(hdr[1:3])))
+		return err
+	}, func() bool {
+		return s.answer(st, hdr[0], string(path))
+	})
+}
+
+// answer acts on one request and writes its reply; it reports whether the
+// session goes on.
+func (s *Server) answer(st transport.Stream, op byte, path string) bool {
 	switch op {
 	case opGet:
 		data, err := s.Store.View(path)
 		if err != nil {
-			writeErr(st, err)
-			return
+			return writeErr(st, err) == nil
 		}
 		var sz [5]byte
 		sz[0] = 0 // OK
 		binary.BigEndian.PutUint32(sz[1:], uint32(len(data)))
-		_ = transport.WriteHead(st, sz[:], data)
+		return transport.WriteHead(st, sz[:], data) == nil
 	case opPut:
 		var sz [4]byte
 		if _, err := io.ReadFull(st, sz[:]); err != nil {
-			return
+			return false
 		}
 		n := binary.BigEndian.Uint32(sz[:])
 		if n > MaxFileSize {
-			writeErr(st, fmt.Errorf("%w (%d bytes)", ErrTooLarge, n))
-			return
+			_ = writeErr(st, fmt.Errorf("%w (%d bytes)", ErrTooLarge, n))
+			return false
 		}
-		data := make([]byte, n)
-		if _, err := io.ReadFull(st, data); err != nil {
-			return
+		data, err := nexus.ReadN(st, int(n))
+		if err != nil {
+			return false
 		}
 		// data was read off the wire into a fresh buffer and is not used
 		// again: the store takes it as is.
 		if err := s.Store.Adopt(path, data); err != nil {
-			writeErr(st, err)
-			return
+			return writeErr(st, err) == nil
 		}
-		_, _ = st.Write([]byte{0})
+		_, err = st.Write([]byte{0})
+		return err == nil
 	default:
-		writeErr(st, fmt.Errorf("gass: unknown op %d", op))
+		_ = writeErr(st, fmt.Errorf("gass: unknown op %d", op))
+		return false
 	}
 }
 
-func writeErr(st transport.Stream, err error) {
+func writeErr(st transport.Stream, err error) error {
 	msg := err.Error()
 	if len(msg) > 65535 {
 		msg = msg[:65535]
@@ -240,7 +251,8 @@ func writeErr(st transport.Stream, err error) {
 	buf[0] = 1
 	binary.BigEndian.PutUint16(buf[1:3], uint16(len(msg)))
 	copy(buf[3:], msg)
-	_, _ = st.Write(buf)
+	_, err = st.Write(buf)
+	return err
 }
 
 // DefaultCacheBytes is the client cache's default byte cap.
@@ -356,18 +368,7 @@ func Fetch(env transport.Env, url string) ([]byte, error) {
 	}
 	o := obs.From(env)
 	span := o.BeginChild(env.Now(), obs.CtxOf(env), "gass", "fetch", env.Hostname(), obs.Str("url", url))
-	conn, err := env.Dial(hostport)
-	if err != nil {
-		o.EndSpan(env.Now(), span, "gass", "fetch", env.Hostname(), obs.Str("err", "dial"))
-		return nil, fmt.Errorf("gass: dial %s: %w", hostport, err)
-	}
-	defer conn.Close(env)
-	st := transport.Stream{Env: env, Conn: conn}
-	if err := writeReq(st, opGet, path); err != nil {
-		o.EndSpan(env.Now(), span, "gass", "fetch", env.Hostname(), obs.Str("err", "request"))
-		return nil, err
-	}
-	data, err := readResp(st)
+	data, err := call(env, hostport, opGet, path, nil)
 	if err != nil {
 		o.EndSpan(env.Now(), span, "gass", "fetch", env.Hostname(), obs.Str("err", err.Error()))
 		return nil, err
@@ -390,8 +391,7 @@ func Publish(env transport.Env, url string, data []byte) error {
 	o := obs.From(env)
 	span := o.BeginChild(env.Now(), obs.CtxOf(env), "gass", "publish", env.Hostname(),
 		obs.Str("url", url), obs.Int("bytes", int64(len(data))))
-	err = publish(env, hostport, path, url, data)
-	if err != nil {
+	if _, err = call(env, hostport, opPut, path, data); err != nil {
 		o.EndSpan(env.Now(), span, "gass", "publish", env.Hostname(), obs.Str("err", err.Error()))
 		return err
 	}
@@ -399,61 +399,61 @@ func Publish(env transport.Env, url string, data []byte) error {
 	return nil
 }
 
-// publish is Publish's transfer body, split out so the caller can wrap one
-// success and one failure span-end around every exit.
-func publish(env transport.Env, hostport, path, url string, data []byte) error {
-	conn, err := env.Dial(hostport)
-	if err != nil {
-		return fmt.Errorf("gass: dial %s: %w", hostport, err)
-	}
-	defer conn.Close(env)
-	st := transport.Stream{Env: env, Conn: conn}
-	if err := writeReq(st, opPut, path); err != nil {
-		return err
-	}
-	var sz [4]byte
-	binary.BigEndian.PutUint32(sz[:], uint32(len(data)))
-	if err := transport.WriteHead(st, sz[:], data); err != nil {
-		return err
-	}
-	status := make([]byte, 1)
-	if _, err := io.ReadFull(st, status); err != nil {
-		return err
-	}
-	if status[0] != 0 {
-		msg, _ := readErrMsg(st)
-		if strings.Contains(msg, "too large") {
-			return fmt.Errorf("%w: put %s: %s", ErrTooLarge, url, msg)
+// sessionKey names the sessions a call may reuse: from which host, to which
+// server. It is a type of this package's own, so a call never takes a
+// session another protocol kept for the same address.
+type sessionKey struct{ host, addr string }
+
+// call is one exchange with the server at hostport, op on path with data as
+// a put's body, on a session kept per (caller host, hostport) in the table of
+// env's network (nexus.OnSession). It returns a get's file. A refusal for a
+// missing file leaves the session fit for the next request.
+func call(env transport.Env, hostport string, op byte, path string, data []byte) (file []byte, err error) {
+	dial := func() (transport.Conn, error) {
+		c, err := env.Dial(hostport)
+		if err != nil {
+			return nil, fmt.Errorf("gass: dial %s: %w", hostport, err)
 		}
-		return fmt.Errorf("gass: put %s: %s", url, msg)
+		return c, nil
 	}
-	return nil
+	err = nexus.OnSession(env, transport.SessionsOf(env), sessionKey{env.Hostname(), hostport}, dial,
+		func(c transport.Conn) (replied, keep bool, err error) {
+			st := transport.Stream{Env: env, Conn: c}
+			if err := writeReq(st, op, path, data); err != nil {
+				return false, false, err
+			}
+			var status [1]byte
+			if _, err := io.ReadFull(st, status[:]); err != nil {
+				return false, false, err
+			}
+			if status[0] != 0 {
+				err := readErr(st)
+				return true, errors.Is(err, ErrNotFound), err
+			}
+			if op == opGet {
+				file, err = readData(st)
+			}
+			return true, err == nil, err
+		})
+	return file, err
 }
 
-func writeReq(st transport.Stream, op byte, path string) error {
-	buf := make([]byte, 3+len(path))
-	buf[0] = op
-	binary.BigEndian.PutUint16(buf[1:3], uint16(len(path)))
-	copy(buf[3:], path)
-	_, err := st.Write(buf)
-	return err
+// writeReq writes one request: its head, then a put's body in the same
+// write where it fits (transport.WriteHead).
+func writeReq(st transport.Stream, op byte, path string, data []byte) error {
+	head := make([]byte, 3, 7+len(path))
+	head[0] = op
+	binary.BigEndian.PutUint16(head[1:3], uint16(len(path)))
+	head = append(head, path...)
+	if op == opPut {
+		head = binary.BigEndian.AppendUint32(head, uint32(len(data)))
+	}
+	return transport.WriteHead(st, head, data)
 }
 
-func readResp(st transport.Stream) ([]byte, error) {
-	status := make([]byte, 1)
-	if _, err := io.ReadFull(st, status); err != nil {
-		return nil, err
-	}
-	if status[0] != 0 {
-		msg, _ := readErrMsg(st)
-		if strings.Contains(msg, "not found") {
-			return nil, fmt.Errorf("%w: %s", ErrNotFound, msg)
-		}
-		if strings.Contains(msg, "too large") {
-			return nil, fmt.Errorf("%w: %s", ErrTooLarge, msg)
-		}
-		return nil, errors.New("gass: " + msg)
-	}
+// readData reads a get's [dataLen:4][data]; the buffer grows as the bytes
+// arrive (nexus.ReadN).
+func readData(st transport.Stream) ([]byte, error) {
 	var sz [4]byte
 	if _, err := io.ReadFull(st, sz[:]); err != nil {
 		return nil, err
@@ -462,21 +462,26 @@ func readResp(st transport.Stream) ([]byte, error) {
 	if n > MaxFileSize {
 		return nil, fmt.Errorf("gass: oversized response (%d)", n)
 	}
-	data := make([]byte, n)
-	if _, err := io.ReadFull(st, data); err != nil {
-		return nil, err
-	}
-	return data, nil
+	return nexus.ReadN(st, int(n))
 }
 
-func readErrMsg(st transport.Stream) (string, error) {
+// readErr reads a refusal's [msgLen:2][msg] and returns it as an error,
+// ErrNotFound or ErrTooLarge where the message names one.
+func readErr(st transport.Stream) error {
 	var l [2]byte
 	if _, err := io.ReadFull(st, l[:]); err != nil {
-		return "", err
+		return err
 	}
 	msg := make([]byte, binary.BigEndian.Uint16(l[:]))
 	if _, err := io.ReadFull(st, msg); err != nil {
-		return "", err
+		return err
 	}
-	return string(msg), nil
+	switch s := string(msg); {
+	case strings.Contains(s, "not found"):
+		return fmt.Errorf("%w: %s", ErrNotFound, s)
+	case strings.Contains(s, "too large"):
+		return fmt.Errorf("%w: %s", ErrTooLarge, s)
+	default:
+		return errors.New("gass: " + s)
+	}
 }

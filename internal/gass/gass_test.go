@@ -58,12 +58,7 @@ func TestParseAndBuildURL(t *testing.T) {
 func startServer(t *testing.T) (*transport.TCPEnv, *Server, string) {
 	t.Helper()
 	env := transport.NewTCPEnv("localhost")
-	srv := NewServer(NewStore())
-	ready := make(chan string, 1)
-	env.Spawn("gass", func(e transport.Env) {
-		_ = srv.Serve(e, 0, func(addr string) { ready <- addr })
-	})
-	addr := <-ready
+	srv, addr := serveStore(t, env, NewStore(), 0)
 	t.Cleanup(func() { srv.Close(env) })
 	return env, srv, addr
 }

@@ -11,7 +11,9 @@
 //     resource allocator and submits the processes to their Q servers
 //     (paper Figure 2: "when the RMF type GRAM is used, computing resources
 //     inside the firewall can be utilized via a Globus gatekeeper which is
-//     running outside the firewall").
+//     running outside the firewall"). The gatekeeper replies to the submit
+//     once that placement is done, so a client never polls a job that is
+//     not yet on its Q servers.
 //
 // An authenticated gatekeeper connection is a session (nexus.Request on the
 // client, transport.Bound.Session on the gatekeeper): the handshake runs
@@ -21,9 +23,9 @@
 // credential that authenticated a session reuses it. A reused session that
 // fails before any reply byte is retried once on a new one. A gatekeeper
 // that stops through Close never acted on such a request; one that dies
-// between acting on a Submit and replying did, and the resent Submit runs
-// the job a second time: a known limit until the gatekeeper daemon drains
-// through Close on SIGTERM.
+// between acting on a Submit and replying (placement included) did, and the
+// resent Submit runs the job a second time: a known limit until the
+// gatekeeper daemon drains through Close on SIGTERM.
 package gram
 
 import (
@@ -198,8 +200,9 @@ func (g *Gatekeeper) serve(env transport.Env, subject string, req *nexus.Buffer)
 	return resp, true
 }
 
-// submit parses the RSL and forks the job manager (Figure 2 step 2: "the
-// job manager invoked by the gatekeeper creates a Q client process").
+// submit parses the RSL and starts the job manager (Figure 2 step 2: "the
+// job manager invoked by the gatekeeper creates a Q client process"); an
+// rmf job is placed before submit returns.
 func (g *Gatekeeper) submit(env transport.Env, subject, rslText string) (string, error) {
 	spec, err := rsl.Parse(rslText)
 	if err != nil {
@@ -300,30 +303,39 @@ func (g *Gatekeeper) startFork(env transport.Env, job *managedJob, spec rmf.Proc
 	}
 }
 
-// startRMF runs the job through the paper's Q system.
+// startRMF places the job through the paper's Q system before the
+// gatekeeper replies: the Q client allocates slots and submits each process
+// to its Q server (Figure 2 steps 3-5), so a job whose contact the client
+// holds already runs inside the firewall. A placement failure leaves the job
+// FAILED with the rmf error. The job manager spawned after placement only
+// waits for the processes, marks the job DONE or FAILED and returns the
+// slots.
 func (g *Gatekeeper) startRMF(env transport.Env, job *managedJob, spec rmf.ProcessSpec, count int, cluster string) {
+	g.tracef("job manager %s: creating Q client", job.contact)
+	// The job manager span covers the job's whole gatekeeper-side life
+	// (Q client creation through the slots' release). It roots the trace
+	// when the submitter was untraced and joins theirs otherwise.
+	o := obs.From(env)
+	defer obs.SetCtx(env, obs.CtxOf(env))
+	tc := o.BeginSpan(env.Now(), obs.CtxOf(env), "gram", "jobmanager", env.Hostname(),
+		obs.Str("contact", job.contact), obs.Int("count", int64(count)))
+	obs.SetCtx(env, tc)
+	h, err := rmf.SubmitJob(env, g.cfg.AllocatorAddr, rmf.JobRequest{
+		Count:   count,
+		Cluster: cluster,
+		Spec:    spec,
+	})
+	if err != nil {
+		g.fail(job, err)
+		o.EndSpan(env.Now(), tc, "gram", "jobmanager", env.Hostname())
+		return
+	}
 	g.mu.Lock()
 	job.state = rmf.StateActive
 	g.mu.Unlock()
 	env.Spawn("jobmanager:"+job.contact, func(e transport.Env) {
-		g.tracef("job manager %s: creating Q client", job.contact)
-		// The job manager span covers the job's whole gatekeeper-side life
-		// (Q client creation through completion). It roots the trace when
-		// the submitter was untraced and joins theirs otherwise.
-		o := obs.From(e)
-		tc := o.BeginSpan(e.Now(), obs.CtxOf(e), "gram", "jobmanager", e.Hostname(),
-			obs.Str("contact", job.contact), obs.Int("count", int64(count)))
 		obs.SetCtx(e, tc)
 		defer func() { o.EndSpan(e.Now(), tc, "gram", "jobmanager", e.Hostname()) }()
-		h, err := rmf.SubmitJob(e, g.cfg.AllocatorAddr, rmf.JobRequest{
-			Count:   count,
-			Cluster: cluster,
-			Spec:    spec,
-		})
-		if err != nil {
-			g.fail(job, err)
-			return
-		}
 		// The job is DONE (or FAILED) as its last process ends: the slots
 		// go back to the allocator after that, off the client's path.
 		if err := h.Await(e, 10*time.Millisecond, 0); err != nil {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -309,39 +310,11 @@ func TestRMFJobReleasesAfterDoneTCP(t *testing.T) {
 	reg.Register("broken", func(e transport.Env, ctx *rmf.JobContext) error {
 		return fmt.Errorf("broken on %s", ctx.Resource)
 	})
-	env := transport.NewTCPEnv("localhost")
-	alloc := rmf.NewAllocator()
-	allocReady := make(chan string, 1)
-	env.Spawn("alloc", func(e transport.Env) {
-		_ = alloc.Serve(e, 0, func(a string) { allocReady <- a })
-	})
-	allocAddr := <-allocReady
-	t.Cleanup(func() { alloc.Close(env) })
+	env, cred, kr, _ := newGatekeeperTCP(t, reg)
 	resources := []string{"q0", "q1"}
-	for _, name := range resources {
-		q := rmf.NewQServer(name, "c", 2, reg)
-		ready := make(chan string, 1)
-		env.Spawn("qserver-"+name, func(e transport.Env) {
-			_ = q.Serve(e, 0, allocAddr, func(a string) { ready <- a })
-		})
-		<-ready
-		t.Cleanup(func() { q.Close(env) })
-	}
-	for alloc.Load(resources[0]) < 0 || alloc.Load(resources[1]) < 0 {
-		time.Sleep(time.Millisecond) // registration is asynchronous
-	}
-	cred, err := auth.NewCredential("/O=Grid/CN=tester")
-	if err != nil {
-		t.Fatal(err)
-	}
-	kr := auth.NewKeyring()
-	kr.Grant(cred, "tester")
+	alloc, allocAddr, _ := startRMFTCP(t, env, reg, nil, resources...)
 	gk := NewGatekeeper(Config{Keyring: kr, Registry: reg, AllocatorAddr: allocAddr, DefaultJobManager: "rmf"})
-	gkReady := make(chan string, 1)
-	env.Spawn("gk", func(e transport.Env) {
-		_ = gk.Serve(e, 0, func(a string) { gkReady <- a })
-	})
-	gkAddr := <-gkReady
+	gkAddr := serveGatekeeper(t, env, gk, 0)
 	t.Cleanup(func() { gk.Close(env) })
 
 	for _, job := range []struct{ exe, fails string }{
@@ -366,5 +339,113 @@ func TestRMFJobReleasesAfterDoneTCP(t *testing.T) {
 				time.Sleep(time.Millisecond)
 			}
 		}
+	}
+}
+
+// startRMFTCP starts an RMF allocator and one Q server per resource name on
+// env, each traced by tracef (when not nil), and returns the allocator once
+// every Q server has registered, and a stop that closes them all (run again
+// at the test's end).
+func startRMFTCP(t *testing.T, env transport.Env, reg *rmf.Registry, tracef func(string, ...interface{}), resources ...string) (alloc *rmf.Allocator, allocAddr string, stop func()) {
+	t.Helper()
+	alloc = rmf.NewAllocator()
+	if tracef != nil {
+		alloc.SetTrace(tracef)
+	}
+	allocReady := make(chan string, 1)
+	env.Spawn("alloc", func(e transport.Env) {
+		_ = alloc.Serve(e, 0, func(a string) { allocReady <- a })
+	})
+	allocAddr = <-allocReady
+	daemons := []interface{ Close(transport.Env) }{alloc}
+	stop = func() {
+		for _, d := range daemons {
+			d.Close(env)
+		}
+	}
+	t.Cleanup(stop)
+	for _, name := range resources {
+		q := rmf.NewQServer(name, "c", 2, reg)
+		if tracef != nil {
+			q.SetTrace(tracef)
+		}
+		ready := make(chan string, 1)
+		env.Spawn("qserver-"+name, func(e transport.Env) {
+			_ = q.Serve(e, 0, allocAddr, func(a string) { ready <- a })
+		})
+		<-ready
+		daemons = append(daemons, q)
+	}
+	for _, name := range resources {
+		for alloc.Load(name) < 0 {
+			time.Sleep(time.Millisecond) // registration is asynchronous
+		}
+	}
+	return alloc, allocAddr, stop
+}
+
+// TestSubmitRepliesPlacedTCP: the gatekeeper replies to an rmf Submit once
+// the job is placed, so when Submit returns, the Q servers already hold the
+// job's processes.
+func TestSubmitRepliesPlacedTCP(t *testing.T) {
+	reg := rmf.NewRegistry()
+	hold := make(chan struct{})
+	reg.Register("hold", func(e transport.Env, ctx *rmf.JobContext) error {
+		<-hold
+		return nil
+	})
+	var mu sync.Mutex
+	accepted := 0
+	count := func(format string, args ...interface{}) {
+		if strings.Contains(format, "accepted") {
+			mu.Lock()
+			accepted++
+			mu.Unlock()
+		}
+	}
+	env, cred, kr, _ := newGatekeeperTCP(t, reg)
+	_, allocAddr, _ := startRMFTCP(t, env, reg, count, "q0", "q1")
+	gk := NewGatekeeper(Config{Keyring: kr, Registry: reg, AllocatorAddr: allocAddr, DefaultJobManager: "rmf"})
+	addr := serveGatekeeper(t, env, gk, 0)
+	t.Cleanup(func() { gk.Close(env) })
+
+	const procs = 3
+	contact, err := Submit(env, addr, cred, fmt.Sprintf(`&(executable=hold)(count=%d)`, procs))
+	mu.Lock()
+	held := accepted
+	mu.Unlock()
+	close(hold)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if held != procs {
+		t.Fatalf("the Q servers held %d processes when Submit returned, want %d", held, procs)
+	}
+	if err := Wait(env, addr, cred, contact, time.Millisecond, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSubmitPlacementFailsTCP: a job whose placement fails still gets a
+// contact, and its Status is FAILED with the rmf error.
+func TestSubmitPlacementFailsTCP(t *testing.T) {
+	env, cred, kr, _ := newGatekeeperTCP(t, okRegistry())
+	l, err := env.Listen(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refusing := l.Addr()
+	_ = l.Close(env)
+	gk := NewGatekeeper(Config{Keyring: kr, Registry: okRegistry(), AllocatorAddr: refusing})
+	addr := serveGatekeeper(t, env, gk, 0)
+	t.Cleanup(func() { gk.Close(env) })
+
+	contact, err := Submit(env, addr, cred, `&(executable=ok)(jobmanager=rmf)`)
+	if err != nil {
+		t.Fatalf("Submit = %v, want a contact", err)
+	}
+	state, msg, err := Status(env, addr, cred, contact)
+	if err != nil || state != stateFailed || !strings.Contains(msg, "rmf: dial "+refusing) {
+		t.Fatalf("Status = %d, %q, %v; want FAILED with the rmf dial error", state, msg, err)
 	}
 }

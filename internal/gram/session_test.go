@@ -239,38 +239,41 @@ func TestSessionRetryTCP(t *testing.T) {
 }
 
 // TestGatekeeperCloseTCP: Close ends an idle session at once and a busy one
-// after its reply, which the client receives; then no session goroutine is
+// after its reply, which the client receives: here an rmf Submit that Close
+// finds placing its job, held in the allocator. Then no session goroutine is
 // left.
 func TestGatekeeperCloseTCP(t *testing.T) {
 	start := runtime.NumGoroutine()
-	env, cred, _, gk := newGatekeeperTCP(t, okRegistry())
+	env, cred, kr, _ := newGatekeeperTCP(t, okRegistry())
 	entered, release := make(chan struct{}), make(chan struct{})
-	gk.SetTrace(func(format string, args ...interface{}) {
-		if strings.HasPrefix(format, "gatekeeper: job request") {
+	_, allocAddr, stopRMF := startRMFTCP(t, env, okRegistry(), func(format string, args ...interface{}) {
+		if strings.HasPrefix(format, "allocator: selected") {
 			close(entered)
 			<-release
 		}
-	})
+	}, "q0")
+	gk := NewGatekeeper(Config{Keyring: kr, Registry: okRegistry(), AllocatorAddr: allocAddr})
 	addr := serveGatekeeper(t, env, gk, 0)
 	other, err := auth.NewCredential("/O=Grid/CN=idle")
 	if err != nil {
 		t.Fatal(err)
 	}
-	gk.cfg.Keyring.Grant(other, "idle")
+	kr.Grant(other, "idle")
 	if _, err := List(env, addr, other); err != nil { // leaves an idle session
 		t.Fatal(err)
 	}
 	submitted := make(chan error, 1)
 	go func() {
-		_, err := Submit(env, addr, cred, `&(executable=ok)`)
+		_, err := Submit(env, addr, cred, `&(executable=ok)(jobmanager=rmf)`)
 		submitted <- err
 	}()
 	<-entered
 	gk.Close(env)
 	close(release)
 	if err := <-submitted; err != nil {
-		t.Fatalf("Submit busy across Close: %v", err)
+		t.Fatalf("Submit placing across Close: %v", err)
 	}
+	stopRMF()
 	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > start; {
 		if time.Now().After(deadline) {
 			buf := make([]byte, 1<<16)

@@ -16,6 +16,8 @@ import (
 // frame that begins with a status bool — true and the op's results, or false
 // and the server's message. WriteFrame and ReadFrame are its codec, Call,
 // Request and ReadReply its client side, PutStatus its server side.
+// OnSession is the kept-session discipline Request runs on, which GASS's own
+// byte wire shares.
 
 // DefaultMaxFrame bounds ReadFrame when callers pass max <= 0.
 const DefaultMaxFrame = 16 << 20
@@ -29,13 +31,12 @@ func WriteFrame(w io.Writer, b *Buffer) error {
 	return transport.WriteHead(w, hdr[:], b.Bytes())
 }
 
-// frameChunk is the most ReadFrame allocates for a frame before its bytes
-// arrive: a header alone cannot make a reader allocate what it announces.
+// frameChunk is the most ReadN allocates ahead of the bytes that have
+// arrived: a header alone cannot make a reader allocate what it announces.
 const frameChunk = 64 << 10
 
 // ReadFrame reads a length-prefixed buffer, rejecting frames over max
-// bytes (DefaultMaxFrame if max <= 0). A frame over frameChunk is read into
-// a buffer that doubles as its bytes arrive.
+// bytes (DefaultMaxFrame if max <= 0), with ReadN.
 func ReadFrame(r io.Reader, max int) (*Buffer, error) {
 	if max <= 0 {
 		max = DefaultMaxFrame
@@ -48,7 +49,20 @@ func ReadFrame(r io.Reader, max int) (*Buffer, error) {
 	if int(n) > max {
 		return nil, fmt.Errorf("nexus: frame of %d bytes exceeds limit %d", n, max)
 	}
-	body := make([]byte, min(int(n), frameChunk))
+	body, err := ReadN(r, int(n))
+	if err != nil {
+		return nil, err
+	}
+	return FromBytes(body), nil
+}
+
+// ReadN reads the n bytes a header announced into a new slice. Over
+// frameChunk bytes, the slice doubles as its bytes arrive, so a peer that
+// announces more than it sends costs at most frameChunk past what it sent.
+// A stream that ends inside the n bytes is io.ErrUnexpectedEOF, one that
+// ends before them io.EOF.
+func ReadN(r io.Reader, n int) ([]byte, error) {
+	body := make([]byte, min(n, frameChunk))
 	for got := 0; ; {
 		m, err := io.ReadFull(r, body[got:])
 		if got += m; err != nil {
@@ -57,10 +71,10 @@ func ReadFrame(r io.Reader, max int) (*Buffer, error) {
 			}
 			return nil, err
 		}
-		if got == int(n) {
-			return FromBytes(body), nil
+		if got == n {
+			return body, nil
 		}
-		grown := make([]byte, min(2*len(body), int(n)))
+		grown := make([]byte, min(2*len(body), n))
 		copy(grown, body)
 		body = grown
 	}
@@ -92,64 +106,68 @@ func Call(rw io.ReadWriter, req *Buffer) (*Buffer, error) {
 	return ReadReply(rw)
 }
 
-// Request is one control exchange with the daemon at addr on a kept
-// session: a connection that has carried an earlier exchange and waits in
-// table under key. With none idle, dial opens a new one (and, say,
-// authenticates it). After a reply, or a well-formed refusal, the session
-// is kept under key again, or closed when the key already holds its idle
-// limit; after any other error it is closed. A nil table keeps nothing, so
-// every call dials and closes its own connection.
+// OnSession runs one exchange on a kept session: a connection that has
+// carried an earlier exchange and waits in table under key. With none idle,
+// dial opens a new one (and, say, authenticates it). exchange writes a
+// request on c and reads its reply; it reports whether any byte of the reply
+// arrived and whether c may carry the next request. Such a session is kept
+// under key again, or closed when the key already holds its idle limit; any
+// other is closed. A nil table keeps nothing, so every call dials and closes
+// its own connection.
 //
-// The retry rule: a request that fails on a reused session before any byte
-// of its reply arrives is sent once more, on a new session, and a failure
-// on a new session is returned. A daemon that stops through its Close ends
-// a session only between requests (transport.Bound.Session), so it never
-// acted on such a request.
+// The retry rule: an exchange that fails on a reused session before any byte
+// of its reply arrives runs once more, on a new session, and a failure on a
+// new session is returned. A daemon that stops through its Close ends a
+// session only between requests (transport.Bound.Session), so it never acted
+// on such a request.
 //
 // A reused session carries its new caller's trace context as baggage, for a
-// daemon that adopts the baggage per request. A refusal comes back as a
-// *StatusError that names addr.
-func Request(env transport.Env, table *transport.Sessions, key any, addr string, dial func() (transport.Conn, error), req *Buffer) (*Buffer, error) {
+// daemon that adopts the baggage per request.
+func OnSession(env transport.Env, table *transport.Sessions, key any, dial func() (transport.Conn, error), exchange func(c transport.Conn) (replied, keep bool, err error)) error {
 	if c := table.Take(key); c != nil {
 		obs.SetBaggage(c, obs.CtxOf(env))
-		resp, replied, err := exchange(env, c, req)
+		replied, keep, err := exchange(c)
 		if err == nil || replied {
-			return keepOrClose(env, table, key, c, addr, resp, err)
+			keepOrClose(env, table, key, c, keep)
+			return err
 		}
 		_ = c.Close(env)
 	}
 	c, err := dial()
 	if err != nil {
-		return nil, err
+		return err
 	}
-	resp, _, err := exchange(env, c, req)
-	return keepOrClose(env, table, key, c, addr, resp, err)
+	_, keep, err := exchange(c)
+	keepOrClose(env, table, key, c, keep)
+	return err
 }
 
-// exchange is Call on the session c; replied reports whether any byte of
-// the reply arrived.
-func exchange(env transport.Env, c transport.Conn, req *Buffer) (resp *Buffer, replied bool, err error) {
-	st := transport.Stream{Env: env, Conn: c}
-	if err := WriteFrame(st, req); err != nil {
-		return nil, false, err
-	}
-	r := &replyReader{st: st}
-	resp, err = ReadReply(r)
-	return resp, r.got, err
-}
-
-// keepOrClose ends a call on session c: a nil err or a well-formed refusal
-// keeps it idle under key (or closes it when the table is full), anything
-// else closes it. A refusal is named after addr.
-func keepOrClose(env transport.Env, table *transport.Sessions, key any, c transport.Conn, addr string, resp *Buffer, err error) (*Buffer, error) {
-	var se *StatusError
-	refused := errors.As(err, &se) && !se.Malformed
-	if (err != nil && !refused) || !table.Keep(key, c) {
+// keepOrClose files session c as idle under key when keep holds and the
+// table has room, and closes it otherwise.
+func keepOrClose(env transport.Env, table *transport.Sessions, key any, c transport.Conn, keep bool) {
+	if !keep || !table.Keep(key, c) {
 		_ = c.Close(env)
 	}
-	if se != nil {
-		se.Addr = addr
-	}
+}
+
+// Request is one control exchange, Call's, with the daemon at addr on a
+// session kept by OnSession. A reply or a well-formed refusal leaves the
+// session fit for the next request; a refusal comes back as a *StatusError
+// that names addr.
+func Request(env transport.Env, table *transport.Sessions, key any, addr string, dial func() (transport.Conn, error), req *Buffer) (resp *Buffer, err error) {
+	err = OnSession(env, table, key, dial, func(c transport.Conn) (replied, keep bool, err error) {
+		st := transport.Stream{Env: env, Conn: c}
+		if err := WriteFrame(st, req); err != nil {
+			return false, false, err
+		}
+		r := &replyReader{st: st}
+		resp, err = ReadReply(r)
+		var se *StatusError
+		if errors.As(err, &se) {
+			se.Addr = addr
+		}
+		return r.got, err == nil || se != nil && !se.Malformed, err
+	})
 	return resp, err
 }
 
