@@ -43,7 +43,7 @@ check: benchmark-smoke chaos scenarios fleet-smoke trace-goldens
 # share an atomic byte counter, and a direction that fills its buffer hands
 # off from the read/write loop to splice(2), which changes how they
 # interleave. And so do the TCP tests of the control plane (nexus, gram,
-# gass, rmf): a frame on a real socket is built in a pooled buffer that
+# gass, rmf, hbm, mds): a frame on a real socket is built in a pooled buffer that
 # every writer goroutine shares, and a TCPEnv's idle sessions are one
 # table its goroutines share while a daemon's Close races its sessions.
 race-sched:
@@ -51,8 +51,8 @@ race-sched:
 	GOMAXPROCS=4 $(GO) test -race -count=3 ./internal/sim/
 	GOMAXPROCS=1 $(GO) test -race -count=3 -run InPlace ./internal/simnet ./internal/proxy
 	GOMAXPROCS=4 $(GO) test -race -count=3 -run InPlace ./internal/simnet ./internal/proxy
-	GOMAXPROCS=1 $(GO) test -race -count=3 -run TCP ./internal/proxy ./internal/transport ./internal/nexus ./internal/gram ./internal/gass ./internal/rmf
-	GOMAXPROCS=4 $(GO) test -race -count=3 -run TCP ./internal/proxy ./internal/transport ./internal/nexus ./internal/gram ./internal/gass ./internal/rmf
+	GOMAXPROCS=1 $(GO) test -race -count=3 -run TCP ./internal/proxy ./internal/transport ./internal/nexus ./internal/gram ./internal/gass ./internal/rmf ./internal/hbm ./internal/mds
+	GOMAXPROCS=4 $(GO) test -race -count=3 -run TCP ./internal/proxy ./internal/transport ./internal/nexus ./internal/gram ./internal/gass ./internal/rmf ./internal/hbm ./internal/mds
 
 # chaos runs the fault-injection recovery scenarios (see EXPERIMENTS.md,
 # "Chaos runs") on their own, under the race detector.

@@ -170,16 +170,7 @@ func NewServer(store *Store) *Server { return &Server{Store: store} }
 
 // Serve binds and accepts; it blocks its process.
 func (s *Server) Serve(env transport.Env, port int, ready func(addr string)) error {
-	l, err := env.Listen(port)
-	if err != nil {
-		return fmt.Errorf("gass: listen: %w", err)
-	}
-	s.Hold(l)
-	if ready != nil {
-		ready(l.Addr())
-	}
-	transport.Serve(env, l, "gass:conn", s.handle)
-	return nil
+	return s.Listen(env, port, "gass", "gass:conn", ready, s.handle)
 }
 
 // handle serves one session (transport.Bound.Session): request after

@@ -107,16 +107,7 @@ func (g *Gatekeeper) tracef(format string, args ...interface{}) {
 // Serve binds the gatekeeper port and accepts submissions; it blocks its
 // process.
 func (g *Gatekeeper) Serve(env transport.Env, port int, ready func(addr string)) error {
-	l, err := env.Listen(port)
-	if err != nil {
-		return fmt.Errorf("gram: listen: %w", err)
-	}
-	g.Hold(l)
-	if ready != nil {
-		ready(l.Addr())
-	}
-	transport.Serve(env, l, "gatekeeper:conn", g.handle)
-	return nil
+	return g.Listen(env, port, "gram", "gatekeeper:conn", ready, g.handle)
 }
 
 // handle serves one session (transport.Bound.Session): it authenticates

@@ -4,7 +4,9 @@
 // classifies each process as UP, LATE or DOWN from beat arrival times, and
 // operators (or tests) query it for liveness. In a metacomputing testbed
 // spanning firewalls this is how a site learns that a remote component died
-// rather than merely stalled.
+// rather than merely stalled. Beats and queries are control calls on a
+// session kept per caller host (nexus.Ask, nexus.ServeSession), so a
+// reporter dials its monitor once, not once per beat.
 package hbm
 
 import (
@@ -285,31 +287,17 @@ func (m *Monitor) Snapshot(now time.Duration) map[string]Health {
 
 // Serve runs the monitor's wire protocol; it blocks its process.
 func (m *Monitor) Serve(env transport.Env, port int, ready func(addr string)) error {
-	l, err := env.Listen(port)
-	if err != nil {
-		return fmt.Errorf("hbm: listen: %w", err)
-	}
-	m.Hold(l)
 	m.obs = obs.From(env)
-	if ready != nil {
-		ready(l.Addr())
-	}
-	transport.Serve(env, l, "hbm:conn", m.handle)
-	return nil
+	return m.Listen(env, port, "hbm", "hbm:conn", ready, m.handle)
 }
 
+// handle serves one monitor session (nexus.ServeSession).
 func (m *Monitor) handle(env transport.Env, c transport.Conn) {
-	defer c.Close(env)
-	st := transport.Stream{Env: env, Conn: c}
-	req, err := nexus.ReadFrame(st, 0)
-	if err != nil {
-		return
-	}
-	op, err := req.GetInt32()
-	if err != nil {
-		return
-	}
-	resp := nexus.NewBuffer()
+	nexus.ServeSession(env, &m.Bound, c, "hbm", m.serve)
+}
+
+// serve answers one monitor request.
+func (m *Monitor) serve(env transport.Env, op int32, req, resp *nexus.Buffer) {
 	switch op {
 	case opBeat:
 		name, err := req.GetString()
@@ -343,7 +331,6 @@ func (m *Monitor) handle(env transport.Env, c transport.Conn) {
 	default:
 		nexus.PutStatus(resp, errors.New("hbm: unknown op"))
 	}
-	_ = nexus.WriteFrame(st, resp)
 }
 
 // Beat sends one heartbeat for name to the monitor at addr.
@@ -351,7 +338,7 @@ func Beat(env transport.Env, addr, name string) error {
 	req := nexus.NewBuffer()
 	req.PutInt32(opBeat)
 	req.PutString(name)
-	_, err := roundTrip(env, addr, req)
+	_, err := nexus.Ask(env, "hbm", addr, req)
 	return err
 }
 
@@ -362,7 +349,7 @@ func Deregister(env transport.Env, addr, name string) error {
 	req := nexus.NewBuffer()
 	req.PutInt32(opDeregister)
 	req.PutString(name)
-	_, err := roundTrip(env, addr, req)
+	_, err := nexus.Ask(env, "hbm", addr, req)
 	return err
 }
 
@@ -370,7 +357,7 @@ func Deregister(env transport.Env, addr, name string) error {
 func QueryAll(env transport.Env, addr string) (map[string]Health, error) {
 	req := nexus.NewBuffer()
 	req.PutInt32(opList)
-	resp, err := roundTrip(env, addr, req)
+	resp, err := nexus.Ask(env, "hbm", addr, req)
 	if err != nil {
 		return nil, err
 	}
@@ -398,17 +385,6 @@ func decodeList(resp *nexus.Buffer) (map[string]Health, error) {
 		out[name] = Health(h)
 	}
 	return out, nil
-}
-
-// roundTrip is one control exchange with the monitor at addr. A refusal
-// comes back as the monitor's message itself.
-func roundTrip(env transport.Env, addr string, req *nexus.Buffer) (*nexus.Buffer, error) {
-	c, err := env.Dial(addr)
-	if err != nil {
-		return nil, fmt.Errorf("hbm: dial %s: %w", addr, err)
-	}
-	defer c.Close(env)
-	return nexus.Call(transport.Stream{Env: env, Conn: c}, req)
 }
 
 // Reporter periodically beats on behalf of a named process. Start launches

@@ -12,8 +12,8 @@ import (
 // in-process, so remote clients only search it.
 const opSearch = byte(2)
 
-// Server exposes a Directory over the transport layer, one request per
-// connection.
+// Server exposes a Directory over the transport layer; a client's
+// searches share one kept session (nexus.ServeSession).
 type Server struct {
 	transport.Bound
 	Dir *Directory
@@ -24,33 +24,18 @@ func NewServer(dir *Directory) *Server { return &Server{Dir: dir} }
 
 // Serve binds and accepts; it blocks its process.
 func (s *Server) Serve(env transport.Env, port int, ready func(addr string)) error {
-	l, err := env.Listen(port)
-	if err != nil {
-		return fmt.Errorf("mds: listen: %w", err)
-	}
-	s.Hold(l)
-	if ready != nil {
-		ready(l.Addr())
-	}
-	transport.Serve(env, l, "mds:conn", s.handle)
-	return nil
+	return s.Listen(env, port, "mds", "mds:conn", ready, s.handle)
 }
 
+// handle serves one directory session (nexus.ServeSession).
 func (s *Server) handle(env transport.Env, c transport.Conn) {
-	defer c.Close(env)
-	st := transport.Stream{Env: env, Conn: c}
-	req, err := nexus.ReadFrame(st, 0)
-	if err != nil {
-		return
-	}
-	op, err := req.GetInt32()
-	if err != nil {
-		return
-	}
-	resp := nexus.NewBuffer()
+	nexus.ServeSession(env, &s.Bound, c, "mds", s.serve)
+}
+
+// serve answers one directory request.
+func (s *Server) serve(env transport.Env, op int32, req, resp *nexus.Buffer) {
 	if byte(op) != opSearch {
 		nexus.PutStatus(resp, fmt.Errorf("mds: unknown op %d", op))
-		_ = nexus.WriteFrame(st, resp)
 		return
 	}
 	base, err := req.GetString()
@@ -73,7 +58,6 @@ func (s *Server) handle(env transport.Env, c transport.Conn) {
 			encodeEntry(resp, e)
 		}
 	}
-	_ = nexus.WriteFrame(st, resp)
 }
 
 func encodeEntry(b *nexus.Buffer, e *Entry) {
@@ -135,18 +119,15 @@ type Client struct {
 	Addr string
 }
 
-// Search queries entries under base with an optional filter string.
+// Search queries entries under base with an optional filter string, on a
+// session kept per caller host (nexus.Ask). A refusal reads "mds: server
+// error: " and the *nexus.StatusError.
 func (c Client) Search(env transport.Env, base, filter string) ([]*Entry, error) {
-	conn, err := env.Dial(c.Addr)
-	if err != nil {
-		return nil, fmt.Errorf("mds: dial %s: %w", c.Addr, err)
-	}
-	defer conn.Close(env)
 	req := nexus.NewBuffer()
 	req.PutInt32(int32(opSearch))
 	req.PutString(base)
 	req.PutString(filter)
-	resp, err := nexus.Call(transport.Stream{Env: env, Conn: conn}, req)
+	resp, err := nexus.Ask(env, "mds", c.Addr, req)
 	var se *nexus.StatusError
 	if errors.As(err, &se) {
 		return nil, fmt.Errorf("mds: server error: %w", se)

@@ -14,10 +14,10 @@ import (
 // (gatekeeper, allocator, Q servers, HBM, MDS, gridftp's control channel)
 // speaks it: a request is one length-prefixed frame, and a reply is one
 // frame that begins with a status bool — true and the op's results, or false
-// and the server's message. WriteFrame and ReadFrame are its codec, Call,
-// Request and ReadReply its client side, PutStatus its server side.
-// OnSession is the kept-session discipline Request runs on, which GASS's own
-// byte wire shares.
+// and the server's message. WriteFrame and ReadFrame are its codec, Ask,
+// Request, Call and ReadReply its client side, ServeSession and PutStatus
+// its server side. OnSession is the kept-session discipline Request runs on,
+// which GASS's own byte wire shares.
 
 // DefaultMaxFrame bounds ReadFrame when callers pass max <= 0.
 const DefaultMaxFrame = 16 << 20
@@ -169,6 +169,47 @@ func Request(env transport.Env, table *transport.Sessions, key any, addr string,
 		return r.got, err == nil || se != nil && !se.Malformed, err
 	})
 	return resp, err
+}
+
+// askKey names the sessions Ask may reuse: from which host, to which daemon.
+type askKey struct{ host, addr string }
+
+// Ask is Request with the daemon at addr on a session kept per (caller host,
+// addr) in the table of env's network, dialed plainly; a dial failure reads
+// "<pkg>: dial <addr>: …".
+func Ask(env transport.Env, pkg, addr string, req *Buffer) (*Buffer, error) {
+	return Request(env, transport.SessionsOf(env), askKey{env.Hostname(), addr}, addr, func() (transport.Conn, error) {
+		c, err := env.Dial(addr)
+		if err != nil {
+			return nil, fmt.Errorf("%s: dial %s: %w", pkg, addr, err)
+		}
+		return c, nil
+	}, req)
+}
+
+// ServeSession serves c as a session of the daemon d
+// (transport.Bound.Session): each request frame's op and fields go to serve,
+// with the caller's trace context adopted from the connection's baggage, and
+// the reply serve writes goes back. The session ends at EOF, at Close, or on
+// a frame too short for an op, which is refused as "<pkg>: malformed
+// request" first.
+func ServeSession(env transport.Env, d *transport.Bound, c transport.Conn, pkg string, serve func(env transport.Env, op int32, req, resp *Buffer)) {
+	st := transport.Stream{Env: env, Conn: c}
+	var req *Buffer
+	d.Session(env, c, func() (err error) {
+		req, err = ReadFrame(st, 0)
+		return err
+	}, func() bool {
+		obs.SetCtx(env, obs.BaggageOf(c))
+		resp := NewBuffer()
+		op, err := req.GetInt32()
+		if err != nil {
+			PutStatus(resp, fmt.Errorf("%s: malformed request", pkg))
+		} else {
+			serve(env, op, req, resp)
+		}
+		return WriteFrame(st, resp) == nil && err == nil
+	})
 }
 
 // replyReader reads a session's reply and notes whether a byte arrived.

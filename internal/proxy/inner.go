@@ -57,16 +57,7 @@ func (s *InnerServer) Stats() Stats {
 
 // Serve binds the nxport and runs the accept loop; it blocks its process.
 func (s *InnerServer) Serve(env transport.Env, nxport int, ready func(addr string)) error {
-	l, err := env.Listen(nxport)
-	if err != nil {
-		return fmt.Errorf("proxy inner: listen: %w", err)
-	}
-	s.Hold(l)
-	if ready != nil {
-		ready(l.Addr())
-	}
-	transport.Serve(env, l, "inner:conn", s.handle)
-	return nil
+	return s.Listen(env, nxport, "proxy inner", "inner:conn", ready, s.handle)
 }
 
 // handle serves one connection from the outer server: read the splice

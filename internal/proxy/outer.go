@@ -91,16 +91,7 @@ func (s *OuterServer) innerAddr() string {
 // process (start it under a daemon Spawn). port 0 picks an ephemeral port;
 // ready (optional) receives the bound address, after which Addr is valid.
 func (s *OuterServer) Serve(env transport.Env, port int, ready func(addr string)) error {
-	l, err := env.Listen(port)
-	if err != nil {
-		return fmt.Errorf("proxy outer: listen: %w", err)
-	}
-	s.Hold(l)
-	if ready != nil {
-		ready(l.Addr())
-	}
-	transport.Serve(env, l, "outer:conn", s.handleControl)
-	return nil // listener closed: normal shutdown
+	return s.Listen(env, port, "proxy outer", "outer:conn", ready, s.handleControl)
 }
 
 // handleControl serves one client connection on the control port,

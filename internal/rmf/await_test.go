@@ -207,10 +207,10 @@ func TestQServerRejectsBadSubmitCounts(t *testing.T) {
 		return req
 	}
 	for _, count := range []int32{-1, 1 << 30} {
-		if _, err := roundTrip(env, qAddrs[0], declare(count)); err == nil || !strings.Contains(err.Error(), "malformed submit") {
+		if _, err := nexus.Ask(env, "rmf", qAddrs[0], declare(count)); err == nil || !strings.Contains(err.Error(), "malformed submit") {
 			t.Fatalf("submit with %d arguments: err = %v, want malformed submit", count, err)
 		}
-		if _, err := roundTrip(env, qAddrs[0], declare(0, count)); err == nil || !strings.Contains(err.Error(), "malformed environment") {
+		if _, err := nexus.Ask(env, "rmf", qAddrs[0], declare(0, count)); err == nil || !strings.Contains(err.Error(), "malformed environment") {
 			t.Fatalf("submit with %d environment entries: err = %v, want malformed environment", count, err)
 		}
 	}

@@ -10,39 +10,6 @@ import (
 	"nxcluster/internal/transport"
 )
 
-// roundTrip is one control exchange with the allocator or a Q server at
-// addr, on a session kept per (caller host, addr) where sessions(env) holds
-// and on a connection of its own otherwise (nexus.Request).
-func roundTrip(env transport.Env, addr string, req *nexus.Buffer) (*nexus.Buffer, error) {
-	var table *transport.Sessions
-	if sessions(env) {
-		table = transport.SessionsOf(env)
-	}
-	return nexus.Request(env, table, sessionKey{env.Hostname(), addr}, addr, func() (transport.Conn, error) {
-		c, err := env.Dial(addr)
-		if err != nil {
-			return nil, fmt.Errorf("rmf: dial %s: %w", addr, err)
-		}
-		return c, nil
-	}, req)
-}
-
-// sessionKey names the sessions a call may reuse: from which host, to which
-// daemon.
-type sessionKey struct{ host, addr string }
-
-// sessions reports whether rmf's control calls on env keep their connection
-// for the next call, on both sides: true on real sockets only. On simnet
-// every connection's SYN, FIN and segments are trace events, and a server
-// that loops moves its FIN behind the client's, which moves the trace hash of
-// every chaos row in SCENARIOS_suite.json; so simulated runs keep one call
-// per connection until ROADMAP 23 step 2, the simnet re-baseline, deletes
-// this predicate.
-func sessions(env transport.Env) bool {
-	_, ok := env.(*transport.TCPEnv)
-	return ok
-}
-
 // RegisterResource announces a Q server to the allocator.
 func RegisterResource(env transport.Env, allocatorAddr, name, addr, cluster string, cpus int) error {
 	req := nexus.NewBuffer()
@@ -51,7 +18,7 @@ func RegisterResource(env transport.Env, allocatorAddr, name, addr, cluster stri
 	req.PutString(addr)
 	req.PutString(cluster)
 	req.PutInt32(int32(cpus))
-	_, err := roundTrip(env, allocatorAddr, req)
+	_, err := nexus.Ask(env, "rmf", allocatorAddr, req)
 	return err
 }
 
@@ -64,7 +31,7 @@ func Allocate(env transport.Env, allocatorAddr string, count int, cluster string
 	req.PutInt32(opAlloc)
 	req.PutInt32(int32(count))
 	req.PutString(cluster)
-	resp, err := roundTrip(env, allocatorAddr, req)
+	resp, err := nexus.Ask(env, "rmf", allocatorAddr, req)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -92,7 +59,7 @@ func Release(env transport.Env, allocatorAddr string, names []string) error {
 	for _, n := range names {
 		req.PutString(n)
 	}
-	_, err := roundTrip(env, allocatorAddr, req)
+	_, err := nexus.Ask(env, "rmf", allocatorAddr, req)
 	return err
 }
 
@@ -128,7 +95,7 @@ func Submit(env transport.Env, qserverAddr string, spec ProcessSpec) (string, er
 	}
 	req.PutString(spec.StdinURL)
 	req.PutString(spec.StdoutURL)
-	resp, err := roundTrip(env, qserverAddr, req)
+	resp, err := nexus.Ask(env, "rmf", qserverAddr, req)
 	if err != nil {
 		return "", err
 	}
@@ -158,7 +125,7 @@ func Await(env transport.Env, qserverAddr, jobID string, hold time.Duration) (St
 // askState sends a Q server request that is answered with a state and a
 // failure message.
 func askState(env transport.Env, qserverAddr string, req *nexus.Buffer) (State, string, error) {
-	resp, err := roundTrip(env, qserverAddr, req)
+	resp, err := nexus.Ask(env, "rmf", qserverAddr, req)
 	if err != nil {
 		return StateFailed, "", err
 	}

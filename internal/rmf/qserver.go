@@ -95,11 +95,11 @@ func (q *QServer) Serve(env transport.Env, port int, allocatorAddr string, ready
 	return nil
 }
 
-// handle serves one Q server session (serveSession). The caller's trace
-// context, adopted per request, parents the spans the handler and the
+// handle serves one Q server session (nexus.ServeSession). The caller's
+// trace context, adopted per request, parents the spans the handler and the
 // processes it spawns open under the submitting job.
 func (q *QServer) handle(env transport.Env, c transport.Conn) {
-	serveSession(env, &q.Bound, c, q.serve)
+	nexus.ServeSession(env, &q.Bound, c, "rmf", q.serve)
 }
 
 // serve answers one Q server request.

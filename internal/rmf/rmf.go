@@ -15,11 +15,10 @@
 //
 // The site firewall must permit the Q client's connections to the allocator
 // and the Q servers — the paper calls this configuration out explicitly —
-// which cluster.Testbed models by opening those registered ports. On real
-// sockets those connections are kept sessions, as the gatekeeper's are
-// (nexus.Request, transport.Bound.Session); simulated runs keep one call per
-// connection (see sessions). Allocator and Q server state is in-process: a
-// daemon killed mid-request loses what it acted on.
+// which cluster.Testbed models by opening those registered ports. Those
+// connections are kept sessions, on simnet as on sockets (nexus.Ask,
+// nexus.ServeSession). Allocator and Q server state is in-process: a daemon
+// killed mid-request loses what it acted on.
 //
 // Because jobs in the simulation cannot be exec'ed binaries, a Registry maps
 // executable names to Go functions; file input/output is staged through
@@ -341,16 +340,7 @@ const maxAllocSlots = 4096
 
 // Serve runs the allocator protocol; it blocks its process.
 func (a *Allocator) Serve(env transport.Env, port int, ready func(addr string)) error {
-	l, err := env.Listen(port)
-	if err != nil {
-		return fmt.Errorf("rmf allocator: listen: %w", err)
-	}
-	a.Hold(l)
-	if ready != nil {
-		ready(l.Addr())
-	}
-	transport.Serve(env, l, "rmf-alloc:conn", a.handle)
-	return nil
+	return a.Listen(env, port, "rmf allocator", "rmf-alloc:conn", ready, a.handle)
 }
 
 // noteLoads refreshes the per-resource load gauges the monitoring plane
@@ -372,34 +362,9 @@ func (a *Allocator) noteLoads(o *obs.Observer, names []string) {
 	}
 }
 
-// handle serves one allocator session (serveSession).
+// handle serves one allocator session (nexus.ServeSession).
 func (a *Allocator) handle(env transport.Env, c transport.Conn) {
-	serveSession(env, &a.Bound, c, a.serve)
-}
-
-// serveSession serves c as a session of the daemon d
-// (transport.Bound.Session): each request frame's op and fields go to serve,
-// with the caller's trace context adopted from the connection's baggage, and
-// the reply serve writes goes back. The session ends at EOF, on a frame
-// whose op does not decode (refused first), at Close, or, where sessions(env)
-// is false, after the first reply.
-func serveSession(env transport.Env, d *transport.Bound, c transport.Conn, serve func(env transport.Env, op int32, req, resp *nexus.Buffer)) {
-	st := transport.Stream{Env: env, Conn: c}
-	var req *nexus.Buffer
-	d.Session(env, c, func() (err error) {
-		req, err = nexus.ReadFrame(st, 0)
-		return err
-	}, func() bool {
-		obs.SetCtx(env, obs.BaggageOf(c))
-		resp := nexus.NewBuffer()
-		op, err := req.GetInt32()
-		if err != nil {
-			nexus.PutStatus(resp, fmt.Errorf("rmf: malformed request"))
-		} else {
-			serve(env, op, req, resp)
-		}
-		return nexus.WriteFrame(st, resp) == nil && err == nil && sessions(env)
-	})
+	nexus.ServeSession(env, &a.Bound, c, "rmf", a.serve)
 }
 
 // serve answers one allocator request.

@@ -485,7 +485,7 @@ func TestAllocatorRejectsBadReleaseCount(t *testing.T) {
 		req := nexus.NewBuffer()
 		req.PutInt32(opRelease)
 		req.PutInt32(count)
-		_, err := roundTrip(env, allocAddr, req)
+		_, err := nexus.Ask(env, "rmf", allocAddr, req)
 		if err == nil || !strings.Contains(err.Error(), "malformed release") {
 			t.Fatalf("release with count %d: err = %v, want malformed release", count, err)
 		}

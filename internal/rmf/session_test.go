@@ -8,7 +8,10 @@ import (
 	"testing"
 	"time"
 
+	"nxcluster/internal/hbm"
 	"nxcluster/internal/nexus"
+	"nxcluster/internal/sim"
+	"nxcluster/internal/simnet"
 	"nxcluster/internal/transport"
 )
 
@@ -264,5 +267,60 @@ func TestRefusalNamesPackageOnceTCP(t *testing.T) {
 	}
 	if msg := err.Error(); strings.Count(msg, "rmf:") != 1 || !strings.HasPrefix(msg, r.qaddrs[0]+": ") {
 		t.Fatalf("refusal %q: want %s and then rmf: once", msg, r.qaddrs[0])
+	}
+}
+
+// countingEnv is a simnet process's env whose dials are counted per
+// address.
+type countingEnv struct {
+	*simnet.Env
+	dials map[string]int
+}
+
+func (e countingEnv) Dial(addr string) (transport.Conn, error) {
+	e.dials[addr]++
+	return e.Env.Dial(addr)
+}
+
+// TestSessionsKeptOnSimnet: on a simulated testbed, one host's heartbeats
+// and rmf status polls each ride one kept session, as they do on sockets:
+// the monitor and the Q server each see one dial for all the calls.
+func TestSessionsKeptOnSimnet(t *testing.T) {
+	const calls = 20
+	k := sim.New()
+	n := simnet.New(k)
+	for _, h := range []string{"mon", "q", "cli"} {
+		n.AddHost(h, simnet.HostConfig{})
+	}
+	n.Connect("cli", "mon", simnet.LinkConfig{Latency: time.Millisecond})
+	n.Connect("cli", "q", simnet.LinkConfig{Latency: time.Millisecond})
+	m := hbm.NewMonitor(time.Second)
+	n.Node("mon").SpawnDaemonOn("monitor", func(e transport.Env) { _ = m.Serve(e, 7300, nil) })
+	q := NewQServer("q", "c", 1, okReg())
+	n.Node("q").SpawnDaemonOn("qserver", func(e transport.Env) { _ = q.Serve(e, QServerPort, "", nil) })
+	dials := map[string]int{}
+	n.Node("cli").SpawnOn("client", func(se transport.Env) {
+		e := countingEnv{se.(*simnet.Env), dials}
+		e.Sleep(time.Millisecond)
+		id, err := Submit(e, "q:7101", ProcessSpec{Executable: "ok"})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		for i := 0; i < calls; i++ {
+			if err := hbm.Beat(e, "mon:7300", "cli"); err != nil {
+				t.Error(err)
+			}
+			if _, _, err := Status(e, "q:7101", id); err != nil {
+				t.Error(err)
+			}
+		}
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	k.Shutdown()
+	if dials["mon:7300"] != 1 || dials["q:7101"] != 1 {
+		t.Fatalf("dials %v for %d beats and %d polls; want 1 to each daemon", dials, calls, calls)
 	}
 }

@@ -1,6 +1,9 @@
 package transport
 
-import "sync"
+import (
+	"fmt"
+	"sync"
+)
 
 // Serve is the accept loop every daemon runs: it accepts on l until l
 // closes, handing each connection to handle on a service process of its own
@@ -35,6 +38,23 @@ type served struct {
 // Hold records the listeners Serve bound, replacing any held before. Addr
 // reports the first.
 func (b *Bound) Hold(ls ...Listener) { b.ls = ls }
+
+// Listen is a daemon's Serve: it binds port, holds the listener, reports its
+// address to ready (when non-nil), and accepts on it (Serve) until Close,
+// handing each connection to handle on a service process named name. A bind
+// failure reads "<what>: listen: …".
+func (b *Bound) Listen(env Env, port int, what, name string, ready func(addr string), handle func(Env, Conn)) error {
+	l, err := env.Listen(port)
+	if err != nil {
+		return fmt.Errorf("%s: listen: %w", what, err)
+	}
+	b.Hold(l)
+	if ready != nil {
+		ready(l.Addr())
+	}
+	Serve(env, l, name, handle)
+	return nil
+}
 
 // Addr returns the first held listener's "host:port"; Serve must have bound
 // it.
