@@ -125,8 +125,9 @@ func TestAwaitManyWaitersTCP(t *testing.T) {
 	wg.Wait()
 }
 
-// awaitSim is one Q server host, its allocator and a client host on a LAN.
-func awaitSim() (*sim.Kernel, *simnet.Network) {
+// awaitSim is one Q server host running reg, its allocator and a client
+// host on a LAN.
+func awaitSim(reg *Registry) (*sim.Kernel, *simnet.Network) {
 	k := sim.New()
 	n := simnet.New(k)
 	lan := simnet.LinkConfig{Latency: 200 * time.Microsecond, Bandwidth: 12 << 20}
@@ -139,7 +140,7 @@ func awaitSim() (*sim.Kernel, *simnet.Network) {
 	n.Node("alloc").SpawnDaemonOn("alloc", func(e transport.Env) {
 		_ = alloc.Serve(e, AllocatorPort, nil)
 	})
-	q := NewQServer("q0", "c", 2, awaitPrograms())
+	q := NewQServer("q0", "c", 2, reg)
 	n.Node("q0").SpawnDaemonOn("qserver", func(e transport.Env) {
 		e.Sleep(time.Millisecond) // allocator binds first
 		_ = q.Serve(e, QServerPort, "alloc:7100", nil)
@@ -148,7 +149,7 @@ func awaitSim() (*sim.Kernel, *simnet.Network) {
 }
 
 func TestAwaitInSim(t *testing.T) {
-	k, n := awaitSim()
+	k, n := awaitSim(awaitPrograms())
 	n.Node("client").SpawnOn("qclient", func(e transport.Env) {
 		e.Sleep(5 * time.Millisecond)
 		checkAwait(t, e, "q0:7101")
@@ -163,7 +164,7 @@ func TestAwaitInSim(t *testing.T) {
 // job manager's Await is parked on it. Wait must come back with an error when
 // the connection does, not sit out the hold or hang.
 func TestWaitSurfacesQServerCrashDuringHold(t *testing.T) {
-	k, n := awaitSim()
+	k, n := awaitSim(awaitPrograms())
 	var waitErr error
 	var returned time.Duration
 	n.Node("client").SpawnOn("qclient", func(e transport.Env) {
@@ -188,6 +189,52 @@ func TestWaitSurfacesQServerCrashDuringHold(t *testing.T) {
 	}
 	if returned < 100*time.Millisecond || returned > time.Second {
 		t.Fatalf("Wait returned at %v (err %v), want shortly after the crash at 100ms", returned, waitErr)
+	}
+}
+
+// TestWaitUnderPolicyReturnsAtEnd: under a RecoveryPolicy the job manager
+// holds Await on the Q server as it does without one, so Wait returns within
+// a Q server round trip of the process's end (plus ReleaseSlots' allocator
+// round trip), not on the next poll.
+func TestWaitUnderPolicyReturnsAtEnd(t *testing.T) {
+	reg := awaitPrograms()
+	var ended time.Duration
+	reg.Register("timed", func(env transport.Env, ctx *JobContext) error {
+		env.Sleep(450 * time.Millisecond) // ends between two 100 ms polls
+		ended = env.Now()
+		return nil
+	})
+	k, n := awaitSim(reg)
+	var qRTT, allocRTT, returned time.Duration
+	var waitErr error
+	n.Node("client").SpawnOn("qclient", func(e transport.Env) {
+		e.Sleep(5 * time.Millisecond)
+		h, err := SubmitJob(e, "alloc:7100", JobRequest{Count: 1, Spec: ProcessSpec{Executable: "timed"}})
+		if err != nil {
+			waitErr = err
+			return
+		}
+		// One round trip to each daemon on the sessions SubmitJob kept.
+		start := e.Now()
+		_, _, _ = Status(e, h.Processes[0].QServerAddr, h.Processes[0].JobID)
+		qRTT = e.Now() - start
+		start = e.Now()
+		_ = Release(e, "alloc:7100", nil)
+		allocRTT = e.Now() - start
+		h.Recovery = &RecoveryPolicy{StatusRetries: 3}
+		waitErr = h.Wait(e, 100*time.Millisecond, time.Minute)
+		returned = e.Now()
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	k.Shutdown()
+	if waitErr != nil {
+		t.Fatal(waitErr)
+	}
+	if late := returned - ended; late < 0 || late > qRTT+allocRTT {
+		t.Fatalf("Wait returned %v after the process ended, want within %v (Q server %v + allocator %v round trip)",
+			late, qRTT+allocRTT, qRTT, allocRTT)
 	}
 }
 

@@ -255,18 +255,13 @@ func (h *JobHandle) Wait(env transport.Env, poll, timeout time.Duration) error {
 
 // Await blocks until every process reaches a terminal state or the timeout
 // expires, and returns the first failure; the slots stay allocated until
-// ReleaseSlots. poll is the longest Await goes without looking at its
-// deadline.
-//
-// Without a RecoveryPolicy it asks each Q server to answer when the process
-// ends (Await, held for poll at a time), so it returns as the last process
-// finishes. With one it polls Status every poll instead, on purpose: losing
-// a process is counted in consecutive failed polls and the speculation
-// deadline is checked once per poll, so the recovery behaviour (and every
-// hashed chaos run, all of which set a policy) is a function of that cadence.
-// A process whose Q server stops answering — crashed host, restarted daemon
-// that forgot the job id — is then requeued onto a fresh slot instead of
-// failing the job (see RecoveryPolicy for semantics).
+// ReleaseSlots. It asks each Q server to answer when its process ends
+// (Await, held for poll at a time), so it returns as the last process
+// finishes, and poll is the longest it goes without looking at its deadline.
+// Under a RecoveryPolicy a process whose Q server stops answering — crashed
+// host, restarted daemon that forgot the job id — is requeued onto a fresh
+// slot instead of failing the job, and a straggler may get a speculative
+// copy (see RecoveryPolicy).
 func (h *JobHandle) Await(env transport.Env, poll, timeout time.Duration) error {
 	if poll <= 0 {
 		poll = 50 * time.Millisecond
@@ -275,36 +270,113 @@ func (h *JobHandle) Await(env transport.Env, poll, timeout time.Duration) error 
 	if timeout <= 0 {
 		deadline = time.Duration(math.MaxInt64)
 	}
-	if h.Recovery == nil {
-		return h.awaitAll(env, poll, deadline)
+	var pol *RecoveryPolicy
+	if h.Recovery != nil {
+		p := *h.Recovery
+		if p.StatusRetries <= 0 {
+			p.StatusRetries = 3
+		}
+		if p.Backoff.Key == "" {
+			p.Backoff.Key = "rmf-requeue@" + h.AllocatorAddr
+		}
+		if p.Backoff.Rand == nil {
+			p.Backoff.Rand = transport.RandOf(env)
+		}
+		pol = &p
 	}
-	return h.pollAll(env, poll, deadline)
-}
-
-// awaitAll is Await for a job without a RecoveryPolicy.
-func (h *JobHandle) awaitAll(env transport.Env, poll, deadline time.Duration) error {
 	var firstErr error
-	for _, p := range h.Processes {
-		if err := h.await(env, p, poll, deadline); err != nil && firstErr == nil {
+	for i := range h.Processes {
+		if err := h.awaitProc(env, i, poll, deadline, pol); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
 	return firstErr
 }
 
-// await blocks until p has ended, its Q server fails to answer, or the
-// deadline passes.
-func (h *JobHandle) await(env transport.Env, p Process, poll, deadline time.Duration) error {
+// awaitProc blocks until process i has ended or the deadline passes, and
+// returns its failure. Without a policy (pol nil) a failed call is the
+// process's failure. With one, a call that fails is retried poll later, and
+// the process is lost after pol.StatusRetries failures in a row: its
+// speculative copy, if one is in flight, is promoted, else it is requeued.
+// The speculation deadline is checked, and a copy in flight read with a zero
+// hold, each time the primary's held call returns.
+func (h *JobHandle) awaitProc(env transport.Env, i int, poll, deadline time.Duration, pol *RecoveryPolicy) error {
+	var spec *Process // the speculative copy in flight, if any
+	defer func() {
+		if spec != nil {
+			// The primary ended, or the wait gave up, with the copy in flight.
+			h.release(env, spec.Resource)
+		}
+	}()
+	fails, specFails := 0, 0
+	start := env.Now()
 	for {
+		p := h.Processes[i]
 		state, msg, err := Await(env, p.QServerAddr, p.JobID, poll)
 		if err != nil {
-			return err
+			if pol == nil {
+				return err
+			}
+			if fails++; fails < pol.StatusRetries {
+				env.Sleep(poll)
+				continue
+			}
+			fails, specFails, start = 0, 0, env.Now()
+			if spec == nil {
+				// The Q server is gone or lost the job: requeue.
+				if err := h.requeue(env, i, deadline, &pol.Backoff); err != nil {
+					return err
+				}
+				continue
+			}
+			// A copy is in flight: promote it instead of requeueing.
+			h.replace(env, i, *spec)
+			spec = nil
+			if o := obs.From(env); o != nil {
+				o.EmitCtx(env.Now(), h.Trace, "rmf", "spec-promote", env.Hostname(),
+					obs.Str("lost", p.Resource), obs.Str("to", h.Processes[i].Resource))
+			}
+			continue
 		}
+		fails = 0
 		if ended, err := h.ended(env, p, state, msg); ended {
 			return err
 		}
 		if env.Now() > deadline {
 			return fmt.Errorf("rmf: job %s on %s timed out in state %s", p.JobID, p.Resource, state)
+		}
+		if pol == nil {
+			continue
+		}
+		if spec == nil {
+			if pol.SpeculateAfter > 0 && env.Now()-start >= pol.SpeculateAfter {
+				spec = h.speculate(env, i)
+			}
+			continue
+		}
+		sstate, _, err := Await(env, spec.QServerAddr, spec.JobID, 0)
+		switch {
+		case err != nil:
+			if specFails++; specFails >= pol.StatusRetries {
+				// The copy's resource died too: drop it. The progress
+				// deadline is still past, so a fresh copy launches on the
+				// primary's next return.
+				h.release(env, spec.Resource)
+				spec, specFails = nil, 0
+			}
+		case sstate == StateDone:
+			// First completion wins: the copy beat the primary. The loser
+			// may still run to completion on its Q server (at-least-once),
+			// but only the winner's result is consumed.
+			h.replace(env, i, *spec)
+			spec = nil
+			_, err := h.ended(env, h.Processes[i], sstate, "")
+			return err
+		case sstate == StateFailed:
+			h.release(env, spec.Resource)
+			spec, specFails = nil, 0
+		default:
+			specFails = 0
 		}
 	}
 }

@@ -76,15 +76,17 @@ func (a *Allocator) WatchHBM(env transport.Env, hbmAddr string, interval time.Du
 }
 
 // RecoveryPolicy makes JobHandle.Await survive Q server failures. A process
-// whose Q server stops answering Status (or forgets the job id across a
-// restart) is declared lost after StatusRetries consecutive errors; its slot
-// is released, a replacement is allocated — the health-aware allocator
-// steers it off the dead resource — and the same spec resubmitted. Recovery
-// gives at-least-once execution: a process that dies after doing work runs
-// again from scratch, so programs must be idempotent or restartable.
+// whose Q server stops answering (or forgets the job id across a restart) is
+// declared lost after StatusRetries consecutive failed calls; a replacement
+// slot is allocated — the health-aware allocator steers it off the dead
+// resource — the same spec resubmitted there, and only then is the lost slot
+// released. Recovery gives at-least-once execution: a process that dies after
+// doing work runs again from scratch, so programs must be idempotent or
+// restartable.
 type RecoveryPolicy struct {
-	// StatusRetries is the number of consecutive Status failures before a
-	// process is declared lost (default 3).
+	// StatusRetries is the number of consecutive failed calls to a process's
+	// Q server, one Await poll apart, before the process is declared lost
+	// (default 3).
 	StatusRetries int
 	// Backoff paces replacement allocation and resubmission (zero value:
 	// transport defaults).
@@ -93,189 +95,91 @@ type RecoveryPolicy struct {
 	// process still running SpeculateAfter past the start of its wait is
 	// treated as a straggler and one speculative duplicate is launched on a
 	// fresh slot — the load- and health-aware allocator steers the copy off
-	// the busy or SUSPECT resource. Whichever copy reaches DONE first wins
-	// and the loser's slot is released; a loser that is already executing
-	// may still run to completion on its Q server. Like requeue this is
-	// at-least-once execution with deduplication at the consumer: the job
-	// handle records exactly one winning Process per index, the same ledger
-	// discipline knapsack.RunFT uses to absorb duplicate steal results.
-	// Zero disables speculation.
+	// the busy or SUSPECT resource. The deadline is checked each time the
+	// primary's held Await returns, so at most one poll after it passes.
+	// Whichever copy reaches DONE first wins and the loser's slot is
+	// released; a loser that is already executing may still run to
+	// completion on its Q server. Like requeue this is at-least-once
+	// execution with deduplication at the consumer: the job handle records
+	// exactly one winning Process per index, the same ledger discipline
+	// knapsack.RunFT uses to absorb duplicate steal results. Zero disables
+	// speculation.
 	SpeculateAfter time.Duration
 }
 
-// pollAll is Await under a RecoveryPolicy: Status every poll, requeue and
-// speculation decided between polls.
-func (h *JobHandle) pollAll(env transport.Env, poll, deadline time.Duration) error {
-	statusRetries := h.Recovery.StatusRetries
-	if statusRetries <= 0 {
-		statusRetries = 3
+// place allocates one slot and submits process i's spec to it; a slot whose
+// submit fails is released.
+func (h *JobHandle) place(env transport.Env, i int) (Process, error) {
+	names, addrs, err := Allocate(env, h.AllocatorAddr, 1, h.Cluster)
+	if err != nil {
+		return Process{}, err
 	}
-	bo := h.Recovery.Backoff
-	if bo.Key == "" {
-		bo.Key = "rmf-requeue@" + h.AllocatorAddr
+	id, err := Submit(env, addrs[0], h.Specs[i])
+	if err != nil {
+		h.release(env, names[0])
+		return Process{}, err
 	}
-	if bo.Rand == nil {
-		bo.Rand = transport.RandOf(env)
-	}
-	speculateAfter := h.Recovery.SpeculateAfter
-	o := obs.From(env)
-	var firstErr error
-	for i := range h.Processes {
-		errStreak := 0
-		specStreak := 0
-		var spec *Process // in-flight speculative duplicate, if any
-		procStart := env.Now()
-		for {
-			p := h.Processes[i]
-			state, msg, err := Status(env, p.QServerAddr, p.JobID)
-			if err != nil {
-				errStreak++
-				if errStreak >= statusRetries {
-					if spec != nil {
-						// The primary is lost but a speculative copy is in
-						// flight: promote the copy instead of requeueing.
-						_ = Release(env, h.AllocatorAddr, []string{p.Resource})
-						h.Processes[i] = *spec
-						spec = nil
-						errStreak = 0
-						procStart = env.Now()
-						if o != nil {
-							o.EmitCtx(env.Now(), h.Trace, "rmf", "spec-promote", env.Hostname(),
-								obs.Str("lost", p.Resource), obs.Str("to", h.Processes[i].Resource))
-						}
-						env.Sleep(poll)
-						continue
-					}
-					// The Q server is gone or lost the job: requeue.
-					if rqErr := h.requeue(env, i, deadline, &bo); rqErr != nil {
-						if firstErr == nil {
-							firstErr = rqErr
-						}
-						break
-					}
-					errStreak = 0
-					procStart = env.Now()
-				}
-				env.Sleep(poll)
-				continue
-			}
-			errStreak = 0
-			if ended, err := h.ended(env, p, state, msg); ended {
-				if err != nil && firstErr == nil {
-					firstErr = err
-				}
-				break
-			}
-			if env.Now() > deadline {
-				if firstErr == nil {
-					firstErr = fmt.Errorf("rmf: job %s on %s timed out in state %s", p.JobID, p.Resource, state)
-				}
-				break
-			}
-			if spec != nil {
-				sstate, _, serr := Status(env, spec.QServerAddr, spec.JobID)
-				if serr != nil {
-					specStreak++
-					if specStreak >= statusRetries {
-						// The copy's resource died too; drop it. The progress
-						// deadline is still past, so a fresh copy launches on
-						// the next poll.
-						_ = Release(env, h.AllocatorAddr, []string{spec.Resource})
-						spec = nil
-						specStreak = 0
-					}
-				} else {
-					specStreak = 0
-					if sstate == StateDone {
-						// First completion wins: the copy beat the primary.
-						// Swap it in and release the loser's slot — the loser
-						// may still run to completion on its Q server
-						// (at-least-once), but only the winner's result is
-						// consumed.
-						_ = Release(env, h.AllocatorAddr, []string{p.Resource})
-						h.Processes[i] = *spec
-						spec = nil
-						if o != nil {
-							o.EmitCtx(env.Now(), h.Trace, "rmf", "exit", env.Hostname(),
-								obs.Str("job", h.Processes[i].JobID), obs.Str("resource", h.Processes[i].Resource))
-						}
-						break
-					}
-					if sstate == StateFailed {
-						_ = Release(env, h.AllocatorAddr, []string{spec.Resource})
-						spec = nil
-					}
-				}
-			} else if speculateAfter > 0 && env.Now()-procStart >= speculateAfter {
-				spec = h.speculate(env, i, o)
-			}
-			env.Sleep(poll)
-		}
-		if spec != nil {
-			// The primary reached a terminal state with a copy still in
-			// flight: release the copy's slot.
-			_ = Release(env, h.AllocatorAddr, []string{spec.Resource})
-		}
-	}
-	return firstErr
+	return Process{Resource: names[0], QServerAddr: addrs[0], JobID: id}, nil
+}
+
+// replace makes np process i and releases the slot it replaces.
+func (h *JobHandle) replace(env transport.Env, i int, np Process) {
+	h.release(env, h.Processes[i].Resource)
+	h.Processes[i] = np
+}
+
+// release returns one slot (best effort).
+func (h *JobHandle) release(env transport.Env, resource string) {
+	_ = Release(env, h.AllocatorAddr, []string{resource})
 }
 
 // speculate launches one duplicate of process i on a fresh slot. The
 // allocator's load- and health-aware ranking steers the copy away from the
 // straggler, which still holds its own slot. Best-effort by design: a copy
 // that cannot be placed or submitted is skipped, and since the progress
-// deadline stays expired, Await simply tries again on a later poll.
-func (h *JobHandle) speculate(env transport.Env, i int, o *obs.Observer) *Process {
-	names, addrs, err := Allocate(env, h.AllocatorAddr, 1, h.Cluster)
+// deadline stays expired, Await tries again on the primary's next return.
+func (h *JobHandle) speculate(env transport.Env, i int) *Process {
+	np, err := h.place(env, i)
 	if err != nil {
-		return nil
-	}
-	id, err := Submit(env, addrs[0], h.Specs[i])
-	if err != nil {
-		_ = Release(env, h.AllocatorAddr, names)
 		return nil
 	}
 	h.Speculations++
-	if o != nil {
+	if o := obs.From(env); o != nil {
 		o.EmitCtx(env.Now(), h.Trace, "rmf", "speculate", env.Hostname(),
-			obs.Str("slow", h.Processes[i].Resource), obs.Str("copy", names[0]), obs.Str("job", id))
+			obs.Str("slow", h.Processes[i].Resource), obs.Str("copy", np.Resource), obs.Str("job", np.JobID))
 		o.Metrics().Counter("rmf.speculations").Add(1)
 	}
-	return &Process{Resource: names[0], QServerAddr: addrs[0], JobID: id}
+	return &np
 }
 
-// requeue replaces a lost process: release its slot, allocate a fresh one,
-// resubmit the original spec. It retries until it succeeds or the deadline
-// passes, because the allocator may briefly keep offering the dead resource
-// until the heartbeat monitor classifies it DOWN.
+// requeue replaces a lost process: allocate a fresh slot, resubmit the
+// original spec, then release the lost slot. It retries until it succeeds or
+// the deadline passes, because the allocator may briefly keep offering the
+// dead resource until the heartbeat monitor classifies it DOWN. The lost
+// slot stays held until then: it counts against its resource while the
+// replacement is ranked, and a requeue that times out leaves it to
+// ReleaseSlots, so it is released once.
 func (h *JobHandle) requeue(env transport.Env, i int, deadline time.Duration, bo *transport.Backoff) error {
-	p := h.Processes[i]
+	lost := h.Processes[i]
 	// Resubmission dials carry the job's root context so the replacement
 	// exec span parents under the same trace as the lost original.
 	saved := obs.CtxOf(env)
 	obs.SetCtx(env, h.Trace)
 	defer obs.SetCtx(env, saved)
-	_ = Release(env, h.AllocatorAddr, []string{p.Resource})
 	for {
 		if env.Now() > deadline {
-			return fmt.Errorf("rmf: requeue of %s (lost on %s) timed out", p.JobID, p.Resource)
+			return fmt.Errorf("rmf: requeue of %s (lost on %s) timed out", lost.JobID, lost.Resource)
 		}
-		names, addrs, err := Allocate(env, h.AllocatorAddr, 1, h.Cluster)
+		np, err := h.place(env, i)
 		if err != nil {
 			env.Sleep(bo.Next())
 			continue
 		}
-		id, err := Submit(env, addrs[0], h.Specs[i])
-		if err != nil {
-			_ = Release(env, h.AllocatorAddr, names)
-			env.Sleep(bo.Next())
-			continue
-		}
-		h.Processes[i] = Process{Resource: names[0], QServerAddr: addrs[0], JobID: id}
+		h.replace(env, i, np)
 		h.Requeues++
 		if o := obs.From(env); o != nil {
 			o.EmitCtx(env.Now(), h.Trace, "rmf", "requeue", env.Hostname(),
-				obs.Str("lost", p.Resource), obs.Str("to", names[0]), obs.Str("job", id))
+				obs.Str("lost", lost.Resource), obs.Str("to", np.Resource), obs.Str("job", np.JobID))
 			o.Metrics().Counter("rmf.requeues").Add(1)
 		}
 		bo.Reset()

@@ -1,6 +1,7 @@
 package rmf
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -143,5 +144,77 @@ func TestJobRequeuedAfterQServerCrash(t *testing.T) {
 	}
 	if alloc.Health("q1") != hbm.Up {
 		t.Errorf("allocator view of q1 = %v, want UP", alloc.Health("q1"))
+	}
+}
+
+// holdReg runs "hold", which blocks on n0 until release is closed and ends
+// at once anywhere else.
+func holdReg(release <-chan struct{}) *Registry {
+	reg := NewRegistry()
+	reg.Register("hold", func(env transport.Env, ctx *JobContext) error {
+		if ctx.Resource == "n0" {
+			<-release
+		}
+		return nil
+	})
+	return reg
+}
+
+// TestRequeueOnQServerCloseTCP: n0's Q server is closed while Wait's held
+// Await is parked on it under a RecoveryPolicy. The parked call is answered,
+// the calls after it fail, and the process is requeued onto n1 exactly once:
+// the lost slot, still held, steers the replacement off n0.
+func TestRequeueOnQServerCloseTCP(t *testing.T) {
+	release := make(chan struct{})
+	defer close(release)
+	r := newRigTCP(t, holdReg(release), "n0", "n1")
+	h, err := SubmitJob(r.env, r.addr, JobRequest{Count: 1, Spec: ProcessSpec{Executable: "hold"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lost := h.Processes[0]
+	if lost.Resource != "n0" {
+		t.Fatalf("job landed on %s, want n0", lost.Resource)
+	}
+	h.Recovery = &RecoveryPolicy{StatusRetries: 3}
+	waited := make(chan error, 1)
+	go func() { waited <- h.Wait(r.env, 100*time.Millisecond, 10*time.Second) }()
+	waitParked(t, r.qs[0], lost.JobID)
+	r.qs[0].Close(r.env)
+	if err := <-waited; err != nil {
+		t.Fatalf("Wait = %v", err)
+	}
+	if h.Requeues != 1 || h.Processes[0].Resource != "n1" {
+		t.Fatalf("%d requeues, process on %s; want 1 requeue onto n1", h.Requeues, h.Processes[0].Resource)
+	}
+	for _, name := range []string{"n0", "n1"} {
+		if l := r.alloc.Load(name); l != 0 {
+			t.Errorf("%s holds %d slots after Wait released the job", name, l)
+		}
+	}
+}
+
+// TestRequeueTimeoutReleasesOnceTCP: a requeue that cannot place its
+// process before the deadline leaves the lost slot to ReleaseSlots, which
+// releases it once; a second release would take the slot another job holds
+// on the same resource.
+func TestRequeueTimeoutReleasesOnceTCP(t *testing.T) {
+	release := make(chan struct{})
+	defer close(release)
+	r := newRigTCP(t, holdReg(release), "n0")
+	h, err := SubmitJob(r.env, r.addr, JobRequest{Count: 1, Spec: ProcessSpec{Executable: "hold"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := Allocate(r.env, r.addr, 1, ""); err != nil { // another job's slot on n0
+		t.Fatal(err)
+	}
+	r.qs[0].Close(r.env) // n0 is the only resource: every placement fails
+	h.Recovery = &RecoveryPolicy{StatusRetries: 2, Backoff: transport.Backoff{Base: 5 * time.Millisecond, Max: 20 * time.Millisecond}}
+	if err := h.Wait(r.env, 10*time.Millisecond, 300*time.Millisecond); err == nil || !strings.Contains(err.Error(), "requeue") {
+		t.Fatalf("Wait = %v, want the requeue to time out", err)
+	}
+	if l := r.alloc.Load("n0"); l != 1 {
+		t.Fatalf("n0 holds %d slots after the job released its own, want 1 (the other job's)", l)
 	}
 }

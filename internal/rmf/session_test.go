@@ -99,6 +99,22 @@ func newRigTCP(t *testing.T, reg *Registry, names ...string) *rigTCP {
 	return r
 }
 
+// waitParked returns once an Await handler of q is parked on job id.
+func waitParked(t *testing.T, q *QServer, id string) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		q.mu.Lock()
+		parked := q.jobs[id].ended != nil
+		q.mu.Unlock()
+		if parked {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("no Await parked on %s within 5s", id)
+		}
+	}
+}
+
 // okReg runs "ok", which succeeds at once.
 func okReg() *Registry {
 	reg := NewRegistry()
@@ -229,12 +245,7 @@ func TestDaemonCloseTCP(t *testing.T) {
 		awaited <- reply{s, err}
 	}()
 	// The Await is busy once its handler parks on the process.
-	for parked := false; !parked; time.Sleep(time.Millisecond) {
-		q := r.qs[0]
-		q.mu.Lock()
-		parked = q.jobs[p.JobID].ended != nil
-		q.mu.Unlock()
-	}
+	waitParked(t, r.qs[0], p.JobID)
 	before := r.dials.snapshot()
 	r.alloc.Close(r.env)
 	r.qs[0].Close(r.env)
