@@ -15,13 +15,15 @@ test:
 # check is the default verification gate: vet, the end-to-end chaos
 # scenarios, the declarative scenario library gated against its committed
 # baseline, the fleet-scale smoke run, the full test suite under the race
-# detector (independent simulations run side by side in bench.RunParallel and
-# gridftp transfers share the stored file, so race coverage is load-bearing;
-# the allocation pins beside the kernel, trace store, MPI and data-plane code
-# run here too), every benchmark once so none rots, a focused race pass over
-# the scheduler's coroutine switches, a short fuzz smoke over the wire-facing
-# parsers, and the coverage floor — after the benchmark module, which `./...`
-# does not reach, has been vetted and smoke-tested against this tree.
+# detector (independent simulations run side by side in bench.RunParallel,
+# gridftp transfers share the stored file, and concurrent bench.RunTransfer
+# calls share one cached source file that a call of another size replaces,
+# so race coverage is load-bearing; the allocation pins beside the kernel,
+# trace store, MPI and data-plane code run here too), every benchmark once so
+# none rots, a focused race pass over the scheduler's coroutine switches, a
+# short fuzz smoke over the wire-facing parsers, and the coverage floor —
+# after the benchmark module, which `./...` does not reach, has been vetted
+# and smoke-tested against this tree.
 check: benchmark-smoke chaos scenarios fleet-smoke trace-goldens
 	$(GO) vet ./...
 	$(GO) test -race ./...

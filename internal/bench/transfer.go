@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"strings"
+	"sync"
 	"time"
 
 	"nxcluster/internal/cluster"
@@ -86,14 +87,14 @@ type TransferPoint struct {
 // RunTransfer sweeps parallel-stream count against WAN loss rate. Each point
 // boots a fresh Figure 5 testbed with the flow model enabled, serves a file
 // from ETL-Sun over gridftp, and pulls it from RWCP-Sun with every control
-// and data channel relayed through the firewall proxy. The points serve one
-// source file: every point's store adopts the same slice, which the servers
+// and data channel relayed through the firewall proxy. The source file is
+// shared by the whole process and read-only: every point of every call of
+// the same FileSize serves one slice (see sourceFile), which the servers
 // only read (through gass.Store.View), and every point checks each block it
 // receives against that slice instead of keeping a copy.
 func RunTransfer(cfg TransferConfig) ([]TransferPoint, error) {
 	cfg = cfg.withDefaults()
-	file := make([]byte, cfg.FileSize)
-	gass.FillPattern(file, 7, 10)
+	file := sourceFile(cfg.FileSize)
 	points := make([]TransferPoint, len(cfg.LossRates)*len(cfg.Streams))
 	err := RunParallel(len(points), cfg.Workers, func(i int) error {
 		loss := cfg.LossRates[i/len(cfg.Streams)]
@@ -106,6 +107,29 @@ func RunTransfer(cfg TransferConfig) ([]TransferPoint, error) {
 		return nil
 	})
 	return points, err
+}
+
+// source is the process's one transfer source file: gass.FillPattern(…, 7,
+// 10) of one size at a time. It is read-only once built. A call asking for
+// another size builds a new slice and replaces the entry instead of
+// refilling or reslicing the old one, which a concurrent call may still be
+// serving; so at most one file stays in memory between calls.
+var source struct {
+	mu   sync.Mutex
+	file []byte
+}
+
+// sourceFile returns the shared source file of size bytes, building it if
+// the cached one has another size.
+func sourceFile(size int) []byte {
+	source.mu.Lock()
+	defer source.mu.Unlock()
+	if len(source.file) != size {
+		file := make([]byte, size)
+		gass.FillPattern(file, 7, 10)
+		source.file = file
+	}
+	return source.file
 }
 
 // transferPoint measures one (loss, streams) combination on its own kernel,

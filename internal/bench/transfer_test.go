@@ -3,8 +3,10 @@ package bench
 import (
 	"fmt"
 	"hash/fnv"
+	"reflect"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -104,6 +106,51 @@ func TestTransferDeterministic(t *testing.T) {
 	}
 	if transferHash(first) != transferHash(limited) {
 		t.Fatalf("GOMAXPROCS changes results:\n%s\nvs\n%s", FormatTransfer(first), FormatTransfer(limited))
+	}
+}
+
+// TestTransferSharedSourceConcurrent runs two same-size calls and one call
+// of another size at once, starting from an empty source entry, so two calls
+// race to build the shared file while a third replaces it; each must equal a
+// serial run. Under -race this checks that a replaced file is never written
+// while a call still serves it.
+func TestTransferSharedSourceConcurrent(t *testing.T) {
+	cfgs := []TransferConfig{
+		{FileSize: 512 << 10, Streams: []int{2}, LossRates: []float64{0.005}, Workers: 1},
+		{FileSize: 512 << 10, Streams: []int{2}, LossRates: []float64{0.005}, Workers: 1},
+		{FileSize: 256 << 10, Streams: []int{1}, LossRates: []float64{0.02}, Workers: 1},
+	}
+	serial := make([][]TransferPoint, len(cfgs))
+	for i, cfg := range cfgs {
+		pts, err := RunTransfer(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		serial[i] = pts
+	}
+
+	source.mu.Lock()
+	source.file = nil
+	source.mu.Unlock()
+	concurrent := make([][]TransferPoint, len(cfgs))
+	errs := make([]error, len(cfgs))
+	var wg sync.WaitGroup
+	for i, cfg := range cfgs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			concurrent[i], errs[i] = RunTransfer(cfg)
+		}()
+	}
+	wg.Wait()
+	for i := range cfgs {
+		if errs[i] != nil {
+			t.Fatalf("call %d: %v", i, errs[i])
+		}
+		if !reflect.DeepEqual(concurrent[i], serial[i]) {
+			t.Errorf("call %d (%d bytes) run concurrently:\n%s\nserially:\n%s",
+				i, cfgs[i].FileSize, FormatTransfer(concurrent[i]), FormatTransfer(serial[i]))
+		}
 	}
 }
 
