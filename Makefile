@@ -47,14 +47,16 @@ check: benchmark-smoke chaos scenarios fleet-smoke trace-goldens
 # interleave. And so do the TCP tests of the control plane (nexus, gram,
 # gass, rmf, hbm, mds): a frame on a real socket is built in a pooled buffer that
 # every writer goroutine shares, and a TCPEnv's idle sessions are one
-# table its goroutines share while a daemon's Close races its sessions.
+# table its goroutines share while a daemon's Close races its sessions. And
+# the TCP tests of mpi: a TCPEnv inbox is a goroutine-backed queue, and a
+# receive with no deadline (Recv, RecvTimeout with d < 0) waits on it.
 race-sched:
 	GOMAXPROCS=1 $(GO) test -race -count=3 ./internal/sim/
 	GOMAXPROCS=4 $(GO) test -race -count=3 ./internal/sim/
 	GOMAXPROCS=1 $(GO) test -race -count=3 -run InPlace ./internal/simnet ./internal/proxy
 	GOMAXPROCS=4 $(GO) test -race -count=3 -run InPlace ./internal/simnet ./internal/proxy
-	GOMAXPROCS=1 $(GO) test -race -count=3 -run TCP ./internal/proxy ./internal/transport ./internal/nexus ./internal/gram ./internal/gass ./internal/rmf ./internal/hbm ./internal/mds
-	GOMAXPROCS=4 $(GO) test -race -count=3 -run TCP ./internal/proxy ./internal/transport ./internal/nexus ./internal/gram ./internal/gass ./internal/rmf ./internal/hbm ./internal/mds
+	GOMAXPROCS=1 $(GO) test -race -count=3 -run TCP ./internal/proxy ./internal/transport ./internal/nexus ./internal/mpi ./internal/gram ./internal/gass ./internal/rmf ./internal/hbm ./internal/mds
+	GOMAXPROCS=4 $(GO) test -race -count=3 -run TCP ./internal/proxy ./internal/transport ./internal/nexus ./internal/mpi ./internal/gram ./internal/gass ./internal/rmf ./internal/hbm ./internal/mds
 
 # chaos runs the fault-injection recovery scenarios (see EXPERIMENTS.md,
 # "Chaos runs") on their own, under the race detector.

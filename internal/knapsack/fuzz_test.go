@@ -14,10 +14,11 @@ import (
 	"nxcluster/internal/simnet"
 )
 
-// TestSchedulerParameterFuzz runs the parallel solver under randomized
-// scheduler parameters, world sizes, topologies and instances, asserting
-// the two invariants that must hold for every combination: exact work
-// conservation (every node expanded exactly once) and optimality.
+// TestSchedulerParameterFuzz runs the parallel solver, under Run and under
+// a fault-free RunFT with the default timeouts, with randomized scheduler
+// parameters, world sizes, topologies and instances, asserting the two
+// invariants that must hold for every combination: exact work conservation
+// (every node expanded exactly once) and optimality.
 func TestSchedulerParameterFuzz(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260705))
 	trials := 25
@@ -47,44 +48,56 @@ func TestSchedulerParameterFuzz(t *testing.T) {
 			wantBest, wantNodes = SolveExhaustive(in)
 		}
 
-		k := sim.New()
-		net := simnet.New(k)
-		net.AddRouter("sw", "")
-		pls := make([]mpi.Placement, ranks)
-		for i := range pls {
-			name := fmt.Sprintf("n%d", i)
-			net.AddHost(name, simnet.HostConfig{Speed: 0.5 + rng.Float64()*1.5})
-			net.Connect(name, "sw", simnet.LinkConfig{
-				Latency:   time.Duration(rng.Intn(5000)) * time.Microsecond,
-				Bandwidth: 1 << 20,
+		speeds := make([]float64, ranks)
+		latencies := make([]time.Duration, ranks)
+		for i := range speeds {
+			speeds[i] = 0.5 + rng.Float64()*1.5
+			latencies[i] = time.Duration(rng.Intn(5000)) * time.Microsecond
+		}
+		solvers := []struct {
+			name  string
+			solve func(*mpi.Comm) (*Result, error)
+		}{
+			{"Run", func(c *mpi.Comm) (*Result, error) { return Run(c, in, params) }},
+			{"RunFT", func(c *mpi.Comm) (*Result, error) { return RunFT(c, in, FTParams{Params: params}) }},
+		}
+		for _, sv := range solvers {
+			k := sim.New()
+			net := simnet.New(k)
+			net.AddRouter("sw", "")
+			pls := make([]mpi.Placement, ranks)
+			for i := range pls {
+				name := fmt.Sprintf("n%d", i)
+				net.AddHost(name, simnet.HostConfig{Speed: speeds[i]})
+				net.Connect(name, "sw", simnet.LinkConfig{Latency: latencies[i], Bandwidth: 1 << 20})
+				pls[i] = mpi.Placement{Name: name, Spawn: net.Node(name).SpawnOn}
+			}
+			w := mpi.NewWorld(pls)
+			var res *Result
+			w.Launch(func(c *mpi.Comm) error {
+				r, err := sv.solve(c)
+				if err != nil {
+					return err
+				}
+				if c.Rank() == 0 {
+					res = r
+				}
+				return nil
 			})
-			pls[i] = mpi.Placement{Name: name, Spawn: net.Node(name).SpawnOn}
-		}
-		w := mpi.NewWorld(pls)
-		var res *Result
-		w.Launch(func(c *mpi.Comm) error {
-			r, err := Run(c, in, params)
-			if err != nil {
-				return err
+			if err := k.Run(); err != nil {
+				t.Fatalf("trial %d %s (%+v): %v", trial, sv.name, params, err)
 			}
-			if c.Rank() == 0 {
-				res = r
+			k.Shutdown()
+			if err := w.Err(); err != nil {
+				t.Fatalf("trial %d %s (%+v): %v", trial, sv.name, params, err)
 			}
-			return nil
-		})
-		if err := k.Run(); err != nil {
-			t.Fatalf("trial %d (%+v): %v", trial, params, err)
-		}
-		k.Shutdown()
-		if err := w.Err(); err != nil {
-			t.Fatalf("trial %d (%+v): %v", trial, params, err)
-		}
-		if res.TotalTraversed != wantNodes {
-			t.Fatalf("trial %d (%+v): traversed %d, want %d",
-				trial, params, res.TotalTraversed, wantNodes)
-		}
-		if res.Best != wantBest {
-			t.Fatalf("trial %d (%+v): best %d, want %d", trial, params, res.Best, wantBest)
+			if res.TotalTraversed != wantNodes {
+				t.Fatalf("trial %d %s (%+v): traversed %d, want %d",
+					trial, sv.name, params, res.TotalTraversed, wantNodes)
+			}
+			if res.Best != wantBest {
+				t.Fatalf("trial %d %s (%+v): best %d, want %d", trial, sv.name, params, res.Best, wantBest)
+			}
 		}
 	}
 }

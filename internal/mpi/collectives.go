@@ -43,7 +43,7 @@ func (c *Comm) Barrier() error {
 		// Receive from each specific source: per-source FIFO matching keeps
 		// back-to-back barriers from stealing each other's arrivals.
 		for i := 1; i < c.Size(); i++ {
-			if _, err := c.recv(i, tagBarrier); err != nil {
+			if _, _, err := c.take(i, tagBarrier, -1); err != nil {
 				return err
 			}
 		}
@@ -57,7 +57,7 @@ func (c *Comm) Barrier() error {
 	if err := c.send(0, tagBarrier, nil); err != nil {
 		return err
 	}
-	_, err := c.recv(0, tagBarrierDone)
+	_, _, err := c.take(0, tagBarrierDone, -1)
 	return err
 }
 
@@ -81,7 +81,7 @@ func (c *Comm) Bcast(root int, data []byte) ([]byte, error) {
 		}
 		return data, nil
 	}
-	m, err := c.recv(root, tagBcast)
+	m, _, err := c.take(root, tagBcast, -1)
 	if err != nil {
 		return nil, err
 	}
@@ -98,7 +98,7 @@ func (c *Comm) ReduceInt64(root int, v int64, op Op) (int64, error) {
 			if i == root {
 				continue
 			}
-			m, err := c.recv(i, tagReduce)
+			m, _, err := c.take(i, tagReduce, -1)
 			if err != nil {
 				return 0, err
 			}
@@ -139,7 +139,7 @@ func (c *Comm) Gather(root int, data []byte) ([][]byte, error) {
 			if i == root {
 				continue
 			}
-			m, err := c.recv(i, tagGather)
+			m, _, err := c.take(i, tagGather, -1)
 			if err != nil {
 				return nil, err
 			}

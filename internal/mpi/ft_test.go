@@ -5,23 +5,42 @@ import (
 	"testing"
 	"time"
 
+	"nxcluster/internal/obs"
 	"nxcluster/internal/sim"
 	"nxcluster/internal/simnet"
 )
 
 // TestRecvTimeout: a too-short wait times out without losing messages; a
-// long enough wait delivers; non-matching traffic is kept for later.
+// long enough wait delivers; non-matching traffic is kept for later; a
+// negative wait lasts until the message comes; and every message taken
+// counts into mpi.rank<N>.received.
 func TestRecvTimeout(t *testing.T) {
-	k, w := simWorld(t, 2)
-	var early, late bool
+	k := sim.New()
+	net := simnet.New(k)
+	net.Obs = obs.New()
+	net.AddRouter("sw", "")
+	pls := make([]Placement, 2)
+	for i := range pls {
+		name := fmt.Sprintf("node%d", i)
+		net.AddHost(name, simnet.HostConfig{})
+		net.Connect(name, "sw", simnet.LinkConfig{Latency: 100 * time.Microsecond, Bandwidth: 12 << 20})
+		pls[i] = Placement{Name: name, Spawn: net.Node(name).SpawnOn}
+	}
+	w := NewWorld(pls)
+	var early, late, forever bool
 	var gotOther Message
+	var at time.Duration
 	w.Launch(func(c *Comm) error {
 		if c.Rank() == 1 {
 			c.Env().Sleep(100 * time.Millisecond)
 			if err := c.Send(0, 7, []byte("slow")); err != nil {
 				return err
 			}
-			return c.Send(0, 8, []byte("other"))
+			if err := c.Send(0, 8, []byte("other")); err != nil {
+				return err
+			}
+			c.Env().Sleep(time.Hour)
+			return c.Send(0, 9, []byte("last"))
 		}
 		// Times out before the sender wakes up.
 		_, ok, err := c.RecvTimeout(1, 7, 10*time.Millisecond)
@@ -36,7 +55,11 @@ func TestRecvTimeout(t *testing.T) {
 		}
 		late = ok && string(m.Data) == "slow"
 		// The tag-8 message is still retrievable by a normal Recv.
-		gotOther, err = c.Recv(1, 8)
+		if gotOther, err = c.Recv(1, 8); err != nil {
+			return err
+		}
+		m, ok, err = c.RecvTimeout(1, 9, -1)
+		forever, at = ok && string(m.Data) == "last", c.Env().Now()
 		return err
 	})
 	if err := k.Run(); err != nil {
@@ -54,6 +77,33 @@ func TestRecvTimeout(t *testing.T) {
 	}
 	if string(gotOther.Data) != "other" {
 		t.Errorf("tag-8 message = %q", gotOther.Data)
+	}
+	if !forever || at < time.Hour {
+		t.Errorf("RecvTimeout(-1) = %v at %v, want the message sent an hour later", forever, at)
+	}
+	if n := net.Obs.Metrics().Counter("mpi.rank0.received").Value(); n != 3 {
+		t.Errorf("mpi.rank0.received = %d, want 3 (two RecvTimeout, one Recv)", n)
+	}
+}
+
+// TestRecvTimeoutForeverTCP: on a TCPEnv, whose queue timer fires at once
+// for a negative d, RecvTimeout(-1) still waits for a message sent late.
+func TestRecvTimeoutForeverTCP(t *testing.T) {
+	w := tcpWorld(2)
+	w.Launch(func(c *Comm) error {
+		if c.Rank() == 1 {
+			time.Sleep(50 * time.Millisecond)
+			return c.Send(0, 9, []byte("late"))
+		}
+		m, ok, err := c.RecvTimeout(1, 9, -1)
+		if err == nil && (!ok || string(m.Data) != "late") {
+			err = fmt.Errorf("RecvTimeout(-1) = %q, %v; want the late message", m.Data, ok)
+		}
+		return err
+	})
+	w.Wait()
+	if err := w.Err(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"strconv"
 	"sync"
+	"time"
 
 	"nxcluster/internal/nexus"
 	"nxcluster/internal/obs"
@@ -283,30 +284,10 @@ func (c *Comm) Send(to, tag int, data []byte) error {
 	return c.send(to, tag, data)
 }
 
+// match reports whether m is from src (or src is AnySource) and carries tag,
+// where AnyTag matches every user tag and no internal one.
 func match(m Message, src, tag int) bool {
-	return (src == AnySource || m.Src == src) && (tag == AnyTag || m.Tag == tag)
-}
-
-// recv blocks for a message matching (src, tag), including internal tags.
-func (c *Comm) recv(src, tag int) (Message, error) {
-	for i, m := range c.pending {
-		if match(m, src, tag) {
-			c.pending = append(c.pending[:i], c.pending[i+1:]...)
-			c.mRecvd.Add(1)
-			return m, nil
-		}
-	}
-	for {
-		m, ok := c.inbox.Get(c.env)
-		if !ok {
-			return Message{}, errors.New("mpi: inbox closed")
-		}
-		if match(m, src, tag) {
-			c.mRecvd.Add(1)
-			return m, nil
-		}
-		c.pending = append(c.pending, m)
-	}
+	return (src == AnySource || m.Src == src) && (m.Tag == tag || tag == AnyTag && m.Tag >= 0)
 }
 
 // Recv blocks for a message from src (or AnySource) with tag (or AnyTag).
@@ -315,29 +296,49 @@ func (c *Comm) Recv(src, tag int) (Message, error) {
 	if tag < 0 && tag != AnyTag {
 		return Message{}, ErrInvalidTag
 	}
-	if tag == AnyTag {
-		return c.recvUser(src)
-	}
-	return c.recv(src, tag)
+	m, _, err := c.take(src, tag, -1)
+	return m, err
 }
 
-// recvUser blocks for any user-tagged (>= 0) message from src.
-func (c *Comm) recvUser(src int) (Message, error) {
+// take is every receive: it removes the oldest message matching (src, tag),
+// internal tags included, waiting up to d for one to arrive (for ever when
+// d < 0; ok=false when d runs out). Messages that do not match are kept in
+// pending, in arrival order, for later receives.
+func (c *Comm) take(src, tag int, d time.Duration) (Message, bool, error) {
 	for i, m := range c.pending {
-		if m.Tag >= 0 && (src == AnySource || m.Src == src) {
+		if match(m, src, tag) {
 			c.pending = append(c.pending[:i], c.pending[i+1:]...)
 			c.mRecvd.Add(1)
-			return m, nil
+			return m, true, nil
 		}
 	}
+	var deadline time.Duration
+	if d >= 0 {
+		deadline = c.env.Now() + d
+	}
 	for {
-		m, ok := c.inbox.Get(c.env)
-		if !ok {
-			return Message{}, errors.New("mpi: inbox closed")
+		var m Message
+		ok := true
+		if d < 0 {
+			// Not GetTimeout with a negative d: a TCPEnv queue's timer
+			// would fire at once.
+			m, ok = c.inbox.Get(c.env)
+		} else {
+			remaining := deadline - c.env.Now()
+			if remaining <= 0 {
+				return Message{}, false, nil
+			}
+			var timedOut bool
+			if m, ok, timedOut = c.inbox.GetTimeout(c.env, remaining); timedOut {
+				return Message{}, false, nil
+			}
 		}
-		if m.Tag >= 0 && (src == AnySource || m.Src == src) {
+		if !ok {
+			return Message{}, false, errors.New("mpi: inbox closed")
+		}
+		if match(m, src, tag) {
 			c.mRecvd.Add(1)
-			return m, nil
+			return m, true, nil
 		}
 		c.pending = append(c.pending, m)
 	}
@@ -355,7 +356,7 @@ func (c *Comm) Iprobe(src, tag int) bool {
 		c.pending = append(c.pending, m)
 	}
 	for _, m := range c.pending {
-		if m.Tag >= 0 && match(m, src, tag) {
+		if match(m, src, tag) {
 			return true
 		}
 	}
