@@ -50,6 +50,10 @@ check: benchmark-smoke chaos scenarios fleet-smoke trace-goldens
 # table its goroutines share while a daemon's Close races its sessions. And
 # the TCP tests of mpi: a TCPEnv inbox is a goroutine-backed queue, and a
 # receive with no deadline (Recv, RecvTimeout with d < 0) waits on it.
+# And so do all of gridftp's tests, most of which run on loopback TCP: a
+# transfer's parallel channel goroutines share one block receiver (the sink
+# and its ledger) and one progress counter, and the server's control and
+# data handlers share one transfer registry and the upload partials.
 race-sched:
 	GOMAXPROCS=1 $(GO) test -race -count=3 ./internal/sim/
 	GOMAXPROCS=4 $(GO) test -race -count=3 ./internal/sim/
@@ -57,6 +61,8 @@ race-sched:
 	GOMAXPROCS=4 $(GO) test -race -count=3 -run InPlace ./internal/simnet ./internal/proxy
 	GOMAXPROCS=1 $(GO) test -race -count=3 -run TCP ./internal/proxy ./internal/transport ./internal/nexus ./internal/mpi ./internal/gram ./internal/gass ./internal/rmf ./internal/hbm ./internal/mds
 	GOMAXPROCS=4 $(GO) test -race -count=3 -run TCP ./internal/proxy ./internal/transport ./internal/nexus ./internal/mpi ./internal/gram ./internal/gass ./internal/rmf ./internal/hbm ./internal/mds
+	GOMAXPROCS=1 $(GO) test -race -count=3 ./internal/gridftp
+	GOMAXPROCS=4 $(GO) test -race -count=3 ./internal/gridftp
 
 # chaos runs the fault-injection recovery scenarios (see EXPERIMENTS.md,
 # "Chaos runs") on their own, under the race detector.

@@ -4,10 +4,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/rand/v2"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"nxcluster/internal/gass"
 	"nxcluster/internal/nexus"
 	"nxcluster/internal/obs"
 	"nxcluster/internal/proxy"
@@ -43,9 +45,6 @@ type Client struct {
 	Dialer proxy.Dialer
 	// Streams is the parallel data-channel count (default DefaultStreams).
 	Streams int
-	// BlockSize is the requested block granularity (default
-	// DefaultBlockSize); the server's own block size governs downloads.
-	BlockSize int
 	// ProgressTimeout, when > 0, arms a watchdog that aborts an attempt's
 	// channels after that long without a single byte of progress (e.g.
 	// during a WAN outage) so the restart-marker resume logic can take over.
@@ -55,9 +54,6 @@ type Client struct {
 	Retries int
 	// RetryDelay spaces resume attempts (linear backoff, default 50ms).
 	RetryDelay time.Duration
-
-	mu         sync.Mutex
-	nextUpload int
 }
 
 func (c *Client) streams() int {
@@ -65,13 +61,6 @@ func (c *Client) streams() int {
 		return c.Streams
 	}
 	return DefaultStreams
-}
-
-func (c *Client) blockSize() int {
-	if c.BlockSize > 0 {
-		return c.BlockSize
-	}
-	return DefaultBlockSize
 }
 
 func (c *Client) retries() int {
@@ -88,68 +77,15 @@ func (c *Client) retryDelay() time.Duration {
 	return 50 * time.Millisecond
 }
 
-// getSink is the shared receive state of a download: where landed blocks
-// go, the restart-marker ledger, and a progress counter the watchdog samples.
-// Parallel channels all land blocks here.
-type getSink struct {
-	mu       sync.Mutex
-	size     int64       // -1 until the first server reply
-	dst      io.WriterAt // the caller's destination; nil assembles into buf
-	buf      []byte
-	err      error // the first error dst returned; every later land returns it
-	ledger   Ledger
-	progress atomic.Int64
-}
-
-func newGetSink(dst io.WriterAt) *getSink { return &getSink{size: -1, dst: dst} }
-
-func (g *getSink) setSize(n int64) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.size < 0 {
-		g.size = n
-		if g.dst == nil {
-			g.buf = make([]byte, n)
-		}
-	}
-}
-
-func (g *getSink) land(off int64, payload []byte) error {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.err != nil {
-		return g.err
-	}
-	if off+int64(len(payload)) > g.size {
-		return fmt.Errorf("gridftp: block [%d,+%d) beyond size %d", off, len(payload), g.size)
-	}
-	if g.dst == nil {
-		copy(g.buf[off:], payload)
-	} else if _, err := g.dst.WriteAt(payload, off); err != nil {
-		g.err = fmt.Errorf("gridftp: write block [%d,+%d): %w", off, len(payload), err)
-		return g.err
-	}
-	g.ledger.Add(off, int64(len(payload)))
-	g.progress.Add(int64(len(payload)))
-	return nil
-}
-
-// refused returns the error the destination returned, if any.
-func (g *getSink) refused() error {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.err
-}
-
 // Get downloads url over parallel data channels, resuming from restart
 // markers after interruptions, and returns the file.
 func (c *Client) Get(env transport.Env, url string) ([]byte, *TransferStats, error) {
-	sink := newGetSink(nil)
-	stats, err := c.get(env, url, sink)
+	s := newSink(nil)
+	stats, err := c.run(env, url, "get", "bytes_in", download{s})
 	if err != nil {
 		return nil, stats, err
 	}
-	return sink.buf, stats, nil
+	return s.buf, stats, nil
 }
 
 // GetTo downloads url like Get, but writes each block to dst at its file
@@ -157,139 +93,42 @@ func (c *Client) Get(env transport.Env, url string) ([]byte, *TransferStats, err
 // in any order, one WriteAt at a time. An error from dst ends the download
 // at once, without resuming; the returned error wraps it.
 func (c *Client) GetTo(env transport.Env, url string, dst io.WriterAt) (*TransferStats, error) {
-	return c.get(env, url, newGetSink(dst))
-}
-
-// get is the download loop behind Get and GetTo: fetch into sink, and after
-// a channel error resume from its ledger until the file is complete or the
-// retries run out.
-func (c *Client) get(env transport.Env, url string, sink *getSink) (*TransferStats, error) {
-	hostport, path, err := ParseURL(url)
-	if err != nil {
-		return nil, err
-	}
-	start := env.Now()
-	o := obs.From(env)
-	var span obs.TraceContext
-	if o != nil {
-		span = o.BeginChild(start, obs.CtxOf(env), "gridftp", "get", env.Hostname(), obs.Str("url", url))
-	}
-	stats := &TransferStats{Streams: c.streams()}
-	var lastErr error
-	for attempt := 0; ; attempt++ {
-		if attempt > 0 {
-			stats.Resumes++
-			env.Sleep(c.retryDelay() * time.Duration(attempt))
-		}
-		lastErr = c.fetch(env, hostport, path, c.streams(), &sink.ledger, sink)
-		if err := sink.refused(); err != nil {
-			lastErr = err // the destination failed, not the network: no resume
-			break
-		}
-		if sink.size >= 0 && sink.ledger.Complete(sink.size) {
-			stats.Bytes = sink.size
-			stats.Elapsed = env.Now() - start
-			if o != nil {
-				o.EndSpan(env.Now(), span, "gridftp", "get", env.Hostname(),
-					obs.Int("bytes", stats.Bytes), obs.Int("resumes", int64(stats.Resumes)))
-				o.Metrics().Counter("gridftp." + env.Hostname() + ".bytes_in").Add(stats.Bytes)
-			}
-			return stats, nil
-		}
-		if attempt >= c.retries() {
-			break
-		}
-	}
-	if lastErr == nil {
-		lastErr = errIncomplete
-	}
-	err = fmt.Errorf("gridftp: get %s after %d resumes: %w", url, stats.Resumes, lastErr)
-	if o != nil {
-		o.EndSpan(env.Now(), span, "gridftp", "get", env.Hostname(), obs.Str("err", err.Error()))
-	}
-	return stats, err
-}
-
-// fetch runs one download attempt against one server: announce the have
-// ledger, then pull the server's block list over streams parallel channels
-// into sink. An error (or silent stall tripping the watchdog) leaves the
-// ledger holding whatever landed.
-func (c *Client) fetch(env transport.Env, hostport, path string, streams int, have *Ledger, sink *getSink) error {
-	ctrl, err := c.Dialer.Dial(env, hostport)
-	if err != nil {
-		return fmt.Errorf("gridftp: dial %s: %w", hostport, err)
-	}
-	defer ctrl.Close(env)
-	req := nexus.NewBuffer()
-	req.PutInt32(opRetr)
-	req.PutString(path)
-	sink.mu.Lock()
-	req.PutBytes(have.Encode())
-	sink.mu.Unlock()
-	req.PutInt32(int32(streams))
-	resp, err := nexus.Call(transport.Stream{Env: env, Conn: ctrl}, req)
-	if err != nil {
-		return replyErr(err)
-	}
-	size, e1 := resp.GetInt64()
-	id, e2 := resp.GetString()
-	dataAddr, e3 := resp.GetString()
-	if e1 != nil || e2 != nil || e3 != nil {
-		return fmt.Errorf("gridftp: malformed RETR reply")
-	}
-	sink.setSize(size)
-
-	w := c.armWatchdog(env, &sink.progress)
-	defer w.disarm()
-	done := transport.NewQueue[error](env)
-	for i := 0; i < streams; i++ {
-		idx := i
-		env.Spawn("gridftp:get-chan", func(e transport.Env) {
-			done.Put(e, c.runGetChannel(e, w, dataAddr, id, idx, sink))
-		})
-	}
-	var chanErr error
-	for i := 0; i < streams; i++ {
-		if err, _ := done.Get(env); err != nil && chanErr == nil {
-			chanErr = err
-		}
-	}
-	return chanErr
-}
-
-// runGetChannel reads one data channel's blocks into the sink.
-func (c *Client) runGetChannel(env transport.Env, w *watchdog, dataAddr, id string, idx int, sink *getSink) error {
-	conn, err := c.Dialer.Dial(env, dataAddr)
-	if err != nil {
-		return err
-	}
-	defer conn.Close(env)
-	w.track(conn)
-	st := transport.Stream{Env: env, Conn: conn}
-	hs := nexus.NewBuffer()
-	hs.PutString(id)
-	hs.PutInt32(int32(idx))
-	if err := nexus.WriteFrame(st, hs); err != nil {
-		return err
-	}
-	var buf []byte // this channel's block buffer, grown by readBlock
-	for {
-		flags, off, payload, err := readBlock(st, &buf)
-		if err != nil {
-			return err
-		}
-		if flags&flagEOD != 0 {
-			return nil
-		}
-		if err := sink.land(off, payload); err != nil {
-			return err
-		}
-	}
+	return c.run(env, url, "get", "bytes_in", download{newSink(dst)})
 }
 
 // Put uploads data to url over parallel data channels, resuming from the
 // server's restart ledger after interruptions.
 func (c *Client) Put(env transport.Env, url string, data []byte) (*TransferStats, error) {
+	draw := transport.RandOf(env) // seeded on simnet
+	if draw == nil {
+		draw = rand.Uint64
+	}
+	u := &upload{id: fmt.Sprintf("%016x", draw()), data: data}
+	return c.run(env, url, "put", "bytes_out", u, obs.Int("bytes", int64(len(data))))
+}
+
+// A leg is what one direction adds to the transfer engine (run and
+// attempt): the RETR or STOR request and reply, and what a data channel
+// does with its blocks. download and upload are the two.
+type leg interface {
+	// request writes one attempt's control request.
+	request(req *nexus.Buffer, path string, streams int)
+	// reply reads the control reply: the transfer ID, the data address, and
+	// whether the server's verdict follows the data on the control channel.
+	reply(resp *nexus.Buffer) (id, dataAddr string, verdict bool, err error)
+	// channel moves data channel idx's blocks, counting them in progress.
+	channel(st transport.Stream, idx, streams int, progress *atomic.Int64) error
+	// end returns the file size once the attempt's channels are done and
+	// the receiver holds the whole file, or the error and whether a resume
+	// may mend it.
+	end(ctrl transport.Stream, chanErr error) (n int64, retry bool, err error)
+}
+
+// run is the transfer loop behind Get, GetTo and Put: attempt l, and after
+// an interrupted attempt resume from the restart ledger until the file is
+// whole or the retries run out. op names the span and the data-channel
+// processes, counter the byte metric.
+func (c *Client) run(env transport.Env, url, op, counter string, l leg, attrs ...obs.Field) (*TransferStats, error) {
 	hostport, path, err := ParseURL(url)
 	if err != nil {
 		return nil, err
@@ -298,88 +137,85 @@ func (c *Client) Put(env transport.Env, url string, data []byte) (*TransferStats
 	o := obs.From(env)
 	var span obs.TraceContext
 	if o != nil {
-		span = o.BeginChild(start, obs.CtxOf(env), "gridftp", "put", env.Hostname(),
-			obs.Str("url", url), obs.Int("bytes", int64(len(data))))
+		span = o.BeginChild(start, obs.CtxOf(env), "gridftp", op, env.Hostname(),
+			append([]obs.Field{obs.Str("url", url)}, attrs...)...)
 	}
-	c.mu.Lock()
-	c.nextUpload++
-	uploadID := fmt.Sprintf("%s:%s#%d", env.Hostname(), path, c.nextUpload)
-	c.mu.Unlock()
 	stats := &TransferStats{Streams: c.streams()}
-	var lastErr error
 	for attempt := 0; ; attempt++ {
 		if attempt > 0 {
 			stats.Resumes++
 			env.Sleep(c.retryDelay() * time.Duration(attempt))
 		}
-		var complete bool
-		complete, lastErr = c.putOnce(env, hostport, path, data, uploadID)
-		if complete {
-			stats.Bytes = int64(len(data))
+		var retry bool
+		stats.Bytes, retry, err = c.attempt(env, hostport, path, op, l)
+		if err == nil {
 			stats.Elapsed = env.Now() - start
 			if o != nil {
-				o.EndSpan(env.Now(), span, "gridftp", "put", env.Hostname(),
+				o.EndSpan(env.Now(), span, "gridftp", op, env.Hostname(),
 					obs.Int("bytes", stats.Bytes), obs.Int("resumes", int64(stats.Resumes)))
-				o.Metrics().Counter("gridftp." + env.Hostname() + ".bytes_out").Add(stats.Bytes)
+				o.Metrics().Counter("gridftp." + env.Hostname() + "." + counter).Add(stats.Bytes)
 			}
 			return stats, nil
 		}
-		if attempt >= c.retries() {
+		if !retry || attempt >= c.retries() {
 			break
 		}
 	}
-	if lastErr == nil {
-		lastErr = errIncomplete
-	}
-	err = fmt.Errorf("gridftp: put %s after %d resumes: %w", url, stats.Resumes, lastErr)
+	err = fmt.Errorf("gridftp: %s %s after %d resumes: %w", op, url, stats.Resumes, err)
 	if o != nil {
-		o.EndSpan(env.Now(), span, "gridftp", "put", env.Hostname(), obs.Str("err", err.Error()))
+		o.EndSpan(env.Now(), span, "gridftp", op, env.Hostname(), obs.Str("err", err.Error()))
 	}
 	return stats, err
 }
 
-// putOnce runs one upload attempt: learn the server's restart ledger, send
-// the missing blocks over parallel channels, then wait for the server's
-// final verdict on the control channel.
-func (c *Client) putOnce(env transport.Env, hostport, path string, data []byte, uploadID string) (bool, error) {
+// attempt runs one try against the server: the control request and reply,
+// then one data channel per stream, each dialled, named by the [id][idx]
+// handshake and aborted by the watchdog should the whole attempt stall.
+// An interrupted attempt leaves the restart ledger holding whatever landed.
+func (c *Client) attempt(env transport.Env, hostport, path, op string, l leg) (int64, bool, error) {
 	ctrl, err := c.Dialer.Dial(env, hostport)
 	if err != nil {
-		return false, fmt.Errorf("gridftp: dial %s: %w", hostport, err)
+		return 0, true, fmt.Errorf("gridftp: dial %s: %w", hostport, err)
 	}
 	defer ctrl.Close(env)
 	st := transport.Stream{Env: env, Conn: ctrl}
+	streams := c.streams()
 	req := nexus.NewBuffer()
-	req.PutInt32(opStor)
-	req.PutString(path)
-	req.PutInt64(int64(len(data)))
-	req.PutInt32(int32(c.streams()))
-	req.PutString(uploadID)
+	l.request(req, path, streams)
 	resp, err := nexus.Call(st, req)
 	if err != nil {
-		return false, replyErr(err)
+		return 0, true, replyErr(err)
 	}
-	id, e1 := resp.GetString()
-	dataAddr, e2 := resp.GetString()
-	ledgerBytes, e3 := resp.GetBytes()
-	if e1 != nil || e2 != nil || e3 != nil {
-		return false, fmt.Errorf("gridftp: malformed STOR reply")
-	}
-	serverHas, err := DecodeLedger(ledgerBytes)
+	id, dataAddr, verdict, err := l.reply(resp)
 	if err != nil {
-		return false, err
+		return 0, true, err
 	}
-	blocks := chopRanges(serverHas.Missing(int64(len(data))), c.blockSize())
 
-	var progress atomic.Int64
-	w := c.armWatchdog(env, &progress)
+	w := c.armWatchdog(env)
 	defer w.disarm()
-	w.track(ctrl) // a stalled final-frame read must also trip the watchdog
-	streams := c.streams()
+	if verdict {
+		w.track(ctrl) // a stalled verdict read must also trip the watchdog
+	}
 	done := transport.NewQueue[error](env)
 	for i := 0; i < streams; i++ {
 		idx := i
-		env.Spawn("gridftp:put-chan", func(e transport.Env) {
-			done.Put(e, c.runPutChannel(e, w, dataAddr, id, idx, streams, blocks, data, &progress))
+		env.Spawn("gridftp:"+op+"-chan", func(e transport.Env) {
+			done.Put(e, func() error {
+				conn, err := c.Dialer.Dial(e, dataAddr)
+				if err != nil {
+					return err
+				}
+				defer conn.Close(e)
+				w.track(conn)
+				st := transport.Stream{Env: e, Conn: conn}
+				hs := nexus.NewBuffer()
+				hs.PutString(id)
+				hs.PutInt32(int32(idx))
+				if err := nexus.WriteFrame(st, hs); err != nil {
+					return err
+				}
+				return l.channel(st, idx, streams, &w.progress)
+			}())
 		})
 	}
 	var chanErr error
@@ -388,41 +224,97 @@ func (c *Client) putOnce(env transport.Env, hostport, path string, data []byte, 
 			chanErr = err
 		}
 	}
-	// The verdict: a refusal is the server's word; a broken control channel
-	// is better explained by a failed data channel, if one failed.
-	if _, err := nexus.ReadReply(st); err != nil {
-		var se *nexus.StatusError
-		if chanErr != nil && !errors.As(err, &se) {
-			return false, chanErr
-		}
-		return false, replyErr(err)
-	}
-	return true, nil
+	return l.end(st, chanErr)
 }
 
-// runPutChannel writes one channel's round-robin share of the block list.
-func (c *Client) runPutChannel(env transport.Env, w *watchdog, dataAddr, id string, idx, streams int, blocks []Range, data []byte, progress *atomic.Int64) error {
-	conn, err := c.Dialer.Dial(env, dataAddr)
+// download is the receiving leg: RETR with the restart ledger, and the
+// server's blocks land in the sink, which outlives the attempts.
+type download struct{ s *sink }
+
+func (d download) request(req *nexus.Buffer, path string, streams int) {
+	req.PutInt32(opRetr)
+	req.PutString(path)
+	d.s.mu.Lock()
+	req.PutBytes(d.s.ledger.Encode())
+	d.s.mu.Unlock()
+	req.PutInt32(int32(streams))
+}
+
+func (d download) reply(resp *nexus.Buffer) (string, string, bool, error) {
+	size, e1 := resp.GetInt64()
+	id, e2 := resp.GetString()
+	dataAddr, e3 := resp.GetString()
+	if e1 != nil || e2 != nil || e3 != nil || size < 0 || size > gass.MaxFileSize {
+		return "", "", false, fmt.Errorf("gridftp: malformed RETR reply")
+	}
+	d.s.setSize(size)
+	return id, dataAddr, false, nil
+}
+
+func (d download) channel(st transport.Stream, _, _ int, progress *atomic.Int64) error {
+	return d.s.receive(st, progress)
+}
+
+func (d download) end(_ transport.Stream, chanErr error) (int64, bool, error) {
+	d.s.mu.Lock()
+	defer d.s.mu.Unlock()
+	switch {
+	case d.s.err != nil:
+		return 0, false, d.s.err // the destination failed, not the network
+	case d.s.ledger.Complete(d.s.size):
+		return d.s.size, false, nil
+	case chanErr != nil:
+		return 0, true, chanErr
+	}
+	return 0, true, errIncomplete
+}
+
+// upload is the sending leg: STOR under the call's upload ID, and the
+// client sends the blocks the server's restart ledger lacks.
+type upload struct {
+	id     string // names the server's partial, one per Put call
+	data   []byte
+	blocks []Range // what the server lacked at this attempt's reply
+}
+
+func (u *upload) request(req *nexus.Buffer, path string, streams int) {
+	req.PutInt32(opStor)
+	req.PutString(path)
+	req.PutInt64(int64(len(u.data)))
+	req.PutInt32(int32(streams))
+	req.PutString(u.id)
+}
+
+func (u *upload) reply(resp *nexus.Buffer) (string, string, bool, error) {
+	id, e1 := resp.GetString()
+	dataAddr, e2 := resp.GetString()
+	ledgerBytes, e3 := resp.GetBytes()
+	if e1 != nil || e2 != nil || e3 != nil {
+		return "", "", false, fmt.Errorf("gridftp: malformed STOR reply")
+	}
+	serverHas, err := DecodeLedger(ledgerBytes)
 	if err != nil {
-		return err
+		return "", "", false, err
 	}
-	defer conn.Close(env)
-	w.track(conn)
-	st := transport.Stream{Env: env, Conn: conn}
-	hs := nexus.NewBuffer()
-	hs.PutString(id)
-	hs.PutInt32(int32(idx))
-	if err := nexus.WriteFrame(st, hs); err != nil {
-		return err
-	}
-	for i := idx; i < len(blocks); i += streams {
-		r := blocks[i]
-		if err := writeBlock(st, 0, r.Off, data[r.Off:r.End()]); err != nil {
-			return err
+	u.blocks = chopRanges(serverHas.Missing(int64(len(u.data))), DefaultBlockSize)
+	return id, dataAddr, true, nil
+}
+
+func (u *upload) channel(st transport.Stream, idx, streams int, progress *atomic.Int64) error {
+	return send(st, u.data, u.blocks, idx, streams, progress)
+}
+
+// end reads the verdict: a refusal is the server's word; a broken control
+// channel is better explained by a failed data channel, if one failed.
+func (u *upload) end(ctrl transport.Stream, chanErr error) (int64, bool, error) {
+	if _, err := nexus.ReadReply(ctrl); err != nil {
+		var se *nexus.StatusError
+		if chanErr != nil && !errors.As(err, &se) {
+			return 0, true, chanErr
 		}
-		progress.Add(r.Len)
+		return 0, true, replyErr(err)
 	}
-	return writeEOD(st)
+	return int64(len(u.data)), false, nil
 }
 
 // replyErr restates a control server's refusal in gridftp's words; other
@@ -443,9 +335,7 @@ func replyErr(err error) error {
 // outage (simnet links stall rather than drop, so without the watchdog a
 // dead attempt would wait out the whole outage instead of resuming).
 type watchdog struct {
-	env      transport.Env
-	timeout  time.Duration
-	progress *atomic.Int64
+	progress atomic.Int64 // bytes the attempt's channels have moved
 	mu       sync.Mutex
 	conns    []transport.Conn
 	stopped  bool
@@ -453,15 +343,15 @@ type watchdog struct {
 
 // armWatchdog starts the watchdog process if ProgressTimeout is set;
 // otherwise returns an inert watchdog.
-func (c *Client) armWatchdog(env transport.Env, progress *atomic.Int64) *watchdog {
-	w := &watchdog{env: env, timeout: c.ProgressTimeout, progress: progress}
-	if w.timeout <= 0 {
+func (c *Client) armWatchdog(env transport.Env) *watchdog {
+	w := &watchdog{}
+	if c.ProgressTimeout <= 0 {
 		return w
 	}
 	env.Spawn("gridftp:watchdog", func(e transport.Env) {
 		last := w.progress.Load()
 		for {
-			e.Sleep(w.timeout)
+			e.Sleep(c.ProgressTimeout)
 			w.mu.Lock()
 			if w.stopped {
 				w.mu.Unlock()
@@ -490,9 +380,6 @@ func (c *Client) armWatchdog(env transport.Env, progress *atomic.Int64) *watchdo
 
 // track registers a connection for stall teardown.
 func (w *watchdog) track(c transport.Conn) {
-	if w.timeout <= 0 {
-		return
-	}
 	w.mu.Lock()
 	w.conns = append(w.conns, c)
 	w.mu.Unlock()
@@ -500,9 +387,6 @@ func (w *watchdog) track(c transport.Conn) {
 
 // disarm stops the watchdog.
 func (w *watchdog) disarm() {
-	if w.timeout <= 0 {
-		return
-	}
 	w.mu.Lock()
 	w.stopped = true
 	w.conns = nil

@@ -71,37 +71,16 @@ const (
 	opStor = int32(2) // upload: path, size, streams, uploadID
 )
 
-// retrXfer is one active download: the store's own slice for the file as it
-// was at RETR time (shared, read-only; a later write replaces the store's
-// entry and leaves this one intact) plus the block list each data channel
-// serves round-robin.
-type retrXfer struct {
-	data      []byte
-	blocks    []Range
+// xfer is one attempt in flight, under the ID its reply named: serve runs
+// data channel idx, and the last channel to finish retires it.
+type xfer struct {
 	streams   int
 	remaining int // data channels yet to finish
+	serve     func(env transport.Env, st transport.Stream, idx int)
 }
 
-// storPartial is the server-side state of an upload, keyed by the client's
-// uploadID. It persists across interrupted attempts — it IS the restart
-// marker the server returns on resume. committed (under Server.mu) is set
-// when the store takes buf as the file: from then on buf is read-only, and a
-// data channel still attached to the partial drops whatever it receives.
-type storPartial struct {
-	path      string
-	size      int64
-	buf       []byte
-	ledger    Ledger
-	committed bool
-}
-
-// storXfer is one upload attempt in flight.
-type storXfer struct {
-	partial   *storPartial
-	streams   int
-	remaining int
-	done      transport.Queue[bool] // true once the ledger completes
-}
+// partKey names an upload's partial: the client's upload ID and the path.
+type partKey struct{ id, path string }
 
 // Server serves a gass.Store over the gridftp protocol on two listeners: a
 // control port and a data port (control port + 1 when listening directly).
@@ -113,16 +92,14 @@ type Server struct {
 	// Dialer provides firewall traversal: listeners bind through it
 	// (passive mode via the Nexus Proxy when enabled).
 	Dialer proxy.Dialer
-	// BlockSize is the server-side block granularity for downloads
-	// (default DefaultBlockSize).
-	BlockSize int
 
 	mu     sync.Mutex
 	nextID int
-	retrs  map[string]*retrXfer
-	stors  map[string]*storXfer
-	parts  map[string]*storPartial
-	dataL  transport.Listener
+	xfers  map[string]*xfer
+	// parts holds each upload's receive state across its attempts: it IS
+	// the restart marker the server returns on resume.
+	parts map[partKey]*sink
+	dataL transport.Listener
 }
 
 // NewServer wraps a store.
@@ -130,17 +107,9 @@ func NewServer(store *gass.Store, dialer proxy.Dialer) *Server {
 	return &Server{
 		Store:  store,
 		Dialer: dialer,
-		retrs:  make(map[string]*retrXfer),
-		stors:  make(map[string]*storXfer),
-		parts:  make(map[string]*storPartial),
+		xfers:  make(map[string]*xfer),
+		parts:  make(map[partKey]*sink),
 	}
-}
-
-func (s *Server) blockSize() int {
-	if s.BlockSize > 0 {
-		return s.BlockSize
-	}
-	return DefaultBlockSize
 }
 
 // Serve binds the control and data listeners and accepts until closed; it
@@ -197,6 +166,17 @@ func (s *Server) handleCtrl(env transport.Env, c transport.Conn) {
 	_ = nexus.WriteFrame(st, resp)
 }
 
+// register enters an attempt's data channels in the registry and returns
+// the transfer ID for its reply: prefix "r" for RETR, "s" for STOR.
+func (s *Server) register(prefix string, streams int, serve func(transport.Env, transport.Stream, int)) string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.nextID++
+	id := fmt.Sprintf("%s%d", prefix, s.nextID)
+	s.xfers[id] = &xfer{streams: streams, remaining: streams, serve: serve}
+	return id
+}
+
 // handleRetr registers a download and replies with its transfer ID and data
 // address; the client's data channels do the rest.
 func (s *Server) handleRetr(env transport.Env, st transport.Stream, req, resp *nexus.Buffer) {
@@ -212,6 +192,8 @@ func (s *Server) handleRetr(env transport.Env, st transport.Stream, req, resp *n
 		nexus.PutStatus(resp, err)
 		return
 	}
+	// The store's own slice for the file as it is now: shared and read-only,
+	// a later write replaces the store's entry and leaves this one intact.
 	data, err := s.Store.View(path)
 	if err != nil {
 		nexus.PutStatus(resp, err)
@@ -219,12 +201,10 @@ func (s *Server) handleRetr(env transport.Env, st transport.Stream, req, resp *n
 	}
 	// The block list is exactly what the client does not yet have: resume
 	// restarts mid-file instead of resending delivered ranges.
-	blocks := chopRanges(have.Missing(int64(len(data))), s.blockSize())
-	s.mu.Lock()
-	s.nextID++
-	id := fmt.Sprintf("r%d", s.nextID)
-	s.retrs[id] = &retrXfer{data: data, blocks: blocks, streams: int(streams), remaining: int(streams)}
-	s.mu.Unlock()
+	blocks := chopRanges(have.Missing(int64(len(data))), DefaultBlockSize)
+	id := s.register("r", int(streams), func(_ transport.Env, st transport.Stream, idx int) {
+		_ = send(st, data, blocks, idx, int(streams), nil)
+	})
 	if o := obs.From(env); o != nil {
 		o.Emit(env.Now(), "gridftp", "retr", env.Hostname(),
 			obs.Str("path", path), obs.Int("bytes", int64(len(data))), obs.Int("streams", int64(streams)))
@@ -251,19 +231,26 @@ func (s *Server) handleStor(env transport.Env, st transport.Stream, req, resp *n
 		nexus.PutStatus(resp, fmt.Errorf("%w (%d bytes)", gass.ErrTooLarge, size))
 		return
 	}
+	key := partKey{uploadID, path}
 	s.mu.Lock()
-	part := s.parts[uploadID]
-	if part == nil || part.size != size || part.path != path {
-		part = &storPartial{path: path, size: size, buf: make([]byte, size)}
-		s.parts[uploadID] = part
+	part := s.parts[key]
+	if part == nil || part.size != size {
+		part = &sink{size: size, buf: make([]byte, size)}
+		s.parts[key] = part
 	}
-	s.nextID++
-	id := fmt.Sprintf("s%d", s.nextID)
-	x := &storXfer{partial: part, streams: int(streams), remaining: int(streams),
-		done: transport.NewQueue[bool](env)}
-	s.stors[id] = x
-	ledgerBytes := part.ledger.Encode()
 	s.mu.Unlock()
+	// Each channel sends one event: whether the file was whole when it ended.
+	done := transport.NewQueue[bool](env)
+	id := s.register("s", int(streams), func(env transport.Env, st transport.Stream, _ int) {
+		err := part.receive(st, nil)
+		part.mu.Lock()
+		complete := err == nil && part.ledger.Complete(size)
+		part.mu.Unlock()
+		done.Put(env, complete)
+	})
+	part.mu.Lock()
+	ledgerBytes := part.ledger.Encode()
+	part.mu.Unlock()
 	if o := obs.From(env); o != nil {
 		o.Emit(env.Now(), "gridftp", "stor", env.Hostname(),
 			obs.Str("path", path), obs.Int("bytes", size), obs.Int("streams", int64(streams)))
@@ -275,53 +262,39 @@ func (s *Server) handleStor(env transport.Env, st transport.Stream, req, resp *n
 	if err := nexus.WriteFrame(st, resp); err != nil {
 		return
 	}
-	// Wait for the attempt to finish: every channel sends one event, plus a
-	// completion event if the ledger filled. An interrupted client simply
-	// abandons the control connection; the partial survives for resume.
+	// Wait for the attempt to finish. An interrupted client simply abandons
+	// the control connection; the partial survives for resume.
 	final := nexus.NewBuffer()
 	committed := false
-	for i := 0; i < x.streams; i++ {
-		complete, ok := x.done.Get(env)
+	for i := 0; i < int(streams) && !committed; i++ {
+		complete, ok := done.Get(env)
 		if !ok {
 			break
 		}
-		if complete {
-			committed = true
-			break
-		}
+		committed = complete
 	}
 	s.mu.Lock()
-	delete(s.stors, id)
+	delete(s.xfers, id)
 	s.mu.Unlock()
-	if committed {
-		// The store takes the assembly buffer itself, no copy. Channels of
-		// this attempt or of an abandoned earlier one may still be attached
-		// to the partial; the flag stops them writing into the stored file.
-		s.mu.Lock()
-		part.committed = true
-		s.mu.Unlock()
-		if err := s.Store.Adopt(path, part.buf); err != nil {
-			nexus.PutStatus(final, err)
-		} else {
-			s.mu.Lock()
-			delete(s.parts, uploadID)
-			s.mu.Unlock()
-			final.PutBool(true)
-			final.PutInt64(size)
-		}
+	if !committed {
+		part.mu.Lock()
+		got := part.ledger.Bytes()
+		part.mu.Unlock()
+		nexus.PutStatus(final, fmt.Errorf("gridftp: upload incomplete (%d/%d bytes)", got, size))
+	} else if err := s.Store.Adopt(path, part.commit()); err != nil {
+		nexus.PutStatus(final, err)
 	} else {
 		s.mu.Lock()
-		got := part.ledger.Bytes()
+		delete(s.parts, key)
 		s.mu.Unlock()
-		nexus.PutStatus(final, fmt.Errorf("gridftp: upload incomplete (%d/%d bytes)", got, size))
+		final.PutBool(true)
+		final.PutInt64(size)
 	}
 	_ = nexus.WriteFrame(st, final)
 }
 
 // handleData serves one data channel. The channel handshake names the
-// transfer and the channel index; downloads then stream this channel's
-// round-robin share of the block list, uploads consume blocks into the
-// partial buffer and ledger.
+// transfer and the channel index; the transfer's serve moves the blocks.
 func (s *Server) handleData(env transport.Env, c transport.Conn) {
 	defer c.Close(env)
 	st := transport.Stream{Env: env, Conn: c}
@@ -335,64 +308,18 @@ func (s *Server) handleData(env transport.Env, c transport.Conn) {
 		return
 	}
 	s.mu.Lock()
-	retr := s.retrs[id]
-	stor := s.stors[id]
+	x := s.xfers[id]
 	s.mu.Unlock()
-	switch {
-	case retr != nil && int(idx) < retr.streams:
-		s.serveRetrChannel(env, st, id, retr, int(idx))
-	case stor != nil && int(idx) < stor.streams:
-		s.serveStorChannel(env, st, stor)
+	if x == nil || int(idx) >= x.streams {
+		return
 	}
-}
-
-func (s *Server) serveRetrChannel(env transport.Env, st transport.Stream, id string, x *retrXfer, idx int) {
-	defer func() {
-		s.mu.Lock()
-		x.remaining--
-		if x.remaining == 0 {
-			delete(s.retrs, id)
-		}
-		s.mu.Unlock()
-	}()
-	for i := idx; i < len(x.blocks); i += x.streams {
-		r := x.blocks[i]
-		if err := writeBlock(st, 0, r.Off, x.data[r.Off:r.End()]); err != nil {
-			return
-		}
-	}
-	_ = writeEOD(st)
-}
-
-func (s *Server) serveStorChannel(env transport.Env, st transport.Stream, x *storXfer) {
-	p := x.partial
-	var chanErr error
-	var buf []byte // this channel's block buffer, grown by readBlock
-	for {
-		flags, off, payload, err := readBlock(st, &buf)
-		if err != nil {
-			chanErr = err
-			break
-		}
-		if flags&flagEOD != 0 {
-			break
-		}
-		if off+int64(len(payload)) > p.size {
-			chanErr = fmt.Errorf("gridftp: block [%d,+%d) beyond size %d", off, len(payload), p.size)
-			break
-		}
-		s.mu.Lock()
-		if !p.committed {
-			copy(p.buf[off:], payload)
-			p.ledger.Add(off, int64(len(payload)))
-		}
-		s.mu.Unlock()
-	}
+	x.serve(env, st, int(idx))
 	s.mu.Lock()
 	x.remaining--
-	complete := chanErr == nil && p.ledger.Complete(p.size)
+	if x.remaining == 0 {
+		delete(s.xfers, id)
+	}
 	s.mu.Unlock()
-	x.done.Put(env, complete)
 }
 
 // chopRanges splits ranges into blocks of at most blockSize bytes,

@@ -146,7 +146,7 @@ func TestPutGetRoundTrip(t *testing.T) {
 	env, srv, addr := startServer(t)
 	payload := pattern(300<<10 + 37) // several blocks plus a ragged tail
 	url := URL(addr, "/bulk/data.bin")
-	cl := &Client{Streams: 4, BlockSize: 64 << 10}
+	cl := &Client{Streams: 4}
 	stats, err := cl.Put(env, url, payload)
 	if err != nil {
 		t.Fatal(err)
@@ -193,14 +193,23 @@ func TestGetMissingFile(t *testing.T) {
 
 func TestPutTooLarge(t *testing.T) {
 	env, _, addr := startServer(t)
-	// Claim an oversize length on the control channel without allocating it:
-	// drive putOnce directly with a doctored size via the public Put path
-	// would allocate 64MB, so exercise the server check through opStor.
+	// The server refuses the STOR for its size, before any data moves.
 	cl := &Client{Retries: 1, RetryDelay: 1}
 	_, err := cl.Put(env, URL(addr, "/huge"), make([]byte, gass.MaxFileSize+1))
 	if err == nil {
 		t.Fatal("oversize Put succeeded")
 	}
+}
+
+// countAt is a buffer-backed io.WriterAt that counts the bytes written.
+type countAt struct {
+	memAt
+	n int64
+}
+
+func (c *countAt) WriteAt(p []byte, off int64) (int, error) {
+	c.n += int64(len(p))
+	return c.memAt.WriteAt(p, off)
 }
 
 // TestGetResumesFromLedger verifies the restart-marker path: an attempt that
@@ -210,23 +219,23 @@ func TestGetResumesFromLedger(t *testing.T) {
 	env, srv, addr := startServer(t)
 	payload := pattern(256 << 10)
 	srv.Store.Put("/bulk/r.bin", payload)
-	cl := &Client{Streams: 2, BlockSize: 64 << 10}
+	cl := &Client{Streams: 2}
 
-	sink := newGetSink(nil)
-	sink.setSize(int64(len(payload)))
+	dst := &countAt{memAt: make(memAt, len(payload))}
+	s := newSink(dst)
+	s.setSize(int64(len(payload)))
 	half := int64(len(payload) / 2)
-	if err := sink.land(0, payload[:half]); err != nil {
+	if err := s.land(0, payload[:half]); err != nil {
 		t.Fatal(err)
 	}
-	before := sink.progress.Load()
-	if err := cl.fetch(env, addr, "/bulk/r.bin", 2, &sink.ledger, sink); err != nil {
-		t.Fatal(err)
+	if n, _, err := cl.attempt(env, addr, "/bulk/r.bin", "get", download{s}); err != nil || n != int64(len(payload)) {
+		t.Fatalf("resume attempt = %d, %v", n, err)
 	}
-	if !sink.ledger.Complete(int64(len(payload))) || !bytes.Equal(sink.buf, payload) {
+	if !s.ledger.Complete(int64(len(payload))) || !bytes.Equal(dst.memAt, payload) {
 		t.Fatal("resume did not complete the file")
 	}
 	// Only the missing half moved on the wire.
-	if moved := sink.progress.Load() - before; moved != half {
+	if moved := dst.n - half; moved != half {
 		t.Fatalf("resume moved %d bytes, want %d", moved, half)
 	}
 }
@@ -237,31 +246,40 @@ func TestGetResumesFromLedger(t *testing.T) {
 func TestPutResumesFromServerPartial(t *testing.T) {
 	env, srv, addr := startServer(t)
 	payload := pattern(256 << 10)
-	const uploadID = "test-upload-1"
+	key := partKey{"test-upload-1", "/bulk/u.bin"}
 
 	// Seed a server-side partial as an interrupted first attempt would have:
 	// the first half present, the rest missing.
 	half := int64(len(payload) / 2)
-	part := &storPartial{path: "/bulk/u.bin", size: int64(len(payload)),
-		buf: make([]byte, len(payload))}
-	copy(part.buf, payload[:half])
-	part.ledger.Add(0, half)
+	part := newSink(nil)
+	part.setSize(int64(len(payload)))
+	if err := part.land(0, payload[:half]); err != nil {
+		t.Fatal(err)
+	}
 	srv.mu.Lock()
-	srv.parts[uploadID] = part
+	srv.parts[key] = part
 	srv.mu.Unlock()
 
-	cl := &Client{Streams: 2, BlockSize: 64 << 10}
-	complete, err := cl.putOnce(env, addr, "/bulk/u.bin", payload, uploadID)
-	if err != nil || !complete {
-		t.Fatalf("resume putOnce = %v, %v", complete, err)
+	cl := &Client{Streams: 2}
+	u := &upload{id: key.id, data: payload}
+	if n, _, err := cl.attempt(env, addr, key.path, "put", u); err != nil || n != int64(len(payload)) {
+		t.Fatalf("resume attempt = %d, %v", n, err)
 	}
-	stored, err := srv.Store.Get("/bulk/u.bin")
+	// Only the missing half was sent.
+	var sent int64
+	for _, r := range u.blocks {
+		sent += r.Len
+	}
+	if sent != half {
+		t.Fatalf("resume sent %d bytes, want %d", sent, half)
+	}
+	stored, err := srv.Store.Get(key.path)
 	if err != nil || !bytes.Equal(stored, payload) {
 		t.Fatalf("server store holds %d bytes, %v", len(stored), err)
 	}
 	// The committed upload retires the partial.
 	srv.mu.Lock()
-	_, live := srv.parts[uploadID]
+	_, live := srv.parts[key]
 	srv.mu.Unlock()
 	if live {
 		t.Fatal("partial survived a committed upload")

@@ -24,8 +24,9 @@ func allocatedBy(f func()) uint64 {
 }
 
 // serveBlocks listens on loopback TCP for one data channel and sends it
-// file as one block at MaxBlock and then 64 KiB ones.
-func serveBlocks(t *testing.T, file []byte) (*transport.TCPEnv, string) {
+// file as one block at MaxBlock and then 64 KiB ones; it returns the
+// client's end of the channel.
+func serveBlocks(t *testing.T, file []byte) (*transport.TCPEnv, transport.Stream) {
 	t.Helper()
 	env := transport.NewTCPEnv("localhost")
 	l, err := env.Listen(0)
@@ -41,35 +42,37 @@ func serveBlocks(t *testing.T, file []byte) (*transport.TCPEnv, string) {
 		}
 		defer c.Close(env)
 		st := transport.Stream{Env: env, Conn: c}
-		if _, err := nexus.ReadFrame(st, 0); err != nil { // the channel handshake
-			return
-		}
 		_ = writeBlock(st, 0, 0, file[:MaxBlock])
 		for off := MaxBlock; off < len(file); off += small {
 			_ = writeBlock(st, 0, int64(off), file[off:off+small])
 		}
 		_ = writeEOD(st)
 	}()
-	return env, l.Addr()
+	c, err := env.Dial(l.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close(env) })
+	return env, transport.Stream{Env: env, Conn: c}
 }
 
-// TestGetChannelKeepsOneBlockBuffer runs runGetChannel against a data
-// channel that sends one block at MaxBlock and then sixteen 64 KiB ones: the
-// bytes land where their offsets say, and the channel allocates its block
-// buffer once (a fresh buffer per block would allocate the 2 MiB moved).
+// TestGetChannelKeepsOneBlockBuffer runs the receiver on a data channel
+// that sends one block at MaxBlock and then sixteen 64 KiB ones: the bytes
+// land where their offsets say, progress counts them, and the channel
+// allocates its block buffer once (a fresh buffer per block would allocate
+// the 2 MiB moved).
 func TestGetChannelKeepsOneBlockBuffer(t *testing.T) {
 	file := pattern(MaxBlock + 16*64<<10)
-	env, addr := serveBlocks(t, file)
-	cl := &Client{}
-	sink := newGetSink(nil)
-	sink.setSize(int64(len(file)))
-	w := cl.armWatchdog(env, &sink.progress) // inert: no ProgressTimeout
+	_, st := serveBlocks(t, file)
+	s := newSink(nil)
+	s.setSize(int64(len(file)))
+	var progress atomic.Int64
 	var chanErr error
-	got := allocatedBy(func() { chanErr = cl.runGetChannel(env, w, addr, "r1", 0, sink) })
+	got := allocatedBy(func() { chanErr = s.receive(st, &progress) })
 	if chanErr != nil {
 		t.Fatal(chanErr)
 	}
-	if !sink.ledger.Complete(int64(len(file))) || !bytes.Equal(sink.buf, file) {
+	if !s.ledger.Complete(int64(len(file))) || !bytes.Equal(s.buf, file) || progress.Load() != int64(len(file)) {
 		t.Fatal("channel did not deliver the file")
 	}
 	if got >= MaxBlock+MaxBlock/2 {
@@ -83,20 +86,18 @@ func TestGetChannelKeepsOneBlockBuffer(t *testing.T) {
 // change, not the file (an assembly buffer would add its 2 MiB).
 func TestGetToChannelKeepsOneBlockBuffer(t *testing.T) {
 	file := pattern(MaxBlock + 16*64<<10)
-	env, addr := serveBlocks(t, file)
-	cl := &Client{}
+	_, st := serveBlocks(t, file)
 	dst := make(memAt, len(file))
-	sink := newGetSink(dst)
-	w := cl.armWatchdog(env, &sink.progress) // inert: no ProgressTimeout
+	s := newSink(dst)
 	var chanErr error
 	got := allocatedBy(func() {
-		sink.setSize(int64(len(file)))
-		chanErr = cl.runGetChannel(env, w, addr, "r1", 0, sink)
+		s.setSize(int64(len(file)))
+		chanErr = s.receive(st, nil)
 	})
 	if chanErr != nil {
 		t.Fatal(chanErr)
 	}
-	if !sink.ledger.Complete(int64(len(file))) || sink.buf != nil || !bytes.Equal(dst, file) {
+	if !s.ledger.Complete(int64(len(file))) || s.buf != nil || !bytes.Equal(dst, file) {
 		t.Fatal("channel did not deliver the file to the WriterAt alone")
 	}
 	if got >= MaxBlock+MaxBlock/2 {
@@ -158,8 +159,11 @@ func TestLateBlockAfterCommitIsDropped(t *testing.T) {
 	// or its EOD would report the ledger incomplete.
 	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
 		srv.mu.Lock()
-		landed := srv.parts[uploadID].ledger.Bytes()
+		part := srv.parts[partKey{uploadID, path}]
 		srv.mu.Unlock()
+		part.mu.Lock()
+		landed := part.ledger.Bytes()
+		part.mu.Unlock()
 		if landed == block {
 			break
 		}

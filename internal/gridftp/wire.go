@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"sync"
+	"sync/atomic"
 )
 
 // Data-channel block framing, modeled on GridFTP's MODE E extended blocks:
@@ -40,23 +42,6 @@ func writeBlock(w io.Writer, flags byte, off int64, payload []byte) error {
 // writeEOD ends a data channel.
 func writeEOD(w io.Writer) error { return writeBlock(w, flagEOD, 0, nil) }
 
-// parseBlockHeader validates a raw block header and returns its fields.
-func parseBlockHeader(hdr [blockHdrSize]byte) (flags byte, off int64, length int, err error) {
-	flags = hdr[0]
-	off = int64(binary.BigEndian.Uint64(hdr[1:9]))
-	length = int(binary.BigEndian.Uint32(hdr[9:13]))
-	if off < 0 {
-		return 0, 0, 0, fmt.Errorf("gridftp: negative block offset %d", off)
-	}
-	if length > MaxBlock {
-		return 0, 0, 0, fmt.Errorf("gridftp: block length %d exceeds max %d", length, MaxBlock)
-	}
-	if off+int64(length) < 0 {
-		return 0, 0, 0, fmt.Errorf("gridftp: block [%d,+%d) overflows", off, length)
-	}
-	return flags, off, length, nil
-}
-
 // readBlock reads one block from r. It returns io.EOF only on a clean
 // boundary (no partial header). The payload is read into *buf, which is
 // grown (to at most MaxBlock) when the block does not fit; a data channel
@@ -70,9 +55,17 @@ func readBlock(r io.Reader, buf *[]byte) (flags byte, off int64, payload []byte,
 		}
 		return 0, 0, nil, err
 	}
-	flags, off, length, err := parseBlockHeader(hdr)
-	if err != nil {
-		return 0, 0, nil, err
+	flags = hdr[0]
+	off = int64(binary.BigEndian.Uint64(hdr[1:9]))
+	length := int(binary.BigEndian.Uint32(hdr[9:13]))
+	if off < 0 {
+		return 0, 0, nil, fmt.Errorf("gridftp: negative block offset %d", off)
+	}
+	if length > MaxBlock {
+		return 0, 0, nil, fmt.Errorf("gridftp: block length %d exceeds max %d", length, MaxBlock)
+	}
+	if off+int64(length) < 0 {
+		return 0, 0, nil, fmt.Errorf("gridftp: block [%d,+%d) overflows", off, length)
 	}
 	if length == 0 {
 		return flags, off, nil, nil
@@ -85,4 +78,100 @@ func readBlock(r io.Reader, buf *[]byte) (flags byte, off int64, payload []byte,
 		return 0, 0, nil, fmt.Errorf("gridftp: truncated block payload: %w", err)
 	}
 	return flags, off, payload, nil
+}
+
+// send writes data channel idx's round-robin share of blocks, extents of
+// data, then EOD. progress, when not nil, counts the bytes sent.
+func send(w io.Writer, data []byte, blocks []Range, idx, streams int, progress *atomic.Int64) error {
+	for i := idx; i < len(blocks); i += streams {
+		r := blocks[i]
+		if err := writeBlock(w, 0, r.Off, data[r.Off:r.End()]); err != nil {
+			return err
+		}
+		if progress != nil {
+			progress.Add(r.Len)
+		}
+	}
+	return writeEOD(w)
+}
+
+// sink is the receiving end of a transfer, shared by its parallel data
+// channels: where landed blocks go and the restart-marker ledger of them.
+// A client's download keeps one across its attempts; the server keeps one
+// per upload, its partial, until the store takes the file.
+type sink struct {
+	mu     sync.Mutex
+	size   int64       // -1 until known
+	dst    io.WriterAt // nil assembles the file into buf
+	buf    []byte
+	ledger Ledger
+	closed bool  // no block lands any more
+	err    error // why: dst refused a block; nil when the store took buf
+}
+
+func newSink(dst io.WriterAt) *sink { return &sink{size: -1, dst: dst} }
+
+func (s *sink) setSize(n int64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.size < 0 {
+		s.size = n
+		if s.dst == nil {
+			s.buf = make([]byte, n)
+		}
+	}
+}
+
+// receive lands one data channel's blocks until EOD. progress, when not
+// nil, counts the bytes landed.
+func (s *sink) receive(r io.Reader, progress *atomic.Int64) error {
+	var buf []byte // this channel's block buffer, grown by readBlock
+	for {
+		flags, off, payload, err := readBlock(r, &buf)
+		if err != nil {
+			return err
+		}
+		if flags&flagEOD != 0 {
+			return nil
+		}
+		if err := s.land(off, payload); err != nil {
+			return err
+		}
+		if progress != nil {
+			progress.Add(int64(len(payload)))
+		}
+	}
+}
+
+// land writes one block at its offset and records it in the ledger. Once
+// the sink is closed it writes nothing: it returns the refusal, or drops a
+// late block the store's file must not see.
+func (s *sink) land(off int64, payload []byte) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return s.err
+	}
+	if off+int64(len(payload)) > s.size {
+		return fmt.Errorf("gridftp: block [%d,+%d) beyond size %d", off, len(payload), s.size)
+	}
+	if s.dst == nil {
+		copy(s.buf[off:], payload)
+	} else if _, err := s.dst.WriteAt(payload, off); err != nil {
+		s.closed = true
+		s.err = fmt.Errorf("gridftp: write block [%d,+%d): %w", off, len(payload), err)
+		return s.err
+	}
+	s.ledger.Add(off, int64(len(payload)))
+	return nil
+}
+
+// commit closes the sink and hands its buffer to the store, uncopied.
+// Channels of this attempt or an abandoned one may still be attached; once
+// closed, nothing they send reaches the stored file.
+func (s *sink) commit() []byte {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.closed = true
+	return s.buf
 }
