@@ -48,8 +48,10 @@ check: benchmark-smoke chaos scenarios fleet-smoke trace-goldens
 # gass, rmf, hbm, mds): a frame on a real socket is built in a pooled buffer that
 # every writer goroutine shares, and a TCPEnv's idle sessions are one
 # table its goroutines share while a daemon's Close races its sessions. And
-# the TCP tests of mpi: a TCPEnv inbox is a goroutine-backed queue, and a
-# receive with no deadline (Recv, RecvTimeout with d < 0) waits on it.
+# the TCP tests of mpi and knapsack: a TCPEnv inbox is a goroutine-backed
+# queue, a receive with no deadline (Recv, RecvTimeout with d < 0) waits on
+# it, and the Message records it carries are taken on a Nexus reader's
+# goroutine and recycled on the rank's.
 # And so do all of gridftp's tests, most of which run on loopback TCP: a
 # transfer's parallel channel goroutines share one block receiver (the sink
 # and its ledger) and one progress counter, and the server's control and
@@ -59,8 +61,8 @@ race-sched:
 	GOMAXPROCS=4 $(GO) test -race -count=3 ./internal/sim/
 	GOMAXPROCS=1 $(GO) test -race -count=3 -run InPlace ./internal/simnet ./internal/proxy
 	GOMAXPROCS=4 $(GO) test -race -count=3 -run InPlace ./internal/simnet ./internal/proxy
-	GOMAXPROCS=1 $(GO) test -race -count=3 -run TCP ./internal/proxy ./internal/transport ./internal/nexus ./internal/mpi ./internal/gram ./internal/gass ./internal/rmf ./internal/hbm ./internal/mds
-	GOMAXPROCS=4 $(GO) test -race -count=3 -run TCP ./internal/proxy ./internal/transport ./internal/nexus ./internal/mpi ./internal/gram ./internal/gass ./internal/rmf ./internal/hbm ./internal/mds
+	GOMAXPROCS=1 $(GO) test -race -count=3 -run TCP ./internal/proxy ./internal/transport ./internal/nexus ./internal/mpi ./internal/knapsack ./internal/gram ./internal/gass ./internal/rmf ./internal/hbm ./internal/mds
+	GOMAXPROCS=4 $(GO) test -race -count=3 -run TCP ./internal/proxy ./internal/transport ./internal/nexus ./internal/mpi ./internal/knapsack ./internal/gram ./internal/gass ./internal/rmf ./internal/hbm ./internal/mds
 	GOMAXPROCS=1 $(GO) test -race -count=3 ./internal/gridftp
 	GOMAXPROCS=4 $(GO) test -race -count=3 ./internal/gridftp
 

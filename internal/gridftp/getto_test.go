@@ -125,8 +125,8 @@ func TestSimTransfersPinned(t *testing.T) {
 	}{
 		{"get/undisturbed", false, 0, 0xf5805488b95726d1, 3118, 0, 0, 427_829_383},
 		{"get/outage", false, time.Second, 0x6d38c9e079300375, 4321, 1, 1, 1_696_887_512},
-		{"put/undisturbed", true, 0, 0x64ea49648de35e38, 3158, 0, 0, 403_372_277},
-		{"put/outage", true, time.Second, 0x541cec22d3e6649b, 6292, 1, 1, 1_738_882_359},
+		{"put/undisturbed", true, 0, 0x6c12742899e446b0, 3138, 0, 0, 403_372_277},
+		{"put/outage", true, time.Second, 0x3ea69b9edfa4f60e, 6264, 1, 1, 1_738_882_359},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			seed, got := file, []byte(nil)

@@ -142,7 +142,7 @@ func (s *Server) Serve(env transport.Env, port int, ready func(addr string)) err
 
 // handleCtrl serves one control connection: a single request frame, a reply
 // frame, and — for uploads — a final completion frame once the data movement
-// ends.
+// ends. An upload that got as far as its reply writes both frames itself.
 func (s *Server) handleCtrl(env transport.Env, c transport.Conn) {
 	defer c.Close(env)
 	st := transport.Stream{Env: env, Conn: c}
@@ -159,7 +159,9 @@ func (s *Server) handleCtrl(env transport.Env, c transport.Conn) {
 	case opRetr:
 		s.handleRetr(env, st, req, resp)
 	case opStor:
-		s.handleStor(env, st, req, resp)
+		if s.handleStor(env, st, req, resp) {
+			return
+		}
 	default:
 		nexus.PutStatus(resp, fmt.Errorf("gridftp: unknown op %d", op))
 	}
@@ -217,19 +219,20 @@ func (s *Server) handleRetr(env transport.Env, st transport.Stream, req, resp *n
 
 // handleStor registers an upload attempt, replying with the restart ledger
 // of any prior attempt, then waits for the data channels and reports the
-// final status on the control connection.
-func (s *Server) handleStor(env transport.Env, st transport.Stream, req, resp *nexus.Buffer) {
+// final status on the control connection. It reports whether it wrote the
+// reply; a refused request leaves its status in resp for the caller.
+func (s *Server) handleStor(env transport.Env, st transport.Stream, req, resp *nexus.Buffer) (replied bool) {
 	path, e1 := req.GetString()
 	size, e2 := req.GetInt64()
 	streams, e3 := req.GetInt32()
 	uploadID, e4 := req.GetString()
 	if e1 != nil || e2 != nil || e3 != nil || e4 != nil || size < 0 || streams < 1 || streams > 64 {
 		nexus.PutStatus(resp, fmt.Errorf("gridftp: malformed STOR"))
-		return
+		return false
 	}
 	if size > gass.MaxFileSize {
 		nexus.PutStatus(resp, fmt.Errorf("%w (%d bytes)", gass.ErrTooLarge, size))
-		return
+		return false
 	}
 	key := partKey{uploadID, path}
 	s.mu.Lock()
@@ -260,7 +263,7 @@ func (s *Server) handleStor(env transport.Env, st transport.Stream, req, resp *n
 	resp.PutString(s.dataL.Addr())
 	resp.PutBytes(ledgerBytes)
 	if err := nexus.WriteFrame(st, resp); err != nil {
-		return
+		return true
 	}
 	// Wait for the attempt to finish. An interrupted client simply abandons
 	// the control connection; the partial survives for resume.
@@ -291,6 +294,7 @@ func (s *Server) handleStor(env transport.Env, st transport.Stream, req, resp *n
 		final.PutInt64(size)
 	}
 	_ = nexus.WriteFrame(st, final)
+	return true
 }
 
 // handleData serves one data channel. The channel handshake names the

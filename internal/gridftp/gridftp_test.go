@@ -2,10 +2,12 @@ package gridftp
 
 import (
 	"bytes"
+	"io"
 	"reflect"
 	"testing"
 
 	"nxcluster/internal/gass"
+	"nxcluster/internal/nexus"
 	"nxcluster/internal/proxy"
 	"nxcluster/internal/transport"
 )
@@ -164,6 +166,73 @@ func TestPutGetRoundTrip(t *testing.T) {
 	}
 	if gstats.Bytes != int64(len(payload)) || gstats.Resumes != 0 {
 		t.Fatalf("get stats = %+v", gstats)
+	}
+}
+
+// tapEnv is a TCPEnv whose dials hand out tapConns.
+type tapEnv struct {
+	*transport.TCPEnv
+	conns []*tapConn
+}
+
+func (e *tapEnv) Dial(addr string) (transport.Conn, error) {
+	c, err := e.TCPEnv.Dial(addr)
+	if err != nil {
+		return nil, err
+	}
+	tc := &tapConn{Conn: c}
+	e.conns = append(e.conns, tc)
+	return tc, nil
+}
+
+// tapConn keeps every byte its peer sent: what its reader read, and on
+// Close whatever else arrives before the peer closes too.
+type tapConn struct {
+	transport.Conn
+	got []byte
+}
+
+func (c *tapConn) Read(env transport.Env, b []byte) (int, error) {
+	n, err := c.Conn.Read(env, b)
+	c.got = append(c.got, b[:n]...)
+	return n, err
+}
+
+func (c *tapConn) Close(env transport.Env) error {
+	rest, _ := io.ReadAll(transport.Stream{Env: env, Conn: c.Conn})
+	c.got = append(c.got, rest...)
+	return c.Conn.Close(env)
+}
+
+// TestPutControlCarriesReplyAndVerdict: the server answers an upload on its
+// control connection with exactly two frames, the reply that names the
+// transfer and the verdict once the data is in, and then closes it.
+func TestPutControlCarriesReplyAndVerdict(t *testing.T) {
+	tcp, _, addr := startServer(t)
+	env := &tapEnv{TCPEnv: tcp}
+	cl := &Client{Streams: 2}
+	if _, err := cl.Put(env, URL(addr, "/bulk/two.bin"), pattern(100<<10)); err != nil {
+		t.Fatal(err)
+	}
+	if len(env.conns) != 1 {
+		t.Fatalf("Put dialed %d connections on the caller's env, want the control connection alone", len(env.conns))
+	}
+	r := bytes.NewReader(env.conns[0].got)
+	var frames []*nexus.Buffer
+	for r.Len() > 0 {
+		f, err := nexus.ReadFrame(r, 0)
+		if err != nil {
+			t.Fatalf("frame %d: %v", len(frames), err)
+		}
+		frames = append(frames, f)
+	}
+	if len(frames) != 2 {
+		t.Fatalf("the control connection carried %d frames, want the reply and the verdict", len(frames))
+	}
+	for i, f := range frames {
+		if ok, err := f.GetBool(); !ok || err != nil {
+			t.Fatalf("frame %d does not begin with a true status", i)
+		}
 	}
 }
 

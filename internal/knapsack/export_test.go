@@ -24,6 +24,27 @@ func (s *Stack) Pop() (Node, bool) {
 	return n, true
 }
 
+// TakeBottom removes and returns up to k nodes from the bottom of the stack,
+// as a serve or a share-back takes them.
+func (s *Stack) TakeBottom(k int) []Node {
+	return s.takeBottom(make([]Node, 0, min(k, s.Len())), k)
+}
+
+// EncodeNodes serializes a work batch, as the ranks append one to their
+// send scratch, into one slice sized up front.
+func EncodeNodes(ns []Node) []byte {
+	return appendNodes(make([]byte, 0, 4+20*len(ns)), ns)
+}
+
+// DecodeNodes parses a work batch, as the ranks decode one onto their stack.
+func DecodeNodes(data []byte) ([]Node, error) {
+	var s Stack
+	if err := s.pushEncoded(data); err != nil {
+		return nil, err
+	}
+	return s.nodes, nil
+}
+
 // NoPruning builds the paper's normalized workload: input data chosen so
 // that no branches are pruned and the entire 2^(n+1)-1 node search space is
 // traced ("in order to evaluate the performance characteristics of the

@@ -1,6 +1,7 @@
 package knapsack
 
 import (
+	"encoding/binary"
 	"errors"
 	"time"
 
@@ -97,11 +98,12 @@ type ftSnapshot struct {
 	steals    int64
 }
 
-func putSnapshot(b *nexus.Buffer, s ftSnapshot) {
-	b.PutInt64(s.best)
-	b.PutInt64(s.traversed)
-	b.PutInt64(s.sentBack)
-	b.PutInt64(s.steals)
+// appendSnapshot appends s as nexus.Buffer's PutInt64 writes four values.
+func appendSnapshot(b []byte, s ftSnapshot) []byte {
+	b = binary.BigEndian.AppendUint64(b, uint64(s.best))
+	b = binary.BigEndian.AppendUint64(b, uint64(s.traversed))
+	b = binary.BigEndian.AppendUint64(b, uint64(s.sentBack))
+	return binary.BigEndian.AppendUint64(b, uint64(s.steals))
 }
 
 func getSnapshot(b *nexus.Buffer) (ftSnapshot, error) {
@@ -120,40 +122,45 @@ func getSnapshot(b *nexus.Buffer) (ftSnapshot, error) {
 	return s, err
 }
 
-// encode frames one protocol message from this rank. Under Run a message is
-// its bare node batch, and a steal carries nothing. Under RunFT it leads
-// with the steal sequence (steal, work), then the sender's snapshot (steal,
-// back, done), then the nodes (work, back) as one byte string.
+// encode frames one protocol message from this rank into its send scratch,
+// which the next encode reuses (mpi's Send has copied it by then). Under Run
+// a message is its bare node batch (appendNodes), and a steal carries
+// nothing. Under RunFT it leads with the steal sequence (steal, work), then
+// the sender's snapshot (steal, back, done), then the nodes (work, back) as
+// one byte string, each as nexus.Buffer's Put methods write it.
 func (r *rank) encode(tag int, seq int64, ns []Node) []byte {
-	if !r.ft {
-		if tag == tagSteal {
-			return nil
+	if !r.ft && tag == tagSteal {
+		return nil
+	}
+	b := r.out[:0]
+	if r.ft {
+		if tag == tagSteal || tag == tagWork {
+			b = binary.BigEndian.AppendUint64(b, uint64(seq))
 		}
-		return EncodeNodes(ns)
-	}
-	b := nexus.NewBuffer()
-	if tag == tagSteal || tag == tagWork {
-		b.PutInt64(seq)
-	}
-	if tag != tagWork {
-		putSnapshot(b, r.snapshot())
+		if tag != tagWork {
+			b = appendSnapshot(b, r.snapshot())
+		}
+		if tag == tagWork || tag == tagBack {
+			b = binary.BigEndian.AppendUint32(b, uint32(4+20*len(ns)))
+		}
 	}
 	if tag == tagWork || tag == tagBack {
-		b.PutBytes(EncodeNodes(ns))
+		b = appendNodes(b, ns)
 	}
-	return b.Bytes()
+	r.out = b
+	return b
 }
 
 // decode parses what encode framed: the steal sequence (seq when the wire
-// carries none, as under Run), the snapshot and the nodes.
-func (r *rank) decode(tag int, data []byte, seq int64) (int64, ftSnapshot, []Node, error) {
+// carries none, as under Run), the snapshot and the encoded nodes, which
+// alias data (Stack.pushEncoded takes them).
+func (r *rank) decode(tag int, data []byte, seq int64) (int64, ftSnapshot, []byte, error) {
 	var snap ftSnapshot
 	if !r.ft {
 		if tag == tagSteal {
 			return seq, snap, nil, nil
 		}
-		ns, err := DecodeNodes(data)
-		return seq, snap, ns, err
+		return seq, snap, data, nil
 	}
 	b := nexus.FromBytes(data)
 	var err error
@@ -171,11 +178,7 @@ func (r *rank) decode(tag int, data []byte, seq int64) (int64, ftSnapshot, []Nod
 		return seq, snap, nil, nil
 	}
 	raw, err := b.GetBytes()
-	if err != nil {
-		return seq, snap, nil, err
-	}
-	ns, err := DecodeNodes(raw)
-	return seq, snap, ns, err
+	return seq, snap, raw, err
 }
 
 // RunFT executes the fault-tolerant parallel branch-and-bound. Rank 0 is
@@ -191,12 +194,15 @@ func RunFT(c *mpi.Comm, in *Instance, p FTParams) (*Result, error) {
 // steal is a new request and no slave is written off, so an outstanding
 // batch is never resent or reclaimed.
 type slaveState struct {
-	alive       bool
-	pending     bool // a steal request is queued
-	lastHeard   time.Duration
-	lastSteal   int64  // highest steal sequence received
-	served      int64  // steal sequence the outstanding batch answers
-	outstanding []Node // the one batch served but not yet proven consumed
+	alive     bool
+	pending   bool // a steal request is queued
+	lastHeard time.Duration
+	lastSteal int64 // highest steal sequence received
+	served    int64 // steal sequence the outstanding batch answers
+	// outstanding is the one batch served but not yet proven consumed. Its
+	// array is the slave's batch buffer: a batch proven consumed or
+	// reclaimed is dropped by truncation, and the next serve refills it.
+	outstanding []Node
 	snap        ftSnapshot
 }
 

@@ -188,9 +188,12 @@ func FuzzBranchN(f *testing.F) {
 	})
 }
 
-// FuzzDecodeNodes feeds DecodeNodes arbitrary work batches. It must never
-// panic, must size nothing by a count the batch's bytes cannot hold (20 per
-// node), and whatever it accepts must re-encode to the bytes it read.
+// FuzzDecodeNodes feeds arbitrary work batches to Stack.pushEncoded, which
+// the ranks decode received batches with, onto a stack that already holds
+// nodes. It must never panic and must size nothing by a count the batch's
+// bytes cannot hold (20 per node). A refused batch leaves the stack as it
+// was; an accepted one lands on top of the nodes already there and
+// re-encodes to the bytes it read. DecodeNodes must agree on both.
 func FuzzDecodeNodes(f *testing.F) {
 	f.Add(EncodeNodes(nil))
 	f.Add(EncodeNodes([]Node{{Index: 1, Value: 100, Capacity: 50}, {Index: 30, Value: -2}}))
@@ -199,15 +202,30 @@ func FuzzDecodeNodes(f *testing.F) {
 	f.Add([]byte{0, 0x10, 0, 0, 1, 2, 3})
 	f.Add([]byte{0, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
+		var s Stack
+		s.PushAll([]Node{{Index: 1, Value: 2, Capacity: 3}, {Index: 4, Value: 5, Capacity: 6}, {Index: 7, Value: 8, Capacity: 9}})
+		s.TakeBottom(1) // the live nodes start past the slice's head
+		held := slices.Clone(s.nodes[s.head:])
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		ns, err := DecodeNodes(data)
+		err := s.pushEncoded(data)
 		runtime.ReadMemStats(&after)
 		if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<10+2*uint64(len(data)) {
 			t.Fatalf("a %d-byte batch made the decoder allocate %d bytes", len(data), grew)
 		}
+		live := s.nodes[s.head:]
+		ns, derr := DecodeNodes(data)
+		if (err == nil) != (derr == nil) {
+			t.Fatalf("pushEncoded: %v; DecodeNodes: %v", err, derr)
+		}
 		if err != nil {
+			if !slices.Equal(live, held) {
+				t.Fatalf("a refused batch left %v on the stack, want %v", live, held)
+			}
 			return
+		}
+		if !slices.Equal(live[:len(held)], held) || !slices.Equal(live[len(held):], ns) {
+			t.Fatalf("stack %v, want %v then %v", live, held, ns)
 		}
 		if enc := EncodeNodes(ns); !slices.Equal(enc, data[:len(enc)]) {
 			t.Fatalf("%d nodes re-encode to %x, batch began %x", len(ns), enc, data[:len(enc)])

@@ -184,6 +184,8 @@ type rank struct {
 	s     *Solver
 	st    RankStats // this rank's steals and sent-back nodes
 	ops   int       // branch operations since the slave last shared
+	out   []byte    // the send scratch encode frames into
+	back  []Node    // the slave's send-back batch, reused per send
 	// o and trk are nil and "" when tracing is off; lastBest suppresses
 	// duplicate bound events.
 	o        *obs.Observer
@@ -263,7 +265,9 @@ func (r *rank) master() (*Result, error) {
 	for s := 1; s < size; s++ {
 		slaves[s] = slaveState{alive: true, lastHeard: r.start}
 	}
-	var pending []int // slaves with unanswered steal requests, FIFO
+	// pending lists the slaves with unanswered steal requests, FIFO; a
+	// serve shifts it down, so its array is reused.
+	pending := make([]int, 0, size)
 	var handled int64
 
 	markDead := func(s int) {
@@ -277,7 +281,7 @@ func (r *rank) master() (*Result, error) {
 			r.o.Metrics().Counter("knap.reclaims").Add(1)
 		}
 		solver.Stack.PushAll(st.outstanding)
-		st.outstanding = nil
+		st.outstanding = st.outstanding[:0]
 	}
 	reserve := max(r.p.MasterReserve, 0)
 	serve := func() error {
@@ -292,13 +296,13 @@ func (r *rank) master() (*Result, error) {
 		// cannot strip it bare and starve the rest.
 		for len(pending) > 0 && solver.Stack.Len() > reserve {
 			s := pending[0]
-			pending = pending[1:]
+			pending = pending[:copy(pending, pending[1:])]
 			st := &slaves[s]
 			st.pending = false
 			if !st.alive {
 				continue
 			}
-			batch := solver.Stack.TakeBottom(r.p.StealUnit)
+			batch := solver.Stack.takeBottom(st.outstanding[:0], r.p.StealUnit)
 			if err := c.Send(s, tagWork, r.encode(tagWork, st.lastSteal, batch)); err != nil {
 				if !r.ft {
 					return err
@@ -342,7 +346,7 @@ func (r *rank) master() (*Result, error) {
 				// The slave's proof that its previous batch is fully
 				// expanded: drop it from the ledger and queue the request.
 				st.lastSteal = seq
-				st.outstanding = nil
+				st.outstanding = st.outstanding[:0]
 				queue(m.Src)
 			case seq == st.lastSteal:
 				if st.served == seq && len(st.outstanding) > 0 {
@@ -361,11 +365,13 @@ func (r *rank) master() (*Result, error) {
 			// seq < lastSteal: stale duplicate from before a resend; ignore.
 		case tagBack:
 			_, snap, ns, err := r.decode(tagBack, m.Data, 0)
+			if err == nil {
+				err = solver.Stack.pushEncoded(ns)
+			}
 			if err != nil {
 				return err
 			}
 			st.snap = snap
-			solver.Stack.PushAll(ns)
 		case tagDone:
 			// A straggler finishing after a false death; keep its totals.
 			if _, snap, _, err := r.decode(tagDone, m.Data, 0); err == nil {
@@ -528,13 +534,15 @@ func (r *rank) slave() (*Result, error) {
 					return r.collectResult(0)
 				case tagWork:
 					got, _, ns, err := r.decode(tagWork, m.Data, seq)
+					if err == nil && got == seq {
+						err = worker.Stack.pushEncoded(ns)
+					}
 					if err != nil {
 						return nil, err
 					}
 					if got != seq {
 						continue // duplicate reply to an older steal; drop
 					}
-					worker.Stack.PushAll(ns)
 					lastContact = c.Env().Now()
 				default:
 					return nil, fmt.Errorf("knapsack slave: unexpected tag %d", m.Tag)
@@ -544,7 +552,8 @@ func (r *rank) slave() (*Result, error) {
 		}
 		r.compute(step)
 		if k, ok := due(); ok {
-			batch := worker.Stack.TakeBottom(k)
+			batch := worker.Stack.takeBottom(r.back[:0], k)
+			r.back = batch
 			r.st.SentBack += int64(len(batch))
 			r.ops = 0
 			lastContact = c.Env().Now()

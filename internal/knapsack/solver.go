@@ -21,7 +21,7 @@ type Node struct {
 }
 
 // Stack is the LIFO the search tree lives on; nodes are pushed by the branch
-// operation and popped for expansion. TakeBottom removes from the other end,
+// operation and popped for expansion. takeBottom removes from the other end,
 // so the live nodes are nodes[head:]: taking from the bottom advances head
 // instead of shifting the stack, and the dead prefix is compacted away once
 // it is half the slice, as the kernel's FIFOs do.
@@ -38,18 +38,18 @@ func (s *Stack) Push(n Node) {
 	s.nodes = append(s.nodes, n)
 }
 
-// TakeBottom removes and returns up to k nodes from the bottom of the
-// stack: the oldest, shallowest nodes, whose subtrees are the largest. This
-// is what a slave ships back to the master for redistribution — returning
-// coarse work keeps the master able to feed other processors while the
-// slave retains the deep nodes it is actively expanding — and what the
-// master serves steal requests from. It costs O(k), amortized.
-func (s *Stack) TakeBottom(k int) []Node {
+// takeBottom removes up to k nodes from the bottom of the stack and appends
+// them to dst: the oldest, shallowest nodes, whose subtrees are the largest.
+// This is what a slave ships back to the master for redistribution —
+// returning coarse work keeps the master able to feed other processors
+// while the slave retains the deep nodes it is actively expanding — and
+// what the master serves steal requests from. It costs O(k), amortized, and
+// allocates nothing once dst, a batch buffer its caller reuses, has grown.
+func (s *Stack) takeBottom(dst []Node, k int) []Node {
 	if n := s.Len(); k > n {
 		k = n
 	}
-	out := make([]Node, k)
-	copy(out, s.nodes[s.head:])
+	dst = append(dst, s.nodes[s.head:s.head+k]...)
 	s.head += k
 	switch {
 	case s.head == len(s.nodes):
@@ -57,7 +57,7 @@ func (s *Stack) TakeBottom(k int) []Node {
 	case s.head >= 64 && s.head*2 >= len(s.nodes):
 		s.compact()
 	}
-	return out
+	return dst
 }
 
 // reserve makes room for n more nodes without growing the slice.
@@ -247,13 +247,11 @@ func SolveExhaustive(in *Instance) (int64, int64) {
 	return best, s.Traversed
 }
 
-// EncodeNodes serializes a work batch for an MPI message: a big-endian
-// int32 count, then each node's int32 index and int64 value and capacity,
-// the bytes nexus.Buffer's PutInt32/PutInt64 would write, into one slice
-// sized up front.
-func EncodeNodes(ns []Node) []byte {
-	b := make([]byte, 4, 4+20*len(ns))
-	binary.BigEndian.PutUint32(b, uint32(len(ns)))
+// appendNodes appends a work batch's encoding to b: a big-endian int32
+// count, then each node's int32 index and int64 value and capacity, the
+// bytes nexus.Buffer's PutInt32/PutInt64 would write.
+func appendNodes(b []byte, ns []Node) []byte {
+	b = binary.BigEndian.AppendUint32(b, uint32(len(ns)))
 	for _, n := range ns {
 		b = binary.BigEndian.AppendUint32(b, uint32(n.Index))
 		b = binary.BigEndian.AppendUint64(b, uint64(n.Value))
@@ -262,28 +260,26 @@ func EncodeNodes(ns []Node) []byte {
 	return b
 }
 
-// DecodeNodes parses a work batch. A count the batch's bytes cannot hold
-// (20 per node) is refused before anything is sized by it.
-func DecodeNodes(data []byte) ([]Node, error) {
-	b := nexus.FromBytes(data)
-	k, err := b.GetInt32()
-	if err != nil {
-		return nil, err
+// pushEncoded decodes a work batch (appendNodes) straight onto the stack,
+// in order. A batch that does not decode leaves the stack as it was, and a
+// count the batch's bytes cannot hold (20 per node) is refused before
+// anything is sized by it.
+func (s *Stack) pushEncoded(data []byte) error {
+	if len(data) < 4 {
+		return fmt.Errorf("%w: need 4, have %d", nexus.ErrBufferShort, len(data))
 	}
-	if k < 0 || int(k) > b.Remaining()/20 {
-		return nil, fmt.Errorf("knapsack: batch claims %d nodes in %d bytes", k, b.Remaining())
+	k, rest := int32(binary.BigEndian.Uint32(data)), data[4:]
+	if k < 0 || int(k) > len(rest)/20 {
+		return fmt.Errorf("knapsack: batch claims %d nodes in %d bytes", k, len(rest))
 	}
-	ns := make([]Node, k)
-	for i := range ns {
-		if ns[i].Index, err = b.GetInt32(); err != nil {
-			return nil, err
-		}
-		if ns[i].Value, err = b.GetInt64(); err != nil {
-			return nil, err
-		}
-		if ns[i].Capacity, err = b.GetInt64(); err != nil {
-			return nil, err
-		}
+	s.reserve(int(k))
+	for ; k > 0; k-- {
+		s.nodes = append(s.nodes, Node{
+			Index:    int32(binary.BigEndian.Uint32(rest)),
+			Value:    int64(binary.BigEndian.Uint64(rest[4:])),
+			Capacity: int64(binary.BigEndian.Uint64(rest[12:])),
+		})
+		rest = rest[20:]
 	}
-	return ns, nil
+	return nil
 }

@@ -154,7 +154,7 @@ func (w *World) runRank(env transport.Env, rank int, pl Placement, fn func(*Comm
 		rank:  rank,
 		ctx:   ctx,
 		sps:   make([]*nexus.Startpoint, len(w.placements)),
-		inbox: transport.NewQueue[Message](env),
+		inbox: transport.NewQueue[*Message](env),
 		out:   nexus.NewBuffer(),
 	}
 	if o := obs.From(env); o != nil {
@@ -172,7 +172,9 @@ func (w *World) runRank(env transport.Env, rank int, pl Placement, fn func(*Comm
 			return // malformed; drop
 		}
 		// The frame's payload is the handler's own: keep it, no copy.
-		c.inbox.Put(e, Message{Src: int(src), Tag: int(tag), Data: data})
+		m := c.msgs.get()
+		*m = Message{Src: int(src), Tag: int(tag), Data: data}
+		c.inbox.Put(e, m)
 	})
 
 	// Publish the address and poll until the whole roster is there.
@@ -210,7 +212,8 @@ type Comm struct {
 	rank    int
 	ctx     *nexus.Context
 	sps     []*nexus.Startpoint
-	inbox   transport.Queue[Message]
+	inbox   transport.Queue[*Message]
+	msgs    msgPool // the records inbox carries
 	pending []Message
 	out     *nexus.Buffer // the send buffer, reused per message
 	// cached observability handles (nil when tracing is off — updates are
@@ -218,6 +221,36 @@ type Comm struct {
 	mSent  *obs.Counter
 	mBytes *obs.Counter
 	mRecvd *obs.Counter
+}
+
+// msgPool recycles the records of a rank's inbox, so that queueing a
+// message boxes nothing. The rank's Nexus readers take them and the rank
+// gives them back, on a TCPEnv from different goroutines.
+type msgPool struct {
+	mu   sync.Mutex
+	free []*Message
+}
+
+func (p *msgPool) get() *Message {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	n := len(p.free)
+	if n == 0 {
+		return new(Message)
+	}
+	m := p.free[n-1]
+	p.free = p.free[:n-1]
+	return m
+}
+
+// unbox returns a record's message and recycles the record.
+func (p *msgPool) unbox(rec *Message) Message {
+	m := *rec
+	*rec = Message{}
+	p.mu.Lock()
+	p.free = append(p.free, rec)
+	p.mu.Unlock()
+	return m
 }
 
 // Rank returns this process's rank.
@@ -317,25 +350,26 @@ func (c *Comm) take(src, tag int, d time.Duration) (Message, bool, error) {
 		deadline = c.env.Now() + d
 	}
 	for {
-		var m Message
+		var rec *Message
 		ok := true
 		if d < 0 {
 			// Not GetTimeout with a negative d: a TCPEnv queue's timer
 			// would fire at once.
-			m, ok = c.inbox.Get(c.env)
+			rec, ok = c.inbox.Get(c.env)
 		} else {
 			remaining := deadline - c.env.Now()
 			if remaining <= 0 {
 				return Message{}, false, nil
 			}
 			var timedOut bool
-			if m, ok, timedOut = c.inbox.GetTimeout(c.env, remaining); timedOut {
+			if rec, ok, timedOut = c.inbox.GetTimeout(c.env, remaining); timedOut {
 				return Message{}, false, nil
 			}
 		}
 		if !ok {
 			return Message{}, false, errors.New("mpi: inbox closed")
 		}
+		m := c.msgs.unbox(rec)
 		if match(m, src, tag) {
 			c.mRecvd.Add(1)
 			return m, true, nil
@@ -349,11 +383,11 @@ func (c *Comm) take(src, tag int, d time.Duration) (Message, bool, error) {
 func (c *Comm) Iprobe(src, tag int) bool {
 	// Drain everything already delivered into pending, then scan.
 	for {
-		m, ok := c.inbox.TryGet(c.env)
+		rec, ok := c.inbox.TryGet(c.env)
 		if !ok {
 			break
 		}
-		c.pending = append(c.pending, m)
+		c.pending = append(c.pending, c.msgs.unbox(rec))
 	}
 	for _, m := range c.pending {
 		if match(m, src, tag) {

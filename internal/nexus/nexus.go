@@ -14,7 +14,9 @@ import (
 // Scheme prefixes every endpoint address.
 const Scheme = "x-nexus://"
 
-// Handler receives a remote service request's buffer, which it may keep.
+// Handler receives a remote service request's buffer. It may keep the
+// payload bytes (Bytes, and the slices GetBytes returns), which are its own,
+// but not b: the connection's reader reuses it for the next request.
 // Handlers run on the delivering connection's reader, so per-startpoint
 // ordering is preserved; on the simulator that reader runs in place, in
 // kernel context. So a handler must not block: hand work to a queue.
@@ -86,6 +88,7 @@ type frames struct {
 	env       transport.Env
 	hdr       [12]byte
 	payload   []byte
+	buf       Buffer // what the handler reads the payload through
 	inPayload bool
 	got       int // bytes of the header or payload received so far
 }
@@ -109,14 +112,15 @@ func (f *frames) fill(n int) []byte {
 		if f.got < len(f.payload) {
 			return f.payload[f.got:]
 		}
-		payload := f.payload
+		f.buf = Buffer{data: f.payload}
 		f.payload, f.inPayload, f.got = nil, false, 0
-		f.ctx.dispatch(f.env, binary.BigEndian.Uint32(f.hdr[0:4]), binary.BigEndian.Uint32(f.hdr[4:8]), payload)
+		f.ctx.dispatch(f.env, binary.BigEndian.Uint32(f.hdr[0:4]), binary.BigEndian.Uint32(f.hdr[4:8]), &f.buf)
+		f.buf = Buffer{} // the payload is the handler's now
 	}
 }
 
-// dispatch hands one RSR's payload to its handler, or counts it dropped.
-func (c *Context) dispatch(env transport.Env, epID, handlerID uint32, payload []byte) {
+// dispatch hands one RSR's buffer to its handler, or counts it dropped.
+func (c *Context) dispatch(env transport.Env, epID, handlerID uint32, b *Buffer) {
 	ep := c.endpoints[epID]
 	if ep == nil {
 		atomic.AddInt64(&c.dropCount, 1)
@@ -128,7 +132,7 @@ func (c *Context) dispatch(env transport.Env, epID, handlerID uint32, payload []
 		return
 	}
 	atomic.AddInt64(&c.rsrCount, 1)
-	h(env, FromBytes(payload))
+	h(env, b)
 }
 
 // Endpoint is a communication endpoint: an addressable handler table.

@@ -21,8 +21,9 @@
 // scheduled for the current instant bypass the timer heap entirely, and the
 // timer heap itself is a 4-ary index-aware heap so Timer.Stop removes its
 // event in O(log n) instead of leaking it until popped. Events whose delay is
-// a per-link constant skip the heap: they ride a Lane, a FIFO that is sorted
-// by construction, and the dequeue merges the lane heads with the heap top in
+// a per-link constant, and the wakeups of a SleepEach series that repeats its
+// slice, skip the heap: they ride a Lane, a FIFO that is sorted by
+// construction, and the dequeue merges the lane heads with the heap top in
 // the same (time, sequence) order. Kernel-aware
 // subsystems (the simnet link pumps) can also enter the ready queue as
 // inline Tasks, which run in place on whichever stack is scheduling and cost
@@ -100,6 +101,16 @@ const maxWaiterPool = 1 << 12
 // maxLanes bounds the kernel's lanes: every dequeue scans each lane head, so
 // delays past the first maxLanes distinct ones go through the heap instead.
 const maxLanes = 8
+
+// laneKey is a lane head's (at, seq), kept in Kernel.heads so the dequeue
+// scans the heads without touching their events. An empty lane's key,
+// noLaneKey, sorts after every event.
+type laneKey struct {
+	at  time.Duration
+	seq uint64
+}
+
+var noLaneKey = laneKey{noHorizon, math.MaxUint64}
 
 // event is a scheduled occurrence on the virtual timeline. Exactly one of
 // task, w, h, or fn describes what firing it does:
@@ -292,10 +303,11 @@ type Kernel struct {
 	now    time.Duration
 	seq    uint64
 	events eventHeap
-	lanes  []*Lane      // constant-delay FIFOs, merged with events by (at, seq)
-	due    fifo[*event] // events scheduled for the current instant
-	ready  fifo[Task]   // work runnable at the current instant, FIFO
-	free   []*event     // recycled event records
+	lanes  []*Lane           // constant-delay FIFOs, merged with events by (at, seq)
+	heads  [maxLanes]laneKey // heads[i] is lanes[i]'s head, noLaneKey when empty
+	due    fifo[*event]      // events scheduled for the current instant
+	ready  fifo[Task]        // work runnable at the current instant, FIFO
+	free   []*event          // recycled event records
 	// freeWaiters recycles the waiters of Cond, Semaphore and Event.
 	freeWaiters []*waiter
 	procs       map[int]*Proc // processes that have not exited
@@ -446,6 +458,7 @@ func (k *Kernel) AfterEvent(d time.Duration, h EventHandler) {
 type Lane struct {
 	k *Kernel
 	d time.Duration
+	i int // index in k.lanes and k.heads
 	q fifo[*event]
 }
 
@@ -464,18 +477,44 @@ func (k *Kernel) Lane(d time.Duration) *Lane {
 	if len(k.lanes) == maxLanes {
 		return nil
 	}
-	l := &Lane{k: k, d: d}
+	l := &Lane{k: k, d: d, i: len(k.lanes)}
 	k.lanes = append(k.lanes, l)
+	k.heads[l.i] = noLaneKey
 	return l
 }
 
 // AfterEvent schedules h.OnEvent to run inline after the lane's delay: the
 // same firing as k.AfterEvent(d, h), with no heap push.
 func (l *Lane) AfterEvent(h EventHandler) {
-	k := l.k
-	ev := k.newEvent(k.now + l.d)
+	ev := l.k.newEvent(l.k.now + l.d)
 	ev.h = h
+	l.push(ev)
+}
+
+// afterTask is AfterEvent for a Task: the same firing as
+// k.scheduleTask(now+d, t), with no heap push.
+func (l *Lane) afterTask(t Task) {
+	ev := l.k.newEvent(l.k.now + l.d)
+	ev.task = t
+	l.push(ev)
+}
+
+func (l *Lane) push(ev *event) {
+	if l.q.len() == 0 {
+		l.k.heads[l.i] = laneKey{ev.at, ev.seq}
+	}
 	l.q.push(ev)
+}
+
+func (l *Lane) pop() *event {
+	ev := l.q.pop()
+	if l.q.len() == 0 {
+		l.k.heads[l.i] = noLaneKey
+	} else {
+		h := l.q.peek()
+		l.k.heads[l.i] = laneKey{h.at, h.seq}
+	}
+	return ev
 }
 
 // queued reports whether any event waits in the heap or on a lane.
@@ -561,13 +600,18 @@ func (k *Kernel) spawn(name string, fn func(p *Proc), daemon bool) *Proc {
 // dequeued: nil is returned and it stays next in line.
 func (k *Kernel) nextEvent(horizon time.Duration, holdFn bool) *event {
 	ev := k.events.peek()
+	best := noLaneKey
+	if ev != nil {
+		best = laneKey{ev.at, ev.seq}
+	}
 	var lane *Lane
-	for _, l := range k.lanes {
-		if l.q.len() > 0 {
-			if h := l.q.peek(); ev == nil || eventLess(h, ev) {
-				ev, lane = h, l
-			}
+	for i, h := range k.heads[:len(k.lanes)] {
+		if h.at < best.at || h.at == best.at && h.seq < best.seq {
+			best, lane = h, k.lanes[i]
 		}
+	}
+	if lane != nil {
+		ev = lane.q.peek()
 	}
 	fromDue := false
 	if ev == nil || ev.at > k.now {
@@ -591,7 +635,7 @@ func (k *Kernel) nextEvent(horizon time.Duration, holdFn bool) *event {
 		k.now = ev.at
 	}
 	if lane != nil {
-		return lane.q.pop()
+		return lane.pop()
 	}
 	return k.events.pop()
 }
@@ -637,22 +681,30 @@ func (k *Kernel) fire(ev *event) {
 // kernel is stopped, or, with the loop on a process's stack (inProc), when
 // an After callback is next: those fire only on the caller's stack (see the
 // package comment).
+//
+// A task event dequeued here finds the ready queue empty, so the task it
+// would post is the very next one popped: the loop runs it at once instead.
 func (k *Kernel) next(inProc bool) *Proc {
 	for !k.stopped {
+		var t Task
 		if k.ready.len() > 0 {
-			t := k.ready.pop()
-			if p, isProc := t.(*Proc); !isProc {
-				k.runInline(t)
-			} else if k.wakes(p) {
-				return p
+			t = k.ready.pop()
+		} else {
+			ev := k.nextEvent(k.horizon, inProc)
+			if ev == nil {
+				break
 			}
-			continue
+			if t = ev.task; t == nil {
+				k.fire(ev)
+				continue
+			}
+			k.release(ev)
 		}
-		ev := k.nextEvent(k.horizon, inProc)
-		if ev == nil {
-			break
+		if p, isProc := t.(*Proc); !isProc {
+			k.runInline(t)
+		} else if k.wakes(p) {
+			return p
 		}
-		k.fire(ev)
 	}
 	return nil
 }
@@ -671,13 +723,30 @@ func (k *Kernel) wakes(p *Proc) bool {
 	}
 	switch d := k.slice(p); {
 	case d > 0:
-		k.scheduleTask(k.now+d, p)
+		k.sleepSlice(p, d)
 		return false
 	case d == Parked:
 		return false
 	}
 	p.each = nil
 	return true
+}
+
+// sleepSlice schedules p's wakeup d from now, exactly as Sleep(d) would. A
+// series that repeats its slice rides the lane for d: only a slice of the
+// same d as p's previous one asks for a lane, so one-off delays do not use
+// up the kernel's lanes.
+func (k *Kernel) sleepSlice(p *Proc, d time.Duration) {
+	var l *Lane
+	if p.lastSlice == d {
+		l = k.Lane(d)
+	}
+	p.lastSlice = d
+	if l != nil {
+		l.afterTask(p)
+		return
+	}
+	k.scheduleTask(k.now+d, p)
 }
 
 // slice runs p's SleepEach step as inline work. Its panic is the step's,

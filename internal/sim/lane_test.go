@@ -16,13 +16,15 @@ type firing struct {
 }
 
 // laneMix runs a seeded mix of After, AfterEvent, AfterTask, lane events,
-// Timer.Stop and a sleeping process, with delays drawn so that zero delays
-// and same-instant ties are common. Each firing arms one or two more calls
-// until the call budget is spent. Lane calls use more distinct delays than
-// the kernel has lanes, and a zero delay, so the heap fallback is in the mix.
-// With lanes false every lane call is an AfterEvent with the same delay
-// instead: the reference, whose order is the heap's (at, seq) order by
-// construction.
+// Timer.Stop, a sleeping process and processes running SleepEach series,
+// with delays drawn so that zero delays and same-instant ties are common.
+// Each firing arms one or two more calls until the call budget is spent.
+// Lane calls use more distinct delays than the kernel has lanes, and a zero
+// delay, so the heap fallback is in the mix. A series either repeats one
+// delay, which may ride a lane, or draws a new one per slice. With lanes
+// false every lane call is an AfterEvent with the same delay instead, and
+// every series the Sleep loop SleepEach stands for: the reference, whose
+// order is the heap's (at, seq) order by construction.
 func laneMix(t testing.TB, seed uint64, lanes bool) []firing {
 	k := New()
 	k.Seed(seed)
@@ -36,6 +38,31 @@ func laneMix(t testing.TB, seed uint64, lanes bool) []firing {
 			m.log = append(m.log, firing{p.Now(), -2})
 		}
 	})
+	for i := 0; i < 3; i++ {
+		id := -3 - i
+		k.Spawn("slicer", func(p *Proc) {
+			for round := 0; round < 8; round++ {
+				d := sliceDelays[k.Rand()%uint64(len(sliceDelays))]
+				oneOff := k.Rand()%3 == 0
+				left := 1 + int(k.Rand()%20)
+				step := func() time.Duration {
+					m.log = append(m.log, firing{p.Now(), id})
+					if left--; left == 0 {
+						return 0
+					}
+					if oneOff {
+						return sliceDelays[k.Rand()%uint64(len(sliceDelays))]
+					}
+					return d
+				}
+				if lanes {
+					p.SleepEach(d, step)
+				} else {
+					sleepLoop(p, d, step)
+				}
+			}
+		})
+	}
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -45,11 +72,13 @@ func laneMix(t testing.TB, seed uint64, lanes bool) []firing {
 	return m.log
 }
 
-// heapDelays and laneDelays share instants so ties across queues are common;
-// laneDelays has a zero and more positive values than maxLanes.
+// heapDelays, laneDelays and sliceDelays share instants so ties across
+// queues are common; laneDelays has a zero and more positive values than
+// maxLanes, and sliceDelays some that no lane call uses.
 var (
-	heapDelays = []time.Duration{0, 0, 1, 2, 3, 5, 8, 13}
-	laneDelays = []time.Duration{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}
+	heapDelays  = []time.Duration{0, 0, 1, 2, 3, 5, 8, 13}
+	laneDelays  = []time.Duration{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}
+	sliceDelays = []time.Duration{1, 2, 3, 5, 7, 11, 12, 20}
 )
 
 type mixer struct {
@@ -198,5 +227,41 @@ func TestLaneBounds(t *testing.T) {
 	}
 	if k.Lane(3) != k.Lane(3) {
 		t.Fatal("the same delay got two lanes")
+	}
+}
+
+// TestSliceSeriesRidesLane: a SleepEach series that repeats its slice keeps
+// its wakeups off the timer heap, and a series of one-off slices before it
+// takes no lane, so the kernel's lanes are left for the repeating one.
+func TestSliceSeriesRidesLane(t *testing.T) {
+	const oneOffs, n, d = 2 * maxLanes, 50, 100
+	k := New()
+	repeats := 0
+	k.Spawn("series", func(p *Proc) {
+		next := time.Duration(1)
+		p.SleepEach(next, func() time.Duration {
+			if next == oneOffs {
+				return 0
+			}
+			next++
+			return next
+		})
+		if len(k.lanes) != 0 {
+			t.Errorf("one-off slices took %d lanes", len(k.lanes))
+		}
+		p.SleepEach(d, func() time.Duration {
+			if repeats++; repeats == n {
+				return 0
+			}
+			return d
+		})
+	})
+	for k.Step() {
+		if repeats > 0 && repeats < n && k.events.len() != 0 {
+			t.Fatalf("after repeating slice %d the timer heap holds %d events, want the wakeup on the lane", repeats, k.events.len())
+		}
+	}
+	if want := time.Duration(oneOffs*(oneOffs+1)/2 + n*d); k.Now() != want || repeats != n {
+		t.Fatalf("%d repeating slices ended at %v, want %d at %v", repeats, k.Now(), n, want)
 	}
 }

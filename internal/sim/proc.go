@@ -35,6 +35,9 @@ type Proc struct {
 	// each is the step of a SleepEach series in progress: the kernel runs it
 	// in place at each wakeup instead of resuming the process.
 	each func() time.Duration
+	// lastSlice is the delay of the process's last SleepEach slice (see
+	// Kernel.sleepSlice).
+	lastSlice time.Duration
 }
 
 // PID returns the kernel-unique process id.
@@ -203,7 +206,7 @@ func (p *Proc) SleepEach(d time.Duration, step func() time.Duration) {
 		p.park("SleepEach")
 	case d > 0:
 		p.each = step
-		p.k.scheduleTask(p.k.now+d, p)
+		p.k.sleepSlice(p, d)
 		p.park("SleepEach")
 	}
 }

@@ -116,6 +116,7 @@ func (e *Env) ComputeEach(d time.Duration, step func() time.Duration) {
 // nothing in steady state.
 type computeSlice struct {
 	e    *Env
+	cpus *sim.Semaphore // e's host's processors
 	step func() time.Duration
 	// d is step's last result: the charge the process must start itself
 	// when wake hands back with d > 0.
@@ -127,7 +128,7 @@ type computeSlice struct {
 // Acquire if the CPU is free. It hands back (0) when step does, when the CPU
 // is taken, or when the next charge scales to nothing.
 func (s *computeSlice) run() time.Duration {
-	cpus := s.e.node.cpus
+	cpus := s.cpus
 	cpus.Release()
 	s.d = s.step()
 	if s.d <= 0 || !cpus.TryAcquire() {
@@ -149,12 +150,12 @@ func (n *Network) takeSlice(e *Env, step func() time.Duration) *computeSlice {
 		s = &computeSlice{}
 		s.wake = s.run
 	}
-	s.e, s.step = e, step
+	s.e, s.cpus, s.step = e, e.node.cpus, step
 	return s
 }
 
 func (n *Network) putSlice(s *computeSlice) {
-	s.e, s.step = nil, nil
+	s.e, s.cpus, s.step = nil, nil, nil
 	n.freeSlices = append(n.freeSlices, s)
 }
 
