@@ -245,19 +245,15 @@ func NewTestbed(opts Options) *Testbed {
 	n.Obs = opts.Obs
 	fw := buildTopology(n, opts)
 
-	relay := proxy.RelayConfig{BufBytes: opts.RelayBufBytes, PerBuffer: opts.RelayPerBuffer}
 	tb := &Testbed{
 		K: k, Net: n, Firewall: fw, opts: opts,
-		Inner: proxy.NewInnerServer(relay),
-		Outer: proxy.NewOuterServer(transport.JoinAddr(RWCPInner, NXPort), relay),
 		ProxyCfg: proxy.Config{
 			OuterServer: transport.JoinAddr(RWCPOuter, OuterPort),
 			InnerServer: transport.JoinAddr(RWCPInner, NXPort),
 			Secret:      opts.Secret,
 		},
 	}
-	tb.Inner.Secret = opts.Secret
-	tb.Outer.Secret = opts.Secret
+	tb.Inner, tb.Outer = tb.newInner(), tb.newOuter()
 	n.Node(RWCPInner).SpawnDaemonOn("nxproxy-inner", func(env transport.Env) {
 		_ = tb.Inner.Serve(env, NXPort, nil)
 	})
@@ -265,6 +261,24 @@ func NewTestbed(opts Options) *Testbed {
 		_ = tb.Outer.Serve(env, OuterPort, nil)
 	})
 	return tb
+}
+
+// newInner and newOuter build the relay daemons as the testbed runs them:
+// at NewTestbed, and again when EnableRecovery's boot scripts restart them.
+func (tb *Testbed) newInner() *proxy.InnerServer {
+	in := proxy.NewInnerServer(tb.relay())
+	in.Secret = tb.opts.Secret
+	return in
+}
+
+func (tb *Testbed) newOuter() *proxy.OuterServer {
+	o := proxy.NewOuterServer(tb.ProxyCfg.InnerServer, tb.relay())
+	o.Secret = tb.opts.Secret
+	return o
+}
+
+func (tb *Testbed) relay() proxy.RelayConfig {
+	return proxy.RelayConfig{BufBytes: tb.opts.RelayBufBytes, PerBuffer: tb.opts.RelayPerBuffer}
 }
 
 // Run drives the simulation to completion.
@@ -311,22 +325,19 @@ func (tb *Testbed) EnableRecovery(ka proxy.KeepaliveConfig) {
 	if ka.OuterAddr == "" {
 		ka.OuterAddr = tb.ProxyCfg.OuterServer
 	}
-	relay := proxy.RelayConfig{BufBytes: tb.opts.RelayBufBytes, PerBuffer: tb.opts.RelayPerBuffer}
 	tb.OuterBoots = 1
 	tb.Net.Node(RWCPInner).SpawnDaemonOn("nxproxy-inner-register", func(env transport.Env) {
 		env.Sleep(time.Millisecond) // after Serve binds the nxport
 		tb.Inner.MaintainRegistration(env, ka)
 	})
 	tb.Net.Node(RWCPOuter).OnRestart("nxproxy-outer", func(env transport.Env) {
-		o := proxy.NewOuterServer(transport.JoinAddr(RWCPInner, NXPort), relay)
-		o.Secret = tb.opts.Secret
+		o := tb.newOuter()
 		tb.Outer = o
 		tb.OuterBoots++
 		_ = o.Serve(env, OuterPort, nil)
 	})
 	tb.Net.Node(RWCPInner).OnRestart("nxproxy-inner", func(env transport.Env) {
-		in := proxy.NewInnerServer(relay)
-		in.Secret = tb.opts.Secret
+		in := tb.newInner()
 		tb.Inner = in
 		env.SpawnService("nxproxy-inner-register", func(e transport.Env) {
 			e.Sleep(time.Millisecond)

@@ -32,14 +32,16 @@ import (
 
 // FlowConfig parameterizes the network's TCP-Reno flow model.
 type FlowConfig struct {
-	// InitialWindow is the initial congestion window in segments (default 2).
-	InitialWindow int
-	// InitialSsthresh is the initial slow-start threshold in bytes
-	// (default 64 KiB).
-	InitialSsthresh int
 	// Seed seeds the deterministic per-segment loss stream.
 	Seed uint64
 }
+
+// A flow starts in slow start: a congestion window of initialWindow
+// segments and a slow-start threshold of initialSsthresh bytes.
+const (
+	initialWindow   = 2
+	initialSsthresh = 64 << 10
+)
 
 // FlowStats aggregates flow-model activity across the whole network.
 type FlowStats struct {
@@ -56,14 +58,7 @@ type FlowStats struct {
 // dialed afterwards. It must be called before traffic flows; already-open
 // connections are unaffected.
 func (n *Network) EnableFlowModel(cfg FlowConfig) {
-	if cfg.InitialWindow <= 0 {
-		cfg.InitialWindow = 2
-	}
-	if cfg.InitialSsthresh <= 0 {
-		cfg.InitialSsthresh = 64 << 10
-	}
 	n.flowOn = true
-	n.flowCfg = cfg
 	n.lossSeed = cfg.Seed
 }
 
@@ -115,8 +110,8 @@ func (n *Network) newFlowState(path []*linkDir, label string) *flowState {
 	}
 	f := &flowState{
 		mss:      n.MTU,
-		cwnd:     n.flowCfg.InitialWindow * n.MTU,
-		ssthresh: n.flowCfg.InitialSsthresh,
+		cwnd:     initialWindow * n.MTU,
+		ssthresh: initialSsthresh,
 		rtt:      rtt,
 		lastCut:  math.MinInt64 / 4,
 	}

@@ -98,7 +98,6 @@ type Network struct {
 	// data plane behaves bit-identically to a network built before the model
 	// existed.
 	flowOn      bool
-	flowCfg     FlowConfig
 	lossSeed    uint64
 	flowDrops   int64
 	flowRetrans int64

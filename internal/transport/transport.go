@@ -185,22 +185,6 @@ func JoinAddr(host string, port int) string {
 	return host + ":" + strconv.Itoa(port)
 }
 
-// connReader adapts a Conn to io.Reader for one calling Env.
-type connReader struct {
-	env  Env
-	conn Conn
-}
-
-func (r connReader) Read(b []byte) (int, error) { return r.conn.Read(r.env, b) }
-
-// connWriter adapts a Conn to io.Writer for one calling Env.
-type connWriter struct {
-	env  Env
-	conn Conn
-}
-
-func (w connWriter) Write(b []byte) (int, error) { return w.conn.Write(w.env, b) }
-
 // Stream bundles a Conn with a calling Env into an io.ReadWriter so the wire
 // protocols can use encoding/binary, io.ReadFull, io.Copy, bufio, etc.
 type Stream struct {
